@@ -8,7 +8,7 @@ weighted) Nitsche method, and stabilised with a gradient-jump ghost
 penalty on the cut bands.
 """
 from .mesh import Mesh, build_mesh, node_patch
-from .levelset import LevelSet, make_circle, make_flower, edge_root, reflect
+from .levelset import LevelSet, make_circle, make_flower
 from .cutcell import CutTopology, classify
 from .space import SpaceLayout, FieldPair, build_spaces, interpolate, evaluate
 from .problems import ProblemSpec, example_circle, example_flower, patch_problem
@@ -21,7 +21,7 @@ from .harness import (RunConfig, RunResult, Table, run_solve, run_convergence,
 
 __all__ = [
     "Mesh", "build_mesh", "node_patch",
-    "LevelSet", "make_circle", "make_flower", "edge_root", "reflect",
+    "LevelSet", "make_circle", "make_flower",
     "CutTopology", "classify",
     "SpaceLayout", "FieldPair", "build_spaces", "interpolate", "evaluate",
     "ProblemSpec", "example_circle", "example_flower", "patch_problem",

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .cutcell import CutTopology
-from .mesh import Mesh
+from .mesh import Mesh, barycentric_many
 from .problems import ProblemSpec
 from .space import FieldPair, SpaceLayout
 
@@ -44,17 +44,6 @@ class SparseSystem:
     @property
     def n(self) -> int:
         return self.rhs.shape[0]
-
-
-def barycentric_many(coords: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Barycentric coordinates of pts[i] inside triangle coords[i]."""
-    d1 = coords[:, 1] - coords[:, 0]
-    d2 = coords[:, 2] - coords[:, 0]
-    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    r = pts - coords[:, 0]
-    l1 = (r[:, 0] * d2[:, 1] - r[:, 1] * d2[:, 0]) / det
-    l2 = (d1[:, 0] * r[:, 1] - d1[:, 1] * r[:, 0]) / det
-    return np.column_stack([1.0 - l1 - l2, l1, l2])
 
 
 def _coo(rows, cols, vals, n):

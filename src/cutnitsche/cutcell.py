@@ -9,7 +9,7 @@ Gauss rule on the chord.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -23,9 +23,6 @@ __all__ = [
     "CutTopology",
     "QuadratureRule",
     "classify",
-    "cut_volume_quadrature",
-    "interface_quadrature",
-    "ghost_edges",
     "dump_cut_cells",
 ]
 
@@ -61,7 +58,6 @@ class CutTopology:
     """Element/edge classification of a mesh against a level set."""
 
     levelset: LevelSet
-    psi_nodes: np.ndarray        # side-signed phi at nodes (negative = minus)
     node_sign: np.ndarray        # int8, 0 for nodes snapped onto the interface
     elem_side: np.ndarray        # int8 per element: -1 minus, +1 plus, 0 cut
     area_minus: np.ndarray       # (n_elems,) chord-model area of T cap Omega^-
@@ -80,7 +76,6 @@ class CutTopology:
     ghost_minus: np.ndarray      # edge ids stabilising the minus field
     ghost_plus: np.ndarray
     ambiguous_elements: np.ndarray
-    ambiguous_edges: np.ndarray
 
     @property
     def n_cut(self) -> int:
@@ -128,9 +123,8 @@ def classify(mesh: Mesh, ls: LevelSet) -> CutTopology:
             f"{a.tolist()} -> {b.tolist()}"
         )
 
-    edge_lookup = {(int(a), int(b)): k for k, (a, b) in enumerate(mesh.edges)}
     cut_mask = has_neg & has_pos
-    roots, flagged_edges = _edge_roots(mesh, ls, psi, sign, cut_mask, multi_edge, edge_lookup)
+    roots, flagged_edges = _edge_roots(mesh, ls, psi, sign, multi_edge)
 
     elem_side = np.where(has_pos, 1, -1).astype(np.int8)
     elem_side[cut_mask] = 0
@@ -144,16 +138,11 @@ def classify(mesh: Mesh, ls: LevelSet) -> CutTopology:
     ambiguous = set()
     h_elem = mesh.h_elem
     for t in np.flatnonzero(cut_mask):
-        conn = mesh.elements[t]
-        coords = mesh.nodes[conn]
-        local_roots = []
-        for i in range(3):
-            a, b = int(conn[i]), int(conn[(i + 1) % 3])
-            key = (a, b) if a < b else (b, a)
-            local_roots.append(roots.get(key))
-            if key in flagged_edges:
-                ambiguous.add(int(t))
-        split = _split_element(coords, esign[t], local_roots)
+        coords = mesh.nodes[mesh.elements[t]]
+        local_edges = mesh.elem_edges[t].tolist()
+        if not flagged_edges.isdisjoint(local_edges):
+            ambiguous.add(int(t))
+        split = _split_element(coords, esign[t], [roots.get(e) for e in local_edges])
         if split is None:
             raise GeometryError(f"element {int(t)}: could not locate two interface points")
         p, q, pm, pp, normal = split
@@ -191,16 +180,12 @@ def classify(mesh: Mesh, ls: LevelSet) -> CutTopology:
     ghost_plus = _ghost_edges(mesh, elem_side, is_cut, "plus")
 
     flagged_ids = np.asarray(sorted(ambiguous), dtype=np.int64)
-    flagged_edge_ids = np.asarray(
-        sorted(edge_lookup[k] for k in flagged_edges), dtype=np.int64
-    )
     if flagged_ids.size:
         log.warning("%d elements flagged as ambiguous near the interface (%s)",
                     flagged_ids.size, ls.name)
 
     return CutTopology(
         levelset=ls,
-        psi_nodes=psi,
         node_sign=sign,
         elem_side=elem_side,
         area_minus=area_minus,
@@ -219,7 +204,6 @@ def classify(mesh: Mesh, ls: LevelSet) -> CutTopology:
         ghost_minus=ghost_minus,
         ghost_plus=ghost_plus,
         ambiguous_elements=flagged_ids,
-        ambiguous_edges=flagged_edge_ids,
     )
 
 
@@ -235,41 +219,32 @@ def _scan_edges(mesh: Mesh, ls: LevelSet) -> np.ndarray:
     return changes > 1
 
 
-def _edge_roots(mesh, ls, psi, sign, cut_mask, multi_edge, edge_lookup):
-    """Interface root per strictly sign-changing edge of any cut element."""
-    roots: dict[tuple[int, int], np.ndarray] = {}
-    flagged: set[tuple[int, int]] = set()
-    seen: set[tuple[int, int]] = set()
-    for t in np.flatnonzero(cut_mask):
-        conn = mesh.elements[t]
-        for i in range(3):
-            a, b = int(conn[i]), int(conn[(i + 1) % 3])
-            key = (a, b) if a < b else (b, a)
-            if key in seen:
-                continue
-            seen.add(key)
-            sa, sb = int(sign[a]), int(sign[b])
-            if sa * sb >= 0:
-                continue
-            pa, pb = mesh.nodes[key[0]], mesh.nodes[key[1]]
-            fa, fb = float(psi[key[0]]), float(psi[key[1]])
-            eid = edge_lookup[key]
-            if multi_edge[eid]:
-                if ls.simple:
-                    raise CoarseMeshError("h too coarse for this interface")
-                roots[key] = _linear_root(pa, pb, fa, fb)
-                flagged.add(key)
-                continue
-            try:
-                roots[key] = _bisect(
-                    lambda t_, pa=pa, pb=pb: float(ls.side_sign(pa + t_ * (pb - pa))),
-                    0.0, 1.0, fa, fb, pa, pb,
-                )
-            except GeometryError:
-                if ls.simple:
-                    raise
-                roots[key] = _linear_root(pa, pb, fa, fb)
-                flagged.add(key)
+def _edge_roots(mesh, ls, psi, sign, multi_edge):
+    """Interface root per strictly sign-changing edge, keyed by edge id.
+
+    Each edge is bisected from its lower node id to its higher one.
+    """
+    roots: dict[int, np.ndarray] = {}
+    flagged: set[int] = set()
+    a_ids, b_ids = mesh.edges.T
+    for e in np.flatnonzero(sign[a_ids] * sign[b_ids] < 0).tolist():
+        a, b = a_ids[e], b_ids[e]
+        pa, pb = mesh.nodes[a], mesh.nodes[b]
+        fa, fb = float(psi[a]), float(psi[b])
+        if multi_edge[e]:
+            roots[e] = _linear_root(pa, pb, fa, fb)
+            flagged.add(e)
+            continue
+        try:
+            roots[e] = _bisect(
+                lambda t_, pa=pa, pb=pb: float(ls.side_sign(pa + t_ * (pb - pa))),
+                0.0, 1.0, fa, fb, pa, pb,
+            )
+        except GeometryError:
+            if ls.simple:
+                raise
+            roots[e] = _linear_root(pa, pb, fa, fb)
+            flagged.add(e)
     return roots, flagged
 
 
@@ -397,38 +372,6 @@ def _ghost_edges(mesh, elem_side, is_cut, side) -> np.ndarray:
     both = interior & in_side[e1] & in_side[np.where(interior, e2, 0)]
     touched = is_cut[e1] | is_cut[np.where(interior, e2, 0)]
     return np.flatnonzero(both & touched)
-
-
-def cut_volume_quadrature(mesh: Mesh, topo: CutTopology, elem: int, side: str) -> QuadratureRule:
-    """Quadrature over ``elem`` intersected with the given physical side."""
-    _check_side(side)
-    s = int(topo.elem_side[elem])
-    want = -1 if side == "minus" else 1
-    if s == -want:
-        return QuadratureRule(np.zeros((0, 2)), np.zeros(0))
-    if s == want:
-        coords = mesh.nodes[mesh.elements[elem]]
-        pts, w = _midedge_rule(coords, float(mesh.areas[elem]))
-        return QuadratureRule(pts, w)
-    k = int(topo.cut_index[elem])
-    poly = topo.poly_minus[k] if side == "minus" else topo.poly_plus[k]
-    return polygon_rule(poly)
-
-
-def interface_quadrature(mesh: Mesh, topo: CutTopology, elem: int):
-    """Two-point chord rule and minus-side outward normal for a cut element."""
-    k = int(topo.cut_index[elem])
-    if k < 0:
-        raise ValueError(f"element {elem} is not cut")
-    sl = slice(2 * k, 2 * k + 2)
-    rule = QuadratureRule(topo.iface.points[sl], topo.iface.weights[sl])
-    return rule, topo.chord_normal[k]
-
-
-def ghost_edges(mesh: Mesh, topo: CutTopology, side: str) -> np.ndarray:
-    """Edge ids of the ghost-penalty set for one side."""
-    _check_side(side)
-    return topo.ghost_minus if side == "minus" else topo.ghost_plus
 
 
 def dump_cut_cells(mesh: Mesh, topo: CutTopology, path) -> None:

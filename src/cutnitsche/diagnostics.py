@@ -23,15 +23,15 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .assembly import assemble_parts, barycentric_many
+from .assembly import assemble_parts
 from .cutcell import CutTopology, classify
 from .harness import RunConfig, Table, make_problem
 from .levelset import GeometryError, LevelSet, make_circle, reflect_many
-from .mesh import Mesh, build_mesh, node_patch
+from .mesh import Mesh, barycentric_many, build_mesh, node_patch
 from .norms import error_report
 from .problems import ProblemSpec, patch_problem
 from .solver import DENSE_LIMIT
-from .space import FieldPair, SpaceLayout, build_spaces, interpolate_pair
+from .space import FieldPair, SpaceLayout, build_spaces, interpolate_pair, locate_on_side
 
 __all__ = [
     "PatchAreaResult", "patch_area_ratio",
@@ -158,31 +158,6 @@ def _h1_matrices(mesh: Mesh, elems: np.ndarray | None = None):
     return mass, stiff
 
 
-def _locate_plus(mesh: Mesh, layout: SpaceLayout, pts: np.ndarray, tol: float = 1e-12):
-    """Element index and barycentric weights of each point within the
-    plus-side mesh."""
-    elems = np.empty(pts.shape[0], dtype=np.int64)
-    lams = np.empty((pts.shape[0], 3))
-    for k, x in enumerate(pts):
-        hit = False
-        for ring in (0, 1):
-            for t in mesh.candidate_elements(x, ring):
-                if not layout.in_plus[t]:
-                    continue
-                lam = barycentric_many(mesh.nodes[mesh.elements[t]][None], x[None])[0]
-                if np.all(lam >= -tol / mesh.h):
-                    elems[k] = t
-                    lams[k] = lam
-                    hit = True
-                    break
-            if hit:
-                break
-        if not hit:
-            raise GeometryError(
-                f"reflected point {x.tolist()} lies outside the plus-side mesh")
-    return elems, lams
-
-
 @dataclass(frozen=True)
 class ExtensionOperator:
     """Linear map from plus-side coefficients to a conforming field on
@@ -239,7 +214,10 @@ def build_extension(mesh: Mesh, topo: CutTopology, ls: LevelSet,
         if total <= 0.0 or not np.any(live):
             continue
         refl = reflect_many(ls, pts_z[live], tube=tube)
-        elems, lams = _locate_plus(mesh, layout, refl)
+        elems, lams = locate_on_side(layout, "plus", refl)
+        if np.any(elems < 0):
+            bad = refl[np.argmax(elems < 0)]
+            raise GeometryError(f"reflected point {bad.tolist()} lies outside the plus-side mesh")
         dofs = layout.node_dof_plus[mesh.elements[elems]]
         coef = (wts_z[live] * eta[live] / total)[:, None] * lams
         rows.extend([z] * dofs.size)

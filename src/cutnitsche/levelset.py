@@ -16,8 +16,6 @@ __all__ = [
     "LevelSet",
     "make_circle",
     "make_flower",
-    "edge_root",
-    "reflect",
     "CoarseMeshError",
     "GeometryError",
 ]
@@ -139,38 +137,6 @@ def make_flower(inclusion_side: str = "minus") -> LevelSet:
                     simple=False, name="flower")
 
 
-def edge_root(ls: LevelSet, a, b):
-    """Single interface crossing on the segment a-b, or None.
-
-    Bisection on phi restricted to the segment, run to interval width
-    <= 1e-14 and |phi| <= 1e-13.  The segment is first sampled at 32
-    interior points; more than one sign change raises CoarseMeshError.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    fa = float(ls.value(a))
-    fb = float(ls.value(b))
-    if fa == 0.0:
-        return a.copy()
-    if fb == 0.0:
-        return b.copy()
-
-    ts = np.linspace(0.0, 1.0, MULTI_ROOT_SAMPLES + 2)
-    pts = a[None, :] + ts[:, None] * (b - a)[None, :]
-    vals = ls.value(pts)
-    signs = np.sign(vals)
-    changes = int(np.sum(signs[1:] * signs[:-1] < 0))
-    if changes > 1:
-        raise CoarseMeshError(
-            f"h too coarse for this interface: {changes} sign changes on edge "
-            f"{a.tolist()} -> {b.tolist()}"
-        )
-    if fa * fb > 0.0:
-        return None
-
-    return _bisect(lambda t: float(ls.value(a + t * (b - a))), 0.0, 1.0, fa, fb, a, b)
-
-
 def _bisect(f, ta, tb, fa, fb, a, b):
     scale = float(np.hypot(*(b - a)))
     width_tol = ROOT_WIDTH_TOL / max(scale, 1e-300)
@@ -195,29 +161,6 @@ def _bisect(f, ta, tb, fa, fb, a, b):
     )
 
 
-def reflect(ls: LevelSet, x, tube: float = 0.1, tol: float = 1e-12, max_iter: int = 50):
-    """Reflection of x across the interface via closest-point projection.
-
-    Only valid inside a tube of the given phi-distance around the
-    interface; raises GeometryError outside it or on non-convergence.
-    """
-    x = np.asarray(x, dtype=float)
-    d0 = float(abs(ls.value(x)))
-    if d0 > tube:
-        raise GeometryError(f"point {x.tolist()} outside the reflection tube (|phi| = {d0:.3e} > {tube})")
-    y = x.copy()
-    for _ in range(max_iter):
-        d = float(ls.value(y))
-        if abs(d) <= tol:
-            return 2.0 * y - x
-        g = np.asarray(ls.gradient(y), dtype=float)
-        g2 = float(g @ g)
-        if g2 < 1e-300:
-            raise GeometryError(f"vanishing level-set gradient while projecting {x.tolist()}")
-        y = y - (d / g2) * g
-    raise GeometryError(f"projection of {x.tolist()} did not converge in {max_iter} iterations")
-
-
 def reflect_many(ls: LevelSet, xs, tube: float = 0.1, tol: float = 1e-12, max_iter: int = 50):
     """Vectorized reflection of a batch of points."""
     xs = np.asarray(xs, dtype=float)
@@ -238,8 +181,7 @@ def reflect_many(ls: LevelSet, xs, tube: float = 0.1, tol: float = 1e-12, max_it
         g2 = np.sum(g * g, axis=-1)
         if np.any(g2 < 1e-300):
             raise GeometryError("vanishing level-set gradient during batch projection")
-        d = ls.value(ys[active])
-        ys[active] -= (d / g2)[:, None] * g
+        ys[active] -= (d[~done] / g2)[:, None] * g
     if np.any(active):
         bad = xs[np.argmax(active)]
         raise GeometryError(f"projection of {bad.tolist()} did not converge in {max_iter} iterations")

@@ -27,6 +27,12 @@ class Mesh:
     Cell ``(ix, iy)`` owns elements ``2*(iy*n + ix)`` (lower-right triangle)
     and ``2*(iy*n + ix) + 1`` (upper-left triangle); both are oriented
     counter-clockwise.
+
+    Edges are numbered node-major: node ``a`` owns its horizontal edge to
+    ``a+1``, its vertical edge to ``a+n+1`` and its diagonal edge to
+    ``a+n+2``, in that order, each only where the end node is on the grid.
+    Assembly sums ghost-penalty contributions in this order.  Local edge
+    ``i`` of an element joins its vertices ``i`` and ``(i+1) % 3``.
     """
 
     level: int
@@ -36,7 +42,8 @@ class Mesh:
     nodes: np.ndarray         # (n_nodes, 2)
     elements: np.ndarray      # (n_elems, 3) node ids, CCW
     edges: np.ndarray         # (n_edges, 2) node ids, smaller first
-    edge_elems: np.ndarray    # (n_edges, 2) element ids, -1 on boundary
+    edge_elems: np.ndarray    # (n_edges, 2) element ids, lower first, -1 on boundary
+    elem_edges: np.ndarray    # (n_elems, 3) edge ids of the local edges
     edge_lengths: np.ndarray  # (n_edges,)
     boundary_node: np.ndarray  # (n_nodes,) bool
     areas: np.ndarray         # (n_elems,)
@@ -57,32 +64,22 @@ class Mesh:
         """Element diameter (longest edge); uniform over the mesh."""
         return self.h * np.sqrt(2.0)
 
-    def element_coords(self, elems=None) -> np.ndarray:
-        if elems is None:
-            return self.nodes[self.elements]
-        return self.nodes[self.elements[elems]]
+    def locate(self, points) -> np.ndarray:
+        """Element holding each point of an (m, 2) array.
 
-    def locate_cell(self, x) -> tuple[int, int]:
-        """Grid cell containing ``x``, clamped to the grid."""
-        n = self.n_cells
-        ix = min(max(int((x[0] + 1.0) / self.h), 0), n - 1)
-        iy = min(max(int((x[1] + 1.0) / self.h), 0), n - 1)
-        return ix, iy
-
-    def candidate_elements(self, x, ring: int = 0) -> list[int]:
-        """Elements whose cell is within ``ring`` cells of the one holding x."""
-        n = self.n_cells
-        ix, iy = self.locate_cell(x)
-        out = []
-        for jy in range(max(iy - ring, 0), min(iy + ring, n - 1) + 1):
-            for jx in range(max(ix - ring, 0), min(ix + ring, n - 1) + 1):
-                base = 2 * (jy * n + jx)
-                out.extend((base, base + 1))
-        return out
+        The cell comes from ``floor``, clamped to the grid; within it the
+        lower triangle is taken when ``fy <= fx`` and the upper otherwise.
+        """
+        p = (np.asarray(points, dtype=float).reshape(-1, 2) + 1.0) / self.h
+        cell = np.clip(np.floor(p), 0, self.n_cells - 1)
+        fx, fy = (p - cell).T
+        ix, iy = cell.astype(np.int64).T
+        return 2 * (iy * self.n_cells + ix) + (fy > fx)
 
 
 def build_mesh(level: int) -> Mesh:
-    """Build the uniform criss-aligned triangulation for a refinement level."""
+    """Build the uniform grid, each cell split along its lower-left to
+    upper-right diagonal, for a refinement level."""
     if not isinstance(level, (int, np.integer)):
         raise ValueError(f"level must be an integer, got {level!r}")
     if not MIN_LEVEL <= level <= MAX_LEVEL:
@@ -125,7 +122,8 @@ def build_mesh(level: int) -> Mesh:
         grads[:, i, 0] = -e[:, 1] / twice_area
         grads[:, i, 1] = e[:, 0] / twice_area
 
-    edges, edge_elems = _edge_adjacency(elements)
+    edges, elem_edges = _edge_numbering(n, v00, v10, v01)
+    edge_elems = _edge_elements(elem_edges, edges.shape[0])
     edge_vec = nodes[edges[:, 1]] - nodes[edges[:, 0]]
     edge_lengths = np.hypot(edge_vec[:, 0], edge_vec[:, 1])
 
@@ -144,6 +142,7 @@ def build_mesh(level: int) -> Mesh:
         elements=elements,
         edges=edges,
         edge_elems=edge_elems,
+        elem_edges=elem_edges,
         edge_lengths=edge_lengths,
         boundary_node=boundary_node,
         areas=areas,
@@ -153,24 +152,33 @@ def build_mesh(level: int) -> Mesh:
     )
 
 
-def _edge_adjacency(elements: np.ndarray):
-    ne = elements.shape[0]
-    locals_ = np.stack(
-        [elements[:, [0, 1]], elements[:, [1, 2]], elements[:, [2, 0]]], axis=1
-    ).reshape(-1, 2)
-    locals_sorted = np.sort(locals_, axis=1)
-    edges, inverse = np.unique(locals_sorted, axis=0, return_inverse=True)
-    edge_elems = np.full((edges.shape[0], 2), -1, dtype=np.int64)
+def _edge_numbering(n: int, v00, v10, v01):
+    """Edges in node-major h/v/d order and the element -> edge map."""
+    m = n + 1
+    a = np.arange(m * m)
+    ix, iy = a % m, a // m
+    ends = a[:, None] + np.array([1, m, m + 1])
+    exists = np.column_stack([ix < n, iy < n, (ix < n) & (iy < n)])
+    edges = np.column_stack([np.broadcast_to(a[:, None], ends.shape)[exists], ends[exists]])
+    eid = np.full(ends.shape, -1, dtype=np.int64)
+    eid[exists] = np.arange(edges.shape[0])
+    h, v, d = eid.T
+    elem_edges = np.empty((2 * n * n, 3), dtype=np.int64)
+    elem_edges[0::2] = np.column_stack([h[v00], v[v10], d[v00]])  # v00 v10 v11
+    elem_edges[1::2] = np.column_stack([d[v00], h[v01], v[v00]])  # v00 v11 v01
+    return edges, elem_edges
+
+
+def _edge_elements(elem_edges: np.ndarray, n_edges: int) -> np.ndarray:
+    """Elements on each side of every edge: lower id first, -1 if none."""
+    ne = elem_edges.shape[0]
+    flat = elem_edges.ravel()
     owner = np.repeat(np.arange(ne), 3)
-    # fill the two slots deterministically: lower element id first
-    order = np.argsort(owner, kind="stable")
-    for k in order:
-        e = inverse[k]
-        if edge_elems[e, 0] < 0:
-            edge_elems[e, 0] = owner[k]
-        else:
-            edge_elems[e, 1] = owner[k]
-    return edges, edge_elems
+    first = np.full(n_edges, ne, dtype=np.int64)
+    np.minimum.at(first, flat, owner)
+    last = np.full(n_edges, -1, dtype=np.int64)
+    np.maximum.at(last, flat, owner)
+    return np.column_stack([first, np.where(last > first, last, -1)])
 
 
 def _node_adjacency(elements: np.ndarray, n_nodes: int):
@@ -180,6 +188,17 @@ def _node_adjacency(elements: np.ndarray, n_nodes: int):
     counts = np.bincount(flat, minlength=n_nodes)
     ptr = np.concatenate([[0], np.cumsum(counts)])
     return ptr.astype(np.int64), owner[order].astype(np.int64)
+
+
+def barycentric_many(coords: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Barycentric coordinates of pts[i] inside triangle coords[i]."""
+    d1 = coords[:, 1] - coords[:, 0]
+    d2 = coords[:, 2] - coords[:, 0]
+    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    r = pts - coords[:, 0]
+    l1 = (r[:, 0] * d2[:, 1] - r[:, 1] * d2[:, 0]) / det
+    l2 = (d1[:, 0] * r[:, 1] - d1[:, 1] * r[:, 0]) / det
+    return np.column_stack([1.0 - l1 - l2, l1, l2])
 
 
 def node_patch(mesh: Mesh, node: int) -> np.ndarray:

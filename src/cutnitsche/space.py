@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cutcell import CutTopology
-from .mesh import Mesh
+from .mesh import Mesh, barycentric_many, node_patch
 
 __all__ = ["SpaceLayout", "FieldPair", "build_spaces", "interpolate", "evaluate"]
 
@@ -30,7 +30,6 @@ class SpaceLayout:
     in_plus: np.ndarray
     dirichlet: np.ndarray        # bool over the global dof vector
     free_dofs: np.ndarray
-    full_to_free: np.ndarray     # (n_total,) position among free dofs or -1
 
     @property
     def n_minus(self) -> int:
@@ -123,8 +122,6 @@ def build_spaces(mesh: Mesh, topo: CutTopology) -> SpaceLayout:
         dirichlet[n_minus:][bmask] = True
 
     free_dofs = np.flatnonzero(~dirichlet)
-    full_to_free = np.full(n_total, -1, dtype=np.int64)
-    full_to_free[free_dofs] = np.arange(free_dofs.shape[0])
 
     return SpaceLayout(
         mesh=mesh,
@@ -137,7 +134,6 @@ def build_spaces(mesh: Mesh, topo: CutTopology) -> SpaceLayout:
         in_plus=in_plus,
         dirichlet=dirichlet,
         free_dofs=free_dofs,
-        full_to_free=full_to_free,
     )
 
 
@@ -155,14 +151,33 @@ def interpolate_pair(layout: SpaceLayout, f_minus, f_plus) -> FieldPair:
     )
 
 
-def _barycentric(coords, x):
-    d1 = coords[1] - coords[0]
-    d2 = coords[2] - coords[0]
-    det = d1[0] * d2[1] - d1[1] * d2[0]
-    r = x - coords[0]
-    l1 = (r[0] * d2[1] - r[1] * d2[0]) / det
-    l2 = (d1[0] * r[1] - d1[1] * r[0]) / det
-    return np.array([1.0 - l1 - l2, l1, l2])
+def locate_on_side(layout: SpaceLayout, side: str, pts, tol: float = 1e-12):
+    """Element of one side's mesh holding each point, and its barycentrics.
+
+    The triangle ``Mesh.locate`` finds is kept when it carries the side
+    and contains the point within ``tol``; otherwise the lowest-id side
+    triangle sharing a vertex with it that does.  Points no such
+    triangle holds get element -1.
+    """
+    mesh = layout.mesh
+    in_side = layout.in_minus if side == "minus" else layout.in_plus
+    pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+    elems = mesh.locate(pts)
+    lams = barycentric_many(mesh.nodes[mesh.elements[elems]], pts)
+    floor = -tol / mesh.h
+    found = in_side[elems] & np.all(lams >= floor, axis=1)
+    for k in np.flatnonzero(~found):
+        near = sorted(set(np.concatenate(
+            [node_patch(mesh, v) for v in mesh.elements[elems[k]]]).tolist()))
+        elems[k] = -1
+        for t in near:
+            if not in_side[t]:
+                continue
+            lam = barycentric_many(mesh.nodes[mesh.elements[t]][None], pts[k][None])[0]
+            if np.all(lam >= floor):
+                elems[k], lams[k] = t, lam
+                break
+    return elems, lams
 
 
 def evaluate(field: FieldPair, side: str, x, tol: float = 1e-12):
@@ -173,22 +188,12 @@ def evaluate(field: FieldPair, side: str, x, tol: float = 1e-12):
     """
     layout = field.layout
     mesh = layout.mesh
-    in_side = layout.in_minus if side == "minus" else layout.in_plus
     x = np.asarray(x, dtype=float)
     if not (-1.0 - tol <= x[0] <= 1.0 + tol and -1.0 - tol <= x[1] <= 1.0 + tol):
         raise ValueError(f"point {x.tolist()} lies outside the computational domain")
-    coeffs = field.side(side)
-    dofmap = layout.node_dof(side)
-    for ring in (0, 1):
-        for t in mesh.candidate_elements(x, ring):
-            if not in_side[t]:
-                continue
-            conn = mesh.elements[t]
-            lam = _barycentric(mesh.nodes[conn], x)
-            if np.all(lam >= -tol / mesh.h):
-                dofs = dofmap[conn]
-                vals = coeffs[dofs]
-                value = float(lam @ vals)
-                grad = vals @ mesh.grads[t]
-                return value, grad
-    raise ValueError(f"point {x.tolist()} lies outside the {side}-side mesh")
+    elems, lams = locate_on_side(layout, side, x, tol)
+    t = elems[0]
+    if t < 0:
+        raise ValueError(f"point {x.tolist()} lies outside the {side}-side mesh")
+    vals = field.side(side)[layout.node_dof(side)[mesh.elements[t]]]
+    return float(lams[0] @ vals), vals @ mesh.grads[t]

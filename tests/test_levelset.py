@@ -3,9 +3,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from cutnitsche.cutcell import classify
 from cutnitsche.levelset import (CoarseMeshError, GeometryError, LevelSet,
-                                 edge_root, make_circle, make_flower, reflect,
-                                 reflect_many)
+                                 make_circle, make_flower, reflect_many)
+from cutnitsche.mesh import build_mesh
 
 R = 1.0 / 3.0
 
@@ -32,45 +33,32 @@ def test_normal_minus_orientation():
     np.testing.assert_allclose(n_out, [-1.0, 0.0], atol=1e-12)
 
 
-def test_edge_root_plane():
-    ls = LevelSet(phi=lambda x: x[..., 0] - 0.5)
-    root = edge_root(ls, [0.0, 0.0], [1.0, 0.0])
-    np.testing.assert_allclose(root, [0.5, 0.0], atol=1e-13)
-
-
-def test_edge_root_circle():
-    ls = make_circle()
-    root = edge_root(ls, [0.0, 0.0], [1.0, 0.0])
-    np.testing.assert_allclose(root, [R, 0.0], atol=1e-12)
-    assert abs(ls.value(root)) <= 1e-12
-
-
-def test_edge_root_none_when_no_crossing():
-    ls = make_circle()
-    assert edge_root(ls, [0.4, 0.0], [1.0, 0.0]) is None
+def test_edge_root_multi_root_rejected():
+    # at level 1 some grid edge stabs this circle twice
+    with pytest.raises(CoarseMeshError):
+        classify(build_mesh(1), make_circle(radius=0.356))
 
 
 def test_edge_root_endpoint_on_interface():
-    ls = make_circle()
-    root = edge_root(ls, [R, 0.0], [1.0, 0.0])
-    np.testing.assert_allclose(root, [R, 0.0], atol=1e-15)
+    # the level-1 grid has four nodes on the circle; each ends a chord itself
+    mesh = build_mesh(1)
+    topo = classify(mesh, make_circle())
+    ends = np.vstack([topo.chord_p, topo.chord_q])
+    on_interface = mesh.nodes[topo.node_sign == 0]
+    assert on_interface.shape[0] == 4
+    for z in on_interface:
+        assert np.any(np.all(ends == z, axis=1))
 
 
-def test_edge_root_multi_root_rejected():
-    # a segment stabbing the circle twice cannot be resolved
-    ls = make_circle()
-    with pytest.raises(CoarseMeshError):
-        edge_root(ls, [-0.9, 0.0], [0.9, 0.0])
-
-
-@given(st.floats(min_value=0.0, max_value=2.0 * np.pi))
-def test_edge_root_residual(theta):
-    # radial segments always cross the circle exactly once
-    ls = make_circle()
-    d = np.array([np.cos(theta), np.sin(theta)])
-    root = edge_root(ls, 0.1 * d, 0.9 * d)
-    assert root is not None
-    assert abs(ls.value(root)) <= 1e-12
+def test_edge_root_residual():
+    # every chord ends at a bisected edge root or a snapped grid node
+    for level in (1, 2, 3):
+        for side in ("minus", "plus"):
+            ls = make_circle(inclusion_side=side)
+            topo = classify(build_mesh(level), ls)
+            assert topo.n_cut > 0
+            assert np.max(np.abs(ls.value(topo.chord_p))) <= 1e-13
+            assert np.max(np.abs(ls.value(topo.chord_q))) <= 1e-13
 
 
 def test_flower_values():
@@ -101,20 +89,18 @@ def test_flower_gradient_matches_fd():
 def test_reflect_radial_point():
     # reflection across the circle maps radius r to 2R - r
     ls = make_circle()
-    y = reflect(ls, np.array([0.4, 0.0]))
-    np.testing.assert_allclose(y, [2.0 * R - 0.4, 0.0], atol=1e-8)
+    y = reflect_many(ls, np.array([[0.4, 0.0]]))
+    np.testing.assert_allclose(y, [[2.0 * R - 0.4, 0.0]], atol=1e-8)
 
 
 def test_reflect_fixed_point_on_interface():
     ls = make_circle()
-    p = np.array([R, 0.0])
-    np.testing.assert_allclose(reflect(ls, p), p, atol=1e-12)
+    p = np.array([[R, 0.0]])
+    np.testing.assert_allclose(reflect_many(ls, p), p, atol=1e-12)
 
 
 def test_reflect_outside_tube():
     ls = make_circle()
-    with pytest.raises(GeometryError):
-        reflect(ls, np.array([0.9, 0.0]))
     with pytest.raises(GeometryError):
         reflect_many(ls, np.array([[0.3, 0.0], [0.9, 0.0]]))
 
@@ -123,15 +109,17 @@ def test_reflect_outside_tube():
        st.floats(min_value=0.0, max_value=2.0 * np.pi))
 def test_reflect_involution_and_sign_flip(d, theta):
     ls = make_circle()
-    x = (R + d) * np.array([np.cos(theta), np.sin(theta)])
-    y = reflect(ls, x)
-    # the image lands on the opposite side at the mirrored distance
+    direction = np.array([np.cos(theta), np.sin(theta)])
+    x = (R + d) * direction
+    y = reflect_many(ls, x[None])[0]
+    np.testing.assert_allclose(y, (R - d) * direction, atol=1e-8)
     assert abs(ls.value(y) + ls.value(x)) <= 1e-8
-    back = reflect(ls, y)
+    back = reflect_many(ls, y[None])[0]
     assert np.hypot(*(back - x)) <= 1e-8
 
 
 def test_reflect_many_matches_scalar():
+    # a batch reflects each point exactly as a batch of one does
     ls = make_flower()
     tip = np.pi / 10.0  # petal tip direction, radius 1/18 + 0.2
     pts = np.stack([
@@ -141,7 +129,7 @@ def test_reflect_many_matches_scalar():
     ])
     batch = reflect_many(ls, pts)
     for x, y in zip(pts, batch):
-        np.testing.assert_allclose(reflect(ls, x), y, atol=1e-10)
+        np.testing.assert_array_equal(reflect_many(ls, x[None])[0], y)
 
 
 def test_gradient_finite_difference_fallback():

@@ -30,7 +30,7 @@ def test_level1_counts():
 def test_area_partition_of_unity(level):
     mesh = build_mesh(level)
     assert abs(mesh.areas.sum() - 4.0) <= 1e-12
-    # uniform criss-cross grid: every triangle has the same area
+    # uniform one-diagonal grid: every triangle has the same area
     np.testing.assert_allclose(mesh.areas, mesh.h ** 2 / 2.0, rtol=1e-14)
 
 
@@ -91,6 +91,28 @@ def test_edge_element_consistency():
     assert np.all(ends_bnd[on_bnd].all(axis=1))
 
 
+def _unique_edge_reference(elements):
+    """Edge numbering by np.unique over sorted local edges (i, i+1)."""
+    local = np.stack([elements[:, [0, 1]], elements[:, [1, 2]], elements[:, [2, 0]]], axis=1)
+    edges, inverse = np.unique(np.sort(local, axis=2).reshape(-1, 2), axis=0,
+                               return_inverse=True)
+    elem_edges = inverse.reshape(-1, 3)
+    edge_elems = np.full((edges.shape[0], 2), -1, dtype=np.int64)
+    for t, row in enumerate(elem_edges):  # ascending ids: the lower one lands first
+        for e in row:
+            edge_elems[e, 0 if edge_elems[e, 0] < 0 else 1] = t
+    return edges, edge_elems, elem_edges
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
+def test_closed_form_edges_match_unique(level):
+    mesh = build_mesh(level)
+    edges, edge_elems, elem_edges = _unique_edge_reference(mesh.elements)
+    assert np.array_equal(mesh.edges, edges)
+    assert np.array_equal(mesh.edge_elems, edge_elems)
+    assert np.array_equal(mesh.elem_edges, elem_edges)
+
+
 def test_gradients_reproduce_linears():
     mesh = build_mesh(1)
     a, b, c = 0.7, -1.3, 2.1
@@ -140,23 +162,33 @@ def test_node_patch_matches_brute_force(level, seed):
     assert np.array_equal(np.sort(node_patch(mesh, node)), brute)
 
 
+def _containing(mesh, p, tol=1e-12):
+    """All elements holding p, by barycentrics against every element."""
+    coords = mesh.nodes[mesh.elements]
+    d1 = coords[:, 1] - coords[:, 0]
+    d2 = coords[:, 2] - coords[:, 0]
+    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    r = p - coords[:, 0]
+    l1 = (r[:, 0] * d2[:, 1] - r[:, 1] * d2[:, 0]) / det
+    l2 = (d1[:, 0] * r[:, 1] - d1[:, 1] * r[:, 0]) / det
+    return set(np.flatnonzero(np.minimum(np.minimum(1.0 - l1 - l2, l1), l2) >= -tol))
+
+
 @given(st.floats(min_value=-0.999, max_value=0.999),
        st.floats(min_value=-0.999, max_value=0.999))
-def test_candidate_elements_contain_point(x, y):
+def test_locate_contains_point(x, y):
     mesh = build_mesh(1)
     p = np.array([x, y])
-    found = False
-    for t in mesh.candidate_elements(p, ring=0):
-        coords = mesh.nodes[mesh.elements[t]]
-        d1 = coords[1] - coords[0]
-        d2 = coords[2] - coords[0]
-        det = d1[0] * d2[1] - d1[1] * d2[0]
-        r = p - coords[0]
-        l1 = (r[0] * d2[1] - r[1] * d2[0]) / det
-        l2 = (d1[0] * r[1] - d1[1] * r[0]) / det
-        if min(1.0 - l1 - l2, l1, l2) >= -1e-12:
-            found = True
-    assert found
+    assert mesh.locate(p)[0] in _containing(mesh, p)
+
+
+def test_locate_grid_points():
+    # nodes and edge midpoints sit on cell borders, the outer boundary included
+    mesh = build_mesh(1)
+    mids = 0.5 * (mesh.nodes[mesh.edges[:, 0]] + mesh.nodes[mesh.edges[:, 1]])
+    pts = np.vstack([mesh.nodes, mids])
+    for p, t in zip(pts, mesh.locate(pts)):
+        assert t in _containing(mesh, p)
 
 
 def test_node_patch_bounds():

@@ -86,6 +86,22 @@ def test_projection_identity(seed):
         assert np.isclose(val, field.plus[layout.node_dof_plus[node]], atol=1e-12)
 
 
+@pytest.mark.parametrize("inclusion_side", ["minus", "plus"])
+def test_evaluate_at_every_dof_node(circle_layout, inclusion_side):
+    # some nodes' floor triangles lie off the side, so this covers the
+    # fallback to the side triangles around the located one
+    mesh, _, layout = circle_layout(1, inclusion_side)
+    rng = np.random.default_rng(5)
+    field = FieldPair(layout, rng.standard_normal(layout.n_minus),
+                      rng.standard_normal(layout.n_plus))
+    for side in ("minus", "plus"):
+        coeffs = field.side(side)
+        nodes = layout.dof_node_minus if side == "minus" else layout.dof_node_plus
+        for dof, node in enumerate(nodes):
+            val, _ = evaluate(field, side, mesh.nodes[node])
+            assert abs(val - coeffs[dof]) <= 1e-12
+
+
 def test_field_continuity_across_edges(circle_layout):
     mesh, _, layout = circle_layout(1)
     rng = np.random.default_rng(7)
