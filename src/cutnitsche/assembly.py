@@ -156,13 +156,12 @@ def assemble_parts(mesh: Mesh, topo: CutTopology, layout: SpaceLayout, spec: Pro
 
 
 def assemble_bilinear(mesh: Mesh, topo: CutTopology, layout: SpaceLayout,
-                      spec: ProblemSpec, parts: dict | None = None) -> sp.csr_matrix:
+                      spec: ProblemSpec) -> sp.csr_matrix:
     """Full stabilised Nitsche matrix over all
 
     DOFs (Dirichlet rows included; reduction happens in build_system).
     """
-    if parts is None:
-        parts = assemble_parts(mesh, topo, layout, spec)
+    parts = assemble_parts(mesh, topo, layout, spec)
     a = (parts["volume"] + parts["nitsche"]
          + spec.gamma * spec.penalty_rho() * parts["penalty_base"]
          + spec.gamma_g_minus * parts["ghost_minus"]
@@ -171,14 +170,13 @@ def assemble_bilinear(mesh: Mesh, topo: CutTopology, layout: SpaceLayout,
 
 
 def assemble_vnorm_gram(mesh: Mesh, topo: CutTopology, layout: SpaceLayout,
-                        spec: ProblemSpec, parts: dict | None = None) -> sp.csr_matrix:
+                        spec: ProblemSpec) -> sp.csr_matrix:
     """Gram matrix of the energy norm: v^T G v = ||v||_V^2.
 
     The norm carries the subdomain stiffness, the interface jump term
     scaled by rho^- / h_T, and both unscaled ghost terms.
     """
-    if parts is None:
-        parts = assemble_parts(mesh, topo, layout, spec)
+    parts = assemble_parts(mesh, topo, layout, spec)
     g = (parts["volume"] + spec.rho_minus * parts["penalty_base"]
          + parts["ghost_minus"] + parts["ghost_plus"])
     return g.tocsr()
@@ -224,10 +222,10 @@ def assemble_load(mesh: Mesh, topo: CutTopology, layout: SpaceLayout, spec: Prob
     return b
 
 
-def build_system(mesh: Mesh, topo: CutTopology, layout: SpaceLayout, spec: ProblemSpec,
-                 parts: dict | None = None) -> SparseSystem:
+def build_system(mesh: Mesh, topo: CutTopology, layout: SpaceLayout,
+                 spec: ProblemSpec) -> SparseSystem:
     """Assemble and reduce the linear system, lifting Dirichlet data."""
-    a_full = assemble_bilinear(mesh, topo, layout, spec, parts)
+    a_full = assemble_bilinear(mesh, topo, layout, spec)
     b_full = assemble_load(mesh, topo, layout, spec)
 
     lifting = np.zeros(layout.n_total)

@@ -3,8 +3,9 @@
 Each element crossed by the interface is split along the chord between
 its two interface points (edge roots or on-interface vertices) into a
 polygonal minus part and plus part.  Quadrature uses the three-point
-mid-edge rule on sub-triangles (exact for quadratics) and a two-point
-Gauss rule on the chord.
+mid-edge rule on a fan of sub-triangles (exact for quadratics) and a
+two-point Gauss rule on the chord.  Roots, splits and rules are computed
+for all edges and all cut elements at once.
 """
 from __future__ import annotations
 
@@ -14,26 +15,24 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .levelset import CoarseMeshError, GeometryError, LevelSet, MULTI_ROOT_SAMPLES, _bisect
+from .levelset import CoarseMeshError, GeometryError, LevelSet
 from .mesh import Mesh
 
 log = logging.getLogger(__name__)
 
 __all__ = [
     "CutTopology",
-    "QuadratureRule",
     "classify",
     "dump_cut_cells",
 ]
 
+ROOT_PHI_TOL = 1e-13
+ROOT_WIDTH_TOL = 1e-14
+BISECTION_STEPS = 200
+MULTI_ROOT_SAMPLES = 32
+SCAN_BLOCK = 16384  # edges sampled per pass of the multi-root scan
 DEGENERATE_CHORD_FACTOR = 1e-14
 GAUSS2_OFFSET = 0.5 / np.sqrt(3.0)
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    points: np.ndarray   # (k, 2)
-    weights: np.ndarray  # (k,)
 
 
 class SideQuadrature(NamedTuple):
@@ -63,13 +62,10 @@ class CutTopology:
     area_minus: np.ndarray       # (n_elems,) chord-model area of T cap Omega^-
     area_plus: np.ndarray
     cut_ids: np.ndarray          # sorted ids of cut elements
-    cut_index: np.ndarray        # (n_elems,) position in cut_ids or -1
     chord_p: np.ndarray          # (ncut, 2)
     chord_q: np.ndarray          # (ncut, 2)
     chord_len: np.ndarray        # (ncut,)
     chord_normal: np.ndarray     # (ncut, 2) unit, out of the minus side
-    poly_minus: tuple            # ncut polygons, each (k, 2), CCW
-    poly_plus: tuple
     quad_minus: SideQuadrature
     quad_plus: SideQuadrature
     iface: InterfaceQuadrature
@@ -123,66 +119,47 @@ def classify(mesh: Mesh, ls: LevelSet) -> CutTopology:
             f"{a.tolist()} -> {b.tolist()}"
         )
 
-    cut_mask = has_neg & has_pos
-    roots, flagged_edges = _edge_roots(mesh, ls, psi, sign, multi_edge)
+    crossing = sign[mesh.edges[:, 0]] * sign[mesh.edges[:, 1]] < 0
+    roots, flagged = _edge_roots(mesh, ls, psi, crossing, multi_edge)
 
+    cand = np.flatnonzero(has_neg & has_pos)
+    local = mesh.elem_edges[cand]
+    ambiguous = cand[np.any(flagged[local], axis=1)]
+    p, q, poly_m, k_m, poly_p, k_p = _split(
+        mesh.nodes[mesh.elements[cand]], esign[cand], crossing[local], roots[local])
+    sub_minus = _polygon_area(poly_m, k_m)
+    chord_len = np.hypot(*(q - p).T)
+
+    # a chord collapsed to a point: treat as uncut, side by sub-area
+    degenerate = chord_len < DEGENERATE_CHORD_FACTOR * mesh.h_elem
+    gone = cand[degenerate]
+    side = np.where(sub_minus[degenerate] >= 0.5 * mesh.areas[gone], -1, 1)
+    for t, s in zip(gone.tolist(), side.tolist()):
+        log.warning("element %d: degenerate chord, reclassified as uncut (%s)",
+                    t, "minus" if s < 0 else "plus")
+
+    keep = ~degenerate
+    cut_ids = cand[keep]
     elem_side = np.where(has_pos, 1, -1).astype(np.int8)
-    elem_side[cut_mask] = 0
+    elem_side[cut_ids] = 0
+    elem_side[gone] = side
     area_minus = np.where(elem_side < 0, mesh.areas, 0.0)
     area_plus = np.where(elem_side > 0, mesh.areas, 0.0)
+    area_minus[cut_ids] = sub_minus[keep]
+    area_plus[cut_ids] = _polygon_area(poly_p[keep], k_p[keep])
+    chord_p, chord_q, chord_len = p[keep], q[keep], chord_len[keep]
+    d = chord_q - chord_p
+    chord_normal = np.column_stack([d[:, 1], -d[:, 0]]) / chord_len[:, None]
 
-    cut_ids = []
-    chords = []
-    polys_m = []
-    polys_p = []
-    ambiguous = set()
-    h_elem = mesh.h_elem
-    for t in np.flatnonzero(cut_mask):
-        coords = mesh.nodes[mesh.elements[t]]
-        local_edges = mesh.elem_edges[t].tolist()
-        if not flagged_edges.isdisjoint(local_edges):
-            ambiguous.add(int(t))
-        split = _split_element(coords, esign[t], [roots.get(e) for e in local_edges])
-        if split is None:
-            raise GeometryError(f"element {int(t)}: could not locate two interface points")
-        p, q, pm, pp, normal = split
-        if np.hypot(*(q - p)) < DEGENERATE_CHORD_FACTOR * h_elem:
-            # chord collapsed to a point: treat as uncut, side by sub-area
-            am = _polygon_area(pm)
-            side = -1 if am >= 0.5 * mesh.areas[t] else 1
-            elem_side[t] = side
-            area_minus[t] = mesh.areas[t] if side < 0 else 0.0
-            area_plus[t] = mesh.areas[t] if side > 0 else 0.0
-            log.warning("element %d: degenerate chord, reclassified as uncut (%s)",
-                        int(t), "minus" if side < 0 else "plus")
-            continue
-        cut_ids.append(int(t))
-        chords.append((p, q, normal))
-        polys_m.append(pm)
-        polys_p.append(pp)
-        area_minus[t] = _polygon_area(pm)
-        area_plus[t] = _polygon_area(pp)
-
-    cut_ids = np.asarray(cut_ids, dtype=np.int64)
-    cut_index = np.full(mesh.n_elems, -1, dtype=np.int64)
-    cut_index[cut_ids] = np.arange(cut_ids.shape[0])
-    is_cut = cut_index >= 0
-    ncut = cut_ids.shape[0]
-    chord_p = np.array([c[0] for c in chords]).reshape(ncut, 2)
-    chord_q = np.array([c[1] for c in chords]).reshape(ncut, 2)
-    chord_normal = np.array([c[2] for c in chords]).reshape(ncut, 2)
-    chord_len = np.hypot(*(chord_q - chord_p).T)
-
-    quad_minus = _side_quadrature(mesh, elem_side, cut_ids, polys_m, "minus")
-    quad_plus = _side_quadrature(mesh, elem_side, cut_ids, polys_p, "plus")
+    quad_minus = _side_quadrature(mesh, elem_side, cut_ids, poly_m[keep], k_m[keep], -1)
+    quad_plus = _side_quadrature(mesh, elem_side, cut_ids, poly_p[keep], k_p[keep], 1)
     iface = _interface_quadrature(cut_ids, chord_p, chord_q, chord_len, chord_normal)
-    ghost_minus = _ghost_edges(mesh, elem_side, is_cut, "minus")
-    ghost_plus = _ghost_edges(mesh, elem_side, is_cut, "plus")
+    ghost_minus = _ghost_edges(mesh, elem_side, -1)
+    ghost_plus = _ghost_edges(mesh, elem_side, 1)
 
-    flagged_ids = np.asarray(sorted(ambiguous), dtype=np.int64)
-    if flagged_ids.size:
+    if ambiguous.size:
         log.warning("%d elements flagged as ambiguous near the interface (%s)",
-                    flagged_ids.size, ls.name)
+                    ambiguous.size, ls.name)
 
     return CutTopology(
         levelset=ls,
@@ -191,160 +168,194 @@ def classify(mesh: Mesh, ls: LevelSet) -> CutTopology:
         area_minus=area_minus,
         area_plus=area_plus,
         cut_ids=cut_ids,
-        cut_index=cut_index,
         chord_p=chord_p,
         chord_q=chord_q,
         chord_len=chord_len,
         chord_normal=chord_normal,
-        poly_minus=tuple(polys_m),
-        poly_plus=tuple(polys_p),
         quad_minus=quad_minus,
         quad_plus=quad_plus,
         iface=iface,
         ghost_minus=ghost_minus,
         ghost_plus=ghost_plus,
-        ambiguous_elements=flagged_ids,
+        ambiguous_elements=ambiguous,
     )
 
 
 def _scan_edges(mesh: Mesh, ls: LevelSet) -> np.ndarray:
-    """Boolean per edge: more than one sign change along sampled points."""
-    a = mesh.nodes[mesh.edges[:, 0]]
-    b = mesh.nodes[mesh.edges[:, 1]]
-    ts = np.linspace(0.0, 1.0, MULTI_ROOT_SAMPLES + 2)
-    pts = a[:, None, :] + ts[None, :, None] * (b - a)[:, None, :]
-    vals = ls.value(pts)
-    s = np.sign(vals)
-    changes = np.sum(s[:, 1:] * s[:, :-1] < 0, axis=1)
-    return changes > 1
+    """Boolean per edge: more than one sign change along sampled points.
 
-
-def _edge_roots(mesh, ls, psi, sign, multi_edge):
-    """Interface root per strictly sign-changing edge, keyed by edge id.
-
-    Each edge is bisected from its lower node id to its higher one.
+    Edges are sampled SCAN_BLOCK at a time, which bounds the temporaries.
     """
-    roots: dict[int, np.ndarray] = {}
-    flagged: set[int] = set()
+    ts = np.linspace(0.0, 1.0, MULTI_ROOT_SAMPLES + 2)
+    multi = np.empty(mesh.edges.shape[0], dtype=bool)
+    for lo in range(0, multi.size, SCAN_BLOCK):
+        ends = mesh.edges[lo:lo + SCAN_BLOCK]
+        a = mesh.nodes[ends[:, 0]]
+        b = mesh.nodes[ends[:, 1]]
+        pts = a[:, None, :] + ts[None, :, None] * (b - a)[:, None, :]
+        s = np.sign(ls.value(pts))
+        multi[lo:lo + SCAN_BLOCK] = np.sum(s[:, 1:] * s[:, :-1] < 0, axis=1) > 1
+    return multi
+
+
+def _edge_roots(mesh, ls, psi, crossing, multi_edge):
+    """Interface point per edge (NaN where the signs do not strictly change)
+    and a flag per edge whose point is the root of the linear interpolant.
+
+    Crossing edges are bisected from their lower node id to their higher
+    one.  Edges with several crossings, and on a non-simple level set those
+    whose bisection fails, fall back to the linear root and are flagged.
+    """
     a_ids, b_ids = mesh.edges.T
-    for e in np.flatnonzero(sign[a_ids] * sign[b_ids] < 0).tolist():
-        a, b = a_ids[e], b_ids[e]
-        pa, pb = mesh.nodes[a], mesh.nodes[b]
-        fa, fb = float(psi[a]), float(psi[b])
-        if multi_edge[e]:
-            roots[e] = _linear_root(pa, pb, fa, fb)
-            flagged.add(e)
-            continue
-        try:
-            roots[e] = _bisect(
-                lambda t_, pa=pa, pb=pb: float(ls.side_sign(pa + t_ * (pb - pa))),
-                0.0, 1.0, fa, fb, pa, pb,
-            )
-        except GeometryError:
-            if ls.simple:
-                raise
-            roots[e] = _linear_root(pa, pb, fa, fb)
-            flagged.add(e)
+    roots = np.full((a_ids.shape[0], 2), np.nan)
+    ids = np.flatnonzero(crossing & ~multi_edge)
+    pa, pb = mesh.nodes[a_ids[ids]], mesh.nodes[b_ids[ids]]
+    t = _bisect(ls, pa, pb, psi[a_ids[ids]])
+    roots[ids] = pa + t[:, None] * (pb - pa)
+
+    flagged = crossing & multi_edge
+    flagged[ids[np.isnan(t)]] = True
+    lin = np.flatnonzero(flagged)
+    pa, pb = mesh.nodes[a_ids[lin]], mesh.nodes[b_ids[lin]]
+    fa, fb = psi[a_ids[lin]], psi[b_ids[lin]]
+    roots[lin] = pa + (fa / (fa - fb))[:, None] * (pb - pa)
     return roots, flagged
 
 
-def _linear_root(pa, pb, fa, fb):
-    t = fa / (fa - fb)
-    return pa + t * (pb - pa)
+def _bisect(ls, pa, pb, fa):
+    """Root parameter of side_sign on each segment pa -> pb, NaN where
+    bisection fails; raises on the first failure when ``ls`` is simple.
 
-
-def _split_element(coords, signs, local_roots):
-    """Split one CCW triangle along its chord.
-
-    Returns (p, q, poly_minus, poly_plus, normal_minus) or None when the
-    element does not carry exactly two interface points.  The chord is
-    oriented by its traversal inside the CCW minus polygon, so the
-    outward normal of the minus side is its clockwise perpendicular.
+    Every segment follows the scalar rules: stop at an exact zero or once
+    |phi| and the bracket are both within tolerance, give up bisecting
+    when the bracket is below width and machine precision, then accept
+    the midpoint only if |phi| is within tolerance.
     """
-    poly_m: list[np.ndarray] = []
-    poly_p: list[np.ndarray] = []
-    iface_m: list[int] = []  # positions of interface points inside poly_m
-    iface_pts: list[np.ndarray] = []
-    for i in range(3):
-        v = coords[i]
-        s = int(signs[i])
-        if s <= 0:
-            if s == 0:
-                iface_m.append(len(poly_m))
-                iface_pts.append(v)
-            poly_m.append(v)
-        if s >= 0:
-            poly_p.append(v)
-        r = local_roots[i]
-        if r is not None:
-            iface_m.append(len(poly_m))
-            iface_pts.append(r)
-            poly_m.append(r)
-            poly_p.append(r)
-    if len(iface_pts) != 2:
-        return None
-    k = len(poly_m)
-    i1, i2 = iface_m
-    if (i1 + 1) % k == i2:
-        p, q = poly_m[i1], poly_m[i2]
-    elif (i2 + 1) % k == i1:
-        p, q = poly_m[i2], poly_m[i1]
-    else:
-        return None
-    d = q - p
-    length = np.hypot(*d)
-    if length > 0.0:
-        normal = np.array([d[1], -d[0]]) / length
-    else:
-        normal = np.array([1.0, 0.0])
-    return p, q, np.asarray(poly_m), np.asarray(poly_p), normal
+    d = pb - pa
+    scale = np.hypot(d[:, 0], d[:, 1])
+    width_tol = ROOT_WIDTH_TOL / np.maximum(scale, 1e-300)
+    eps = np.finfo(float).eps
+    ta = np.zeros(fa.shape[0])
+    tb = np.ones(fa.shape[0])
+    fa = fa.copy()
+    t = np.full(fa.shape[0], np.nan)
+
+    def side_sign(i, tm):
+        return np.asarray(ls.side_sign(pa[i] + tm[:, None] * d[i]), dtype=float)
+
+    live = np.arange(fa.shape[0])
+    for _ in range(BISECTION_STEPS):
+        if not live.size:
+            break
+        tm = 0.5 * (ta[live] + tb[live])
+        fm = side_sign(live, tm)
+        hit = (fm == 0.0) | ((np.abs(fm) <= ROOT_PHI_TOL)
+                             & ((tb[live] - ta[live]) * scale[live] <= ROOT_WIDTH_TOL))
+        t[live[hit]] = tm[hit]
+        live, tm, fm = live[~hit], tm[~hit], fm[~hit]
+        lower = fa[live] * fm < 0.0
+        tb[live[lower]] = tm[lower]
+        ta[live[~lower]] = tm[~lower]
+        fa[live[~lower]] = fm[~lower]
+        width = tb[live] - ta[live]
+        live = live[(width > width_tol[live]) | (width > eps)]
+
+    rest = np.flatnonzero(np.isnan(t))
+    tm = 0.5 * (ta[rest] + tb[rest])
+    fm = side_sign(rest, tm)
+    ok = np.abs(fm) <= ROOT_PHI_TOL
+    t[rest[ok]] = tm[ok]
+    if ls.simple and not np.all(ok):
+        i = int(np.argmin(ok))
+        e = rest[i]
+        raise GeometryError(
+            f"bisection did not converge on edge {pa[e].tolist()} -> {pb[e].tolist()}: "
+            f"bracket width {(tb[e] - ta[e]) * scale[e]:.3e}, |phi| = {abs(fm[i]):.3e}"
+        )
+    return t
 
 
-def _polygon_area(poly: np.ndarray) -> float:
-    x, y = poly[:, 0], poly[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+def _split(coords, signs, has_root, roots):
+    """Split CCW triangles along their chords.
+
+    The boundary of each triangle is walked as the six slots v0, r0, v1,
+    r1, v2, r2, where r_i is the root on the edge from vertex i to vertex
+    i+1, if that edge has one.  The minus polygon keeps, in walk order,
+    the vertices of sign <= 0 and the roots, the plus polygon the vertices
+    of sign >= 0 and the roots; both are CCW and padded to four vertices.
+    The chord joins the two interface points (roots and vertices of sign
+    0) in the order the minus polygon traverses them, so the outward
+    normal of the minus side is its clockwise perpendicular.
+
+    Returns (p, q, poly_minus, k_minus, poly_plus, k_plus), with k the
+    number of vertices of each polygon.
+    """
+    n = coords.shape[0]
+    slots = np.stack([coords, roots], axis=2).reshape(n, 6, 2)
+    iface = np.stack([signs == 0, has_root], axis=2).reshape(n, 6)
+    in_m = np.stack([signs <= 0, has_root], axis=2).reshape(n, 6)
+    in_p = np.stack([signs >= 0, has_root], axis=2).reshape(n, 6)
+
+    rows = np.arange(n)
+    j1, j2 = np.argsort(~iface, axis=1, kind="stable")[:, :2].T
+    pos = np.cumsum(in_m, axis=1)
+    forward = (pos[rows, j2] - pos[rows, j1] == 1)[:, None]
+    p = np.where(forward, slots[rows, j1], slots[rows, j2])
+    q = np.where(forward, slots[rows, j2], slots[rows, j1])
+    poly_m, k_m = _compact(slots, in_m)
+    poly_p, k_p = _compact(slots, in_p)
+    return p, q, poly_m, k_m, poly_p, k_p
 
 
-def _midedge_rule(tri: np.ndarray, area: float) -> tuple[np.ndarray, np.ndarray]:
-    pts = 0.5 * (tri + np.roll(tri, -1, axis=0))
-    w = np.full(3, area / 3.0)
-    return pts, w
+def _compact(slots, keep):
+    """Kept slots of each row moved to the front in order, padded to four."""
+    order = np.argsort(~keep, axis=1, kind="stable")[:, :4]
+    return np.take_along_axis(slots, order[:, :, None], axis=1), keep.sum(axis=1)
 
 
-def polygon_rule(poly: np.ndarray) -> QuadratureRule:
-    """Mid-edge rule on a fan triangulation of a convex CCW polygon."""
-    pts = []
-    wts = []
-    for i in range(1, poly.shape[0] - 1):
-        tri = np.array([poly[0], poly[i], poly[i + 1]])
-        a = _polygon_area(tri)
-        if a <= 0.0:
-            continue  # degenerate sliver from a snapped vertex
-        p, w = _midedge_rule(tri, a)
-        pts.append(p)
-        wts.append(w)
-    if not pts:
-        return QuadratureRule(np.zeros((0, 2)), np.zeros(0))
-    return QuadratureRule(np.vstack(pts), np.concatenate(wts))
+def _polygon_area(poly, k):
+    """Signed area of the polygons held in the first k[i] rows of poly[i].
+
+    The cross terms are added in vertex order, as ``np.sum`` does for a
+    single polygon.
+    """
+    m = poly.shape[1]
+    idx = np.arange(m)
+    nxt = np.where(idx + 1 < k[:, None], idx + 1, 0)
+    pn = np.take_along_axis(poly, nxt[:, :, None], axis=1)
+    cross = poly[..., 0] * pn[..., 1] - pn[..., 0] * poly[..., 1]
+    total = cross[:, 0]
+    for i in range(1, m):
+        total = np.where(i < k, total + cross[:, i], total)
+    return 0.5 * total
 
 
-def _side_quadrature(mesh, elem_side, cut_ids, polys, side) -> SideQuadrature:
-    want = -1 if side == "minus" else 1
+def _fan_rule(poly, k):
+    """Mid-edge rule on the fan triangulation of convex CCW polygons.
+
+    Fan triangle j of a polygon is (P0, Pj, Pj+1); triangles with area
+    <= 0 (slivers where a root lands on a vertex) are skipped.  Points
+    come per polygon, per triangle, per triangle edge.  Returns (owner
+    row, points, weights).
+    """
+    n, m = poly.shape[:2]
+    first = np.broadcast_to(poly[:, :1], (n, m - 2, 2))
+    tri = np.stack([first, poly[:, 1:-1], poly[:, 2:]], axis=2)  # (n, m-2, 3, 2)
+    area = _polygon_area(tri.reshape(-1, 3, 2), np.full(n * (m - 2), 3)).reshape(n, m - 2)
+    keep = (np.arange(1, m - 1) < k[:, None] - 1) & (area > 0.0)
+    mids = 0.5 * (tri + np.roll(tri, -1, axis=2))
+    owner = np.repeat(np.nonzero(keep)[0], 3)
+    return owner, mids[keep].reshape(-1, 2), np.repeat(area[keep] / 3.0, 3)
+
+
+def _side_quadrature(mesh, elem_side, cut_ids, poly, k, want) -> SideQuadrature:
     full = np.flatnonzero(elem_side == want)
     coords = mesh.nodes[mesh.elements[full]]
     mids = 0.5 * (coords + np.roll(coords, -1, axis=1))
-    pts = [mids.reshape(-1, 2)]
-    wts = [np.repeat(mesh.areas[full] / 3.0, 3)]
-    owners = [np.repeat(full, 3)]
-    for t, poly in zip(cut_ids, polys):
-        rule = polygon_rule(poly)
-        if rule.weights.size:
-            pts.append(rule.points)
-            wts.append(rule.weights)
-            owners.append(np.full(rule.weights.size, t, dtype=np.int64))
-    elems = np.concatenate(owners) if owners else np.zeros(0, dtype=np.int64)
-    points = np.vstack(pts) if pts else np.zeros((0, 2))
-    weights = np.concatenate(wts) if wts else np.zeros(0)
+    owner, points, weights = _fan_rule(poly, k)
+    elems = np.concatenate([np.repeat(full, 3), cut_ids[owner]])
+    points = np.vstack([mids.reshape(-1, 2), points])
+    weights = np.concatenate([np.repeat(mesh.areas[full] / 3.0, 3), weights])
     order = np.argsort(elems, kind="stable")
     return SideQuadrature(elems[order], points[order], weights[order])
 
@@ -361,17 +372,15 @@ def _interface_quadrature(cut_ids, chord_p, chord_q, chord_len, chord_normal):
     return InterfaceQuadrature(elems, pts, wts, normals)
 
 
-def _ghost_edges(mesh, elem_side, is_cut, side) -> np.ndarray:
-    e1 = mesh.edge_elems[:, 0]
-    e2 = mesh.edge_elems[:, 1]
+def _ghost_edges(mesh, elem_side, want) -> np.ndarray:
+    """Interior edges between two elements of side ``want`` (-1 minus,
+    +1 plus), at least one of them cut."""
+    e1, e2 = mesh.edge_elems.T
     interior = e2 >= 0
-    if side == "minus":
-        in_side = elem_side <= 0
-    else:
-        in_side = elem_side >= 0
-    both = interior & in_side[e1] & in_side[np.where(interior, e2, 0)]
-    touched = is_cut[e1] | is_cut[np.where(interior, e2, 0)]
-    return np.flatnonzero(both & touched)
+    e2 = np.where(interior, e2, 0)
+    in_side = elem_side * want >= 0
+    cut = elem_side == 0
+    return np.flatnonzero(interior & in_side[e1] & in_side[e2] & (cut[e1] | cut[e2]))
 
 
 def dump_cut_cells(mesh: Mesh, topo: CutTopology, path) -> None:

@@ -216,10 +216,20 @@ def run_solve(config: RunConfig, level: int | None = None) -> RunResult:
     carries an exact solution (all built-in examples do)."""
     config = config.resolve()
     level = config.level if level is None else level
-    mesh = build_mesh(level)
     ls, spec = make_problem(config)
+    return _solve_on(config, level, spec, *_geometry(level, ls))
+
+
+def _geometry(level: int, ls: LevelSet) -> tuple:
+    """Mesh, cut topology and space layout of one (level, interface)."""
+    mesh = build_mesh(level)
     topo = classify(mesh, ls)
-    layout = build_spaces(mesh, topo)
+    return mesh, topo, build_spaces(mesh, topo)
+
+
+def _solve_on(config: RunConfig, level: int, spec: ProblemSpec,
+              mesh, topo, layout) -> RunResult:
+    """Assemble, solve and report one resolved config on built geometry."""
     system = build_system(mesh, topo, layout, spec)
     x, stats = _solve_with_policy(system, config)
     u_h = expand_solution(system, x)
@@ -263,12 +273,15 @@ def run_convergence(config: RunConfig, levels=None) -> Table:
 def run_contrast_sweep(config: RunConfig, pairs=CONTRAST_PAIRS,
                        level: int | None = None) -> Table:
     """Fixed-level sweep over coefficient pairs; schema rho_minus,
-    rho_plus, e0, eflux, esqrt."""
+    rho_plus, e0, eflux, esqrt.  The geometry does not depend on the
+    coefficients, so mesh, cut topology and spaces are built once."""
     level = config.level if level is None else level
+    geometry = _geometry(level, make_problem(config)[0])
     rows = []
     for rho_minus, rho_plus in pairs:
-        cfg = dataclasses.replace(config, rho_minus=rho_minus, rho_plus=rho_plus)
-        rep = run_solve(cfg, level=level).report
+        cfg = dataclasses.replace(config, rho_minus=rho_minus, rho_plus=rho_plus).resolve()
+        _, spec = make_problem(cfg)
+        rep = _solve_on(cfg, level, spec, *geometry).report
         rows.append((rho_minus, rho_plus, rep.e0, rep.eflux, rep.esqrt))
     return Table(columns=CONTRAST_COLUMNS, rows=tuple(rows))
 

@@ -23,10 +23,6 @@ __all__ = [
 DOMAIN_DIAMETER = 2.0 * np.sqrt(2.0)
 FD_STEP = 1e-6 * DOMAIN_DIAMETER
 
-ROOT_PHI_TOL = 1e-13
-ROOT_WIDTH_TOL = 1e-14
-MULTI_ROOT_SAMPLES = 32
-
 
 class GeometryError(RuntimeError):
     """Interface geometry inconsistent with the cut model."""
@@ -135,30 +131,6 @@ def make_flower(inclusion_side: str = "minus") -> LevelSet:
 
     return LevelSet(phi=phi, grad=grad, inclusion_side=inclusion_side,
                     simple=False, name="flower")
-
-
-def _bisect(f, ta, tb, fa, fb, a, b):
-    scale = float(np.hypot(*(b - a)))
-    width_tol = ROOT_WIDTH_TOL / max(scale, 1e-300)
-    for _ in range(200):
-        tm = 0.5 * (ta + tb)
-        fm = f(tm)
-        if fm == 0.0 or (abs(fm) <= ROOT_PHI_TOL and (tb - ta) * scale <= ROOT_WIDTH_TOL):
-            return a + tm * (b - a)
-        if fa * fm < 0.0:
-            tb, fb = tm, fm
-        else:
-            ta, fa = tm, fm
-        if tb - ta <= width_tol and tb - ta <= np.finfo(float).eps:
-            break
-    tm = 0.5 * (ta + tb)
-    fm = f(tm)
-    if abs(fm) <= ROOT_PHI_TOL:
-        return a + tm * (b - a)
-    raise GeometryError(
-        f"bisection did not converge on edge {a.tolist()} -> {b.tolist()}: "
-        f"bracket width {(tb - ta) * scale:.3e}, |phi| = {abs(fm):.3e}"
-    )
 
 
 def reflect_many(ls: LevelSet, xs, tube: float = 0.1, tol: float = 1e-12, max_iter: int = 50):

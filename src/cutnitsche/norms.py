@@ -12,9 +12,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .assembly import barycentric_many
 from .cutcell import CutTopology
-from .mesh import Mesh
+from .mesh import Mesh, barycentric_many
 from .problems import ProblemSpec
 from .space import FieldPair, SpaceLayout
 

@@ -1,21 +1,26 @@
 """Cut-cell geometry: chord clipping, quadrature, and ghost edge sets."""
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from cutnitsche.cutcell import (classify, dump_cut_cells, polygon_rule,
-                                _polygon_area, _split_element)
-from cutnitsche.levelset import LevelSet, make_circle, make_flower
+from cutnitsche.cutcell import (BISECTION_STEPS, DEGENERATE_CHORD_FACTOR,
+                                MULTI_ROOT_SAMPLES, ROOT_PHI_TOL, ROOT_WIDTH_TOL,
+                                _fan_rule, _ghost_edges, _interface_quadrature,
+                                _polygon_area, _split, classify, dump_cut_cells)
+from cutnitsche.levelset import (CoarseMeshError, GeometryError, LevelSet,
+                                 make_circle, make_flower)
 from cutnitsche.mesh import build_mesh
 
 
-def plane(c, axis=0):
+def plane(c, axis=0, scale=1.0, simple=True):
     """Level set of the straight line x[axis] = c."""
-    return LevelSet(phi=lambda x, c=c, a=axis: x[..., a] - c,
+    return LevelSet(phi=lambda x, c=c, a=axis: scale * (x[..., a] - c),
                     grad=lambda x, a=axis: np.stack(
-                        [np.ones(x.shape[:-1]) if k == a else np.zeros(x.shape[:-1])
+                        [np.full(x.shape[:-1], scale if k == a else 0.0)
                          for k in (0, 1)], axis=-1),
-                    name=f"plane[{c}]")
+                    simple=simple, name=f"plane[{c}]")
 
 
 def poly_linear_integral(poly, a, b, c):
@@ -31,22 +36,271 @@ def poly_linear_integral(poly, a, b, c):
     return a * area + b * sx + c * sy
 
 
+# -- scalar reference ---------------------------------------------------------
+# One edge and one element at a time, as classify worked before its passes
+# were vectorised; the vectorised classify must match it bit for bit.
+
+def ref_bisect(f, ta, tb, fa, fb, a, b):
+    scale = float(np.hypot(*(b - a)))
+    width_tol = ROOT_WIDTH_TOL / max(scale, 1e-300)
+    for _ in range(BISECTION_STEPS):
+        tm = 0.5 * (ta + tb)
+        fm = f(tm)
+        if fm == 0.0 or (abs(fm) <= ROOT_PHI_TOL and (tb - ta) * scale <= ROOT_WIDTH_TOL):
+            return a + tm * (b - a)
+        if fa * fm < 0.0:
+            tb, fb = tm, fm
+        else:
+            ta, fa = tm, fm
+        if tb - ta <= width_tol and tb - ta <= np.finfo(float).eps:
+            break
+    tm = 0.5 * (ta + tb)
+    fm = f(tm)
+    if abs(fm) <= ROOT_PHI_TOL:
+        return a + tm * (b - a)
+    raise GeometryError(
+        f"bisection did not converge on edge {a.tolist()} -> {b.tolist()}: "
+        f"bracket width {(tb - ta) * scale:.3e}, |phi| = {abs(fm):.3e}"
+    )
+
+
+def ref_split_element(coords, signs, local_roots):
+    """(p, q, poly_minus, poly_plus, normal) of one CCW triangle, or None."""
+    poly_m, poly_p, iface_m = [], [], []
+    for i in range(3):
+        v = coords[i]
+        s = int(signs[i])
+        if s <= 0:
+            if s == 0:
+                iface_m.append(len(poly_m))
+            poly_m.append(v)
+        if s >= 0:
+            poly_p.append(v)
+        r = local_roots[i]
+        if r is not None:
+            iface_m.append(len(poly_m))
+            poly_m.append(r)
+            poly_p.append(r)
+    if len(iface_m) != 2:
+        return None
+    k = len(poly_m)
+    i1, i2 = iface_m
+    if (i1 + 1) % k == i2:
+        p, q = poly_m[i1], poly_m[i2]
+    elif (i2 + 1) % k == i1:
+        p, q = poly_m[i2], poly_m[i1]
+    else:
+        return None
+    d = q - p
+    length = np.hypot(*d)
+    normal = np.array([d[1], -d[0]]) / length if length > 0.0 else np.array([1.0, 0.0])
+    return p, q, np.asarray(poly_m), np.asarray(poly_p), normal
+
+
+def ref_polygon_area(poly):
+    x, y = poly[:, 0], poly[:, 1]
+    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+
+
+def ref_polygon_rule(poly):
+    """Mid-edge rule on the fan triangulation of a convex CCW polygon."""
+    pts, wts = [np.zeros((0, 2))], [np.zeros(0)]
+    for i in range(1, poly.shape[0] - 1):
+        tri = np.array([poly[0], poly[i], poly[i + 1]])
+        a = ref_polygon_area(tri)
+        if a <= 0.0:
+            continue
+        pts.append(0.5 * (tri + np.roll(tri, -1, axis=0)))
+        wts.append(np.full(3, a / 3.0))
+    return np.vstack(pts), np.concatenate(wts)
+
+
+def ref_classify(mesh, ls):
+    """Every CutTopology array, computed one edge and one element at a time."""
+    psi = np.asarray(ls.side_sign(mesh.nodes), dtype=float)
+    sign = np.where(np.abs(psi) <= 1e-12 * mesh.h, 0, np.sign(psi)).astype(np.int8)
+    esign = sign[mesh.elements]
+    has_neg = np.any(esign < 0, axis=1)
+    has_pos = np.any(esign > 0, axis=1)
+
+    a, b = mesh.nodes[mesh.edges[:, 0]], mesh.nodes[mesh.edges[:, 1]]
+    ts = np.linspace(0.0, 1.0, MULTI_ROOT_SAMPLES + 2)
+    s = np.sign(ls.value(a[:, None, :] + ts[None, :, None] * (b - a)[:, None, :]))
+    multi_edge = np.sum(s[:, 1:] * s[:, :-1] < 0, axis=1) > 1
+    if np.any(multi_edge) and ls.simple:
+        raise CoarseMeshError("multiple crossings")
+
+    roots, flagged = {}, set()
+    for e, (ia, ib) in enumerate(mesh.edges.tolist()):
+        if sign[ia] * sign[ib] >= 0:
+            continue
+        pa, pb = mesh.nodes[ia], mesh.nodes[ib]
+        fa, fb = float(psi[ia]), float(psi[ib])
+        if not multi_edge[e]:
+            try:
+                roots[e] = ref_bisect(
+                    lambda t_, pa=pa, pb=pb: float(ls.side_sign(pa + t_ * (pb - pa))),
+                    0.0, 1.0, fa, fb, pa, pb)
+                continue
+            except GeometryError:
+                if ls.simple:
+                    raise
+        roots[e] = pa + fa / (fa - fb) * (pb - pa)
+        flagged.add(e)
+
+    elem_side = np.where(has_pos, 1, -1).astype(np.int8)
+    elem_side[has_neg & has_pos] = 0
+    area_minus = np.where(elem_side < 0, mesh.areas, 0.0)
+    area_plus = np.where(elem_side > 0, mesh.areas, 0.0)
+    cut_ids, chords, polys, ambiguous = [], [], [], []
+    for t in np.flatnonzero(has_neg & has_pos):
+        local_edges = mesh.elem_edges[t].tolist()
+        if not flagged.isdisjoint(local_edges):
+            ambiguous.append(t)
+        p, q, pm, pp, normal = ref_split_element(
+            mesh.nodes[mesh.elements[t]], esign[t], [roots.get(e) for e in local_edges])
+        if np.hypot(*(q - p)) < DEGENERATE_CHORD_FACTOR * mesh.h_elem:
+            side = -1 if ref_polygon_area(pm) >= 0.5 * mesh.areas[t] else 1
+            elem_side[t] = side
+            area_minus[t] = mesh.areas[t] if side < 0 else 0.0
+            area_plus[t] = mesh.areas[t] if side > 0 else 0.0
+            continue
+        cut_ids.append(t)
+        chords.append((p, q, normal))
+        polys.append((pm, pp))
+        area_minus[t] = ref_polygon_area(pm)
+        area_plus[t] = ref_polygon_area(pp)
+
+    cut_ids = np.asarray(cut_ids, dtype=np.int64)
+    chord_p, chord_q, chord_normal = (np.array([c[k] for c in chords]).reshape(-1, 2)
+                                      for k in range(3))
+    chord_len = np.hypot(*(chord_q - chord_p).T)
+    out = dict(node_sign=sign, elem_side=elem_side, area_minus=area_minus,
+               area_plus=area_plus, cut_ids=cut_ids, chord_p=chord_p,
+               chord_q=chord_q, chord_len=chord_len, chord_normal=chord_normal,
+               ghost_minus=_ghost_edges(mesh, elem_side, -1),
+               ghost_plus=_ghost_edges(mesh, elem_side, 1),
+               ambiguous_elements=np.asarray(ambiguous, dtype=np.int64))
+    iface = _interface_quadrature(cut_ids, chord_p, chord_q, chord_len, chord_normal)
+    out.update({f"iface.{k}": v for k, v in iface._asdict().items()})
+    for j, (side, want) in enumerate((("minus", -1), ("plus", 1))):
+        full = np.flatnonzero(elem_side == want)
+        coords = mesh.nodes[mesh.elements[full]]
+        pts = [(0.5 * (coords + np.roll(coords, -1, axis=1))).reshape(-1, 2)]
+        wts = [np.repeat(mesh.areas[full] / 3.0, 3)]
+        owners = [np.repeat(full, 3)]
+        for t, poly in zip(cut_ids, polys):
+            rp, rw = ref_polygon_rule(poly[j])
+            pts.append(rp)
+            wts.append(rw)
+            owners.append(np.full(rw.size, t, dtype=np.int64))
+        elems = np.concatenate(owners)
+        order = np.argsort(elems, kind="stable")
+        out[f"quad_{side}.elems"] = elems[order]
+        out[f"quad_{side}.points"] = np.vstack(pts)[order]
+        out[f"quad_{side}.weights"] = np.concatenate(wts)[order]
+    return out
+
+
+def topology_arrays(topo):
+    out = {}
+    for name, value in vars(topo).items():
+        if isinstance(value, tuple):
+            out.update({f"{name}.{k}": v for k, v in value._asdict().items()})
+        elif isinstance(value, np.ndarray):
+            out[name] = value
+    return out
+
+
+REFERENCE_CASES = (
+    [(lv, make_circle(inclusion_side=side)) for side in ("minus", "plus")
+     for lv in (1, 2, 3, 4)]
+    + [(lv, make_flower()) for lv in (1, 2, 3, 4)]
+    + [(1, plane(-0.55 + 1.0 / 18.0)), (3, plane(-0.55 + 1.0 / 18.0))]
+    # steep plane a hair left of the grid line x = 0: bisection fails and
+    # falls back to the linear root, and the chords next to the line collapse
+    + [(1, plane(-1e-16, scale=1e6, simple=False))]
+    # one ulp right of a grid line: roots round onto vertices, so some fan
+    # triangles have zero area and are skipped
+    + [(1, plane(np.nextafter(build_mesh(1).nodes[1, 0], 0.0), scale=1e6, simple=False))]
+)
+
+
+@pytest.mark.parametrize("level,ls", REFERENCE_CASES,
+                         ids=[f"{ls.name}-{ls.inclusion_side}-L{lv}"
+                              for lv, ls in REFERENCE_CASES])
+def test_classify_matches_scalar_reference(level, ls):
+    mesh = build_mesh(level)
+    got = topology_arrays(classify(mesh, ls))
+    want = ref_classify(mesh, ls)
+    assert got.keys() == want.keys()
+    for name, value in want.items():
+        assert got[name].dtype == value.dtype, name
+        assert np.array_equal(got[name], value), name
+
+
+def test_degenerate_chords_and_failed_bisections_are_logged(caplog):
+    mesh = build_mesh(1)
+    with caplog.at_level(logging.WARNING, logger="cutnitsche"):
+        topo = classify(mesh, plane(-1e-16, scale=1e6, simple=False))
+    degenerate = [r for r in caplog.records if r.msg.startswith("element %d: degenerate chord")]
+    flagged = [r for r in caplog.records if r.msg.startswith("%d elements flagged")]
+    assert len(degenerate) > 0
+    assert flagged[0].args[0] == topo.ambiguous_elements.size > 0
+    # reclassified elements hold their whole area on one side
+    gone = [r.args[0] for r in degenerate]
+    assert np.all(topo.elem_side[gone] != 0)
+    np.testing.assert_array_equal(topo.area_minus[gone] + topo.area_plus[gone],
+                                  mesh.areas[gone])
+
+
+def test_failed_bisection_raises_on_simple_level_set():
+    mesh = build_mesh(1)
+    ls = plane(-1e-16, scale=1e6)
+    with pytest.raises(GeometryError) as got:
+        classify(mesh, ls)
+    with pytest.raises(GeometryError) as want:
+        ref_classify(mesh, ls)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("bisection did not converge on edge")
+
+
+def split_one(coords, signs, roots):
+    """The vectorised split of a single triangle; None marks a missing root."""
+    has_root = np.array([r is not None for r in roots])
+    r = np.array([[np.nan, np.nan] if x is None else x for x in roots], dtype=float)
+    p, q, pm, km, pp, kp = _split(coords[None], np.asarray(signs)[None],
+                                  has_root[None], r[None])
+    return p[0], q[0], pm[0, :km[0]], pp[0, :kp[0]]
+
+
+def fan_rule(poly):
+    _, points, weights = _fan_rule(np.asarray(poly)[None], np.array([len(poly)]))
+    return points, weights
+
+
+def area(poly):
+    return _polygon_area(np.asarray(poly)[None], np.array([len(poly)]))[0]
+
+
 def test_reference_triangle_split():
     coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     signs = np.array([-1, 1, -1])  # phi = x - 0.5
     roots = [np.array([0.5, 0.0]), np.array([0.5, 0.5]), None]
-    p, q, poly_m, poly_p, normal = _split_element(coords, signs, roots)
-    chord = {tuple(p), tuple(q)}
-    assert chord == {(0.5, 0.0), (0.5, 0.5)}
-    assert np.isclose(_polygon_area(poly_m), 0.375, atol=1e-15)
-    assert np.isclose(_polygon_area(poly_p), 0.125, atol=1e-15)
-    np.testing.assert_allclose(normal, [1.0, 0.0], atol=1e-15)
-    assert np.isclose(np.hypot(*(q - p)), 0.5)
+    p, q, poly_m, poly_p = split_one(coords, signs, roots)
+    # the CCW minus polygon (v0, r0, r1, v2) runs from r0 to r1, so the
+    # clockwise perpendicular of q - p, (1, 0), points out of it
+    np.testing.assert_array_equal(p, [0.5, 0.0])
+    np.testing.assert_array_equal(q, [0.5, 0.5])
+    assert np.isclose(area(poly_m), 0.375, atol=1e-15)
+    assert np.isclose(area(poly_p), 0.125, atol=1e-15)
+    for got, want in zip((p, q, poly_m, poly_p), ref_split_element(coords, signs, roots)):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_polygon_rule_reference_triangle():
-    rule = polygon_rule(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
-    assert np.isclose(rule.weights.sum(), 0.5, atol=1e-15)
+    _, weights = fan_rule([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    assert np.isclose(weights.sum(), 0.5, atol=1e-15)
 
 
 @given(st.floats(min_value=-0.8, max_value=0.8),
@@ -63,13 +317,10 @@ def test_polygon_rule_linear_exact(c, theta):
         a, b = coords[i], coords[(i + 1) % 3]
         fa, fb = a @ n - c, b @ n - c
         roots.append(a + (b - a) * (fa / (fa - fb)) if fa * fb < 0 else None)
-    out = _split_element(coords, signs, roots)
-    assert out is not None
-    _, _, poly_m, poly_p, _ = out
+    _, _, poly_m, poly_p = split_one(coords, signs, roots)
     for poly in (poly_m, poly_p):
-        rule = polygon_rule(poly)
-        approx = np.sum(rule.weights * (0.3 + 1.7 * rule.points[:, 0]
-                                        - 0.9 * rule.points[:, 1]))
+        points, weights = fan_rule(poly)
+        approx = np.sum(weights * (0.3 + 1.7 * points[:, 0] - 0.9 * points[:, 1]))
         exact = poly_linear_integral(poly, 0.3, 1.7, -0.9)
         assert abs(approx - exact) <= 1e-12
 

@@ -4,6 +4,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+from cutnitsche import harness
+from cutnitsche.cutcell import classify
 from cutnitsche.harness import (CONTRAST_COLUMNS, CONTRAST_PAIRS,
                                 CONVERGENCE_COLUMNS, ConfigError, RunConfig,
                                 Table, dump_solution, make_problem,
@@ -103,6 +105,22 @@ def test_contrast_sweep_schema():
     assert [tuple(r[:2]) for r in table.rows] == list(pairs)
     assert all(r[3] > 0.0 for r in table.rows)
     assert CONTRAST_PAIRS[0] == (1.0, 1e1) and len(CONTRAST_PAIRS) == 5
+
+
+@pytest.mark.parametrize("config", [RunConfig(example="1", inclusion_side="plus"),
+                                    RunConfig(example="2")], ids=["circle-plus", "flower"])
+def test_contrast_sweep_shares_geometry(config, monkeypatch):
+    calls = []
+    monkeypatch.setattr(harness, "classify",
+                        lambda *args: calls.append(args) or classify(*args))
+    pairs = ((1.0, 10.0), (1e-3, 1e4), (1e-4, 1e5))
+    table = run_contrast_sweep(config, pairs=pairs, level=2)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    for row, (rho_minus, rho_plus) in zip(table.rows, pairs):
+        cfg = dataclasses.replace(config, rho_minus=rho_minus, rho_plus=rho_plus)
+        rep = run_solve(cfg, level=2).report
+        assert row == (rho_minus, rho_plus, rep.e0, rep.eflux, rep.esqrt)
 
 
 def test_floor_acceptance_at_extreme_contrast():
