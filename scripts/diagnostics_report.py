@@ -9,15 +9,9 @@ refinement levels.
 import argparse
 import sys
 
+from cutnitsche.cli import parse_levels
 from cutnitsche.diagnostics import run_diagnostics
 from cutnitsche.harness import RunConfig
-
-
-def _levels(text: str) -> tuple:
-    if ".." in text:
-        lo, hi = text.split("..")
-        return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(t) for t in text.split(","))
 
 
 def main(argv=None) -> int:
@@ -37,10 +31,10 @@ def main(argv=None) -> int:
                        inclusion_side=args.inclusion_side)
     report = run_diagnostics(
         config,
-        patch_levels=_levels(args.patch_levels),
-        coercivity_levels=_levels(args.coercivity_levels),
-        interpolation_levels=_levels(args.interpolation_levels),
-        extension_levels=_levels(args.extension_levels),
+        patch_levels=parse_levels(args.patch_levels),
+        coercivity_levels=parse_levels(args.coercivity_levels),
+        interpolation_levels=parse_levels(args.interpolation_levels),
+        extension_levels=parse_levels(args.extension_levels),
     )
     if args.output:
         with open(args.output, "w") as fh:

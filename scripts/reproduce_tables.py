@@ -12,6 +12,7 @@ import pathlib
 import sys
 import time
 
+from cutnitsche.cli import parse_levels
 from cutnitsche.harness import (CONTRAST_PAIRS, RunConfig, run_contrast_sweep,
                                 run_convergence, run_solve, solve_table)
 
@@ -52,11 +53,7 @@ def main(argv=None) -> int:
                     help="comma list of table name prefixes to run (default: all)")
     args = ap.parse_args(argv)
 
-    if ".." in args.levels:
-        lo, hi = args.levels.split("..")
-        levels = tuple(range(int(lo), int(hi) + 1))
-    else:
-        levels = tuple(int(t) for t in args.levels.split(","))
+    levels = parse_levels(args.levels)
     wanted = tuple(t for t in args.only.split(",") if t)
 
     outdir = pathlib.Path(args.outdir)

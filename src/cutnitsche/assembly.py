@@ -27,7 +27,6 @@ __all__ = [
     "assemble_vnorm_gram",
     "build_system",
     "expand_solution",
-    "residual",
     "dump_matrix",
 ]
 
@@ -251,12 +250,6 @@ def expand_solution(system: SparseSystem, x_free: np.ndarray) -> FieldPair:
     full = system.lifting.copy()
     full[system.layout.free_dofs] = x_free
     return FieldPair.from_global(system.layout, full)
-
-
-def residual(system: SparseSystem, x_free: np.ndarray) -> float:
-    r = system.matrix @ x_free - system.rhs
-    scale = np.linalg.norm(system.rhs)
-    return float(np.linalg.norm(r) / (scale if scale > 0.0 else 1.0))
 
 
 def dump_matrix(matrix: sp.spmatrix, path) -> None:

@@ -20,16 +20,17 @@ from .levelset import GeometryError
 from .mesh import dump_mesh
 from .solver import SolverError
 
-__all__ = ["main", "parse_config_file", "load_config"]
+__all__ = ["main", "parse_config_file", "load_config", "parse_levels"]
 
 _STR_KEYS = ("example", "interface", "inclusion_side", "weighting",
-             "solver", "output_path", "format")
+             "output_path", "format")
 _FLOAT_KEYS = ("circle_radius", "rho_minus", "rho_plus", "gamma",
-               "gamma_g_minus", "gamma_g_plus", "tol")
+               "gamma_g_minus", "gamma_g_plus")
 _KNOWN_KEYS = _STR_KEYS + _FLOAT_KEYS + ("level", "levels")
 
 
-def _parse_levels(text: str) -> tuple[int, ...]:
+def parse_levels(text: str) -> tuple[int, ...]:
+    """'1..5' (inclusive range) or '1,2,3'."""
     text = text.strip()
     if ".." in text:
         lo, _, hi = text.partition("..")
@@ -62,7 +63,7 @@ def parse_config_file(path: str) -> dict:
             elif key == "level":
                 values[key] = int(value)
             elif key == "levels":
-                values[key] = _parse_levels(value)
+                values[key] = parse_levels(value)
             else:
                 values[key] = value
         except ValueError as exc:
@@ -76,7 +77,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     for key in _KNOWN_KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
-            values[key] = _parse_levels(flag) if key == "levels" else flag
+            values[key] = parse_levels(flag) if key == "levels" else flag
     try:
         return RunConfig(**values)
     except TypeError as exc:
@@ -103,8 +104,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--gamma-g-minus", dest="gamma_g_minus", type=float)
     parser.add_argument("--gamma-g-plus", dest="gamma_g_plus", type=float)
     parser.add_argument("--weighting", choices=("minus_sided", "harmonic"))
-    parser.add_argument("--solver", choices=("cg", "dense"))
-    parser.add_argument("--tol", type=float)
     parser.add_argument("--level", type=int)
     parser.add_argument("--levels", help="e.g. 1..5 or 1,2,3")
     parser.add_argument("--output", dest="output_path")

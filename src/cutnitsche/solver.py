@@ -1,24 +1,30 @@
-"""Linear solvers for the reduced SPD system.
+"""Jacobi-preconditioned conjugate gradients, the package's linear solver.
 
-Conjugate gradients with Jacobi preconditioning is the default; a
-dense Cholesky factorisation serves as fallback and cross-check on
-small systems.
+`solve` stops when the true residual relative to ||b|| is at most tol,
+and raises StagnationError with its iterate when restarts from the exact
+residual stop improving it.  At high coefficient contrast that relative
+residual floors far above round-off, because it measures against ||b||
+alone.  Every iterate the solver returns or raises therefore carries its
+normwise backward error ||b - Ax|| / (||A|| ||x|| + ||b||) in inf-norms,
+which has no such scale (Rigal & Gaches 1967; Arioli, Duff & Ruiz 1992);
+callers accept a stagnated iterate when it is at most BACKWARD_ERROR_TOL.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .assembly import SparseSystem
 
 __all__ = [
     "SolveStats", "SolverError", "NotSPDError", "MaxIterationsError",
-    "StagnationError", "solve",
+    "StagnationError", "BACKWARD_ERROR_TOL", "solve",
 ]
 
-DENSE_LIMIT = 3000
+# About 450 machine epsilons: stagnated CG iterates of the contrast
+# studies reach 1.4e-16 or less, converged solves 9.4e-15 or less.
+BACKWARD_ERROR_TOL = 1e-13
 
 
 class SolverError(RuntimeError):
@@ -49,19 +55,23 @@ class SolveStats:
     iterations: int
     relative_residual: float
     method: str
+    backward_error: float
 
 
-def solve(system: SparseSystem, tol: float = 1e-12, max_iter: int | None = None,
-          method: str = "cg") -> tuple[np.ndarray, SolveStats]:
-    """Solve the reduced system to a relative residual <= tol."""
-    if method == "cg":
-        return _pcg(system, tol, max_iter)
-    if method == "dense":
-        return _dense_cholesky(system, tol)
-    raise ValueError(f"unknown solver method {method!r} (use 'cg' or 'dense')")
+def _stats(it: int, a, b: np.ndarray, x: np.ndarray, r: np.ndarray,
+           bnorm: float) -> SolveStats:
+    """Stats of the iterate x with true residual r = b - Ax.  Every row
+    of a stores its positive diagonal, so no row sum is empty."""
+    a_norm = float(np.add.reduceat(np.abs(a.data), a.indptr[:-1]).max())
+    den = a_norm * float(np.abs(x).max()) + float(np.abs(b).max())
+    return SolveStats(it, float(np.linalg.norm(r)) / bnorm, "cg_jacobi",
+                      float(np.abs(r).max()) / den)
 
 
-def _pcg(system: SparseSystem, tol: float, max_iter: int | None):
+def solve(system: SparseSystem, tol: float = 1e-12,
+          max_iter: int | None = None) -> tuple[np.ndarray, SolveStats]:
+    """Solve the reduced system to a true relative residual <= tol
+    (at most max_iter iterations, default 20 n)."""
     a = system.matrix
     b = system.rhs
     n = b.shape[0]
@@ -69,7 +79,7 @@ def _pcg(system: SparseSystem, tol: float, max_iter: int | None):
         max_iter = 20 * n
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
-        return np.zeros(n), SolveStats(0, 0.0, "cg_jacobi")
+        return np.zeros(n), SolveStats(0, 0.0, "cg_jacobi", 0.0)
 
     diag = a.diagonal()
     if np.any(diag <= 0.0):
@@ -95,9 +105,10 @@ def _pcg(system: SparseSystem, tol: float, max_iter: int | None):
         r -= alpha * ap
         rnorm = float(np.linalg.norm(r))
         if rnorm <= tol * bnorm:
-            true_r = float(np.linalg.norm(b - a @ x))
+            r = b - a @ x
+            true_r = float(np.linalg.norm(r))
             if true_r <= tol * bnorm:
-                return x, SolveStats(it, true_r / bnorm, "cg_jacobi")
+                return x, _stats(it, a, b, x, r, bnorm)
             # Recurrence residual converged but the true residual did not:
             # restart from the exact residual.  Two consecutive restarts
             # without improvement mean the round-off floor is reached and
@@ -111,11 +122,9 @@ def _pcg(system: SparseSystem, tol: float, max_iter: int | None):
                 raise StagnationError(
                     f"CG stagnated at relative residual {true_r / bnorm:.3e} "
                     f"above tol={tol:g} (round-off floor, {it} iterations)",
-                    SolveStats(it, true_r / bnorm, "cg_jacobi"),
+                    _stats(it, a, b, x, r, bnorm),
                     x,
                 )
-            r = b - a @ x
-            rnorm = float(np.linalg.norm(r))
             z = inv_diag * r
             p = z.copy()
             rz = float(r @ z)
@@ -125,31 +134,9 @@ def _pcg(system: SparseSystem, tol: float, max_iter: int | None):
         beta = rz_new / rz
         rz = rz_new
         p = z + beta * p
-    true_r = float(np.linalg.norm(b - a @ x)) / bnorm
+    stats = _stats(it, a, b, x, b - a @ x, bnorm)
     raise MaxIterationsError(
         f"CG did not reach tol={tol:g} in {max_iter} iterations "
-        f"(relative residual {true_r:.3e})",
-        SolveStats(it, true_r, "cg_jacobi"),
+        f"(relative residual {stats.relative_residual:.3e})",
+        stats,
     )
-
-
-def _dense_cholesky(system: SparseSystem, tol: float):
-    a = system.matrix
-    b = system.rhs
-    dense = a.toarray()
-    try:
-        factor = scipy.linalg.cho_factor(dense, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise NotSPDError(f"matrix not SPD (Cholesky failed: {exc}) - check gamma") from exc
-    x = scipy.linalg.cho_solve(factor, b, check_finite=False)
-    bnorm = float(np.linalg.norm(b))
-    scale = bnorm if bnorm > 0.0 else 1.0
-    steps = 1
-    for _ in range(3):  # iterative refinement
-        r = b - a @ x
-        if float(np.linalg.norm(r)) <= tol * scale:
-            break
-        x = x + scipy.linalg.cho_solve(factor, r, check_finite=False)
-        steps += 1
-    rel = float(np.linalg.norm(b - a @ x)) / scale
-    return x, SolveStats(steps, rel, "dense_cholesky")

@@ -6,7 +6,7 @@ stdout/stderr split are exercised exactly as a shell user sees them.
 import numpy as np
 import pytest
 
-from cutnitsche.cli import main, parse_config_file
+from cutnitsche.cli import main, parse_config_file, parse_levels
 
 
 SOLVE_HEADER = ("level,h,e0,einf,eflux,efluxinf,esqrt,vnorm,vanorm,"
@@ -104,6 +104,13 @@ def test_levels_comma_and_range_agree(capsys):
     assert out_range == out_comma
 
 
+def test_parse_levels():
+    assert parse_levels("2..4") == (2, 3, 4)
+    assert parse_levels(" 1, 3,5 ") == (1, 3, 5)
+    with pytest.raises(ValueError):
+        parse_levels("1..x")
+
+
 def test_config_file_with_comments(capsys, tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(
@@ -135,6 +142,8 @@ def test_flag_overrides_config(capsys, tmp_path):
     ("bogus = 3\n", "unknown key 'bogus'"),
     ("level = abc\n", "bad value for level"),
     ("just some words\n", "expected key = value"),
+    ("solver = cg\n", "unknown key 'solver'"),
+    ("tol = 1e-10\n", "unknown key 'tol'"),
 ])
 def test_config_errors_carry_line_numbers(capsys, tmp_path, content, fragment):
     path = tmp_path / "bad.cfg"
@@ -154,9 +163,11 @@ def test_missing_config_file(capsys):
 
 
 def test_bad_flag_exits_one(capsys):
-    code, _, err = _run(capsys, ["solve", "--no-such-flag"])
-    assert code == 1
-    assert err.startswith("cutnitsche: config error:")
+    # CG is the only solver: --solver and --tol are not options
+    for flags in (["--no-such-flag"], ["--solver", "cg"], ["--tol", "1e-10"]):
+        code, _, err = _run(capsys, ["solve", *flags])
+        assert code == 1
+        assert err.startswith("cutnitsche: config error:")
 
 
 def test_unknown_command_exits_one(capsys):

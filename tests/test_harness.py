@@ -1,4 +1,5 @@
-"""Batch harness: configs, tables, and the floor-acceptance solve policy."""
+"""Batch harness: configs, tables, and the backward-error acceptance of
+stagnated solves."""
 import dataclasses
 
 import numpy as np
@@ -11,11 +12,12 @@ from cutnitsche.harness import (CONTRAST_COLUMNS, CONTRAST_PAIRS,
                                 Table, dump_solution, make_problem,
                                 run_contrast_sweep, run_convergence,
                                 run_solve, solve_table)
+from cutnitsche.solver import BACKWARD_ERROR_TOL, StagnationError, solve
 
 
 def test_config_validation():
     for kwargs in (dict(example="3"), dict(interface="square"),
-                   dict(inclusion_side="left"), dict(solver="lu"),
+                   dict(inclusion_side="left"),
                    dict(format="json"), dict(rho_minus=-1.0),
                    dict(rho_plus=0.0)):
         with pytest.raises(ConfigError):
@@ -74,13 +76,6 @@ def test_run_solve_patch_is_exact():
     assert result.config.rho_plus == 1.0  # resolution happened
 
 
-def test_run_solve_dense_backend_agrees():
-    cg = run_solve(RunConfig(example="1", level=1))
-    dense = run_solve(RunConfig(example="1", level=1, solver="dense"))
-    assert dense.stats.method == "dense_cholesky"
-    assert abs(cg.report.e0 - dense.report.e0) <= 1e-10 * cg.report.e0
-
-
 def test_convergence_table_shape():
     table = run_convergence(RunConfig(example="1"), levels=(1, 2))
     assert table.columns == CONVERGENCE_COLUMNS
@@ -125,15 +120,40 @@ def test_contrast_sweep_shares_geometry(config, monkeypatch):
 
 def test_floor_acceptance_at_extreme_contrast():
     # contrast 1e9 with the inclusion on the large-coefficient side hits
-    # the double-precision residual floor; the harness accepts and tags it
+    # the double-precision residual floor; the harness accepts the iterate
+    # on its backward error and tags it
     config = RunConfig(example="1", level=1, rho_minus=1e-4, rho_plus=1e5,
                        inclusion_side="plus")
     result = run_solve(config)
     assert result.stats.method == "cg_jacobi+floor"
-    assert result.stats.relative_residual <= config.tol * 1e9
+    assert result.stats.relative_residual > 1e-12
+    assert result.stats.backward_error <= BACKWARD_ERROR_TOL
     # the exact solution scales like 1/rho^-; the error stays a few
     # percent of it even on the coarsest mesh
     assert result.report.e0 * config.rho_minus < 0.2
+
+
+def test_stagnated_iterate_above_backward_error_bound_is_refused(monkeypatch):
+    config = RunConfig(example="1", level=1, rho_minus=1e-4, rho_plus=1e5,
+                       inclusion_side="plus")
+    raised = []
+
+    def perturbed_solve(system, *args, **kwargs):
+        with pytest.raises(StagnationError) as err:
+            solve(system, *args, **kwargs)
+        x = err.value.x.copy()
+        x[::2] *= 1.0 + 1e-8
+        r = system.rhs - system.matrix @ x
+        a_norm = np.abs(system.matrix.toarray()).sum(axis=1).max()
+        be = np.abs(r).max() / (a_norm * np.abs(x).max() + np.abs(system.rhs).max())
+        stats = dataclasses.replace(err.value.stats, backward_error=be)
+        raised.append(stats)
+        raise StagnationError("perturbed iterate", stats, x)
+
+    monkeypatch.setattr(harness, "solve", perturbed_solve)
+    with pytest.raises(StagnationError, match="perturbed"):
+        run_solve(config)
+    assert raised[0].backward_error > BACKWARD_ERROR_TOL
 
 
 def test_determinism_bitwise():

@@ -1,12 +1,16 @@
-"""Preconditioned CG and the dense fallback on SPD systems."""
+"""Preconditioned CG on SPD systems and the backward error of its iterates."""
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from cutnitsche.assembly import build_system, residual
+from cutnitsche.assembly import build_system
+from cutnitsche.cutcell import classify
+from cutnitsche.mesh import build_mesh
 from cutnitsche.problems import example_circle
 from cutnitsche.solver import (MaxIterationsError, NotSPDError, SolveStats,
                                StagnationError, solve)
+from cutnitsche.space import build_spaces
 
 
 class ArraySystem:
@@ -41,17 +45,37 @@ def test_zero_rhs():
     assert stats.iterations == 0
 
 
-def test_cg_matches_dense(circle_layout):
+def _relative_residual(system, x):
+    return np.linalg.norm(system.rhs - system.matrix @ x) / np.linalg.norm(system.rhs)
+
+
+def _backward_error(system, x):
+    """||b - Ax||inf / (||A||inf ||x||inf + ||b||inf), ||A||inf from the
+    dense matrix.  The residual is at round-off, so it is formed with the
+    sparse product the solver uses; another summation order would change it."""
+    b = system.rhs
+    r = b - system.matrix @ x
+    a_norm = np.abs(system.matrix.toarray()).sum(axis=1).max()
+    return np.abs(r).max() / (a_norm * np.abs(x).max() + np.abs(b).max())
+
+
+def _extreme_contrast_system():
+    # reversed inclusion at contrast 1e9 on the coarsest mesh
+    ls, spec = example_circle(1e-4, 1e5, inclusion_side="plus")
+    mesh = build_mesh(1)
+    topo = classify(mesh, ls)
+    return build_system(mesh, topo, build_spaces(mesh, topo), spec)
+
+
+def test_cg_matches_direct_solve(circle_layout):
     mesh, topo, layout = circle_layout(2)
     _, spec = example_circle(1.0, 1e4)
     system = build_system(mesh, topo, layout, spec)
-    x_cg, stats_cg = solve(system, method="cg")
-    x_dense, stats_dense = solve(system, method="dense")
-    assert np.abs(x_cg - x_dense).max() <= 1e-8
-    assert stats_dense.method == "dense_cholesky"
-    assert stats_cg.relative_residual <= 1e-12
-    assert stats_dense.relative_residual <= 1e-12
-    assert residual(system, x_cg) <= 1e-12
+    x_cg, stats = solve(system)
+    x_ref = spla.spsolve(system.matrix.tocsc(), system.rhs)
+    assert np.abs(x_cg - x_ref).max() <= 1e-8
+    assert stats.relative_residual <= 1e-12
+    assert _relative_residual(system, x_cg) <= 1e-12
 
 
 def test_not_spd_nonpositive_diagonal():
@@ -63,16 +87,6 @@ def test_not_spd_negative_curvature():
     # indefinite with positive diagonal: eigenvalues 3 and -1
     with pytest.raises(NotSPDError, match="curvature"):
         solve(ArraySystem([[1.0, 2.0], [2.0, 1.0]], [1.0, 0.0]))
-
-
-def test_dense_rejects_indefinite():
-    with pytest.raises(NotSPDError, match="Cholesky"):
-        solve(ArraySystem([[1.0, 2.0], [2.0, 1.0]], [1.0, 0.0]), method="dense")
-
-
-def test_unknown_method():
-    with pytest.raises(ValueError, match="method"):
-        solve(ArraySystem(np.eye(2), [1.0, 1.0]), method="lu")
 
 
 def test_max_iterations_carries_stats():
@@ -90,14 +104,7 @@ def test_stagnation_on_extreme_contrast():
     # reversed inclusion at contrast 1e9: the attainable true residual
     # floors orders of magnitude above tol, which must be reported
     # rather than burning the full iteration budget
-    ls, spec = example_circle(1e-4, 1e5, inclusion_side="plus")
-    from cutnitsche.cutcell import classify
-    from cutnitsche.mesh import build_mesh
-    from cutnitsche.space import build_spaces
-    mesh = build_mesh(1)
-    topo = classify(mesh, ls)
-    layout = build_spaces(mesh, topo)
-    system = build_system(mesh, topo, layout, spec)
+    system = _extreme_contrast_system()
     with pytest.raises(StagnationError) as err:
         solve(system, tol=1e-12)
     stats = err.value.stats
@@ -105,8 +112,26 @@ def test_stagnation_on_extreme_contrast():
     assert stats.relative_residual < 1e-3       # but within the rounding floor
     assert err.value.x.shape == (system.n,)
     # the returned iterate is still the best available solution
-    assert residual(system, err.value.x) == pytest.approx(
+    assert _relative_residual(system, err.value.x) == pytest.approx(
         stats.relative_residual, rel=1e-6)
+
+
+def test_backward_error_of_converged_and_stagnated_iterates(circle_layout):
+    mesh, topo, layout = circle_layout(2)
+    _, spec = example_circle(1.0, 1e4)
+    converged = build_system(mesh, topo, layout, spec)
+    x, stats = solve(converged)
+    assert stats.backward_error == pytest.approx(_backward_error(converged, x), rel=1e-6)
+    assert 0.0 < stats.backward_error < 1e-14
+
+    stagnated = _extreme_contrast_system()
+    with pytest.raises(StagnationError) as err:
+        solve(stagnated)
+    stats = err.value.stats
+    assert stats.backward_error == pytest.approx(
+        _backward_error(stagnated, err.value.x), rel=1e-6)
+    # scale-free: far below the ||b||-relative residual at this contrast
+    assert stats.backward_error < 1e-6 * stats.relative_residual
 
 
 def test_determinism(circle_layout):
@@ -120,6 +145,6 @@ def test_determinism(circle_layout):
 
 
 def test_stats_is_frozen():
-    stats = SolveStats(3, 1e-13, "cg_jacobi")
+    stats = SolveStats(3, 1e-13, "cg_jacobi", 1e-16)
     with pytest.raises(Exception):
         stats.iterations = 4
