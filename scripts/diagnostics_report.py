@@ -20,10 +20,10 @@ def main(argv=None) -> int:
     ap.add_argument("--rho-minus", type=float, default=1.0)
     ap.add_argument("--rho-plus", type=float, default=1e4)
     ap.add_argument("--inclusion-side", default="minus", choices=("minus", "plus"))
-    ap.add_argument("--patch-levels", default="1..5")
-    ap.add_argument("--coercivity-levels", default="1,2")
-    ap.add_argument("--interpolation-levels", default="1..5")
-    ap.add_argument("--extension-levels", default="2..5")
+    ap.add_argument("--patch-levels", default="1..5", type=parse_levels)
+    ap.add_argument("--coercivity-levels", default="1,2", type=parse_levels)
+    ap.add_argument("--interpolation-levels", default="1..5", type=parse_levels)
+    ap.add_argument("--extension-levels", default="2..5", type=parse_levels)
     args = ap.parse_args(argv)
 
     config = RunConfig(example="1", rho_minus=args.rho_minus,
@@ -31,10 +31,10 @@ def main(argv=None) -> int:
                        inclusion_side=args.inclusion_side)
     report = run_diagnostics(
         config,
-        patch_levels=parse_levels(args.patch_levels),
-        coercivity_levels=parse_levels(args.coercivity_levels),
-        interpolation_levels=parse_levels(args.interpolation_levels),
-        extension_levels=parse_levels(args.extension_levels),
+        patch_levels=args.patch_levels,
+        coercivity_levels=args.coercivity_levels,
+        interpolation_levels=args.interpolation_levels,
+        extension_levels=args.extension_levels,
     )
     if args.output:
         with open(args.output, "w") as fh:

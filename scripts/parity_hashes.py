@@ -1,0 +1,124 @@
+#!/usr/bin/env python3
+"""Print sha256 hashes of every array and report the tables rest on.
+
+One line per item: the cut topology of the circle (both inclusion sides)
+and the flower at levels 1..6, the matrix, right-hand side, solution and
+solve statistics of every configuration of ``reproduce_tables.py``, the
+discrete extension operator of the diagnostics at levels 2..5, the seven
+CSVs that script writes and the ``run_diagnostics()`` report.  Two
+commits are bit-identical on all of these when the outputs of this
+script agree:
+
+    python scripts/parity_hashes.py > new.txt   # at each commit
+    diff old.txt new.txt
+
+BLAS is pinned to one thread, because stagnated CG iterates of the
+high-contrast solves depend on the thread count.
+"""
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "BLIS_NUM_THREADS"):
+    os.environ[_var] = "1"   # before numpy is imported
+
+import contextlib  # noqa: E402
+import dataclasses  # noqa: E402
+import hashlib  # noqa: E402
+import io  # noqa: E402
+import pathlib  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+import reproduce_tables  # noqa: E402
+from cutnitsche.cli import parse_levels  # noqa: E402
+from cutnitsche.cutcell import classify  # noqa: E402
+from cutnitsche.diagnostics import build_extension, run_diagnostics  # noqa: E402
+from cutnitsche.harness import CONTRAST_PAIRS, RunConfig, run_solve  # noqa: E402
+from cutnitsche.levelset import make_circle, make_flower  # noqa: E402
+from cutnitsche.mesh import build_mesh  # noqa: E402
+from cutnitsche.space import build_spaces  # noqa: E402
+
+GEOMETRY_LEVELS = parse_levels("1..6")
+STUDY_LEVELS = parse_levels("1..5")
+EXTENSION_LEVELS = parse_levels("2..5")
+
+
+def digest(value) -> str:
+    """Hash of an array's dtype, shape and bytes, or of a text."""
+    h = hashlib.sha256()
+    if isinstance(value, np.ndarray):
+        h.update(f"{value.dtype.str}{value.shape}".encode())
+        h.update(np.ascontiguousarray(value).tobytes())
+    else:
+        h.update(str(value).encode())
+    return h.hexdigest()
+
+
+def topology_arrays(topo):
+    out = {}
+    for name, value in vars(topo).items():
+        if isinstance(value, tuple):
+            out.update({f"{name}.{k}": v for k, v in value._asdict().items()})
+        elif isinstance(value, np.ndarray):
+            out[name] = value
+    return out
+
+
+def csr_arrays(matrix):
+    return {"data": matrix.data, "indices": matrix.indices, "indptr": matrix.indptr}
+
+
+def solve_configs():
+    """(label, config, level) of every solve reproduce_tables.py makes."""
+    for name, _, kind, config in reproduce_tables.TABLES:
+        if kind == "convergence":
+            for level in STUDY_LEVELS:
+                yield f"{name}/L{level}", config, level
+        else:
+            for rho_minus, rho_plus in CONTRAST_PAIRS:
+                cfg = dataclasses.replace(config, rho_minus=rho_minus, rho_plus=rho_plus)
+                yield f"{name}/{rho_minus:g},{rho_plus:g}", cfg, config.level
+    yield "patch_test", RunConfig(example="patch", level=3), 3
+
+
+def main() -> int:
+    cases = [("circle-minus", make_circle()),
+             ("circle-plus", make_circle(inclusion_side="plus")),
+             ("flower", make_flower())]
+    for label, ls in cases:
+        for level in GEOMETRY_LEVELS:
+            topo = classify(build_mesh(level), ls)
+            for name, value in topology_arrays(topo).items():
+                print(f"topology {label} L{level} {name} {digest(value)}")
+
+    for label, config, level in solve_configs():
+        result = run_solve(config, level=level)
+        system = result.system
+        items = {f"matrix.{k}": v for k, v in csr_arrays(system.matrix).items()}
+        items["rhs"] = system.rhs
+        items["solution"] = result.field.to_global()
+        items["stats"] = repr(result.stats)
+        for name, value in items.items():
+            print(f"solve {label} {name} {digest(value)}")
+
+    ls = make_circle(inclusion_side="plus")
+    for level in EXTENSION_LEVELS:
+        mesh = build_mesh(level)
+        topo = classify(mesh, ls)
+        op = build_extension(mesh, topo, ls, build_spaces(mesh, topo))
+        for name, value in csr_arrays(op.matrix).items():
+            print(f"extension L{level} {name} {digest(value)}")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        with contextlib.redirect_stdout(io.StringIO()):
+            reproduce_tables.main(["--outdir", tmp])
+        for path in sorted(pathlib.Path(tmp).glob("*.csv")):
+            print(f"csv {path.name} {digest(path.read_text())}")
+    print(f"report run_diagnostics {digest(run_diagnostics())}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -47,13 +47,12 @@ TABLES = (
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--outdir", default="tables", help="directory for CSV output")
-    ap.add_argument("--levels", default="1..5",
+    ap.add_argument("--levels", default="1..5", type=parse_levels,
                     help="levels for the convergence studies (e.g. 1..5 or 1,2,3)")
     ap.add_argument("--only", default="",
                     help="comma list of table name prefixes to run (default: all)")
     args = ap.parse_args(argv)
 
-    levels = parse_levels(args.levels)
     wanted = tuple(t for t in args.only.split(",") if t)
 
     outdir = pathlib.Path(args.outdir)
@@ -64,7 +63,7 @@ def main(argv=None) -> int:
             continue
         t0 = time.perf_counter()
         if kind == "convergence":
-            table = run_convergence(config, levels=levels)
+            table = run_convergence(config, levels=args.levels)
         else:
             table = run_contrast_sweep(config, pairs=CONTRAST_PAIRS)
         dt = time.perf_counter() - t0

@@ -30,12 +30,17 @@ _KNOWN_KEYS = _STR_KEYS + _FLOAT_KEYS + ("level", "levels")
 
 
 def parse_levels(text: str) -> tuple[int, ...]:
-    """'1..5' (inclusive range) or '1,2,3'."""
+    """'1..5' (inclusive range) or '1,2,3'; raises ConfigError unless the
+    levels are non-empty and ascending."""
     text = text.strip()
     if ".." in text:
         lo, _, hi = text.partition("..")
-        return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(part) for part in text.split(",") if part.strip())
+        levels = tuple(range(int(lo), int(hi) + 1))
+    else:
+        levels = tuple(int(part) for part in text.split(",") if part.strip())
+    if not levels or list(levels) != sorted(levels):
+        raise ConfigError(f"levels must be a non-empty ascending list, got {text!r}")
+    return levels
 
 
 def parse_config_file(path: str) -> dict:

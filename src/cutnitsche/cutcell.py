@@ -72,6 +72,7 @@ class CutTopology:
     ghost_minus: np.ndarray      # edge ids stabilising the minus field
     ghost_plus: np.ndarray
     ambiguous_elements: np.ndarray
+    degenerate_elements: np.ndarray  # chord collapsed: reclassified by sub-area
 
     @property
     def n_cut(self) -> int:
@@ -110,7 +111,7 @@ def classify(mesh: Mesh, ls: LevelSet) -> CutTopology:
         bad = int(np.flatnonzero(~has_neg & ~has_pos)[0])
         raise GeometryError(f"element {bad} has all vertices on the interface")
 
-    multi_edge = _scan_edges(mesh, ls)
+    multi_edge = _scan_edges(mesh, ls, psi)
     if np.any(multi_edge) and ls.simple:
         e = int(np.flatnonzero(multi_edge)[0])
         a, b = mesh.nodes[mesh.edges[e]]
@@ -178,23 +179,32 @@ def classify(mesh: Mesh, ls: LevelSet) -> CutTopology:
         ghost_minus=ghost_minus,
         ghost_plus=ghost_plus,
         ambiguous_elements=ambiguous,
+        degenerate_elements=gone,
     )
 
 
-def _scan_edges(mesh: Mesh, ls: LevelSet) -> np.ndarray:
+def _scan_edges(mesh: Mesh, ls: LevelSet, psi: np.ndarray) -> np.ndarray:
     """Boolean per edge: more than one sign change along sampled points.
 
+    Only the band of edges that can hold a root is sampled.  If
+    ``|grad phi| <= L``, an edge a -> b holds a root only when
+    ``|phi(a)| + |phi(b)| <= L |b - a|``; the band admits twice that sum,
+    which absorbs rounding.  ``psi`` is phi up to sign at the nodes.
+    Without a bound (``ls.lipschitz`` None) the band is every edge.
     Edges are sampled SCAN_BLOCK at a time, which bounds the temporaries.
     """
+    bound = np.inf if ls.lipschitz is None else 2.0 * ls.lipschitz
+    end_sum = np.abs(psi[mesh.edges[:, 0]]) + np.abs(psi[mesh.edges[:, 1]])
+    band = np.flatnonzero(end_sum <= bound * mesh.edge_lengths)
     ts = np.linspace(0.0, 1.0, MULTI_ROOT_SAMPLES + 2)
-    multi = np.empty(mesh.edges.shape[0], dtype=bool)
-    for lo in range(0, multi.size, SCAN_BLOCK):
-        ends = mesh.edges[lo:lo + SCAN_BLOCK]
-        a = mesh.nodes[ends[:, 0]]
-        b = mesh.nodes[ends[:, 1]]
+    multi = np.zeros(mesh.edges.shape[0], dtype=bool)
+    for lo in range(0, band.size, SCAN_BLOCK):
+        ids = band[lo:lo + SCAN_BLOCK]
+        a = mesh.nodes[mesh.edges[ids, 0]]
+        b = mesh.nodes[mesh.edges[ids, 1]]
         pts = a[:, None, :] + ts[None, :, None] * (b - a)[:, None, :]
         s = np.sign(ls.value(pts))
-        multi[lo:lo + SCAN_BLOCK] = np.sum(s[:, 1:] * s[:, :-1] < 0, axis=1) > 1
+        multi[ids] = np.sum(s[:, 1:] * s[:, :-1] < 0, axis=1) > 1
     return multi
 
 

@@ -28,7 +28,7 @@ from .assembly import assemble_parts, assemble_vnorm_gram, build_system
 from .cutcell import CutTopology, classify  # noqa: F401
 from .harness import RunConfig, Table, _geometry, make_problem
 from .levelset import GeometryError, LevelSet, make_circle, reflect_many
-from .mesh import Mesh, barycentric_many, node_patch
+from .mesh import Mesh, barycentric_many
 from .norms import error_report
 from .problems import ProblemSpec, patch_problem
 from .space import FieldPair, SpaceLayout, interpolate_pair, locate_on_side
@@ -134,6 +134,12 @@ def interpolation_error_profile(ls: LevelSet, spec: ProblemSpec,
 # ---------------------------------------------------------------------------
 # discrete extension
 
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenation of arange(s, s + c) over the pairs (s, c)."""
+    offsets = np.cumsum(counts) - counts
+    return np.repeat(starts - offsets, counts) + np.arange(counts.sum())
+
+
 def _cutoff(dist: np.ndarray, eps: float) -> np.ndarray:
     """1 inside eps/2, cubic rolloff to 0 at eps."""
     t = np.clip((dist - 0.5 * eps) / (0.5 * eps), 0.0, 1.0)
@@ -190,43 +196,54 @@ def _restrict(h1_plus, layout: SpaceLayout):
 
 def build_extension(mesh: Mesh, topo: CutTopology, ls: LevelSet,
                     layout: SpaceLayout, tube: float = 0.1) -> ExtensionOperator:
-    keep = layout.node_dof_plus >= 0
-    n_plus = layout.n_plus
-    rows, cols, vals = [], [], []
-    for z in np.flatnonzero(keep):
-        rows.append(z)
-        cols.append(layout.node_dof_plus[z])
-        vals.append(1.0)
+    """Averaged-reflection extension of plus-side fields, with the H1
+    Gram matrices that measure its stability.
 
+    A node carrying a plus dof keeps its value.  A node within ``tube``
+    of the interface without one averages the plus field over the
+    reflections, through the interface, of the quadrature points of its
+    (minus-side) patch, weighted by quadrature weight times a cutoff in
+    the distance, over the patch's total weight.  Nodes farther away
+    get zero.  All patch points are gathered, cut off, reflected and
+    located at once; the triplets come node by node, so ``tocsr`` sums
+    duplicates in a fixed order.  Raises GeometryError, for the first
+    point in node order, when a reflected point lies outside the
+    plus-side mesh.
+    """
+    keep = layout.node_dof_plus >= 0
     dist_nodes = np.abs(np.asarray(ls.value(mesh.nodes), dtype=float))
     cand = np.flatnonzero(~keep & (dist_nodes <= tube))
     sq = topo.quad_minus   # elems ascending; patches of cand nodes are all minus
-    for z in cand:
-        pts_z, wts_z = [], []
-        for t in node_patch(mesh, z):
-            lo, hi = np.searchsorted(sq.elems, (t, t + 1))
-            pts_z.append(sq.points[lo:hi])
-            wts_z.append(sq.weights[lo:hi])
-        pts_z = np.concatenate(pts_z)
-        wts_z = np.concatenate(wts_z)
-        total = float(np.sum(wts_z))
-        eta = _cutoff(np.abs(np.asarray(ls.value(pts_z), dtype=float)), tube)
-        live = eta > 0.0
-        if total <= 0.0 or not np.any(live):
-            continue
-        refl = reflect_many(ls, pts_z[live], tube=tube)
-        elems, lams = locate_on_side(layout, "plus", refl)
-        if np.any(elems < 0):
-            bad = refl[np.argmax(elems < 0)]
-            raise GeometryError(f"reflected point {bad.tolist()} lies outside the plus-side mesh")
-        dofs = layout.node_dof_plus[mesh.elements[elems]]
-        coef = (wts_z[live] * eta[live] / total)[:, None] * lams
-        rows.extend([z] * dofs.size)
-        cols.extend(dofs.ravel())
-        vals.extend(coef.ravel())
+
+    # patch elements of each candidate, then their quadrature points
+    ptr = mesh.node_elem_ptr
+    deg = ptr[cand + 1] - ptr[cand]
+    patch = mesh.node_elem_ids[_ranges(ptr[cand], deg)]
+    lo = np.searchsorted(sq.elems, patch)
+    n_pts = np.searchsorted(sq.elems, patch + 1) - lo
+    idx = _ranges(lo, n_pts)
+    owner = np.repeat(np.repeat(np.arange(cand.size), deg), n_pts)
+    seg = np.searchsorted(owner, np.arange(cand.size + 1))
+    pts, wts = sq.points[idx], sq.weights[idx]
+    # np.sum per node: a segmented reduceat adds in another order
+    total = np.array([np.sum(wts[i:j]) for i, j in zip(seg[:-1], seg[1:])])
+
+    eta = _cutoff(np.abs(np.asarray(ls.value(pts), dtype=float)), tube)
+    live = (eta > 0.0) & (total[owner] > 0.0)
+    refl = reflect_many(ls, pts[live], tube=tube)
+    elems, lams = locate_on_side(layout, "plus", refl)
+    if np.any(elems < 0):
+        bad = refl[np.argmax(elems < 0)]
+        raise GeometryError(f"reflected point {bad.tolist()} lies outside the plus-side mesh")
+    owner = owner[live]
+    coef = (wts[live] * eta[live] / total[owner])[:, None] * lams
+    rows = np.concatenate([np.flatnonzero(keep), np.repeat(cand[owner], 3)])
+    cols = np.concatenate([layout.node_dof_plus[keep],
+                           layout.node_dof_plus[mesh.elements[elems]].ravel()])
+    vals = np.concatenate([np.ones(np.count_nonzero(keep)), coef.ravel()])
 
     matrix = scipy.sparse.coo_matrix(
-        (vals, (rows, cols)), shape=(mesh.n_nodes, n_plus)).tocsr()
+        (vals, (rows, cols)), shape=(mesh.n_nodes, layout.n_plus)).tocsr()
     mass_f, stiff_f = _h1_matrices(mesh)
     plus_elems = np.flatnonzero(layout.in_plus)
     mass_p, stiff_p = _h1_matrices(mesh, plus_elems)

@@ -41,6 +41,9 @@ class LevelSet:
     states that the zero set is a simple closed curve resolved by any
     admissible mesh; when False, classification downgrades multi-root
     and non-convergence errors to flagged elements instead of raising.
+    ``lipschitz`` is an upper bound on ``|grad phi|``, or None where none
+    is known; classification samples for multiple roots only the edges
+    on which such a bound allows a root.
     """
 
     phi: Callable
@@ -48,6 +51,7 @@ class LevelSet:
     inclusion_side: str = "minus"
     simple: bool = True
     name: str = "levelset"
+    lipschitz: float | None = None
 
     def __post_init__(self):
         if self.inclusion_side not in ("minus", "plus"):
@@ -96,7 +100,7 @@ def make_circle(radius: float = 1.0 / 3.0, inclusion_side: str = "minus") -> Lev
         return x / np.maximum(r, 1e-300)[..., None]
 
     return LevelSet(phi=phi, grad=grad, inclusion_side=inclusion_side,
-                    simple=True, name=f"circle[r={radius:g}]")
+                    simple=True, name=f"circle[r={radius:g}]", lipschitz=1.0)
 
 
 FLOWER_BASE = 1.0 / 18.0
@@ -110,7 +114,8 @@ def make_flower(inclusion_side: str = "minus") -> LevelSet:
     The radius changes sign, so the zero set is five petals pinched at
     the origin rather than a simple closed curve; the level set is
     marked non-simple and classification flags elements near the
-    pinch points instead of failing.
+    pinch points instead of failing.  ``|grad phi|`` grows like 1/r at
+    the origin, so it has no Lipschitz bound.
     """
 
     def phi(x):

@@ -11,6 +11,7 @@ callers accept a stagnated iterate when it is at most BACKWARD_ERROR_TOL.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,20 +65,24 @@ def _stats(it: int, a, b: np.ndarray, x: np.ndarray, r: np.ndarray,
     of a stores its positive diagonal, so no row sum is empty."""
     a_norm = float(np.add.reduceat(np.abs(a.data), a.indptr[:-1]).max())
     den = a_norm * float(np.abs(x).max()) + float(np.abs(b).max())
-    return SolveStats(it, float(np.linalg.norm(r)) / bnorm, "cg_jacobi",
+    return SolveStats(it, math.sqrt(r @ r) / bnorm, "cg_jacobi",
                       float(np.abs(r).max()) / den)
 
 
 def solve(system: SparseSystem, tol: float = 1e-12,
           max_iter: int | None = None) -> tuple[np.ndarray, SolveStats]:
     """Solve the reduced system to a true relative residual <= tol
-    (at most max_iter iterations, default 20 n)."""
+    (at most max_iter iterations, default 20 n).
+
+    The iteration updates preallocated vectors in place; it computes the
+    same values, in the same order, as the textbook expressions.
+    """
     a = system.matrix
     b = system.rhs
     n = b.shape[0]
     if max_iter is None:
         max_iter = 20 * n
-    bnorm = float(np.linalg.norm(b))
+    bnorm = math.sqrt(b @ b)
     if bnorm == 0.0:
         return np.zeros(n), SolveStats(0, 0.0, "cg_jacobi", 0.0)
 
@@ -90,6 +95,7 @@ def solve(system: SparseSystem, tol: float = 1e-12,
     r = b.copy()
     z = inv_diag * r
     p = z.copy()
+    step = np.empty(n)
     rz = float(r @ z)
     it = 0
     best_true = np.inf
@@ -101,12 +107,12 @@ def solve(system: SparseSystem, tol: float = 1e-12,
         if pap <= 0.0:
             raise NotSPDError("matrix not SPD (negative curvature in CG) - check gamma")
         alpha = rz / pap
-        x += alpha * p
-        r -= alpha * ap
-        rnorm = float(np.linalg.norm(r))
+        x += np.multiply(alpha, p, out=step)
+        r -= np.multiply(alpha, ap, out=step)
+        rnorm = math.sqrt(r @ r)
         if rnorm <= tol * bnorm:
-            r = b - a @ x
-            true_r = float(np.linalg.norm(r))
+            np.subtract(b, a @ x, out=r)
+            true_r = math.sqrt(r @ r)
             if true_r <= tol * bnorm:
                 return x, _stats(it, a, b, x, r, bnorm)
             # Recurrence residual converged but the true residual did not:
@@ -125,15 +131,16 @@ def solve(system: SparseSystem, tol: float = 1e-12,
                     _stats(it, a, b, x, r, bnorm),
                     x,
                 )
-            z = inv_diag * r
-            p = z.copy()
+            np.multiply(inv_diag, r, out=z)
+            p[:] = z
             rz = float(r @ z)
             continue
-        z = inv_diag * r
+        np.multiply(inv_diag, r, out=z)
         rz_new = float(r @ z)
         beta = rz_new / rz
         rz = rz_new
-        p = z + beta * p
+        p *= beta
+        p += z
     stats = _stats(it, a, b, x, b - a @ x, bnorm)
     raise MaxIterationsError(
         f"CG did not reach tol={tol:g} in {max_iter} iterations "

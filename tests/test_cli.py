@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cutnitsche.cli import main, parse_config_file, parse_levels
+from cutnitsche.harness import ConfigError
 
 
 SOLVE_HEADER = ("level,h,e0,einf,eflux,efluxinf,esqrt,vnorm,vanorm,"
@@ -109,6 +110,10 @@ def test_parse_levels():
     assert parse_levels(" 1, 3,5 ") == (1, 3, 5)
     with pytest.raises(ValueError):
         parse_levels("1..x")
+    # empty and descending lists are refused, not read as the default
+    for text in ("5..1", "", " , ", "3,1"):
+        with pytest.raises(ConfigError, match="non-empty ascending"):
+            parse_levels(text)
 
 
 def test_config_file_with_comments(capsys, tmp_path):
@@ -164,9 +169,12 @@ def test_missing_config_file(capsys):
 
 def test_bad_flag_exits_one(capsys):
     # CG is the only solver: --solver and --tol are not options
-    for flags in (["--no-such-flag"], ["--solver", "cg"], ["--tol", "1e-10"]):
-        code, _, err = _run(capsys, ["solve", *flags])
+    for argv in (["solve", "--no-such-flag"], ["solve", "--solver", "cg"],
+                 ["solve", "--tol", "1e-10"],
+                 ["convergence", "--levels", "5..1"], ["convergence", "--levels", ""]):
+        code, out, err = _run(capsys, argv)
         assert code == 1
+        assert out == ""
         assert err.startswith("cutnitsche: config error:")
 
 

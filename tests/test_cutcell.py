@@ -7,8 +7,9 @@ from hypothesis import given, strategies as st
 
 from cutnitsche.cutcell import (BISECTION_STEPS, DEGENERATE_CHORD_FACTOR,
                                 MULTI_ROOT_SAMPLES, ROOT_PHI_TOL, ROOT_WIDTH_TOL,
-                                _fan_rule, _ghost_edges, _interface_quadrature,
-                                _polygon_area, _split, classify, dump_cut_cells)
+                                SCAN_BLOCK, _fan_rule, _ghost_edges,
+                                _interface_quadrature, _polygon_area, _scan_edges,
+                                _split, classify, dump_cut_cells)
 from cutnitsche.levelset import (CoarseMeshError, GeometryError, LevelSet,
                                  make_circle, make_flower)
 from cutnitsche.mesh import build_mesh
@@ -115,6 +116,30 @@ def ref_polygon_rule(poly):
     return np.vstack(pts), np.concatenate(wts)
 
 
+def ref_scan_edges(mesh, ls):
+    """Multi-root flag of every edge, sampling all edges of the mesh."""
+    ts = np.linspace(0.0, 1.0, MULTI_ROOT_SAMPLES + 2)
+    multi = np.empty(mesh.edges.shape[0], dtype=bool)
+    for lo in range(0, multi.size, SCAN_BLOCK):
+        ends = mesh.edges[lo:lo + SCAN_BLOCK]
+        a, b = mesh.nodes[ends[:, 0]], mesh.nodes[ends[:, 1]]
+        s = np.sign(ls.value(a[:, None, :] + ts[None, :, None] * (b - a)[:, None, :]))
+        multi[lo:lo + SCAN_BLOCK] = np.sum(s[:, 1:] * s[:, :-1] < 0, axis=1) > 1
+    return multi
+
+
+def ref_coarse_mesh_check(mesh, ls):
+    """Full-scan multi-root flags; raises on a simple level set if any."""
+    multi_edge = ref_scan_edges(mesh, ls)
+    if np.any(multi_edge) and ls.simple:
+        a, b = mesh.nodes[mesh.edges[np.argmax(multi_edge)]]
+        raise CoarseMeshError(
+            f"h too coarse for this interface: multiple crossings on edge "
+            f"{a.tolist()} -> {b.tolist()}"
+        )
+    return multi_edge
+
+
 def ref_classify(mesh, ls):
     """Every CutTopology array, computed one edge and one element at a time."""
     psi = np.asarray(ls.side_sign(mesh.nodes), dtype=float)
@@ -122,13 +147,7 @@ def ref_classify(mesh, ls):
     esign = sign[mesh.elements]
     has_neg = np.any(esign < 0, axis=1)
     has_pos = np.any(esign > 0, axis=1)
-
-    a, b = mesh.nodes[mesh.edges[:, 0]], mesh.nodes[mesh.edges[:, 1]]
-    ts = np.linspace(0.0, 1.0, MULTI_ROOT_SAMPLES + 2)
-    s = np.sign(ls.value(a[:, None, :] + ts[None, :, None] * (b - a)[:, None, :]))
-    multi_edge = np.sum(s[:, 1:] * s[:, :-1] < 0, axis=1) > 1
-    if np.any(multi_edge) and ls.simple:
-        raise CoarseMeshError("multiple crossings")
+    multi_edge = ref_coarse_mesh_check(mesh, ls)
 
     roots, flagged = {}, set()
     for e, (ia, ib) in enumerate(mesh.edges.tolist()):
@@ -152,7 +171,7 @@ def ref_classify(mesh, ls):
     elem_side[has_neg & has_pos] = 0
     area_minus = np.where(elem_side < 0, mesh.areas, 0.0)
     area_plus = np.where(elem_side > 0, mesh.areas, 0.0)
-    cut_ids, chords, polys, ambiguous = [], [], [], []
+    cut_ids, chords, polys, ambiguous, degenerate = [], [], [], [], []
     for t in np.flatnonzero(has_neg & has_pos):
         local_edges = mesh.elem_edges[t].tolist()
         if not flagged.isdisjoint(local_edges):
@@ -164,6 +183,7 @@ def ref_classify(mesh, ls):
             elem_side[t] = side
             area_minus[t] = mesh.areas[t] if side < 0 else 0.0
             area_plus[t] = mesh.areas[t] if side > 0 else 0.0
+            degenerate.append(t)
             continue
         cut_ids.append(t)
         chords.append((p, q, normal))
@@ -180,7 +200,8 @@ def ref_classify(mesh, ls):
                chord_q=chord_q, chord_len=chord_len, chord_normal=chord_normal,
                ghost_minus=_ghost_edges(mesh, elem_side, -1),
                ghost_plus=_ghost_edges(mesh, elem_side, 1),
-               ambiguous_elements=np.asarray(ambiguous, dtype=np.int64))
+               ambiguous_elements=np.asarray(ambiguous, dtype=np.int64),
+               degenerate_elements=np.asarray(degenerate, dtype=np.int64))
     iface = _interface_quadrature(cut_ids, chord_p, chord_q, chord_len, chord_normal)
     out.update({f"iface.{k}": v for k, v in iface._asdict().items()})
     for j, (side, want) in enumerate((("minus", -1), ("plus", 1))):
@@ -249,6 +270,7 @@ def test_degenerate_chords_and_failed_bisections_are_logged(caplog):
     assert flagged[0].args[0] == topo.ambiguous_elements.size > 0
     # reclassified elements hold their whole area on one side
     gone = [r.args[0] for r in degenerate]
+    assert topo.degenerate_elements.tolist() == gone
     assert np.all(topo.elem_side[gone] != 0)
     np.testing.assert_array_equal(topo.area_minus[gone] + topo.area_plus[gone],
                                   mesh.areas[gone])
@@ -263,6 +285,35 @@ def test_failed_bisection_raises_on_simple_level_set():
         ref_classify(mesh, ls)
     assert str(got.value) == str(want.value)
     assert str(got.value).startswith("bisection did not converge on edge")
+
+
+# the circle on both sides and the flower; then radii at which the circle
+# grazes grid edges at levels 5, 6 and 1 (r = 0.3341 flags none, the
+# others flag edges with two roots and raise CoarseMeshError)
+SCAN_CASES = (
+    [(lv, make_circle(inclusion_side=side)) for side in ("minus", "plus")
+     for lv in (1, 2, 3, 4, 5, 6)]
+    + [(lv, make_flower()) for lv in (1, 2, 3, 4)]
+    + [(5, make_circle(radius=r, inclusion_side=side))
+       for r in (0.3341, 0.33413, 0.33417) for side in ("minus", "plus")]
+    + [(6, make_circle(radius=0.33334)), (1, make_circle(radius=0.356))]
+)
+
+
+@pytest.mark.parametrize("level,ls", SCAN_CASES,
+                         ids=[f"{ls.name}-{ls.inclusion_side}-L{lv}"
+                              for lv, ls in SCAN_CASES])
+def test_banded_scan_matches_full_scan(level, ls):
+    mesh = build_mesh(level)
+    psi = np.asarray(ls.side_sign(mesh.nodes), dtype=float)
+    want = ref_scan_edges(mesh, ls)
+    assert np.array_equal(_scan_edges(mesh, ls, psi), want)
+    if ls.simple and np.any(want):
+        with pytest.raises(CoarseMeshError) as got:
+            classify(mesh, ls)
+        with pytest.raises(CoarseMeshError) as expected:
+            ref_coarse_mesh_check(mesh, ls)
+        assert str(got.value) == str(expected.value)
 
 
 def split_one(coords, signs, roots):

@@ -8,15 +8,15 @@ import scipy.sparse
 
 from cutnitsche.assembly import assemble_vnorm_gram, build_system
 from cutnitsche.cutcell import classify
-from cutnitsche.diagnostics import (build_extension, coercivity_probe,
+from cutnitsche.diagnostics import (_cutoff, build_extension, coercivity_probe,
                                     discrete_extension,
                                     interpolation_error_profile,
                                     patch_area_ratio, run_diagnostics)
 from cutnitsche.harness import RunConfig, make_problem
-from cutnitsche.levelset import LevelSet, make_circle
-from cutnitsche.mesh import build_mesh
+from cutnitsche.levelset import GeometryError, LevelSet, make_circle, reflect_many
+from cutnitsche.mesh import build_mesh, node_patch
 from cutnitsche.problems import example_circle, patch_problem
-from cutnitsche.space import build_spaces, interpolate_pair
+from cutnitsche.space import build_spaces, interpolate_pair, locate_on_side
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +144,72 @@ def test_extension_matrix_structure(plus_inclusion):
     cand = ~keep & (dist <= 0.1)
     assert np.all(sums[cand] >= -1e-12)
     assert np.all(sums[cand] <= 1.0 + 1e-12)
+
+
+def ref_extension_matrix(mesh, topo, ls, layout, tube=0.1):
+    """The extension matrix built one node at a time, one reflection
+    batch per node, as before its passes were vectorised."""
+    keep = layout.node_dof_plus >= 0
+    rows, cols, vals = [], [], []
+    for z in np.flatnonzero(keep):
+        rows.append(z)
+        cols.append(layout.node_dof_plus[z])
+        vals.append(1.0)
+    dist_nodes = np.abs(np.asarray(ls.value(mesh.nodes), dtype=float))
+    sq = topo.quad_minus
+    for z in np.flatnonzero(~keep & (dist_nodes <= tube)):
+        pts_z, wts_z = [], []
+        for t in node_patch(mesh, z):
+            lo, hi = np.searchsorted(sq.elems, (t, t + 1))
+            pts_z.append(sq.points[lo:hi])
+            wts_z.append(sq.weights[lo:hi])
+        pts_z = np.concatenate(pts_z)
+        wts_z = np.concatenate(wts_z)
+        total = float(np.sum(wts_z))
+        eta = _cutoff(np.abs(np.asarray(ls.value(pts_z), dtype=float)), tube)
+        live = eta > 0.0
+        if total <= 0.0 or not np.any(live):
+            continue
+        refl = reflect_many(ls, pts_z[live], tube=tube)
+        elems, lams = locate_on_side(layout, "plus", refl)
+        if np.any(elems < 0):
+            bad = refl[np.argmax(elems < 0)]
+            raise GeometryError(f"reflected point {bad.tolist()} lies outside the plus-side mesh")
+        dofs = layout.node_dof_plus[mesh.elements[elems]]
+        coef = (wts_z[live] * eta[live] / total)[:, None] * lams
+        rows.extend([z] * dofs.size)
+        cols.extend(dofs.ravel())
+        vals.extend(coef.ravel())
+    return scipy.sparse.coo_matrix(
+        (vals, (rows, cols)), shape=(mesh.n_nodes, layout.n_plus)).tocsr()
+
+
+@pytest.mark.parametrize("level", [2, 3, 4])
+def test_extension_matches_per_node_reference(level):
+    mesh = build_mesh(level)
+    ls = make_circle(inclusion_side="plus")
+    topo = classify(mesh, ls)
+    layout = build_spaces(mesh, topo)
+    got = build_extension(mesh, topo, ls, layout).matrix
+    want = ref_extension_matrix(mesh, topo, ls, layout)
+    for name in ("data", "indices", "indptr"):
+        assert getattr(got, name).dtype == getattr(want, name).dtype, name
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def test_extension_reflection_off_the_plus_mesh():
+    # the plus side of a smaller circle than the one reflected through:
+    # points outside the larger circle reflect to between the two circles
+    mesh = build_mesh(2)
+    topo = classify(mesh, make_circle(radius=0.2, inclusion_side="plus"))
+    layout = build_spaces(mesh, topo)
+    ls = make_circle(radius=0.5, inclusion_side="plus")
+    with pytest.raises(GeometryError) as got:
+        build_extension(mesh, topo, ls, layout)
+    with pytest.raises(GeometryError) as want:
+        ref_extension_matrix(mesh, topo, ls, layout)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).endswith("lies outside the plus-side mesh")
 
 
 def test_extension_of_plus_field(plus_inclusion):

@@ -24,6 +24,17 @@ def test_circle_values_and_signs():
         LevelSet(phi=lambda x: x[..., 0], inclusion_side="bogus")
 
 
+@given(st.floats(min_value=-1.0, max_value=1.0), st.floats(min_value=-1.0, max_value=1.0),
+       st.floats(min_value=-1.0, max_value=1.0), st.floats(min_value=-1.0, max_value=1.0))
+def test_circle_lipschitz_bound(x0, y0, x1, y1):
+    # the banded multi-root scan relies on |phi(a) - phi(b)| <= L |a - b|
+    ls = make_circle()
+    a, b = np.array([x0, y0]), np.array([x1, y1])
+    assert abs(ls.value(a) - ls.value(b)) <= ls.lipschitz * np.hypot(*(a - b)) + 1e-15
+    # |grad phi| of the flower grows like 1/r at its pinch point
+    assert make_flower().lipschitz is None
+
+
 def test_normal_minus_orientation():
     # points from the minus into the plus side on either orientation
     p = np.array([R, 0.0])

@@ -67,6 +67,60 @@ def _extreme_contrast_system():
     return build_system(mesh, topo, build_spaces(mesh, topo), spec)
 
 
+def ref_cg(system, tol=1e-12):
+    """CG written with a temporary per vector operation, as ``solve`` was
+    before it updated buffers in place: (outcome, iterate, iterations)."""
+    a, b = system.matrix, system.rhs
+    bnorm = np.linalg.norm(b)
+    inv_diag = 1.0 / a.diagonal()
+    x = np.zeros(b.shape[0])
+    r = b.copy()
+    z = inv_diag * r
+    p = z.copy()
+    rz = float(r @ z)
+    best_true, stalls = np.inf, 0
+    for it in range(1, 20 * b.shape[0] + 1):
+        ap = a @ p
+        alpha = rz / float(p @ ap)
+        x = x + alpha * p
+        r = r - alpha * ap
+        if np.linalg.norm(r) <= tol * bnorm:
+            r = b - a @ x
+            true_r = np.linalg.norm(r)
+            if true_r <= tol * bnorm:
+                return "converged", x, it
+            stalls = stalls + 1 if true_r >= 0.5 * best_true else 0
+            best_true = min(best_true, true_r)
+            if stalls >= 2:
+                return "stagnated", x, it
+            z = inv_diag * r
+            p = z.copy()
+            rz = float(r @ z)
+            continue
+        z = inv_diag * r
+        rz_new = float(r @ z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    raise AssertionError("reference CG did not finish")
+
+
+def test_in_place_cg_matches_reference(circle_layout):
+    mesh, topo, layout = circle_layout(2)
+    _, spec = example_circle(1.0, 1e4)
+    converged = build_system(mesh, topo, layout, spec)
+    x, stats = solve(converged)
+    outcome, x_ref, it = ref_cg(converged)
+    assert (outcome, it) == ("converged", stats.iterations)
+    assert np.array_equal(x, x_ref)
+
+    stagnated = _extreme_contrast_system()
+    with pytest.raises(StagnationError) as err:
+        solve(stagnated)
+    outcome, x_ref, it = ref_cg(stagnated)
+    assert (outcome, it) == ("stagnated", err.value.stats.iterations)
+    assert np.array_equal(err.value.x, x_ref)
+
+
 def test_cg_matches_direct_solve(circle_layout):
     mesh, topo, layout = circle_layout(2)
     _, spec = example_circle(1.0, 1e4)
