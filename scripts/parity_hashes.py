@@ -5,7 +5,9 @@ One line per item: the cut topology of the circle (both inclusion sides)
 and the flower at levels 1..6, the matrix, right-hand side, solution and
 solve statistics of every configuration of ``reproduce_tables.py``, the
 discrete extension operator of the diagnostics at levels 2..5, the seven
-CSVs that script writes and the ``run_diagnostics()`` report.  Two
+CSVs that script writes and the ``run_diagnostics()`` report, then every
+``Mesh`` array at levels 1..6 and the matrix and right-hand side of the
+level-6 plus-side solve at contrast 1e9 (assembled, not solved).  Two
 commits are bit-identical on all of these when the outputs of this
 script agree:
 
@@ -32,10 +34,12 @@ import tempfile  # noqa: E402
 import numpy as np  # noqa: E402
 
 import reproduce_tables  # noqa: E402
+from cutnitsche.assembly import build_system  # noqa: E402
 from cutnitsche.cli import parse_levels  # noqa: E402
 from cutnitsche.cutcell import classify  # noqa: E402
 from cutnitsche.diagnostics import build_extension, run_diagnostics  # noqa: E402
-from cutnitsche.harness import CONTRAST_PAIRS, RunConfig, run_solve  # noqa: E402
+from cutnitsche.harness import (CONTRAST_PAIRS, RunConfig, make_problem,  # noqa: E402
+                                run_solve)
 from cutnitsche.levelset import make_circle, make_flower  # noqa: E402
 from cutnitsche.mesh import build_mesh  # noqa: E402
 from cutnitsche.space import build_spaces  # noqa: E402
@@ -54,6 +58,11 @@ def digest(value) -> str:
     else:
         h.update(str(value).encode())
     return h.hexdigest()
+
+
+def mesh_arrays(mesh):
+    return {name: value for name, value in vars(mesh).items()
+            if isinstance(value, np.ndarray)}
 
 
 def topology_arrays(topo):
@@ -117,6 +126,20 @@ def main() -> int:
         for path in sorted(pathlib.Path(tmp).glob("*.csv")):
             print(f"csv {path.name} {digest(path.read_text())}")
     print(f"report run_diagnostics {digest(run_diagnostics())}")
+
+    for level in GEOMETRY_LEVELS:
+        for name, value in mesh_arrays(build_mesh(level)).items():
+            print(f"mesh L{level} {name} {digest(value)}")
+    fine = RunConfig(example="1", level=6, inclusion_side="plus",
+                     rho_minus=1.0, rho_plus=1e9).resolve()
+    ls, spec = make_problem(fine)
+    mesh = build_mesh(fine.level)
+    topo = classify(mesh, ls)
+    system = build_system(mesh, topo, build_spaces(mesh, topo), spec)
+    items = {f"matrix.{k}": v for k, v in csr_arrays(system.matrix).items()}
+    items["rhs"] = system.rhs
+    for name, value in items.items():
+        print(f"system plus-1e9 L6 {name} {digest(value)}")
     return 0
 
 

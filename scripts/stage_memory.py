@@ -1,0 +1,114 @@
+#!/usr/bin/env python3
+"""Seconds and memory of each stage of one solve, without the solve.
+
+For the circle with the inclusion on the plus side at contrast 1e9
+(``rho`` 1 / 1e9), at levels 5..7, each stage runs once under
+tracemalloc: mesh, classify, spaces, build_system, load (a second
+``assemble_load``) and the error report of the lifted zero field.  Per
+stage it records
+
+* ``seconds``: wall time, tracemalloc on;
+* ``output_mb``: traced memory the stage leaves allocated;
+* ``extra_mb``: traced peak above the traced memory at the stage's start,
+  the output included;
+* ``rss_mb`` and ``maxrss_mb``: resident set size after the stage, and
+  its high-water mark so far in the process.
+
+It prints one line per stage and writes the measurement into the
+``change`` column of ``BENCH_memory.json`` at the repository root.  Any
+other column already in that file is kept, so a column measured by this
+script at an earlier commit (``parent``) stays beside it.
+
+    python scripts/stage_memory.py
+"""
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "BLIS_NUM_THREADS"):
+    os.environ[_var] = "1"   # before numpy is imported
+
+import json  # noqa: E402
+import pathlib  # noqa: E402
+import resource  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+import tracemalloc  # noqa: E402
+
+import numpy as np  # noqa: E402
+import scipy  # noqa: E402
+
+from cutnitsche.assembly import assemble_load, build_system, expand_solution  # noqa: E402
+from cutnitsche.cutcell import classify  # noqa: E402
+from cutnitsche.harness import RunConfig, make_problem  # noqa: E402
+from cutnitsche.mesh import build_mesh  # noqa: E402
+from cutnitsche.norms import error_report  # noqa: E402
+from cutnitsche.space import build_spaces  # noqa: E402
+
+LEVELS = (5, 6, 7)
+OUTPUT = pathlib.Path(__file__).resolve().parent.parent / "BENCH_memory.json"
+COLUMN = "change"
+MB = 1024.0 ** 2
+
+
+def rss_mb() -> float:
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / MB
+
+
+def measure(fn):
+    """Run fn under tracemalloc; its result and its stage record."""
+    base = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    t0 = time.perf_counter()
+    out = fn()
+    seconds = time.perf_counter() - t0
+    current, peak = tracemalloc.get_traced_memory()
+    return out, {
+        "seconds": round(seconds, 3),
+        "output_mb": round((current - base) / MB, 1),
+        "extra_mb": round((peak - base) / MB, 1),
+        "rss_mb": round(rss_mb(), 1),
+        "maxrss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1),
+    }
+
+
+def stages(level: int) -> dict:
+    config = RunConfig(example="1", level=level, inclusion_side="plus",
+                       rho_minus=1.0, rho_plus=1e9).resolve()
+    ls, spec = make_problem(config)
+    record = {}
+    mesh, record["mesh"] = measure(lambda: build_mesh(level))
+    topo, record["classify"] = measure(lambda: classify(mesh, ls))
+    layout, record["spaces"] = measure(lambda: build_spaces(mesh, topo))
+    system, record["build_system"] = measure(lambda: build_system(mesh, topo, layout, spec))
+    _, record["load"] = measure(lambda: assemble_load(mesh, topo, layout, spec))
+    u_h = expand_solution(system, np.zeros(system.n))
+    _, record["error_report"] = measure(
+        lambda: error_report(mesh, topo, layout, spec, u_h, level=level))
+    return record
+
+
+def main() -> int:
+    tracemalloc.start()
+    levels = {}
+    for level in LEVELS:
+        levels[f"L{level}"] = stages(level)
+        for name, rec in levels[f"L{level}"].items():
+            print(f"L{level} {name:<13} " + " ".join(f"{k} {v}" for k, v in rec.items()),
+                  flush=True)
+    tracemalloc.stop()
+
+    doc = json.loads(OUTPUT.read_text()) if OUTPUT.exists() else {}
+    doc["case"] = "circle r=1/3, inclusion plus, rho 1 / 1e9; no solve"
+    doc.setdefault("columns", {})[COLUMN] = {
+        "versions": {"python": sys.version.split()[0], "numpy": np.__version__,
+                     "scipy": scipy.__version__},
+        "cpus": os.cpu_count(),
+        "levels": levels,
+    }
+    OUTPUT.write_text(json.dumps(doc, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .cutcell import CutTopology
-from .mesh import Mesh, barycentric_many
+from .mesh import Mesh, barycentric_many, blocks
 from .problems import ProblemSpec
 from .space import FieldPair, SpaceLayout
 
@@ -45,20 +45,30 @@ class SparseSystem:
         return self.rhs.shape[0]
 
 
-def _coo(rows, cols, vals, n):
-    rows = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
-    cols = np.concatenate(cols) if cols else np.zeros(0, dtype=np.int64)
-    vals = np.concatenate(vals) if vals else np.zeros(0)
-    mat = sp.coo_matrix((vals, (rows, cols)), shape=(n, n))
-    return mat.tocsr()
+class _Entries:
+    """COO entries of dense local matrices, written into preallocated
+    arrays: element-major, row-major within an element, in the order the
+    local matrices are added.  ``tocsr`` sums duplicates in that order.
+    """
 
+    def __init__(self, n_local: int, m: int):
+        size = n_local * m * m
+        self.rows = np.empty(size, dtype=np.int32)
+        self.cols = np.empty(size, dtype=np.int32)
+        self.vals = np.empty(size)
+        self.end = 0
 
-def _block(rows, cols, vals, dofs, local):
-    """Append a batch of dense local blocks (k, m, m) at dof rows (k, m)."""
-    m = dofs.shape[1]
-    rows.append(np.repeat(dofs, m, axis=1).ravel())
-    cols.append(np.tile(dofs, (1, m)).ravel())
-    vals.append(local.ravel())
+    def add(self, dofs, local) -> None:
+        """Local matrices (k, m, m) at global dofs (k, m)."""
+        k, m = dofs.shape
+        span = slice(self.end, self.end + k * m * m)
+        self.rows[span].reshape(k, m, m)[...] = dofs[:, :, None]
+        self.cols[span].reshape(k, m, m)[...] = dofs[:, None, :]
+        self.vals[span] = local.reshape(-1)
+        self.end = span.stop
+
+    def tocsr(self, n: int) -> sp.csr_matrix:
+        return sp.coo_matrix((self.vals, (self.rows, self.cols)), shape=(n, n)).tocsr()
 
 
 def _cut_blocks(mesh: Mesh, topo: CutTopology, layout: SpaceLayout):
@@ -89,27 +99,30 @@ def assemble_parts(mesh: Mesh, topo: CutTopology, layout: SpaceLayout, spec: Pro
 
     stabilisation parameters: ``volume``, ``nitsche``, ``penalty_base``
     (includes 1/h_T but no coefficient), ``ghost_minus``/``ghost_plus``
-    (include rho and |e|^2 but no gamma_g).
+    (include rho and |e|^2 but no gamma_g).  The volume part is computed
+    ``BLOCK`` elements at a time into one preallocated set of COO entries.
     """
     n = layout.n_total
     h_t = mesh.h_elem
 
     # subdomain stiffness: P1 gradients are constant, only the clipped
-    # area of each element enters
-    rows, cols, vals = [], [], []
-    for side in ("minus", "plus"):
-        mask = layout.in_minus if side == "minus" else layout.in_plus
-        elems = np.flatnonzero(mask)
-        area = topo.area(side)[elems]
-        grads = mesh.grads[elems]
-        local = spec.rho(side) * area[:, None, None] * np.einsum("kid,kjd->kij", grads, grads)
-        dofs = layout.global_dofs(side, mesh.elements[elems])
-        _block(rows, cols, vals, dofs, local)
-    volume = _coo(rows, cols, vals, n)
+    # area of each element enters; elements go BLOCK at a time
+    sides = [(side, np.flatnonzero(layout.in_minus if side == "minus" else layout.in_plus))
+             for side in ("minus", "plus")]
+    entries = _Entries(sum(elems.size for _, elems in sides), 3)
+    for side, elems in sides:
+        area = topo.area(side)
+        for block in blocks(elems.size):
+            ids = elems[block]
+            grads = mesh.grads[ids]
+            local = (spec.rho(side) * area[ids][:, None, None]
+                     * np.einsum("kid,kjd->kij", grads, grads))
+            entries.add(layout.global_dofs(side, mesh.elements[ids]), local)
+    volume = entries.tocsr(n)
 
-    rows, cols, vals = [], [], []
-    prows, pcols, pvals = [], [], []
-    if topo.n_cut:
+    ncut = topo.n_cut
+    nit_entries, pen_entries = _Entries(ncut, 6), _Entries(ncut, 6)
+    if ncut:
         cut, conn, gn, wts, lam, jump, dofs, _ = _cut_blocks(mesh, topo, layout)
         w_minus, w_plus = spec.flux_weights()
         flux = np.concatenate(
@@ -117,16 +130,16 @@ def assemble_parts(mesh: Mesh, topo: CutTopology, layout: SpaceLayout, spec: Pro
         )  # (ncut, 6), constant per element
         nit = np.einsum("kq,kqi,kj->kij", wts, jump, flux)
         nit = nit + nit.transpose(0, 2, 1)
-        _block(rows, cols, vals, dofs, nit)
+        nit_entries.add(dofs, nit)
         pen = np.einsum("kq,kqi,kqj->kij", wts, jump, jump) / h_t
-        _block(prows, pcols, pvals, dofs, pen)
-    nitsche = _coo(rows, cols, vals, n)
-    penalty_base = _coo(prows, pcols, pvals, n)
+        pen_entries.add(dofs, pen)
+    nitsche = nit_entries.tocsr(n)
+    penalty_base = pen_entries.tocsr(n)
 
     ghost = {}
     for side in ("minus", "plus"):
         edges = topo.ghost_minus if side == "minus" else topo.ghost_plus
-        rows, cols, vals = [], [], []
+        entries = _Entries(edges.size, 6)
         if edges.size:
             e1 = mesh.edge_elems[edges, 0]
             e2 = mesh.edge_elems[edges, 1]
@@ -142,8 +155,8 @@ def assemble_parts(mesh: Mesh, topo: CutTopology, layout: SpaceLayout, spec: Pro
                 [layout.global_dofs(side, mesh.elements[e1]),
                  layout.global_dofs(side, mesh.elements[e2])], axis=1
             )
-            _block(rows, cols, vals, dofs, local)
-        ghost[side] = _coo(rows, cols, vals, n)
+            entries.add(dofs, local)
+        ghost[side] = entries.tocsr(n)
 
     return {
         "volume": volume,
@@ -182,20 +195,24 @@ def assemble_vnorm_gram(mesh: Mesh, topo: CutTopology, layout: SpaceLayout,
 
 
 def assemble_load(mesh: Mesh, topo: CutTopology, layout: SpaceLayout, spec: ProblemSpec) -> np.ndarray:
-    """Load vector including the interface jump data terms."""
+    """Load vector including the interface jump data terms.
+
+    The volume terms go ``BLOCK`` quadrature points at a time.
+    """
     b = np.zeros(layout.n_total)
     for side in ("minus", "plus"):
         f = spec.f_minus if side == "minus" else spec.f_plus
         if f is None:
             continue
         sq = topo.quad_minus if side == "minus" else topo.quad_plus
-        if not sq.weights.size:
-            continue
-        conn = mesh.elements[sq.elems]
-        lam = barycentric_many(mesh.nodes[conn], sq.points)
-        contrib = (sq.weights * np.asarray(f(sq.points), dtype=float))[:, None] * lam
-        dofs = layout.global_dofs(side, conn)
-        np.add.at(b, dofs.ravel(), contrib.ravel())
+        # np.add.at adds in point order, whatever the block size
+        for block in blocks(sq.weights.size):
+            pts = sq.points[block]
+            conn = mesh.elements[sq.elems[block]]
+            lam = barycentric_many(mesh.nodes[conn], pts)
+            contrib = (sq.weights[block] * np.asarray(f(pts), dtype=float))[:, None] * lam
+            dofs = layout.global_dofs(side, conn)
+            np.add.at(b, dofs.ravel(), contrib.ravel())
 
     if topo.n_cut and (spec.jump_value is not None or spec.jump_flux is not None):
         cut, conn, gn, wts, lam, jump, dofs, pts = _cut_blocks(mesh, topo, layout)
@@ -238,10 +255,12 @@ def build_system(mesh: Mesh, topo: CutTopology, layout: SpaceLayout,
         lifting[dir_dofs] = np.asarray(spec.dirichlet(coords), dtype=float)
 
     free = layout.free_dofs
-    a_red = a_full[free][:, free].tocsr()
+    a_rows = a_full[free]
+    del a_full
+    a_red = a_rows[:, free].tocsr()
     b_red = b_full[free]
     if dir_dofs.size:
-        b_red = b_red - a_full[free][:, dir_dofs] @ lifting[dir_dofs]
+        b_red = b_red - a_rows[:, dir_dofs] @ lifting[dir_dofs]
     return SparseSystem(matrix=a_red, rhs=b_red, lifting=lifting, layout=layout)
 
 

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .levelset import CoarseMeshError, GeometryError, LevelSet
-from .mesh import Mesh
+from .mesh import Mesh, blocks
 
 log = logging.getLogger(__name__)
 
@@ -30,7 +30,6 @@ ROOT_PHI_TOL = 1e-13
 ROOT_WIDTH_TOL = 1e-14
 BISECTION_STEPS = 200
 MULTI_ROOT_SAMPLES = 32
-SCAN_BLOCK = 16384  # edges sampled per pass of the multi-root scan
 DEGENERATE_CHORD_FACTOR = 1e-14
 GAUSS2_OFFSET = 0.5 / np.sqrt(3.0)
 
@@ -191,15 +190,15 @@ def _scan_edges(mesh: Mesh, ls: LevelSet, psi: np.ndarray) -> np.ndarray:
     ``|phi(a)| + |phi(b)| <= L |b - a|``; the band admits twice that sum,
     which absorbs rounding.  ``psi`` is phi up to sign at the nodes.
     Without a bound (``ls.lipschitz`` None) the band is every edge.
-    Edges are sampled SCAN_BLOCK at a time, which bounds the temporaries.
+    Edges are sampled BLOCK at a time, which bounds the temporaries.
     """
     bound = np.inf if ls.lipschitz is None else 2.0 * ls.lipschitz
     end_sum = np.abs(psi[mesh.edges[:, 0]]) + np.abs(psi[mesh.edges[:, 1]])
     band = np.flatnonzero(end_sum <= bound * mesh.edge_lengths)
     ts = np.linspace(0.0, 1.0, MULTI_ROOT_SAMPLES + 2)
     multi = np.zeros(mesh.edges.shape[0], dtype=bool)
-    for lo in range(0, band.size, SCAN_BLOCK):
-        ids = band[lo:lo + SCAN_BLOCK]
+    for block in blocks(band.size):
+        ids = band[block]
         a = mesh.nodes[mesh.edges[ids, 0]]
         b = mesh.nodes[mesh.edges[ids, 1]]
         pts = a[:, None, :] + ts[None, :, None] * (b - a)[:, None, :]
@@ -359,15 +358,31 @@ def _fan_rule(poly, k):
 
 
 def _side_quadrature(mesh, elem_side, cut_ids, poly, k, want) -> SideQuadrature:
+    """Mid-edge rule on the uncut elements of one side and the fan rule on
+    its cut parts, points grouped by element in increasing element order.
+
+    An element's points start after the points of every element with a
+    lower id, so each rule is written straight to its place; uncut
+    elements go BLOCK at a time.
+    """
     full = np.flatnonzero(elem_side == want)
-    coords = mesh.nodes[mesh.elements[full]]
-    mids = 0.5 * (coords + np.roll(coords, -1, axis=1))
-    owner, points, weights = _fan_rule(poly, k)
-    elems = np.concatenate([np.repeat(full, 3), cut_ids[owner]])
-    points = np.vstack([mids.reshape(-1, 2), points])
-    weights = np.concatenate([np.repeat(mesh.areas[full] / 3.0, 3), weights])
-    order = np.argsort(elems, kind="stable")
-    return SideQuadrature(elems[order], points[order], weights[order])
+    owner, fan_points, fan_weights = _fan_rule(poly, k)
+    fan_elems = cut_ids[owner]
+    size = 3 * full.size + fan_elems.size
+    elems = np.empty(size, dtype=np.int64)
+    points = np.empty((size, 2))
+    weights = np.empty(size)
+    fan_at = np.arange(fan_elems.size) + 3 * np.searchsorted(full, fan_elems)
+    elems[fan_at], points[fan_at], weights[fan_at] = fan_elems, fan_points, fan_weights
+    for block in blocks(full.size):
+        ids = full[block]
+        first = 3 * np.arange(block.start, block.stop) + np.searchsorted(fan_elems, ids)
+        at = first[:, None] + np.arange(3)
+        coords = mesh.nodes[mesh.elements[ids]]
+        elems[at] = ids[:, None]
+        points[at] = 0.5 * (coords + np.roll(coords, -1, axis=1))
+        weights[at] = (mesh.areas[ids] / 3.0)[:, None]
+    return SideQuadrature(elems, points, weights)
 
 
 def _interface_quadrature(cut_ids, chord_p, chord_q, chord_len, chord_normal):

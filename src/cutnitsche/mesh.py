@@ -15,6 +15,11 @@ import numpy as np
 
 MIN_LEVEL = 1
 MAX_LEVEL = 8
+# Edges, elements or quadrature points handled per pass by every blocked
+# loop: classify's edge scan and side quadrature, the volume assembly, the
+# load vector and the error report.  The passes add and sum in the order
+# of a whole-array pass, so the block size changes memory, not bits.
+BLOCK = 16384
 
 __all__ = ["Mesh", "build_mesh", "node_patch", "dump_mesh"]
 
@@ -104,23 +109,13 @@ def build_mesh(level: int) -> Mesh:
     v01 = nid(cx, cy + 1)
     v11 = nid(cx + 1, cy + 1)
     # diagonal runs v00 -> v11 in every cell
-    lower = np.column_stack([v00, v10, v11])
-    upper = np.column_stack([v00, v11, v01])
     elements = np.empty((2 * n * n, 3), dtype=np.int64)
-    elements[0::2] = lower
-    elements[1::2] = upper
+    for i, v in enumerate((v00, v10, v11)):
+        elements[0::2, i] = v
+    for i, v in enumerate((v00, v11, v01)):
+        elements[1::2, i] = v
 
-    coords = nodes[elements]
-    d1 = coords[:, 1] - coords[:, 0]
-    d2 = coords[:, 2] - coords[:, 0]
-    twice_area = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    areas = 0.5 * twice_area
-    # grad(lambda_i) = perp(p_{i+2} - p_{i+1}) / (2A), perp(v) = (-vy, vx)
-    grads = np.empty((elements.shape[0], 3, 2))
-    for i in range(3):
-        e = coords[:, (i + 2) % 3] - coords[:, (i + 1) % 3]
-        grads[:, i, 0] = -e[:, 1] / twice_area
-        grads[:, i, 1] = e[:, 0] / twice_area
+    areas, grads = _p1_geometry(nodes, elements)
 
     edges, elem_edges = _edge_numbering(n, v00, v10, v01)
     edge_elems = _edge_elements(elem_edges, edges.shape[0])
@@ -152,6 +147,26 @@ def build_mesh(level: int) -> Mesh:
     )
 
 
+def _p1_geometry(nodes: np.ndarray, elements: np.ndarray):
+    """Areas and P1 basis gradients, built in the gradient array itself.
+
+    ``grad(lambda_i) = perp(e_i) / (2A)`` with ``e_i = p_{i+2} - p_{i+1}``
+    and ``perp(v) = (-vy, vx)``.  ``e_i`` is written reversed into row
+    ``i``, ``2A = e_1 x e_2``; then the first column is negated and every
+    row divided by ``2A``.  Negation is exact, so each value equals
+    ``-e_y / 2A`` and ``e_x / 2A`` computed from an ``(n_e, 3, 2)``
+    coordinate array, without that array.
+    """
+    grads = np.empty((elements.shape[0], 3, 2))
+    for i in range(3):
+        np.subtract(nodes[elements[:, (i + 2) % 3]], nodes[elements[:, (i + 1) % 3]],
+                    out=grads[:, i, ::-1])
+    twice_area = grads[:, 1, 1] * grads[:, 2, 0] - grads[:, 1, 0] * grads[:, 2, 1]
+    np.negative(grads[:, :, 0], out=grads[:, :, 0])
+    grads /= twice_area[:, None, None]
+    return 0.5 * twice_area, grads
+
+
 def _edge_numbering(n: int, v00, v10, v01):
     """Edges in node-major h/v/d order and the element -> edge map."""
     m = n + 1
@@ -172,22 +187,32 @@ def _edge_numbering(n: int, v00, v10, v01):
 def _edge_elements(elem_edges: np.ndarray, n_edges: int) -> np.ndarray:
     """Elements on each side of every edge: lower id first, -1 if none."""
     ne = elem_edges.shape[0]
-    flat = elem_edges.ravel()
-    owner = np.repeat(np.arange(ne), 3)
-    first = np.full(n_edges, ne, dtype=np.int64)
-    np.minimum.at(first, flat, owner)
-    last = np.full(n_edges, -1, dtype=np.int64)
-    np.maximum.at(last, flat, owner)
-    return np.column_stack([first, np.where(last > first, last, -1)])
+    owner = np.arange(ne)
+    out = np.full((n_edges, 2), (ne, -1), dtype=np.int64)
+    first, last = out.T
+    for i in range(3):  # min and max do not depend on the order
+        np.minimum.at(first, elem_edges[:, i], owner)
+        np.maximum.at(last, elem_edges[:, i], owner)
+    last[last <= first] = -1
+    return out
 
 
 def _node_adjacency(elements: np.ndarray, n_nodes: int):
-    flat = elements.ravel()
-    owner = np.repeat(np.arange(elements.shape[0]), 3)
-    order = np.argsort(flat, kind="stable")
-    counts = np.bincount(flat, minlength=n_nodes)
-    ptr = np.concatenate([[0], np.cumsum(counts)])
-    return ptr.astype(np.int64), owner[order].astype(np.int64)
+    """CSR node -> element map; each node's elements in increasing order.
+
+    Element ``k`` owns entries ``3k..3k+2`` of the flattened connectivity,
+    so the stable sort order divided by 3 is the owning element.
+    """
+    ptr = np.zeros(n_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(elements.ravel(), minlength=n_nodes), out=ptr[1:])
+    ids = np.argsort(elements.ravel(), kind="stable")
+    ids //= 3
+    return ptr, ids
+
+
+def blocks(n: int):
+    """Consecutive slices of at most ``BLOCK`` items covering ``range(n)``."""
+    return (slice(lo, min(lo + BLOCK, n)) for lo in range(0, n, BLOCK))
 
 
 def barycentric_many(coords: np.ndarray, pts: np.ndarray) -> np.ndarray:

@@ -1,0 +1,345 @@
+"""Blocked passes against their whole-array forms, bit for bit.
+
+The ``ref_*`` functions are the whole-array volume assembly, load
+vector, error report, side quadrature and mesh build that the blocked
+and copy-free passes replaced.  The blocked passes run with ``BLOCK`` patched to 7, so
+block edges fall inside the point triples of elements; every output
+must equal its reference in dtype, shape and bytes.  A tracemalloc test
+bounds the extra memory of the blocked stages at level 5.
+"""
+import tracemalloc
+from math import ceil
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+from cutnitsche import cutcell, mesh as mesh_module
+from cutnitsche.assembly import (_cut_blocks, assemble_bilinear, assemble_load,
+                                 assemble_parts, build_system, expand_solution)
+from cutnitsche.cutcell import _fan_rule, classify
+from cutnitsche.harness import RunConfig, make_problem
+from cutnitsche.mesh import _edge_numbering, barycentric_many, build_mesh
+from cutnitsche.norms import _ghost_error_sq, error_report
+from cutnitsche.space import FieldPair, build_spaces, interpolate_pair
+
+CASES = {
+    "circle-minus": RunConfig(example="1", rho_minus=1.0, rho_plus=1e4),
+    "circle-plus": RunConfig(example="1", inclusion_side="plus", rho_minus=1.0, rho_plus=1e9),
+    "flower": RunConfig(example="2"),
+}
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    monkeypatch.setattr(mesh_module, "BLOCK", 7)
+
+
+_SETUPS = {}
+
+
+def case_setup(case, level):
+    """Mesh, topology, layout and problem of one case, cached."""
+    key = (case, level)
+    if key not in _SETUPS:
+        ls, spec = make_problem(CASES[case])
+        mesh = build_mesh(level)
+        topo = classify(mesh, ls)
+        _SETUPS[key] = mesh, topo, build_spaces(mesh, topo), spec
+    return _SETUPS[key]
+
+
+def assert_same(a, b, name=""):
+    assert a.dtype == b.dtype and a.shape == b.shape, name
+    assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes(), name
+
+
+def assert_same_csr(a, b):
+    for name in ("data", "indices", "indptr"):
+        assert_same(getattr(a, name), getattr(b, name), name)
+
+
+# -- whole-array references ---------------------------------------------------
+
+def ref_volume(mesh, topo, layout, spec):
+    rows, cols, vals = [], [], []
+    for side in ("minus", "plus"):
+        mask = layout.in_minus if side == "minus" else layout.in_plus
+        elems = np.flatnonzero(mask)
+        area = topo.area(side)[elems]
+        grads = mesh.grads[elems]
+        local = spec.rho(side) * area[:, None, None] * np.einsum("kid,kjd->kij", grads, grads)
+        dofs = layout.global_dofs(side, mesh.elements[elems])
+        rows.append(np.repeat(dofs, 3, axis=1).ravel())
+        cols.append(np.tile(dofs, (1, 3)).ravel())
+        vals.append(local.ravel())
+    coo = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                        shape=(layout.n_total, layout.n_total))
+    return coo.tocsr()
+
+
+def ref_assemble_load(mesh, topo, layout, spec):
+    b = np.zeros(layout.n_total)
+    for side in ("minus", "plus"):
+        f = spec.f_minus if side == "minus" else spec.f_plus
+        if f is None:
+            continue
+        sq = topo.quad_minus if side == "minus" else topo.quad_plus
+        if not sq.weights.size:
+            continue
+        conn = mesh.elements[sq.elems]
+        lam = barycentric_many(mesh.nodes[conn], sq.points)
+        contrib = (sq.weights * np.asarray(f(sq.points), dtype=float))[:, None] * lam
+        dofs = layout.global_dofs(side, conn)
+        np.add.at(b, dofs.ravel(), contrib.ravel())
+
+    if topo.n_cut and (spec.jump_value is not None or spec.jump_flux is not None):
+        cut, conn, gn, wts, lam, jump, dofs, pts = _cut_blocks(mesh, topo, layout)
+        w_minus, w_plus = spec.flux_weights()
+        if spec.jump_flux is not None:
+            beta = np.stack([np.asarray(spec.jump_flux(pts[:, q, :]), dtype=float)
+                             for q in range(2)], axis=1)
+            loc = np.einsum("kq,kqi->ki", wts * beta, lam)
+            np.add.at(b, layout.global_dofs("plus", conn).ravel(), (w_minus * loc).ravel())
+            np.add.at(b, layout.global_dofs("minus", conn).ravel(), (w_plus * loc).ravel())
+        if spec.jump_value is not None:
+            alpha = np.stack([np.asarray(spec.jump_value(pts[:, q, :]), dtype=float)
+                              for q in range(2)], axis=1)
+            wa = wts * alpha
+            flux = np.concatenate(
+                [w_minus * spec.rho_minus * gn, w_plus * spec.rho_plus * gn], axis=1)
+            loc = np.sum(wa, axis=1)[:, None] * flux
+            loc += (spec.gamma * spec.penalty_rho() / mesh.h_elem) * np.einsum(
+                "kq,kqi->ki", wa, jump)
+            np.add.at(b, dofs.ravel(), loc.ravel())
+    return b
+
+
+def ref_error_report(mesh, topo, layout, spec, u_h):
+    e0_sq, eflux_sq = {}, {}
+    esqrt_sq = einf = efluxinf = 0.0
+    for side in ("minus", "plus"):
+        rho = spec.rho(side)
+        sq = topo.quad_minus if side == "minus" else topo.quad_plus
+        coeffs = u_h.side(side)
+        dofmap = layout.node_dof(side)
+        conn = mesh.elements[sq.elems]
+        lam = barycentric_many(mesh.nodes[conn], sq.points)
+        vals_h = np.einsum("ki,ki->k", lam, coeffs[dofmap[conn]])
+        vals = np.asarray(spec.exact(side)(sq.points), dtype=float)
+        diff = vals - vals_h
+        e0_sq[side] = float(np.sum(sq.weights * diff * diff))
+        grad_h = np.einsum("ki,kid->kd", coeffs[dofmap[conn]], mesh.grads[sq.elems])
+        grad = np.asarray(spec.grad(side)(sq.points), dtype=float)
+        gdiff_sq = np.sum((grad - grad_h) ** 2, axis=1)
+        eflux_sq[side] = float(rho * rho * np.sum(sq.weights * gdiff_sq))
+        esqrt_sq += float(rho * np.sum(sq.weights * gdiff_sq))
+        einf = max(einf, float(np.max(np.abs(diff), initial=0.0)))
+        efluxinf = max(efluxinf, float(rho * np.sqrt(np.max(gdiff_sq, initial=0.0))))
+
+        want = -1 if side == "minus" else 1
+        in_side = layout.in_minus if side == "minus" else layout.in_plus
+        elems = np.flatnonzero(in_side)
+        conn_e = mesh.elements[elems]
+        vmask = topo.node_sign[conn_e] * want >= 0
+        if np.any(vmask):
+            coords = mesh.nodes[conn_e]
+            uex = np.asarray(spec.exact(side)(coords), dtype=float)
+            uh = coeffs[dofmap[conn_e]]
+            einf = max(einf, float(np.max(np.abs(uex - uh)[vmask])))
+            gex = np.asarray(spec.grad(side)(coords), dtype=float)
+            gh = np.einsum("ki,kid->kd", coeffs[dofmap[conn_e]], mesh.grads[elems])
+            gd = np.sqrt(np.sum((gex - gh[:, None, :]) ** 2, axis=2))
+            efluxinf = max(efluxinf, float(rho * np.max(gd[vmask])))
+
+    pen_sq = flux_sq = 0.0
+    ghost_sq = _ghost_error_sq(mesh, topo, layout, spec, u_h)
+    if topo.n_cut:
+        iq = topo.iface
+        conn = mesh.elements[iq.elems]
+        lam = barycentric_many(mesh.nodes[conn], iq.points)
+        jump_h = (np.einsum("ki,ki->k", lam, u_h.plus[layout.node_dof_plus[conn]])
+                  - np.einsum("ki,ki->k", lam, u_h.minus[layout.node_dof_minus[conn]]))
+        alpha = (np.asarray(spec.jump_value(iq.points), dtype=float)
+                 if spec.jump_value is not None else 0.0)
+        jd = alpha - jump_h
+        h_t = mesh.h_elem
+        pen_sq = float(spec.rho_minus / h_t * np.sum(iq.weights * jd * jd))
+        gh_minus = np.einsum("ki,kid->kd", u_h.minus[layout.node_dof_minus[conn]],
+                             mesh.grads[iq.elems])
+        gex = np.asarray(spec.grad_minus(iq.points), dtype=float)
+        fd = np.sum((gex - gh_minus) * iq.normals, axis=1)
+        flux_sq = float(spec.rho_minus * h_t * np.sum(iq.weights * fd * fd))
+
+    vnorm_sq = esqrt_sq + pen_sq + ghost_sq
+    return dict(
+        level=mesh.level, h=mesh.h,
+        e0=float(np.sqrt(e0_sq["minus"] + e0_sq["plus"])),
+        einf=einf,
+        eflux=float(np.sqrt(eflux_sq["minus"] + eflux_sq["plus"])),
+        efluxinf=efluxinf,
+        esqrt=float(np.sqrt(esqrt_sq)),
+        vnorm=float(np.sqrt(vnorm_sq)),
+        vanorm=float(np.sqrt(vnorm_sq + flux_sq)),
+        e0_minus=float(np.sqrt(e0_sq["minus"])),
+        e0_plus=float(np.sqrt(e0_sq["plus"])),
+        eflux_minus=float(np.sqrt(eflux_sq["minus"])),
+        eflux_plus=float(np.sqrt(eflux_sq["plus"])),
+    )
+
+
+def ref_side_quadrature(mesh, elem_side, cut_ids, poly, k, want):
+    full = np.flatnonzero(elem_side == want)
+    coords = mesh.nodes[mesh.elements[full]]
+    mids = 0.5 * (coords + np.roll(coords, -1, axis=1))
+    owner, points, weights = _fan_rule(poly, k)
+    elems = np.concatenate([np.repeat(full, 3), cut_ids[owner]])
+    points = np.vstack([mids.reshape(-1, 2), points])
+    weights = np.concatenate([np.repeat(mesh.areas[full] / 3.0, 3), weights])
+    order = np.argsort(elems, kind="stable")
+    return elems[order], points[order], weights[order]
+
+
+def ref_node_adjacency(elements, n_nodes):
+    flat = elements.ravel()
+    owner = np.repeat(np.arange(elements.shape[0]), 3)
+    order = np.argsort(flat, kind="stable")
+    counts = np.bincount(flat, minlength=n_nodes)
+    ptr = np.concatenate([[0], np.cumsum(counts)])
+    return ptr.astype(np.int64), owner[order].astype(np.int64)
+
+
+def ref_mesh_arrays(level):
+    n = ceil(2.0 / 2.0 ** -(level + 1.5))
+    h = 2.0 / n
+    ii = np.arange(n + 1)
+    xs = -1.0 + ii * h
+    X, Y = np.meshgrid(xs, xs, indexing="xy")
+    nodes = np.column_stack([X.ravel(), Y.ravel()])
+    cx, cy = (c.ravel() for c in np.meshgrid(np.arange(n), np.arange(n), indexing="xy"))
+    v00, v10 = cy * (n + 1) + cx, cy * (n + 1) + cx + 1
+    v01, v11 = v00 + n + 1, v10 + n + 1
+    elements = np.empty((2 * n * n, 3), dtype=np.int64)
+    elements[0::2] = np.column_stack([v00, v10, v11])
+    elements[1::2] = np.column_stack([v00, v11, v01])
+
+    coords = nodes[elements]
+    d1 = coords[:, 1] - coords[:, 0]
+    d2 = coords[:, 2] - coords[:, 0]
+    twice_area = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    grads = np.empty((elements.shape[0], 3, 2))
+    for i in range(3):
+        e = coords[:, (i + 2) % 3] - coords[:, (i + 1) % 3]
+        grads[:, i, 0] = -e[:, 1] / twice_area
+        grads[:, i, 1] = e[:, 0] / twice_area
+
+    edges, elem_edges = _edge_numbering(n, v00, v10, v01)
+    ne = elements.shape[0]
+    owner = np.repeat(np.arange(ne), 3)
+    first = np.full(edges.shape[0], ne, dtype=np.int64)
+    np.minimum.at(first, elem_edges.ravel(), owner)
+    last = np.full(edges.shape[0], -1, dtype=np.int64)
+    np.maximum.at(last, elem_edges.ravel(), owner)
+    edge_vec = nodes[edges[:, 1]] - nodes[edges[:, 0]]
+    gx, gy = np.tile(ii, n + 1), np.repeat(ii, n + 1)
+    ptr, ids = ref_node_adjacency(elements, nodes.shape[0])
+    return dict(
+        nodes=nodes, elements=elements, edges=edges,
+        edge_elems=np.column_stack([first, np.where(last > first, last, -1)]),
+        elem_edges=elem_edges, edge_lengths=np.hypot(edge_vec[:, 0], edge_vec[:, 1]),
+        boundary_node=(gx == 0) | (gx == n) | (gy == 0) | (gy == n),
+        areas=0.5 * twice_area, grads=grads, node_elem_ptr=ptr, node_elem_ids=ids,
+    )
+
+
+# -- bit identity -------------------------------------------------------------
+
+@pytest.mark.parametrize("level", [1, 2, 3, 4, 5, 6])
+def test_mesh_arrays_match_reference(level):
+    mesh = build_mesh(level)
+    ref = ref_mesh_arrays(level)
+    arrays = {k: v for k, v in vars(mesh).items() if isinstance(v, np.ndarray)}
+    assert arrays.keys() == ref.keys()
+    for name, value in arrays.items():
+        assert_same(value, ref[name], name)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
+def test_side_quadrature_matches_reference(small_blocks, monkeypatch, case, level):
+    pairs = []
+
+    def spy(*args):
+        out = side_quadrature(*args)
+        pairs.append((out, ref_side_quadrature(*args)))
+        return out
+
+    side_quadrature = cutcell._side_quadrature
+    monkeypatch.setattr(cutcell, "_side_quadrature", spy)
+    ls, _ = make_problem(CASES[case])
+    cutcell.classify(build_mesh(level), ls)
+    assert len(pairs) == 2
+    for out, ref in pairs:
+        for name, a, b in zip(("elems", "points", "weights"), out, ref):
+            assert_same(a, b, name)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
+def test_blocked_volume_and_load_match_reference(small_blocks, case, level):
+    mesh, topo, layout, spec = case_setup(case, level)
+    assert_same_csr(assemble_parts(mesh, topo, layout, spec)["volume"],
+                    ref_volume(mesh, topo, layout, spec))
+    assert_same(assemble_load(mesh, topo, layout, spec),
+                ref_assemble_load(mesh, topo, layout, spec))
+
+
+@pytest.mark.parametrize("nan", [False, True])
+@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
+def test_blocked_error_report_matches_reference(small_blocks, case, level, nan):
+    mesh, topo, layout, spec = case_setup(case, level)
+    rng = np.random.default_rng(level)
+    exact = interpolate_pair(layout, spec.exact_minus, spec.exact_plus)
+    # a field with error everywhere, so every max and sum is exercised
+    u_h = FieldPair(layout, exact.minus + 1e-3 * rng.standard_normal(layout.n_minus),
+                    exact.plus + 1e-3 * rng.standard_normal(layout.n_plus))
+    if nan:  # the sup norms drop a NaN maximum per side, not per block
+        u_h.minus[layout.n_minus // 2] = np.nan
+    report = error_report(mesh, topo, layout, spec, u_h).as_dict()
+    # repr tells NaNs and signed zeros apart
+    assert repr(report) == repr(ref_error_report(mesh, topo, layout, spec, u_h))
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_build_system_slices_like_the_full_matrix(case):
+    mesh, topo, layout, spec = case_setup(case, 3)
+    system = build_system(mesh, topo, layout, spec)
+    a_full = assemble_bilinear(mesh, topo, layout, spec)
+    b_full = assemble_load(mesh, topo, layout, spec)
+    free, dirichlet = layout.free_dofs, np.flatnonzero(layout.dirichlet)
+    assert_same_csr(system.matrix, a_full[free][:, free].tocsr())
+    rhs = b_full[free] - a_full[free][:, dirichlet] @ system.lifting[dirichlet]
+    assert_same(system.rhs, rhs)
+
+
+# -- memory -------------------------------------------------------------------
+
+def extra_mb(fn):
+    """Traced peak of fn above the traced memory before it, in MB."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - base) / 1024.0 ** 2
+    finally:
+        tracemalloc.stop()
+
+
+def test_blocked_stages_stay_within_memory_bounds():
+    mesh, topo, layout, spec = case_setup("circle-plus", 5)
+    system = build_system(mesh, topo, layout, spec)
+    u_h = expand_solution(system, np.zeros(system.n))
+    assert extra_mb(lambda: assemble_load(mesh, topo, layout, spec)) <= 8.0
+    assert extra_mb(lambda: error_report(mesh, topo, layout, spec, u_h)) <= 12.0
+    assert extra_mb(lambda: build_system(mesh, topo, layout, spec)) <= 25.0

@@ -7,12 +7,12 @@ from hypothesis import given, strategies as st
 
 from cutnitsche.cutcell import (BISECTION_STEPS, DEGENERATE_CHORD_FACTOR,
                                 MULTI_ROOT_SAMPLES, ROOT_PHI_TOL, ROOT_WIDTH_TOL,
-                                SCAN_BLOCK, _fan_rule, _ghost_edges,
+                                _fan_rule, _ghost_edges,
                                 _interface_quadrature, _polygon_area, _scan_edges,
                                 _split, classify, dump_cut_cells)
 from cutnitsche.levelset import (CoarseMeshError, GeometryError, LevelSet,
                                  make_circle, make_flower)
-from cutnitsche.mesh import build_mesh
+from cutnitsche.mesh import BLOCK, build_mesh
 
 
 def plane(c, axis=0, scale=1.0, simple=True):
@@ -120,11 +120,11 @@ def ref_scan_edges(mesh, ls):
     """Multi-root flag of every edge, sampling all edges of the mesh."""
     ts = np.linspace(0.0, 1.0, MULTI_ROOT_SAMPLES + 2)
     multi = np.empty(mesh.edges.shape[0], dtype=bool)
-    for lo in range(0, multi.size, SCAN_BLOCK):
-        ends = mesh.edges[lo:lo + SCAN_BLOCK]
+    for lo in range(0, multi.size, BLOCK):
+        ends = mesh.edges[lo:lo + BLOCK]
         a, b = mesh.nodes[ends[:, 0]], mesh.nodes[ends[:, 1]]
         s = np.sign(ls.value(a[:, None, :] + ts[None, :, None] * (b - a)[:, None, :]))
-        multi[lo:lo + SCAN_BLOCK] = np.sum(s[:, 1:] * s[:, :-1] < 0, axis=1) > 1
+        multi[lo:lo + BLOCK] = np.sum(s[:, 1:] * s[:, :-1] < 0, axis=1) > 1
     return multi
 
 
