@@ -116,7 +116,7 @@ def main() -> int:
     for level in EXTENSION_LEVELS:
         mesh = build_mesh(level)
         topo = classify(mesh, ls)
-        op = build_extension(mesh, topo, ls, build_spaces(mesh, topo))
+        op = build_extension(build_spaces(mesh, topo))
         for name, value in csr_arrays(op.matrix).items():
             print(f"extension L{level} {name} {digest(value)}")
 
@@ -135,7 +135,7 @@ def main() -> int:
     ls, spec = make_problem(fine)
     mesh = build_mesh(fine.level)
     topo = classify(mesh, ls)
-    system = build_system(mesh, topo, build_spaces(mesh, topo), spec)
+    system = build_system(build_spaces(mesh, topo), spec)
     items = {f"matrix.{k}": v for k, v in csr_arrays(system.matrix).items()}
     items["rhs"] = system.rhs
     for name, value in items.items():

@@ -80,11 +80,10 @@ def stages(level: int) -> dict:
     mesh, record["mesh"] = measure(lambda: build_mesh(level))
     topo, record["classify"] = measure(lambda: classify(mesh, ls))
     layout, record["spaces"] = measure(lambda: build_spaces(mesh, topo))
-    system, record["build_system"] = measure(lambda: build_system(mesh, topo, layout, spec))
-    _, record["load"] = measure(lambda: assemble_load(mesh, topo, layout, spec))
+    system, record["build_system"] = measure(lambda: build_system(layout, spec))
+    _, record["load"] = measure(lambda: assemble_load(layout, spec))
     u_h = expand_solution(system, np.zeros(system.n))
-    _, record["error_report"] = measure(
-        lambda: error_report(mesh, topo, layout, spec, u_h, level=level))
+    _, record["error_report"] = measure(lambda: error_report(spec, u_h))
     return record
 
 

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .cutcell import CutTopology
-from .mesh import Mesh, barycentric_many, blocks
+from .mesh import barycentric_many, blocks, edge_frame
 from .problems import ProblemSpec
 from .space import FieldPair, SpaceLayout
 
@@ -71,8 +70,9 @@ class _Entries:
         return sp.coo_matrix((self.vals, (self.rows, self.cols)), shape=(n, n)).tocsr()
 
 
-def _cut_blocks(mesh: Mesh, topo: CutTopology, layout: SpaceLayout):
+def _cut_blocks(layout: SpaceLayout):
     """Shared per-cut-element data for interface terms."""
+    mesh, topo = layout.mesh, layout.topo
     cut = topo.cut_ids
     conn = mesh.elements[cut]
     coords = mesh.nodes[conn]
@@ -91,24 +91,24 @@ def _cut_blocks(mesh: Mesh, topo: CutTopology, layout: SpaceLayout):
         raise RuntimeError("cut element with a missing DOF; classification and layout disagree")
     # jump [v] = v^+ - v^- evaluated at the chord quadrature points
     jump = np.concatenate([-lam, lam], axis=2)  # (ncut, 2, 6)
-    return cut, conn, gn, wts, lam, jump, dofs, pts
+    return conn, gn, wts, lam, jump, dofs, pts
 
 
-def assemble_parts(mesh: Mesh, topo: CutTopology, layout: SpaceLayout, spec: ProblemSpec) -> dict:
-    """Named matrix parts of the bilinear form, before scaling by the
-
-    stabilisation parameters: ``volume``, ``nitsche``, ``penalty_base``
-    (includes 1/h_T but no coefficient), ``ghost_minus``/``ghost_plus``
-    (include rho and |e|^2 but no gamma_g).  The volume part is computed
-    ``BLOCK`` elements at a time into one preallocated set of COO entries.
+def assemble_parts(layout: SpaceLayout, spec: ProblemSpec) -> dict:
+    """Named matrix parts of the bilinear form on ``layout``, before scaling
+    by the stabilisation parameters: ``volume``, ``nitsche``,
+    ``penalty_base`` (includes 1/h_T but no coefficient),
+    ``ghost_minus``/``ghost_plus`` (include rho and |e|^2 but no gamma_g).
+    The volume part is computed ``BLOCK`` elements at a time into one
+    preallocated set of COO entries.
     """
+    mesh, topo = layout.mesh, layout.topo
     n = layout.n_total
     h_t = mesh.h_elem
 
     # subdomain stiffness: P1 gradients are constant, only the clipped
     # area of each element enters; elements go BLOCK at a time
-    sides = [(side, np.flatnonzero(layout.in_minus if side == "minus" else layout.in_plus))
-             for side in ("minus", "plus")]
+    sides = [(side, np.flatnonzero(topo.in_side(side))) for side in ("minus", "plus")]
     entries = _Entries(sum(elems.size for _, elems in sides), 3)
     for side, elems in sides:
         area = topo.area(side)
@@ -123,7 +123,7 @@ def assemble_parts(mesh: Mesh, topo: CutTopology, layout: SpaceLayout, spec: Pro
     ncut = topo.n_cut
     nit_entries, pen_entries = _Entries(ncut, 6), _Entries(ncut, 6)
     if ncut:
-        cut, conn, gn, wts, lam, jump, dofs, _ = _cut_blocks(mesh, topo, layout)
+        _, gn, wts, _, jump, dofs, _ = _cut_blocks(layout)
         w_minus, w_plus = spec.flux_weights()
         flux = np.concatenate(
             [w_minus * spec.rho_minus * gn, w_plus * spec.rho_plus * gn], axis=1
@@ -141,11 +141,7 @@ def assemble_parts(mesh: Mesh, topo: CutTopology, layout: SpaceLayout, spec: Pro
         edges = topo.ghost_minus if side == "minus" else topo.ghost_plus
         entries = _Entries(edges.size, 6)
         if edges.size:
-            e1 = mesh.edge_elems[edges, 0]
-            e2 = mesh.edge_elems[edges, 1]
-            ev = mesh.nodes[mesh.edges[edges, 1]] - mesh.nodes[mesh.edges[edges, 0]]
-            elen = np.hypot(ev[:, 0], ev[:, 1])
-            ne = np.column_stack([-ev[:, 1], ev[:, 0]]) / elen[:, None]
+            e1, e2, elen, ne = edge_frame(mesh, edges)
             j1 = np.einsum("kid,kd->ki", mesh.grads[e1], ne)
             j2 = -np.einsum("kid,kd->ki", mesh.grads[e2], ne)
             jmp = np.concatenate([j1, j2], axis=1)  # (k, 6)
@@ -167,13 +163,10 @@ def assemble_parts(mesh: Mesh, topo: CutTopology, layout: SpaceLayout, spec: Pro
     }
 
 
-def assemble_bilinear(mesh: Mesh, topo: CutTopology, layout: SpaceLayout,
-                      spec: ProblemSpec) -> sp.csr_matrix:
-    """Full stabilised Nitsche matrix over all
-
-    DOFs (Dirichlet rows included; reduction happens in build_system).
-    """
-    parts = assemble_parts(mesh, topo, layout, spec)
+def assemble_bilinear(layout: SpaceLayout, spec: ProblemSpec) -> sp.csr_matrix:
+    """Full stabilised Nitsche matrix over all DOFs of ``layout``, Dirichlet
+    rows included; reduction happens in build_system."""
+    parts = assemble_parts(layout, spec)
     a = (parts["volume"] + parts["nitsche"]
          + spec.gamma * spec.penalty_rho() * parts["penalty_base"]
          + spec.gamma_g_minus * parts["ghost_minus"]
@@ -181,24 +174,24 @@ def assemble_bilinear(mesh: Mesh, topo: CutTopology, layout: SpaceLayout,
     return a.tocsr()
 
 
-def assemble_vnorm_gram(mesh: Mesh, topo: CutTopology, layout: SpaceLayout,
-                        spec: ProblemSpec) -> sp.csr_matrix:
-    """Gram matrix of the energy norm: v^T G v = ||v||_V^2.
+def assemble_vnorm_gram(layout: SpaceLayout, spec: ProblemSpec) -> sp.csr_matrix:
+    """Gram matrix of the energy norm on ``layout``: v^T G v = ||v||_V^2.
 
     The norm carries the subdomain stiffness, the interface jump term
     scaled by rho^- / h_T, and both unscaled ghost terms.
     """
-    parts = assemble_parts(mesh, topo, layout, spec)
+    parts = assemble_parts(layout, spec)
     g = (parts["volume"] + spec.rho_minus * parts["penalty_base"]
          + parts["ghost_minus"] + parts["ghost_plus"])
     return g.tocsr()
 
 
-def assemble_load(mesh: Mesh, topo: CutTopology, layout: SpaceLayout, spec: ProblemSpec) -> np.ndarray:
-    """Load vector including the interface jump data terms.
+def assemble_load(layout: SpaceLayout, spec: ProblemSpec) -> np.ndarray:
+    """Load vector on ``layout`` including the interface jump data terms.
 
     The volume terms go ``BLOCK`` quadrature points at a time.
     """
+    mesh, topo = layout.mesh, layout.topo
     b = np.zeros(layout.n_total)
     for side in ("minus", "plus"):
         f = spec.f_minus if side == "minus" else spec.f_plus
@@ -215,7 +208,7 @@ def assemble_load(mesh: Mesh, topo: CutTopology, layout: SpaceLayout, spec: Prob
             np.add.at(b, dofs.ravel(), contrib.ravel())
 
     if topo.n_cut and (spec.jump_value is not None or spec.jump_flux is not None):
-        cut, conn, gn, wts, lam, jump, dofs, pts = _cut_blocks(mesh, topo, layout)
+        conn, gn, wts, lam, jump, dofs, pts = _cut_blocks(layout)
         w_minus, w_plus = spec.flux_weights()
         h_t = mesh.h_elem
         if spec.jump_flux is not None:
@@ -238,20 +231,17 @@ def assemble_load(mesh: Mesh, topo: CutTopology, layout: SpaceLayout, spec: Prob
     return b
 
 
-def build_system(mesh: Mesh, topo: CutTopology, layout: SpaceLayout,
-                 spec: ProblemSpec) -> SparseSystem:
-    """Assemble and reduce the linear system, lifting Dirichlet data."""
-    a_full = assemble_bilinear(mesh, topo, layout, spec)
-    b_full = assemble_load(mesh, topo, layout, spec)
+def build_system(layout: SpaceLayout, spec: ProblemSpec) -> SparseSystem:
+    """Assemble and reduce the linear system on ``layout``, lifting Dirichlet data."""
+    a_full = assemble_bilinear(layout, spec)
+    b_full = assemble_load(layout, spec)
 
     lifting = np.zeros(layout.n_total)
     dir_dofs = np.flatnonzero(layout.dirichlet)
     if dir_dofs.size and spec.dirichlet is not None:
         outer = layout.outer_side()
-        dof_node = layout.dof_node_minus if outer == "minus" else layout.dof_node_plus
         offset = 0 if outer == "minus" else layout.n_minus
-        local = dir_dofs - offset
-        coords = mesh.nodes[dof_node[local]]
+        coords = layout.mesh.nodes[layout.dof_node(outer)[dir_dofs - offset]]
         lifting[dir_dofs] = np.asarray(spec.dirichlet(coords), dtype=float)
 
     free = layout.free_dofs

@@ -76,9 +76,11 @@ def parse_config_file(path: str) -> dict:
     return values
 
 
-def load_config(args: argparse.Namespace) -> RunConfig:
-    """Config file first, then flag overrides."""
-    values = parse_config_file(args.config) if args.config else {}
+def load_config(args: argparse.Namespace, level: int | None = None) -> RunConfig:
+    """The subcommand's default ``level``, then the config file, then flags."""
+    values = {} if level is None else {"level": level}
+    if args.config:
+        values.update(parse_config_file(args.config))
     for key in _KNOWN_KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -170,11 +172,9 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
 
 
 def _cmd_contrast(args: argparse.Namespace) -> int:
-    file_values = parse_config_file(args.config) if args.config else {}
-    config = load_config(args)
     # sweeps default to the finest tabulated level unless one was given
-    explicit = args.level is not None or "level" in file_values
-    table = run_contrast_sweep(config, level=config.level if explicit else 5)
+    config = load_config(args, level=5)
+    table = run_contrast_sweep(config)
     _emit(table.render(config.format), config)
     return 0
 

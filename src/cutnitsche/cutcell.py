@@ -77,12 +77,6 @@ class CutTopology:
     def n_cut(self) -> int:
         return self.cut_ids.shape[0]
 
-    def elements_minus(self) -> np.ndarray:
-        return np.flatnonzero(self.elem_side <= 0)
-
-    def elements_plus(self) -> np.ndarray:
-        return np.flatnonzero(self.elem_side >= 0)
-
     def in_side(self, side: str) -> np.ndarray:
         _check_side(side)
         return self.elem_side <= 0 if side == "minus" else self.elem_side >= 0

@@ -43,7 +43,8 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-# largest system whose coercivity is found by a dense generalized eigensolve
+# largest system whose coercivity is found by a dense generalized eigensolve;
+# larger ones use shift-invert Lanczos (ARPACK)
 _DENSE_EIGEN_LIMIT = 3000
 
 
@@ -78,13 +79,12 @@ def patch_area_ratio(mesh: Mesh, topo: CutTopology, side: str = "minus") -> Patc
 # ---------------------------------------------------------------------------
 # coercivity
 
-def coercivity_probe(a, gram, n_samples: int = 20, seed: int = 0,
-                     dense: bool | None = None) -> float:
-    """Minimum of a(v,v) / ||v||_G^2 over the probed directions.
-
-    Dense generalized eigensolve when the system is small enough to
-    factor; otherwise the minimum over seeded random directions, which
-    can only overestimate the true minimum.
+def coercivity_probe(a, gram, dense: bool | None = None) -> float:
+    """Minimum of a(v,v) / ||v||_G^2: the smallest eigenvalue of the
+    pencil (a, gram).  Dense generalized eigensolve when the system is
+    small enough to factor whole; otherwise shift-invert Lanczos about 0
+    (ARPACK, which needs n > 1), started from the ones vector so that
+    reruns agree.
     """
     n = a.shape[0]
     if dense is None:
@@ -94,15 +94,12 @@ def coercivity_probe(a, gram, n_samples: int = 20, seed: int = 0,
         gw = gram.toarray() if scipy.sparse.issparse(gram) else np.asarray(gram, dtype=float)
         vals = scipy.linalg.eigh(aw, gw, eigvals_only=True, subset_by_index=[0, 0])
         return float(vals[0])
-    rng = np.random.default_rng(seed)
-    best = np.inf
-    for _ in range(n_samples):
-        v = rng.standard_normal(n)
-        den = float(v @ (gram @ v))
-        if den <= 0.0:
-            continue
-        best = min(best, float(v @ (a @ v)) / den)
-    return float(best)
+    # imported here, not at the top: only systems above the limit need
+    # ARPACK, and loading it slows every import of this module
+    from scipy.sparse.linalg import eigsh
+    vals = eigsh(scipy.sparse.csc_matrix(a), k=1, M=gram, sigma=0.0, which="LM",
+                 v0=np.ones(n), return_eigenvectors=False)
+    return float(vals[0])
 
 
 # ---------------------------------------------------------------------------
@@ -116,17 +113,18 @@ def interpolation_error_profile(ls: LevelSet, spec: ProblemSpec,
         raise ValueError("interpolation profile needs exact second derivatives")
     rows = []
     for level in levels:
-        mesh, topo, layout = _geometry(level, ls)
+        layout = _geometry(level, ls)
+        topo = layout.topo
         u_i = interpolate_pair(layout, spec.exact("minus"), spec.exact("plus"))
-        rep = error_report(mesh, topo, layout, spec, u_i, level=level)
+        rep = error_report(spec, u_i)
         scale = 0.0
         for side, sq in (("minus", topo.quad_minus), ("plus", topo.quad_plus)):
             hess = spec.hess_minus if side == "minus" else spec.hess_plus
             vals = np.asarray(hess(sq.points), dtype=float)
             scale += np.sqrt(spec.rho(side)) * np.sqrt(np.sum(sq.weights * vals * vals))
-        scale *= mesh.h
+        scale *= rep.h
         ratio = rep.vanorm / scale if scale > 0.0 else 0.0
-        rows.append((level, mesh.h, rep.vanorm, scale, ratio))
+        rows.append((level, rep.h, rep.vanorm, scale, ratio))
     return Table(columns=("level", "h", "vanorm", "scale", "ratio"),
                  rows=tuple(rows))
 
@@ -194,10 +192,10 @@ def _restrict(h1_plus, layout: SpaceLayout):
     return h1_plus[sel][:, sel]
 
 
-def build_extension(mesh: Mesh, topo: CutTopology, ls: LevelSet,
-                    layout: SpaceLayout, tube: float = 0.1) -> ExtensionOperator:
-    """Averaged-reflection extension of plus-side fields, with the H1
-    Gram matrices that measure its stability.
+def build_extension(layout: SpaceLayout, tube: float = 0.1) -> ExtensionOperator:
+    """Averaged-reflection extension of plus-side fields of ``layout``
+    through its topology's level set, with the H1 Gram matrices that
+    measure its stability.
 
     A node carrying a plus dof keeps its value.  A node within ``tube``
     of the interface without one averages the plus field over the
@@ -210,6 +208,8 @@ def build_extension(mesh: Mesh, topo: CutTopology, ls: LevelSet,
     point in node order, when a reflected point lies outside the
     plus-side mesh.
     """
+    mesh, topo = layout.mesh, layout.topo
+    ls = topo.levelset
     keep = layout.node_dof_plus >= 0
     dist_nodes = np.abs(np.asarray(ls.value(mesh.nodes), dtype=float))
     cand = np.flatnonzero(~keep & (dist_nodes <= tube))
@@ -245,18 +245,17 @@ def build_extension(mesh: Mesh, topo: CutTopology, ls: LevelSet,
     matrix = scipy.sparse.coo_matrix(
         (vals, (rows, cols)), shape=(mesh.n_nodes, layout.n_plus)).tocsr()
     mass_f, stiff_f = _h1_matrices(mesh)
-    plus_elems = np.flatnonzero(layout.in_plus)
+    plus_elems = np.flatnonzero(topo.in_side("plus"))
     mass_p, stiff_p = _h1_matrices(mesh, plus_elems)
     return ExtensionOperator(matrix=matrix, layout=layout,
                              h1_full=(mass_f + stiff_f).tocsr(),
                              h1_plus=(mass_p + stiff_p).tocsr())
 
 
-def discrete_extension(field: FieldPair, mesh: Mesh, topo: CutTopology,
-                       ls: LevelSet, tube: float = 0.1):
-    """Extend a plus-side field to the whole mesh; returns the global
-    nodal vector and the H1 stability ratio."""
-    op = build_extension(mesh, topo, ls, field.layout, tube=tube)
+def discrete_extension(field: FieldPair, tube: float = 0.1):
+    """Extend a plus-side field to the whole mesh of its layout; returns
+    the global nodal vector and the H1 stability ratio."""
+    op = build_extension(field.layout, tube=tube)
     v = field.plus
     return op.apply(v), op.stability_ratio(v)
 
@@ -268,9 +267,9 @@ def _patch_block(config: RunConfig, levels) -> Table:
     ls, _ = make_problem(config)
     rows = []
     for level in levels:
-        mesh, topo, _ = _geometry(level, ls)
+        layout = _geometry(level, ls)
         for side in ("minus", "plus"):
-            res = patch_area_ratio(mesh, topo, side)
+            res = patch_area_ratio(layout.mesh, layout.topo, side)
             rows.append((level, side, res.ratio, res.node))
     return Table(columns=("level", "side", "min_ratio", "argmin_node"),
                  rows=tuple(rows))
@@ -280,15 +279,15 @@ def _coercivity_block(config: RunConfig, levels) -> Table:
     ls, spec = make_problem(config)
     rows = []
     for level in levels:
-        mesh, topo, layout = _geometry(level, ls)
-        system = build_system(mesh, topo, layout, spec)
-        gram = assemble_vnorm_gram(mesh, topo, layout, spec)
+        layout = _geometry(level, ls)
+        system = build_system(layout, spec)
+        gram = assemble_vnorm_gram(layout, spec)
         free = layout.free_dofs
         gram_red = gram[free][:, free]
         n = system.n
         dense = n <= _DENSE_EIGEN_LIMIT
         quotient = coercivity_probe(system.matrix, gram_red, dense=dense)
-        rows.append((level, n, "dense" if dense else "sampled", quotient))
+        rows.append((level, n, "dense" if dense else "arnoldi", quotient))
     return Table(columns=("level", "n", "method", "min_quotient"), rows=tuple(rows))
 
 
@@ -300,8 +299,9 @@ def _extension_blocks(levels, n_fields: int = 20, seed: int = 0):
     for level in levels:
         ls = make_circle(inclusion_side="plus")
         _, spec = patch_problem(interface=ls)
-        mesh, topo, layout = _geometry(level, ls)
-        op = build_extension(mesh, topo, ls, layout)
+        layout = _geometry(level, ls)
+        mesh, topo = layout.mesh, layout.topo
+        op = build_extension(layout)
 
         # H1 over the clipped physical plus side, plus-dof indexing
         sq = topo.quad_plus
@@ -322,7 +322,7 @@ def _extension_blocks(levels, n_fields: int = 20, seed: int = 0):
         h1_phys = (basis_val.T @ wdiag @ basis_val
                    + gx.T @ wdiag @ gx + gy.T @ wdiag @ gy)
 
-        parts = assemble_parts(mesh, topo, layout, spec)
+        parts = assemble_parts(layout, spec)
         ghost = parts["ghost_plus"]
         h1_mesh = _restrict(op.h1_plus, layout)
 

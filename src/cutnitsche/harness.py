@@ -15,14 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import build_system, expand_solution
-from .cutcell import classify
+from .assembly import SparseSystem, build_system, expand_solution
+from .cutcell import CutTopology, classify
 from .levelset import LevelSet, make_circle, make_flower
-from .mesh import build_mesh
+from .mesh import Mesh, build_mesh
 from .norms import ErrorReport, eoc, error_report
 from .problems import ProblemSpec, example_circle, example_flower, patch_problem
 from .solver import BACKWARD_ERROR_TOL, SolveStats, StagnationError, solve
-from .space import build_spaces
+from .space import FieldPair, SpaceLayout, build_spaces
 
 __all__ = [
     "RunConfig", "RunResult", "Table", "ConfigError",
@@ -95,14 +95,29 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class RunResult:
+    """One solve: the system, its solution field and their error report.
+
+    The geometry is the system's layout; ``layout``, ``mesh`` and
+    ``topo`` read it from there.
+    """
+
     config: RunConfig
     report: ErrorReport
     stats: SolveStats
-    mesh: object
-    topo: object
-    layout: object
-    system: object
-    field: object
+    system: SparseSystem
+    field: FieldPair
+
+    @property
+    def layout(self) -> SpaceLayout:
+        return self.system.layout
+
+    @property
+    def mesh(self) -> Mesh:
+        return self.system.layout.mesh
+
+    @property
+    def topo(self) -> CutTopology:
+        return self.system.layout.topo
 
 
 @dataclass(frozen=True)
@@ -179,20 +194,18 @@ def run_solve(config: RunConfig, level: int | None = None) -> RunResult:
     config = config.resolve()
     level = config.level if level is None else level
     ls, spec = make_problem(config)
-    return _solve_on(config, level, spec, *_geometry(level, ls))
+    return _solve_on(config, spec, _geometry(level, ls))
 
 
-def _geometry(level: int, ls: LevelSet) -> tuple:
-    """Mesh, cut topology and space layout of one (level, interface)."""
+def _geometry(level: int, ls: LevelSet) -> SpaceLayout:
+    """Space layout, holding the mesh and cut topology, of one (level, interface)."""
     mesh = build_mesh(level)
-    topo = classify(mesh, ls)
-    return mesh, topo, build_spaces(mesh, topo)
+    return build_spaces(mesh, classify(mesh, ls))
 
 
-def _solve_on(config: RunConfig, level: int, spec: ProblemSpec,
-              mesh, topo, layout) -> RunResult:
+def _solve_on(config: RunConfig, spec: ProblemSpec, layout: SpaceLayout) -> RunResult:
     """Assemble, solve and report one resolved config on built geometry."""
-    system = build_system(mesh, topo, layout, spec)
+    system = build_system(layout, spec)
     try:
         x, stats = solve(system)
     except StagnationError as err:
@@ -207,10 +220,8 @@ def _solve_on(config: RunConfig, level: int, spec: ProblemSpec,
         x = err.x
         stats = dataclasses.replace(err.stats, method=err.stats.method + "+floor")
     u_h = expand_solution(system, x)
-    report = error_report(mesh, topo, layout, spec, u_h, level=level)
-    return RunResult(config=config, report=report, stats=stats,
-                     mesh=mesh, topo=topo, layout=layout, system=system,
-                     field=u_h)
+    return RunResult(config=config, report=error_report(spec, u_h), stats=stats,
+                     system=system, field=u_h)
 
 
 def solve_table(result: RunResult) -> Table:
@@ -250,27 +261,23 @@ def run_contrast_sweep(config: RunConfig, pairs=CONTRAST_PAIRS,
     rho_plus, e0, eflux, esqrt.  The geometry does not depend on the
     coefficients, so mesh, cut topology and spaces are built once."""
     level = config.level if level is None else level
-    geometry = _geometry(level, make_problem(config)[0])
+    layout = _geometry(level, make_problem(config)[0])
     rows = []
     for rho_minus, rho_plus in pairs:
         cfg = dataclasses.replace(config, rho_minus=rho_minus, rho_plus=rho_plus).resolve()
         _, spec = make_problem(cfg)
-        rep = _solve_on(cfg, level, spec, *geometry).report
+        rep = _solve_on(cfg, spec, layout).report
         rows.append((rho_minus, rho_plus, rep.e0, rep.eflux, rep.esqrt))
     return Table(columns=CONTRAST_COLUMNS, rows=tuple(rows))
 
 
 def dump_solution(result: RunResult, path: str) -> None:
     """Per-node solution values per side: side,node,x,y,value rows."""
-    mesh = result.mesh
-    layout = result.layout
     lines = ["side,node,x,y,value"]
     for side in ("minus", "plus"):
-        dof_node = (layout.dof_node_minus if side == "minus"
-                    else layout.dof_node_plus)
         values = result.field.side(side)
-        for dof, node in enumerate(dof_node):
-            x, y = mesh.nodes[node]
+        for dof, node in enumerate(result.layout.dof_node(side)):
+            x, y = result.mesh.nodes[node]
             lines.append(f"{side},{node},{x:.17g},{y:.17g},{values[dof]:.17g}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

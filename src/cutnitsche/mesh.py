@@ -215,6 +215,18 @@ def blocks(n: int):
     return (slice(lo, min(lo + BLOCK, n)) for lo in range(0, n, BLOCK))
 
 
+def edge_frame(mesh: Mesh, edges: np.ndarray):
+    """Lower and upper element, length and unit normal of interior edges.
+
+    The normal is ``perp(b - a) / |b - a|`` for the edge's nodes ``a < b``;
+    ghost-penalty assembly and the energy norm share it.
+    """
+    e1, e2 = mesh.edge_elems[edges].T
+    ev = mesh.nodes[mesh.edges[edges, 1]] - mesh.nodes[mesh.edges[edges, 0]]
+    length = mesh.edge_lengths[edges]
+    return e1, e2, length, np.column_stack([-ev[:, 1], ev[:, 0]]) / length[:, None]
+
+
 def barycentric_many(coords: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Barycentric coordinates of pts[i] inside triangle coords[i]."""
     d1 = coords[:, 1] - coords[:, 0]

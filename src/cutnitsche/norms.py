@@ -12,10 +12,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .cutcell import CutTopology
-from .mesh import Mesh, barycentric_many, blocks
+from .mesh import barycentric_many, blocks, edge_frame
 from .problems import ProblemSpec
-from .space import FieldPair, SpaceLayout
+from .space import FieldPair
 
 __all__ = ["ErrorReport", "error_report", "eoc"]
 
@@ -40,24 +39,23 @@ class ErrorReport:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def error_report(mesh: Mesh, topo: CutTopology, layout: SpaceLayout,
-                 spec: ProblemSpec, u_h: FieldPair, level: int | None = None) -> ErrorReport:
-    """Every error measure of ``u_h`` against the exact solution of ``spec``.
-
-    Quadrature points and vertex samples go ``BLOCK`` at a time.  The
-    per-point integrands land in full-length vectors, each summed once,
-    so the sums do not depend on the block size; the sup norms are maxima
-    of block maxima.  Python's ``max`` drops a NaN sample maximum, so a
-    NaN in ``u_h`` leaves ``einf`` and ``efluxinf`` finite.
+def error_report(spec: ProblemSpec, u_h: FieldPair) -> ErrorReport:
+    """Every error measure of ``u_h`` against the exact solution of ``spec``,
+    on the mesh, topology and layout ``u_h`` lives on.  Quadrature points
+    and vertex samples go ``BLOCK`` at a time.  The per-point integrands
+    land in full-length vectors, each summed once, so the sums do not
+    depend on the block size; the sup norms are ``np.maximum`` of block
+    maxima, so a NaN in ``u_h`` makes them NaN.
     """
     if not spec.has_exact():
         raise ValueError("error_report requires exact solution and gradient on both sides")
+    layout = u_h.layout
+    mesh, topo = layout.mesh, layout.topo
 
     e0_sq = {}
     eflux_sq = {}
     esqrt_sq = 0.0
-    einf = 0.0
-    efluxinf = 0.0
+    einf = efluxinf = 0.0
     for side in ("minus", "plus"):
         rho = spec.rho(side)
         sq = topo.quad_minus if side == "minus" else topo.quad_plus
@@ -82,16 +80,15 @@ def error_report(mesh: Mesh, topo: CutTopology, layout: SpaceLayout,
             grad_int[block] = w * gdiff_sq
             diff_max = np.maximum(diff_max, np.max(np.abs(diff), initial=0.0))
             gdiff_max = np.maximum(gdiff_max, np.max(gdiff_sq, initial=0.0))
-        einf = max(einf, float(diff_max))
-        efluxinf = max(efluxinf, float(rho * np.sqrt(gdiff_max)))
+        einf = np.maximum(einf, diff_max)
+        efluxinf = np.maximum(efluxinf, rho * np.sqrt(gdiff_max))
         e0_sq[side] = float(np.sum(e0_int))
         eflux_sq[side] = float(rho * rho * np.sum(grad_int))
         esqrt_sq += float(rho * np.sum(grad_int))
 
         # vertex samples restricted to the closed physical side
         want = -1 if side == "minus" else 1
-        in_side = layout.in_minus if side == "minus" else layout.in_plus
-        elems = np.flatnonzero(in_side)
+        elems = np.flatnonzero(topo.in_side(side))
         diff_max = gd_max = 0.0
         for block in blocks(elems.size):
             ids = elems[block]
@@ -107,12 +104,12 @@ def error_report(mesh: Mesh, topo: CutTopology, layout: SpaceLayout,
             gh = np.einsum("ki,kid->kd", uh, mesh.grads[ids])
             gd = np.sqrt(np.sum((gex - gh[:, None, :]) ** 2, axis=2))
             gd_max = np.maximum(gd_max, np.max(gd[vmask]))
-        einf = max(einf, float(diff_max))
-        efluxinf = max(efluxinf, float(rho * gd_max))
+        einf = np.maximum(einf, diff_max)
+        efluxinf = np.maximum(efluxinf, rho * gd_max)
 
     pen_sq = 0.0
     flux_sq = 0.0
-    ghost_sq = _ghost_error_sq(mesh, topo, layout, spec, u_h)
+    ghost_sq = _ghost_error_sq(spec, u_h)
     if topo.n_cut:
         iq = topo.iface
         conn = mesh.elements[iq.elems]
@@ -133,12 +130,12 @@ def error_report(mesh: Mesh, topo: CutTopology, layout: SpaceLayout,
 
     vnorm_sq = esqrt_sq + pen_sq + ghost_sq
     return ErrorReport(
-        level=level if level is not None else mesh.level,
+        level=mesh.level,
         h=mesh.h,
         e0=float(np.sqrt(e0_sq["minus"] + e0_sq["plus"])),
-        einf=einf,
+        einf=float(einf),
         eflux=float(np.sqrt(eflux_sq["minus"] + eflux_sq["plus"])),
-        efluxinf=efluxinf,
+        efluxinf=float(efluxinf),
         esqrt=float(np.sqrt(esqrt_sq)),
         vnorm=float(np.sqrt(vnorm_sq)),
         vanorm=float(np.sqrt(vnorm_sq + flux_sq)),
@@ -149,22 +146,20 @@ def error_report(mesh: Mesh, topo: CutTopology, layout: SpaceLayout,
     )
 
 
-def _ghost_error_sq(mesh, topo, layout, spec, u_h) -> float:
+def _ghost_error_sq(spec: ProblemSpec, u_h: FieldPair) -> float:
     """Ghost jump terms of the energy norm; the exact solution is smooth
 
     on each side, so only the discrete field contributes.
     """
+    layout = u_h.layout
+    mesh, topo = layout.mesh, layout.topo
     total = 0.0
     for side, edges in (("minus", topo.ghost_minus), ("plus", topo.ghost_plus)):
         if not edges.size:
             continue
         coeffs = u_h.side(side)
         dofmap = layout.node_dof(side)
-        e1 = mesh.edge_elems[edges, 0]
-        e2 = mesh.edge_elems[edges, 1]
-        ev = mesh.nodes[mesh.edges[edges, 1]] - mesh.nodes[mesh.edges[edges, 0]]
-        elen = np.hypot(ev[:, 0], ev[:, 1])
-        ne = np.column_stack([-ev[:, 1], ev[:, 0]]) / elen[:, None]
+        e1, e2, elen, ne = edge_frame(mesh, edges)
         g1 = np.einsum("ki,kid->kd", coeffs[dofmap[mesh.elements[e1]]], mesh.grads[e1])
         g2 = np.einsum("ki,kid->kd", coeffs[dofmap[mesh.elements[e2]]], mesh.grads[e2])
         jmp = np.sum((g1 - g2) * ne, axis=1)

@@ -8,6 +8,7 @@ outer boundary; they are eliminated from the solved system.
 """
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +27,6 @@ class SpaceLayout:
     node_dof_plus: np.ndarray
     dof_node_minus: np.ndarray   # (n_minus,) node id per dof
     dof_node_plus: np.ndarray
-    in_minus: np.ndarray         # bool per element
-    in_plus: np.ndarray
     dirichlet: np.ndarray        # bool over the global dof vector
     free_dofs: np.ndarray
 
@@ -49,6 +48,9 @@ class SpaceLayout:
 
     def node_dof(self, side: str) -> np.ndarray:
         return self.node_dof_minus if side == "minus" else self.node_dof_plus
+
+    def dof_node(self, side: str) -> np.ndarray:
+        return self.dof_node_minus if side == "minus" else self.dof_node_plus
 
     def global_dofs(self, side: str, nodes) -> np.ndarray:
         """Global dof ids for the given nodes on one side (-1 if absent)."""
@@ -95,51 +97,40 @@ class FieldPair:
 
 
 def build_spaces(mesh: Mesh, topo: CutTopology) -> SpaceLayout:
-    """DOF layout of the doubled space for a classified mesh."""
-    in_minus = topo.elem_side <= 0
-    in_plus = topo.elem_side >= 0
-    node_minus = np.zeros(mesh.n_nodes, dtype=bool)
-    node_minus[mesh.elements[in_minus].ravel()] = True
-    node_plus = np.zeros(mesh.n_nodes, dtype=bool)
-    node_plus[mesh.elements[in_plus].ravel()] = True
+    """DOF layout of the doubled space for a classified mesh.
 
-    dof_node_minus = np.flatnonzero(node_minus)
-    dof_node_plus = np.flatnonzero(node_plus)
-    node_dof_minus = np.full(mesh.n_nodes, -1, dtype=np.int64)
-    node_dof_minus[dof_node_minus] = np.arange(dof_node_minus.shape[0])
-    node_dof_plus = np.full(mesh.n_nodes, -1, dtype=np.int64)
-    node_dof_plus[dof_node_plus] = np.arange(dof_node_plus.shape[0])
+    Every later stage takes the mesh and the topology from the layout.
+    """
+    node_dof, dof_node = {}, {}
+    for side in ("minus", "plus"):
+        has = np.zeros(mesh.n_nodes, dtype=bool)
+        has[mesh.elements[topo.in_side(side)].ravel()] = True
+        dof_node[side] = np.flatnonzero(has)
+        node_dof[side] = np.full(mesh.n_nodes, -1, dtype=np.int64)
+        node_dof[side][dof_node[side]] = np.arange(dof_node[side].shape[0])
 
-    n_minus = dof_node_minus.shape[0]
-    n_total = n_minus + dof_node_plus.shape[0]
-    dirichlet = np.zeros(n_total, dtype=bool)
-    outer = "plus" if topo.levelset.inclusion_side == "minus" else "minus"
-    if outer == "minus":
-        bmask = mesh.boundary_node[dof_node_minus]
-        dirichlet[:n_minus][bmask] = True
-    else:
-        bmask = mesh.boundary_node[dof_node_plus]
-        dirichlet[n_minus:][bmask] = True
-
-    free_dofs = np.flatnonzero(~dirichlet)
-
-    return SpaceLayout(
+    n_minus = dof_node["minus"].shape[0]
+    dirichlet = np.zeros(n_minus + dof_node["plus"].shape[0], dtype=bool)
+    layout = SpaceLayout(
         mesh=mesh,
         topo=topo,
-        node_dof_minus=node_dof_minus,
-        node_dof_plus=node_dof_plus,
-        dof_node_minus=dof_node_minus,
-        dof_node_plus=dof_node_plus,
-        in_minus=in_minus,
-        in_plus=in_plus,
+        node_dof_minus=node_dof["minus"],
+        node_dof_plus=node_dof["plus"],
+        dof_node_minus=dof_node["minus"],
+        dof_node_plus=dof_node["plus"],
         dirichlet=dirichlet,
-        free_dofs=free_dofs,
+        free_dofs=np.empty(0, dtype=np.int64),
     )
+    # the layout's own rule names the side whose boundary nodes are Dirichlet
+    outer = layout.outer_side()
+    outer_dofs = dirichlet[:n_minus] if outer == "minus" else dirichlet[n_minus:]
+    outer_dofs[mesh.boundary_node[dof_node[outer]]] = True
+    return dataclasses.replace(layout, free_dofs=np.flatnonzero(~dirichlet))
 
 
 def interpolate(layout: SpaceLayout, side: str, f) -> np.ndarray:
     """Nodal interpolation of a callable onto one side's space."""
-    nodes = layout.mesh.nodes[layout.dof_node_minus if side == "minus" else layout.dof_node_plus]
+    nodes = layout.mesh.nodes[layout.dof_node(side)]
     return np.asarray(f(nodes), dtype=float)
 
 
@@ -160,7 +151,7 @@ def locate_on_side(layout: SpaceLayout, side: str, pts, tol: float = 1e-12):
     triangle holds get element -1.
     """
     mesh = layout.mesh
-    in_side = layout.in_minus if side == "minus" else layout.in_plus
+    in_side = layout.topo.in_side(side)
     pts = np.asarray(pts, dtype=float).reshape(-1, 2)
     elems = mesh.locate(pts)
     lams = barycentric_many(mesh.nodes[mesh.elements[elems]], pts)

@@ -34,14 +34,14 @@ def circle_classified():
 
 @pytest.fixture(scope="session")
 def circle_layout(circle_classified):
-    """Cached (mesh, topo, layout) per level, circle interface."""
+    """Cached space layout per level, circle interface; it holds the
+    mesh and the cut topology."""
     cache = {}
 
     def get(level, inclusion_side="minus"):
         key = (level, inclusion_side)
         if key not in cache:
-            mesh, topo = circle_classified(level, inclusion_side)
-            cache[key] = (mesh, topo, build_spaces(mesh, topo))
+            cache[key] = build_spaces(*circle_classified(level, inclusion_side))
         return cache[key]
 
     return get

@@ -146,14 +146,14 @@ def test_criterion_6_structural_properties():
     ls, spec = make_problem(config)
     topo = classify(mesh, ls)
     layout = build_spaces(mesh, topo)
-    system = build_system(mesh, topo, layout, spec)
+    system = build_system(layout, spec)
 
     a = system.matrix
     asym = np.abs((a - a.T).toarray()).max() / np.abs(a.toarray()).max()
     _require(failures, asym <= 1e-12,
              f"matrix asymmetry {asym:.3e} > 1e-12 relative")
 
-    gram = assemble_vnorm_gram(mesh, topo, layout, spec)
+    gram = assemble_vnorm_gram(layout, spec)
     free = layout.free_dofs
     q = coercivity_probe(a, gram[free][:, free], dense=True)
     _require(failures, q > 0.0, f"coercivity quotient {q:.3e} not positive")

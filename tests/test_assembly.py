@@ -17,15 +17,14 @@ from cutnitsche.space import build_spaces, interpolate_pair
 def uncut_setup():
     mesh = build_mesh(1)
     ls = LevelSet(phi=lambda x: (x[..., 0] - 10.0) ** 2 + x[..., 1] ** 2 - 1.0)
-    topo = classify(mesh, ls)
-    layout = build_spaces(mesh, topo)
-    return mesh, topo, layout
+    return build_spaces(mesh, classify(mesh, ls))
 
 
 def test_uncut_matrix_is_standard_p1_stiffness():
-    mesh, topo, layout = uncut_setup()
+    layout = uncut_setup()
+    mesh = layout.mesh
     spec = ProblemSpec(rho_minus=1.0, rho_plus=1.0)
-    system = build_system(mesh, topo, layout, spec)
+    system = build_system(layout, spec)
 
     # textbook reassembly straight from the vertex coordinates
     n = mesh.n_nodes
@@ -52,7 +51,7 @@ def test_penalty_part_matches_chord_mass_oracle():
     layout = build_spaces(mesh, topo)
     spec = ProblemSpec(rho_minus=3.0, rho_plus=3.0, gamma=10.0,
                        gamma_g_minus=0.0, gamma_g_plus=0.0)
-    parts = assemble_parts(mesh, topo, layout, spec)
+    parts = assemble_parts(layout, spec)
     got = (spec.gamma * spec.penalty_rho() * parts["penalty_base"]).toarray()
 
     grams = np.zeros((layout.n_total, layout.n_total))
@@ -86,26 +85,26 @@ def test_penalty_part_matches_chord_mass_oracle():
 
 @pytest.mark.parametrize("weighting", ["minus_sided", "harmonic"])
 def test_matrix_symmetry(weighting, circle_layout):
-    mesh, topo, layout = circle_layout(3)
+    layout = circle_layout(3)
     _, spec = example_circle(1.0, 1e4, weighting=weighting)
-    a = assemble_bilinear(mesh, topo, layout, spec)
+    a = assemble_bilinear(layout, spec)
     gap = abs(a - a.T).max()
     assert gap <= 1e-12 * abs(a).max()
 
 
 @pytest.mark.parametrize("level", [1, 2])
 def test_reduced_matrix_spd(level, circle_layout):
-    mesh, topo, layout = circle_layout(level)
+    layout = circle_layout(level)
     _, spec = example_circle(1.0, 1e4)
-    system = build_system(mesh, topo, layout, spec)
+    system = build_system(layout, spec)
     eigs = np.linalg.eigvalsh(system.matrix.toarray())
     assert eigs.min() > 0.0
 
 
 def test_vnorm_gram_positive(circle_layout):
-    mesh, topo, layout = circle_layout(1)
+    layout = circle_layout(1)
     _, spec = example_circle(1.0, 1e4)
-    g = assemble_vnorm_gram(mesh, topo, layout, spec)
+    g = assemble_vnorm_gram(layout, spec)
     assert abs(g - g.T).max() <= 1e-12 * abs(g).max()
     rng = np.random.default_rng(5)
     for _ in range(5):
@@ -115,7 +114,7 @@ def test_vnorm_gram_positive(circle_layout):
 
 def test_scaling_invariance(circle_layout):
     # multiplying (rho, f, beta) by a common factor leaves u unchanged
-    mesh, topo, layout = circle_layout(2)
+    layout = circle_layout(2)
     c = 7.0
     f0 = lambda x: np.sin(x[..., 0]) + x[..., 1]
     alpha = lambda x: 0.2 + x[..., 0]
@@ -129,25 +128,25 @@ def test_scaling_invariance(circle_layout):
                         dirichlet=g0)
     xs = []
     for spec in (spec1, spec2):
-        system = build_system(mesh, topo, layout, spec)
+        system = build_system(layout, spec)
         x, _ = solve(system)
         xs.append(x)
     np.testing.assert_allclose(xs[0], xs[1], atol=1e-10 * np.abs(xs[0]).max())
 
 
 def test_zero_data_gives_zero_solution(circle_layout):
-    mesh, topo, layout = circle_layout(1)
+    layout = circle_layout(1)
     spec = ProblemSpec(rho_minus=1.0, rho_plus=1e4)
-    system = build_system(mesh, topo, layout, spec)
+    system = build_system(layout, spec)
     assert np.all(system.rhs == 0.0)
     x, stats = solve(system)
     assert np.all(x == 0.0)
 
 
 def test_patch_solution_is_exact_nodally(circle_layout):
-    mesh, topo, layout = circle_layout(2)
+    layout = circle_layout(2)
     _, spec = patch_problem()
-    system = build_system(mesh, topo, layout, spec)
+    system = build_system(layout, spec)
     x, stats = solve(system)
     u_h = expand_solution(system, x)
     exact = interpolate_pair(layout, spec.exact_minus, spec.exact_plus)
@@ -157,12 +156,13 @@ def test_patch_solution_is_exact_nodally(circle_layout):
 
 
 def test_load_jump_terms_enter_rhs(circle_layout):
-    mesh, topo, layout = circle_layout(1)
+    layout = circle_layout(1)
+    mesh, topo = layout.mesh, layout.topo
     spec_plain = ProblemSpec(rho_minus=1.0, rho_plus=1.0)
     spec_jump = ProblemSpec(rho_minus=1.0, rho_plus=1.0,
                             jump_value=lambda x: np.ones(x.shape[:-1]))
-    b0 = assemble_load(mesh, topo, layout, spec_plain)
-    b1 = assemble_load(mesh, topo, layout, spec_jump)
+    b0 = assemble_load(layout, spec_plain)
+    b1 = assemble_load(layout, spec_jump)
     assert np.all(b0 == 0.0)
     assert np.any(b1 != 0.0)
     # the jump data only touches dofs of cut elements

@@ -39,13 +39,12 @@ _SETUPS = {}
 
 
 def case_setup(case, level):
-    """Mesh, topology, layout and problem of one case, cached."""
+    """Space layout and problem of one case, cached."""
     key = (case, level)
     if key not in _SETUPS:
         ls, spec = make_problem(CASES[case])
         mesh = build_mesh(level)
-        topo = classify(mesh, ls)
-        _SETUPS[key] = mesh, topo, build_spaces(mesh, topo), spec
+        _SETUPS[key] = build_spaces(mesh, classify(mesh, ls)), spec
     return _SETUPS[key]
 
 
@@ -61,11 +60,11 @@ def assert_same_csr(a, b):
 
 # -- whole-array references ---------------------------------------------------
 
-def ref_volume(mesh, topo, layout, spec):
+def ref_volume(layout, spec):
+    mesh, topo = layout.mesh, layout.topo
     rows, cols, vals = [], [], []
     for side in ("minus", "plus"):
-        mask = layout.in_minus if side == "minus" else layout.in_plus
-        elems = np.flatnonzero(mask)
+        elems = np.flatnonzero(topo.in_side(side))
         area = topo.area(side)[elems]
         grads = mesh.grads[elems]
         local = spec.rho(side) * area[:, None, None] * np.einsum("kid,kjd->kij", grads, grads)
@@ -78,7 +77,8 @@ def ref_volume(mesh, topo, layout, spec):
     return coo.tocsr()
 
 
-def ref_assemble_load(mesh, topo, layout, spec):
+def ref_assemble_load(layout, spec):
+    mesh, topo = layout.mesh, layout.topo
     b = np.zeros(layout.n_total)
     for side in ("minus", "plus"):
         f = spec.f_minus if side == "minus" else spec.f_plus
@@ -94,7 +94,7 @@ def ref_assemble_load(mesh, topo, layout, spec):
         np.add.at(b, dofs.ravel(), contrib.ravel())
 
     if topo.n_cut and (spec.jump_value is not None or spec.jump_flux is not None):
-        cut, conn, gn, wts, lam, jump, dofs, pts = _cut_blocks(mesh, topo, layout)
+        conn, gn, wts, lam, jump, dofs, pts = _cut_blocks(layout)
         w_minus, w_plus = spec.flux_weights()
         if spec.jump_flux is not None:
             beta = np.stack([np.asarray(spec.jump_flux(pts[:, q, :]), dtype=float)
@@ -115,7 +115,9 @@ def ref_assemble_load(mesh, topo, layout, spec):
     return b
 
 
-def ref_error_report(mesh, topo, layout, spec, u_h):
+def ref_error_report(spec, u_h):
+    layout = u_h.layout
+    mesh, topo = layout.mesh, layout.topo
     e0_sq, eflux_sq = {}, {}
     esqrt_sq = einf = efluxinf = 0.0
     for side in ("minus", "plus"):
@@ -134,26 +136,25 @@ def ref_error_report(mesh, topo, layout, spec, u_h):
         gdiff_sq = np.sum((grad - grad_h) ** 2, axis=1)
         eflux_sq[side] = float(rho * rho * np.sum(sq.weights * gdiff_sq))
         esqrt_sq += float(rho * np.sum(sq.weights * gdiff_sq))
-        einf = max(einf, float(np.max(np.abs(diff), initial=0.0)))
-        efluxinf = max(efluxinf, float(rho * np.sqrt(np.max(gdiff_sq, initial=0.0))))
+        einf = np.maximum(einf, np.max(np.abs(diff), initial=0.0))
+        efluxinf = np.maximum(efluxinf, rho * np.sqrt(np.max(gdiff_sq, initial=0.0)))
 
         want = -1 if side == "minus" else 1
-        in_side = layout.in_minus if side == "minus" else layout.in_plus
-        elems = np.flatnonzero(in_side)
+        elems = np.flatnonzero(topo.in_side(side))
         conn_e = mesh.elements[elems]
         vmask = topo.node_sign[conn_e] * want >= 0
         if np.any(vmask):
             coords = mesh.nodes[conn_e]
             uex = np.asarray(spec.exact(side)(coords), dtype=float)
             uh = coeffs[dofmap[conn_e]]
-            einf = max(einf, float(np.max(np.abs(uex - uh)[vmask])))
+            einf = np.maximum(einf, np.max(np.abs(uex - uh)[vmask]))
             gex = np.asarray(spec.grad(side)(coords), dtype=float)
             gh = np.einsum("ki,kid->kd", coeffs[dofmap[conn_e]], mesh.grads[elems])
             gd = np.sqrt(np.sum((gex - gh[:, None, :]) ** 2, axis=2))
-            efluxinf = max(efluxinf, float(rho * np.max(gd[vmask])))
+            efluxinf = np.maximum(efluxinf, rho * np.max(gd[vmask]))
 
     pen_sq = flux_sq = 0.0
-    ghost_sq = _ghost_error_sq(mesh, topo, layout, spec, u_h)
+    ghost_sq = _ghost_error_sq(spec, u_h)
     if topo.n_cut:
         iq = topo.iface
         conn = mesh.elements[iq.elems]
@@ -175,9 +176,9 @@ def ref_error_report(mesh, topo, layout, spec, u_h):
     return dict(
         level=mesh.level, h=mesh.h,
         e0=float(np.sqrt(e0_sq["minus"] + e0_sq["plus"])),
-        einf=einf,
+        einf=float(einf),
         eflux=float(np.sqrt(eflux_sq["minus"] + eflux_sq["plus"])),
-        efluxinf=efluxinf,
+        efluxinf=float(efluxinf),
         esqrt=float(np.sqrt(esqrt_sq)),
         vnorm=float(np.sqrt(vnorm_sq)),
         vanorm=float(np.sqrt(vnorm_sq + flux_sq)),
@@ -287,36 +288,34 @@ def test_side_quadrature_matches_reference(small_blocks, monkeypatch, case, leve
 @pytest.mark.parametrize("case", sorted(CASES))
 @pytest.mark.parametrize("level", [1, 2, 3, 4])
 def test_blocked_volume_and_load_match_reference(small_blocks, case, level):
-    mesh, topo, layout, spec = case_setup(case, level)
-    assert_same_csr(assemble_parts(mesh, topo, layout, spec)["volume"],
-                    ref_volume(mesh, topo, layout, spec))
-    assert_same(assemble_load(mesh, topo, layout, spec),
-                ref_assemble_load(mesh, topo, layout, spec))
+    layout, spec = case_setup(case, level)
+    assert_same_csr(assemble_parts(layout, spec)["volume"], ref_volume(layout, spec))
+    assert_same(assemble_load(layout, spec), ref_assemble_load(layout, spec))
 
 
 @pytest.mark.parametrize("nan", [False, True])
 @pytest.mark.parametrize("case", sorted(CASES))
 @pytest.mark.parametrize("level", [1, 2, 3, 4])
 def test_blocked_error_report_matches_reference(small_blocks, case, level, nan):
-    mesh, topo, layout, spec = case_setup(case, level)
+    layout, spec = case_setup(case, level)
     rng = np.random.default_rng(level)
     exact = interpolate_pair(layout, spec.exact_minus, spec.exact_plus)
     # a field with error everywhere, so every max and sum is exercised
     u_h = FieldPair(layout, exact.minus + 1e-3 * rng.standard_normal(layout.n_minus),
                     exact.plus + 1e-3 * rng.standard_normal(layout.n_plus))
-    if nan:  # the sup norms drop a NaN maximum per side, not per block
+    if nan:  # every measure, the sup norms too, turns NaN
         u_h.minus[layout.n_minus // 2] = np.nan
-    report = error_report(mesh, topo, layout, spec, u_h).as_dict()
+    report = error_report(spec, u_h).as_dict()
     # repr tells NaNs and signed zeros apart
-    assert repr(report) == repr(ref_error_report(mesh, topo, layout, spec, u_h))
+    assert repr(report) == repr(ref_error_report(spec, u_h))
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_build_system_slices_like_the_full_matrix(case):
-    mesh, topo, layout, spec = case_setup(case, 3)
-    system = build_system(mesh, topo, layout, spec)
-    a_full = assemble_bilinear(mesh, topo, layout, spec)
-    b_full = assemble_load(mesh, topo, layout, spec)
+    layout, spec = case_setup(case, 3)
+    system = build_system(layout, spec)
+    a_full = assemble_bilinear(layout, spec)
+    b_full = assemble_load(layout, spec)
     free, dirichlet = layout.free_dofs, np.flatnonzero(layout.dirichlet)
     assert_same_csr(system.matrix, a_full[free][:, free].tocsr())
     rhs = b_full[free] - a_full[free][:, dirichlet] @ system.lifting[dirichlet]
@@ -337,9 +336,9 @@ def extra_mb(fn):
 
 
 def test_blocked_stages_stay_within_memory_bounds():
-    mesh, topo, layout, spec = case_setup("circle-plus", 5)
-    system = build_system(mesh, topo, layout, spec)
+    layout, spec = case_setup("circle-plus", 5)
+    system = build_system(layout, spec)
     u_h = expand_solution(system, np.zeros(system.n))
-    assert extra_mb(lambda: assemble_load(mesh, topo, layout, spec)) <= 8.0
-    assert extra_mb(lambda: error_report(mesh, topo, layout, spec, u_h)) <= 12.0
-    assert extra_mb(lambda: build_system(mesh, topo, layout, spec)) <= 25.0
+    assert extra_mb(lambda: assemble_load(layout, spec)) <= 8.0
+    assert extra_mb(lambda: error_report(spec, u_h)) <= 12.0
+    assert extra_mb(lambda: build_system(layout, spec)) <= 25.0

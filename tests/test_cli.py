@@ -6,8 +6,9 @@ stdout/stderr split are exercised exactly as a shell user sees them.
 import numpy as np
 import pytest
 
+from cutnitsche import cli
 from cutnitsche.cli import main, parse_config_file, parse_levels
-from cutnitsche.harness import ConfigError
+from cutnitsche.harness import ConfigError, Table
 
 
 SOLVE_HEADER = ("level,h,e0,einf,eflux,efluxinf,esqrt,vnorm,vanorm,"
@@ -239,6 +240,26 @@ def test_contrast_sweep_at_explicit_level(capsys, tmp_path):
     path.write_text("example = 1\nlevel = 2\n")
     _, out_cfg, _ = _run(capsys, ["contrast", "--config", str(path)])
     assert out_cfg == out
+
+
+def test_contrast_sweep_level_defaults_to_five(capsys, tmp_path, monkeypatch):
+    # the sweep's own default level yields to a config-file level and a flag
+    levels = []
+
+    def sweep(config):
+        levels.append(config.level)
+        return Table(columns=("level",), rows=())
+
+    monkeypatch.setattr(cli, "run_contrast_sweep", sweep)
+    bare = tmp_path / "bare.cfg"
+    bare.write_text("example = 1\n")
+    leveled = tmp_path / "leveled.cfg"
+    leveled.write_text("example = 1\nlevel = 2\n")
+    for argv in (["contrast"], ["contrast", "--config", str(bare)],
+                 ["contrast", "--config", str(leveled)],
+                 ["contrast", "--config", str(leveled), "--level", "3"]):
+        assert _run(capsys, argv)[0] == 0
+    assert levels == [5, 5, 2, 3]
 
 
 def test_diagnostics_command(capsys):

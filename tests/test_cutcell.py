@@ -482,14 +482,14 @@ def test_uncut_side_sets():
     assert topo.cut_ids.size == 0
     assert topo.ghost_minus.size == 0
     assert topo.ghost_plus.size == 0
-    assert topo.elements_minus().size == 0
-    assert topo.elements_plus().size == mesh.n_elems
+    assert not topo.in_side("minus").any()
+    assert topo.in_side("plus").all()
     assert np.isclose(topo.area_plus.sum(), 4.0, atol=1e-12)
 
     all_minus = LevelSet(phi=lambda x: 1.0 - (x[..., 0] - 10.0) ** 2 - x[..., 1] ** 2)
     topo = classify(mesh, all_minus)
     assert topo.cut_ids.size == 0
-    assert topo.elements_plus().size == 0
+    assert not topo.in_side("plus").any()
     assert np.isclose(topo.area_minus.sum(), 4.0, atol=1e-12)
 
 
@@ -520,8 +520,8 @@ def test_vertex_touch_at_level1():
 def test_cut_sets_are_consistent(circle_classified):
     mesh, topo = circle_classified(3)
     cut = set(topo.cut_ids)
-    minus = set(topo.elements_minus())
-    plus = set(topo.elements_plus())
+    minus = set(np.flatnonzero(topo.in_side("minus")))
+    plus = set(np.flatnonzero(topo.in_side("plus")))
     assert cut <= minus & plus
     uncut = set(range(mesh.n_elems)) - cut
     for t in uncut:

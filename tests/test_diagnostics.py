@@ -59,13 +59,17 @@ def test_coercivity_probe_diagonal_pencils():
     assert np.isclose(coercivity_probe(a2, g2, dense=True), 0.5)
 
 
-def test_sampled_probe_overestimates_dense():
-    a = scipy.sparse.diags(np.arange(1.0, 31.0)).tocsr()
-    gram = scipy.sparse.identity(30, format="csr")
+@pytest.mark.parametrize("inclusion_side", ["minus", "plus"])
+def test_arnoldi_probe_equals_dense(inclusion_side):
+    config = RunConfig(example="1", level=3, inclusion_side=inclusion_side)
+    ls, spec = make_problem(config)
+    mesh = build_mesh(3)
+    layout = build_spaces(mesh, classify(mesh, ls))
+    a = build_system(layout, spec).matrix
+    free = layout.free_dofs
+    gram = assemble_vnorm_gram(layout, spec)[free][:, free]
     exact = coercivity_probe(a, gram, dense=True)
-    sampled = coercivity_probe(a, gram, n_samples=50, dense=False)
-    assert np.isclose(exact, 1.0)
-    assert sampled >= exact - 1e-12
+    assert coercivity_probe(a, gram, dense=False) == pytest.approx(exact, rel=1e-6)
 
 
 def test_system_coercivity_level_one():
@@ -74,8 +78,8 @@ def test_system_coercivity_level_one():
     ls, spec = make_problem(config)
     topo = classify(mesh, ls)
     layout = build_spaces(mesh, topo)
-    system = build_system(mesh, topo, layout, spec)
-    gram = assemble_vnorm_gram(mesh, topo, layout, spec)
+    system = build_system(layout, spec)
+    gram = assemble_vnorm_gram(layout, spec)
     free = layout.free_dofs
     q = coercivity_probe(system.matrix, gram[free][:, free], dense=True)
     assert 0.0 < q <= 1.0 + 1e-9
@@ -118,15 +122,13 @@ def test_interpolation_profile_needs_second_derivatives():
 @pytest.fixture(scope="module")
 def plus_inclusion():
     mesh = build_mesh(2)
-    ls = make_circle(inclusion_side="plus")
-    topo = classify(mesh, ls)
-    layout = build_spaces(mesh, topo)
-    return mesh, ls, topo, layout
+    return build_spaces(mesh, classify(mesh, make_circle(inclusion_side="plus")))
 
 
 def test_extension_matrix_structure(plus_inclusion):
-    mesh, ls, topo, layout = plus_inclusion
-    op = build_extension(mesh, topo, ls, layout)
+    layout = plus_inclusion
+    mesh, ls = layout.mesh, layout.topo.levelset
+    op = build_extension(layout)
     assert op.matrix.shape == (mesh.n_nodes, layout.n_plus)
 
     keep = layout.node_dof_plus >= 0
@@ -146,9 +148,11 @@ def test_extension_matrix_structure(plus_inclusion):
     assert np.all(sums[cand] <= 1.0 + 1e-12)
 
 
-def ref_extension_matrix(mesh, topo, ls, layout, tube=0.1):
+def ref_extension_matrix(layout, tube=0.1):
     """The extension matrix built one node at a time, one reflection
     batch per node, as before its passes were vectorised."""
+    mesh, topo = layout.mesh, layout.topo
+    ls = topo.levelset
     keep = layout.node_dof_plus >= 0
     rows, cols, vals = [], [], []
     for z in np.flatnonzero(keep):
@@ -190,8 +194,8 @@ def test_extension_matches_per_node_reference(level):
     ls = make_circle(inclusion_side="plus")
     topo = classify(mesh, ls)
     layout = build_spaces(mesh, topo)
-    got = build_extension(mesh, topo, ls, layout).matrix
-    want = ref_extension_matrix(mesh, topo, ls, layout)
+    got = build_extension(layout).matrix
+    want = ref_extension_matrix(layout)
     for name in ("data", "indices", "indptr"):
         assert getattr(got, name).dtype == getattr(want, name).dtype, name
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
@@ -202,24 +206,25 @@ def test_extension_reflection_off_the_plus_mesh():
     # points outside the larger circle reflect to between the two circles
     mesh = build_mesh(2)
     topo = classify(mesh, make_circle(radius=0.2, inclusion_side="plus"))
-    layout = build_spaces(mesh, topo)
     ls = make_circle(radius=0.5, inclusion_side="plus")
+    layout = build_spaces(mesh, dataclasses.replace(topo, levelset=ls))
     with pytest.raises(GeometryError) as got:
-        build_extension(mesh, topo, ls, layout)
+        build_extension(layout)
     with pytest.raises(GeometryError) as want:
-        ref_extension_matrix(mesh, topo, ls, layout)
+        ref_extension_matrix(layout)
     assert str(got.value) == str(want.value)
     assert str(got.value).endswith("lies outside the plus-side mesh")
 
 
 def test_extension_of_plus_field(plus_inclusion):
-    mesh, ls, topo, layout = plus_inclusion
+    layout = plus_inclusion
+    mesh = layout.mesh
 
     def f(x):
         return 1.0 + x[..., 0] + 2.0 * x[..., 1]
 
     field = interpolate_pair(layout, f, f)
-    w, ratio = discrete_extension(field, mesh, topo, ls)
+    w, ratio = discrete_extension(field)
     assert w.shape == (mesh.n_nodes,)
     keep = layout.node_dof_plus >= 0
     assert np.allclose(w[keep], f(mesh.nodes[keep]), atol=1e-12)
@@ -227,7 +232,7 @@ def test_extension_of_plus_field(plus_inclusion):
 
     zero = interpolate_pair(layout, lambda x: 0.0 * x[..., 0],
                             lambda x: 0.0 * x[..., 0])
-    w0, r0 = discrete_extension(zero, mesh, topo, ls)
+    w0, r0 = discrete_extension(zero)
     assert np.all(w0 == 0.0)
     assert r0 == 0.0
 

@@ -174,6 +174,16 @@ def test_solve_table_includes_stats():
     assert "e0" in table.columns
 
 
+def test_result_geometry_is_the_system_layout():
+    result = run_solve(RunConfig(example="1", level=1))
+    layout = result.system.layout
+    assert result.field.layout is layout
+    assert result.layout is layout
+    assert result.mesh is layout.mesh
+    assert result.topo is layout.topo
+    assert result.report.level == result.mesh.level == 1
+
+
 def test_dump_solution(tmp_path):
     result = run_solve(RunConfig(example="patch", level=1))
     path = tmp_path / "solution.csv"

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from cutnitsche.harness import RunConfig, make_problem, run_solve
 from cutnitsche.norms import ErrorReport, eoc, error_report
 from cutnitsche.problems import ProblemSpec, example_circle, patch_problem
 from cutnitsche.space import FieldPair, interpolate_pair
@@ -27,23 +28,25 @@ def test_eoc_edge_cases():
 
 
 def test_interpolated_exact_linear_has_zero_error(circle_layout):
-    mesh, topo, layout = circle_layout(2)
+    layout = circle_layout(2)
     _, spec = patch_problem()
     u_h = interpolate_pair(layout, spec.exact_minus, spec.exact_plus)
-    rep = error_report(mesh, topo, layout, spec, u_h)
+    rep = error_report(spec, u_h)
     for name in ("e0", "einf", "eflux", "efluxinf", "esqrt", "vnorm", "vanorm"):
         assert getattr(rep, name) <= 1e-12, name
 
 
 def test_error_report_requires_exact_solution(circle_layout):
-    mesh, topo, layout = circle_layout(1)
+    layout = circle_layout(1)
     spec = ProblemSpec(rho_minus=1.0, rho_plus=1.0)
     with pytest.raises(ValueError, match="exact"):
-        error_report(mesh, topo, layout, spec, FieldPair.zeros(layout))
+        error_report(spec, FieldPair.zeros(layout))
 
 
-def hand_gradient_error_sq(mesh, topo, layout, spec, u_h, weight):
+def hand_gradient_error_sq(spec, u_h, weight):
     """Independent route: loop over clipped quadrature, constant P1 grads."""
+    layout = u_h.layout
+    mesh, topo = layout.mesh, layout.topo
     total = 0.0
     for side in ("minus", "plus"):
         w = weight(spec.rho(side))
@@ -59,56 +62,65 @@ def hand_gradient_error_sq(mesh, topo, layout, spec, u_h, weight):
 
 
 def test_flux_error_two_routes(circle_layout):
-    mesh, topo, layout = circle_layout(1)
+    layout = circle_layout(1)
     _, spec = example_circle(1.0, 1e4)
     rng = np.random.default_rng(2)
     u_h = FieldPair(layout, rng.standard_normal(layout.n_minus) * 0.1,
                     rng.standard_normal(layout.n_plus) * 0.1)
-    rep = error_report(mesh, topo, layout, spec, u_h)
-    hand = hand_gradient_error_sq(mesh, topo, layout, spec, u_h,
-                                  weight=lambda rho: rho * rho)
+    rep = error_report(spec, u_h)
+    hand = hand_gradient_error_sq(spec, u_h, weight=lambda rho: rho * rho)
     assert abs(rep.eflux - np.sqrt(hand)) <= 1e-10 * rep.eflux
     # esqrt uses the same integrand weighted by rho instead of rho^2
-    hand_sqrt = hand_gradient_error_sq(mesh, topo, layout, spec, u_h,
-                                       weight=lambda rho: rho)
+    hand_sqrt = hand_gradient_error_sq(spec, u_h, weight=lambda rho: rho)
     assert abs(rep.esqrt - np.sqrt(hand_sqrt)) <= 1e-10 * rep.esqrt
 
 
 def test_esqrt_between_coefficient_bounds(circle_layout):
-    mesh, topo, layout = circle_layout(1)
+    layout = circle_layout(1)
     _, spec = example_circle(1.0, 1e4)
     rng = np.random.default_rng(4)
     u_h = FieldPair(layout, rng.standard_normal(layout.n_minus),
                     rng.standard_normal(layout.n_plus))
-    rep = error_report(mesh, topo, layout, spec, u_h)
-    plain = hand_gradient_error_sq(mesh, topo, layout, spec, u_h,
-                                   weight=lambda rho: 1.0)
+    rep = error_report(spec, u_h)
+    plain = hand_gradient_error_sq(spec, u_h, weight=lambda rho: 1.0)
     lo = min(spec.rho_minus, spec.rho_plus) * plain
     hi = max(spec.rho_minus, spec.rho_plus) * plain
     assert np.sqrt(lo) * (1 - 1e-12) <= rep.esqrt <= np.sqrt(hi) * (1 + 1e-12)
 
 
 def test_esqrt_equals_scaled_flux_for_equal_coefficients(circle_layout):
-    mesh, topo, layout = circle_layout(1)
+    layout = circle_layout(1)
     _, spec = example_circle(4.0, 4.0)
     rng = np.random.default_rng(6)
     u_h = FieldPair(layout, rng.standard_normal(layout.n_minus),
                     rng.standard_normal(layout.n_plus))
-    rep = error_report(mesh, topo, layout, spec, u_h)
+    rep = error_report(spec, u_h)
     assert rep.esqrt == pytest.approx(rep.eflux / 2.0, rel=1e-13)
 
 
 def test_energy_norm_dominates_esqrt(circle_layout):
-    mesh, topo, layout = circle_layout(1)
+    layout = circle_layout(1)
     _, spec = example_circle(1.0, 1e4)
     rng = np.random.default_rng(8)
     u_h = FieldPair(layout, rng.standard_normal(layout.n_minus),
                     rng.standard_normal(layout.n_plus))
-    rep = error_report(mesh, topo, layout, spec, u_h)
+    rep = error_report(spec, u_h)
     assert rep.vnorm >= rep.esqrt
     assert rep.vanorm >= rep.vnorm
     assert rep.e0 >= max(rep.e0_minus, rep.e0_plus)
     assert rep.e0 <= rep.e0_minus + rep.e0_plus + 1e-15
+
+
+def test_nan_coefficient_makes_every_error_nan():
+    # Python's max(0.0278, nan) keeps 0.0278: the sup norms once hid a NaN
+    config = RunConfig(example="1", level=2)
+    result = run_solve(config)
+    _, spec = make_problem(config)
+    assert np.isfinite(result.report.einf) and np.isfinite(result.report.efluxinf)
+    result.field.minus[0] = np.nan
+    rep = error_report(spec, result.field)
+    for name in ("e0", "einf", "eflux", "efluxinf", "esqrt", "vnorm", "vanorm"):
+        assert np.isnan(getattr(rep, name)), name
 
 
 def test_as_dict_schema():

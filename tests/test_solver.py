@@ -64,7 +64,7 @@ def _extreme_contrast_system():
     ls, spec = example_circle(1e-4, 1e5, inclusion_side="plus")
     mesh = build_mesh(1)
     topo = classify(mesh, ls)
-    return build_system(mesh, topo, build_spaces(mesh, topo), spec)
+    return build_system(build_spaces(mesh, topo), spec)
 
 
 def ref_cg(system, tol=1e-12):
@@ -105,9 +105,9 @@ def ref_cg(system, tol=1e-12):
 
 
 def test_in_place_cg_matches_reference(circle_layout):
-    mesh, topo, layout = circle_layout(2)
+    layout = circle_layout(2)
     _, spec = example_circle(1.0, 1e4)
-    converged = build_system(mesh, topo, layout, spec)
+    converged = build_system(layout, spec)
     x, stats = solve(converged)
     outcome, x_ref, it = ref_cg(converged)
     assert (outcome, it) == ("converged", stats.iterations)
@@ -122,9 +122,9 @@ def test_in_place_cg_matches_reference(circle_layout):
 
 
 def test_cg_matches_direct_solve(circle_layout):
-    mesh, topo, layout = circle_layout(2)
+    layout = circle_layout(2)
     _, spec = example_circle(1.0, 1e4)
-    system = build_system(mesh, topo, layout, spec)
+    system = build_system(layout, spec)
     x_cg, stats = solve(system)
     x_ref = spla.spsolve(system.matrix.tocsc(), system.rhs)
     assert np.abs(x_cg - x_ref).max() <= 1e-8
@@ -171,9 +171,9 @@ def test_stagnation_on_extreme_contrast():
 
 
 def test_backward_error_of_converged_and_stagnated_iterates(circle_layout):
-    mesh, topo, layout = circle_layout(2)
+    layout = circle_layout(2)
     _, spec = example_circle(1.0, 1e4)
-    converged = build_system(mesh, topo, layout, spec)
+    converged = build_system(layout, spec)
     x, stats = solve(converged)
     assert stats.backward_error == pytest.approx(_backward_error(converged, x), rel=1e-6)
     assert 0.0 < stats.backward_error < 1e-14
@@ -189,9 +189,9 @@ def test_backward_error_of_converged_and_stagnated_iterates(circle_layout):
 
 
 def test_determinism(circle_layout):
-    mesh, topo, layout = circle_layout(1)
+    layout = circle_layout(1)
     _, spec = example_circle(1.0, 1e4)
-    system = build_system(mesh, topo, layout, spec)
+    system = build_system(layout, spec)
     x1, s1 = solve(system)
     x2, s2 = solve(system)
     assert np.array_equal(x1, x2)

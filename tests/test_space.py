@@ -11,7 +11,8 @@ from cutnitsche.space import (FieldPair, build_spaces, evaluate, interpolate,
 
 
 def test_cut_nodes_carry_two_dofs(circle_layout):
-    mesh, topo, layout = circle_layout(2)
+    layout = circle_layout(2)
+    mesh, topo = layout.mesh, layout.topo
     cut_nodes = np.unique(mesh.elements[topo.cut_ids])
     assert np.all(layout.node_dof_minus[cut_nodes] >= 0)
     assert np.all(layout.node_dof_plus[cut_nodes] >= 0)
@@ -20,16 +21,18 @@ def test_cut_nodes_carry_two_dofs(circle_layout):
 
 
 def test_minus_space_supported_near_inclusion(circle_layout):
-    mesh, topo, layout = circle_layout(2)
+    layout = circle_layout(2)
+    mesh, topo = layout.mesh, layout.topo
     covered = np.zeros(mesh.n_nodes, dtype=bool)
-    covered[mesh.elements[topo.elements_minus()].ravel()] = True
+    covered[mesh.elements[topo.in_side("minus")].ravel()] = True
     assert np.array_equal(layout.node_dof_minus >= 0, covered)
     # the inclusion stays away from the outer boundary
     assert np.all(layout.node_dof_minus[mesh.boundary_node] == -1)
 
 
 def test_dirichlet_on_outer_side_only(circle_layout):
-    mesh, topo, layout = circle_layout(2)
+    layout = circle_layout(2)
+    mesh = layout.mesh
     assert layout.outer_side() == "plus"
     bdofs = layout.node_dof_plus[mesh.boundary_node] + layout.n_minus
     assert np.all(layout.dirichlet[bdofs])
@@ -47,7 +50,8 @@ def test_uncut_space_is_single_sided():
 
 
 def test_interpolate_reproduces_data(circle_layout):
-    mesh, topo, layout = circle_layout(1)
+    layout = circle_layout(1)
+    mesh = layout.mesh
     const = interpolate(layout, "plus", lambda x: np.full(x.shape[:-1], 3.5))
     assert np.all(const == 3.5)
     f = lambda x: x[..., 0] + 2.0 * x[..., 1]
@@ -62,7 +66,7 @@ def test_interpolate_reproduces_data(circle_layout):
 
 
 def test_evaluate_minus_inside_inclusion(circle_layout):
-    _, _, layout = circle_layout(1)
+    layout = circle_layout(1)
     f = lambda x: x[..., 0] ** 2
     field = interpolate_pair(layout, f, f)
     val, _ = evaluate(field, "minus", np.array([0.05, 0.0]))
@@ -90,20 +94,21 @@ def test_projection_identity(seed):
 def test_evaluate_at_every_dof_node(circle_layout, inclusion_side):
     # some nodes' floor triangles lie off the side, so this covers the
     # fallback to the side triangles around the located one
-    mesh, _, layout = circle_layout(1, inclusion_side)
+    layout = circle_layout(1, inclusion_side)
+    mesh = layout.mesh
     rng = np.random.default_rng(5)
     field = FieldPair(layout, rng.standard_normal(layout.n_minus),
                       rng.standard_normal(layout.n_plus))
     for side in ("minus", "plus"):
         coeffs = field.side(side)
-        nodes = layout.dof_node_minus if side == "minus" else layout.dof_node_plus
-        for dof, node in enumerate(nodes):
+        for dof, node in enumerate(layout.dof_node(side)):
             val, _ = evaluate(field, side, mesh.nodes[node])
             assert abs(val - coeffs[dof]) <= 1e-12
 
 
 def test_field_continuity_across_edges(circle_layout):
-    mesh, _, layout = circle_layout(1)
+    layout = circle_layout(1)
+    mesh = layout.mesh
     rng = np.random.default_rng(7)
     field = FieldPair(layout, rng.standard_normal(layout.n_minus),
                       rng.standard_normal(layout.n_plus))
@@ -117,7 +122,7 @@ def test_field_continuity_across_edges(circle_layout):
 
 
 def test_field_pair_round_trip(circle_layout):
-    _, _, layout = circle_layout(1)
+    layout = circle_layout(1)
     rng = np.random.default_rng(11)
     vec = rng.standard_normal(layout.n_total)
     field = FieldPair.from_global(layout, vec)
