@@ -6,8 +6,9 @@ and the flower at levels 1..6, the matrix, right-hand side, solution and
 solve statistics of every configuration of ``reproduce_tables.py``, the
 discrete extension operator of the diagnostics at levels 2..5, the seven
 CSVs that script writes and the ``run_diagnostics()`` report, then every
-``Mesh`` array at levels 1..6 and the matrix and right-hand side of the
-level-6 plus-side solve at contrast 1e9 (assembled, not solved).  Two
+``Mesh`` array at levels 1..6, and the matrix, right-hand side and the
+five parts of ``assemble_parts`` of the level-6 plus-side solve at
+contrast 1e9 (assembled, not solved).  Two
 commits are bit-identical on all of these when the outputs of this
 script agree:
 
@@ -34,7 +35,7 @@ import tempfile  # noqa: E402
 import numpy as np  # noqa: E402
 
 import reproduce_tables  # noqa: E402
-from cutnitsche.assembly import build_system  # noqa: E402
+from cutnitsche.assembly import assemble_parts, build_system  # noqa: E402
 from cutnitsche.cli import parse_levels  # noqa: E402
 from cutnitsche.cutcell import classify  # noqa: E402
 from cutnitsche.diagnostics import build_extension, run_diagnostics  # noqa: E402
@@ -135,11 +136,15 @@ def main() -> int:
     ls, spec = make_problem(fine)
     mesh = build_mesh(fine.level)
     topo = classify(mesh, ls)
-    system = build_system(build_spaces(mesh, topo), spec)
+    layout = build_spaces(mesh, topo)
+    system = build_system(layout, spec)
     items = {f"matrix.{k}": v for k, v in csr_arrays(system.matrix).items()}
     items["rhs"] = system.rhs
     for name, value in items.items():
         print(f"system plus-1e9 L6 {name} {digest(value)}")
+    for part, matrix in assemble_parts(layout, spec).items():
+        for name, value in csr_arrays(matrix).items():
+            print(f"parts plus-1e9 L6 {part}.{name} {digest(value)}")
     return 0
 
 

@@ -3,9 +3,9 @@
 
 For the circle with the inclusion on the plus side at contrast 1e9
 (``rho`` 1 / 1e9), at levels 5..7, each stage runs once under
-tracemalloc: mesh, classify, spaces, build_system, load (a second
-``assemble_load``) and the error report of the lifted zero field.  Per
-stage it records
+tracemalloc: mesh, classify, spaces, assemble_parts (the five matrix
+parts alone), build_system, load (a second ``assemble_load``) and the
+error report of the lifted zero field.  Per stage it records
 
 * ``seconds``: wall time, tracemalloc on;
 * ``output_mb``: traced memory the stage leaves allocated;
@@ -14,12 +14,17 @@ stage it records
 * ``rss_mb`` and ``maxrss_mb``: resident set size after the stage, and
   its high-water mark so far in the process.
 
-It prints one line per stage and writes the measurement into the
-``change`` column of ``BENCH_memory.json`` at the repository root.  Any
-other column already in that file is kept, so a column measured by this
-script at an earlier commit (``parent``) stays beside it.
+It prints one line per stage and writes the measurement into one
+column of ``BENCH_memory.json`` at the repository root, ``change`` unless
+``--column`` names another.  Any other column already in that file is
+kept, so a column measured at an earlier commit stays beside it; to
+measure one, run this script with that commit's ``src`` on PYTHONPATH.
+Each column records the ``git describe --always --dirty`` of the checkout
+the package was imported from.
 
     python scripts/stage_memory.py
+    PYTHONPATH=/path/to/parent/src python scripts/stage_memory.py --column parent
+    python scripts/stage_memory.py --levels 8 --column change-L8   # under ulimit -v
 """
 import os
 
@@ -27,9 +32,11 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
              "BLIS_NUM_THREADS"):
     os.environ[_var] = "1"   # before numpy is imported
 
+import argparse  # noqa: E402
 import json  # noqa: E402
 import pathlib  # noqa: E402
 import resource  # noqa: E402
+import subprocess  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 import tracemalloc  # noqa: E402
@@ -37,22 +44,30 @@ import tracemalloc  # noqa: E402
 import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
-from cutnitsche.assembly import assemble_load, build_system, expand_solution  # noqa: E402
+import cutnitsche  # noqa: E402
+from cutnitsche.assembly import (assemble_load, assemble_parts, build_system,  # noqa: E402
+                                 expand_solution)
+from cutnitsche.cli import parse_levels  # noqa: E402
 from cutnitsche.cutcell import classify  # noqa: E402
 from cutnitsche.harness import RunConfig, make_problem  # noqa: E402
 from cutnitsche.mesh import build_mesh  # noqa: E402
 from cutnitsche.norms import error_report  # noqa: E402
 from cutnitsche.space import build_spaces  # noqa: E402
 
-LEVELS = (5, 6, 7)
 OUTPUT = pathlib.Path(__file__).resolve().parent.parent / "BENCH_memory.json"
-COLUMN = "change"
 MB = 1024.0 ** 2
 
 
 def rss_mb() -> float:
     with open("/proc/self/statm") as fh:
         return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / MB
+
+
+def source_commit() -> str:
+    """``git describe`` of the checkout the package was imported from."""
+    package = pathlib.Path(cutnitsche.__file__).resolve().parent
+    return subprocess.run(["git", "-C", str(package), "describe", "--always", "--dirty"],
+                          capture_output=True, text=True).stdout.strip()
 
 
 def measure(fn):
@@ -80,6 +95,8 @@ def stages(level: int) -> dict:
     mesh, record["mesh"] = measure(lambda: build_mesh(level))
     topo, record["classify"] = measure(lambda: classify(mesh, ls))
     layout, record["spaces"] = measure(lambda: build_spaces(mesh, topo))
+    parts, record["assemble_parts"] = measure(lambda: assemble_parts(layout, spec))
+    del parts
     system, record["build_system"] = measure(lambda: build_system(layout, spec))
     _, record["load"] = measure(lambda: assemble_load(layout, spec))
     u_h = expand_solution(system, np.zeros(system.n))
@@ -87,19 +104,25 @@ def stages(level: int) -> dict:
     return record
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--levels", type=parse_levels, default=parse_levels("5..7"))
+    ap.add_argument("--column", default="change")
+    args = ap.parse_args(argv)
+
     tracemalloc.start()
     levels = {}
-    for level in LEVELS:
+    for level in args.levels:
         levels[f"L{level}"] = stages(level)
         for name, rec in levels[f"L{level}"].items():
-            print(f"L{level} {name:<13} " + " ".join(f"{k} {v}" for k, v in rec.items()),
+            print(f"L{level} {name:<14} " + " ".join(f"{k} {v}" for k, v in rec.items()),
                   flush=True)
     tracemalloc.stop()
 
     doc = json.loads(OUTPUT.read_text()) if OUTPUT.exists() else {}
     doc["case"] = "circle r=1/3, inclusion plus, rho 1 / 1e9; no solve"
-    doc.setdefault("columns", {})[COLUMN] = {
+    doc.setdefault("columns", {})[args.column] = {
+        "commit": source_commit(),
         "versions": {"python": sys.version.split()[0], "numpy": np.__version__,
                      "scipy": scipy.__version__},
         "cpus": os.cpu_count(),

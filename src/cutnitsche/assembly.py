@@ -6,6 +6,12 @@ interface, the interface jump penalty, and the gradient-jump ghost
 penalty on edges of the cut bands.  The same parts are reused for the
 energy-norm Gram matrix so that diagnostics share the quadrature with
 the solver.
+
+Every part is filled straight into its CSR arrays (``CsrFill``), with no
+COO step.  Each row gets its entries in input order, as scipy's COO to
+CSR conversion (``coo_tocsr``) buckets them; scipy's ``sum_duplicates``
+then sorts and sums each row as that conversion does.  A row's sum
+depends on that order, so keeping it keeps every matrix bit for bit.
 """
 from __future__ import annotations
 
@@ -44,30 +50,94 @@ class SparseSystem:
         return self.rhs.shape[0]
 
 
-class _Entries:
-    """COO entries of dense local matrices, written into preallocated
-    arrays: element-major, row-major within an element, in the order the
-    local matrices are added.  ``tocsr`` sums duplicates in that order.
+class CsrFill:
+    """A CSR matrix filled in place, in two passes and without a COO step.
+
+    The constructor counts the entries of each row from the row indices
+    alone and allocates the unsummed CSR: int32 ``indptr`` and
+    ``indices``, float64 ``data``, 12 B an entry.  ``add`` and
+    ``add_local`` then write each entry into its row's next free slot:
+    the stable bucket sort by row of scipy's ``coo_tocsr``, however the
+    entries are split into calls.  ``tocsr`` sums duplicates with scipy's
+    ``sum_duplicates``, as scipy's COO to CSR conversion does, so the
+    result matches converting the same entries from COO byte for byte.
     """
 
-    def __init__(self, n_local: int, m: int):
-        size = n_local * m * m
-        self.rows = np.empty(size, dtype=np.int32)
-        self.cols = np.empty(size, dtype=np.int32)
-        self.vals = np.empty(size)
-        self.end = 0
+    def __init__(self, shape: tuple[int, int], row_groups):
+        """``row_groups``: (rows, width) pairs, consumed once; each index
+        in ``rows`` will receive ``width`` entries."""
+        self.shape = shape
+        counts = np.zeros(shape[0], dtype=np.int64)
+        for rows, width in row_groups:
+            counts += width * np.bincount(rows.ravel(), minlength=shape[0])
+        if counts.sum() > np.iinfo(np.int32).max:
+            raise OverflowError("more entries than int32 CSR indices can address")
+        self.indptr = np.zeros(shape[0] + 1, dtype=np.int32)
+        np.cumsum(counts, out=self.indptr[1:])
+        self.next = self.indptr[:-1].astype(np.int64)
+        self.indices = np.empty(self.indptr[-1], dtype=np.int32)
+        self.data = np.empty(self.indptr[-1])
 
-    def add(self, dofs, local) -> None:
-        """Local matrices (k, m, m) at global dofs (k, m)."""
+    def _slots(self, rows: np.ndarray, width: int) -> np.ndarray:
+        """First of ``width`` consecutive slots for each of ``rows`` in
+        turn; each row's next free slot moves past them.  Linear in
+        ``rows.size`` plus the span of ``rows``."""
+        lo = rows.min()
+        key = rows - lo
+        # stable order of the rows: radix sort on 16-bit digits, which is
+        # what numpy's stable argsort of uint16 keys is
+        order = np.argsort((key & 0xFFFF).astype(np.uint16), kind="stable")
+        if key.max() > 0xFFFF:
+            order = order[np.argsort((key[order] >> 16).astype(np.uint16), kind="stable")]
+        rank = np.empty_like(order)
+        rank[order] = np.arange(rows.size)
+        counts = np.bincount(key)
+        nxt = self.next[lo:lo + counts.size]
+        base = nxt - width * (np.cumsum(counts) - counts)
+        nxt += width * counts
+        return base[key] + width * rank
+
+    def add(self, rows, cols, vals) -> None:
+        """Append ``cols[p]`` and ``vals[p]``, (width,) each, to row
+        ``rows[p]``, for p in order."""
+        if rows.size:
+            slot = self._slots(rows, cols.shape[1])
+            for j in range(cols.shape[1]):
+                self.indices[slot + j] = cols[:, j]
+                self.data[slot + j] = vals[:, j]
+
+    def add_local(self, dofs, local) -> None:
+        """Dense local matrices ``local`` (k, m, m) at global dofs (k, m):
+        ``add`` of rows ``dofs[e, i]`` with ``local[e, i, :]`` at columns
+        ``dofs[e, :]``, element-major, row-major within an element.  One
+        scatter per local entry (i, j) keeps every array operation k long;
+        it is fastest where ``local[:, i, j]`` is contiguous."""
         k, m = dofs.shape
-        span = slice(self.end, self.end + k * m * m)
-        self.rows[span].reshape(k, m, m)[...] = dofs[:, :, None]
-        self.cols[span].reshape(k, m, m)[...] = dofs[:, None, :]
-        self.vals[span] = local.reshape(-1)
-        self.end = span.stop
+        if not k:
+            return
+        slot = self._slots(dofs.ravel(), m).reshape(k, m).T
+        cols = dofs.T.astype(np.int32)
+        for i in range(m):
+            for j in range(m):
+                dest = slot[i] + j
+                self.indices[dest] = cols[j]
+                self.data[dest] = local[:, i, j]
 
-    def tocsr(self, n: int) -> sp.csr_matrix:
-        return sp.coo_matrix((self.vals, (self.rows, self.cols)), shape=(n, n)).tocsr()
+    def tocsr(self) -> sp.csr_matrix:
+        """The summed matrix.  The fill hands its arrays over, so the
+        unsummed ones are freed as soon as ``sum_duplicates`` prunes them."""
+        matrix = sp.csr_matrix((self.data, self.indices, self.indptr), shape=self.shape)
+        del self.data, self.indices, self.indptr, self.next
+        matrix.sum_duplicates()
+        return matrix
+
+
+def local_csr(n: int, dofs, local) -> sp.csr_matrix:
+    """n x n CSR of dense local matrices (k, m, m) at global dofs (k, m),
+    duplicates summed."""
+    fill = CsrFill((n, n), [(dofs, dofs.shape[1])])
+    fill.add_local(dofs, local)
+    return fill.tocsr()
 
 
 def _cut_blocks(layout: SpaceLayout):
@@ -94,13 +164,32 @@ def _cut_blocks(layout: SpaceLayout):
     return conn, gn, wts, lam, jump, dofs, pts
 
 
+def _stiffness(coef: np.ndarray, grads: np.ndarray) -> np.ndarray:
+    """P1 stiffness matrices ``coef * grads @ grads^T`` as a (k, 3, 3) view
+    whose entries ``[:, i, j]`` are contiguous.  The values are those of
+    ``coef[:, None, None] * np.einsum("kid,kjd->kij", grads, grads)``:
+    einsum adds the two products onto a zero, which turns -0 into +0."""
+    g = grads.transpose(1, 2, 0)   # (3, 2, k)
+    local = np.empty((3, 3, coef.size))
+    for i in range(3):
+        for j in range(i, 3):
+            np.multiply(coef, (0.0 + g[i, 0] * g[j, 0]) + g[i, 1] * g[j, 1], out=local[i, j])
+            local[j, i] = local[i, j]
+    return local.transpose(2, 0, 1)
+
+
 def assemble_parts(layout: SpaceLayout, spec: ProblemSpec) -> dict:
     """Named matrix parts of the bilinear form on ``layout``, before scaling
     by the stabilisation parameters: ``volume``, ``nitsche``,
     ``penalty_base`` (includes 1/h_T but no coefficient),
     ``ghost_minus``/``ghost_plus`` (include rho and |e|^2 but no gamma_g).
-    The volume part is computed ``BLOCK`` elements at a time into one
-    preallocated set of COO entries.
+
+    Each part is one ``CsrFill``: the unsummed CSR (12 B an entry) is
+    allocated from counts of the DOF maps, then filled; the volume part
+    ``BLOCK`` elements at a time.  Entries land in each row in the order
+    of scipy's ``coo_tocsr``, element-major and row-major within an
+    element, so the parts are bit-identical to converting the same entries
+    from COO, whatever the block size.
     """
     mesh, topo = layout.mesh, layout.topo
     n = layout.n_total
@@ -109,50 +198,40 @@ def assemble_parts(layout: SpaceLayout, spec: ProblemSpec) -> dict:
     # subdomain stiffness: P1 gradients are constant, only the clipped
     # area of each element enters; elements go BLOCK at a time
     sides = [(side, np.flatnonzero(topo.in_side(side))) for side in ("minus", "plus")]
-    entries = _Entries(sum(elems.size for _, elems in sides), 3)
+    fill = CsrFill((n, n), ((layout.global_dofs(side, mesh.elements[elems]), 3)
+                            for side, elems in sides))
     for side, elems in sides:
         area = topo.area(side)
         for block in blocks(elems.size):
             ids = elems[block]
-            grads = mesh.grads[ids]
-            local = (spec.rho(side) * area[ids][:, None, None]
-                     * np.einsum("kid,kjd->kij", grads, grads))
-            entries.add(layout.global_dofs(side, mesh.elements[ids]), local)
-    volume = entries.tocsr(n)
+            fill.add_local(layout.global_dofs(side, mesh.elements[ids]),
+                           _stiffness(spec.rho(side) * area[ids], mesh.grads[ids]))
+    volume = fill.tocsr()
 
-    ncut = topo.n_cut
-    nit_entries, pen_entries = _Entries(ncut, 6), _Entries(ncut, 6)
-    if ncut:
-        _, gn, wts, _, jump, dofs, _ = _cut_blocks(layout)
-        w_minus, w_plus = spec.flux_weights()
-        flux = np.concatenate(
-            [w_minus * spec.rho_minus * gn, w_plus * spec.rho_plus * gn], axis=1
-        )  # (ncut, 6), constant per element
-        nit = np.einsum("kq,kqi,kj->kij", wts, jump, flux)
-        nit = nit + nit.transpose(0, 2, 1)
-        nit_entries.add(dofs, nit)
-        pen = np.einsum("kq,kqi,kqj->kij", wts, jump, jump) / h_t
-        pen_entries.add(dofs, pen)
-    nitsche = nit_entries.tocsr(n)
-    penalty_base = pen_entries.tocsr(n)
+    _, gn, wts, _, jump, dofs, _ = _cut_blocks(layout)
+    w_minus, w_plus = spec.flux_weights()
+    flux = np.concatenate(
+        [w_minus * spec.rho_minus * gn, w_plus * spec.rho_plus * gn], axis=1
+    )  # (ncut, 6), constant per element
+    nit = np.einsum("kq,kqi,kj->kij", wts, jump, flux)
+    nitsche = local_csr(n, dofs, nit + nit.transpose(0, 2, 1))
+    pen = np.einsum("kq,kqi,kqj->kij", wts, jump, jump) / h_t
+    penalty_base = local_csr(n, dofs, pen)
 
     ghost = {}
     for side in ("minus", "plus"):
         edges = topo.ghost_minus if side == "minus" else topo.ghost_plus
-        entries = _Entries(edges.size, 6)
-        if edges.size:
-            e1, e2, elen, ne = edge_frame(mesh, edges)
-            j1 = np.einsum("kid,kd->ki", mesh.grads[e1], ne)
-            j2 = -np.einsum("kid,kd->ki", mesh.grads[e2], ne)
-            jmp = np.concatenate([j1, j2], axis=1)  # (k, 6)
-            coeff = spec.rho(side) * elen ** 2
-            local = coeff[:, None, None] * jmp[:, :, None] * jmp[:, None, :]
-            dofs = np.concatenate(
-                [layout.global_dofs(side, mesh.elements[e1]),
-                 layout.global_dofs(side, mesh.elements[e2])], axis=1
-            )
-            entries.add(dofs, local)
-        ghost[side] = entries.tocsr(n)
+        e1, e2, elen, ne = edge_frame(mesh, edges)
+        j1 = np.einsum("kid,kd->ki", mesh.grads[e1], ne)
+        j2 = -np.einsum("kid,kd->ki", mesh.grads[e2], ne)
+        jmp = np.concatenate([j1, j2], axis=1)  # (k, 6)
+        coeff = spec.rho(side) * elen ** 2
+        local = coeff[:, None, None] * jmp[:, :, None] * jmp[:, None, :]
+        dofs = np.concatenate(
+            [layout.global_dofs(side, mesh.elements[e1]),
+             layout.global_dofs(side, mesh.elements[e2])], axis=1
+        )
+        ghost[side] = local_csr(n, dofs, local)
 
     return {
         "volume": volume,

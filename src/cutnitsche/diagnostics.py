@@ -23,7 +23,8 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .assembly import assemble_parts, assemble_vnorm_gram, build_system
+from .assembly import (CsrFill, _stiffness, assemble_parts, assemble_vnorm_gram,
+                       build_system, local_csr)
 # classify stays bound here by name: the benchmark's tracer tests check it
 from .cutcell import CutTopology, classify  # noqa: F401
 from .harness import RunConfig, Table, _geometry, make_problem
@@ -151,16 +152,18 @@ def _h1_matrices(mesh: Mesh, elems: np.ndarray | None = None):
         elems = np.arange(mesh.n_elems)
     conn = mesh.elements[elems]
     area = mesh.areas[elems]
-    grads = mesh.grads[elems]
-    kloc = area[:, None, None] * np.einsum("kid,kjd->kij", grads, grads)
     mref = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    mloc = area[:, None, None] * mref
-    rows = np.repeat(conn, 3, axis=1).ravel()
-    cols = np.tile(conn, (1, 3)).ravel()
-    n = mesh.n_nodes
-    mass = scipy.sparse.coo_matrix((mloc.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    stiff = scipy.sparse.coo_matrix((kloc.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    mass = local_csr(mesh.n_nodes, conn, area[:, None, None] * mref)
+    stiff = local_csr(mesh.n_nodes, conn, _stiffness(area, mesh.grads[elems]))
     return mass, stiff
+
+
+def _pointwise(dofs: np.ndarray, vals: np.ndarray, n_cols: int) -> scipy.sparse.csr_matrix:
+    """(k, n_cols) CSR whose row p holds ``vals[p]`` at columns ``dofs[p]``."""
+    rows = np.arange(dofs.shape[0])
+    fill = CsrFill((rows.size, n_cols), [(rows, dofs.shape[1])])
+    fill.add(rows, dofs, vals)
+    return fill.tocsr()
 
 
 @dataclass(frozen=True)
@@ -203,8 +206,8 @@ def build_extension(layout: SpaceLayout, tube: float = 0.1) -> ExtensionOperator
     (minus-side) patch, weighted by quadrature weight times a cutoff in
     the distance, over the patch's total weight.  Nodes farther away
     get zero.  All patch points are gathered, cut off, reflected and
-    located at once; the triplets come node by node, so ``tocsr`` sums
-    duplicates in a fixed order.  Raises GeometryError, for the first
+    located at once; the entries come node by node, so the summed matrix
+    adds duplicates in a fixed order.  Raises GeometryError, for the first
     point in node order, when a reflected point lies outside the
     plus-side mesh.
     """
@@ -237,13 +240,11 @@ def build_extension(layout: SpaceLayout, tube: float = 0.1) -> ExtensionOperator
         raise GeometryError(f"reflected point {bad.tolist()} lies outside the plus-side mesh")
     owner = owner[live]
     coef = (wts[live] * eta[live] / total[owner])[:, None] * lams
-    rows = np.concatenate([np.flatnonzero(keep), np.repeat(cand[owner], 3)])
-    cols = np.concatenate([layout.node_dof_plus[keep],
-                           layout.node_dof_plus[mesh.elements[elems]].ravel()])
-    vals = np.concatenate([np.ones(np.count_nonzero(keep)), coef.ravel()])
-
-    matrix = scipy.sparse.coo_matrix(
-        (vals, (rows, cols)), shape=(mesh.n_nodes, layout.n_plus)).tocsr()
+    kept, near = np.flatnonzero(keep), cand[owner]
+    fill = CsrFill((mesh.n_nodes, layout.n_plus), [(kept, 1), (near, 3)])
+    fill.add(kept, layout.node_dof_plus[kept][:, None], np.ones((kept.size, 1)))
+    fill.add(near, layout.node_dof_plus[mesh.elements[elems]], coef)
+    matrix = fill.tocsr()
     mass_f, stiff_f = _h1_matrices(mesh)
     plus_elems = np.flatnonzero(topo.in_side("plus"))
     mass_p, stiff_p = _h1_matrices(mesh, plus_elems)
@@ -309,15 +310,9 @@ def _extension_blocks(levels, n_fields: int = 20, seed: int = 0):
         lam = barycentric_many(mesh.nodes[conn], sq.points)
         dofs = layout.node_dof_plus[conn]
         n_plus = layout.n_plus
-        rowsq = np.repeat(np.arange(sq.elems.size), 3)
-        basis_val = scipy.sparse.coo_matrix(
-            (lam.ravel(), (rowsq, dofs.ravel())), shape=(sq.elems.size, n_plus)).tocsr()
-        gx = scipy.sparse.coo_matrix(
-            (mesh.grads[sq.elems][:, :, 0].ravel(), (rowsq, dofs.ravel())),
-            shape=(sq.elems.size, n_plus)).tocsr()
-        gy = scipy.sparse.coo_matrix(
-            (mesh.grads[sq.elems][:, :, 1].ravel(), (rowsq, dofs.ravel())),
-            shape=(sq.elems.size, n_plus)).tocsr()
+        basis_val = _pointwise(dofs, lam, n_plus)
+        gx = _pointwise(dofs, mesh.grads[sq.elems][:, :, 0], n_plus)
+        gy = _pointwise(dofs, mesh.grads[sq.elems][:, :, 1], n_plus)
         wdiag = scipy.sparse.diags(sq.weights)
         h1_phys = (basis_val.T @ wdiag @ basis_val
                    + gx.T @ wdiag @ gx + gy.T @ wdiag @ gy)

@@ -190,11 +190,13 @@ def make_problem(config: RunConfig) -> tuple[LevelSet, ProblemSpec]:
 
 def run_solve(config: RunConfig, level: int | None = None) -> RunResult:
     """Assemble and solve one case; errors are reported when the config
-    carries an exact solution (all built-in examples do)."""
+    carries an exact solution (all built-in examples do).  A ``level``
+    replaces ``config.level``, in the result's config too."""
+    if level is not None:
+        config = dataclasses.replace(config, level=level)
     config = config.resolve()
-    level = config.level if level is None else level
     ls, spec = make_problem(config)
-    return _solve_on(config, spec, _geometry(level, ls))
+    return _solve_on(config, spec, _geometry(config.level, ls))
 
 
 def _geometry(level: int, ls: LevelSet) -> SpaceLayout:
@@ -259,9 +261,11 @@ def run_contrast_sweep(config: RunConfig, pairs=CONTRAST_PAIRS,
                        level: int | None = None) -> Table:
     """Fixed-level sweep over coefficient pairs; schema rho_minus,
     rho_plus, e0, eflux, esqrt.  The geometry does not depend on the
-    coefficients, so mesh, cut topology and spaces are built once."""
-    level = config.level if level is None else level
-    layout = _geometry(level, make_problem(config)[0])
+    coefficients, so mesh, cut topology and spaces are built once.  A
+    ``level`` replaces ``config.level``."""
+    if level is not None:
+        config = dataclasses.replace(config, level=level)
+    layout = _geometry(config.level, make_problem(config)[0])
     rows = []
     for rho_minus, rho_plus in pairs:
         cfg = dataclasses.replace(config, rho_minus=rho_minus, rho_plus=rho_plus).resolve()

@@ -2,10 +2,12 @@
 
 The ``ref_*`` functions are the whole-array volume assembly, load
 vector, error report, side quadrature and mesh build that the blocked
-and copy-free passes replaced.  The blocked passes run with ``BLOCK`` patched to 7, so
-block edges fall inside the point triples of elements; every output
-must equal its reference in dtype, shape and bytes.  A tracemalloc test
-bounds the extra memory of the blocked stages at level 5.
+and copy-free passes replaced, and the COO assembly of the five matrix
+parts that the in-place CSR fill replaced.  The blocked passes run with
+``BLOCK`` patched to 7, so block edges fall inside the point triples of
+elements; every output must equal its reference in dtype, shape and
+bytes.  A tracemalloc test bounds the extra memory of the blocked stages
+and of the assembly at level 5.
 """
 import tracemalloc
 from math import ceil
@@ -13,14 +15,17 @@ from math import ceil
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, strategies as st
 
 from cutnitsche import cutcell, mesh as mesh_module
-from cutnitsche.assembly import (_cut_blocks, assemble_bilinear, assemble_load,
-                                 assemble_parts, build_system, expand_solution)
+from cutnitsche.assembly import (CsrFill, _cut_blocks, assemble_bilinear, assemble_load,
+                                 assemble_parts, build_system, expand_solution, local_csr)
 from cutnitsche.cutcell import _fan_rule, classify
 from cutnitsche.harness import RunConfig, make_problem
-from cutnitsche.mesh import _edge_numbering, barycentric_many, build_mesh
+from cutnitsche.levelset import LevelSet
+from cutnitsche.mesh import _edge_numbering, barycentric_many, build_mesh, edge_frame
 from cutnitsche.norms import _ghost_error_sq, error_report
+from cutnitsche.problems import patch_problem
 from cutnitsche.space import FieldPair, build_spaces, interpolate_pair
 
 CASES = {
@@ -75,6 +80,68 @@ def ref_volume(layout, spec):
     coo = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                         shape=(layout.n_total, layout.n_total))
     return coo.tocsr()
+
+
+class _Entries:
+    """COO entries of dense local matrices, element-major and row-major
+    within an element; ``tocsr`` is scipy's COO to CSR conversion."""
+
+    def __init__(self, n_local, m):
+        size = n_local * m * m
+        self.rows = np.empty(size, dtype=np.int32)
+        self.cols = np.empty(size, dtype=np.int32)
+        self.vals = np.empty(size)
+        self.end = 0
+
+    def add(self, dofs, local):
+        k, m = dofs.shape
+        span = slice(self.end, self.end + k * m * m)
+        self.rows[span].reshape(k, m, m)[...] = dofs[:, :, None]
+        self.cols[span].reshape(k, m, m)[...] = dofs[:, None, :]
+        self.vals[span] = local.reshape(-1)
+        self.end = span.stop
+
+    def tocsr(self, n):
+        return sp.coo_matrix((self.vals, (self.rows, self.cols)), shape=(n, n)).tocsr()
+
+
+def ref_assemble_parts(layout, spec):
+    """The five parts of ``assemble_parts``, each through ``_Entries``."""
+    mesh, topo = layout.mesh, layout.topo
+    n = layout.n_total
+    sides = [(side, np.flatnonzero(topo.in_side(side))) for side in ("minus", "plus")]
+    entries = _Entries(sum(elems.size for _, elems in sides), 3)
+    for side, elems in sides:
+        grads = mesh.grads[elems]
+        local = (spec.rho(side) * topo.area(side)[elems][:, None, None]
+                 * np.einsum("kid,kjd->kij", grads, grads))
+        entries.add(layout.global_dofs(side, mesh.elements[elems]), local)
+    parts = {"volume": entries.tocsr(n)}
+
+    nit, pen = _Entries(topo.n_cut, 6), _Entries(topo.n_cut, 6)
+    if topo.n_cut:
+        _, gn, wts, _, jump, dofs, _ = _cut_blocks(layout)
+        w_minus, w_plus = spec.flux_weights()
+        flux = np.concatenate(
+            [w_minus * spec.rho_minus * gn, w_plus * spec.rho_plus * gn], axis=1)
+        local = np.einsum("kq,kqi,kj->kij", wts, jump, flux)
+        nit.add(dofs, local + local.transpose(0, 2, 1))
+        pen.add(dofs, np.einsum("kq,kqi,kqj->kij", wts, jump, jump) / mesh.h_elem)
+    parts["nitsche"], parts["penalty_base"] = nit.tocsr(n), pen.tocsr(n)
+
+    for side in ("minus", "plus"):
+        edges = topo.ghost_minus if side == "minus" else topo.ghost_plus
+        entries = _Entries(edges.size, 6)
+        if edges.size:
+            e1, e2, elen, ne = edge_frame(mesh, edges)
+            jmp = np.concatenate([np.einsum("kid,kd->ki", mesh.grads[e1], ne),
+                                  -np.einsum("kid,kd->ki", mesh.grads[e2], ne)], axis=1)
+            coeff = spec.rho(side) * elen ** 2
+            dofs = np.concatenate([layout.global_dofs(side, mesh.elements[e1]),
+                                   layout.global_dofs(side, mesh.elements[e2])], axis=1)
+            entries.add(dofs, coeff[:, None, None] * jmp[:, :, None] * jmp[:, None, :])
+        parts[f"ghost_{side}"] = entries.tocsr(n)
+    return parts
 
 
 def ref_assemble_load(layout, spec):
@@ -293,6 +360,56 @@ def test_blocked_volume_and_load_match_reference(small_blocks, case, level):
     assert_same(assemble_load(layout, spec), ref_assemble_load(layout, spec))
 
 
+@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
+def test_parts_match_the_coo_reference(small_blocks, case, level):
+    layout, spec = case_setup(case, level)
+    parts, ref = assemble_parts(layout, spec), ref_assemble_parts(layout, spec)
+    assert parts.keys() == ref.keys()
+    for name in ref:
+        assert_same_csr(parts[name], ref[name])
+
+
+@pytest.mark.parametrize("side", ["minus", "plus"])
+def test_parts_without_entries_match_the_coo_reference(small_blocks, side):
+    # a line outside the domain: nothing is cut and one side is empty
+    ls = LevelSet(phi=lambda x: x[..., 0] - 5.0,
+                  grad=lambda x: np.broadcast_to([1.0, 0.0], x.shape),
+                  inclusion_side=side, lipschitz=1.0)
+    _, spec = patch_problem(interface=ls)
+    mesh = build_mesh(2)
+    layout = build_spaces(mesh, classify(mesh, ls))
+    parts, ref = assemble_parts(layout, spec), ref_assemble_parts(layout, spec)
+    assert [name for name, part in parts.items() if part.nnz] == ["volume"]
+    for name in ref:
+        assert_same_csr(parts[name], ref[name])
+
+
+def test_fill_without_entries_is_the_empty_coo_conversion():
+    for m in (3, 6):
+        empty = local_csr(11, np.empty((0, m), dtype=np.int64), np.empty((0, m, m)))
+        assert_same_csr(empty, _Entries(0, m).tocsr(11))
+    assert_same_csr(CsrFill((11, 11), []).tocsr(), _Entries(0, 3).tocsr(11))
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), n_rows=st.sampled_from([1, 9, 70_000, 300_000]),
+       width=st.integers(1, 4), n_items=st.integers(0, 200), n_calls=st.integers(1, 4))
+def test_fill_matches_the_coo_conversion_however_split(seed, n_rows, width, n_items, n_calls):
+    # few distinct rows and columns, so rows repeat within and across calls
+    # and columns repeat within rows; row spans above 2**16 take two radix
+    # passes
+    rng = np.random.default_rng(seed)
+    rows = rng.choice(rng.integers(0, n_rows, 1 + n_items // 4), n_items)
+    cols = rng.integers(0, 5, (n_items, width))
+    vals = rng.standard_normal((n_items, width))
+    fill = CsrFill((n_rows, 5), [(rows, width)])
+    for part in np.split(np.arange(n_items), np.sort(rng.integers(0, n_items + 1, n_calls - 1))):
+        fill.add(rows[part], cols[part], vals[part])
+    ref = sp.coo_matrix((vals.ravel(), (np.repeat(rows, width), cols.ravel())),
+                        shape=(n_rows, 5)).tocsr()
+    assert_same_csr(fill.tocsr(), ref)
+
+
 @pytest.mark.parametrize("nan", [False, True])
 @pytest.mark.parametrize("case", sorted(CASES))
 @pytest.mark.parametrize("level", [1, 2, 3, 4])
@@ -341,4 +458,7 @@ def test_blocked_stages_stay_within_memory_bounds():
     u_h = expand_solution(system, np.zeros(system.n))
     assert extra_mb(lambda: assemble_load(layout, spec)) <= 8.0
     assert extra_mb(lambda: error_report(spec, u_h)) <= 12.0
-    assert extra_mb(lambda: build_system(layout, spec)) <= 25.0
+    # the volume part's unsummed CSR (12 B an entry) and its summed copy
+    # set both peaks: 11.3 MB each, where a COO step took 20.0 MB
+    assert extra_mb(lambda: assemble_parts(layout, spec)) <= 13.0
+    assert extra_mb(lambda: build_system(layout, spec)) <= 13.0

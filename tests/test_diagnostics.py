@@ -8,7 +8,8 @@ import scipy.sparse
 
 from cutnitsche.assembly import assemble_vnorm_gram, build_system
 from cutnitsche.cutcell import classify
-from cutnitsche.diagnostics import (_cutoff, build_extension, coercivity_probe,
+from cutnitsche.diagnostics import (_cutoff, _h1_matrices, _pointwise, build_extension,
+                                    coercivity_probe,
                                     discrete_extension,
                                     interpolation_error_profile,
                                     patch_area_ratio, run_diagnostics)
@@ -199,6 +200,40 @@ def test_extension_matches_per_node_reference(level):
     for name in ("data", "indices", "indptr"):
         assert getattr(got, name).dtype == getattr(want, name).dtype, name
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def assert_same_csr(a, b):
+    for name in ("data", "indices", "indptr"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+
+
+@pytest.mark.parametrize("level", [2, 3])
+def test_h1_matrices_match_the_coo_reference(level):
+    mesh = build_mesh(level)
+    topo = classify(mesh, make_circle(inclusion_side="plus"))
+    n = mesh.n_nodes
+    for elems in (np.arange(mesh.n_elems), np.flatnonzero(topo.in_side("plus"))):
+        conn = mesh.elements[elems]
+        area = mesh.areas[elems]
+        kloc = area[:, None, None] * np.einsum("kid,kjd->kij", mesh.grads[elems], mesh.grads[elems])
+        mloc = area[:, None, None] * ((np.ones((3, 3)) + np.eye(3)) / 12.0)
+        rows, cols = np.repeat(conn, 3, axis=1).ravel(), np.tile(conn, (1, 3)).ravel()
+        mass, stiff = _h1_matrices(mesh, elems)
+        assert_same_csr(mass, scipy.sparse.coo_matrix(
+            (mloc.ravel(), (rows, cols)), shape=(n, n)).tocsr())
+        assert_same_csr(stiff, scipy.sparse.coo_matrix(
+            (kloc.ravel(), (rows, cols)), shape=(n, n)).tocsr())
+
+
+def test_pointwise_matches_the_coo_reference():
+    rng = np.random.default_rng(0)
+    dofs = rng.integers(0, 40, (100, 3))
+    dofs[::7, 2] = dofs[::7, 0]   # a repeated column within a row is summed
+    vals = rng.standard_normal((100, 3))
+    want = scipy.sparse.coo_matrix(
+        (vals.ravel(), (np.repeat(np.arange(100), 3), dofs.ravel())), shape=(100, 40)).tocsr()
+    assert_same_csr(_pointwise(dofs, vals, 40), want)
 
 
 def test_extension_reflection_off_the_plus_mesh():

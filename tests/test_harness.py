@@ -184,6 +184,21 @@ def test_result_geometry_is_the_system_layout():
     assert result.report.level == result.mesh.level == 1
 
 
+def test_result_config_carries_the_solved_level():
+    result = run_solve(RunConfig(example="1"), level=1)
+    assert result.config.level == 1 == result.report.level == result.mesh.level
+    assert run_solve(RunConfig(example="1", level=1)).config.level == 1
+
+
+def test_contrast_sweep_solves_at_the_given_level(monkeypatch):
+    levels = []
+    real = harness._solve_on
+    monkeypatch.setattr(harness, "_solve_on", lambda config, spec, layout: levels.append(
+        (config.level, layout.mesh.level)) or real(config, spec, layout))
+    run_contrast_sweep(RunConfig(example="1"), pairs=((1.0, 10.0),), level=1)
+    assert levels == [(1, 1)]
+
+
 def test_dump_solution(tmp_path):
     result = run_solve(RunConfig(example="patch", level=1))
     path = tmp_path / "solution.csv"
