@@ -6,11 +6,11 @@ and the flower at levels 1..6, the matrix, right-hand side, solution and
 solve statistics of every configuration of ``reproduce_tables.py``, the
 discrete extension operator of the diagnostics at levels 2..5, the seven
 CSVs that script writes and the ``run_diagnostics()`` report, then every
-``Mesh`` array at levels 1..6, and the matrix, right-hand side and the
-five parts of ``assemble_parts`` of the level-6 plus-side solve at
-contrast 1e9 (assembled, not solved).  Two
-commits are bit-identical on all of these when the outputs of this
-script agree:
+``Mesh`` quantity at levels 1..6 (each accessor over its full id range,
+under the name of the array it replaced), and the matrix, right-hand
+side and the five parts of ``assemble_parts`` of the level-6 plus-side
+solve at contrast 1e9 (assembled, not solved).  Two commits are
+bit-identical on all of these when the outputs of this script agree:
 
     python scripts/parity_hashes.py > new.txt   # at each commit
     diff old.txt new.txt
@@ -62,8 +62,15 @@ def digest(value) -> str:
 
 
 def mesh_arrays(mesh):
-    return {name: value for name, value in vars(mesh).items()
-            if isinstance(value, np.ndarray)}
+    """Every quantity the mesh had as a stored array, each from its
+    accessor over the full id range, under the array's name."""
+    ptr, ids = mesh.node_elems(slice(None))
+    out = {"nodes": mesh.nodes}
+    for name in ("elements", "edges", "edge_elems", "elem_edges", "edge_lengths",
+                 "boundary_node", "areas", "grads"):
+        out[name] = getattr(mesh, name)(slice(None))
+    out.update(node_elem_ptr=ptr, node_elem_ids=ids)
+    return out
 
 
 def topology_arrays(topo):

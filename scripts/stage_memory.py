@@ -2,17 +2,19 @@
 """Seconds and memory of each stage of one solve, without the solve.
 
 For the circle with the inclusion on the plus side at contrast 1e9
-(``rho`` 1 / 1e9), at levels 5..7, each stage runs once under
-tracemalloc: mesh, classify, spaces, assemble_parts (the five matrix
-parts alone), build_system, load (a second ``assemble_load``) and the
-error report of the lifted zero field.  Per stage it records
+(``rho`` 1 / 1e9), at levels 5..7, the stages are mesh, classify,
+spaces, assemble_parts (the five matrix parts alone), build_system, load
+(a second ``assemble_load``) and the error report of the lifted zero
+field.  Each level runs them twice: once under tracemalloc for memory,
+then once with tracemalloc off for time, since tracing charges every
+allocation.  Per stage it records
 
-* ``seconds``: wall time, tracemalloc on;
+* ``seconds``: wall time of the second run, tracemalloc off;
 * ``output_mb``: traced memory the stage leaves allocated;
 * ``extra_mb``: traced peak above the traced memory at the stage's start,
   the output included;
-* ``rss_mb`` and ``maxrss_mb``: resident set size after the stage, and
-  its high-water mark so far in the process.
+* ``rss_mb`` and ``maxrss_mb``: resident set size after the stage in the
+  first run, and its high-water mark so far in the process.
 
 It prints one line per stage and writes the measurement into one
 column of ``BENCH_memory.json`` at the repository root, ``change`` unless
@@ -70,16 +72,13 @@ def source_commit() -> str:
                           capture_output=True, text=True).stdout.strip()
 
 
-def measure(fn):
-    """Run fn under tracemalloc; its result and its stage record."""
+def traced(fn):
+    """Run fn under tracemalloc; its result and its memory record."""
     base = tracemalloc.get_traced_memory()[0]
     tracemalloc.reset_peak()
-    t0 = time.perf_counter()
     out = fn()
-    seconds = time.perf_counter() - t0
     current, peak = tracemalloc.get_traced_memory()
     return out, {
-        "seconds": round(seconds, 3),
         "output_mb": round((current - base) / MB, 1),
         "extra_mb": round((peak - base) / MB, 1),
         "rss_mb": round(rss_mb(), 1),
@@ -87,7 +86,15 @@ def measure(fn):
     }
 
 
-def stages(level: int) -> dict:
+def timed(fn):
+    """Run fn; its result and its wall time."""
+    t0 = time.perf_counter()
+    out = fn()
+    return out, {"seconds": round(time.perf_counter() - t0, 3)}
+
+
+def stages(level: int, measure) -> dict:
+    """One record per stage, each from ``measure(stage)``."""
     config = RunConfig(example="1", level=level, inclusion_side="plus",
                        rho_minus=1.0, rho_plus=1e9).resolve()
     ls, spec = make_problem(config)
@@ -110,14 +117,16 @@ def main(argv=None) -> int:
     ap.add_argument("--column", default="change")
     args = ap.parse_args(argv)
 
-    tracemalloc.start()
     levels = {}
     for level in args.levels:
-        levels[f"L{level}"] = stages(level)
+        tracemalloc.start()
+        memory = stages(level, traced)
+        tracemalloc.stop()
+        seconds = stages(level, timed)
+        levels[f"L{level}"] = {name: {**seconds[name], **rec} for name, rec in memory.items()}
         for name, rec in levels[f"L{level}"].items():
             print(f"L{level} {name:<14} " + " ".join(f"{k} {v}" for k, v in rec.items()),
                   flush=True)
-    tracemalloc.stop()
 
     doc = json.loads(OUTPUT.read_text()) if OUTPUT.exists() else {}
     doc["case"] = "circle r=1/3, inclusion plus, rho 1 / 1e9; no solve"

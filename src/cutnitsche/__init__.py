@@ -7,7 +7,7 @@ overlapping cut meshes, are coupled with a one-sided (or harmonically
 weighted) Nitsche method, and stabilised with a gradient-jump ghost
 penalty on the cut bands.
 """
-from .mesh import Mesh, build_mesh, node_patch
+from .mesh import Mesh, build_mesh
 from .levelset import LevelSet, make_circle, make_flower
 from .cutcell import CutTopology, classify
 from .space import SpaceLayout, FieldPair, build_spaces, interpolate, evaluate
@@ -20,7 +20,7 @@ from .harness import (RunConfig, RunResult, Table, run_solve, run_convergence,
                       run_contrast_sweep, CONTRAST_PAIRS)
 
 __all__ = [
-    "Mesh", "build_mesh", "node_patch",
+    "Mesh", "build_mesh",
     "LevelSet", "make_circle", "make_flower",
     "CutTopology", "classify",
     "SpaceLayout", "FieldPair", "build_spaces", "interpolate", "evaluate",

@@ -65,11 +65,17 @@ class CsrFill:
 
     def __init__(self, shape: tuple[int, int], row_groups):
         """``row_groups``: (rows, width) pairs, consumed once; each index
-        in ``rows`` will receive ``width`` entries."""
+        in ``rows`` will receive ``width`` entries.  Each group costs its
+        size plus the span of its rows."""
         self.shape = shape
         counts = np.zeros(shape[0], dtype=np.int64)
         for rows, width in row_groups:
-            counts += width * np.bincount(rows.ravel(), minlength=shape[0])
+            if rows.size:
+                lo = rows.min()
+                if lo < 0:
+                    raise ValueError("negative row index")
+                span = np.bincount(rows.ravel() - lo)
+                counts[lo:lo + span.size] += width * span
         if counts.sum() > np.iinfo(np.int32).max:
             raise OverflowError("more entries than int32 CSR indices can address")
         self.indptr = np.zeros(shape[0] + 1, dtype=np.int32)
@@ -144,9 +150,9 @@ def _cut_blocks(layout: SpaceLayout):
     """Shared per-cut-element data for interface terms."""
     mesh, topo = layout.mesh, layout.topo
     cut = topo.cut_ids
-    conn = mesh.elements[cut]
+    conn = mesh.elements(cut)
     coords = mesh.nodes[conn]
-    grads = mesh.grads[cut]
+    grads = mesh.grads(cut)
     normals = topo.chord_normal
     gn = np.einsum("kid,kd->ki", grads, normals)
     pts = topo.iface.points.reshape(-1, 2, 2)
@@ -198,14 +204,14 @@ def assemble_parts(layout: SpaceLayout, spec: ProblemSpec) -> dict:
     # subdomain stiffness: P1 gradients are constant, only the clipped
     # area of each element enters; elements go BLOCK at a time
     sides = [(side, np.flatnonzero(topo.in_side(side))) for side in ("minus", "plus")]
-    fill = CsrFill((n, n), ((layout.global_dofs(side, mesh.elements[elems]), 3)
-                            for side, elems in sides))
+    fill = CsrFill((n, n), ((layout.global_dofs(side, mesh.elements(elems[block])), 3)
+                            for side, elems in sides for block in blocks(elems.size)))
     for side, elems in sides:
         area = topo.area(side)
         for block in blocks(elems.size):
             ids = elems[block]
-            fill.add_local(layout.global_dofs(side, mesh.elements[ids]),
-                           _stiffness(spec.rho(side) * area[ids], mesh.grads[ids]))
+            fill.add_local(layout.global_dofs(side, mesh.elements(ids)),
+                           _stiffness(spec.rho(side) * area[ids], mesh.grads(ids)))
     volume = fill.tocsr()
 
     _, gn, wts, _, jump, dofs, _ = _cut_blocks(layout)
@@ -222,14 +228,14 @@ def assemble_parts(layout: SpaceLayout, spec: ProblemSpec) -> dict:
     for side in ("minus", "plus"):
         edges = topo.ghost_minus if side == "minus" else topo.ghost_plus
         e1, e2, elen, ne = edge_frame(mesh, edges)
-        j1 = np.einsum("kid,kd->ki", mesh.grads[e1], ne)
-        j2 = -np.einsum("kid,kd->ki", mesh.grads[e2], ne)
+        j1 = np.einsum("kid,kd->ki", mesh.grads(e1), ne)
+        j2 = -np.einsum("kid,kd->ki", mesh.grads(e2), ne)
         jmp = np.concatenate([j1, j2], axis=1)  # (k, 6)
         coeff = spec.rho(side) * elen ** 2
         local = coeff[:, None, None] * jmp[:, :, None] * jmp[:, None, :]
         dofs = np.concatenate(
-            [layout.global_dofs(side, mesh.elements[e1]),
-             layout.global_dofs(side, mesh.elements[e2])], axis=1
+            [layout.global_dofs(side, mesh.elements(e1)),
+             layout.global_dofs(side, mesh.elements(e2))], axis=1
         )
         ghost[side] = local_csr(n, dofs, local)
 
@@ -280,7 +286,7 @@ def assemble_load(layout: SpaceLayout, spec: ProblemSpec) -> np.ndarray:
         # np.add.at adds in point order, whatever the block size
         for block in blocks(sq.weights.size):
             pts = sq.points[block]
-            conn = mesh.elements[sq.elems[block]]
+            conn = mesh.elements(sq.elems[block])
             lam = barycentric_many(mesh.nodes[conn], pts)
             contrib = (sq.weights[block] * np.asarray(f(pts), dtype=float))[:, None] * lam
             dofs = layout.global_dofs(side, conn)

@@ -97,9 +97,12 @@ def classify(mesh: Mesh, ls: LevelSet) -> CutTopology:
     snap = 1e-12 * mesh.h
     sign = np.where(np.abs(psi) <= snap, 0, np.sign(psi)).astype(np.int8)
 
-    esign = sign[mesh.elements]
-    has_neg = np.any(esign < 0, axis=1)
-    has_pos = np.any(esign > 0, axis=1)
+    has_neg = np.empty(mesh.n_elems, dtype=bool)
+    has_pos = np.empty(mesh.n_elems, dtype=bool)
+    for block in blocks(mesh.n_elems):
+        esign = sign[mesh.elements(block)]
+        has_neg[block] = np.any(esign < 0, axis=1)
+        has_pos[block] = np.any(esign > 0, axis=1)
     if np.any(~has_neg & ~has_pos):
         bad = int(np.flatnonzero(~has_neg & ~has_pos)[0])
         raise GeometryError(f"element {bad} has all vertices on the interface")
@@ -107,27 +110,31 @@ def classify(mesh: Mesh, ls: LevelSet) -> CutTopology:
     multi_edge = _scan_edges(mesh, ls, psi)
     if np.any(multi_edge) and ls.simple:
         e = int(np.flatnonzero(multi_edge)[0])
-        a, b = mesh.nodes[mesh.edges[e]]
+        a, b = mesh.nodes[mesh.edges(e)]
         raise CoarseMeshError(
             f"h too coarse for this interface: multiple crossings on edge "
             f"{a.tolist()} -> {b.tolist()}"
         )
 
-    crossing = sign[mesh.edges[:, 0]] * sign[mesh.edges[:, 1]] < 0
+    crossing = np.empty(mesh.n_edges, dtype=bool)
+    for block in blocks(mesh.n_edges):
+        ends = sign[mesh.edges(block)]
+        crossing[block] = ends[:, 0] * ends[:, 1] < 0
     roots, flagged = _edge_roots(mesh, ls, psi, crossing, multi_edge)
 
     cand = np.flatnonzero(has_neg & has_pos)
-    local = mesh.elem_edges[cand]
+    local = mesh.elem_edges(cand)
     ambiguous = cand[np.any(flagged[local], axis=1)]
+    conn = mesh.elements(cand)
     p, q, poly_m, k_m, poly_p, k_p = _split(
-        mesh.nodes[mesh.elements[cand]], esign[cand], crossing[local], roots[local])
+        mesh.nodes[conn], sign[conn], crossing[local], roots[local])
     sub_minus = _polygon_area(poly_m, k_m)
     chord_len = np.hypot(*(q - p).T)
 
     # a chord collapsed to a point: treat as uncut, side by sub-area
     degenerate = chord_len < DEGENERATE_CHORD_FACTOR * mesh.h_elem
     gone = cand[degenerate]
-    side = np.where(sub_minus[degenerate] >= 0.5 * mesh.areas[gone], -1, 1)
+    side = np.where(sub_minus[degenerate] >= 0.5 * mesh.areas(gone), -1, 1)
     for t, s in zip(gone.tolist(), side.tolist()):
         log.warning("element %d: degenerate chord, reclassified as uncut (%s)",
                     t, "minus" if s < 0 else "plus")
@@ -137,8 +144,12 @@ def classify(mesh: Mesh, ls: LevelSet) -> CutTopology:
     elem_side = np.where(has_pos, 1, -1).astype(np.int8)
     elem_side[cut_ids] = 0
     elem_side[gone] = side
-    area_minus = np.where(elem_side < 0, mesh.areas, 0.0)
-    area_plus = np.where(elem_side > 0, mesh.areas, 0.0)
+    area_minus = np.empty(mesh.n_elems)
+    area_plus = np.empty(mesh.n_elems)
+    for block in blocks(mesh.n_elems):
+        areas = mesh.areas(block)
+        area_minus[block] = np.where(elem_side[block] < 0, areas, 0.0)
+        area_plus[block] = np.where(elem_side[block] > 0, areas, 0.0)
     area_minus[cut_ids] = sub_minus[keep]
     area_plus[cut_ids] = _polygon_area(poly_p[keep], k_p[keep])
     chord_p, chord_q, chord_len = p[keep], q[keep], chord_len[keep]
@@ -148,8 +159,8 @@ def classify(mesh: Mesh, ls: LevelSet) -> CutTopology:
     quad_minus = _side_quadrature(mesh, elem_side, cut_ids, poly_m[keep], k_m[keep], -1)
     quad_plus = _side_quadrature(mesh, elem_side, cut_ids, poly_p[keep], k_p[keep], 1)
     iface = _interface_quadrature(cut_ids, chord_p, chord_q, chord_len, chord_normal)
-    ghost_minus = _ghost_edges(mesh, elem_side, -1)
-    ghost_plus = _ghost_edges(mesh, elem_side, 1)
+    ghost_minus = _ghost_edges(mesh, elem_side, cut_ids, -1)
+    ghost_plus = _ghost_edges(mesh, elem_side, cut_ids, 1)
 
     if ambiguous.size:
         log.warning("%d elements flagged as ambiguous near the interface (%s)",
@@ -187,17 +198,21 @@ def _scan_edges(mesh: Mesh, ls: LevelSet, psi: np.ndarray) -> np.ndarray:
     Edges are sampled BLOCK at a time, which bounds the temporaries.
     """
     bound = np.inf if ls.lipschitz is None else 2.0 * ls.lipschitz
-    end_sum = np.abs(psi[mesh.edges[:, 0]]) + np.abs(psi[mesh.edges[:, 1]])
-    band = np.flatnonzero(end_sum <= bound * mesh.edge_lengths)
+    in_band = np.empty(mesh.n_edges, dtype=bool)
+    for block in blocks(mesh.n_edges):
+        ends = mesh.edges(block)
+        end_sum = np.abs(psi[ends[:, 0]]) + np.abs(psi[ends[:, 1]])
+        in_band[block] = end_sum <= bound * mesh.edge_lengths(block)
+    band = np.flatnonzero(in_band)
     ts = np.linspace(0.0, 1.0, MULTI_ROOT_SAMPLES + 2)
-    multi = np.zeros(mesh.edges.shape[0], dtype=bool)
+    multi = np.zeros(mesh.n_edges, dtype=bool)
     for block in blocks(band.size):
-        ids = band[block]
-        a = mesh.nodes[mesh.edges[ids, 0]]
-        b = mesh.nodes[mesh.edges[ids, 1]]
+        ends = mesh.edges(band[block])
+        a = mesh.nodes[ends[:, 0]]
+        b = mesh.nodes[ends[:, 1]]
         pts = a[:, None, :] + ts[None, :, None] * (b - a)[:, None, :]
         s = np.sign(ls.value(pts))
-        multi[ids] = np.sum(s[:, 1:] * s[:, :-1] < 0, axis=1) > 1
+        multi[band[block]] = np.sum(s[:, 1:] * s[:, :-1] < 0, axis=1) > 1
     return multi
 
 
@@ -209,18 +224,19 @@ def _edge_roots(mesh, ls, psi, crossing, multi_edge):
     one.  Edges with several crossings, and on a non-simple level set those
     whose bisection fails, fall back to the linear root and are flagged.
     """
-    a_ids, b_ids = mesh.edges.T
-    roots = np.full((a_ids.shape[0], 2), np.nan)
+    roots = np.full((mesh.n_edges, 2), np.nan)
     ids = np.flatnonzero(crossing & ~multi_edge)
-    pa, pb = mesh.nodes[a_ids[ids]], mesh.nodes[b_ids[ids]]
-    t = _bisect(ls, pa, pb, psi[a_ids[ids]])
+    a_ids, b_ids = mesh.edges(ids).T
+    pa, pb = mesh.nodes[a_ids], mesh.nodes[b_ids]
+    t = _bisect(ls, pa, pb, psi[a_ids])
     roots[ids] = pa + t[:, None] * (pb - pa)
 
     flagged = crossing & multi_edge
     flagged[ids[np.isnan(t)]] = True
     lin = np.flatnonzero(flagged)
-    pa, pb = mesh.nodes[a_ids[lin]], mesh.nodes[b_ids[lin]]
-    fa, fb = psi[a_ids[lin]], psi[b_ids[lin]]
+    a_ids, b_ids = mesh.edges(lin).T
+    pa, pb = mesh.nodes[a_ids], mesh.nodes[b_ids]
+    fa, fb = psi[a_ids], psi[b_ids]
     roots[lin] = pa + (fa / (fa - fb))[:, None] * (pb - pa)
     return roots, flagged
 
@@ -372,10 +388,10 @@ def _side_quadrature(mesh, elem_side, cut_ids, poly, k, want) -> SideQuadrature:
         ids = full[block]
         first = 3 * np.arange(block.start, block.stop) + np.searchsorted(fan_elems, ids)
         at = first[:, None] + np.arange(3)
-        coords = mesh.nodes[mesh.elements[ids]]
+        coords = mesh.nodes[mesh.elements(ids)]
         elems[at] = ids[:, None]
         points[at] = 0.5 * (coords + np.roll(coords, -1, axis=1))
-        weights[at] = (mesh.areas[ids] / 3.0)[:, None]
+        weights[at] = (mesh.areas(ids) / 3.0)[:, None]
     return SideQuadrature(elems, points, weights)
 
 
@@ -391,15 +407,15 @@ def _interface_quadrature(cut_ids, chord_p, chord_q, chord_len, chord_normal):
     return InterfaceQuadrature(elems, pts, wts, normals)
 
 
-def _ghost_edges(mesh, elem_side, want) -> np.ndarray:
+def _ghost_edges(mesh, elem_side, cut_ids, want) -> np.ndarray:
     """Interior edges between two elements of side ``want`` (-1 minus,
-    +1 plus), at least one of them cut."""
-    e1, e2 = mesh.edge_elems.T
+    +1 plus), at least one of them cut: among the edges of the cut
+    elements, in increasing order."""
+    edges = np.unique(mesh.elem_edges(cut_ids))
+    e1, e2 = mesh.edge_elems(edges).T
     interior = e2 >= 0
     e2 = np.where(interior, e2, 0)
-    in_side = elem_side * want >= 0
-    cut = elem_side == 0
-    return np.flatnonzero(interior & in_side[e1] & in_side[e2] & (cut[e1] | cut[e2]))
+    return edges[interior & (elem_side[e1] * want >= 0) & (elem_side[e2] * want >= 0)]
 
 
 def dump_cut_cells(mesh: Mesh, topo: CutTopology, path) -> None:

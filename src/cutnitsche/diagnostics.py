@@ -24,12 +24,12 @@ import scipy.linalg
 import scipy.sparse
 
 from .assembly import (CsrFill, _stiffness, assemble_parts, assemble_vnorm_gram,
-                       build_system, local_csr)
+                       build_system)
 # classify stays bound here by name: the benchmark's tracer tests check it
 from .cutcell import CutTopology, classify  # noqa: F401
 from .harness import RunConfig, Table, _geometry, make_problem
 from .levelset import GeometryError, LevelSet, make_circle, reflect_many
-from .mesh import Mesh, barycentric_many
+from .mesh import Mesh, barycentric_many, blocks
 from .norms import error_report
 from .problems import ProblemSpec, patch_problem
 from .space import FieldPair, SpaceLayout, interpolate_pair, locate_on_side
@@ -67,12 +67,14 @@ def patch_area_ratio(mesh: Mesh, topo: CutTopology, side: str = "minus") -> Patc
     """
     want = -1 if side == "minus" else 1
     areas = topo.area(side)
-    patch_best = np.maximum.reduceat(areas[mesh.node_elem_ids],
-                                     mesh.node_elem_ptr[:-1])
     nodes = np.flatnonzero(topo.node_sign * want >= 0)
     if nodes.size == 0:
         return PatchAreaResult(ratio=float("inf"), node=-1)
-    ratios = patch_best[nodes] / mesh.h_elem ** 2
+    patch_best = np.empty(nodes.size)
+    for block in blocks(nodes.size):
+        ptr, elems = mesh.node_elems(nodes[block])
+        patch_best[block] = np.maximum.reduceat(areas[elems], ptr[:-1])
+    ratios = patch_best / mesh.h_elem ** 2
     i = int(np.argmin(ratios))
     return PatchAreaResult(ratio=float(ratios[i]), node=int(nodes[i]))
 
@@ -147,15 +149,22 @@ def _cutoff(dist: np.ndarray, eps: float) -> np.ndarray:
 
 def _h1_matrices(mesh: Mesh, elems: np.ndarray | None = None):
     """Consistent mass + stiffness over a subset of elements, global
-    node indexing; their sum is the H1 Gram matrix of that subdomain."""
+    node indexing; their sum is the H1 Gram matrix of that subdomain.
+    Elements go ``BLOCK`` at a time."""
     if elems is None:
         elems = np.arange(mesh.n_elems)
-    conn = mesh.elements[elems]
-    area = mesh.areas[elems]
     mref = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    mass = local_csr(mesh.n_nodes, conn, area[:, None, None] * mref)
-    stiff = local_csr(mesh.n_nodes, conn, _stiffness(area, mesh.grads[elems]))
-    return mass, stiff
+
+    def gram(local):
+        fill = CsrFill((mesh.n_nodes, mesh.n_nodes),
+                       ((mesh.elements(elems[block]), 3) for block in blocks(elems.size)))
+        for block in blocks(elems.size):
+            ids = elems[block]
+            fill.add_local(mesh.elements(ids), local(ids))
+        return fill.tocsr()
+
+    return (gram(lambda ids: mesh.areas(ids)[:, None, None] * mref),
+            gram(lambda ids: _stiffness(mesh.areas(ids), mesh.grads(ids))))
 
 
 def _pointwise(dofs: np.ndarray, vals: np.ndarray, n_cols: int) -> scipy.sparse.csr_matrix:
@@ -219,9 +228,8 @@ def build_extension(layout: SpaceLayout, tube: float = 0.1) -> ExtensionOperator
     sq = topo.quad_minus   # elems ascending; patches of cand nodes are all minus
 
     # patch elements of each candidate, then their quadrature points
-    ptr = mesh.node_elem_ptr
-    deg = ptr[cand + 1] - ptr[cand]
-    patch = mesh.node_elem_ids[_ranges(ptr[cand], deg)]
+    ptr, patch = mesh.node_elems(cand)
+    deg = np.diff(ptr)
     lo = np.searchsorted(sq.elems, patch)
     n_pts = np.searchsorted(sq.elems, patch + 1) - lo
     idx = _ranges(lo, n_pts)
@@ -243,7 +251,7 @@ def build_extension(layout: SpaceLayout, tube: float = 0.1) -> ExtensionOperator
     kept, near = np.flatnonzero(keep), cand[owner]
     fill = CsrFill((mesh.n_nodes, layout.n_plus), [(kept, 1), (near, 3)])
     fill.add(kept, layout.node_dof_plus[kept][:, None], np.ones((kept.size, 1)))
-    fill.add(near, layout.node_dof_plus[mesh.elements[elems]], coef)
+    fill.add(near, layout.node_dof_plus[mesh.elements(elems)], coef)
     matrix = fill.tocsr()
     mass_f, stiff_f = _h1_matrices(mesh)
     plus_elems = np.flatnonzero(topo.in_side("plus"))
@@ -306,13 +314,14 @@ def _extension_blocks(levels, n_fields: int = 20, seed: int = 0):
 
         # H1 over the clipped physical plus side, plus-dof indexing
         sq = topo.quad_plus
-        conn = mesh.elements[sq.elems]
+        conn = mesh.elements(sq.elems)
         lam = barycentric_many(mesh.nodes[conn], sq.points)
         dofs = layout.node_dof_plus[conn]
         n_plus = layout.n_plus
+        grads = mesh.grads(sq.elems)
         basis_val = _pointwise(dofs, lam, n_plus)
-        gx = _pointwise(dofs, mesh.grads[sq.elems][:, :, 0], n_plus)
-        gy = _pointwise(dofs, mesh.grads[sq.elems][:, :, 1], n_plus)
+        gx = _pointwise(dofs, grads[:, :, 0], n_plus)
+        gy = _pointwise(dofs, grads[:, :, 1], n_plus)
         wdiag = scipy.sparse.diags(sq.weights)
         h1_phys = (basis_val.T @ wdiag @ basis_val
                    + gx.T @ wdiag @ gx + gy.T @ wdiag @ gy)

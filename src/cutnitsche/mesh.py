@@ -5,10 +5,14 @@ The mesh is never fitted to an interface: it is a structured grid of
 lower-left to upper-right diagonal.  Refinement levels follow
 ``h = 2**-(level + 3/2)`` with ``n = ceil(2 / h)`` cells per side, so the
 actual grid spacing ``2 / n`` is at most the nominal one.
+
+Only the node coordinates and a small table of geometry templates are
+stored.  Connectivity, adjacency and P1 geometry are closed forms of
+node, element and edge ids, computed for the ids a pass asks for.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import ceil
 
 import numpy as np
@@ -21,12 +25,12 @@ MAX_LEVEL = 8
 # of a whole-array pass, so the block size changes memory, not bits.
 BLOCK = 16384
 
-__all__ = ["Mesh", "build_mesh", "node_patch", "dump_mesh"]
+__all__ = ["Mesh", "build_mesh", "dump_mesh"]
 
 
 @dataclass(frozen=True)
 class Mesh:
-    """Triangulation data with precomputed P1 geometry.
+    """Triangulation of a uniform grid, with its quantities as accessors.
 
     Nodes lie on an ``(n+1) x (n+1)`` grid in row-major order (x fastest).
     Cell ``(ix, iy)`` owns elements ``2*(iy*n + ix)`` (lower-right triangle)
@@ -38,6 +42,18 @@ class Mesh:
     ``a+n+2``, in that order, each only where the end node is on the grid.
     Assembly sums ghost-penalty contributions in this order.  Local edge
     ``i`` of an element joins its vertices ``i`` and ``(i+1) % 3``.
+
+    Each accessor takes ids, an index array or a slice, and returns one
+    row per id, shaped ``ids.shape + row shape``; ``node_elems``, whose
+    rows differ in length, returns them as CSR.  Index arrays may be
+    unsorted and repeat ids; an id outside the range raises IndexError.
+
+    The grid spacings ``xs[i+1] - xs[i]`` take a few distinct float values
+    (3 or 4 per level), so the areas and basis gradients of all elements
+    come from a table of templates, one per (x spacing, y spacing,
+    triangle shape), each computed by ``_p1_geometry`` on an element of
+    that key; edge lengths likewise, one per (edge kind, x spacing,
+    y spacing).
     """
 
     level: int
@@ -45,16 +61,29 @@ class Mesh:
     h: float                  # actual grid spacing, 2 / n_cells
     h_nominal: float          # 2**-(level + 3/2)
     nodes: np.ndarray         # (n_nodes, 2)
-    elements: np.ndarray      # (n_elems, 3) node ids, CCW
-    edges: np.ndarray         # (n_edges, 2) node ids, smaller first
-    edge_elems: np.ndarray    # (n_edges, 2) element ids, lower first, -1 on boundary
-    elem_edges: np.ndarray    # (n_elems, 3) edge ids of the local edges
-    edge_lengths: np.ndarray  # (n_edges,)
-    boundary_node: np.ndarray  # (n_nodes,) bool
-    areas: np.ndarray         # (n_elems,)
-    grads: np.ndarray         # (n_elems, 3, 2) gradients of the P1 basis
-    node_elem_ptr: np.ndarray  # CSR offsets for node -> element adjacency
-    node_elem_ids: np.ndarray
+    # class of each grid interval by its spacing: (n_cells,), k classes
+    spacing_class: np.ndarray = field(init=False, repr=False)
+    # templates indexed by x class, y class and triangle (0 lower, 1 upper)
+    template_areas: np.ndarray = field(init=False, repr=False)  # (k, k, 2)
+    template_grads: np.ndarray = field(init=False, repr=False)  # (k, k, 2, 3, 2)
+    # edge lengths indexed by kind (horizontal, vertical, diagonal), x and y class
+    template_lengths: np.ndarray = field(init=False, repr=False)  # (3, k, k)
+
+    def __post_init__(self):
+        n = self.n_cells
+        xs = self.nodes[:n + 1, 0]
+        spacings, first, spacing_class = np.unique(np.diff(xs), return_index=True,
+                                                   return_inverse=True)
+        k = spacings.size
+        fx, fy = np.meshgrid(first, first, indexing="ij")   # first interval of each class
+        reps = (2 * (fy * n + fx).ravel()[:, None] + np.arange(2)).ravel()
+        areas, grads = _p1_geometry(self.nodes, self.elements(reps))
+        object.__setattr__(self, "spacing_class", spacing_class.reshape(n))
+        object.__setattr__(self, "template_areas", areas.reshape(k, k, 2))
+        object.__setattr__(self, "template_grads", grads.reshape(k, k, 2, 3, 2))
+        ends = self.edges(fy * (3 * n + 1) + 3 * fx + np.arange(3)[:, None, None])
+        ev = self.nodes[ends[..., 1]] - self.nodes[ends[..., 0]]
+        object.__setattr__(self, "template_lengths", np.hypot(ev[..., 0], ev[..., 1]))
 
     @property
     def n_nodes(self) -> int:
@@ -62,12 +91,144 @@ class Mesh:
 
     @property
     def n_elems(self) -> int:
-        return self.elements.shape[0]
+        return 2 * self.n_cells * self.n_cells
+
+    @property
+    def n_edges(self) -> int:
+        """``n (n+1)`` horizontal, as many vertical and ``n**2`` diagonal."""
+        return self.n_cells * (3 * self.n_cells + 2)
 
     @property
     def h_elem(self) -> float:
         """Element diameter (longest edge); uniform over the mesh."""
         return self.h * np.sqrt(2.0)
+
+    def elements(self, ids) -> np.ndarray:
+        """Node ids of the elements, counter-clockwise: (..., 3) int64."""
+        t, shape = _index(ids, self.n_elems)
+        m = self.n_cells + 1
+        cell, upper = t >> 1, t & 1
+        v00 = cell + cell // self.n_cells   # iy * (n+1) + ix
+        out = np.empty((t.size, 3), dtype=np.int64)
+        out[:, 0] = v00
+        out[:, 1] = v00 + 1 + m * upper     # v10, or v11 in the upper triangle
+        out[:, 2] = v00 + m + 1 - upper     # v11, or v01
+        return out.reshape(shape + (3,))
+
+    def edges(self, ids) -> np.ndarray:
+        """Node ids of the edges, smaller first: (..., 2) int64."""
+        e, shape = _index(ids, self.n_edges)
+        ix, iy, kind = self._edge_owner(e)
+        m = self.n_cells + 1
+        out = np.empty((e.size, 2), dtype=np.int64)
+        out[:, 0] = iy * m + ix
+        out[:, 1] = out[:, 0] + np.array([1, m, m + 1])[kind]
+        return out.reshape(shape + (2,))
+
+    def edge_elems(self, ids) -> np.ndarray:
+        """Elements on each side of the edges, lower id first, -1 where
+        the edge is on the boundary: (..., 2) int64."""
+        e, shape = _index(ids, self.n_edges)
+        n = self.n_cells
+        ix, iy, kind = self._edge_owner(e)
+        c2 = 2 * (iy * n + ix)   # lower element of the cell the edge's node owns
+        horizontal, vertical = kind == 0, kind == 1
+        out = np.empty((e.size, 2), dtype=np.int64)
+        # a horizontal edge lies between the upper triangle of the cell
+        # below and the lower triangle of the cell above; a vertical one
+        # between the lower triangle of the cell to its left and the upper
+        # one of the cell to its right; a diagonal one inside its cell
+        out[:, 0] = np.where(horizontal, np.where(iy > 0, c2 - 2 * n + 1, c2),
+                             np.where(vertical & (ix > 0), c2 - 2, c2 + vertical))
+        out[:, 1] = np.where(horizontal, np.where((iy > 0) & (iy < n), c2, -1),
+                             np.where(~vertical | ((ix > 0) & (ix < n)), c2 + 1, -1))
+        return out.reshape(shape + (2,))
+
+    def elem_edges(self, ids) -> np.ndarray:
+        """Edge ids of the local edges of the elements: (..., 3) int64."""
+        t, shape = _index(ids, self.n_elems)
+        n = self.n_cells
+        row = 3 * n + 1                    # edges owned by a row of nodes below the top
+        cy, cx = np.divmod(t >> 1, n)
+        upper = (t & 1).astype(bool)
+        base = cy * row + 3 * cx           # horizontal edge of v00
+        right = base + 4 - (cx == n - 1)   # vertical edge of v10
+        top = np.where(cy == n - 1, n * row + cx, base + row)   # horizontal edge of v01
+        out = np.empty((t.size, 3), dtype=np.int64)
+        out[:, 0] = np.where(upper, base + 2, base)
+        out[:, 1] = np.where(upper, top, right)
+        out[:, 2] = np.where(upper, base + 1, base + 2)
+        return out.reshape(shape + (3,))
+
+    def edge_lengths(self, ids) -> np.ndarray:
+        """Lengths of the edges: (...,) float64."""
+        e, shape = _index(ids, self.n_edges)
+        ix, iy, kind = self._edge_owner(e)
+        # the top row and right column own edges whose length does not
+        # depend on the missing interval's class
+        last = self.n_cells - 1
+        cls = self.spacing_class
+        return self.template_lengths[kind, cls[np.minimum(ix, last)],
+                                     cls[np.minimum(iy, last)]].reshape(shape)
+
+    def boundary_node(self, ids) -> np.ndarray:
+        """Whether the nodes lie on the outer boundary: (...,) bool."""
+        a, shape = _index(ids, self.n_nodes)
+        n = self.n_cells
+        iy, ix = np.divmod(a, n + 1)
+        return ((ix == 0) | (ix == n) | (iy == 0) | (iy == n)).reshape(shape)
+
+    def areas(self, ids) -> np.ndarray:
+        """Areas of the elements: (...,) float64."""
+        key, shape = self._template(ids)
+        return np.take(self.template_areas.reshape(-1), key).reshape(shape)
+
+    def grads(self, ids) -> np.ndarray:
+        """Gradients of the P1 basis on the elements: (..., 3, 2) float64."""
+        key, shape = self._template(ids)
+        return np.take(self.template_grads.reshape(-1, 3, 2), key, axis=0).reshape(shape + (3, 2))
+
+    def node_elems(self, ids):
+        """Elements sharing each node, as CSR ``(ptr, elems)`` over the
+        flattened ids: node ``ids[i]``'s at most six elements, in
+        increasing order, are ``elems[ptr[i]:ptr[i+1]]``."""
+        a, _ = _index(ids, self.n_nodes)
+        n = self.n_cells
+        iy, ix = np.divmod(a, n + 1)
+        c2 = 2 * (iy * n + ix)   # lower element of the cell up and to the right
+        left, right, below, above = ix > 0, ix < n, iy > 0, iy < n
+        # cells (ix-1, iy-1), (ix, iy-1), (ix-1, iy) and (ix, iy) in turn
+        cand = np.column_stack([c2 - 2 * n - 2, c2 - 2 * n - 1, c2 - 2 * n + 1,
+                                c2 - 2, c2, c2 + 1])
+        has = np.column_stack([left & below, left & below, right & below,
+                               left & above, right & above, right & above])
+        ptr = np.zeros(a.size + 1, dtype=np.int64)
+        np.cumsum(has.sum(axis=1), out=ptr[1:])
+        return ptr, cand[has]
+
+    def _edge_owner(self, e: np.ndarray):
+        """Grid position of the node owning each edge and the edge's kind:
+        0 horizontal, 1 vertical, 2 diagonal."""
+        n = self.n_cells
+        # ``//`` and a product: np.divmod is several times slower
+        iy = e // (3 * n + 1)
+        r = e - iy * (3 * n + 1)
+        ix = r // 3
+        kind = r - 3 * ix
+        kind += r == 3 * n                 # the right column's vertical edge
+        top = iy == n                      # the top row owns horizontal edges only
+        ix[top], kind[top] = r[top], 0
+        return ix, iy, kind
+
+    def _template(self, ids):
+        """Flat index into the (k, k, 2) templates of each element, and the
+        shape of the ids."""
+        t, shape = _index(ids, self.n_elems)
+        cell = t >> 1
+        cy = cell // self.n_cells
+        cx = cell - cy * self.n_cells
+        k = self.template_areas.shape[0]
+        return (self.spacing_class[cx] * k + self.spacing_class[cy]) * 2 + (t & 1), shape
 
     def locate(self, points) -> np.ndarray:
         """Element holding each point of an (m, 2) array.
@@ -82,10 +243,25 @@ class Mesh:
         return 2 * (iy * self.n_cells + ix) + (fy > fx)
 
 
+def _index(ids, count: int):
+    """Flat int64 ids and their shape: a slice over ``range(count)``, or an
+    index array whose entries must lie in that range."""
+    if isinstance(ids, slice):
+        flat = np.arange(*ids.indices(count), dtype=np.int64)
+        return flat, flat.shape
+    ids = np.asarray(ids)
+    if ids.size and ids.dtype.kind not in "iu":
+        raise TypeError(f"ids must be integers, got dtype {ids.dtype}")
+    flat = ids.astype(np.int64, copy=False).ravel()
+    if flat.size and (flat.min() < 0 or flat.max() >= count):
+        raise IndexError(f"ids out of range [0, {count})")
+    return flat, ids.shape
+
+
 def build_mesh(level: int) -> Mesh:
     """Build the uniform grid, each cell split along its lower-left to
     upper-right diagonal, for a refinement level."""
-    if not isinstance(level, (int, np.integer)):
+    if isinstance(level, bool) or not isinstance(level, (int, np.integer)):
         raise ValueError(f"level must be an integer, got {level!r}")
     if not MIN_LEVEL <= level <= MAX_LEVEL:
         raise ValueError(f"level must be in [{MIN_LEVEL}, {MAX_LEVEL}], got {level}")
@@ -93,58 +269,12 @@ def build_mesh(level: int) -> Mesh:
     n = ceil(2.0 / h_nominal)
     h = 2.0 / n
 
-    ii = np.arange(n + 1)
-    xs = -1.0 + ii * h
-    X, Y = np.meshgrid(xs, xs, indexing="xy")
-    nodes = np.column_stack([X.ravel(), Y.ravel()])
-
-    def nid(ix, iy):
-        return iy * (n + 1) + ix
-
-    cx, cy = np.meshgrid(np.arange(n), np.arange(n), indexing="xy")
-    cx = cx.ravel()
-    cy = cy.ravel()
-    v00 = nid(cx, cy)
-    v10 = nid(cx + 1, cy)
-    v01 = nid(cx, cy + 1)
-    v11 = nid(cx + 1, cy + 1)
-    # diagonal runs v00 -> v11 in every cell
-    elements = np.empty((2 * n * n, 3), dtype=np.int64)
-    for i, v in enumerate((v00, v10, v11)):
-        elements[0::2, i] = v
-    for i, v in enumerate((v00, v11, v01)):
-        elements[1::2, i] = v
-
-    areas, grads = _p1_geometry(nodes, elements)
-
-    edges, elem_edges = _edge_numbering(n, v00, v10, v01)
-    edge_elems = _edge_elements(elem_edges, edges.shape[0])
-    edge_vec = nodes[edges[:, 1]] - nodes[edges[:, 0]]
-    edge_lengths = np.hypot(edge_vec[:, 0], edge_vec[:, 1])
-
-    gx = np.tile(ii, n + 1)
-    gy = np.repeat(ii, n + 1)
-    boundary_node = (gx == 0) | (gx == n) | (gy == 0) | (gy == n)
-
-    node_elem_ptr, node_elem_ids = _node_adjacency(elements, nodes.shape[0])
-
-    return Mesh(
-        level=level,
-        n_cells=n,
-        h=h,
-        h_nominal=h_nominal,
-        nodes=nodes,
-        elements=elements,
-        edges=edges,
-        edge_elems=edge_elems,
-        elem_edges=elem_edges,
-        edge_lengths=edge_lengths,
-        boundary_node=boundary_node,
-        areas=areas,
-        grads=grads,
-        node_elem_ptr=node_elem_ptr,
-        node_elem_ids=node_elem_ids,
-    )
+    xs = -1.0 + np.arange(n + 1) * h
+    nodes = np.empty(((n + 1) ** 2, 2))
+    grid = nodes.reshape(n + 1, n + 1, 2)
+    grid[:, :, 0] = xs
+    grid[:, :, 1] = xs[:, None]
+    return Mesh(level=level, n_cells=n, h=h, h_nominal=h_nominal, nodes=nodes)
 
 
 def _p1_geometry(nodes: np.ndarray, elements: np.ndarray):
@@ -167,49 +297,6 @@ def _p1_geometry(nodes: np.ndarray, elements: np.ndarray):
     return 0.5 * twice_area, grads
 
 
-def _edge_numbering(n: int, v00, v10, v01):
-    """Edges in node-major h/v/d order and the element -> edge map."""
-    m = n + 1
-    a = np.arange(m * m)
-    ix, iy = a % m, a // m
-    ends = a[:, None] + np.array([1, m, m + 1])
-    exists = np.column_stack([ix < n, iy < n, (ix < n) & (iy < n)])
-    edges = np.column_stack([np.broadcast_to(a[:, None], ends.shape)[exists], ends[exists]])
-    eid = np.full(ends.shape, -1, dtype=np.int64)
-    eid[exists] = np.arange(edges.shape[0])
-    h, v, d = eid.T
-    elem_edges = np.empty((2 * n * n, 3), dtype=np.int64)
-    elem_edges[0::2] = np.column_stack([h[v00], v[v10], d[v00]])  # v00 v10 v11
-    elem_edges[1::2] = np.column_stack([d[v00], h[v01], v[v00]])  # v00 v11 v01
-    return edges, elem_edges
-
-
-def _edge_elements(elem_edges: np.ndarray, n_edges: int) -> np.ndarray:
-    """Elements on each side of every edge: lower id first, -1 if none."""
-    ne = elem_edges.shape[0]
-    owner = np.arange(ne)
-    out = np.full((n_edges, 2), (ne, -1), dtype=np.int64)
-    first, last = out.T
-    for i in range(3):  # min and max do not depend on the order
-        np.minimum.at(first, elem_edges[:, i], owner)
-        np.maximum.at(last, elem_edges[:, i], owner)
-    last[last <= first] = -1
-    return out
-
-
-def _node_adjacency(elements: np.ndarray, n_nodes: int):
-    """CSR node -> element map; each node's elements in increasing order.
-
-    Element ``k`` owns entries ``3k..3k+2`` of the flattened connectivity,
-    so the stable sort order divided by 3 is the owning element.
-    """
-    ptr = np.zeros(n_nodes + 1, dtype=np.int64)
-    np.cumsum(np.bincount(elements.ravel(), minlength=n_nodes), out=ptr[1:])
-    ids = np.argsort(elements.ravel(), kind="stable")
-    ids //= 3
-    return ptr, ids
-
-
 def blocks(n: int):
     """Consecutive slices of at most ``BLOCK`` items covering ``range(n)``."""
     return (slice(lo, min(lo + BLOCK, n)) for lo in range(0, n, BLOCK))
@@ -221,9 +308,10 @@ def edge_frame(mesh: Mesh, edges: np.ndarray):
     The normal is ``perp(b - a) / |b - a|`` for the edge's nodes ``a < b``;
     ghost-penalty assembly and the energy norm share it.
     """
-    e1, e2 = mesh.edge_elems[edges].T
-    ev = mesh.nodes[mesh.edges[edges, 1]] - mesh.nodes[mesh.edges[edges, 0]]
-    length = mesh.edge_lengths[edges]
+    e1, e2 = mesh.edge_elems(edges).T
+    ends = mesh.edges(edges)
+    ev = mesh.nodes[ends[:, 1]] - mesh.nodes[ends[:, 0]]
+    length = mesh.edge_lengths(edges)
     return e1, e2, length, np.column_stack([-ev[:, 1], ev[:, 0]]) / length[:, None]
 
 
@@ -238,18 +326,11 @@ def barycentric_many(coords: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return np.column_stack([1.0 - l1 - l2, l1, l2])
 
 
-def node_patch(mesh: Mesh, node: int) -> np.ndarray:
-    """Ids of the elements sharing a node."""
-    if not 0 <= node < mesh.n_nodes:
-        raise IndexError(f"node {node} out of range [0, {mesh.n_nodes})")
-    lo, hi = mesh.node_elem_ptr[node], mesh.node_elem_ptr[node + 1]
-    return mesh.node_elem_ids[lo:hi]
-
-
 def dump_mesh(mesh: Mesh, path) -> None:
     """Plain-text dump: one 'v x y' line per node, one 't i j k' per element."""
     with open(path, "w") as fh:
         for x, y in mesh.nodes:
             fh.write(f"v {x:.17g} {y:.17g}\n")
-        for i, j, k in mesh.elements:
-            fh.write(f"t {i} {j} {k}\n")
+        for block in blocks(mesh.n_elems):
+            for i, j, k in mesh.elements(block):
+                fh.write(f"t {i} {j} {k}\n")

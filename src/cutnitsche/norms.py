@@ -69,12 +69,12 @@ def error_report(spec: ProblemSpec, u_h: FieldPair) -> ErrorReport:
         diff_max = gdiff_max = 0.0
         for block in blocks(sq.weights.size):
             pts, w, elems = sq.points[block], sq.weights[block], sq.elems[block]
-            conn = mesh.elements[elems]
+            conn = mesh.elements(elems)
             uh = coeffs[dofmap[conn]]
             lam = barycentric_many(mesh.nodes[conn], pts)
             diff = np.asarray(spec.exact(side)(pts), dtype=float) - np.einsum("ki,ki->k", lam, uh)
             e0_int[block] = w * diff * diff
-            grad_h = np.einsum("ki,kid->kd", uh, mesh.grads[elems])
+            grad_h = np.einsum("ki,kid->kd", uh, mesh.grads(elems))
             grad = np.asarray(spec.grad(side)(pts), dtype=float)
             gdiff_sq = np.sum((grad - grad_h) ** 2, axis=1)
             grad_int[block] = w * gdiff_sq
@@ -92,7 +92,7 @@ def error_report(spec: ProblemSpec, u_h: FieldPair) -> ErrorReport:
         diff_max = gd_max = 0.0
         for block in blocks(elems.size):
             ids = elems[block]
-            conn = mesh.elements[ids]
+            conn = mesh.elements(ids)
             vmask = topo.node_sign[conn] * want >= 0
             if not np.any(vmask):
                 continue
@@ -101,7 +101,7 @@ def error_report(spec: ProblemSpec, u_h: FieldPair) -> ErrorReport:
             uex = np.asarray(spec.exact(side)(coords), dtype=float)
             diff_max = np.maximum(diff_max, np.max(np.abs(uex - uh)[vmask]))
             gex = np.asarray(spec.grad(side)(coords), dtype=float)
-            gh = np.einsum("ki,kid->kd", uh, mesh.grads[ids])
+            gh = np.einsum("ki,kid->kd", uh, mesh.grads(ids))
             gd = np.sqrt(np.sum((gex - gh[:, None, :]) ** 2, axis=2))
             gd_max = np.maximum(gd_max, np.max(gd[vmask]))
         einf = np.maximum(einf, diff_max)
@@ -112,7 +112,7 @@ def error_report(spec: ProblemSpec, u_h: FieldPair) -> ErrorReport:
     ghost_sq = _ghost_error_sq(spec, u_h)
     if topo.n_cut:
         iq = topo.iface
-        conn = mesh.elements[iq.elems]
+        conn = mesh.elements(iq.elems)
         lam = barycentric_many(mesh.nodes[conn], iq.points)
         jump_h = (np.einsum("ki,ki->k", lam, u_h.plus[layout.node_dof_plus[conn]])
                   - np.einsum("ki,ki->k", lam, u_h.minus[layout.node_dof_minus[conn]]))
@@ -123,7 +123,7 @@ def error_report(spec: ProblemSpec, u_h: FieldPair) -> ErrorReport:
         pen_sq = float(spec.rho_minus / h_t * np.sum(iq.weights * jd * jd))
 
         gh_minus = np.einsum("ki,kid->kd", u_h.minus[layout.node_dof_minus[conn]],
-                             mesh.grads[iq.elems])
+                             mesh.grads(iq.elems))
         gex = np.asarray(spec.grad_minus(iq.points), dtype=float)
         fd = np.sum((gex - gh_minus) * iq.normals, axis=1)
         flux_sq = float(spec.rho_minus * h_t * np.sum(iq.weights * fd * fd))
@@ -160,8 +160,8 @@ def _ghost_error_sq(spec: ProblemSpec, u_h: FieldPair) -> float:
         coeffs = u_h.side(side)
         dofmap = layout.node_dof(side)
         e1, e2, elen, ne = edge_frame(mesh, edges)
-        g1 = np.einsum("ki,kid->kd", coeffs[dofmap[mesh.elements[e1]]], mesh.grads[e1])
-        g2 = np.einsum("ki,kid->kd", coeffs[dofmap[mesh.elements[e2]]], mesh.grads[e2])
+        g1 = np.einsum("ki,kid->kd", coeffs[dofmap[mesh.elements(e1)]], mesh.grads(e1))
+        g2 = np.einsum("ki,kid->kd", coeffs[dofmap[mesh.elements(e2)]], mesh.grads(e2))
         jmp = np.sum((g1 - g2) * ne, axis=1)
         total += float(spec.rho(side) * np.sum(elen ** 2 * jmp ** 2))
     return total

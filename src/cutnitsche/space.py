@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cutcell import CutTopology
-from .mesh import Mesh, barycentric_many, node_patch
+from .mesh import Mesh, barycentric_many, blocks
 
 __all__ = ["SpaceLayout", "FieldPair", "build_spaces", "interpolate", "evaluate"]
 
@@ -104,7 +104,9 @@ def build_spaces(mesh: Mesh, topo: CutTopology) -> SpaceLayout:
     node_dof, dof_node = {}, {}
     for side in ("minus", "plus"):
         has = np.zeros(mesh.n_nodes, dtype=bool)
-        has[mesh.elements[topo.in_side(side)].ravel()] = True
+        elems = np.flatnonzero(topo.in_side(side))
+        for block in blocks(elems.size):
+            has[mesh.elements(elems[block])] = True
         dof_node[side] = np.flatnonzero(has)
         node_dof[side] = np.full(mesh.n_nodes, -1, dtype=np.int64)
         node_dof[side][dof_node[side]] = np.arange(dof_node[side].shape[0])
@@ -124,7 +126,7 @@ def build_spaces(mesh: Mesh, topo: CutTopology) -> SpaceLayout:
     # the layout's own rule names the side whose boundary nodes are Dirichlet
     outer = layout.outer_side()
     outer_dofs = dirichlet[:n_minus] if outer == "minus" else dirichlet[n_minus:]
-    outer_dofs[mesh.boundary_node[dof_node[outer]]] = True
+    outer_dofs[mesh.boundary_node(dof_node[outer])] = True
     return dataclasses.replace(layout, free_dofs=np.flatnonzero(~dirichlet))
 
 
@@ -154,17 +156,16 @@ def locate_on_side(layout: SpaceLayout, side: str, pts, tol: float = 1e-12):
     in_side = layout.topo.in_side(side)
     pts = np.asarray(pts, dtype=float).reshape(-1, 2)
     elems = mesh.locate(pts)
-    lams = barycentric_many(mesh.nodes[mesh.elements[elems]], pts)
+    lams = barycentric_many(mesh.nodes[mesh.elements(elems)], pts)
     floor = -tol / mesh.h
     found = in_side[elems] & np.all(lams >= floor, axis=1)
     for k in np.flatnonzero(~found):
-        near = sorted(set(np.concatenate(
-            [node_patch(mesh, v) for v in mesh.elements[elems[k]]]).tolist()))
+        near = np.unique(mesh.node_elems(mesh.elements(elems[k]))[1]).tolist()
         elems[k] = -1
         for t in near:
             if not in_side[t]:
                 continue
-            lam = barycentric_many(mesh.nodes[mesh.elements[t]][None], pts[k][None])[0]
+            lam = barycentric_many(mesh.nodes[mesh.elements([t])], pts[k][None])[0]
             if np.all(lam >= floor):
                 elems[k], lams[k] = t, lam
                 break
@@ -186,5 +187,5 @@ def evaluate(field: FieldPair, side: str, x, tol: float = 1e-12):
     t = elems[0]
     if t < 0:
         raise ValueError(f"point {x.tolist()} lies outside the {side}-side mesh")
-    vals = field.side(side)[layout.node_dof(side)[mesh.elements[t]]]
-    return float(lams[0] @ vals), vals @ mesh.grads[t]
+    vals = field.side(side)[layout.node_dof(side)[mesh.elements(t)]]
+    return float(lams[0] @ vals), vals @ mesh.grads(t)

@@ -29,14 +29,14 @@ def test_uncut_matrix_is_standard_p1_stiffness():
     # textbook reassembly straight from the vertex coordinates
     n = mesh.n_nodes
     K = np.zeros((n, n))
-    for conn in mesh.elements:
+    for conn in mesh.elements(slice(None)):
         p = mesh.nodes[conn]
         d1, d2 = p[1] - p[0], p[2] - p[0]
         twice_a = d1[0] * d2[1] - d1[1] * d2[0]
         g = np.array([p[2] - p[1], p[0] - p[2], p[1] - p[0]])
         g = np.column_stack([-g[:, 1], g[:, 0]]) / twice_a
         K[np.ix_(conn, conn)] += 0.5 * twice_a * (g @ g.T)
-    interior = ~mesh.boundary_node
+    interior = ~mesh.boundary_node(slice(None))
     np.testing.assert_allclose(system.matrix.toarray(),
                                K[np.ix_(interior, interior)], atol=1e-12)
 
@@ -56,7 +56,7 @@ def test_penalty_part_matches_chord_mass_oracle():
 
     grams = np.zeros((layout.n_total, layout.n_total))
     for k, t in enumerate(topo.cut_ids):
-        conn = mesh.elements[t]
+        conn = mesh.elements(t)
         coords = mesh.nodes[conn]
         pq = np.stack([topo.chord_p[k],
                        0.5 * (topo.chord_p[k] + topo.chord_q[k]),
@@ -168,7 +168,7 @@ def test_load_jump_terms_enter_rhs(circle_layout):
     # the jump data only touches dofs of cut elements
     cut_dofs = np.zeros(layout.n_total, dtype=bool)
     for side in ("minus", "plus"):
-        d = layout.global_dofs(side, mesh.elements[topo.cut_ids]).ravel()
+        d = layout.global_dofs(side, mesh.elements(topo.cut_ids)).ravel()
         cut_dofs[d] = True
     assert np.all(b1[~cut_dofs] == 0.0)
 

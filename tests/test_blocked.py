@@ -1,12 +1,12 @@
 """Blocked passes against their whole-array forms, bit for bit.
 
 The ``ref_*`` functions are the whole-array volume assembly, load
-vector, error report, side quadrature and mesh build that the blocked
-and copy-free passes replaced, and the COO assembly of the five matrix
-parts that the in-place CSR fill replaced.  The blocked passes run with
-``BLOCK`` patched to 7, so block edges fall inside the point triples of
-elements; every output must equal its reference in dtype, shape and
-bytes.  A tracemalloc test bounds the extra memory of the blocked stages
+vector, error report, side quadrature and mesh arrays that the blocked
+passes and the closed-form mesh accessors replaced, and the COO assembly
+of the five matrix parts that the in-place CSR fill replaced.  The
+blocked passes run with ``BLOCK`` patched to 7, so block edges fall
+inside the point triples of elements; every output must equal its
+reference in dtype, shape and bytes.  A tracemalloc test bounds the extra memory of the blocked stages
 and of the assembly at level 5.
 """
 import tracemalloc
@@ -23,10 +23,11 @@ from cutnitsche.assembly import (CsrFill, _cut_blocks, assemble_bilinear, assemb
 from cutnitsche.cutcell import _fan_rule, classify
 from cutnitsche.harness import RunConfig, make_problem
 from cutnitsche.levelset import LevelSet
-from cutnitsche.mesh import _edge_numbering, barycentric_many, build_mesh, edge_frame
+from cutnitsche.mesh import barycentric_many, build_mesh, edge_frame
 from cutnitsche.norms import _ghost_error_sq, error_report
 from cutnitsche.problems import patch_problem
 from cutnitsche.space import FieldPair, build_spaces, interpolate_pair
+from mesh_reference import _edge_numbering
 
 CASES = {
     "circle-minus": RunConfig(example="1", rho_minus=1.0, rho_plus=1e4),
@@ -71,9 +72,9 @@ def ref_volume(layout, spec):
     for side in ("minus", "plus"):
         elems = np.flatnonzero(topo.in_side(side))
         area = topo.area(side)[elems]
-        grads = mesh.grads[elems]
+        grads = mesh.grads(elems)
         local = spec.rho(side) * area[:, None, None] * np.einsum("kid,kjd->kij", grads, grads)
-        dofs = layout.global_dofs(side, mesh.elements[elems])
+        dofs = layout.global_dofs(side, mesh.elements(elems))
         rows.append(np.repeat(dofs, 3, axis=1).ravel())
         cols.append(np.tile(dofs, (1, 3)).ravel())
         vals.append(local.ravel())
@@ -112,10 +113,10 @@ def ref_assemble_parts(layout, spec):
     sides = [(side, np.flatnonzero(topo.in_side(side))) for side in ("minus", "plus")]
     entries = _Entries(sum(elems.size for _, elems in sides), 3)
     for side, elems in sides:
-        grads = mesh.grads[elems]
+        grads = mesh.grads(elems)
         local = (spec.rho(side) * topo.area(side)[elems][:, None, None]
                  * np.einsum("kid,kjd->kij", grads, grads))
-        entries.add(layout.global_dofs(side, mesh.elements[elems]), local)
+        entries.add(layout.global_dofs(side, mesh.elements(elems)), local)
     parts = {"volume": entries.tocsr(n)}
 
     nit, pen = _Entries(topo.n_cut, 6), _Entries(topo.n_cut, 6)
@@ -134,11 +135,11 @@ def ref_assemble_parts(layout, spec):
         entries = _Entries(edges.size, 6)
         if edges.size:
             e1, e2, elen, ne = edge_frame(mesh, edges)
-            jmp = np.concatenate([np.einsum("kid,kd->ki", mesh.grads[e1], ne),
-                                  -np.einsum("kid,kd->ki", mesh.grads[e2], ne)], axis=1)
+            jmp = np.concatenate([np.einsum("kid,kd->ki", mesh.grads(e1), ne),
+                                  -np.einsum("kid,kd->ki", mesh.grads(e2), ne)], axis=1)
             coeff = spec.rho(side) * elen ** 2
-            dofs = np.concatenate([layout.global_dofs(side, mesh.elements[e1]),
-                                   layout.global_dofs(side, mesh.elements[e2])], axis=1)
+            dofs = np.concatenate([layout.global_dofs(side, mesh.elements(e1)),
+                                   layout.global_dofs(side, mesh.elements(e2))], axis=1)
             entries.add(dofs, coeff[:, None, None] * jmp[:, :, None] * jmp[:, None, :])
         parts[f"ghost_{side}"] = entries.tocsr(n)
     return parts
@@ -154,7 +155,7 @@ def ref_assemble_load(layout, spec):
         sq = topo.quad_minus if side == "minus" else topo.quad_plus
         if not sq.weights.size:
             continue
-        conn = mesh.elements[sq.elems]
+        conn = mesh.elements(sq.elems)
         lam = barycentric_many(mesh.nodes[conn], sq.points)
         contrib = (sq.weights * np.asarray(f(sq.points), dtype=float))[:, None] * lam
         dofs = layout.global_dofs(side, conn)
@@ -192,13 +193,13 @@ def ref_error_report(spec, u_h):
         sq = topo.quad_minus if side == "minus" else topo.quad_plus
         coeffs = u_h.side(side)
         dofmap = layout.node_dof(side)
-        conn = mesh.elements[sq.elems]
+        conn = mesh.elements(sq.elems)
         lam = barycentric_many(mesh.nodes[conn], sq.points)
         vals_h = np.einsum("ki,ki->k", lam, coeffs[dofmap[conn]])
         vals = np.asarray(spec.exact(side)(sq.points), dtype=float)
         diff = vals - vals_h
         e0_sq[side] = float(np.sum(sq.weights * diff * diff))
-        grad_h = np.einsum("ki,kid->kd", coeffs[dofmap[conn]], mesh.grads[sq.elems])
+        grad_h = np.einsum("ki,kid->kd", coeffs[dofmap[conn]], mesh.grads(sq.elems))
         grad = np.asarray(spec.grad(side)(sq.points), dtype=float)
         gdiff_sq = np.sum((grad - grad_h) ** 2, axis=1)
         eflux_sq[side] = float(rho * rho * np.sum(sq.weights * gdiff_sq))
@@ -208,7 +209,7 @@ def ref_error_report(spec, u_h):
 
         want = -1 if side == "minus" else 1
         elems = np.flatnonzero(topo.in_side(side))
-        conn_e = mesh.elements[elems]
+        conn_e = mesh.elements(elems)
         vmask = topo.node_sign[conn_e] * want >= 0
         if np.any(vmask):
             coords = mesh.nodes[conn_e]
@@ -216,7 +217,7 @@ def ref_error_report(spec, u_h):
             uh = coeffs[dofmap[conn_e]]
             einf = np.maximum(einf, np.max(np.abs(uex - uh)[vmask]))
             gex = np.asarray(spec.grad(side)(coords), dtype=float)
-            gh = np.einsum("ki,kid->kd", coeffs[dofmap[conn_e]], mesh.grads[elems])
+            gh = np.einsum("ki,kid->kd", coeffs[dofmap[conn_e]], mesh.grads(elems))
             gd = np.sqrt(np.sum((gex - gh[:, None, :]) ** 2, axis=2))
             efluxinf = np.maximum(efluxinf, rho * np.max(gd[vmask]))
 
@@ -224,7 +225,7 @@ def ref_error_report(spec, u_h):
     ghost_sq = _ghost_error_sq(spec, u_h)
     if topo.n_cut:
         iq = topo.iface
-        conn = mesh.elements[iq.elems]
+        conn = mesh.elements(iq.elems)
         lam = barycentric_many(mesh.nodes[conn], iq.points)
         jump_h = (np.einsum("ki,ki->k", lam, u_h.plus[layout.node_dof_plus[conn]])
                   - np.einsum("ki,ki->k", lam, u_h.minus[layout.node_dof_minus[conn]]))
@@ -234,7 +235,7 @@ def ref_error_report(spec, u_h):
         h_t = mesh.h_elem
         pen_sq = float(spec.rho_minus / h_t * np.sum(iq.weights * jd * jd))
         gh_minus = np.einsum("ki,kid->kd", u_h.minus[layout.node_dof_minus[conn]],
-                             mesh.grads[iq.elems])
+                             mesh.grads(iq.elems))
         gex = np.asarray(spec.grad_minus(iq.points), dtype=float)
         fd = np.sum((gex - gh_minus) * iq.normals, axis=1)
         flux_sq = float(spec.rho_minus * h_t * np.sum(iq.weights * fd * fd))
@@ -258,12 +259,12 @@ def ref_error_report(spec, u_h):
 
 def ref_side_quadrature(mesh, elem_side, cut_ids, poly, k, want):
     full = np.flatnonzero(elem_side == want)
-    coords = mesh.nodes[mesh.elements[full]]
+    coords = mesh.nodes[mesh.elements(full)]
     mids = 0.5 * (coords + np.roll(coords, -1, axis=1))
     owner, points, weights = _fan_rule(poly, k)
     elems = np.concatenate([np.repeat(full, 3), cut_ids[owner]])
     points = np.vstack([mids.reshape(-1, 2), points])
-    weights = np.concatenate([np.repeat(mesh.areas[full] / 3.0, 3), weights])
+    weights = np.concatenate([np.repeat(mesh.areas(full) / 3.0, 3), weights])
     order = np.argsort(elems, kind="stable")
     return elems[order], points[order], weights[order]
 
@@ -326,8 +327,10 @@ def ref_mesh_arrays(level):
 def test_mesh_arrays_match_reference(level):
     mesh = build_mesh(level)
     ref = ref_mesh_arrays(level)
-    arrays = {k: v for k, v in vars(mesh).items() if isinstance(v, np.ndarray)}
-    assert arrays.keys() == ref.keys()
+    ptr, ids = mesh.node_elems(slice(None))
+    arrays = {"nodes": mesh.nodes, "node_elem_ptr": ptr, "node_elem_ids": ids}
+    arrays.update({name: getattr(mesh, name)(slice(None)) for name in ref
+                   if name not in arrays})
     for name, value in arrays.items():
         assert_same(value, ref[name], name)
 

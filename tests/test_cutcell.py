@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from cutnitsche.cutcell import (BISECTION_STEPS, DEGENERATE_CHORD_FACTOR,
                                 MULTI_ROOT_SAMPLES, ROOT_PHI_TOL, ROOT_WIDTH_TOL,
-                                _fan_rule, _ghost_edges,
+                                _fan_rule,
                                 _interface_quadrature, _polygon_area, _scan_edges,
                                 _split, classify, dump_cut_cells)
 from cutnitsche.levelset import (CoarseMeshError, GeometryError, LevelSet,
@@ -119,9 +119,9 @@ def ref_polygon_rule(poly):
 def ref_scan_edges(mesh, ls):
     """Multi-root flag of every edge, sampling all edges of the mesh."""
     ts = np.linspace(0.0, 1.0, MULTI_ROOT_SAMPLES + 2)
-    multi = np.empty(mesh.edges.shape[0], dtype=bool)
+    multi = np.empty(mesh.n_edges, dtype=bool)
     for lo in range(0, multi.size, BLOCK):
-        ends = mesh.edges[lo:lo + BLOCK]
+        ends = mesh.edges(slice(lo, lo + BLOCK))
         a, b = mesh.nodes[ends[:, 0]], mesh.nodes[ends[:, 1]]
         s = np.sign(ls.value(a[:, None, :] + ts[None, :, None] * (b - a)[:, None, :]))
         multi[lo:lo + BLOCK] = np.sum(s[:, 1:] * s[:, :-1] < 0, axis=1) > 1
@@ -132,7 +132,7 @@ def ref_coarse_mesh_check(mesh, ls):
     """Full-scan multi-root flags; raises on a simple level set if any."""
     multi_edge = ref_scan_edges(mesh, ls)
     if np.any(multi_edge) and ls.simple:
-        a, b = mesh.nodes[mesh.edges[np.argmax(multi_edge)]]
+        a, b = mesh.nodes[mesh.edges(np.argmax(multi_edge))]
         raise CoarseMeshError(
             f"h too coarse for this interface: multiple crossings on edge "
             f"{a.tolist()} -> {b.tolist()}"
@@ -140,17 +140,27 @@ def ref_coarse_mesh_check(mesh, ls):
     return multi_edge
 
 
+def ref_ghost_edges(mesh, elem_side, want):
+    """Ghost edges of one side by a pass over every edge."""
+    e1, e2 = mesh.edge_elems(slice(None)).T
+    interior = e2 >= 0
+    e2 = np.where(interior, e2, 0)
+    in_side = elem_side * want >= 0
+    cut = elem_side == 0
+    return np.flatnonzero(interior & in_side[e1] & in_side[e2] & (cut[e1] | cut[e2]))
+
+
 def ref_classify(mesh, ls):
     """Every CutTopology array, computed one edge and one element at a time."""
     psi = np.asarray(ls.side_sign(mesh.nodes), dtype=float)
     sign = np.where(np.abs(psi) <= 1e-12 * mesh.h, 0, np.sign(psi)).astype(np.int8)
-    esign = sign[mesh.elements]
+    esign = sign[mesh.elements(slice(None))]
     has_neg = np.any(esign < 0, axis=1)
     has_pos = np.any(esign > 0, axis=1)
     multi_edge = ref_coarse_mesh_check(mesh, ls)
 
     roots, flagged = {}, set()
-    for e, (ia, ib) in enumerate(mesh.edges.tolist()):
+    for e, (ia, ib) in enumerate(mesh.edges(slice(None)).tolist()):
         if sign[ia] * sign[ib] >= 0:
             continue
         pa, pb = mesh.nodes[ia], mesh.nodes[ib]
@@ -169,20 +179,20 @@ def ref_classify(mesh, ls):
 
     elem_side = np.where(has_pos, 1, -1).astype(np.int8)
     elem_side[has_neg & has_pos] = 0
-    area_minus = np.where(elem_side < 0, mesh.areas, 0.0)
-    area_plus = np.where(elem_side > 0, mesh.areas, 0.0)
+    area_minus = np.where(elem_side < 0, mesh.areas(slice(None)), 0.0)
+    area_plus = np.where(elem_side > 0, mesh.areas(slice(None)), 0.0)
     cut_ids, chords, polys, ambiguous, degenerate = [], [], [], [], []
     for t in np.flatnonzero(has_neg & has_pos):
-        local_edges = mesh.elem_edges[t].tolist()
+        local_edges = mesh.elem_edges(t).tolist()
         if not flagged.isdisjoint(local_edges):
             ambiguous.append(t)
         p, q, pm, pp, normal = ref_split_element(
-            mesh.nodes[mesh.elements[t]], esign[t], [roots.get(e) for e in local_edges])
+            mesh.nodes[mesh.elements(t)], esign[t], [roots.get(e) for e in local_edges])
         if np.hypot(*(q - p)) < DEGENERATE_CHORD_FACTOR * mesh.h_elem:
-            side = -1 if ref_polygon_area(pm) >= 0.5 * mesh.areas[t] else 1
+            side = -1 if ref_polygon_area(pm) >= 0.5 * mesh.areas(t) else 1
             elem_side[t] = side
-            area_minus[t] = mesh.areas[t] if side < 0 else 0.0
-            area_plus[t] = mesh.areas[t] if side > 0 else 0.0
+            area_minus[t] = mesh.areas(t) if side < 0 else 0.0
+            area_plus[t] = mesh.areas(t) if side > 0 else 0.0
             degenerate.append(t)
             continue
         cut_ids.append(t)
@@ -198,17 +208,17 @@ def ref_classify(mesh, ls):
     out = dict(node_sign=sign, elem_side=elem_side, area_minus=area_minus,
                area_plus=area_plus, cut_ids=cut_ids, chord_p=chord_p,
                chord_q=chord_q, chord_len=chord_len, chord_normal=chord_normal,
-               ghost_minus=_ghost_edges(mesh, elem_side, -1),
-               ghost_plus=_ghost_edges(mesh, elem_side, 1),
+               ghost_minus=ref_ghost_edges(mesh, elem_side, -1),
+               ghost_plus=ref_ghost_edges(mesh, elem_side, 1),
                ambiguous_elements=np.asarray(ambiguous, dtype=np.int64),
                degenerate_elements=np.asarray(degenerate, dtype=np.int64))
     iface = _interface_quadrature(cut_ids, chord_p, chord_q, chord_len, chord_normal)
     out.update({f"iface.{k}": v for k, v in iface._asdict().items()})
     for j, (side, want) in enumerate((("minus", -1), ("plus", 1))):
         full = np.flatnonzero(elem_side == want)
-        coords = mesh.nodes[mesh.elements[full]]
+        coords = mesh.nodes[mesh.elements(full)]
         pts = [(0.5 * (coords + np.roll(coords, -1, axis=1))).reshape(-1, 2)]
-        wts = [np.repeat(mesh.areas[full] / 3.0, 3)]
+        wts = [np.repeat(mesh.areas(full) / 3.0, 3)]
         owners = [np.repeat(full, 3)]
         for t, poly in zip(cut_ids, polys):
             rp, rw = ref_polygon_rule(poly[j])
@@ -273,7 +283,7 @@ def test_degenerate_chords_and_failed_bisections_are_logged(caplog):
     assert topo.degenerate_elements.tolist() == gone
     assert np.all(topo.elem_side[gone] != 0)
     np.testing.assert_array_equal(topo.area_minus[gone] + topo.area_plus[gone],
-                                  mesh.areas[gone])
+                                  mesh.areas(gone))
 
 
 def test_failed_bisection_raises_on_simple_level_set():
@@ -380,7 +390,7 @@ def test_polygon_rule_linear_exact(c, theta):
 def test_area_partition(level, circle_classified):
     mesh, topo = circle_classified(level)
     total = topo.area_minus + topo.area_plus
-    np.testing.assert_allclose(total, mesh.areas, atol=1e-12)
+    np.testing.assert_allclose(total, mesh.areas(slice(None)), atol=1e-12)
     assert abs(topo.area_minus.sum() + topo.area_plus.sum() - 4.0) <= 1e-10
 
 
@@ -463,14 +473,14 @@ def test_ghost_edges_brute_force(circle_classified):
     for side, got in (("minus", topo.ghost_minus), ("plus", topo.ghost_plus)):
         in_side = topo.in_side(side)
         expected = []
-        for e, (t1, t2) in enumerate(mesh.edge_elems):
+        for e, (t1, t2) in enumerate(mesh.edge_elems(slice(None))):
             if t2 < 0:
                 continue
             if in_side[t1] and in_side[t2] and (cut[t1] or cut[t2]):
                 expected.append(e)
         assert np.array_equal(np.sort(got), np.array(expected))
         # in particular every interior edge between two cut elements is there
-        both_cut = [e for e, (t1, t2) in enumerate(mesh.edge_elems)
+        both_cut = [e for e, (t1, t2) in enumerate(mesh.edge_elems(slice(None)))
                     if t2 >= 0 and cut[t1] and cut[t2]]
         assert np.all(np.isin(both_cut, got))
 
@@ -514,7 +524,7 @@ def test_vertex_touch_at_level1():
     topo = classify(mesh, make_circle())
     assert (topo.node_sign == 0).sum() == 4
     total = topo.area_minus + topo.area_plus
-    np.testing.assert_allclose(total, mesh.areas, atol=1e-12)
+    np.testing.assert_allclose(total, mesh.areas(slice(None)), atol=1e-12)
 
 
 def test_cut_sets_are_consistent(circle_classified):
@@ -531,8 +541,8 @@ def test_cut_sets_are_consistent(circle_classified):
 def test_cut_quadrature_points_inside_elements(circle_classified):
     mesh, topo = circle_classified(2)
     for sq in (topo.quad_minus, topo.quad_plus):
-        lo = mesh.nodes[mesh.elements[sq.elems]].min(axis=1)
-        hi = mesh.nodes[mesh.elements[sq.elems]].max(axis=1)
+        lo = mesh.nodes[mesh.elements(sq.elems)].min(axis=1)
+        hi = mesh.nodes[mesh.elements(sq.elems)].max(axis=1)
         assert np.all(sq.points >= lo - 1e-12)
         assert np.all(sq.points <= hi + 1e-12)
         assert np.all(sq.weights > 0.0)

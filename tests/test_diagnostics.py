@@ -15,7 +15,7 @@ from cutnitsche.diagnostics import (_cutoff, _h1_matrices, _pointwise, build_ext
                                     patch_area_ratio, run_diagnostics)
 from cutnitsche.harness import RunConfig, make_problem
 from cutnitsche.levelset import GeometryError, LevelSet, make_circle, reflect_many
-from cutnitsche.mesh import build_mesh, node_patch
+from cutnitsche.mesh import build_mesh
 from cutnitsche.problems import example_circle, patch_problem
 from cutnitsche.space import build_spaces, interpolate_pair, locate_on_side
 
@@ -164,7 +164,7 @@ def ref_extension_matrix(layout, tube=0.1):
     sq = topo.quad_minus
     for z in np.flatnonzero(~keep & (dist_nodes <= tube)):
         pts_z, wts_z = [], []
-        for t in node_patch(mesh, z):
+        for t in mesh.node_elems([z])[1]:
             lo, hi = np.searchsorted(sq.elems, (t, t + 1))
             pts_z.append(sq.points[lo:hi])
             wts_z.append(sq.weights[lo:hi])
@@ -180,7 +180,7 @@ def ref_extension_matrix(layout, tube=0.1):
         if np.any(elems < 0):
             bad = refl[np.argmax(elems < 0)]
             raise GeometryError(f"reflected point {bad.tolist()} lies outside the plus-side mesh")
-        dofs = layout.node_dof_plus[mesh.elements[elems]]
+        dofs = layout.node_dof_plus[mesh.elements(elems)]
         coef = (wts_z[live] * eta[live] / total)[:, None] * lams
         rows.extend([z] * dofs.size)
         cols.extend(dofs.ravel())
@@ -214,9 +214,9 @@ def test_h1_matrices_match_the_coo_reference(level):
     topo = classify(mesh, make_circle(inclusion_side="plus"))
     n = mesh.n_nodes
     for elems in (np.arange(mesh.n_elems), np.flatnonzero(topo.in_side("plus"))):
-        conn = mesh.elements[elems]
-        area = mesh.areas[elems]
-        kloc = area[:, None, None] * np.einsum("kid,kjd->kij", mesh.grads[elems], mesh.grads[elems])
+        conn = mesh.elements(elems)
+        area = mesh.areas(elems)
+        kloc = area[:, None, None] * np.einsum("kid,kjd->kij", mesh.grads(elems), mesh.grads(elems))
         mloc = area[:, None, None] * ((np.ones((3, 3)) + np.eye(3)) / 12.0)
         rows, cols = np.repeat(conn, 3, axis=1).ravel(), np.tile(conn, (1, 3)).ravel()
         mass, stiff = _h1_matrices(mesh, elems)

@@ -54,8 +54,8 @@ def hand_gradient_error_sq(spec, u_h, weight):
         coeffs = u_h.side(side)
         dofmap = layout.node_dof(side)
         for t, x, qw in zip(sq.elems, sq.points, sq.weights):
-            conn = mesh.elements[t]
-            gh = coeffs[dofmap[conn]] @ mesh.grads[t]
+            conn = mesh.elements(t)
+            gh = coeffs[dofmap[conn]] @ mesh.grads(t)
             gx = spec.grad(side)(x[None, :])[0]
             total += w * qw * float(np.sum((gx - gh) ** 2))
     return total

@@ -13,7 +13,7 @@ from cutnitsche.space import (FieldPair, build_spaces, evaluate, interpolate,
 def test_cut_nodes_carry_two_dofs(circle_layout):
     layout = circle_layout(2)
     mesh, topo = layout.mesh, layout.topo
-    cut_nodes = np.unique(mesh.elements[topo.cut_ids])
+    cut_nodes = np.unique(mesh.elements(topo.cut_ids))
     assert np.all(layout.node_dof_minus[cut_nodes] >= 0)
     assert np.all(layout.node_dof_plus[cut_nodes] >= 0)
     assert layout.n_total == layout.n_minus + layout.n_plus
@@ -24,19 +24,19 @@ def test_minus_space_supported_near_inclusion(circle_layout):
     layout = circle_layout(2)
     mesh, topo = layout.mesh, layout.topo
     covered = np.zeros(mesh.n_nodes, dtype=bool)
-    covered[mesh.elements[topo.in_side("minus")].ravel()] = True
+    covered[mesh.elements(np.flatnonzero(topo.in_side("minus"))).ravel()] = True
     assert np.array_equal(layout.node_dof_minus >= 0, covered)
     # the inclusion stays away from the outer boundary
-    assert np.all(layout.node_dof_minus[mesh.boundary_node] == -1)
+    assert np.all(layout.node_dof_minus[mesh.boundary_node(slice(None))] == -1)
 
 
 def test_dirichlet_on_outer_side_only(circle_layout):
     layout = circle_layout(2)
     mesh = layout.mesh
     assert layout.outer_side() == "plus"
-    bdofs = layout.node_dof_plus[mesh.boundary_node] + layout.n_minus
+    bdofs = layout.node_dof_plus[mesh.boundary_node(slice(None))] + layout.n_minus
     assert np.all(layout.dirichlet[bdofs])
-    assert layout.dirichlet.sum() == mesh.boundary_node.sum()
+    assert layout.dirichlet.sum() == mesh.boundary_node(slice(None)).sum()
     assert np.array_equal(np.flatnonzero(~layout.dirichlet), layout.free_dofs)
 
 
@@ -46,7 +46,7 @@ def test_uncut_space_is_single_sided():
     layout = build_spaces(mesh, classify(mesh, ls))
     assert layout.n_minus == 0
     assert layout.n_plus == mesh.n_nodes
-    assert layout.n_free == mesh.n_nodes - mesh.boundary_node.sum()
+    assert layout.n_free == mesh.n_nodes - mesh.boundary_node(slice(None)).sum()
 
 
 def test_interpolate_reproduces_data(circle_layout):
