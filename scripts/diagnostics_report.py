@@ -13,29 +13,25 @@ from cutnitsche.cli import parse_levels
 from cutnitsche.diagnostics import run_diagnostics
 from cutnitsche.harness import RunConfig
 
+CONFIG_KEYS = ("rho_minus", "rho_plus", "inclusion_side")
+
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--output", default="", help="write report here instead of stdout")
-    ap.add_argument("--rho-minus", type=float, default=1.0)
-    ap.add_argument("--rho-plus", type=float, default=1e4)
-    ap.add_argument("--inclusion-side", default="minus", choices=("minus", "plus"))
-    ap.add_argument("--patch-levels", default="1..5", type=parse_levels)
-    ap.add_argument("--coercivity-levels", default="1,2", type=parse_levels)
-    ap.add_argument("--interpolation-levels", default="1..5", type=parse_levels)
-    ap.add_argument("--extension-levels", default="2..5", type=parse_levels)
+    ap.add_argument("--rho-minus", type=float)
+    ap.add_argument("--rho-plus", type=float)
+    ap.add_argument("--inclusion-side", choices=("minus", "plus"))
+    ap.add_argument("--patch-levels", type=parse_levels)
+    ap.add_argument("--coercivity-levels", type=parse_levels)
+    ap.add_argument("--interpolation-levels", type=parse_levels)
+    ap.add_argument("--extension-levels", type=parse_levels)
     args = ap.parse_args(argv)
 
-    config = RunConfig(example="1", rho_minus=args.rho_minus,
-                       rho_plus=args.rho_plus,
-                       inclusion_side=args.inclusion_side)
-    report = run_diagnostics(
-        config,
-        patch_levels=args.patch_levels,
-        coercivity_levels=args.coercivity_levels,
-        interpolation_levels=args.interpolation_levels,
-        extension_levels=args.extension_levels,
-    )
+    # forward only the flags given: RunConfig and run_diagnostics hold the defaults
+    given = {k: v for k, v in vars(args).items() if v is not None and k != "output"}
+    config = RunConfig(example="1", **{k: given.pop(k) for k in CONFIG_KEYS if k in given})
+    report = run_diagnostics(config, **given)
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(report)

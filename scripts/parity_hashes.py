@@ -4,7 +4,8 @@
 One line per item: the cut topology of the circle (both inclusion sides)
 and the flower at levels 1..6, the matrix, right-hand side, solution and
 solve statistics of every configuration of ``reproduce_tables.py``, the
-discrete extension operator of the diagnostics at levels 2..5, the seven
+discrete extension operator of the diagnostics at levels 2..5 with its
+H1 Gram matrices (``h1_plus`` in plus-dof indexing), the seven
 CSVs that script writes and the ``run_diagnostics()`` report, then every
 ``Mesh`` quantity at levels 1..6 (each accessor over its full id range,
 under the name of the array it replaced), and the matrix, right-hand
@@ -39,14 +40,13 @@ from cutnitsche.assembly import assemble_parts, build_system  # noqa: E402
 from cutnitsche.cli import parse_levels  # noqa: E402
 from cutnitsche.cutcell import classify  # noqa: E402
 from cutnitsche.diagnostics import build_extension, run_diagnostics  # noqa: E402
-from cutnitsche.harness import (CONTRAST_PAIRS, RunConfig, make_problem,  # noqa: E402
-                                run_solve)
+from cutnitsche.harness import (_STUDY_LEVELS, CONTRAST_PAIRS, RunConfig,  # noqa: E402
+                                make_problem, run_solve)
 from cutnitsche.levelset import make_circle, make_flower  # noqa: E402
 from cutnitsche.mesh import build_mesh  # noqa: E402
 from cutnitsche.space import build_spaces  # noqa: E402
 
 GEOMETRY_LEVELS = parse_levels("1..6")
-STUDY_LEVELS = parse_levels("1..5")
 EXTENSION_LEVELS = parse_levels("2..5")
 
 
@@ -91,7 +91,7 @@ def solve_configs():
     """(label, config, level) of every solve reproduce_tables.py makes."""
     for name, _, kind, config in reproduce_tables.TABLES:
         if kind == "convergence":
-            for level in STUDY_LEVELS:
+            for level in _STUDY_LEVELS:
                 yield f"{name}/L{level}", config, level
         else:
             for rho_minus, rho_plus in CONTRAST_PAIRS:
@@ -127,6 +127,9 @@ def main() -> int:
         op = build_extension(build_spaces(mesh, topo))
         for name, value in csr_arrays(op.matrix).items():
             print(f"extension L{level} {name} {digest(value)}")
+        for gram in ("h1_full", "h1_plus"):
+            for name, value in csr_arrays(getattr(op, gram)).items():
+                print(f"extension L{level} {gram}.{name} {digest(value)}")
 
     with tempfile.TemporaryDirectory() as tmp:
         with contextlib.redirect_stdout(io.StringIO()):
@@ -139,7 +142,7 @@ def main() -> int:
         for name, value in mesh_arrays(build_mesh(level)).items():
             print(f"mesh L{level} {name} {digest(value)}")
     fine = RunConfig(example="1", level=6, inclusion_side="plus",
-                     rho_minus=1.0, rho_plus=1e9).resolve()
+                     rho_minus=1.0, rho_plus=1e9)
     ls, spec = make_problem(fine)
     mesh = build_mesh(fine.level)
     topo = classify(mesh, ls)

@@ -47,8 +47,9 @@ TABLES = (
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--outdir", default="tables", help="directory for CSV output")
-    ap.add_argument("--levels", default="1..5", type=parse_levels,
-                    help="levels for the convergence studies (e.g. 1..5 or 1,2,3)")
+    ap.add_argument("--levels", type=parse_levels,
+                    help="levels for the convergence studies (e.g. 1..5 or 1,2,3; "
+                         "default: run_convergence's)")
     ap.add_argument("--only", default="",
                     help="comma list of table name prefixes to run (default: all)")
     args = ap.parse_args(argv)

@@ -96,7 +96,7 @@ def timed(fn):
 def stages(level: int, measure) -> dict:
     """One record per stage, each from ``measure(stage)``."""
     config = RunConfig(example="1", level=level, inclusion_side="plus",
-                       rho_minus=1.0, rho_plus=1e9).resolve()
+                       rho_minus=1.0, rho_plus=1e9)
     ls, spec = make_problem(config)
     record = {}
     mesh, record["mesh"] = measure(lambda: build_mesh(level))

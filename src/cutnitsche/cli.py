@@ -3,8 +3,8 @@
 Subcommands drive the harness: `solve` one case, `convergence` a level
 study, `contrast` a coefficient sweep, `diagnostics` the structural
 checks.  Configuration is a flat key = value file; any flag overrides
-the corresponding key.  Exit codes: 0 success, 1 configuration error,
-2 numerical failure.
+the corresponding key.  Exit codes: 0 success, 1 configuration error
+(an output path that cannot be written included), 2 numerical failure.
 """
 from __future__ import annotations
 
@@ -202,6 +202,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         # ConfigError and the problem/config validation errors
         print(f"cutnitsche: config error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        # an unreadable config file is a ConfigError, so this is an output write
+        target = exc.filename if exc.filename is not None else "output"
+        print(f"cutnitsche: cannot write {target}: {exc.strerror}", file=sys.stderr)
         return 1
     except (SolverError, GeometryError) as exc:
         print(f"cutnitsche: numerical failure: {exc}", file=sys.stderr)

@@ -120,14 +120,17 @@ def classify(mesh: Mesh, ls: LevelSet) -> CutTopology:
     for block in blocks(mesh.n_edges):
         ends = sign[mesh.edges(block)]
         crossing[block] = ends[:, 0] * ends[:, 1] < 0
-    roots, flagged = _edge_roots(mesh, ls, psi, crossing, multi_edge)
+    cross_ids, roots, flagged = _edge_roots(mesh, ls, psi, crossing, multi_edge)
 
     cand = np.flatnonzero(has_neg & has_pos)
     local = mesh.elem_edges(cand)
     ambiguous = cand[np.any(flagged[local], axis=1)]
     conn = mesh.elements(cand)
+    has_root = crossing[local]
+    local_roots = np.full(local.shape + (2,), np.nan)
+    local_roots[has_root] = roots[np.searchsorted(cross_ids, local[has_root])]
     p, q, poly_m, k_m, poly_p, k_p = _split(
-        mesh.nodes[conn], sign[conn], crossing[local], roots[local])
+        mesh.nodes[conn], sign[conn], has_root, local_roots)
     sub_minus = _polygon_area(poly_m, k_m)
     chord_len = np.hypot(*(q - p).T)
 
@@ -217,19 +220,21 @@ def _scan_edges(mesh: Mesh, ls: LevelSet, psi: np.ndarray) -> np.ndarray:
 
 
 def _edge_roots(mesh, ls, psi, crossing, multi_edge):
-    """Interface point per edge (NaN where the signs do not strictly change)
-    and a flag per edge whose point is the root of the linear interpolant.
+    """Ids of the crossing edges (signs strictly change), ascending, the
+    interface point of each, and a flag per edge whose point is the root
+    of the linear interpolant.
 
     Crossing edges are bisected from their lower node id to their higher
     one.  Edges with several crossings, and on a non-simple level set those
     whose bisection fails, fall back to the linear root and are flagged.
     """
-    roots = np.full((mesh.n_edges, 2), np.nan)
+    cross_ids = np.flatnonzero(crossing)
+    roots = np.empty((cross_ids.size, 2))
     ids = np.flatnonzero(crossing & ~multi_edge)
     a_ids, b_ids = mesh.edges(ids).T
     pa, pb = mesh.nodes[a_ids], mesh.nodes[b_ids]
     t = _bisect(ls, pa, pb, psi[a_ids])
-    roots[ids] = pa + t[:, None] * (pb - pa)
+    roots[np.searchsorted(cross_ids, ids)] = pa + t[:, None] * (pb - pa)
 
     flagged = crossing & multi_edge
     flagged[ids[np.isnan(t)]] = True
@@ -237,8 +242,8 @@ def _edge_roots(mesh, ls, psi, crossing, multi_edge):
     a_ids, b_ids = mesh.edges(lin).T
     pa, pb = mesh.nodes[a_ids], mesh.nodes[b_ids]
     fa, fb = psi[a_ids], psi[b_ids]
-    roots[lin] = pa + (fa / (fa - fb))[:, None] * (pb - pa)
-    return roots, flagged
+    roots[np.searchsorted(cross_ids, lin)] = pa + (fa / (fa - fb))[:, None] * (pb - pa)
+    return cross_ids, roots, flagged
 
 
 def _bisect(ls, pa, pb, fa):

@@ -10,9 +10,9 @@ function-space plumbing show up as drifting profiles:
   against the energy-norm Gram matrix.
 * interpolation_error_profile: nodal-interpolation error in the
   augmented energy norm against the expected h * ||D^2 u|| scale.
-* discrete extension: averaged-reflection extension of a field given on
-  the plus-side mesh to the whole background mesh, with its H1
-  stability ratio.
+* build_extension: averaged-reflection extension of a field given on
+  the plus-side mesh to the whole background mesh, with the H1 Gram
+  matrices that measure its stability.
 """
 from __future__ import annotations
 
@@ -28,17 +28,17 @@ from .assembly import (CsrFill, _stiffness, assemble_parts, assemble_vnorm_gram,
 # classify stays bound here by name: the benchmark's tracer tests check it
 from .cutcell import CutTopology, classify  # noqa: F401
 from .harness import RunConfig, Table, _geometry, make_problem
-from .levelset import GeometryError, LevelSet, make_circle, reflect_many
+from .levelset import _TUBE, GeometryError, LevelSet, make_circle, reflect_many
 from .mesh import Mesh, barycentric_many, blocks
 from .norms import error_report
 from .problems import ProblemSpec, patch_problem
-from .space import FieldPair, SpaceLayout, interpolate_pair, locate_on_side
+from .space import SpaceLayout, interpolate_pair, locate_on_side
 
 __all__ = [
     "PatchAreaResult", "patch_area_ratio",
     "coercivity_probe",
     "interpolation_error_profile",
-    "ExtensionOperator", "build_extension", "discrete_extension",
+    "ExtensionOperator", "build_extension",
     "run_diagnostics",
 ]
 
@@ -47,6 +47,10 @@ log = logging.getLogger(__name__)
 # largest system whose coercivity is found by a dense generalized eigensolve;
 # larger ones use shift-invert Lanczos (ARPACK)
 _DENSE_EIGEN_LIMIT = 3000
+
+# random plus-side fields, and their seed, of the extension report blocks
+_EXTENSION_FIELDS = 20
+_EXTENSION_SEED = 0
 
 
 # ---------------------------------------------------------------------------
@@ -82,16 +86,13 @@ def patch_area_ratio(mesh: Mesh, topo: CutTopology, side: str = "minus") -> Patc
 # ---------------------------------------------------------------------------
 # coercivity
 
-def coercivity_probe(a, gram, dense: bool | None = None) -> float:
+def coercivity_probe(a, gram, dense: bool) -> float:
     """Minimum of a(v,v) / ||v||_G^2: the smallest eigenvalue of the
-    pencil (a, gram).  Dense generalized eigensolve when the system is
-    small enough to factor whole; otherwise shift-invert Lanczos about 0
-    (ARPACK, which needs n > 1), started from the ones vector so that
-    reruns agree.
+    pencil (a, gram).  A dense generalized eigensolve, or else
+    shift-invert Lanczos about 0 (ARPACK, which needs n > 1), started
+    from the ones vector so that reruns agree.
     """
     n = a.shape[0]
-    if dense is None:
-        dense = n <= _DENSE_EIGEN_LIMIT
     if dense:
         aw = a.toarray() if scipy.sparse.issparse(a) else np.asarray(a, dtype=float)
         gw = gram.toarray() if scipy.sparse.issparse(gram) else np.asarray(gram, dtype=float)
@@ -108,8 +109,7 @@ def coercivity_probe(a, gram, dense: bool | None = None) -> float:
 # ---------------------------------------------------------------------------
 # interpolation error
 
-def interpolation_error_profile(ls: LevelSet, spec: ProblemSpec,
-                                levels=(1, 2, 3, 4, 5)) -> Table:
+def interpolation_error_profile(ls: LevelSet, spec: ProblemSpec, levels) -> Table:
     """Nodal-interpolation error in the augmented energy norm, scaled by
     h times the coefficient-weighted L2 norms of the exact Hessian."""
     if spec.hess_minus is None or spec.hess_plus is None:
@@ -148,9 +148,8 @@ def _cutoff(dist: np.ndarray, eps: float) -> np.ndarray:
 
 
 def _h1_matrices(mesh: Mesh, elems: np.ndarray | None = None):
-    """Consistent mass + stiffness over a subset of elements, global
-    node indexing; their sum is the H1 Gram matrix of that subdomain.
-    Elements go ``BLOCK`` at a time."""
+    """H1 Gram matrix, consistent mass plus stiffness, over a subset of
+    elements in global node indexing.  Elements go ``BLOCK`` at a time."""
     if elems is None:
         elems = np.arange(mesh.n_elems)
     mref = (np.ones((3, 3)) + np.eye(3)) / 12.0
@@ -163,8 +162,8 @@ def _h1_matrices(mesh: Mesh, elems: np.ndarray | None = None):
             fill.add_local(mesh.elements(ids), local(ids))
         return fill.tocsr()
 
-    return (gram(lambda ids: mesh.areas(ids)[:, None, None] * mref),
-            gram(lambda ids: _stiffness(mesh.areas(ids), mesh.grads(ids))))
+    return (gram(lambda ids: mesh.areas(ids)[:, None, None] * mref)
+            + gram(lambda ids: _stiffness(mesh.areas(ids), mesh.grads(ids)))).tocsr()
 
 
 def _pointwise(dofs: np.ndarray, vals: np.ndarray, n_cols: int) -> scipy.sparse.csr_matrix:
@@ -182,34 +181,24 @@ class ExtensionOperator:
     reflection through the interface inside the tube, zero beyond."""
 
     matrix: scipy.sparse.csr_matrix   # (n_nodes, n_plus)
-    layout: SpaceLayout
-    h1_full: scipy.sparse.csr_matrix
-    h1_plus: scipy.sparse.csr_matrix
-
-    def apply(self, v_plus: np.ndarray) -> np.ndarray:
-        return self.matrix @ v_plus
+    h1_full: scipy.sparse.csr_matrix  # (n_nodes, n_nodes), whole mesh
+    h1_plus: scipy.sparse.csr_matrix  # (n_plus, n_plus), plus-side elements
 
     def stability_ratio(self, v_plus: np.ndarray) -> float:
-        w = self.apply(v_plus)
-        den_sq = float(v_plus @ _restrict(self.h1_plus, self.layout) @ v_plus)
+        w = self.matrix @ v_plus
+        den_sq = float(v_plus @ self.h1_plus @ v_plus)
         if den_sq <= 0.0:
             return 0.0
         num_sq = float(w @ (self.h1_full @ w))
         return float(np.sqrt(num_sq / den_sq))
 
 
-def _restrict(h1_plus, layout: SpaceLayout):
-    # node-indexed Gram -> plus-dof indexing
-    sel = layout.dof_node_plus
-    return h1_plus[sel][:, sel]
-
-
-def build_extension(layout: SpaceLayout, tube: float = 0.1) -> ExtensionOperator:
+def build_extension(layout: SpaceLayout) -> ExtensionOperator:
     """Averaged-reflection extension of plus-side fields of ``layout``
     through its topology's level set, with the H1 Gram matrices that
     measure its stability.
 
-    A node carrying a plus dof keeps its value.  A node within ``tube``
+    A node carrying a plus dof keeps its value.  A node within ``_TUBE``
     of the interface without one averages the plus field over the
     reflections, through the interface, of the quadrature points of its
     (minus-side) patch, weighted by quadrature weight times a cutoff in
@@ -224,7 +213,7 @@ def build_extension(layout: SpaceLayout, tube: float = 0.1) -> ExtensionOperator
     ls = topo.levelset
     keep = layout.node_dof_plus >= 0
     dist_nodes = np.abs(np.asarray(ls.value(mesh.nodes), dtype=float))
-    cand = np.flatnonzero(~keep & (dist_nodes <= tube))
+    cand = np.flatnonzero(~keep & (dist_nodes <= _TUBE))
     sq = topo.quad_minus   # elems ascending; patches of cand nodes are all minus
 
     # patch elements of each candidate, then their quadrature points
@@ -239,9 +228,9 @@ def build_extension(layout: SpaceLayout, tube: float = 0.1) -> ExtensionOperator
     # np.sum per node: a segmented reduceat adds in another order
     total = np.array([np.sum(wts[i:j]) for i, j in zip(seg[:-1], seg[1:])])
 
-    eta = _cutoff(np.abs(np.asarray(ls.value(pts), dtype=float)), tube)
+    eta = _cutoff(np.abs(np.asarray(ls.value(pts), dtype=float)), _TUBE)
     live = (eta > 0.0) & (total[owner] > 0.0)
-    refl = reflect_many(ls, pts[live], tube=tube)
+    refl = reflect_many(ls, pts[live])
     elems, lams = locate_on_side(layout, "plus", refl)
     if np.any(elems < 0):
         bad = refl[np.argmax(elems < 0)]
@@ -252,21 +241,10 @@ def build_extension(layout: SpaceLayout, tube: float = 0.1) -> ExtensionOperator
     fill = CsrFill((mesh.n_nodes, layout.n_plus), [(kept, 1), (near, 3)])
     fill.add(kept, layout.node_dof_plus[kept][:, None], np.ones((kept.size, 1)))
     fill.add(near, layout.node_dof_plus[mesh.elements(elems)], coef)
-    matrix = fill.tocsr()
-    mass_f, stiff_f = _h1_matrices(mesh)
-    plus_elems = np.flatnonzero(topo.in_side("plus"))
-    mass_p, stiff_p = _h1_matrices(mesh, plus_elems)
-    return ExtensionOperator(matrix=matrix, layout=layout,
-                             h1_full=(mass_f + stiff_f).tocsr(),
-                             h1_plus=(mass_p + stiff_p).tocsr())
-
-
-def discrete_extension(field: FieldPair, tube: float = 0.1):
-    """Extend a plus-side field to the whole mesh of its layout; returns
-    the global nodal vector and the H1 stability ratio."""
-    op = build_extension(field.layout, tube=tube)
-    v = field.plus
-    return op.apply(v), op.stability_ratio(v)
+    sel = layout.dof_node_plus
+    h1_plus = _h1_matrices(mesh, np.flatnonzero(topo.in_side("plus")))[sel][:, sel]
+    return ExtensionOperator(matrix=fill.tocsr(), h1_full=_h1_matrices(mesh),
+                             h1_plus=h1_plus)
 
 
 # ---------------------------------------------------------------------------
@@ -295,12 +273,12 @@ def _coercivity_block(config: RunConfig, levels) -> Table:
         gram_red = gram[free][:, free]
         n = system.n
         dense = n <= _DENSE_EIGEN_LIMIT
-        quotient = coercivity_probe(system.matrix, gram_red, dense=dense)
+        quotient = coercivity_probe(system.matrix, gram_red, dense)
         rows.append((level, n, "dense" if dense else "arnoldi", quotient))
     return Table(columns=("level", "n", "method", "min_quotient"), rows=tuple(rows))
 
 
-def _extension_blocks(levels, n_fields: int = 20, seed: int = 0):
+def _extension_blocks(levels):
     """Stability profile of the extension and the companion ratio
     comparing the overlapping-mesh H1 norm against the physical-side
     H1 norm plus the ghost term; both on the plus-inclusion circle."""
@@ -328,20 +306,19 @@ def _extension_blocks(levels, n_fields: int = 20, seed: int = 0):
 
         parts = assemble_parts(layout, spec)
         ghost = parts["ghost_plus"]
-        h1_mesh = _restrict(op.h1_plus, layout)
 
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(_EXTENSION_SEED)
         best_ext, best_trace = 0.0, 0.0
-        for _ in range(n_fields):
+        for _ in range(_EXTENSION_FIELDS):
             v = rng.standard_normal(layout.n_plus)
             best_ext = max(best_ext, op.stability_ratio(v))
             g = np.zeros(layout.n_total)
             g[layout.n_minus:] = v
             den = float(v @ (h1_phys @ v)) + float(g @ (ghost @ g))
             if den > 0.0:
-                best_trace = max(best_trace, float(v @ (h1_mesh @ v)) / den)
-        ext_rows.append((level, n_fields, best_ext))
-        trace_rows.append((level, n_fields, best_trace))
+                best_trace = max(best_trace, float(v @ (op.h1_plus @ v)) / den)
+        ext_rows.append((level, _EXTENSION_FIELDS, best_ext))
+        trace_rows.append((level, _EXTENSION_FIELDS, best_trace))
     ext = Table(columns=("level", "n_fields", "max_ratio"), rows=tuple(ext_rows))
     trace = Table(columns=("level", "n_fields", "max_ratio"), rows=tuple(trace_rows))
     return ext, trace

@@ -40,6 +40,9 @@ CONVERGENCE_COLUMNS = ("level", "h", "e0", "eoc0", "einf", "eocinf",
                        "eflux", "eocflux", "efluxinf", "eocfluxinf")
 CONTRAST_COLUMNS = ("rho_minus", "rho_plus", "e0", "eflux", "esqrt")
 
+# levels of a convergence study that names none
+_STUDY_LEVELS = (1, 2, 3, 4, 5)
+
 
 class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
@@ -51,7 +54,7 @@ class RunConfig:
 
     example: str = "1"                # "1" circle, "2" flower, "patch"
     level: int = 3
-    levels: tuple[int, ...] = ()      # convergence studies; empty = 1..5
+    levels: tuple[int, ...] = ()      # convergence studies; empty = run_convergence's default
     interface: str = ""               # "circle" | "flower"; "" = example default
     circle_radius: float = 1.0 / 3.0
     inclusion_side: str = "minus"
@@ -73,24 +76,15 @@ class RunConfig:
             raise ConfigError(f"inclusion_side must be minus or plus, got {self.inclusion_side!r}")
         if self.format not in ("csv", "markdown"):
             raise ConfigError(f"format must be csv or markdown, got {self.format!r}")
-        if self.rho_minus <= 0.0 or (self.rho_plus is not None and self.rho_plus <= 0.0):
+        if self.rho_plus is None:
+            # frozen: the example-dependent default is filled in once, here
+            object.__setattr__(self, "rho_plus",
+                               self.rho_minus if self.example == "patch" else 1e4)
+        if self.rho_minus <= 0.0 or self.rho_plus <= 0.0:
             raise ConfigError("coefficients must be positive")
-
-    def resolve(self) -> "RunConfig":
-        """Fill the example-dependent coefficient default."""
-        if self.rho_plus is not None:
-            if self.example == "patch" and self.rho_plus != self.rho_minus:
-                raise ConfigError(
-                    "the patch test uses equal coefficients; set rho_plus = rho_minus")
-            return self
-        rho_plus = self.rho_minus if self.example == "patch" else 1e4
-        return dataclasses.replace(self, rho_plus=rho_plus)
-
-    def study_levels(self) -> tuple[int, ...]:
-        levels = self.levels if self.levels else tuple(range(1, 6))
-        if list(levels) != sorted(levels):
-            raise ConfigError(f"levels must be ascending, got {levels}")
-        return levels
+        if self.example == "patch" and self.rho_plus != self.rho_minus:
+            raise ConfigError(
+                "the patch test uses equal coefficients; set rho_plus = rho_minus")
 
 
 @dataclass(frozen=True)
@@ -162,7 +156,6 @@ def _format_cell(column: str, value) -> str:
 
 def make_problem(config: RunConfig) -> tuple[LevelSet, ProblemSpec]:
     """Instantiate the level set and problem data a config describes."""
-    config = config.resolve()
     common = dict(gamma=config.gamma,
                   gamma_g_minus=config.gamma_g_minus,
                   gamma_g_plus=config.gamma_g_plus,
@@ -180,7 +173,7 @@ def make_problem(config: RunConfig) -> tuple[LevelSet, ProblemSpec]:
             raise ConfigError("example 2 fixes the inclusion on the minus side")
         return example_flower(config.rho_minus, config.rho_plus, **common)
     if config.interface == "flower":
-        ls = make_flower()
+        ls = make_flower(inclusion_side=config.inclusion_side)
     else:
         ls = make_circle(radius=config.circle_radius,
                          inclusion_side=config.inclusion_side)
@@ -194,7 +187,6 @@ def run_solve(config: RunConfig, level: int | None = None) -> RunResult:
     replaces ``config.level``, in the result's config too."""
     if level is not None:
         config = dataclasses.replace(config, level=level)
-    config = config.resolve()
     ls, spec = make_problem(config)
     return _solve_on(config, spec, _geometry(config.level, ls))
 
@@ -206,7 +198,7 @@ def _geometry(level: int, ls: LevelSet) -> SpaceLayout:
 
 
 def _solve_on(config: RunConfig, spec: ProblemSpec, layout: SpaceLayout) -> RunResult:
-    """Assemble, solve and report one resolved config on built geometry."""
+    """Assemble, solve and report one config on built geometry."""
     system = build_system(layout, spec)
     try:
         x, stats = solve(system)
@@ -237,10 +229,13 @@ def solve_table(result: RunResult) -> Table:
 
 
 def run_convergence(config: RunConfig, levels=None) -> Table:
-    """Solve over ascending levels; rows carry errors and observed orders."""
-    levels = tuple(levels) if levels is not None else config.study_levels()
-    if list(levels) != sorted(levels):
-        raise ConfigError(f"levels must be ascending, got {levels}")
+    """Solve over ascending levels; rows carry errors and observed orders.
+    The levels are ``levels``, else ``config.levels``, else 1..5."""
+    if levels is None:
+        levels = config.levels or _STUDY_LEVELS
+    levels = tuple(levels)
+    if not levels or list(levels) != sorted(levels):
+        raise ConfigError(f"levels must be non-empty and ascending, got {levels}")
     reports = [run_solve(config, level=lv).report for lv in levels]
     hs = np.array([r.h for r in reports])
     rates = {}
@@ -268,7 +263,7 @@ def run_contrast_sweep(config: RunConfig, pairs=CONTRAST_PAIRS,
     layout = _geometry(config.level, make_problem(config)[0])
     rows = []
     for rho_minus, rho_plus in pairs:
-        cfg = dataclasses.replace(config, rho_minus=rho_minus, rho_plus=rho_plus).resolve()
+        cfg = dataclasses.replace(config, rho_minus=rho_minus, rho_plus=rho_plus)
         _, spec = make_problem(cfg)
         rep = _solve_on(cfg, spec, layout).report
         rows.append((rho_minus, rho_plus, rep.e0, rep.eflux, rep.esqrt))

@@ -23,6 +23,12 @@ __all__ = [
 DOMAIN_DIAMETER = 2.0 * np.sqrt(2.0)
 FD_STEP = 1e-6 * DOMAIN_DIAMETER
 
+# half-width, in |phi|, of the band reflected through the interface
+_TUBE = 0.1
+# |phi| at which a projection onto the interface stops, and its step limit
+_PROJECTION_TOL = 1e-12
+_PROJECTION_MAX_ITER = 50
+
 
 class GeometryError(RuntimeError):
     """Interface geometry inconsistent with the cut model."""
@@ -138,18 +144,19 @@ def make_flower(inclusion_side: str = "minus") -> LevelSet:
                     simple=False, name="flower")
 
 
-def reflect_many(ls: LevelSet, xs, tube: float = 0.1, tol: float = 1e-12, max_iter: int = 50):
-    """Vectorized reflection of a batch of points."""
+def reflect_many(ls: LevelSet, xs):
+    """Vectorized reflection of a batch of points within ``_TUBE`` of the
+    interface."""
     xs = np.asarray(xs, dtype=float)
     d0 = np.abs(ls.value(xs))
-    if np.any(d0 > tube):
-        bad = xs[np.argmax(d0 > tube)]
+    if np.any(d0 > _TUBE):
+        bad = xs[np.argmax(d0 > _TUBE)]
         raise GeometryError(f"point {bad.tolist()} outside the reflection tube")
     ys = xs.copy()
     active = np.ones(xs.shape[0], dtype=bool)
-    for _ in range(max_iter):
+    for _ in range(_PROJECTION_MAX_ITER):
         d = ls.value(ys[active])
-        done = np.abs(d) <= tol
+        done = np.abs(d) <= _PROJECTION_TOL
         idx = np.flatnonzero(active)
         active[idx[done]] = False
         if not np.any(active):
@@ -161,5 +168,5 @@ def reflect_many(ls: LevelSet, xs, tube: float = 0.1, tol: float = 1e-12, max_it
         ys[active] -= (d[~done] / g2)[:, None] * g
     if np.any(active):
         bad = xs[np.argmax(active)]
-        raise GeometryError(f"projection of {bad.tolist()} did not converge in {max_iter} iterations")
+        raise GeometryError(f"projection of {bad.tolist()} did not converge in {_PROJECTION_MAX_ITER} iterations")
     return 2.0 * ys - xs

@@ -1,6 +1,6 @@
 """Jacobi-preconditioned conjugate gradients, the package's linear solver.
 
-`solve` stops when the true residual relative to ||b|| is at most tol,
+`solve` stops when the true residual relative to ||b|| is at most _TOL,
 and raises StagnationError with its iterate when restarts from the exact
 residual stop improving it.  At high coefficient contrast that relative
 residual floors far above round-off, because it measures against ||b||
@@ -22,6 +22,9 @@ __all__ = [
     "SolveStats", "SolverError", "NotSPDError", "MaxIterationsError",
     "StagnationError", "BACKWARD_ERROR_TOL", "solve",
 ]
+
+# true residual relative to ||b|| at which a solve has converged
+_TOL = 1e-12
 
 # About 450 machine epsilons: stagnated CG iterates of the contrast
 # studies reach 1.4e-16 or less, converged solves 9.4e-15 or less.
@@ -69,9 +72,9 @@ def _stats(it: int, a, b: np.ndarray, x: np.ndarray, r: np.ndarray,
                       float(np.abs(r).max()) / den)
 
 
-def solve(system: SparseSystem, tol: float = 1e-12,
+def solve(system: SparseSystem,
           max_iter: int | None = None) -> tuple[np.ndarray, SolveStats]:
-    """Solve the reduced system to a true relative residual <= tol
+    """Solve the reduced system to a true relative residual <= _TOL
     (at most max_iter iterations, default 20 n).
 
     The iteration updates preallocated vectors in place; it computes the
@@ -110,10 +113,10 @@ def solve(system: SparseSystem, tol: float = 1e-12,
         x += np.multiply(alpha, p, out=step)
         r -= np.multiply(alpha, ap, out=step)
         rnorm = math.sqrt(r @ r)
-        if rnorm <= tol * bnorm:
+        if rnorm <= _TOL * bnorm:
             np.subtract(b, a @ x, out=r)
             true_r = math.sqrt(r @ r)
-            if true_r <= tol * bnorm:
+            if true_r <= _TOL * bnorm:
                 return x, _stats(it, a, b, x, r, bnorm)
             # Recurrence residual converged but the true residual did not:
             # restart from the exact residual.  Two consecutive restarts
@@ -127,7 +130,7 @@ def solve(system: SparseSystem, tol: float = 1e-12,
             if stalls >= 2:
                 raise StagnationError(
                     f"CG stagnated at relative residual {true_r / bnorm:.3e} "
-                    f"above tol={tol:g} (round-off floor, {it} iterations)",
+                    f"above tol={_TOL:g} (round-off floor, {it} iterations)",
                     _stats(it, a, b, x, r, bnorm),
                     x,
                 )
@@ -143,7 +146,7 @@ def solve(system: SparseSystem, tol: float = 1e-12,
         p += z
     stats = _stats(it, a, b, x, b - a @ x, bnorm)
     raise MaxIterationsError(
-        f"CG did not reach tol={tol:g} in {max_iter} iterations "
+        f"CG did not reach tol={_TOL:g} in {max_iter} iterations "
         f"(relative residual {stats.relative_residual:.3e})",
         stats,
     )

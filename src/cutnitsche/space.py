@@ -18,6 +18,10 @@ from .mesh import Mesh, barycentric_many, blocks
 
 __all__ = ["SpaceLayout", "FieldPair", "build_spaces", "interpolate", "evaluate"]
 
+# distance by which a located point may lie outside its triangle, and
+# outside the domain [-1, 1]^2
+_LOCATE_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class SpaceLayout:
@@ -72,10 +76,6 @@ class FieldPair:
     plus: np.ndarray
 
     @classmethod
-    def zeros(cls, layout: SpaceLayout) -> "FieldPair":
-        return cls(layout, np.zeros(layout.n_minus), np.zeros(layout.n_plus))
-
-    @classmethod
     def from_global(cls, layout: SpaceLayout, vec: np.ndarray) -> "FieldPair":
         if vec.shape != (layout.n_total,):
             raise ValueError(f"expected global vector of length {layout.n_total}")
@@ -86,14 +86,6 @@ class FieldPair:
 
     def side(self, side: str) -> np.ndarray:
         return self.minus if side == "minus" else self.plus
-
-    def node_values(self, side: str) -> np.ndarray:
-        """Per-node values with NaN at nodes not carrying the side."""
-        dofs = self.layout.node_dof(side)
-        out = np.full(self.layout.mesh.n_nodes, np.nan)
-        has = dofs >= 0
-        out[has] = self.side(side)[dofs[has]]
-        return out
 
 
 def build_spaces(mesh: Mesh, topo: CutTopology) -> SpaceLayout:
@@ -144,11 +136,11 @@ def interpolate_pair(layout: SpaceLayout, f_minus, f_plus) -> FieldPair:
     )
 
 
-def locate_on_side(layout: SpaceLayout, side: str, pts, tol: float = 1e-12):
+def locate_on_side(layout: SpaceLayout, side: str, pts):
     """Element of one side's mesh holding each point, and its barycentrics.
 
     The triangle ``Mesh.locate`` finds is kept when it carries the side
-    and contains the point within ``tol``; otherwise the lowest-id side
+    and contains the point within ``_LOCATE_TOL``; otherwise the lowest-id side
     triangle sharing a vertex with it that does.  Points no such
     triangle holds get element -1.
     """
@@ -157,7 +149,7 @@ def locate_on_side(layout: SpaceLayout, side: str, pts, tol: float = 1e-12):
     pts = np.asarray(pts, dtype=float).reshape(-1, 2)
     elems = mesh.locate(pts)
     lams = barycentric_many(mesh.nodes[mesh.elements(elems)], pts)
-    floor = -tol / mesh.h
+    floor = -_LOCATE_TOL / mesh.h
     found = in_side[elems] & np.all(lams >= floor, axis=1)
     for k in np.flatnonzero(~found):
         near = np.unique(mesh.node_elems(mesh.elements(elems[k]))[1]).tolist()
@@ -172,7 +164,7 @@ def locate_on_side(layout: SpaceLayout, side: str, pts, tol: float = 1e-12):
     return elems, lams
 
 
-def evaluate(field: FieldPair, side: str, x, tol: float = 1e-12):
+def evaluate(field: FieldPair, side: str, x):
     """Value and gradient of one side's field at a point.
 
     The point must lie in an element carrying the requested side;
@@ -181,9 +173,9 @@ def evaluate(field: FieldPair, side: str, x, tol: float = 1e-12):
     layout = field.layout
     mesh = layout.mesh
     x = np.asarray(x, dtype=float)
-    if not (-1.0 - tol <= x[0] <= 1.0 + tol and -1.0 - tol <= x[1] <= 1.0 + tol):
+    if not np.all(np.abs(x) <= 1.0 + _LOCATE_TOL):
         raise ValueError(f"point {x.tolist()} lies outside the computational domain")
-    elems, lams = locate_on_side(layout, side, x, tol)
+    elems, lams = locate_on_side(layout, side, x)
     t = elems[0]
     if t < 0:
         raise ValueError(f"point {x.tolist()} lies outside the {side}-side mesh")

@@ -227,6 +227,32 @@ def test_dump_files(capsys, tmp_path):
     assert n == m and nnz > 0
 
 
+def test_unwritable_output_exits_one(capsys, tmp_path):
+    for flag, name in (("--output", "out.csv"), ("--dump-mesh", "mesh.txt")):
+        path = tmp_path / "missing" / name
+        code, _, err = _run(capsys, ["solve", "--example", "1", "--level", "1",
+                                     flag, str(path)])
+        assert code == 1
+        assert "Traceback" not in err
+        assert err.splitlines() == [
+            f"cutnitsche: cannot write {path}: No such file or directory"]
+
+
+def test_flower_patch_test_on_either_side(capsys):
+    # the side flag reaches the flower: both sides solve at round-off, and
+    # they are different problems
+    outs = []
+    for side in ("minus", "plus"):
+        code, out, err = _run(capsys, ["solve", "--example", "patch", "--interface",
+                                       "flower", "--inclusion-side", side, "--level", "2"])
+        assert code == 0 and err == ""
+        header, rows = _csv(out)
+        row = dict(zip(header, rows[0]))
+        assert float(row["e0"]) <= 1e-10 and float(row["eflux"]) <= 1e-10
+        outs.append(out)
+    assert outs[0] != outs[1]
+
+
 def test_contrast_sweep_at_explicit_level(capsys, tmp_path):
     code, out, _ = _run(capsys, ["contrast", "--example", "1", "--level", "2"])
     assert code == 0

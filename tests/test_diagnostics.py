@@ -10,11 +10,10 @@ from cutnitsche.assembly import assemble_vnorm_gram, build_system
 from cutnitsche.cutcell import classify
 from cutnitsche.diagnostics import (_cutoff, _h1_matrices, _pointwise, build_extension,
                                     coercivity_probe,
-                                    discrete_extension,
                                     interpolation_error_profile,
                                     patch_area_ratio, run_diagnostics)
 from cutnitsche.harness import RunConfig, make_problem
-from cutnitsche.levelset import GeometryError, LevelSet, make_circle, reflect_many
+from cutnitsche.levelset import _TUBE, GeometryError, LevelSet, make_circle, reflect_many
 from cutnitsche.mesh import build_mesh
 from cutnitsche.problems import example_circle, patch_problem
 from cutnitsche.space import build_spaces, interpolate_pair, locate_on_side
@@ -131,6 +130,8 @@ def test_extension_matrix_structure(plus_inclusion):
     mesh, ls = layout.mesh, layout.topo.levelset
     op = build_extension(layout)
     assert op.matrix.shape == (mesh.n_nodes, layout.n_plus)
+    assert op.h1_full.shape == (mesh.n_nodes, mesh.n_nodes)
+    assert op.h1_plus.shape == (layout.n_plus, layout.n_plus)
 
     keep = layout.node_dof_plus >= 0
     dist = np.abs(ls.value(mesh.nodes))
@@ -140,16 +141,16 @@ def test_extension_matrix_structure(plus_inclusion):
         assert row.data[0] == 1.0
         assert row.indices[0] == layout.node_dof_plus[z]
     # beyond the tube the extension is identically zero
-    for z in np.flatnonzero(~keep & (dist > 0.1)):
+    for z in np.flatnonzero(~keep & (dist > _TUBE)):
         assert op.matrix.getrow(z).nnz == 0
     # inside the tube each row is a damped average: weights in [0, 1]
     sums = np.asarray(op.matrix.sum(axis=1)).ravel()
-    cand = ~keep & (dist <= 0.1)
+    cand = ~keep & (dist <= _TUBE)
     assert np.all(sums[cand] >= -1e-12)
     assert np.all(sums[cand] <= 1.0 + 1e-12)
 
 
-def ref_extension_matrix(layout, tube=0.1):
+def ref_extension_matrix(layout):
     """The extension matrix built one node at a time, one reflection
     batch per node, as before its passes were vectorised."""
     mesh, topo = layout.mesh, layout.topo
@@ -162,7 +163,7 @@ def ref_extension_matrix(layout, tube=0.1):
         vals.append(1.0)
     dist_nodes = np.abs(np.asarray(ls.value(mesh.nodes), dtype=float))
     sq = topo.quad_minus
-    for z in np.flatnonzero(~keep & (dist_nodes <= tube)):
+    for z in np.flatnonzero(~keep & (dist_nodes <= _TUBE)):
         pts_z, wts_z = [], []
         for t in mesh.node_elems([z])[1]:
             lo, hi = np.searchsorted(sq.elems, (t, t + 1))
@@ -171,11 +172,11 @@ def ref_extension_matrix(layout, tube=0.1):
         pts_z = np.concatenate(pts_z)
         wts_z = np.concatenate(wts_z)
         total = float(np.sum(wts_z))
-        eta = _cutoff(np.abs(np.asarray(ls.value(pts_z), dtype=float)), tube)
+        eta = _cutoff(np.abs(np.asarray(ls.value(pts_z), dtype=float)), _TUBE)
         live = eta > 0.0
         if total <= 0.0 or not np.any(live):
             continue
-        refl = reflect_many(ls, pts_z[live], tube=tube)
+        refl = reflect_many(ls, pts_z[live])
         elems, lams = locate_on_side(layout, "plus", refl)
         if np.any(elems < 0):
             bad = refl[np.argmax(elems < 0)]
@@ -219,11 +220,9 @@ def test_h1_matrices_match_the_coo_reference(level):
         kloc = area[:, None, None] * np.einsum("kid,kjd->kij", mesh.grads(elems), mesh.grads(elems))
         mloc = area[:, None, None] * ((np.ones((3, 3)) + np.eye(3)) / 12.0)
         rows, cols = np.repeat(conn, 3, axis=1).ravel(), np.tile(conn, (1, 3)).ravel()
-        mass, stiff = _h1_matrices(mesh, elems)
-        assert_same_csr(mass, scipy.sparse.coo_matrix(
-            (mloc.ravel(), (rows, cols)), shape=(n, n)).tocsr())
-        assert_same_csr(stiff, scipy.sparse.coo_matrix(
-            (kloc.ravel(), (rows, cols)), shape=(n, n)).tocsr())
+        mass = scipy.sparse.coo_matrix((mloc.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+        stiff = scipy.sparse.coo_matrix((kloc.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+        assert_same_csr(_h1_matrices(mesh, elems), (mass + stiff).tocsr())
 
 
 def test_pointwise_matches_the_coo_reference():
@@ -258,18 +257,17 @@ def test_extension_of_plus_field(plus_inclusion):
     def f(x):
         return 1.0 + x[..., 0] + 2.0 * x[..., 1]
 
-    field = interpolate_pair(layout, f, f)
-    w, ratio = discrete_extension(field)
+    op = build_extension(layout)
+    v = interpolate_pair(layout, f, f).plus
+    w = op.matrix @ v
     assert w.shape == (mesh.n_nodes,)
     keep = layout.node_dof_plus >= 0
     assert np.allclose(w[keep], f(mesh.nodes[keep]), atol=1e-12)
-    assert 0.0 < ratio < 5.0
+    assert 0.0 < op.stability_ratio(v) < 5.0
 
-    zero = interpolate_pair(layout, lambda x: 0.0 * x[..., 0],
-                            lambda x: 0.0 * x[..., 0])
-    w0, r0 = discrete_extension(zero)
-    assert np.all(w0 == 0.0)
-    assert r0 == 0.0
+    zero = np.zeros(layout.n_plus)
+    assert np.all(op.matrix @ zero == 0.0)
+    assert op.stability_ratio(zero) == 0.0
 
 
 # ---------------------------------------------------------------------------

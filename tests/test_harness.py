@@ -1,6 +1,7 @@
 """Batch harness: configs, tables, and the backward-error acceptance of
 stagnated solves."""
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,20 +26,42 @@ def test_config_validation():
 
 
 def test_config_resolution():
-    assert RunConfig(example="1").resolve().rho_plus == 1e4
-    assert RunConfig(example="patch").resolve().rho_plus == 1.0
-    assert RunConfig(example="patch", rho_minus=3.0).resolve().rho_plus == 3.0
-    explicit = RunConfig(example="1", rho_plus=25.0).resolve()
-    assert explicit.rho_plus == 25.0
+    # the example-dependent rho_plus is concrete from construction on,
+    # and a replaced config that names it keeps the named value
+    for example, rho_plus in (("1", 1e4), ("2", 1e4), ("patch", 3.0)):
+        config = RunConfig(example=example, rho_minus=3.0)
+        assert config.rho_plus == rho_plus
+        assert dataclasses.replace(config, level=2).rho_plus == rho_plus
+        assert dataclasses.replace(config, rho_minus=5.0, rho_plus=5.0).rho_plus == 5.0
+    assert RunConfig(example="patch").rho_plus == 1.0
+    assert RunConfig(example="1", rho_plus=25.0).rho_plus == 25.0
     with pytest.raises(ConfigError, match="equal coefficients"):
-        RunConfig(example="patch", rho_plus=2.0).resolve()
+        RunConfig(example="patch", rho_plus=2.0)
+    with pytest.raises(ConfigError, match="equal coefficients"):
+        dataclasses.replace(RunConfig(example="patch"), rho_plus=2.0)
 
 
-def test_study_levels():
-    assert RunConfig().study_levels() == (1, 2, 3, 4, 5)
-    assert RunConfig(levels=(2, 3)).study_levels() == (2, 3)
-    with pytest.raises(ConfigError):
-        RunConfig(levels=(3, 2)).study_levels()
+def test_study_levels(monkeypatch):
+    # the levels rule of run_convergence: the argument, else config.levels,
+    # else 1..5; non-empty and ascending
+    solved = []
+
+    def fake_solve(config, level):
+        solved.append(level)
+        report = SimpleNamespace(h=0.5 ** level, e0=1.0, einf=1.0, eflux=1.0, efluxinf=1.0)
+        return SimpleNamespace(report=report)
+
+    monkeypatch.setattr(harness, "run_solve", fake_solve)
+    for config, levels, want in ((RunConfig(), None, [1, 2, 3, 4, 5]),
+                                 (RunConfig(levels=(2, 3)), None, [2, 3]),
+                                 (RunConfig(levels=(2, 3)), (1, 4), [1, 4])):
+        solved.clear()
+        assert [r[0] for r in run_convergence(config, levels).rows] == want
+        assert solved == want
+    for config, levels in ((RunConfig(), ()), (RunConfig(), (3, 2)),
+                           (RunConfig(levels=(3, 2)), None)):
+        with pytest.raises(ConfigError, match="non-empty and ascending"):
+            run_convergence(config, levels)
 
 
 def test_make_problem_example_constraints():
@@ -74,6 +97,17 @@ def test_run_solve_patch_is_exact():
     assert result.report.vanorm <= 1e-10
     assert result.stats.relative_residual <= 1e-12
     assert result.config.rho_plus == 1.0  # resolution happened
+
+
+@pytest.mark.parametrize("side", ["minus", "plus"])
+def test_flower_patch_test_takes_the_inclusion_side(side):
+    result = run_solve(RunConfig(example="patch", interface="flower",
+                                 inclusion_side=side, level=2))
+    assert result.topo.levelset.name == "flower"
+    assert result.topo.levelset.inclusion_side == side
+    assert result.layout.outer_side() == ("plus" if side == "minus" else "minus")
+    assert result.report.e0 <= 1e-10
+    assert result.report.eflux <= 1e-10
 
 
 def test_convergence_table_shape():

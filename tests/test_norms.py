@@ -40,7 +40,7 @@ def test_error_report_requires_exact_solution(circle_layout):
     layout = circle_layout(1)
     spec = ProblemSpec(rho_minus=1.0, rho_plus=1.0)
     with pytest.raises(ValueError, match="exact"):
-        error_report(spec, FieldPair.zeros(layout))
+        error_report(spec, FieldPair.from_global(layout, np.zeros(layout.n_total)))
 
 
 def hand_gradient_error_sq(spec, u_h, weight):

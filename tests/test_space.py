@@ -129,7 +129,3 @@ def test_field_pair_round_trip(circle_layout):
     np.testing.assert_array_equal(field.to_global(), vec)
     with pytest.raises(ValueError):
         FieldPair.from_global(layout, vec[:-1])
-    nv = field.node_values("minus")
-    has = layout.node_dof_minus >= 0
-    assert np.all(np.isnan(nv[~has]))
-    assert not np.any(np.isnan(nv[has]))
