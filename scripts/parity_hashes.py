@@ -2,7 +2,9 @@
 """Print sha256 hashes of every array and report the tables rest on.
 
 One line per item: the cut topology of the circle (both inclusion sides)
-and the flower at levels 1..6, the matrix, right-hand side, solution and
+and the flower at levels 1..6 (side areas and side rules from their
+accessors over the full id range, under the names of the arrays they
+replaced), the matrix, right-hand side, solution and
 solve statistics of every configuration of ``reproduce_tables.py``, the
 discrete extension operator of the diagnostics at levels 2..5 with its
 H1 Gram matrices (``h1_plus`` in plus-dof indexing), the seven
@@ -74,12 +76,22 @@ def mesh_arrays(mesh):
 
 
 def topology_arrays(topo):
-    out = {}
-    for name, value in vars(topo).items():
-        if isinstance(value, tuple):
-            out.update({f"{name}.{k}": v for k, v in value._asdict().items()})
-        elif isinstance(value, np.ndarray):
-            out[name] = value
+    """Every array the cut topology had when it stored whole-mesh side
+    areas and side rules, in their old order and under their old names;
+    those two come from the accessors over the full id range."""
+    out = {name: getattr(topo, name) for name in ("node_sign", "elem_side")}
+    for side in ("minus", "plus"):
+        out[f"area_{side}"] = topo.area(side, slice(None))
+    for name in ("cut_ids", "chord_p", "chord_q", "chord_len", "chord_normal"):
+        out[name] = getattr(topo, name)
+    for side in ("minus", "plus"):
+        ptr, points, weights = topo.quadrature(side, slice(None))
+        out[f"quad_{side}.elems"] = np.repeat(np.arange(topo.mesh.n_elems), np.diff(ptr))
+        out[f"quad_{side}.points"] = points
+        out[f"quad_{side}.weights"] = weights
+    out.update({f"iface.{k}": v for k, v in topo.iface._asdict().items()})
+    for name in ("ghost_minus", "ghost_plus", "ambiguous_elements", "degenerate_elements"):
+        out[name] = getattr(topo, name)
     return out
 
 

@@ -22,7 +22,8 @@ column of ``BENCH_memory.json`` at the repository root, ``change`` unless
 kept, so a column measured at an earlier commit stays beside it; to
 measure one, run this script with that commit's ``src`` on PYTHONPATH.
 Each column records the ``git describe --always --dirty`` of the checkout
-the package was imported from.
+the package was imported from; outside a git checkout the script exits 1
+before it measures anything.
 
     python scripts/stage_memory.py
     PYTHONPATH=/path/to/parent/src python scripts/stage_memory.py --column parent
@@ -66,10 +67,18 @@ def rss_mb() -> float:
 
 
 def source_commit() -> str:
-    """``git describe`` of the checkout the package was imported from."""
+    """``git describe`` of the checkout the package was imported from;
+    SystemExit with a message when there is none."""
     package = pathlib.Path(cutnitsche.__file__).resolve().parent
-    return subprocess.run(["git", "-C", str(package), "describe", "--always", "--dirty"],
-                          capture_output=True, text=True).stdout.strip()
+    try:
+        run = subprocess.run(["git", "-C", str(package), "describe", "--always", "--dirty"],
+                             capture_output=True, text=True)
+    except OSError as exc:
+        raise SystemExit(f"stage_memory: cannot run git: {exc}") from exc
+    if run.returncode or not run.stdout.strip():
+        raise SystemExit(f"stage_memory: {package} is not in a git checkout, so the "
+                         f"column cannot record its commit: {run.stderr.strip()}")
+    return run.stdout.strip()
 
 
 def traced(fn):
@@ -116,6 +125,7 @@ def main(argv=None) -> int:
     ap.add_argument("--levels", type=parse_levels, default=parse_levels("5..7"))
     ap.add_argument("--column", default="change")
     args = ap.parse_args(argv)
+    commit = source_commit()
 
     levels = {}
     for level in args.levels:
@@ -131,7 +141,7 @@ def main(argv=None) -> int:
     doc = json.loads(OUTPUT.read_text()) if OUTPUT.exists() else {}
     doc["case"] = "circle r=1/3, inclusion plus, rho 1 / 1e9; no solve"
     doc.setdefault("columns", {})[args.column] = {
-        "commit": source_commit(),
+        "commit": commit,
         "versions": {"python": sys.version.split()[0], "numpy": np.__version__,
                      "scipy": scipy.__version__},
         "cpus": os.cpu_count(),

@@ -207,11 +207,10 @@ def assemble_parts(layout: SpaceLayout, spec: ProblemSpec) -> dict:
     fill = CsrFill((n, n), ((layout.global_dofs(side, mesh.elements(elems[block])), 3)
                             for side, elems in sides for block in blocks(elems.size)))
     for side, elems in sides:
-        area = topo.area(side)
         for block in blocks(elems.size):
             ids = elems[block]
             fill.add_local(layout.global_dofs(side, mesh.elements(ids)),
-                           _stiffness(spec.rho(side) * area[ids], mesh.grads(ids)))
+                           _stiffness(spec.rho(side) * topo.area(side, ids), mesh.grads(ids)))
     volume = fill.tocsr()
 
     _, gn, wts, _, jump, dofs, _ = _cut_blocks(layout)
@@ -224,28 +223,31 @@ def assemble_parts(layout: SpaceLayout, spec: ProblemSpec) -> dict:
     pen = np.einsum("kq,kqi,kqj->kij", wts, jump, jump) / h_t
     penalty_base = local_csr(n, dofs, pen)
 
-    ghost = {}
-    for side in ("minus", "plus"):
-        edges = topo.ghost_minus if side == "minus" else topo.ghost_plus
-        e1, e2, elen, ne = edge_frame(mesh, edges)
-        j1 = np.einsum("kid,kd->ki", mesh.grads(e1), ne)
-        j2 = -np.einsum("kid,kd->ki", mesh.grads(e2), ne)
-        jmp = np.concatenate([j1, j2], axis=1)  # (k, 6)
-        coeff = spec.rho(side) * elen ** 2
-        local = coeff[:, None, None] * jmp[:, :, None] * jmp[:, None, :]
-        dofs = np.concatenate(
-            [layout.global_dofs(side, mesh.elements(e1)),
-             layout.global_dofs(side, mesh.elements(e2))], axis=1
-        )
-        ghost[side] = local_csr(n, dofs, local)
-
     return {
         "volume": volume,
         "nitsche": nitsche,
         "penalty_base": penalty_base,
-        "ghost_minus": ghost["minus"],
-        "ghost_plus": ghost["plus"],
+        "ghost_minus": _ghost_part(layout, spec, "minus"),
+        "ghost_plus": _ghost_part(layout, spec, "plus"),
     }
+
+
+def _ghost_part(layout: SpaceLayout, spec: ProblemSpec, side: str) -> sp.csr_matrix:
+    """Gradient-jump ghost penalty of one side, with rho and |e|^2 but no
+    gamma_g: the ``ghost_minus``/``ghost_plus`` part of ``assemble_parts``."""
+    mesh, topo = layout.mesh, layout.topo
+    edges = topo.ghost_minus if side == "minus" else topo.ghost_plus
+    e1, e2, elen, ne = edge_frame(mesh, edges)
+    j1 = np.einsum("kid,kd->ki", mesh.grads(e1), ne)
+    j2 = -np.einsum("kid,kd->ki", mesh.grads(e2), ne)
+    jmp = np.concatenate([j1, j2], axis=1)  # (k, 6)
+    coeff = spec.rho(side) * elen ** 2
+    local = coeff[:, None, None] * jmp[:, :, None] * jmp[:, None, :]
+    dofs = np.concatenate(
+        [layout.global_dofs(side, mesh.elements(e1)),
+         layout.global_dofs(side, mesh.elements(e2))], axis=1
+    )
+    return local_csr(layout.n_total, dofs, local)
 
 
 def assemble_bilinear(layout: SpaceLayout, spec: ProblemSpec) -> sp.csr_matrix:
@@ -282,13 +284,11 @@ def assemble_load(layout: SpaceLayout, spec: ProblemSpec) -> np.ndarray:
         f = spec.f_minus if side == "minus" else spec.f_plus
         if f is None:
             continue
-        sq = topo.quad_minus if side == "minus" else topo.quad_plus
         # np.add.at adds in point order, whatever the block size
-        for block in blocks(sq.weights.size):
-            pts = sq.points[block]
-            conn = mesh.elements(sq.elems[block])
-            lam = barycentric_many(mesh.nodes[conn], pts)
-            contrib = (sq.weights[block] * np.asarray(f(pts), dtype=float))[:, None] * lam
+        for _, elems, pts, w in topo.quadrature_blocks(side):
+            conn = mesh.elements(elems)
+            lam = barycentric_many(np.take(mesh.nodes, conn, axis=0), pts)
+            contrib = (w * np.asarray(f(pts), dtype=float))[:, None] * lam
             dofs = layout.global_dofs(side, conn)
             np.add.at(b, dofs.ravel(), contrib.ravel())
 

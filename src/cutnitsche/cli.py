@@ -93,12 +93,17 @@ def load_config(args: argparse.Namespace, level: int | None = None) -> RunConfig
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad flags; route through ConfigError
-    # so the documented exit code 1 applies.
+    # so the documented exit code 1 applies.  No abbreviations: they would
+    # read convergence's --level as --levels.
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise ConfigError(message)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
+    """The flags every subcommand reads; each adds the others it reads."""
     parser.add_argument("--config", help="flat key = value config file")
     parser.add_argument("--example", choices=("1", "2", "patch"))
     parser.add_argument("--interface", choices=("circle", "flower"))
@@ -111,10 +116,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--gamma-g-minus", dest="gamma_g_minus", type=float)
     parser.add_argument("--gamma-g-plus", dest="gamma_g_plus", type=float)
     parser.add_argument("--weighting", choices=("minus_sided", "harmonic"))
-    parser.add_argument("--level", type=int)
-    parser.add_argument("--levels", help="e.g. 1..5 or 1,2,3")
     parser.add_argument("--output", dest="output_path")
-    parser.add_argument("--format", choices=("csv", "markdown"))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -125,6 +127,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="assemble and solve one case")
     _add_common(p_solve)
+    p_solve.add_argument("--level", type=int)
+    p_solve.add_argument("--format", choices=("csv", "markdown"))
     p_solve.add_argument("--dump-solution", help="per-node values per side (CSV)")
     p_solve.add_argument("--dump-mesh", help="mesh nodes and elements (text)")
     p_solve.add_argument("--dump-cutcells", help="cut-cell geometry (CSV)")
@@ -132,9 +136,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_conv = sub.add_parser("convergence", help="errors and orders over levels")
     _add_common(p_conv)
+    p_conv.add_argument("--levels", help="e.g. 1..5 or 1,2,3")
+    p_conv.add_argument("--format", choices=("csv", "markdown"))
 
     p_con = sub.add_parser("contrast", help="fixed-level coefficient sweep")
     _add_common(p_con)
+    p_con.add_argument("--level", type=int)
+    p_con.add_argument("--format", choices=("csv", "markdown"))
 
     p_diag = sub.add_parser("diagnostics", help="structural diagnostics report")
     _add_common(p_diag)

@@ -5,7 +5,9 @@ its two interface points (edge roots or on-interface vertices) into a
 polygonal minus part and plus part.  Quadrature uses the three-point
 mid-edge rule on a fan of sub-triangles (exact for quadratics) and a
 two-point Gauss rule on the chord.  Roots, splits and rules are computed
-for all edges and all cut elements at once.
+for all edges and all cut elements at once.  Only the cut elements are
+stored: the area and the rule of an uncut element are closed forms of
+its id, computed for the ids a pass asks for.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .levelset import CoarseMeshError, GeometryError, LevelSet
-from .mesh import Mesh, blocks
+from .mesh import Mesh, _index, blocks
 
 log = logging.getLogger(__name__)
 
@@ -34,10 +36,12 @@ DEGENERATE_CHORD_FACTOR = 1e-14
 GAUSS2_OFFSET = 0.5 / np.sqrt(3.0)
 
 
-class SideQuadrature(NamedTuple):
-    """Flattened volume rule over one side's physical subdomain."""
+class CutRule(NamedTuple):
+    """One side's part of the cut elements: its area and its fan rule,
+    the points of cut element ``k`` at rows ``ptr[k]:ptr[k+1]``."""
 
-    elems: np.ndarray    # (N,) owning element per point
+    area: np.ndarray     # (ncut,) chord-model area of T cap Omega^side
+    ptr: np.ndarray      # (ncut + 1,)
     points: np.ndarray   # (N, 2)
     weights: np.ndarray  # (N,)
 
@@ -53,20 +57,24 @@ class InterfaceQuadrature(NamedTuple):
 
 @dataclass(frozen=True)
 class CutTopology:
-    """Element/edge classification of a mesh against a level set."""
+    """Element/edge classification of a mesh against a level set.
+
+    Per element only the side is stored; the side area and side rule of
+    the elements are accessors (``area``, ``quadrature``), which take
+    element ids as the ``Mesh`` accessors do.
+    """
 
     levelset: LevelSet
+    mesh: Mesh
     node_sign: np.ndarray        # int8, 0 for nodes snapped onto the interface
     elem_side: np.ndarray        # int8 per element: -1 minus, +1 plus, 0 cut
-    area_minus: np.ndarray       # (n_elems,) chord-model area of T cap Omega^-
-    area_plus: np.ndarray
     cut_ids: np.ndarray          # sorted ids of cut elements
     chord_p: np.ndarray          # (ncut, 2)
     chord_q: np.ndarray          # (ncut, 2)
     chord_len: np.ndarray        # (ncut,)
     chord_normal: np.ndarray     # (ncut, 2) unit, out of the minus side
-    quad_minus: SideQuadrature
-    quad_plus: SideQuadrature
+    cut_minus: CutRule
+    cut_plus: CutRule
     iface: InterfaceQuadrature
     ghost_minus: np.ndarray      # edge ids stabilising the minus field
     ghost_plus: np.ndarray
@@ -81,14 +89,88 @@ class CutTopology:
         _check_side(side)
         return self.elem_side <= 0 if side == "minus" else self.elem_side >= 0
 
-    def area(self, side: str) -> np.ndarray:
+    def area(self, side: str, ids) -> np.ndarray:
+        """Chord-model area of T cap Omega^side: the element's area on its
+        own side, 0 on the other, the stored part if cut: (...,) float64."""
+        want, cut_rule = self._side(side)
+        t, shape = _index(ids, self.mesh.n_elems)
+        s = self.elem_side[t]
+        out = np.where(s == want, self.mesh.areas(t), 0.0)
+        cut = s == 0
+        out[cut] = cut_rule.area[np.searchsorted(self.cut_ids, t[cut])]
+        return out.reshape(shape)
+
+    def quadrature(self, side: str, ids):
+        """Side rule on the elements, as CSR ``(ptr, points, weights)`` over
+        the flattened ids: element ``ids[i]``'s points are rows
+        ``ptr[i]:ptr[i+1]``.  An uncut element of the side gets the mid-edge
+        rule on its triangle, weight area/3, a cut one the fan rule on its
+        part, an element of the other side no point."""
+        want, cut_rule = self._side(side)
+        t, _ = _index(ids, self.mesh.n_elems)
+        s = self.elem_side[t]
+        full = s == want
+        counts = 3 * full
+        cut = np.flatnonzero(s == 0)
+        k = np.searchsorted(self.cut_ids, t[cut])
+        counts[cut] = cut_rule.ptr[k + 1] - cut_rule.ptr[k]
+        ptr = np.zeros(t.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=ptr[1:])
+        uncut = t[full]
+        # np.take gathers rows several times faster than fancy indexing
+        coords = np.take(self.mesh.nodes, self.mesh.elements(uncut), axis=0)
+        mids = np.take(coords, [1, 2, 0], axis=1)
+        mids += coords
+        mids *= 0.5
+        thirds = self.mesh.areas(uncut) / 3.0
+        if full.all():   # uncut elements of the side only: no scatter
+            return ptr, mids.reshape(-1, 2), np.repeat(thirds, 3)
+        points = np.empty((ptr[-1], 2))
+        weights = np.empty(ptr[-1])
+        at = ptr[:-1][full, None] + np.arange(3)
+        points[at], weights[at] = mids, thirds[:, None]
+        src = _ranges(cut_rule.ptr[k], counts[cut])
+        dst = _ranges(ptr[cut], counts[cut])
+        points[dst], weights[dst] = cut_rule.points[src], cut_rule.weights[src]
+        return ptr, points, weights
+
+    def n_points(self, side: str) -> int:
+        """Number of points of the side rule over the whole mesh."""
+        want, cut_rule = self._side(side)
+        return 3 * int(np.count_nonzero(self.elem_side == want)) + int(cut_rule.ptr[-1])
+
+    def quadrature_blocks(self, side: str):
+        """The side rule over the whole mesh in increasing element order,
+        at most ``BLOCK // 3`` elements of the side (``BLOCK`` points of
+        uncut ones) at a time: per block with points, the slice they take
+        of the ``n_points(side)`` points, the owning element of each
+        point, the points and the weights."""
+        in_side = self.in_side(side)
+        at = 0
+        for chunk in blocks(self.mesh.n_elems):
+            elems = chunk.start + np.flatnonzero(in_side[chunk])
+            for block in blocks(elems.size, 3):
+                ids = elems[block]
+                ptr, points, weights = self.quadrature(side, ids)
+                if weights.size:
+                    yield (slice(at, at + weights.size), np.repeat(ids, np.diff(ptr)),
+                           points, weights)
+                    at += weights.size
+
+    def _side(self, side: str):
         _check_side(side)
-        return self.area_minus if side == "minus" else self.area_plus
+        return (-1, self.cut_minus) if side == "minus" else (1, self.cut_plus)
 
 
 def _check_side(side: str) -> None:
     if side not in ("minus", "plus"):
         raise ValueError(f"side must be 'minus' or 'plus', got {side!r}")
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenation of arange(s, s + c) over the pairs (s, c)."""
+    offsets = np.cumsum(counts) - counts
+    return np.repeat(starts - offsets, counts) + np.arange(counts.sum())
 
 
 def classify(mesh: Mesh, ls: LevelSet) -> CutTopology:
@@ -147,20 +229,12 @@ def classify(mesh: Mesh, ls: LevelSet) -> CutTopology:
     elem_side = np.where(has_pos, 1, -1).astype(np.int8)
     elem_side[cut_ids] = 0
     elem_side[gone] = side
-    area_minus = np.empty(mesh.n_elems)
-    area_plus = np.empty(mesh.n_elems)
-    for block in blocks(mesh.n_elems):
-        areas = mesh.areas(block)
-        area_minus[block] = np.where(elem_side[block] < 0, areas, 0.0)
-        area_plus[block] = np.where(elem_side[block] > 0, areas, 0.0)
-    area_minus[cut_ids] = sub_minus[keep]
-    area_plus[cut_ids] = _polygon_area(poly_p[keep], k_p[keep])
     chord_p, chord_q, chord_len = p[keep], q[keep], chord_len[keep]
     d = chord_q - chord_p
     chord_normal = np.column_stack([d[:, 1], -d[:, 0]]) / chord_len[:, None]
 
-    quad_minus = _side_quadrature(mesh, elem_side, cut_ids, poly_m[keep], k_m[keep], -1)
-    quad_plus = _side_quadrature(mesh, elem_side, cut_ids, poly_p[keep], k_p[keep], 1)
+    cut_minus = _cut_rule(sub_minus[keep], poly_m[keep], k_m[keep])
+    cut_plus = _cut_rule(_polygon_area(poly_p[keep], k_p[keep]), poly_p[keep], k_p[keep])
     iface = _interface_quadrature(cut_ids, chord_p, chord_q, chord_len, chord_normal)
     ghost_minus = _ghost_edges(mesh, elem_side, cut_ids, -1)
     ghost_plus = _ghost_edges(mesh, elem_side, cut_ids, 1)
@@ -171,17 +245,16 @@ def classify(mesh: Mesh, ls: LevelSet) -> CutTopology:
 
     return CutTopology(
         levelset=ls,
+        mesh=mesh,
         node_sign=sign,
         elem_side=elem_side,
-        area_minus=area_minus,
-        area_plus=area_plus,
         cut_ids=cut_ids,
         chord_p=chord_p,
         chord_q=chord_q,
         chord_len=chord_len,
         chord_normal=chord_normal,
-        quad_minus=quad_minus,
-        quad_plus=quad_plus,
+        cut_minus=cut_minus,
+        cut_plus=cut_plus,
         iface=iface,
         ghost_minus=ghost_minus,
         ghost_plus=ghost_plus,
@@ -372,32 +445,12 @@ def _fan_rule(poly, k):
     return owner, mids[keep].reshape(-1, 2), np.repeat(area[keep] / 3.0, 3)
 
 
-def _side_quadrature(mesh, elem_side, cut_ids, poly, k, want) -> SideQuadrature:
-    """Mid-edge rule on the uncut elements of one side and the fan rule on
-    its cut parts, points grouped by element in increasing element order.
-
-    An element's points start after the points of every element with a
-    lower id, so each rule is written straight to its place; uncut
-    elements go BLOCK at a time.
-    """
-    full = np.flatnonzero(elem_side == want)
-    owner, fan_points, fan_weights = _fan_rule(poly, k)
-    fan_elems = cut_ids[owner]
-    size = 3 * full.size + fan_elems.size
-    elems = np.empty(size, dtype=np.int64)
-    points = np.empty((size, 2))
-    weights = np.empty(size)
-    fan_at = np.arange(fan_elems.size) + 3 * np.searchsorted(full, fan_elems)
-    elems[fan_at], points[fan_at], weights[fan_at] = fan_elems, fan_points, fan_weights
-    for block in blocks(full.size):
-        ids = full[block]
-        first = 3 * np.arange(block.start, block.stop) + np.searchsorted(fan_elems, ids)
-        at = first[:, None] + np.arange(3)
-        coords = mesh.nodes[mesh.elements(ids)]
-        elems[at] = ids[:, None]
-        points[at] = 0.5 * (coords + np.roll(coords, -1, axis=1))
-        weights[at] = (mesh.areas(ids) / 3.0)[:, None]
-    return SideQuadrature(elems, points, weights)
+def _cut_rule(area, poly, k) -> CutRule:
+    """Areas and fan rules of one side's parts of the cut elements."""
+    owner, points, weights = _fan_rule(poly, k)
+    ptr = np.zeros(area.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owner, minlength=area.size), out=ptr[1:])
+    return CutRule(area, ptr, points, weights)
 
 
 def _interface_quadrature(cut_ids, chord_p, chord_q, chord_len, chord_normal):
@@ -425,6 +478,8 @@ def _ghost_edges(mesh, elem_side, cut_ids, want) -> np.ndarray:
 
 def dump_cut_cells(mesh: Mesh, topo: CutTopology, path) -> None:
     """CSV of cut elements: chord endpoints and sub-areas."""
+    area_minus = topo.area("minus", topo.cut_ids)
+    area_plus = topo.area("plus", topo.cut_ids)
     with open(path, "w") as fh:
         fh.write("elem,px,py,qx,qy,area_minus,area_plus\n")
         for k, t in enumerate(topo.cut_ids):
@@ -432,5 +487,5 @@ def dump_cut_cells(mesh: Mesh, topo: CutTopology, path) -> None:
             q = topo.chord_q[k]
             fh.write(
                 f"{int(t)},{p[0]:.17g},{p[1]:.17g},{q[0]:.17g},{q[1]:.17g},"
-                f"{topo.area_minus[t]:.17g},{topo.area_plus[t]:.17g}\n"
+                f"{area_minus[k]:.17g},{area_plus[k]:.17g}\n"
             )

@@ -23,8 +23,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .assembly import (CsrFill, _stiffness, assemble_parts, assemble_vnorm_gram,
-                       build_system)
+from .assembly import CsrFill, _ghost_part, _stiffness, assemble_vnorm_gram, build_system
 # classify stays bound here by name: the benchmark's tracer tests check it
 from .cutcell import CutTopology, classify  # noqa: F401
 from .harness import RunConfig, Table, _geometry, make_problem
@@ -70,14 +69,13 @@ def patch_area_ratio(mesh: Mesh, topo: CutTopology, side: str = "minus") -> Patc
     over nodes is the measured constant.
     """
     want = -1 if side == "minus" else 1
-    areas = topo.area(side)
     nodes = np.flatnonzero(topo.node_sign * want >= 0)
     if nodes.size == 0:
         return PatchAreaResult(ratio=float("inf"), node=-1)
     patch_best = np.empty(nodes.size)
     for block in blocks(nodes.size):
         ptr, elems = mesh.node_elems(nodes[block])
-        patch_best[block] = np.maximum.reduceat(areas[elems], ptr[:-1])
+        patch_best[block] = np.maximum.reduceat(topo.area(side, elems), ptr[:-1])
     ratios = patch_best / mesh.h_elem ** 2
     i = int(np.argmin(ratios))
     return PatchAreaResult(ratio=float(ratios[i]), node=int(nodes[i]))
@@ -121,10 +119,14 @@ def interpolation_error_profile(ls: LevelSet, spec: ProblemSpec, levels) -> Tabl
         u_i = interpolate_pair(layout, spec.exact("minus"), spec.exact("plus"))
         rep = error_report(spec, u_i)
         scale = 0.0
-        for side, sq in (("minus", topo.quad_minus), ("plus", topo.quad_plus)):
+        for side in ("minus", "plus"):
             hess = spec.hess_minus if side == "minus" else spec.hess_plus
-            vals = np.asarray(hess(sq.points), dtype=float)
-            scale += np.sqrt(spec.rho(side)) * np.sqrt(np.sum(sq.weights * vals * vals))
+            # per-point integrand, summed once as a whole-side pass sums it
+            integrand = np.empty(topo.n_points(side))
+            for span, _, pts, w in topo.quadrature_blocks(side):
+                vals = np.asarray(hess(pts), dtype=float)
+                integrand[span] = w * vals * vals
+            scale += np.sqrt(spec.rho(side)) * np.sqrt(np.sum(integrand))
         scale *= rep.h
         ratio = rep.vanorm / scale if scale > 0.0 else 0.0
         rows.append((level, rep.h, rep.vanorm, scale, ratio))
@@ -134,12 +136,6 @@ def interpolation_error_profile(ls: LevelSet, spec: ProblemSpec, levels) -> Tabl
 
 # ---------------------------------------------------------------------------
 # discrete extension
-
-def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Concatenation of arange(s, s + c) over the pairs (s, c)."""
-    offsets = np.cumsum(counts) - counts
-    return np.repeat(starts - offsets, counts) + np.arange(counts.sum())
-
 
 def _cutoff(dist: np.ndarray, eps: float) -> np.ndarray:
     """1 inside eps/2, cubic rolloff to 0 at eps."""
@@ -214,17 +210,13 @@ def build_extension(layout: SpaceLayout) -> ExtensionOperator:
     keep = layout.node_dof_plus >= 0
     dist_nodes = np.abs(np.asarray(ls.value(mesh.nodes), dtype=float))
     cand = np.flatnonzero(~keep & (dist_nodes <= _TUBE))
-    sq = topo.quad_minus   # elems ascending; patches of cand nodes are all minus
 
-    # patch elements of each candidate, then their quadrature points
+    # patch elements of each candidate, then their minus-side points
     ptr, patch = mesh.node_elems(cand)
     deg = np.diff(ptr)
-    lo = np.searchsorted(sq.elems, patch)
-    n_pts = np.searchsorted(sq.elems, patch + 1) - lo
-    idx = _ranges(lo, n_pts)
-    owner = np.repeat(np.repeat(np.arange(cand.size), deg), n_pts)
+    pt_ptr, pts, wts = topo.quadrature("minus", patch)
+    owner = np.repeat(np.repeat(np.arange(cand.size), deg), np.diff(pt_ptr))
     seg = np.searchsorted(owner, np.arange(cand.size + 1))
-    pts, wts = sq.points[idx], sq.weights[idx]
     # np.sum per node: a segmented reduceat adds in another order
     total = np.array([np.sum(wts[i:j]) for i, j in zip(seg[:-1], seg[1:])])
 
@@ -291,21 +283,21 @@ def _extension_blocks(levels):
         op = build_extension(layout)
 
         # H1 over the clipped physical plus side, plus-dof indexing
-        sq = topo.quad_plus
-        conn = mesh.elements(sq.elems)
-        lam = barycentric_many(mesh.nodes[conn], sq.points)
+        ptr, pts, wts = topo.quadrature("plus", slice(None))
+        elems = np.repeat(np.arange(mesh.n_elems), np.diff(ptr))
+        conn = mesh.elements(elems)
+        lam = barycentric_many(mesh.nodes[conn], pts)
         dofs = layout.node_dof_plus[conn]
         n_plus = layout.n_plus
-        grads = mesh.grads(sq.elems)
+        grads = mesh.grads(elems)
         basis_val = _pointwise(dofs, lam, n_plus)
         gx = _pointwise(dofs, grads[:, :, 0], n_plus)
         gy = _pointwise(dofs, grads[:, :, 1], n_plus)
-        wdiag = scipy.sparse.diags(sq.weights)
+        wdiag = scipy.sparse.diags(wts)
         h1_phys = (basis_val.T @ wdiag @ basis_val
                    + gx.T @ wdiag @ gx + gy.T @ wdiag @ gy)
 
-        parts = assemble_parts(layout, spec)
-        ghost = parts["ghost_plus"]
+        ghost = _ghost_part(layout, spec, "plus")
 
         rng = np.random.default_rng(_EXTENSION_SEED)
         best_ext, best_trace = 0.0, 0.0

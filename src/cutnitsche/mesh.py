@@ -20,9 +20,10 @@ import numpy as np
 MIN_LEVEL = 1
 MAX_LEVEL = 8
 # Edges, elements or quadrature points handled per pass by every blocked
-# loop: classify's edge scan and side quadrature, the volume assembly, the
-# load vector and the error report.  The passes add and sum in the order
-# of a whole-array pass, so the block size changes memory, not bits.
+# loop: classify's edge scan, the volume assembly, the side rules of the
+# load vector, the error report and the interpolation profile.  The passes
+# add and sum in the order of a whole-array pass, so the block size
+# changes memory, not bits.
 BLOCK = 16384
 
 __all__ = ["Mesh", "build_mesh", "dump_mesh"]
@@ -297,9 +298,12 @@ def _p1_geometry(nodes: np.ndarray, elements: np.ndarray):
     return 0.5 * twice_area, grads
 
 
-def blocks(n: int):
-    """Consecutive slices of at most ``BLOCK`` items covering ``range(n)``."""
-    return (slice(lo, min(lo + BLOCK, n)) for lo in range(0, n, BLOCK))
+def blocks(n: int, width: int = 1):
+    """Consecutive slices covering ``range(n)``, of at most ``BLOCK``
+    items, or of ``BLOCK // width`` (at least one) for items of ``width``
+    rows each."""
+    step = max(BLOCK // width, 1)
+    return (slice(lo, min(lo + step, n)) for lo in range(0, n, step))
 
 
 def edge_frame(mesh: Mesh, edges: np.ndarray):

@@ -163,12 +163,13 @@ def test_criterion_6_structural_properties():
     for level in (1, 2, 3, 4, 5):
         m = build_mesh(level)
         t = classify(m, make_circle())
-        total = t.area_minus.sum() + t.area_plus.sum()
+        area_minus, area_plus = t.area("minus", slice(None)), t.area("plus", slice(None))
+        total = area_minus.sum() + area_plus.sum()
         if level == 2:
             _require(failures, abs(total - 4.0) <= 1e-10,
                      f"area partition off by {abs(total - 4.0):.3e}")
         hs.append(m.h)
-        area_err.append(abs(t.area_minus.sum() - np.pi / 9.0))
+        area_err.append(abs(area_minus.sum() - np.pi / 9.0))
         chord_err.append(abs(t.chord_len.sum() - 2.0 * np.pi / 3.0))
     slope_area = np.polyfit(np.log(hs), np.log(area_err), 1)[0]
     slope_chord = np.polyfit(np.log(hs), np.log(chord_err), 1)[0]

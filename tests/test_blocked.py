@@ -1,13 +1,14 @@
 """Blocked passes against their whole-array forms, bit for bit.
 
 The ``ref_*`` functions are the whole-array volume assembly, load
-vector, error report, side quadrature and mesh arrays that the blocked
-passes and the closed-form mesh accessors replaced, and the COO assembly
-of the five matrix parts that the in-place CSR fill replaced.  The
-blocked passes run with ``BLOCK`` patched to 7, so block edges fall
-inside the point triples of elements; every output must equal its
-reference in dtype, shape and bytes.  A tracemalloc test bounds the extra memory of the blocked stages
-and of the assembly at level 5.
+vector, error report, side rules, side areas and mesh arrays that the
+blocked passes and the closed-form mesh and cut-topology accessors
+replaced, and the COO assembly of the five matrix parts that the
+in-place CSR fill replaced.  The blocked passes run with ``BLOCK``
+patched to 7, so blocks hold a few elements and may hold no point of a
+side; every output must equal its reference in dtype, shape and bytes.
+Tracemalloc tests bound the extra memory of the blocked stages and of
+the assembly, and the memory classify's output keeps, at level 5.
 """
 import tracemalloc
 from math import ceil
@@ -20,7 +21,7 @@ from hypothesis import given, strategies as st
 from cutnitsche import cutcell, mesh as mesh_module
 from cutnitsche.assembly import (CsrFill, _cut_blocks, assemble_bilinear, assemble_load,
                                  assemble_parts, build_system, expand_solution, local_csr)
-from cutnitsche.cutcell import _fan_rule, classify
+from cutnitsche.cutcell import _fan_rule, _polygon_area, classify
 from cutnitsche.harness import RunConfig, make_problem
 from cutnitsche.levelset import LevelSet
 from cutnitsche.mesh import barycentric_many, build_mesh, edge_frame
@@ -66,12 +67,19 @@ def assert_same_csr(a, b):
 
 # -- whole-array references ---------------------------------------------------
 
+def side_rule(topo, side):
+    """The side rule over the whole mesh: owning element of each point,
+    points and weights."""
+    ptr, points, weights = topo.quadrature(side, slice(None))
+    return np.repeat(np.arange(topo.mesh.n_elems), np.diff(ptr)), points, weights
+
+
 def ref_volume(layout, spec):
     mesh, topo = layout.mesh, layout.topo
     rows, cols, vals = [], [], []
     for side in ("minus", "plus"):
         elems = np.flatnonzero(topo.in_side(side))
-        area = topo.area(side)[elems]
+        area = topo.area(side, elems)
         grads = mesh.grads(elems)
         local = spec.rho(side) * area[:, None, None] * np.einsum("kid,kjd->kij", grads, grads)
         dofs = layout.global_dofs(side, mesh.elements(elems))
@@ -114,7 +122,7 @@ def ref_assemble_parts(layout, spec):
     entries = _Entries(sum(elems.size for _, elems in sides), 3)
     for side, elems in sides:
         grads = mesh.grads(elems)
-        local = (spec.rho(side) * topo.area(side)[elems][:, None, None]
+        local = (spec.rho(side) * topo.area(side, elems)[:, None, None]
                  * np.einsum("kid,kjd->kij", grads, grads))
         entries.add(layout.global_dofs(side, mesh.elements(elems)), local)
     parts = {"volume": entries.tocsr(n)}
@@ -152,12 +160,12 @@ def ref_assemble_load(layout, spec):
         f = spec.f_minus if side == "minus" else spec.f_plus
         if f is None:
             continue
-        sq = topo.quad_minus if side == "minus" else topo.quad_plus
-        if not sq.weights.size:
+        elems, points, weights = side_rule(topo, side)
+        if not weights.size:
             continue
-        conn = mesh.elements(sq.elems)
-        lam = barycentric_many(mesh.nodes[conn], sq.points)
-        contrib = (sq.weights * np.asarray(f(sq.points), dtype=float))[:, None] * lam
+        conn = mesh.elements(elems)
+        lam = barycentric_many(mesh.nodes[conn], points)
+        contrib = (weights * np.asarray(f(points), dtype=float))[:, None] * lam
         dofs = layout.global_dofs(side, conn)
         np.add.at(b, dofs.ravel(), contrib.ravel())
 
@@ -190,20 +198,20 @@ def ref_error_report(spec, u_h):
     esqrt_sq = einf = efluxinf = 0.0
     for side in ("minus", "plus"):
         rho = spec.rho(side)
-        sq = topo.quad_minus if side == "minus" else topo.quad_plus
+        q_elems, points, weights = side_rule(topo, side)
         coeffs = u_h.side(side)
         dofmap = layout.node_dof(side)
-        conn = mesh.elements(sq.elems)
-        lam = barycentric_many(mesh.nodes[conn], sq.points)
+        conn = mesh.elements(q_elems)
+        lam = barycentric_many(mesh.nodes[conn], points)
         vals_h = np.einsum("ki,ki->k", lam, coeffs[dofmap[conn]])
-        vals = np.asarray(spec.exact(side)(sq.points), dtype=float)
+        vals = np.asarray(spec.exact(side)(points), dtype=float)
         diff = vals - vals_h
-        e0_sq[side] = float(np.sum(sq.weights * diff * diff))
-        grad_h = np.einsum("ki,kid->kd", coeffs[dofmap[conn]], mesh.grads(sq.elems))
-        grad = np.asarray(spec.grad(side)(sq.points), dtype=float)
+        e0_sq[side] = float(np.sum(weights * diff * diff))
+        grad_h = np.einsum("ki,kid->kd", coeffs[dofmap[conn]], mesh.grads(q_elems))
+        grad = np.asarray(spec.grad(side)(points), dtype=float)
         gdiff_sq = np.sum((grad - grad_h) ** 2, axis=1)
-        eflux_sq[side] = float(rho * rho * np.sum(sq.weights * gdiff_sq))
-        esqrt_sq += float(rho * np.sum(sq.weights * gdiff_sq))
+        eflux_sq[side] = float(rho * rho * np.sum(weights * gdiff_sq))
+        esqrt_sq += float(rho * np.sum(weights * gdiff_sq))
         einf = np.maximum(einf, np.max(np.abs(diff), initial=0.0))
         efluxinf = np.maximum(efluxinf, rho * np.sqrt(np.max(gdiff_sq, initial=0.0)))
 
@@ -258,6 +266,8 @@ def ref_error_report(spec, u_h):
 
 
 def ref_side_quadrature(mesh, elem_side, cut_ids, poly, k, want):
+    """Whole-mesh rule of side ``want`` (-1 minus, +1 plus), as classify
+    stored it, from the side's cut polygons."""
     full = np.flatnonzero(elem_side == want)
     coords = mesh.nodes[mesh.elements(full)]
     mids = 0.5 * (coords + np.roll(coords, -1, axis=1))
@@ -267,6 +277,15 @@ def ref_side_quadrature(mesh, elem_side, cut_ids, poly, k, want):
     weights = np.concatenate([np.repeat(mesh.areas(full) / 3.0, 3), weights])
     order = np.argsort(elems, kind="stable")
     return elems[order], points[order], weights[order]
+
+
+def ref_areas(mesh, elem_side, cut_ids, poly, k, want):
+    """Whole-mesh areas of side ``want``, as classify stored them."""
+    areas = np.empty(mesh.n_elems)
+    for block in mesh_module.blocks(mesh.n_elems):
+        areas[block] = np.where(elem_side[block] == want, mesh.areas(block), 0.0)
+    areas[cut_ids] = _polygon_area(poly, k)
+    return areas
 
 
 def ref_node_adjacency(elements, n_nodes):
@@ -338,21 +357,31 @@ def test_mesh_arrays_match_reference(level):
 @pytest.mark.parametrize("case", sorted(CASES))
 @pytest.mark.parametrize("level", [1, 2, 3, 4])
 def test_side_quadrature_matches_reference(small_blocks, monkeypatch, case, level):
-    pairs = []
+    # the cut polygons of each side, minus first, as classify hands them
+    # to the fan rule
+    polygons = []
 
-    def spy(*args):
-        out = side_quadrature(*args)
-        pairs.append((out, ref_side_quadrature(*args)))
-        return out
+    def spy(poly, k):
+        polygons.append((poly, k))
+        return fan_rule(poly, k)
 
-    side_quadrature = cutcell._side_quadrature
-    monkeypatch.setattr(cutcell, "_side_quadrature", spy)
+    fan_rule = cutcell._fan_rule
+    monkeypatch.setattr(cutcell, "_fan_rule", spy)
     ls, _ = make_problem(CASES[case])
-    cutcell.classify(build_mesh(level), ls)
-    assert len(pairs) == 2
-    for out, ref in pairs:
-        for name, a, b in zip(("elems", "points", "weights"), out, ref):
+    mesh = build_mesh(level)
+    topo = cutcell.classify(mesh, ls)
+    assert len(polygons) == 2
+    for (side, want), (poly, k) in zip((("minus", -1), ("plus", 1)), polygons):
+        args = (mesh, topo.elem_side, topo.cut_ids, poly, k, want)
+        ref = ref_side_quadrature(*args)
+        blocked = list(zip(*topo.quadrature_blocks(side)))
+        assert [s.stop for s in blocked[0]] == list(np.cumsum([w.size for w in blocked[3]]))
+        assert blocked[0][-1].stop == topo.n_points(side)
+        for name, a, b in zip(("elems", "points", "weights"), blocked[1:], ref):
+            assert_same(np.concatenate(a), b, name)
+        for name, a, b in zip(("elems", "points", "weights"), side_rule(topo, side), ref):
             assert_same(a, b, name)
+        assert_same(topo.area(side, slice(None)), ref_areas(*args), f"area_{side}")
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -465,3 +494,19 @@ def test_blocked_stages_stay_within_memory_bounds():
     # set both peaks: 11.3 MB each, where a COO step took 20.0 MB
     assert extra_mb(lambda: assemble_parts(layout, spec)) <= 13.0
     assert extra_mb(lambda: build_system(layout, spec)) <= 13.0
+
+
+def test_classify_keeps_only_the_cut_elements():
+    # per element only the side (1 B) is kept: 0.27 MB at level 5, where
+    # whole-mesh side areas and side rules kept 7.3 MB
+    ls, _ = make_problem(CASES["circle-plus"])
+    mesh = build_mesh(5)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        topo = classify(mesh, ls)
+        retained = (tracemalloc.get_traced_memory()[0] - base) / 1024.0 ** 2
+    finally:
+        tracemalloc.stop()
+    assert topo.n_cut > 0
+    assert retained <= 1.0

@@ -288,9 +288,23 @@ def test_contrast_sweep_level_defaults_to_five(capsys, tmp_path, monkeypatch):
     assert levels == [5, 5, 2, 3]
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--levels", "1..2"],
+    ["convergence", "--level", "1"],
+    ["contrast", "--levels", "1..2"],
+    ["diagnostics", "--level", "1"],
+    ["diagnostics", "--levels", "1..2"],
+    ["diagnostics", "--format", "markdown"],
+])
+def test_flags_a_command_does_not_read_exit_one(capsys, argv):
+    code, out, err = _run(capsys, argv + ["--example", "1"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("cutnitsche: config error: unrecognized arguments")
+
+
 def test_diagnostics_command(capsys):
-    code, out, _ = _run(capsys, ["diagnostics", "--example", "1",
-                                 "--level", "1"])
+    code, out, _ = _run(capsys, ["diagnostics", "--example", "1"])
     assert code == 0
     for block in ("# patch_area_ratio", "# coercivity",
                   "# interpolation", "# discrete_extension"):

@@ -233,10 +233,24 @@ def ref_classify(mesh, ls):
     return out
 
 
+def side_rule(topo, side):
+    """The side rule over the whole mesh: owning element of each point,
+    points and weights."""
+    ptr, points, weights = topo.quadrature(side, slice(None))
+    return np.repeat(np.arange(topo.mesh.n_elems), np.diff(ptr)), points, weights
+
+
 def topology_arrays(topo):
+    """The topology's arrays, with whole-mesh side areas and side rules
+    from the accessors under the names of the arrays they replaced."""
     out = {}
     for name, value in vars(topo).items():
-        if isinstance(value, tuple):
+        if name in ("cut_minus", "cut_plus"):
+            side = name[4:]
+            out[f"area_{side}"] = topo.area(side, slice(None))
+            rule = dict(zip(("elems", "points", "weights"), side_rule(topo, side)))
+            out.update({f"quad_{side}.{k}": v for k, v in rule.items()})
+        elif isinstance(value, tuple):
             out.update({f"{name}.{k}": v for k, v in value._asdict().items()})
         elif isinstance(value, np.ndarray):
             out[name] = value
@@ -282,7 +296,7 @@ def test_degenerate_chords_and_failed_bisections_are_logged(caplog):
     gone = [r.args[0] for r in degenerate]
     assert topo.degenerate_elements.tolist() == gone
     assert np.all(topo.elem_side[gone] != 0)
-    np.testing.assert_array_equal(topo.area_minus[gone] + topo.area_plus[gone],
+    np.testing.assert_array_equal(topo.area("minus", gone) + topo.area("plus", gone),
                                   mesh.areas(gone))
 
 
@@ -389,18 +403,19 @@ def test_polygon_rule_linear_exact(c, theta):
 @pytest.mark.parametrize("level", [1, 2, 3])
 def test_area_partition(level, circle_classified):
     mesh, topo = circle_classified(level)
-    total = topo.area_minus + topo.area_plus
-    np.testing.assert_allclose(total, mesh.areas(slice(None)), atol=1e-12)
-    assert abs(topo.area_minus.sum() + topo.area_plus.sum() - 4.0) <= 1e-10
+    area_minus, area_plus = topo.area("minus", slice(None)), topo.area("plus", slice(None))
+    np.testing.assert_allclose(area_minus + area_plus, mesh.areas(slice(None)), atol=1e-12)
+    assert abs(area_minus.sum() + area_plus.sum() - 4.0) <= 1e-10
 
 
 def test_side_quadrature_matches_clipped_areas(circle_classified):
     mesh, topo = circle_classified(2)
-    for side, sq in (("minus", topo.quad_minus), ("plus", topo.quad_plus)):
+    for side in ("minus", "plus"):
+        elems, _, weights = side_rule(topo, side)
         sums = np.zeros(mesh.n_elems)
-        np.add.at(sums, sq.elems, sq.weights)
+        np.add.at(sums, elems, weights)
         covered = np.flatnonzero(topo.in_side(side))
-        np.testing.assert_allclose(sums[covered], topo.area(side)[covered],
+        np.testing.assert_allclose(sums[covered], topo.area(side, covered),
                                    atol=1e-12)
 
 
@@ -433,7 +448,7 @@ def test_circle_area_and_length_convergence():
     for level in range(1, 6):
         mesh = build_mesh(level)
         topo = classify(mesh, ls)
-        errs_area.append(abs(topo.area_minus.sum() - np.pi / 9.0))
+        errs_area.append(abs(topo.area("minus", slice(None)).sum() - np.pi / 9.0))
         errs_len.append(abs(topo.chord_len.sum() - 2.0 * np.pi / 3.0))
         hs.append(mesh.h)
     slope_area = np.polyfit(np.log(hs), np.log(errs_area), 1)[0]
@@ -452,7 +467,7 @@ def test_flower_area_against_polar_oracle():
     for level in (2, 3, 4):
         mesh = build_mesh(level)
         topo = classify(mesh, ls)
-        rel.append(abs(topo.area_minus.sum() - oracle) / oracle)
+        rel.append(abs(topo.area("minus", slice(None)).sum() - oracle) / oracle)
     assert rel[1] < 5e-2
     assert rel[2] < 5e-3
     assert rel[0] > rel[1] > rel[2]
@@ -494,13 +509,13 @@ def test_uncut_side_sets():
     assert topo.ghost_plus.size == 0
     assert not topo.in_side("minus").any()
     assert topo.in_side("plus").all()
-    assert np.isclose(topo.area_plus.sum(), 4.0, atol=1e-12)
+    assert np.isclose(topo.area("plus", slice(None)).sum(), 4.0, atol=1e-12)
 
     all_minus = LevelSet(phi=lambda x: 1.0 - (x[..., 0] - 10.0) ** 2 - x[..., 1] ** 2)
     topo = classify(mesh, all_minus)
     assert topo.cut_ids.size == 0
     assert not topo.in_side("plus").any()
-    assert np.isclose(topo.area_minus.sum(), 4.0, atol=1e-12)
+    assert np.isclose(topo.area("minus", slice(None)).sum(), 4.0, atol=1e-12)
 
 
 def test_plane_cut_chords_vertical():
@@ -514,7 +529,7 @@ def test_plane_cut_chords_vertical():
     np.testing.assert_allclose(topo.chord_normal, [[1.0, 0.0]] * topo.n_cut,
                                atol=1e-12)
     # clipped areas against the exact trapezoid split of each triangle
-    total_minus = topo.area_minus.sum()
+    total_minus = topo.area("minus", slice(None)).sum()
     assert np.isclose(total_minus, 2.0 * (c + 1.0), atol=1e-12)
 
 
@@ -523,7 +538,7 @@ def test_vertex_touch_at_level1():
     mesh = build_mesh(1)
     topo = classify(mesh, make_circle())
     assert (topo.node_sign == 0).sum() == 4
-    total = topo.area_minus + topo.area_plus
+    total = topo.area("minus", slice(None)) + topo.area("plus", slice(None))
     np.testing.assert_allclose(total, mesh.areas(slice(None)), atol=1e-12)
 
 
@@ -540,13 +555,14 @@ def test_cut_sets_are_consistent(circle_classified):
 
 def test_cut_quadrature_points_inside_elements(circle_classified):
     mesh, topo = circle_classified(2)
-    for sq in (topo.quad_minus, topo.quad_plus):
-        lo = mesh.nodes[mesh.elements(sq.elems)].min(axis=1)
-        hi = mesh.nodes[mesh.elements(sq.elems)].max(axis=1)
-        assert np.all(sq.points >= lo - 1e-12)
-        assert np.all(sq.points <= hi + 1e-12)
-        assert np.all(sq.weights > 0.0)
-        assert np.all(np.diff(sq.elems) >= 0)  # sorted by element
+    for side in ("minus", "plus"):
+        elems, points, weights = side_rule(topo, side)
+        lo = mesh.nodes[mesh.elements(elems)].min(axis=1)
+        hi = mesh.nodes[mesh.elements(elems)].max(axis=1)
+        assert np.all(points >= lo - 1e-12)
+        assert np.all(points <= hi + 1e-12)
+        assert np.all(weights > 0.0)
+        assert np.all(np.diff(elems) >= 0)  # sorted by element
 
 
 def test_dump_cut_cells(tmp_path, circle_classified):

@@ -162,13 +162,12 @@ def ref_extension_matrix(layout):
         cols.append(layout.node_dof_plus[z])
         vals.append(1.0)
     dist_nodes = np.abs(np.asarray(ls.value(mesh.nodes), dtype=float))
-    sq = topo.quad_minus
     for z in np.flatnonzero(~keep & (dist_nodes <= _TUBE)):
         pts_z, wts_z = [], []
         for t in mesh.node_elems([z])[1]:
-            lo, hi = np.searchsorted(sq.elems, (t, t + 1))
-            pts_z.append(sq.points[lo:hi])
-            wts_z.append(sq.weights[lo:hi])
+            _, points, weights = topo.quadrature("minus", [t])
+            pts_z.append(points)
+            wts_z.append(weights)
         pts_z = np.concatenate(pts_z)
         wts_z = np.concatenate(wts_z)
         total = float(np.sum(wts_z))
