@@ -136,7 +136,7 @@ def main() -> int:
     for level in EXTENSION_LEVELS:
         mesh = build_mesh(level)
         topo = classify(mesh, ls)
-        op = build_extension(build_spaces(mesh, topo))
+        op = build_extension(build_spaces(topo))
         for name, value in csr_arrays(op.matrix).items():
             print(f"extension L{level} {name} {digest(value)}")
         for gram in ("h1_full", "h1_plus"):
@@ -158,7 +158,7 @@ def main() -> int:
     ls, spec = make_problem(fine)
     mesh = build_mesh(fine.level)
     topo = classify(mesh, ls)
-    layout = build_spaces(mesh, topo)
+    layout = build_spaces(topo)
     system = build_system(layout, spec)
     items = {f"matrix.{k}": v for k, v in csr_arrays(system.matrix).items()}
     items["rhs"] = system.rhs

@@ -110,7 +110,7 @@ def stages(level: int, measure) -> dict:
     record = {}
     mesh, record["mesh"] = measure(lambda: build_mesh(level))
     topo, record["classify"] = measure(lambda: classify(mesh, ls))
-    layout, record["spaces"] = measure(lambda: build_spaces(mesh, topo))
+    layout, record["spaces"] = measure(lambda: build_spaces(topo))
     parts, record["assemble_parts"] = measure(lambda: assemble_parts(layout, spec))
     del parts
     system, record["build_system"] = measure(lambda: build_system(layout, spec))

@@ -166,7 +166,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if args.dump_mesh:
         dump_mesh(result.mesh, args.dump_mesh)
     if args.dump_cutcells:
-        dump_cut_cells(result.mesh, result.topo, args.dump_cutcells)
+        dump_cut_cells(result.topo, args.dump_cutcells)
     if args.dump_matrix:
         dump_matrix(result.system.matrix, args.dump_matrix)
     return 0

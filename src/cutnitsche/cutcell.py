@@ -86,8 +86,8 @@ class CutTopology:
         return self.cut_ids.shape[0]
 
     def in_side(self, side: str) -> np.ndarray:
-        _check_side(side)
-        return self.elem_side <= 0 if side == "minus" else self.elem_side >= 0
+        want, _ = self._side(side)
+        return self.elem_side * want >= 0
 
     def area(self, side: str, ids) -> np.ndarray:
         """Chord-model area of T cap Omega^side: the element's area on its
@@ -123,8 +123,6 @@ class CutTopology:
         mids += coords
         mids *= 0.5
         thirds = self.mesh.areas(uncut) / 3.0
-        if full.all():   # uncut elements of the side only: no scatter
-            return ptr, mids.reshape(-1, 2), np.repeat(thirds, 3)
         points = np.empty((ptr[-1], 2))
         weights = np.empty(ptr[-1])
         at = ptr[:-1][full, None] + np.arange(3)
@@ -141,30 +139,21 @@ class CutTopology:
 
     def quadrature_blocks(self, side: str):
         """The side rule over the whole mesh in increasing element order,
-        at most ``BLOCK // 3`` elements of the side (``BLOCK`` points of
-        uncut ones) at a time: per block with points, the slice they take
-        of the ``n_points(side)`` points, the owning element of each
-        point, the points and the weights."""
-        in_side = self.in_side(side)
+        ``BLOCK // 3`` elements at a time: per block with points, the slice
+        they take of the ``n_points(side)`` points, the owning element of
+        each point, the points and the weights."""
         at = 0
-        for chunk in blocks(self.mesh.n_elems):
-            elems = chunk.start + np.flatnonzero(in_side[chunk])
-            for block in blocks(elems.size, 3):
-                ids = elems[block]
-                ptr, points, weights = self.quadrature(side, ids)
-                if weights.size:
-                    yield (slice(at, at + weights.size), np.repeat(ids, np.diff(ptr)),
-                           points, weights)
-                    at += weights.size
+        for block in blocks(self.mesh.n_elems, 3):
+            ptr, points, weights = self.quadrature(side, block)
+            if weights.size:
+                elems = np.repeat(np.arange(block.start, block.stop), np.diff(ptr))
+                yield slice(at, at + weights.size), elems, points, weights
+                at += weights.size
 
     def _side(self, side: str):
-        _check_side(side)
+        if side not in ("minus", "plus"):
+            raise ValueError(f"side must be 'minus' or 'plus', got {side!r}")
         return (-1, self.cut_minus) if side == "minus" else (1, self.cut_plus)
-
-
-def _check_side(side: str) -> None:
-    if side not in ("minus", "plus"):
-        raise ValueError(f"side must be 'minus' or 'plus', got {side!r}")
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -476,10 +465,8 @@ def _ghost_edges(mesh, elem_side, cut_ids, want) -> np.ndarray:
     return edges[interior & (elem_side[e1] * want >= 0) & (elem_side[e2] * want >= 0)]
 
 
-def dump_cut_cells(mesh: Mesh, topo: CutTopology, path) -> None:
+def dump_cut_cells(topo: CutTopology, path) -> None:
     """CSV of cut elements: chord endpoints and sub-areas."""
-    area_minus = topo.area("minus", topo.cut_ids)
-    area_plus = topo.area("plus", topo.cut_ids)
     with open(path, "w") as fh:
         fh.write("elem,px,py,qx,qy,area_minus,area_plus\n")
         for k, t in enumerate(topo.cut_ids):
@@ -487,5 +474,5 @@ def dump_cut_cells(mesh: Mesh, topo: CutTopology, path) -> None:
             q = topo.chord_q[k]
             fh.write(
                 f"{int(t)},{p[0]:.17g},{p[1]:.17g},{q[0]:.17g},{q[1]:.17g},"
-                f"{area_minus[k]:.17g},{area_plus[k]:.17g}\n"
+                f"{topo.cut_minus.area[k]:.17g},{topo.cut_plus.area[k]:.17g}\n"
             )

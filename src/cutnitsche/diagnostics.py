@@ -61,14 +61,14 @@ class PatchAreaResult:
     node: int      # arg-min node
 
 
-def patch_area_ratio(mesh: Mesh, topo: CutTopology, side: str = "minus") -> PatchAreaResult:
+def patch_area_ratio(topo: CutTopology, side: str = "minus") -> PatchAreaResult:
     """Worst node-patch clipped-area ratio on the closed side.
 
     For every node in the closed physical side, the best element of its
     patch should keep a clipped area comparable to h_T^2; the minimum
     over nodes is the measured constant.
     """
-    want = -1 if side == "minus" else 1
+    mesh, want = topo.mesh, -1 if side == "minus" else 1
     nodes = np.flatnonzero(topo.node_sign * want >= 0)
     if nodes.size == 0:
         return PatchAreaResult(ratio=float("inf"), node=-1)
@@ -248,7 +248,7 @@ def _patch_block(config: RunConfig, levels) -> Table:
     for level in levels:
         layout = _geometry(level, ls)
         for side in ("minus", "plus"):
-            res = patch_area_ratio(layout.mesh, layout.topo, side)
+            res = patch_area_ratio(layout.topo, side)
             rows.append((level, side, res.ratio, res.node))
     return Table(columns=("level", "side", "min_ratio", "argmin_node"),
                  rows=tuple(rows))

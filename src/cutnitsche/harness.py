@@ -193,8 +193,7 @@ def run_solve(config: RunConfig, level: int | None = None) -> RunResult:
 
 def _geometry(level: int, ls: LevelSet) -> SpaceLayout:
     """Space layout, holding the mesh and cut topology, of one (level, interface)."""
-    mesh = build_mesh(level)
-    return build_spaces(mesh, classify(mesh, ls))
+    return build_spaces(classify(build_mesh(level), ls))
 
 
 def _solve_on(config: RunConfig, spec: ProblemSpec, layout: SpaceLayout) -> RunResult:

@@ -25,7 +25,6 @@ _LOCATE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class SpaceLayout:
-    mesh: Mesh
     topo: CutTopology
     node_dof_minus: np.ndarray   # (n_nodes,) dof id or -1
     node_dof_plus: np.ndarray
@@ -33,6 +32,10 @@ class SpaceLayout:
     dof_node_plus: np.ndarray
     dirichlet: np.ndarray        # bool over the global dof vector
     free_dofs: np.ndarray
+
+    @property
+    def mesh(self) -> Mesh:
+        return self.topo.mesh
 
     @property
     def n_minus(self) -> int:
@@ -88,11 +91,12 @@ class FieldPair:
         return self.minus if side == "minus" else self.plus
 
 
-def build_spaces(mesh: Mesh, topo: CutTopology) -> SpaceLayout:
+def build_spaces(topo: CutTopology) -> SpaceLayout:
     """DOF layout of the doubled space for a classified mesh.
 
     Every later stage takes the mesh and the topology from the layout.
     """
+    mesh = topo.mesh
     node_dof, dof_node = {}, {}
     for side in ("minus", "plus"):
         has = np.zeros(mesh.n_nodes, dtype=bool)
@@ -106,7 +110,6 @@ def build_spaces(mesh: Mesh, topo: CutTopology) -> SpaceLayout:
     n_minus = dof_node["minus"].shape[0]
     dirichlet = np.zeros(n_minus + dof_node["plus"].shape[0], dtype=bool)
     layout = SpaceLayout(
-        mesh=mesh,
         topo=topo,
         node_dof_minus=node_dof["minus"],
         node_dof_plus=node_dof["plus"],

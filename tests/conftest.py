@@ -41,7 +41,7 @@ def circle_layout(circle_classified):
     def get(level, inclusion_side="minus"):
         key = (level, inclusion_side)
         if key not in cache:
-            cache[key] = build_spaces(*circle_classified(level, inclusion_side))
+            cache[key] = build_spaces(circle_classified(level, inclusion_side)[1])
         return cache[key]
 
     return get

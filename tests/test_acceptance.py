@@ -145,7 +145,7 @@ def test_criterion_6_structural_properties():
     mesh = build_mesh(2)
     ls, spec = make_problem(config)
     topo = classify(mesh, ls)
-    layout = build_spaces(mesh, topo)
+    layout = build_spaces(topo)
     system = build_system(layout, spec)
 
     a = system.matrix

@@ -17,7 +17,7 @@ from cutnitsche.space import build_spaces, interpolate_pair
 def uncut_setup():
     mesh = build_mesh(1)
     ls = LevelSet(phi=lambda x: (x[..., 0] - 10.0) ** 2 + x[..., 1] ** 2 - 1.0)
-    return build_spaces(mesh, classify(mesh, ls))
+    return build_spaces(classify(mesh, ls))
 
 
 def test_uncut_matrix_is_standard_p1_stiffness():
@@ -48,7 +48,7 @@ def test_penalty_part_matches_chord_mass_oracle():
     mesh = build_mesh(1)
     c = -0.55 + mesh.h / 3.0
     topo = classify(mesh, LevelSet(phi=lambda x: x[..., 0] - c))
-    layout = build_spaces(mesh, topo)
+    layout = build_spaces(topo)
     spec = ProblemSpec(rho_minus=3.0, rho_plus=3.0, gamma=10.0,
                        gamma_g_minus=0.0, gamma_g_plus=0.0)
     parts = assemble_parts(layout, spec)

@@ -51,7 +51,7 @@ def case_setup(case, level):
     if key not in _SETUPS:
         ls, spec = make_problem(CASES[case])
         mesh = build_mesh(level)
-        _SETUPS[key] = build_spaces(mesh, classify(mesh, ls)), spec
+        _SETUPS[key] = build_spaces(classify(mesh, ls)), spec
     return _SETUPS[key]
 
 
@@ -410,7 +410,7 @@ def test_parts_without_entries_match_the_coo_reference(small_blocks, side):
                   inclusion_side=side, lipschitz=1.0)
     _, spec = patch_problem(interface=ls)
     mesh = build_mesh(2)
-    layout = build_spaces(mesh, classify(mesh, ls))
+    layout = build_spaces(classify(mesh, ls))
     parts, ref = assemble_parts(layout, spec), ref_assemble_parts(layout, spec)
     assert [name for name, part in parts.items() if part.nnz] == ["volume"]
     for name in ref:

@@ -566,9 +566,9 @@ def test_cut_quadrature_points_inside_elements(circle_classified):
 
 
 def test_dump_cut_cells(tmp_path, circle_classified):
-    mesh, topo = circle_classified(1)
+    _, topo = circle_classified(1)
     path = tmp_path / "cells.csv"
-    dump_cut_cells(mesh, topo, path)
+    dump_cut_cells(topo, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "elem,px,py,qx,qy,area_minus,area_plus"
     assert len(lines) == 1 + topo.n_cut

@@ -28,19 +28,19 @@ def test_patch_ratio_uncut_mesh():
     mesh = build_mesh(2)
     all_minus = LevelSet(phi=lambda x: 1.0 - (x[..., 0] - 10.0) ** 2 - x[..., 1] ** 2)
     topo = classify(mesh, all_minus)
-    res = patch_area_ratio(mesh, topo, "minus")
+    res = patch_area_ratio(topo, "minus")
     assert np.isclose(res.ratio, 0.25, atol=1e-12)
     assert 0 <= res.node < mesh.n_nodes
 
-    empty = patch_area_ratio(mesh, topo, "plus")
+    empty = patch_area_ratio(topo, "plus")
     assert empty.ratio == float("inf")
     assert empty.node == -1
 
 
 def test_patch_ratio_circle(circle_classified):
-    mesh, topo = circle_classified(2)
+    _, topo = circle_classified(2)
     for side in ("minus", "plus"):
-        res = patch_area_ratio(mesh, topo, side)
+        res = patch_area_ratio(topo, side)
         assert np.isclose(res.ratio, 0.25, atol=1e-12)
         assert topo.node_sign[res.node] * (-1 if side == "minus" else 1) >= 0
 
@@ -64,7 +64,7 @@ def test_arnoldi_probe_equals_dense(inclusion_side):
     config = RunConfig(example="1", level=3, inclusion_side=inclusion_side)
     ls, spec = make_problem(config)
     mesh = build_mesh(3)
-    layout = build_spaces(mesh, classify(mesh, ls))
+    layout = build_spaces(classify(mesh, ls))
     a = build_system(layout, spec).matrix
     free = layout.free_dofs
     gram = assemble_vnorm_gram(layout, spec)[free][:, free]
@@ -77,7 +77,7 @@ def test_system_coercivity_level_one():
     mesh = build_mesh(1)
     ls, spec = make_problem(config)
     topo = classify(mesh, ls)
-    layout = build_spaces(mesh, topo)
+    layout = build_spaces(topo)
     system = build_system(layout, spec)
     gram = assemble_vnorm_gram(layout, spec)
     free = layout.free_dofs
@@ -122,7 +122,7 @@ def test_interpolation_profile_needs_second_derivatives():
 @pytest.fixture(scope="module")
 def plus_inclusion():
     mesh = build_mesh(2)
-    return build_spaces(mesh, classify(mesh, make_circle(inclusion_side="plus")))
+    return build_spaces(classify(mesh, make_circle(inclusion_side="plus")))
 
 
 def test_extension_matrix_structure(plus_inclusion):
@@ -194,7 +194,7 @@ def test_extension_matches_per_node_reference(level):
     mesh = build_mesh(level)
     ls = make_circle(inclusion_side="plus")
     topo = classify(mesh, ls)
-    layout = build_spaces(mesh, topo)
+    layout = build_spaces(topo)
     got = build_extension(layout).matrix
     want = ref_extension_matrix(layout)
     for name in ("data", "indices", "indptr"):
@@ -240,7 +240,7 @@ def test_extension_reflection_off_the_plus_mesh():
     mesh = build_mesh(2)
     topo = classify(mesh, make_circle(radius=0.2, inclusion_side="plus"))
     ls = make_circle(radius=0.5, inclusion_side="plus")
-    layout = build_spaces(mesh, dataclasses.replace(topo, levelset=ls))
+    layout = build_spaces(dataclasses.replace(topo, levelset=ls))
     with pytest.raises(GeometryError) as got:
         build_extension(layout)
     with pytest.raises(GeometryError) as want:

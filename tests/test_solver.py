@@ -64,7 +64,7 @@ def _extreme_contrast_system():
     ls, spec = example_circle(1e-4, 1e5, inclusion_side="plus")
     mesh = build_mesh(1)
     topo = classify(mesh, ls)
-    return build_system(build_spaces(mesh, topo), spec)
+    return build_system(build_spaces(topo), spec)
 
 
 def ref_cg(system):

@@ -43,7 +43,7 @@ def test_dirichlet_on_outer_side_only(circle_layout):
 def test_uncut_space_is_single_sided():
     mesh = build_mesh(1)
     ls = LevelSet(phi=lambda x: (x[..., 0] - 10.0) ** 2 + x[..., 1] ** 2 - 1.0)
-    layout = build_spaces(mesh, classify(mesh, ls))
+    layout = build_spaces(classify(mesh, ls))
     assert layout.n_minus == 0
     assert layout.n_plus == mesh.n_nodes
     assert layout.n_free == mesh.n_nodes - mesh.boundary_node(slice(None)).sum()
@@ -81,7 +81,7 @@ def test_evaluate_minus_inside_inclusion(circle_layout):
 def test_projection_identity(seed):
     mesh = build_mesh(1)
     ls = LevelSet(phi=lambda x: (x[..., 0] - 10.0) ** 2 + x[..., 1] ** 2 - 1.0)
-    layout = build_spaces(mesh, classify(mesh, ls))
+    layout = build_spaces(classify(mesh, ls))
     rng = np.random.default_rng(seed)
     field = FieldPair(layout, np.zeros(0), rng.standard_normal(layout.n_plus))
     # evaluating at the nodes recovers the coefficients exactly
