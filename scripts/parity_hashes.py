@@ -2,12 +2,14 @@
 """Print sha256 hashes of every array and report the tables rest on.
 
 One line per item: the cut topology of the circle (both inclusion sides)
-and the flower at levels 1..6 (side areas and side rules from their
-accessors over the full id range, under the names of the arrays they
-replaced), the matrix, right-hand side, solution and
-solve statistics of every configuration of ``reproduce_tables.py``, the
-discrete extension operator of the diagnostics at levels 2..5 with its
-H1 Gram matrices (``h1_plus`` in plus-dof indexing), the seven
+and the flower at levels 1..6 (side areas, side rules and the interface
+rule from their accessors, under the names of the arrays they
+replaced), the matrix, right-hand side, solution, solve statistics and
+full-precision error report of every configuration of
+``reproduce_tables.py``, the discrete extension operator of the
+diagnostics at levels 2..5 with its H1 Gram matrices (``h1_plus`` in
+plus-dof indexing), the error report of the diagnostics' interpolation
+profile at levels 1..5, the seven
 CSVs that script writes and the ``run_diagnostics()`` report, then every
 ``Mesh`` quantity at levels 1..6 (each accessor over its full id range,
 under the name of the array it replaced), and the matrix, right-hand
@@ -46,10 +48,12 @@ from cutnitsche.harness import (_STUDY_LEVELS, CONTRAST_PAIRS, RunConfig,  # noq
                                 make_problem, run_solve)
 from cutnitsche.levelset import make_circle, make_flower  # noqa: E402
 from cutnitsche.mesh import build_mesh  # noqa: E402
-from cutnitsche.space import build_spaces  # noqa: E402
+from cutnitsche.norms import error_report  # noqa: E402
+from cutnitsche.space import build_spaces, interpolate_pair  # noqa: E402
 
 GEOMETRY_LEVELS = parse_levels("1..6")
 EXTENSION_LEVELS = parse_levels("2..5")
+INTERPOLATION_LEVELS = parse_levels("1..5")
 
 
 def digest(value) -> str:
@@ -89,7 +93,11 @@ def topology_arrays(topo):
         out[f"quad_{side}.elems"] = np.repeat(np.arange(topo.mesh.n_elems), np.diff(ptr))
         out[f"quad_{side}.points"] = points
         out[f"quad_{side}.weights"] = weights
-    out.update({f"iface.{k}": v for k, v in topo.iface._asdict().items()})
+    points, weights = topo.interface_rule()
+    out["iface.elems"] = np.repeat(topo.cut_ids, 2)
+    out["iface.points"] = points.reshape(-1, 2)
+    out["iface.weights"] = weights.reshape(-1)
+    out["iface.normals"] = np.repeat(topo.chord_normal, 2, axis=0)
     for name in ("ghost_minus", "ghost_plus", "ambiguous_elements", "degenerate_elements"):
         out[name] = getattr(topo, name)
     return out
@@ -129,6 +137,7 @@ def main() -> int:
         items["rhs"] = system.rhs
         items["solution"] = result.field.to_global()
         items["stats"] = repr(result.stats)
+        items["report"] = repr(result.report)
         for name, value in items.items():
             print(f"solve {label} {name} {digest(value)}")
 
@@ -142,6 +151,12 @@ def main() -> int:
         for gram in ("h1_full", "h1_plus"):
             for name, value in csr_arrays(getattr(op, gram)).items():
                 print(f"extension L{level} {gram}.{name} {digest(value)}")
+
+    ls, spec = make_problem(RunConfig(example="1"))
+    for level in INTERPOLATION_LEVELS:
+        layout = build_spaces(classify(build_mesh(level), ls))
+        u_i = interpolate_pair(layout, spec.exact("minus"), spec.exact("plus"))
+        print(f"interpolation L{level} report {digest(repr(error_report(spec, u_i)))}")
 
     with tempfile.TemporaryDirectory() as tmp:
         with contextlib.redirect_stdout(io.StringIO()):

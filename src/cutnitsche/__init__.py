@@ -10,7 +10,7 @@ penalty on the cut bands.
 from .mesh import Mesh, build_mesh
 from .levelset import LevelSet, make_circle, make_flower
 from .cutcell import CutTopology, classify
-from .space import SpaceLayout, FieldPair, build_spaces, interpolate, evaluate
+from .space import SpaceLayout, FieldPair, build_spaces, interpolate_pair
 from .problems import ProblemSpec, example_circle, example_flower, patch_problem
 from .assembly import (SparseSystem, assemble_bilinear, assemble_load,
                        build_system, assemble_vnorm_gram, expand_solution)
@@ -23,7 +23,7 @@ __all__ = [
     "Mesh", "build_mesh",
     "LevelSet", "make_circle", "make_flower",
     "CutTopology", "classify",
-    "SpaceLayout", "FieldPair", "build_spaces", "interpolate", "evaluate",
+    "SpaceLayout", "FieldPair", "build_spaces", "interpolate_pair",
     "ProblemSpec", "example_circle", "example_flower", "patch_problem",
     "SparseSystem", "assemble_bilinear", "assemble_load", "build_system",
     "assemble_vnorm_gram", "expand_solution",

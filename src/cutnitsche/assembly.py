@@ -151,12 +151,11 @@ def _cut_blocks(layout: SpaceLayout):
     mesh, topo = layout.mesh, layout.topo
     cut = topo.cut_ids
     conn = mesh.elements(cut)
-    coords = mesh.nodes[conn]
+    coords = np.take(mesh.nodes, conn, axis=0)
     grads = mesh.grads(cut)
     normals = topo.chord_normal
     gn = np.einsum("kid,kd->ki", grads, normals)
-    pts = topo.iface.points.reshape(-1, 2, 2)
-    wts = topo.iface.weights.reshape(-1, 2)
+    pts, wts = topo.interface_rule()
     lam = np.stack(
         [barycentric_many(coords, pts[:, q, :]) for q in range(2)], axis=1
     )  # (ncut, 2, 3)

@@ -9,7 +9,6 @@ the corresponding key.  Exit codes: 0 success, 1 configuration error
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 from .assembly import dump_matrix
@@ -21,12 +20,6 @@ from .mesh import dump_mesh
 from .solver import SolverError
 
 __all__ = ["main", "parse_config_file", "load_config", "parse_levels"]
-
-_STR_KEYS = ("example", "interface", "inclusion_side", "weighting",
-             "output_path", "format")
-_FLOAT_KEYS = ("circle_radius", "rho_minus", "rho_plus", "gamma",
-               "gamma_g_minus", "gamma_g_plus")
-_KNOWN_KEYS = _STR_KEYS + _FLOAT_KEYS + ("level", "levels")
 
 
 def parse_levels(text: str) -> tuple[int, ...]:
@@ -43,8 +36,45 @@ def parse_levels(text: str) -> tuple[int, ...]:
     return levels
 
 
-def parse_config_file(path: str) -> dict:
-    """Flat key = value lines; # starts a comment; errors carry line numbers."""
+def _levels_arg(text: str) -> tuple[int, ...]:
+    """parse_levels, its message kept in argparse's error for --levels."""
+    try:
+        return parse_levels(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+# every config key: its flag, and the argparse options of the flag, whose
+# ``type`` also reads the key's value from a config file
+_KEYS = {
+    "example": ("--example", {"choices": ("1", "2", "patch")}),
+    "interface": ("--interface", {"choices": ("circle", "flower")}),
+    "circle_radius": ("--circle-radius", {"type": float}),
+    "inclusion_side": ("--inclusion-side", {"choices": ("minus", "plus")}),
+    "rho_minus": ("--rho-minus", {"type": float}),
+    "rho_plus": ("--rho-plus", {"type": float}),
+    "gamma": ("--gamma", {"type": float}),
+    "gamma_g_minus": ("--gamma-g-minus", {"type": float}),
+    "gamma_g_plus": ("--gamma-g-plus", {"type": float}),
+    "weighting": ("--weighting", {"choices": ("minus_sided", "harmonic")}),
+    "output_path": ("--output", {}),
+    "level": ("--level", {"type": int}),
+    "levels": ("--levels", {"type": _levels_arg, "help": "e.g. 1..5 or 1,2,3"}),
+    "format": ("--format", {"choices": ("csv", "markdown")}),
+}
+_COMMON = tuple(key for key in _KEYS if key not in ("level", "levels", "format"))
+# each subcommand's help and the keys it reads, as flags or from the file
+_SUBCOMMANDS = {
+    "solve": ("assemble and solve one case", _COMMON + ("level", "format")),
+    "convergence": ("errors and orders over levels", _COMMON + ("levels", "format")),
+    "contrast": ("fixed-level coefficient sweep", _COMMON + ("level", "format")),
+    "diagnostics": ("structural diagnostics report", _COMMON),
+}
+
+
+def parse_config_file(path: str, keys=tuple(_KEYS)) -> dict:
+    """Flat key = value lines; # starts a comment; a key not in ``keys``
+    is an error; errors carry line numbers."""
     values = {}
     try:
         with open(path) as fh:
@@ -60,18 +90,11 @@ def parse_config_file(path: str) -> dict:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _KNOWN_KEYS:
+        if key not in keys:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            if key in _FLOAT_KEYS:
-                values[key] = float(value)
-            elif key == "level":
-                values[key] = int(value)
-            elif key == "levels":
-                values[key] = parse_levels(value)
-            else:
-                values[key] = value
-        except ValueError as exc:
+            values[key] = _KEYS[key][1].get("type", str)(value)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return values
 
@@ -79,12 +102,12 @@ def parse_config_file(path: str) -> dict:
 def load_config(args: argparse.Namespace, level: int | None = None) -> RunConfig:
     """The subcommand's default ``level``, then the config file, then flags."""
     values = {} if level is None else {"level": level}
+    keys = _SUBCOMMANDS[args.command][1]
     if args.config:
-        values.update(parse_config_file(args.config))
-    for key in _KNOWN_KEYS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = parse_levels(flag) if key == "levels" else flag
+        values.update(parse_config_file(args.config, keys))
+    for key in keys:
+        if getattr(args, key) is not None:
+            values[key] = getattr(args, key)
     try:
         return RunConfig(**values)
     except TypeError as exc:
@@ -102,50 +125,22 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    """The flags every subcommand reads; each adds the others it reads."""
-    parser.add_argument("--config", help="flat key = value config file")
-    parser.add_argument("--example", choices=("1", "2", "patch"))
-    parser.add_argument("--interface", choices=("circle", "flower"))
-    parser.add_argument("--circle-radius", dest="circle_radius", type=float)
-    parser.add_argument("--inclusion-side", dest="inclusion_side",
-                        choices=("minus", "plus"))
-    parser.add_argument("--rho-minus", dest="rho_minus", type=float)
-    parser.add_argument("--rho-plus", dest="rho_plus", type=float)
-    parser.add_argument("--gamma", type=float)
-    parser.add_argument("--gamma-g-minus", dest="gamma_g_minus", type=float)
-    parser.add_argument("--gamma-g-plus", dest="gamma_g_plus", type=float)
-    parser.add_argument("--weighting", choices=("minus_sided", "harmonic"))
-    parser.add_argument("--output", dest="output_path")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="cutnitsche",
                      description="Unfitted interface solver batch runs")
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
-
-    p_solve = sub.add_parser("solve", help="assemble and solve one case")
-    _add_common(p_solve)
-    p_solve.add_argument("--level", type=int)
-    p_solve.add_argument("--format", choices=("csv", "markdown"))
-    p_solve.add_argument("--dump-solution", help="per-node values per side (CSV)")
-    p_solve.add_argument("--dump-mesh", help="mesh nodes and elements (text)")
-    p_solve.add_argument("--dump-cutcells", help="cut-cell geometry (CSV)")
-    p_solve.add_argument("--dump-matrix", help="assembled matrix triplets (text)")
-
-    p_conv = sub.add_parser("convergence", help="errors and orders over levels")
-    _add_common(p_conv)
-    p_conv.add_argument("--levels", help="e.g. 1..5 or 1,2,3")
-    p_conv.add_argument("--format", choices=("csv", "markdown"))
-
-    p_con = sub.add_parser("contrast", help="fixed-level coefficient sweep")
-    _add_common(p_con)
-    p_con.add_argument("--level", type=int)
-    p_con.add_argument("--format", choices=("csv", "markdown"))
-
-    p_diag = sub.add_parser("diagnostics", help="structural diagnostics report")
-    _add_common(p_diag)
+    for command, (what, keys) in _SUBCOMMANDS.items():
+        p_cmd = sub.add_parser(command, help=what)
+        p_cmd.add_argument("--config", help="flat key = value config file")
+        for key in keys:
+            flag, options = _KEYS[key]
+            p_cmd.add_argument(flag, dest=key, **options)
+    for flag, what in (("--dump-solution", "per-node values per side (CSV)"),
+                       ("--dump-mesh", "mesh nodes and elements (text)"),
+                       ("--dump-cutcells", "cut-cell geometry (CSV)"),
+                       ("--dump-matrix", "assembled matrix triplets (text)")):
+        sub.choices["solve"].add_argument(flag, help=what)
     return parser
 
 

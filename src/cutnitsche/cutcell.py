@@ -46,22 +46,14 @@ class CutRule(NamedTuple):
     weights: np.ndarray  # (N,)
 
 
-class InterfaceQuadrature(NamedTuple):
-    """Flattened two-point chord rule over all cut elements."""
-
-    elems: np.ndarray    # (2*ncut,)
-    points: np.ndarray   # (2*ncut, 2)
-    weights: np.ndarray  # (2*ncut,)
-    normals: np.ndarray  # (2*ncut, 2) unit normal out of the minus side
-
-
 @dataclass(frozen=True)
 class CutTopology:
     """Element/edge classification of a mesh against a level set.
 
     Per element only the side is stored; the side area and side rule of
     the elements are accessors (``area``, ``quadrature``), which take
-    element ids as the ``Mesh`` accessors do.
+    element ids as the ``Mesh`` accessors do.  The chord rule of the cut
+    elements is a closed form of their chords (``interface_rule``).
     """
 
     levelset: LevelSet
@@ -75,7 +67,6 @@ class CutTopology:
     chord_normal: np.ndarray     # (ncut, 2) unit, out of the minus side
     cut_minus: CutRule
     cut_plus: CutRule
-    iface: InterfaceQuadrature
     ghost_minus: np.ndarray      # edge ids stabilising the minus field
     ghost_plus: np.ndarray
     ambiguous_elements: np.ndarray
@@ -131,6 +122,14 @@ class CutTopology:
         dst = _ranges(ptr[cut], counts[cut])
         points[dst], weights[dst] = cut_rule.points[src], cut_rule.weights[src]
         return ptr, points, weights
+
+    def interface_rule(self):
+        """Two-point Gauss rule on each chord: points (ncut, 2, 2) and
+        weights (ncut, 2), the points of cut element ``k`` in row ``k``."""
+        d = self.chord_q - self.chord_p
+        mid = 0.5 * (self.chord_p + self.chord_q)
+        points = np.stack([mid - GAUSS2_OFFSET * d, mid + GAUSS2_OFFSET * d], axis=1)
+        return points, np.repeat(0.5 * self.chord_len, 2).reshape(-1, 2)
 
     def n_points(self, side: str) -> int:
         """Number of points of the side rule over the whole mesh."""
@@ -222,9 +221,8 @@ def classify(mesh: Mesh, ls: LevelSet) -> CutTopology:
     d = chord_q - chord_p
     chord_normal = np.column_stack([d[:, 1], -d[:, 0]]) / chord_len[:, None]
 
-    cut_minus = _cut_rule(sub_minus[keep], poly_m[keep], k_m[keep])
-    cut_plus = _cut_rule(_polygon_area(poly_p[keep], k_p[keep]), poly_p[keep], k_p[keep])
-    iface = _interface_quadrature(cut_ids, chord_p, chord_q, chord_len, chord_normal)
+    cut_minus = _fan_rule(sub_minus[keep], poly_m[keep], k_m[keep])
+    cut_plus = _fan_rule(_polygon_area(poly_p[keep], k_p[keep]), poly_p[keep], k_p[keep])
     ghost_minus = _ghost_edges(mesh, elem_side, cut_ids, -1)
     ghost_plus = _ghost_edges(mesh, elem_side, cut_ids, 1)
 
@@ -244,7 +242,6 @@ def classify(mesh: Mesh, ls: LevelSet) -> CutTopology:
         chord_normal=chord_normal,
         cut_minus=cut_minus,
         cut_plus=cut_plus,
-        iface=iface,
         ghost_minus=ghost_minus,
         ghost_plus=ghost_plus,
         ambiguous_elements=ambiguous,
@@ -416,42 +413,23 @@ def _polygon_area(poly, k):
     return 0.5 * total
 
 
-def _fan_rule(poly, k):
-    """Mid-edge rule on the fan triangulation of convex CCW polygons.
+def _fan_rule(area, poly, k) -> CutRule:
+    """One side's parts of the cut elements, of the given areas: the
+    mid-edge rule on the fan triangulation of their convex CCW polygons.
 
     Fan triangle j of a polygon is (P0, Pj, Pj+1); triangles with area
     <= 0 (slivers where a root lands on a vertex) are skipped.  Points
-    come per polygon, per triangle, per triangle edge.  Returns (owner
-    row, points, weights).
+    come per polygon, per triangle, per triangle edge.
     """
     n, m = poly.shape[:2]
     first = np.broadcast_to(poly[:, :1], (n, m - 2, 2))
     tri = np.stack([first, poly[:, 1:-1], poly[:, 2:]], axis=2)  # (n, m-2, 3, 2)
-    area = _polygon_area(tri.reshape(-1, 3, 2), np.full(n * (m - 2), 3)).reshape(n, m - 2)
-    keep = (np.arange(1, m - 1) < k[:, None] - 1) & (area > 0.0)
+    tri_area = _polygon_area(tri.reshape(-1, 3, 2), np.full(n * (m - 2), 3)).reshape(n, m - 2)
+    keep = (np.arange(1, m - 1) < k[:, None] - 1) & (tri_area > 0.0)
     mids = 0.5 * (tri + np.roll(tri, -1, axis=2))
-    owner = np.repeat(np.nonzero(keep)[0], 3)
-    return owner, mids[keep].reshape(-1, 2), np.repeat(area[keep] / 3.0, 3)
-
-
-def _cut_rule(area, poly, k) -> CutRule:
-    """Areas and fan rules of one side's parts of the cut elements."""
-    owner, points, weights = _fan_rule(poly, k)
-    ptr = np.zeros(area.size + 1, dtype=np.int64)
-    np.cumsum(np.bincount(owner, minlength=area.size), out=ptr[1:])
-    return CutRule(area, ptr, points, weights)
-
-
-def _interface_quadrature(cut_ids, chord_p, chord_q, chord_len, chord_normal):
-    d = chord_q - chord_p
-    mid = 0.5 * (chord_p + chord_q)
-    pts = np.empty((2 * cut_ids.shape[0], 2))
-    pts[0::2] = mid - GAUSS2_OFFSET * d
-    pts[1::2] = mid + GAUSS2_OFFSET * d
-    wts = np.repeat(0.5 * chord_len, 2)
-    elems = np.repeat(cut_ids, 2)
-    normals = np.repeat(chord_normal, 2, axis=0)
-    return InterfaceQuadrature(elems, pts, wts, normals)
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(3 * keep.sum(axis=1), out=ptr[1:])
+    return CutRule(area, ptr, mids[keep].reshape(-1, 2), np.repeat(tri_area[keep] / 3.0, 3))
 
 
 def _ghost_edges(mesh, elem_side, cut_ids, want) -> np.ndarray:

@@ -286,7 +286,7 @@ def _extension_blocks(levels):
         ptr, pts, wts = topo.quadrature("plus", slice(None))
         elems = np.repeat(np.arange(mesh.n_elems), np.diff(ptr))
         conn = mesh.elements(elems)
-        lam = barycentric_many(mesh.nodes[conn], pts)
+        lam = barycentric_many(np.take(mesh.nodes, conn, axis=0), pts)
         dofs = layout.node_dof_plus[conn]
         n_plus = layout.n_plus
         grads = mesh.grads(elems)

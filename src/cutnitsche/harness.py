@@ -251,14 +251,10 @@ def run_convergence(config: RunConfig, levels=None) -> Table:
     return Table(columns=CONVERGENCE_COLUMNS, rows=tuple(rows))
 
 
-def run_contrast_sweep(config: RunConfig, pairs=CONTRAST_PAIRS,
-                       level: int | None = None) -> Table:
-    """Fixed-level sweep over coefficient pairs; schema rho_minus,
+def run_contrast_sweep(config: RunConfig, pairs=CONTRAST_PAIRS) -> Table:
+    """Sweep over coefficient pairs at ``config.level``; schema rho_minus,
     rho_plus, e0, eflux, esqrt.  The geometry does not depend on the
-    coefficients, so mesh, cut topology and spaces are built once.  A
-    ``level`` replaces ``config.level``."""
-    if level is not None:
-        config = dataclasses.replace(config, level=level)
+    coefficients, so mesh, cut topology and spaces are built once."""
     layout = _geometry(config.level, make_problem(config)[0])
     rows = []
     for rho_minus, rho_plus in pairs:

@@ -94,7 +94,7 @@ def error_report(spec: ProblemSpec, u_h: FieldPair) -> ErrorReport:
             vmask = topo.node_sign[conn] * want >= 0
             if not np.any(vmask):
                 continue
-            coords = mesh.nodes[conn]
+            coords = np.take(mesh.nodes, conn, axis=0)
             uh = coeffs[dofmap[conn]]
             uex = np.asarray(spec.exact(side)(coords), dtype=float)
             diff_max = np.maximum(diff_max, np.max(np.abs(uex - uh)[vmask]))
@@ -109,22 +109,24 @@ def error_report(spec: ProblemSpec, u_h: FieldPair) -> ErrorReport:
     flux_sq = 0.0
     ghost_sq = _ghost_error_sq(spec, u_h)
     if topo.n_cut:
-        iq = topo.iface
-        conn = mesh.elements(iq.elems)
-        lam = barycentric_many(mesh.nodes[conn], iq.points)
+        points, weights = topo.interface_rule()
+        points, weights = points.reshape(-1, 2), weights.reshape(-1)
+        elems = np.repeat(topo.cut_ids, 2)
+        conn = mesh.elements(elems)
+        lam = barycentric_many(np.take(mesh.nodes, conn, axis=0), points)
         jump_h = (np.einsum("ki,ki->k", lam, u_h.plus[layout.node_dof_plus[conn]])
                   - np.einsum("ki,ki->k", lam, u_h.minus[layout.node_dof_minus[conn]]))
-        alpha = (np.asarray(spec.jump_value(iq.points), dtype=float)
+        alpha = (np.asarray(spec.jump_value(points), dtype=float)
                  if spec.jump_value is not None else 0.0)
         jd = alpha - jump_h
         h_t = mesh.h_elem
-        pen_sq = float(spec.rho_minus / h_t * np.sum(iq.weights * jd * jd))
+        pen_sq = float(spec.rho_minus / h_t * np.sum(weights * jd * jd))
 
         gh_minus = np.einsum("ki,kid->kd", u_h.minus[layout.node_dof_minus[conn]],
-                             mesh.grads(iq.elems))
-        gex = np.asarray(spec.grad_minus(iq.points), dtype=float)
-        fd = np.sum((gex - gh_minus) * iq.normals, axis=1)
-        flux_sq = float(spec.rho_minus * h_t * np.sum(iq.weights * fd * fd))
+                             mesh.grads(elems))
+        gex = np.asarray(spec.grad_minus(points), dtype=float)
+        fd = np.sum((gex - gh_minus) * np.repeat(topo.chord_normal, 2, axis=0), axis=1)
+        flux_sq = float(spec.rho_minus * h_t * np.sum(weights * fd * fd))
 
     vnorm_sq = esqrt_sq + pen_sq + ghost_sq
     return ErrorReport(

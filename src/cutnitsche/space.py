@@ -16,10 +16,9 @@ import numpy as np
 from .cutcell import CutTopology
 from .mesh import Mesh, barycentric_many, blocks
 
-__all__ = ["SpaceLayout", "FieldPair", "build_spaces", "interpolate", "evaluate"]
+__all__ = ["SpaceLayout", "FieldPair", "build_spaces", "interpolate_pair"]
 
-# distance by which a located point may lie outside its triangle, and
-# outside the domain [-1, 1]^2
+# distance by which a located point may lie outside its triangle
 _LOCATE_TOL = 1e-12
 
 
@@ -125,18 +124,11 @@ def build_spaces(topo: CutTopology) -> SpaceLayout:
     return dataclasses.replace(layout, free_dofs=np.flatnonzero(~dirichlet))
 
 
-def interpolate(layout: SpaceLayout, side: str, f) -> np.ndarray:
-    """Nodal interpolation of a callable onto one side's space."""
-    nodes = layout.mesh.nodes[layout.dof_node(side)]
-    return np.asarray(f(nodes), dtype=float)
-
-
 def interpolate_pair(layout: SpaceLayout, f_minus, f_plus) -> FieldPair:
-    return FieldPair(
-        layout,
-        interpolate(layout, "minus", f_minus),
-        interpolate(layout, "plus", f_plus),
-    )
+    """Nodal interpolation of one callable per side onto its space."""
+    minus, plus = (np.asarray(f(layout.mesh.nodes[layout.dof_node(side)]), dtype=float)
+                   for side, f in (("minus", f_minus), ("plus", f_plus)))
+    return FieldPair(layout, minus, plus)
 
 
 def locate_on_side(layout: SpaceLayout, side: str, pts):
@@ -151,7 +143,7 @@ def locate_on_side(layout: SpaceLayout, side: str, pts):
     in_side = layout.topo.in_side(side)
     pts = np.asarray(pts, dtype=float).reshape(-1, 2)
     elems = mesh.locate(pts)
-    lams = barycentric_many(mesh.nodes[mesh.elements(elems)], pts)
+    lams = barycentric_many(np.take(mesh.nodes, mesh.elements(elems), axis=0), pts)
     floor = -_LOCATE_TOL / mesh.h
     found = in_side[elems] & np.all(lams >= floor, axis=1)
     for k in np.flatnonzero(~found):
@@ -160,27 +152,10 @@ def locate_on_side(layout: SpaceLayout, side: str, pts):
         for t in near:
             if not in_side[t]:
                 continue
-            lam = barycentric_many(mesh.nodes[mesh.elements([t])], pts[k][None])[0]
+            lam = barycentric_many(np.take(mesh.nodes, mesh.elements([t]), axis=0),
+                                   pts[k][None])[0]
             if np.all(lam >= floor):
                 elems[k], lams[k] = t, lam
                 break
     return elems, lams
 
-
-def evaluate(field: FieldPair, side: str, x):
-    """Value and gradient of one side's field at a point.
-
-    The point must lie in an element carrying the requested side;
-    otherwise a ValueError is raised.
-    """
-    layout = field.layout
-    mesh = layout.mesh
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.abs(x) <= 1.0 + _LOCATE_TOL):
-        raise ValueError(f"point {x.tolist()} lies outside the computational domain")
-    elems, lams = locate_on_side(layout, side, x)
-    t = elems[0]
-    if t < 0:
-        raise ValueError(f"point {x.tolist()} lies outside the {side}-side mesh")
-    vals = field.side(side)[layout.node_dof(side)[mesh.elements(t)]]
-    return float(lams[0] @ vals), vals @ mesh.grads(t)

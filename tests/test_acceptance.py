@@ -6,6 +6,8 @@ collected violations, so a red test names every gate it missed.  The level
 studies are shared module-wide because the level-5 solves dominate the
 runtime.
 """
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -53,7 +55,7 @@ def sweeps_level5():
     tables = {}
     for side in ("minus", "plus"):
         config = RunConfig(example="1", inclusion_side=side)
-        tables[side] = run_contrast_sweep(config, level=5)
+        tables[side] = run_contrast_sweep(dataclasses.replace(config, level=5))
     return tables
 
 
@@ -64,7 +66,7 @@ def flower_conv():
 
 @pytest.fixture(scope="module")
 def flower_sweep():
-    return run_contrast_sweep(RunConfig(example="2"), level=5)
+    return run_contrast_sweep(RunConfig(example="2", level=5))
 
 
 @pytest.fixture(scope="module")

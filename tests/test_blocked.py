@@ -1,9 +1,9 @@
 """Blocked passes against their whole-array forms, bit for bit.
 
 The ``ref_*`` functions are the whole-array volume assembly, load
-vector, error report, side rules, side areas and mesh arrays that the
-blocked passes and the closed-form mesh and cut-topology accessors
-replaced, and the COO assembly of the five matrix parts that the
+vector, error report, side rules, side areas, interface rule and mesh
+arrays that the blocked passes and the closed-form mesh and cut-topology
+accessors replaced, and the COO assembly of the five matrix parts that the
 in-place CSR fill replaced.  The blocked passes run with ``BLOCK``
 patched to 7, so blocks hold a few elements and may hold no point of a
 side; every output must equal its reference in dtype, shape and bytes.
@@ -12,6 +12,7 @@ the assembly, and the memory classify's output keeps, at level 5.
 """
 import tracemalloc
 from math import ceil
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from hypothesis import given, strategies as st
 from cutnitsche import cutcell, mesh as mesh_module
 from cutnitsche.assembly import (CsrFill, _cut_blocks, assemble_bilinear, assemble_load,
                                  assemble_parts, build_system, expand_solution, local_csr)
-from cutnitsche.cutcell import _fan_rule, _polygon_area, classify
+from cutnitsche.cutcell import GAUSS2_OFFSET, _fan_rule, _polygon_area, classify
 from cutnitsche.harness import RunConfig, make_problem
 from cutnitsche.levelset import LevelSet
 from cutnitsche.mesh import barycentric_many, build_mesh, edge_frame
@@ -232,7 +233,8 @@ def ref_error_report(spec, u_h):
     pen_sq = flux_sq = 0.0
     ghost_sq = _ghost_error_sq(spec, u_h)
     if topo.n_cut:
-        iq = topo.iface
+        iq = ref_interface_quadrature(topo.cut_ids, topo.chord_p, topo.chord_q,
+                                      topo.chord_len, topo.chord_normal)
         conn = mesh.elements(iq.elems)
         lam = barycentric_many(mesh.nodes[conn], iq.points)
         jump_h = (np.einsum("ki,ki->k", lam, u_h.plus[layout.node_dof_plus[conn]])
@@ -265,16 +267,31 @@ def ref_error_report(spec, u_h):
     )
 
 
+def ref_interface_quadrature(cut_ids, chord_p, chord_q, chord_len, chord_normal):
+    """Flattened two-point chord rule over all cut elements, as classify
+    stored it: owning element, point, weight and normal of each point."""
+    d = chord_q - chord_p
+    mid = 0.5 * (chord_p + chord_q)
+    pts = np.empty((2 * cut_ids.shape[0], 2))
+    pts[0::2] = mid - GAUSS2_OFFSET * d
+    pts[1::2] = mid + GAUSS2_OFFSET * d
+    wts = np.repeat(0.5 * chord_len, 2)
+    elems = np.repeat(cut_ids, 2)
+    normals = np.repeat(chord_normal, 2, axis=0)
+    return SimpleNamespace(elems=elems, points=pts, weights=wts, normals=normals)
+
+
 def ref_side_quadrature(mesh, elem_side, cut_ids, poly, k, want):
     """Whole-mesh rule of side ``want`` (-1 minus, +1 plus), as classify
     stored it, from the side's cut polygons."""
     full = np.flatnonzero(elem_side == want)
     coords = mesh.nodes[mesh.elements(full)]
     mids = 0.5 * (coords + np.roll(coords, -1, axis=1))
-    owner, points, weights = _fan_rule(poly, k)
+    rule = _fan_rule(np.zeros(k.size), poly, k)
+    owner = np.repeat(np.arange(k.size), np.diff(rule.ptr))
     elems = np.concatenate([np.repeat(full, 3), cut_ids[owner]])
-    points = np.vstack([mids.reshape(-1, 2), points])
-    weights = np.concatenate([np.repeat(mesh.areas(full) / 3.0, 3), weights])
+    points = np.vstack([mids.reshape(-1, 2), rule.points])
+    weights = np.concatenate([np.repeat(mesh.areas(full) / 3.0, 3), rule.weights])
     order = np.argsort(elems, kind="stable")
     return elems[order], points[order], weights[order]
 
@@ -361,9 +378,9 @@ def test_side_quadrature_matches_reference(small_blocks, monkeypatch, case, leve
     # to the fan rule
     polygons = []
 
-    def spy(poly, k):
+    def spy(area, poly, k):
         polygons.append((poly, k))
-        return fan_rule(poly, k)
+        return fan_rule(area, poly, k)
 
     fan_rule = cutcell._fan_rule
     monkeypatch.setattr(cutcell, "_fan_rule", spy)
@@ -382,6 +399,17 @@ def test_side_quadrature_matches_reference(small_blocks, monkeypatch, case, leve
         for name, a, b in zip(("elems", "points", "weights"), side_rule(topo, side), ref):
             assert_same(a, b, name)
         assert_same(topo.area(side, slice(None)), ref_areas(*args), f"area_{side}")
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
+def test_interface_rule_matches_reference(case, level):
+    topo = case_setup(case, level)[0].topo
+    ref = ref_interface_quadrature(topo.cut_ids, topo.chord_p, topo.chord_q,
+                                   topo.chord_len, topo.chord_normal)
+    points, weights = topo.interface_rule()
+    assert_same(points.reshape(-1, 2), ref.points, "points")
+    assert_same(weights.reshape(-1), ref.weights, "weights")
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

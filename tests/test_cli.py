@@ -303,6 +303,25 @@ def test_flags_a_command_does_not_read_exit_one(capsys, argv):
     assert err.startswith("cutnitsche: config error: unrecognized arguments")
 
 
+@pytest.mark.parametrize("command,key", [
+    ("solve", "levels = 1..2"),
+    ("convergence", "level = 1"),
+    ("contrast", "levels = 1..2"),
+    ("diagnostics", "level = 1"),
+    ("diagnostics", "levels = 1..2"),
+    ("diagnostics", "format = markdown"),
+])
+def test_config_keys_a_command_does_not_read_exit_one(capsys, tmp_path, command, key):
+    # a config-file key is read by the same subcommands as its flag
+    path = tmp_path / "run.cfg"
+    path.write_text(f"example = 1\n{key}\n")
+    code, out, err = _run(capsys, [command, "--config", str(path)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("cutnitsche: config error:")
+    assert f"{path}:2: unknown key {key.split()[0]!r}" in err
+
+
 def test_diagnostics_command(capsys):
     code, out, _ = _run(capsys, ["diagnostics", "--example", "1"])
     assert code == 0

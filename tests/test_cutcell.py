@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from cutnitsche.cutcell import (BISECTION_STEPS, DEGENERATE_CHORD_FACTOR,
+from cutnitsche.cutcell import (BISECTION_STEPS, DEGENERATE_CHORD_FACTOR, GAUSS2_OFFSET,
                                 MULTI_ROOT_SAMPLES, ROOT_PHI_TOL, ROOT_WIDTH_TOL,
-                                _fan_rule,
-                                _interface_quadrature, _polygon_area, _scan_edges,
+                                _fan_rule, _polygon_area, _scan_edges,
                                 _split, classify, dump_cut_cells)
 from cutnitsche.levelset import (CoarseMeshError, GeometryError, LevelSet,
                                  make_circle, make_flower)
@@ -212,8 +211,15 @@ def ref_classify(mesh, ls):
                ghost_plus=ref_ghost_edges(mesh, elem_side, 1),
                ambiguous_elements=np.asarray(ambiguous, dtype=np.int64),
                degenerate_elements=np.asarray(degenerate, dtype=np.int64))
-    iface = _interface_quadrature(cut_ids, chord_p, chord_q, chord_len, chord_normal)
-    out.update({f"iface.{k}": v for k, v in iface._asdict().items()})
+    # two-point Gauss rule on each chord, one chord at a time
+    points = []
+    for p, q, _ in chords:
+        mid, d = 0.5 * (p + q), q - p
+        points += [mid - GAUSS2_OFFSET * d, mid + GAUSS2_OFFSET * d]
+    out.update({"iface.elems": np.repeat(cut_ids, 2),
+                "iface.points": np.array(points).reshape(-1, 2),
+                "iface.weights": np.repeat(0.5 * chord_len, 2),
+                "iface.normals": np.repeat(chord_normal, 2, axis=0)})
     for j, (side, want) in enumerate((("minus", -1), ("plus", 1))):
         full = np.flatnonzero(elem_side == want)
         coords = mesh.nodes[mesh.elements(full)]
@@ -242,7 +248,8 @@ def side_rule(topo, side):
 
 def topology_arrays(topo):
     """The topology's arrays, with whole-mesh side areas and side rules
-    from the accessors under the names of the arrays they replaced."""
+    and the flattened interface rule from the accessors under the names of
+    the arrays they replaced."""
     out = {}
     for name, value in vars(topo).items():
         if name in ("cut_minus", "cut_plus"):
@@ -250,10 +257,13 @@ def topology_arrays(topo):
             out[f"area_{side}"] = topo.area(side, slice(None))
             rule = dict(zip(("elems", "points", "weights"), side_rule(topo, side)))
             out.update({f"quad_{side}.{k}": v for k, v in rule.items()})
-        elif isinstance(value, tuple):
-            out.update({f"{name}.{k}": v for k, v in value._asdict().items()})
         elif isinstance(value, np.ndarray):
             out[name] = value
+    points, weights = topo.interface_rule()
+    out.update({"iface.elems": np.repeat(topo.cut_ids, 2),
+                "iface.points": points.reshape(-1, 2),
+                "iface.weights": weights.reshape(-1),
+                "iface.normals": np.repeat(topo.chord_normal, 2, axis=0)})
     return out
 
 
@@ -350,8 +360,9 @@ def split_one(coords, signs, roots):
 
 
 def fan_rule(poly):
-    _, points, weights = _fan_rule(np.asarray(poly)[None], np.array([len(poly)]))
-    return points, weights
+    rule = _fan_rule(np.zeros(1), np.asarray(poly)[None], np.array([len(poly)]))
+    assert rule.ptr.tolist() == [0, rule.weights.size]
+    return rule.points, rule.weights
 
 
 def area(poly):
@@ -421,7 +432,9 @@ def test_side_quadrature_matches_clipped_areas(circle_classified):
 
 def test_interface_weights_sum_to_chord_length(circle_classified):
     _, topo = circle_classified(2)
-    per_chord = topo.iface.weights.reshape(-1, 2).sum(axis=1)
+    points, weights = topo.interface_rule()
+    assert points.shape == (topo.n_cut, 2, 2) and weights.shape == (topo.n_cut, 2)
+    per_chord = weights.sum(axis=1)
     np.testing.assert_allclose(per_chord, topo.chord_len, atol=1e-14)
     assert np.all(topo.chord_len > 0.0)
 

@@ -129,7 +129,7 @@ def test_convergence_rejects_descending_levels():
 
 def test_contrast_sweep_schema():
     pairs = ((1.0, 10.0), (0.5, 20.0))
-    table = run_contrast_sweep(RunConfig(example="1"), pairs=pairs, level=1)
+    table = run_contrast_sweep(RunConfig(example="1", level=1), pairs=pairs)
     assert table.columns == CONTRAST_COLUMNS
     assert [tuple(r[:2]) for r in table.rows] == list(pairs)
     assert all(r[3] > 0.0 for r in table.rows)
@@ -143,7 +143,7 @@ def test_contrast_sweep_shares_geometry(config, monkeypatch):
     monkeypatch.setattr(harness, "classify",
                         lambda *args: calls.append(args) or classify(*args))
     pairs = ((1.0, 10.0), (1e-3, 1e4), (1e-4, 1e5))
-    table = run_contrast_sweep(config, pairs=pairs, level=2)
+    table = run_contrast_sweep(dataclasses.replace(config, level=2), pairs=pairs)
     assert len(calls) == 1
     monkeypatch.undo()
     for row, (rho_minus, rho_plus) in zip(table.rows, pairs):
@@ -229,7 +229,7 @@ def test_contrast_sweep_solves_at_the_given_level(monkeypatch):
     real = harness._solve_on
     monkeypatch.setattr(harness, "_solve_on", lambda config, spec, layout: levels.append(
         (config.level, layout.mesh.level)) or real(config, spec, layout))
-    run_contrast_sweep(RunConfig(example="1"), pairs=((1.0, 10.0),), level=1)
+    run_contrast_sweep(RunConfig(example="1", level=1), pairs=((1.0, 10.0),))
     assert levels == [(1, 1)]
 
 

@@ -1,4 +1,4 @@
-"""Doubled P1 spaces: DOF layout, interpolation, point evaluation."""
+"""Doubled P1 spaces: DOF layout, interpolation, point location."""
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -6,8 +6,17 @@ from hypothesis import given, strategies as st
 from cutnitsche.cutcell import classify
 from cutnitsche.levelset import LevelSet
 from cutnitsche.mesh import build_mesh
-from cutnitsche.space import (FieldPair, build_spaces, evaluate, interpolate,
-                              interpolate_pair)
+from cutnitsche.space import FieldPair, build_spaces, interpolate_pair, locate_on_side
+
+
+def evaluate(field, side, x):
+    """Value and gradient of one side's field at a point, from the element
+    and barycentrics ``locate_on_side`` gives it."""
+    layout = field.layout
+    elems, lams = locate_on_side(layout, side, x)
+    assert elems.shape == (1,) and elems[0] >= 0
+    vals = field.side(side)[layout.node_dof(side)[layout.mesh.elements(elems[0])]]
+    return float(lams[0] @ vals), vals @ layout.mesh.grads(elems[0])
 
 
 def test_cut_nodes_carry_two_dofs(circle_layout):
@@ -52,8 +61,10 @@ def test_uncut_space_is_single_sided():
 def test_interpolate_reproduces_data(circle_layout):
     layout = circle_layout(1)
     mesh = layout.mesh
-    const = interpolate(layout, "plus", lambda x: np.full(x.shape[:-1], 3.5))
-    assert np.all(const == 3.5)
+    const = interpolate_pair(layout, lambda x: np.zeros(x.shape[:-1], dtype=int),
+                             lambda x: np.full(x.shape[:-1], 3.5))
+    assert const.minus.dtype == float and const.minus.shape == (layout.n_minus,)
+    assert np.all(const.minus == 0.0) and np.all(const.plus == 3.5)
     f = lambda x: x[..., 0] + 2.0 * x[..., 1]
     field = interpolate_pair(layout, f, f)
     np.testing.assert_allclose(field.minus,
@@ -71,10 +82,10 @@ def test_evaluate_minus_inside_inclusion(circle_layout):
     field = interpolate_pair(layout, f, f)
     val, _ = evaluate(field, "minus", np.array([0.05, 0.0]))
     assert abs(val) < 0.05  # P1 interpolant of x^2 near the origin is small
-    with pytest.raises(ValueError):
-        evaluate(field, "minus", np.array([0.9, 0.9]))
-    with pytest.raises(ValueError):
-        evaluate(field, "plus", np.array([1.5, 0.0]))
+    # off the minus side, and outside the domain, no element holds the point
+    for side, x in (("minus", [0.9, 0.9]), ("plus", [1.5, 0.0]), ("plus", [0.0, -1.5])):
+        elems, _ = locate_on_side(layout, side, np.array(x))
+        assert elems.tolist() == [-1]
 
 
 @given(st.integers(min_value=0, max_value=10_000))
