@@ -15,10 +15,16 @@ CSVs that script writes and the ``run_diagnostics()`` report, then every
 under the name of the array it replaced), and the matrix, right-hand
 side and the five parts of ``assemble_parts`` of the level-6 plus-side
 solve at contrast 1e9 (assembled, not solved).  Two commits are
-bit-identical on all of these when the outputs of this script agree:
+bit-identical on all of these when the outputs of this script agree.
+With ``<old>`` and ``<new>`` checkouts of the two commits:
 
-    python scripts/parity_hashes.py > new.txt   # at each commit
+    PYTHONPATH=<old>/src python scripts/parity_hashes.py > old.txt && wc -l old.txt
+    PYTHONPATH=<new>/src python scripts/parity_hashes.py > new.txt && wc -l new.txt
     diff old.txt new.txt
+
+Without ``src`` on the path the script exits 1 and leaves an empty file,
+and two empty files diff as identical: ``&&`` stops at that exit, and
+each file must have 765 lines.
 
 BLAS is pinned to one thread, because stagnated CG iterates of the
 high-contrast solves depend on the thread count.

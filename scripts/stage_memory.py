@@ -1,25 +1,28 @@
 #!/usr/bin/env python3
 """Seconds and memory of each stage of one solve, without the solve.
 
-For the circle with the inclusion on the plus side at contrast 1e9
-(``rho`` 1 / 1e9), at levels 5..7, the stages are mesh, classify,
-spaces, assemble_parts (the five matrix parts alone), build_system, load
-(a second ``assemble_load``) and the error report of the lifted zero
-field.  Each level runs them twice: once under tracemalloc for memory,
-then once with tracemalloc off for time, since tracing charges every
-allocation.  Per stage it records
+Two fixed cases: the circle with the inclusion on the plus side at
+contrast 1e9 (``rho`` 1 / 1e9), and the flower of example 2 at ``rho``
+1 / 1e5, whose classify samples every edge for multiple roots.  For each
+case, at levels 5..7, the stages are mesh, classify, spaces,
+assemble_parts (the five matrix parts alone), build_system, load (a
+second ``assemble_load``) and the error report of the lifted zero field.
+Each level runs them twice: once under tracemalloc for memory, then once
+with tracemalloc off for time, since tracing charges every allocation.
+Per stage it records
 
 * ``seconds``: wall time of the second run, tracemalloc off;
 * ``output_mb``: traced memory the stage leaves allocated;
 * ``extra_mb``: traced peak above the traced memory at the stage's start,
   the output included;
 * ``rss_mb`` and ``maxrss_mb``: resident set size after the stage in the
-  first run, and its high-water mark so far in the process.
+  first run, and its high-water mark so far in the process, which is a
+  fresh one for each case.
 
-It prints one line per stage and writes the measurement into one
-column of ``BENCH_memory.json`` at the repository root, ``change`` unless
-``--column`` names another.  Any other column already in that file is
-kept, so a column measured at an earlier commit stays beside it; to
+It prints one line per stage and writes the measurement of each case
+into one column of that case in ``BENCH_memory.json`` at the repository
+root, ``change`` unless ``--column`` names another.  Any other column
+already in that file is kept, so a column measured at an earlier commit stays beside it; to
 measure one, run this script with that commit's ``src`` on PYTHONPATH.
 Each column records the ``git describe --always --dirty`` of the checkout
 the package was imported from; outside a git checkout the script exits 1
@@ -37,12 +40,14 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 
 import argparse  # noqa: E402
 import json  # noqa: E402
+import multiprocessing  # noqa: E402
 import pathlib  # noqa: E402
 import resource  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 import tracemalloc  # noqa: E402
+from concurrent.futures import ProcessPoolExecutor  # noqa: E402
 
 import numpy as np  # noqa: E402
 import scipy  # noqa: E402
@@ -59,6 +64,12 @@ from cutnitsche.space import build_spaces  # noqa: E402
 
 OUTPUT = pathlib.Path(__file__).resolve().parent.parent / "BENCH_memory.json"
 MB = 1024.0 ** 2
+CASES = {
+    "circle-plus": ("circle r=1/3, inclusion plus, rho 1 / 1e9; no solve",
+                    RunConfig(example="1", inclusion_side="plus", rho_minus=1.0, rho_plus=1e9)),
+    "flower": ("flower (example 2), inclusion minus, rho 1 / 1e5; no solve",
+               RunConfig(example="2", rho_minus=1.0, rho_plus=1e5)),
+}
 
 
 def rss_mb() -> float:
@@ -102,10 +113,8 @@ def timed(fn):
     return out, {"seconds": round(time.perf_counter() - t0, 3)}
 
 
-def stages(level: int, measure) -> dict:
+def stages(config: RunConfig, level: int, measure) -> dict:
     """One record per stage, each from ``measure(stage)``."""
-    config = RunConfig(example="1", level=level, inclusion_side="plus",
-                       rho_minus=1.0, rho_plus=1e9)
     ls, spec = make_problem(config)
     record = {}
     mesh, record["mesh"] = measure(lambda: build_mesh(level))
@@ -120,6 +129,23 @@ def stages(level: int, measure) -> dict:
     return record
 
 
+def measure_case(key: str, levels) -> dict:
+    """Per level, the record of each stage of one case: memory from a
+    traced run, seconds from an untraced one."""
+    config = CASES[key][1]
+    out = {}
+    for level in levels:
+        tracemalloc.start()
+        memory = stages(config, level, traced)
+        tracemalloc.stop()
+        seconds = stages(config, level, timed)
+        out[f"L{level}"] = {name: {**seconds[name], **rec} for name, rec in memory.items()}
+        for name, rec in out[f"L{level}"].items():
+            print(f"{key} L{level} {name:<14} " + " ".join(f"{k} {v}" for k, v in rec.items()),
+                  flush=True)
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--levels", type=parse_levels, default=parse_levels("5..7"))
@@ -127,26 +153,20 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     commit = source_commit()
 
-    levels = {}
-    for level in args.levels:
-        tracemalloc.start()
-        memory = stages(level, traced)
-        tracemalloc.stop()
-        seconds = stages(level, timed)
-        levels[f"L{level}"] = {name: {**seconds[name], **rec} for name, rec in memory.items()}
-        for name, rec in levels[f"L{level}"].items():
-            print(f"L{level} {name:<14} " + " ".join(f"{k} {v}" for k, v in rec.items()),
-                  flush=True)
-
     doc = json.loads(OUTPUT.read_text()) if OUTPUT.exists() else {}
-    doc["case"] = "circle r=1/3, inclusion plus, rho 1 / 1e9; no solve"
-    doc.setdefault("columns", {})[args.column] = {
-        "commit": commit,
-        "versions": {"python": sys.version.split()[0], "numpy": np.__version__,
-                     "scipy": scipy.__version__},
-        "cpus": os.cpu_count(),
-        "levels": levels,
-    }
+    for key, (description, _) in CASES.items():
+        # a fresh process per case, so its RSS high-water marks are its own
+        with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
+            levels = pool.submit(measure_case, key, args.levels).result()
+        case = doc.setdefault("cases", {}).setdefault(key, {})
+        case["case"] = description
+        case.setdefault("columns", {})[args.column] = {
+            "commit": commit,
+            "versions": {"python": sys.version.split()[0], "numpy": np.__version__,
+                         "scipy": scipy.__version__},
+            "cpus": os.cpu_count(),
+            "levels": levels,
+        }
     OUTPUT.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 

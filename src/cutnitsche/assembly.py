@@ -325,7 +325,7 @@ def build_system(layout: SpaceLayout, spec: ProblemSpec) -> SparseSystem:
     if dir_dofs.size and spec.dirichlet is not None:
         outer = layout.outer_side()
         offset = 0 if outer == "minus" else layout.n_minus
-        coords = layout.mesh.nodes[layout.dof_node(outer)[dir_dofs - offset]]
+        coords = np.take(layout.mesh.nodes, layout.dof_node(outer)[dir_dofs - offset], axis=0)
         lifting[dir_dofs] = np.asarray(spec.dirichlet(coords), dtype=float)
 
     free = layout.free_dofs

@@ -200,7 +200,7 @@ def classify(mesh: Mesh, ls: LevelSet) -> CutTopology:
     local_roots = np.full(local.shape + (2,), np.nan)
     local_roots[has_root] = roots[np.searchsorted(cross_ids, local[has_root])]
     p, q, poly_m, k_m, poly_p, k_p = _split(
-        mesh.nodes[conn], sign[conn], has_root, local_roots)
+        np.take(mesh.nodes, conn, axis=0), sign[conn], has_root, local_roots)
     sub_minus = _polygon_area(poly_m, k_m)
     chord_len = np.hypot(*(q - p).T)
 
@@ -257,24 +257,23 @@ def _scan_edges(mesh: Mesh, ls: LevelSet, psi: np.ndarray) -> np.ndarray:
     ``|phi(a)| + |phi(b)| <= L |b - a|``; the band admits twice that sum,
     which absorbs rounding.  ``psi`` is phi up to sign at the nodes.
     Without a bound (``ls.lipschitz`` None) the band is every edge.
-    Edges are sampled BLOCK at a time, which bounds the temporaries.
+    One pass over BLOCK edges at a time: the band edges of a block are
+    sampled ``BLOCK // (MULTI_ROOT_SAMPLES + 2)`` at a time, so no
+    temporary holds more than about BLOCK sample points.
     """
     bound = np.inf if ls.lipschitz is None else 2.0 * ls.lipschitz
-    in_band = np.empty(mesh.n_edges, dtype=bool)
-    for block in blocks(mesh.n_edges):
-        ends = mesh.edges(block)
-        end_sum = np.abs(psi[ends[:, 0]]) + np.abs(psi[ends[:, 1]])
-        in_band[block] = end_sum <= bound * mesh.edge_lengths(block)
-    band = np.flatnonzero(in_band)
     ts = np.linspace(0.0, 1.0, MULTI_ROOT_SAMPLES + 2)
     multi = np.zeros(mesh.n_edges, dtype=bool)
-    for block in blocks(band.size):
-        ends = mesh.edges(band[block])
-        a = mesh.nodes[ends[:, 0]]
-        b = mesh.nodes[ends[:, 1]]
-        pts = a[:, None, :] + ts[None, :, None] * (b - a)[:, None, :]
-        s = np.sign(ls.value(pts))
-        multi[band[block]] = np.sum(s[:, 1:] * s[:, :-1] < 0, axis=1) > 1
+    for block in blocks(mesh.n_edges):
+        ends = mesh.edges(block)
+        end_sum = np.abs(np.take(psi, ends[:, 0])) + np.abs(np.take(psi, ends[:, 1]))
+        band = np.flatnonzero(end_sum <= bound * mesh.edge_lengths(block))
+        for sub in blocks(band.size, ts.size):
+            ids = band[sub]
+            a, b = np.take(mesh.nodes, np.take(ends, ids, axis=0).T, axis=0)
+            pts = a[:, None, :] + ts[None, :, None] * (b - a)[:, None, :]
+            s = np.sign(ls.value(pts))
+            multi[block.start + ids] = np.sum(s[:, 1:] * s[:, :-1] < 0, axis=1) > 1
     return multi
 
 
@@ -290,17 +289,17 @@ def _edge_roots(mesh, ls, psi, crossing, multi_edge):
     cross_ids = np.flatnonzero(crossing)
     roots = np.empty((cross_ids.size, 2))
     ids = np.flatnonzero(crossing & ~multi_edge)
-    a_ids, b_ids = mesh.edges(ids).T
-    pa, pb = mesh.nodes[a_ids], mesh.nodes[b_ids]
-    t = _bisect(ls, pa, pb, psi[a_ids])
+    ends = mesh.edges(ids).T
+    pa, pb = np.take(mesh.nodes, ends, axis=0)
+    t = _bisect(ls, pa, pb, np.take(psi, ends[0]))
     roots[np.searchsorted(cross_ids, ids)] = pa + t[:, None] * (pb - pa)
 
     flagged = crossing & multi_edge
     flagged[ids[np.isnan(t)]] = True
     lin = np.flatnonzero(flagged)
-    a_ids, b_ids = mesh.edges(lin).T
-    pa, pb = mesh.nodes[a_ids], mesh.nodes[b_ids]
-    fa, fb = psi[a_ids], psi[b_ids]
+    ends = mesh.edges(lin).T
+    pa, pb = np.take(mesh.nodes, ends, axis=0)
+    fa, fb = np.take(psi, ends)
     roots[np.searchsorted(cross_ids, lin)] = pa + (fa / (fa - fb))[:, None] * (pb - pa)
     return cross_ids, roots, flagged
 

@@ -126,7 +126,8 @@ def build_spaces(topo: CutTopology) -> SpaceLayout:
 
 def interpolate_pair(layout: SpaceLayout, f_minus, f_plus) -> FieldPair:
     """Nodal interpolation of one callable per side onto its space."""
-    minus, plus = (np.asarray(f(layout.mesh.nodes[layout.dof_node(side)]), dtype=float)
+    minus, plus = (np.asarray(f(np.take(layout.mesh.nodes, layout.dof_node(side), axis=0)),
+                              dtype=float)
                    for side, f in (("minus", f_minus), ("plus", f_plus)))
     return FieldPair(layout, minus, plus)
 

@@ -1,10 +1,12 @@
 """Cut-cell geometry: chord clipping, quadrature, and ghost edge sets."""
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from cutnitsche import mesh as mesh_module
 from cutnitsche.cutcell import (BISECTION_STEPS, DEGENERATE_CHORD_FACTOR, GAUSS2_OFFSET,
                                 MULTI_ROOT_SAMPLES, ROOT_PHI_TOL, ROOT_WIDTH_TOL,
                                 _fan_rule, _polygon_area, _scan_edges,
@@ -321,13 +323,13 @@ def test_failed_bisection_raises_on_simple_level_set():
     assert str(got.value).startswith("bisection did not converge on edge")
 
 
-# the circle on both sides and the flower; then radii at which the circle
+# the circle on both sides and the flower (level 5 is the tables'); then radii at which the circle
 # grazes grid edges at levels 5, 6 and 1 (r = 0.3341 flags none, the
 # others flag edges with two roots and raise CoarseMeshError)
 SCAN_CASES = (
     [(lv, make_circle(inclusion_side=side)) for side in ("minus", "plus")
      for lv in (1, 2, 3, 4, 5, 6)]
-    + [(lv, make_flower()) for lv in (1, 2, 3, 4)]
+    + [(lv, make_flower()) for lv in (1, 2, 3, 4, 5)]
     + [(5, make_circle(radius=r, inclusion_side=side))
        for r in (0.3341, 0.33413, 0.33417) for side in ("minus", "plus")]
     + [(6, make_circle(radius=0.33334)), (1, make_circle(radius=0.356))]
@@ -348,6 +350,40 @@ def test_banded_scan_matches_full_scan(level, ls):
         with pytest.raises(CoarseMeshError) as expected:
             ref_coarse_mesh_check(mesh, ls)
         assert str(got.value) == str(expected.value)
+
+
+# BLOCK 75: the band is selected 75 edges at a time and sampled two edges
+# at a time, so both the blocks and their sampling sub-blocks end inside
+# the band, and the flagged edges of the grazing circle lie in sub-blocks
+SMALL_BLOCK_CASES = ((4, make_flower()), (4, make_circle(inclusion_side="plus")),
+                     (5, make_circle(radius=0.33417)))
+
+
+@pytest.mark.parametrize("level,ls", SMALL_BLOCK_CASES,
+                         ids=[f"{ls.name}-L{lv}" for lv, ls in SMALL_BLOCK_CASES])
+def test_scan_matches_full_scan_across_small_blocks(monkeypatch, level, ls):
+    monkeypatch.setattr(mesh_module, "BLOCK", 75)
+    mesh = build_mesh(level)
+    psi = np.asarray(ls.side_sign(mesh.nodes), dtype=float)
+    assert np.array_equal(_scan_edges(mesh, ls, psi), ref_scan_edges(mesh, ls))
+
+
+@pytest.mark.parametrize("level", [5, 6])
+def test_flower_scan_memory(level):
+    # every edge of the flower is sampled; sampling all of a BLOCK of
+    # edges at once took 31.5 / 34.4 MiB at levels 5 / 6
+    ls = make_flower()
+    mesh = build_mesh(level)
+    psi = np.asarray(ls.side_sign(mesh.nodes), dtype=float)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        multi = _scan_edges(mesh, ls, psi)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert np.any(multi)
+    assert peak <= 2 * 1024 ** 2
 
 
 def split_one(coords, signs, roots):
