@@ -22,8 +22,9 @@ Per stage it records
 It prints one line per stage and writes the measurement of each case
 into one column of that case in ``BENCH_memory.json`` at the repository
 root, ``change`` unless ``--column`` names another.  Any other column
-already in that file is kept, so a column measured at an earlier commit stays beside it; to
-measure one, run this script with that commit's ``src`` on PYTHONPATH.
+already in that file is kept, so a column measured at an earlier commit
+stays beside it; to measure one, run this script with that commit's
+``src`` on PYTHONPATH.
 Each column records the ``git describe --always --dirty`` of the checkout
 the package was imported from; outside a git checkout the script exits 1
 before it measures anything.

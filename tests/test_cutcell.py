@@ -323,9 +323,10 @@ def test_failed_bisection_raises_on_simple_level_set():
     assert str(got.value).startswith("bisection did not converge on edge")
 
 
-# the circle on both sides and the flower (level 5 is the tables'); then radii at which the circle
-# grazes grid edges at levels 5, 6 and 1 (r = 0.3341 flags none, the
-# others flag edges with two roots and raise CoarseMeshError)
+# the circle on both sides and the flower (level 5 is the tables'); then
+# radii at which the circle grazes grid edges at levels 5, 6 and 1
+# (r = 0.3341 flags none, the others flag edges with two roots and raise
+# CoarseMeshError)
 SCAN_CASES = (
     [(lv, make_circle(inclusion_side=side)) for side in ("minus", "plus")
      for lv in (1, 2, 3, 4, 5, 6)]
@@ -353,8 +354,9 @@ def test_banded_scan_matches_full_scan(level, ls):
 
 
 # BLOCK 75: the band is selected 75 edges at a time and sampled two edges
-# at a time, so both the blocks and their sampling sub-blocks end inside
-# the band, and the flagged edges of the grazing circle lie in sub-blocks
+# at a time, so blocks and their sampling sub-blocks end inside the band
+# (every edge of the flower, a few of the circle's); the grazing circle
+# flags edges
 SMALL_BLOCK_CASES = ((4, make_flower()), (4, make_circle(inclusion_side="plus")),
                      (5, make_circle(radius=0.33417)))
 
