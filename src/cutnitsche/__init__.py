@@ -12,7 +12,7 @@ from .levelset import LevelSet, make_circle, make_flower
 from .cutcell import CutTopology, classify
 from .space import SpaceLayout, FieldPair, build_spaces, interpolate_pair
 from .problems import ProblemSpec, example_circle, example_flower, patch_problem
-from .assembly import (SparseSystem, assemble_bilinear, assemble_load,
+from .assembly import (SparseSystem, assemble_load,
                        build_system, assemble_vnorm_gram, expand_solution)
 from .solver import SolveStats, solve
 from .norms import ErrorReport, error_report, eoc
@@ -25,7 +25,7 @@ __all__ = [
     "CutTopology", "classify",
     "SpaceLayout", "FieldPair", "build_spaces", "interpolate_pair",
     "ProblemSpec", "example_circle", "example_flower", "patch_problem",
-    "SparseSystem", "assemble_bilinear", "assemble_load", "build_system",
+    "SparseSystem", "assemble_load", "build_system",
     "assemble_vnorm_gram", "expand_solution",
     "SolveStats", "solve",
     "ErrorReport", "error_report", "eoc",

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from . import mesh as mesh_module
 from .mesh import barycentric_many, blocks, edge_frame
 from .problems import ProblemSpec
 from .space import FieldPair, SpaceLayout
@@ -27,7 +28,6 @@ from .space import FieldPair, SpaceLayout
 __all__ = [
     "SparseSystem",
     "assemble_parts",
-    "assemble_bilinear",
     "assemble_load",
     "assemble_vnorm_gram",
     "build_system",
@@ -63,18 +63,20 @@ class CsrFill:
     result matches converting the same entries from COO byte for byte.
     """
 
-    def __init__(self, shape: tuple[int, int], row_groups):
+    def __init__(self, shape: tuple[int, int], row_groups, first_row: int = 0):
         """``row_groups``: (rows, width) pairs, consumed once; each index
         in ``rows`` will receive ``width`` entries.  Each group costs its
-        size plus the span of its rows."""
+        size plus the span of its rows.  Row ``first_row + i`` of the
+        arguments is row ``i`` of the fill, a window of a larger matrix."""
         self.shape = shape
+        self.first_row = first_row
         counts = np.zeros(shape[0], dtype=np.int64)
         for rows, width in row_groups:
             if rows.size:
-                lo = rows.min()
+                lo = rows.min() - first_row
                 if lo < 0:
-                    raise ValueError("negative row index")
-                span = np.bincount(rows.ravel() - lo)
+                    raise ValueError("row index below the fill's first row")
+                span = np.bincount(rows.ravel() - (lo + first_row))
                 counts[lo:lo + span.size] += width * span
         if counts.sum() > np.iinfo(np.int32).max:
             raise OverflowError("more entries than int32 CSR indices can address")
@@ -97,11 +99,14 @@ class CsrFill:
             order = order[np.argsort((key[order] >> 16).astype(np.uint16), kind="stable")]
         rank = np.empty_like(order)
         rank[order] = np.arange(rows.size)
+        del order
         counts = np.bincount(key)
-        nxt = self.next[lo:lo + counts.size]
+        nxt = self.next[lo - self.first_row:lo - self.first_row + counts.size]
         base = nxt - width * (np.cumsum(counts) - counts)
         nxt += width * counts
-        return base[key] + width * rank
+        rank *= width
+        rank += base[key]
+        return rank
 
     def add(self, rows, cols, vals) -> None:
         """Append ``cols[p]`` and ``vals[p]``, (width,) each, to row
@@ -183,49 +188,123 @@ def _stiffness(coef: np.ndarray, grads: np.ndarray) -> np.ndarray:
     return local.transpose(2, 0, 1)
 
 
+def element_rows(mesh, n: int, lo: int, hi: int, groups) -> sp.csr_matrix:
+    """Rows ``lo:hi`` of an n-column sum of dense local matrices, as an
+    (hi - lo, n) CSR with duplicates summed.  ``groups``: (ids, dofs_of,
+    local_of), ``ids`` increasing, ``dofs_of(ids)`` (k, m) DOFs and
+    ``local_of(ids)`` (k, m, m) matrices; ``BLOCK // 3`` elements a pass,
+    or a grid row of ``mesh``, which a window of few rows spans twice.
+
+    An element's lowest and highest DOF must never decrease with its id:
+    then the elements with every DOF in the window are one run of each
+    pass, added whole, and only those around it are cut to the window.
+    Each row gets its entries in the order of one fill over all rows, so
+    the window holds those rows bit for bit.
+    """
+    step = max(mesh_module.BLOCK // 3, 2 * mesh.n_cells)
+    pieces = []   # (ids, dofs, local_of, rows in the window or None for all)
+    for ids, dofs_of, local_of in groups:
+        for block in range(0, ids.size, step):
+            sub = ids[block:block + step]
+            dofs = dofs_of(sub)
+            # reduce over a list of columns: a reduce along axis 1 of a
+            # (k, 3) array is about 15 times slower
+            b = np.searchsorted(np.minimum.reduce(list(dofs.T)), lo)
+            c = max(b, np.searchsorted(np.maximum.reduce(list(dofs.T)), hi))
+            for part in (slice(0, b), slice(b, c), slice(c, sub.size)):
+                if part.stop > part.start:
+                    d = dofs[part]
+                    keep = None if part.start == b and part.stop == c else ((d >= lo) & (d < hi))
+                    pieces.append((sub[part], d, local_of, keep))
+
+    fill = CsrFill((hi - lo, n), [(d if keep is None else d[keep], d.shape[1])
+                                  for _, d, _, keep in pieces], first_row=lo)
+    for ids, dofs, local_of, keep in pieces:
+        if keep is None:
+            fill.add_local(dofs, local_of(ids))
+        else:
+            m = dofs.shape[1]
+            keep = keep.ravel()
+            fill.add(dofs.ravel()[keep], np.repeat(dofs, m, axis=0)[keep],
+                     local_of(ids).reshape(-1, m)[keep])
+    return fill.tocsr()
+
+
+def stack_rows(windows, shape: tuple[int, int]) -> sp.csr_matrix:
+    """One CSR of ``shape`` from consecutive CSR row windows.  The entry
+    arrays grow in place by each window's entries, so the windows are
+    never held together and the result is never copied."""
+    data = np.empty(0)
+    indices = np.empty(0, dtype=np.int32)
+    indptr = np.zeros(shape[0] + 1, dtype=np.int32)
+    row = at = 0
+    for w in windows:
+        k = int(w.indptr[-1])
+        data.resize(at + k, refcheck=False)
+        indices.resize(at + k, refcheck=False)
+        data[at:] = w.data[:k]
+        indices[at:] = w.indices[:k]
+        indptr[row + 1:row + 1 + w.shape[0]] = at + w.indptr[1:]
+        row, at = row + w.shape[0], at + k
+    if row != shape[0]:
+        raise ValueError(f"windows hold {row} of {shape[0]} rows")
+    return sp.csr_matrix((data, indices, indptr), shape=shape)
+
+
+def _volume(layout: SpaceLayout, spec: ProblemSpec, lo: int, hi: int) -> sp.csr_matrix:
+    """Rows ``lo:hi`` of the subdomain stiffness, the ``volume`` part: P1
+    gradients are constant, only the clipped area of each element enters.
+    DOFs are numbered in node order on each side, so an element's lowest
+    and highest DOF never decrease with its id, and the elements that can
+    touch the window are those near its first and last node."""
+    mesh, topo = layout.mesh, layout.topo
+    groups = []
+    for side, offset in (("minus", 0), ("plus", layout.n_minus)):
+        node = layout.dof_node(side)
+        first, last = max(lo - offset, 0), min(hi - offset, node.size) - 1
+        if first > last:
+            continue
+        near = mesh.elems_near(node[first], node[last])
+        groups.append((near[topo.in_side(side, near)],
+                       lambda ids, side=side: layout.global_dofs(side, mesh.elements(ids)),
+                       lambda ids, side=side: _stiffness(spec.rho(side) * topo.area(side, ids),
+                                                         mesh.grads(ids))))
+    return element_rows(mesh, layout.n_total, lo, hi, groups)
+
+
 def assemble_parts(layout: SpaceLayout, spec: ProblemSpec) -> dict:
     """Named matrix parts of the bilinear form on ``layout``, before scaling
     by the stabilisation parameters: ``volume``, ``nitsche``,
     ``penalty_base`` (includes 1/h_T but no coefficient),
     ``ghost_minus``/``ghost_plus`` (include rho and |e|^2 but no gamma_g).
 
-    Each part is one ``CsrFill``: the unsummed CSR (12 B an entry) is
-    allocated from counts of the DOF maps, then filled; the volume part
-    ``BLOCK`` elements at a time.  Entries land in each row in the order
-    of scipy's ``coo_tocsr``, element-major and row-major within an
-    element, so the parts are bit-identical to converting the same entries
-    from COO, whatever the block size.
+    Each part is filled by ``CsrFill``: the unsummed CSR (12 B an entry)
+    is allocated from counts of the DOF maps, then filled; the volume part
+    ``BLOCK`` rows at a time (``_volume``), stacked by ``stack_rows``.
+    Entries land in each row in the order of scipy's ``coo_tocsr``,
+    element-major and row-major within an element, so the parts are
+    bit-identical to converting the same entries from COO, whatever the
+    block size.
     """
-    mesh, topo = layout.mesh, layout.topo
     n = layout.n_total
-    h_t = mesh.h_elem
+    volume = stack_rows((_volume(layout, spec, b.start, b.stop) for b in blocks(n)), (n, n))
+    return {"volume": volume, **_cut_parts(layout, spec)}
 
-    # subdomain stiffness: P1 gradients are constant, only the clipped
-    # area of each element enters; elements go BLOCK at a time
-    sides = [(side, np.flatnonzero(topo.in_side(side))) for side in ("minus", "plus")]
-    fill = CsrFill((n, n), ((layout.global_dofs(side, mesh.elements(elems[block])), 3)
-                            for side, elems in sides for block in blocks(elems.size)))
-    for side, elems in sides:
-        for block in blocks(elems.size):
-            ids = elems[block]
-            fill.add_local(layout.global_dofs(side, mesh.elements(ids)),
-                           _stiffness(spec.rho(side) * topo.area(side, ids), mesh.grads(ids)))
-    volume = fill.tocsr()
 
+def _cut_parts(layout: SpaceLayout, spec: ProblemSpec) -> dict:
+    """The parts of ``assemble_parts`` but the volume: those of the cut
+    elements and of the ghost edges."""
     _, gn, wts, _, jump, dofs, _ = _cut_blocks(layout)
     w_minus, w_plus = spec.flux_weights()
     flux = np.concatenate(
         [w_minus * spec.rho_minus * gn, w_plus * spec.rho_plus * gn], axis=1
     )  # (ncut, 6), constant per element
     nit = np.einsum("kq,kqi,kj->kij", wts, jump, flux)
-    nitsche = local_csr(n, dofs, nit + nit.transpose(0, 2, 1))
-    pen = np.einsum("kq,kqi,kqj->kij", wts, jump, jump) / h_t
-    penalty_base = local_csr(n, dofs, pen)
-
+    n = layout.n_total
     return {
-        "volume": volume,
-        "nitsche": nitsche,
-        "penalty_base": penalty_base,
+        "nitsche": local_csr(n, dofs, nit + nit.transpose(0, 2, 1)),
+        "penalty_base": local_csr(
+            n, dofs, np.einsum("kq,kqi,kqj->kij", wts, jump, jump) / layout.mesh.h_elem),
         "ghost_minus": _ghost_part(layout, spec, "minus"),
         "ghost_plus": _ghost_part(layout, spec, "plus"),
     }
@@ -247,17 +326,6 @@ def _ghost_part(layout: SpaceLayout, spec: ProblemSpec, side: str) -> sp.csr_mat
          layout.global_dofs(side, mesh.elements(e2))], axis=1
     )
     return local_csr(layout.n_total, dofs, local)
-
-
-def assemble_bilinear(layout: SpaceLayout, spec: ProblemSpec) -> sp.csr_matrix:
-    """Full stabilised Nitsche matrix over all DOFs of ``layout``, Dirichlet
-    rows included; reduction happens in build_system."""
-    parts = assemble_parts(layout, spec)
-    a = (parts["volume"] + parts["nitsche"]
-         + spec.gamma * spec.penalty_rho() * parts["penalty_base"]
-         + spec.gamma_g_minus * parts["ghost_minus"]
-         + spec.gamma_g_plus * parts["ghost_plus"])
-    return a.tocsr()
 
 
 def assemble_vnorm_gram(layout: SpaceLayout, spec: ProblemSpec) -> sp.csr_matrix:
@@ -316,26 +384,60 @@ def assemble_load(layout: SpaceLayout, spec: ProblemSpec) -> np.ndarray:
 
 
 def build_system(layout: SpaceLayout, spec: ProblemSpec) -> SparseSystem:
-    """Assemble and reduce the linear system on ``layout``, lifting Dirichlet data."""
-    a_full = assemble_bilinear(layout, spec)
-    b_full = assemble_load(layout, spec)
+    """Assemble and reduce the linear system on ``layout``, lifting Dirichlet data.
 
-    lifting = np.zeros(layout.n_total)
-    dir_dofs = np.flatnonzero(layout.dirichlet)
+    The reduced matrix is built ``BLOCK`` full-DOF rows at a time: the
+    window's rows of the volume part (``_volume``) plus those of the other
+    parts, in the order and with the scalings of the whole-matrix sum, then
+    its free rows and columns and its rows of the Dirichlet lift.  Each
+    step computes a row from that row alone, so the system is the one of
+    the whole-matrix sum bit for bit, and no whole-matrix sum is held.
+    """
+    n = layout.n_total
+    cut = _cut_parts(layout, spec)
+    # the other parts, scaled, as COO: 16 B an entry and no n + 1 indptr
+    terms = [part.tocoo() for part in (
+        cut["nitsche"], spec.gamma * spec.penalty_rho() * cut["penalty_base"],
+        spec.gamma_g_minus * cut["ghost_minus"], spec.gamma_g_plus * cut["ghost_plus"])]
+    del cut
+    rhs = assemble_load(layout, spec)[layout.free_dofs]
+
+    lifting = np.zeros(n)
+    dirichlet = layout.dirichlet
+    dir_dofs = np.flatnonzero(dirichlet)
     if dir_dofs.size and spec.dirichlet is not None:
         outer = layout.outer_side()
         offset = 0 if outer == "minus" else layout.n_minus
         coords = np.take(layout.mesh.nodes, layout.dof_node(outer)[dir_dofs - offset], axis=0)
         lifting[dir_dofs] = np.asarray(spec.dirichlet(coords), dtype=float)
+    reduced = np.cumsum(~dirichlet, dtype=np.int32) - 1   # index of a free DOF among them
 
-    free = layout.free_dofs
-    a_rows = a_full[free]
-    del a_full
-    a_red = a_rows[:, free].tocsr()
-    b_red = b_full[free]
-    if dir_dofs.size:
-        b_red = b_red - a_rows[:, dir_dofs] @ lifting[dir_dofs]
-    return SparseSystem(matrix=a_red, rhs=b_red, lifting=lifting, layout=layout)
+    def entries(a, keep, cols, n_cols):
+        """The entries ``keep`` of each row of a, at columns ``cols[keep]``."""
+        ends = np.zeros(keep.size + 1, dtype=np.int32)
+        np.cumsum(keep, out=ends[1:])
+        return sp.csr_matrix((a.data[keep], cols[keep], ends[a.indptr]), shape=(a.shape[0], n_cols))
+
+    def windows():
+        row = 0
+        for lo, hi in ((b.start, b.stop) for b in blocks(n)):
+            a = _volume(layout, spec, lo, hi)
+            spans = [(t, *np.searchsorted(t.row, (lo, hi))) for t in terms]
+            for t, start, stop in spans:
+                if stop > start:
+                    a = a + sp.csr_matrix((t.data[start:stop], (t.row[start:stop] - lo,
+                                                                 t.col[start:stop])), shape=a.shape)
+            if all(stop == start for _, start, stop in spans):
+                a.eliminate_zeros()   # as adding a window without entries does
+            a = a[~dirichlet[lo:hi]]
+            dir_col = dirichlet[a.indices]
+            if dir_dofs.size:
+                rhs[row:row + a.shape[0]] -= entries(a, dir_col, a.indices, n) @ lifting
+            row += a.shape[0]
+            yield entries(a, ~dir_col, reduced[a.indices], layout.n_free)
+
+    matrix = stack_rows(windows(), (layout.n_free, layout.n_free))
+    return SparseSystem(matrix=matrix, rhs=rhs, lifting=lifting, layout=layout)
 
 
 def expand_solution(system: SparseSystem, x_free: np.ndarray) -> FieldPair:

@@ -76,9 +76,10 @@ class CutTopology:
     def n_cut(self) -> int:
         return self.cut_ids.shape[0]
 
-    def in_side(self, side: str) -> np.ndarray:
+    def in_side(self, side: str, ids=slice(None)) -> np.ndarray:
+        """Whether the elements (all by default) carry the side."""
         want, _ = self._side(side)
-        return self.elem_side * want >= 0
+        return self.elem_side[ids] * want >= 0
 
     def area(self, side: str, ids) -> np.ndarray:
         """Chord-model area of T cap Omega^side: the element's area on its
@@ -114,6 +115,8 @@ class CutTopology:
         mids += coords
         mids *= 0.5
         thirds = self.mesh.areas(uncut) / 3.0
+        if not cut.size:   # the points of the uncut elements, one after another
+            return ptr, mids.reshape(-1, 2), np.repeat(thirds, 3)
         points = np.empty((ptr[-1], 2))
         weights = np.empty(ptr[-1])
         at = ptr[:-1][full, None] + np.arange(3)
@@ -136,13 +139,13 @@ class CutTopology:
         want, cut_rule = self._side(side)
         return 3 * int(np.count_nonzero(self.elem_side == want)) + int(cut_rule.ptr[-1])
 
-    def quadrature_blocks(self, side: str):
+    def quadrature_blocks(self, side: str, width: int = 3):
         """The side rule over the whole mesh in increasing element order,
-        ``BLOCK // 3`` elements at a time: per block with points, the slice
-        they take of the ``n_points(side)`` points, the owning element of
-        each point, the points and the weights."""
+        ``BLOCK // width`` elements at a time: per block with points, the
+        slice they take of the ``n_points(side)`` points, the owning element
+        of each point, the points and the weights."""
         at = 0
-        for block in blocks(self.mesh.n_elems, 3):
+        for block in blocks(self.mesh.n_elems, width):
             ptr, points, weights = self.quadrature(side, block)
             if weights.size:
                 elems = np.repeat(np.arange(block.start, block.stop), np.diff(ptr))

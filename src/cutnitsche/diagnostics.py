@@ -23,13 +23,14 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .assembly import CsrFill, _ghost_part, _stiffness, assemble_vnorm_gram, build_system
+from .assembly import (CsrFill, _ghost_part, _stiffness, assemble_vnorm_gram, build_system,
+                       element_rows, stack_rows)
 # classify stays bound here by name: the benchmark's tracer tests check it
 from .cutcell import CutTopology, classify  # noqa: F401
 from .harness import RunConfig, Table, _geometry, make_problem
 from .levelset import _TUBE, GeometryError, LevelSet, make_circle, reflect_many
 from .mesh import Mesh, barycentric_many, blocks
-from .norms import error_report
+from .norms import PairwiseSum, error_report
 from .problems import ProblemSpec, patch_problem
 from .space import SpaceLayout, interpolate_pair, locate_on_side
 
@@ -121,12 +122,12 @@ def interpolation_error_profile(ls: LevelSet, spec: ProblemSpec, levels) -> Tabl
         scale = 0.0
         for side in ("minus", "plus"):
             hess = spec.hess_minus if side == "minus" else spec.hess_plus
-            # per-point integrand, summed once as a whole-side pass sums it
-            integrand = np.empty(topo.n_points(side))
-            for span, _, pts, w in topo.quadrature_blocks(side):
+            # per-point integrand, summed as np.sum sums the whole side's
+            integrand = PairwiseSum(topo.n_points(side))
+            for _, _, pts, w in topo.quadrature_blocks(side):
                 vals = np.asarray(hess(pts), dtype=float)
-                integrand[span] = w * vals * vals
-            scale += np.sqrt(spec.rho(side)) * np.sqrt(np.sum(integrand))
+                integrand.add(w * vals * vals)
+            scale += np.sqrt(spec.rho(side)) * np.sqrt(integrand.total())
         scale *= rep.h
         ratio = rep.vanorm / scale if scale > 0.0 else 0.0
         rows.append((level, rep.h, rep.vanorm, scale, ratio))
@@ -145,21 +146,24 @@ def _cutoff(dist: np.ndarray, eps: float) -> np.ndarray:
 
 def _h1_matrices(mesh: Mesh, elems: np.ndarray | None = None):
     """H1 Gram matrix, consistent mass plus stiffness, over a subset of
-    elements in global node indexing.  Elements go ``BLOCK`` at a time."""
-    if elems is None:
-        elems = np.arange(mesh.n_elems)
+    elements (all by default) in global node indexing, ``BLOCK`` node rows
+    at a time: the window's rows of the mass and of the stiffness matrix
+    come from ``element_rows`` and are added as the whole matrices are, so
+    no whole-mesh unsummed CSR is held."""
     mref = (np.ones((3, 3)) + np.eye(3)) / 12.0
+    n = mesh.n_nodes
+    chosen = np.zeros(mesh.n_elems, dtype=bool)
+    chosen[slice(None) if elems is None else elems] = True
 
-    def gram(local):
-        fill = CsrFill((mesh.n_nodes, mesh.n_nodes),
-                       ((mesh.elements(elems[block]), 3) for block in blocks(elems.size)))
-        for block in blocks(elems.size):
-            ids = elems[block]
-            fill.add_local(mesh.elements(ids), local(ids))
-        return fill.tocsr()
+    def window(lo: int, hi: int):
+        ids = mesh.elems_near(lo, hi - 1)
+        ids = ids[chosen[ids]]
+        mass = element_rows(mesh, n, lo, hi, [(ids, mesh.elements,
+                                               lambda t: mesh.areas(t)[:, None, None] * mref)])
+        return mass + element_rows(mesh, n, lo, hi, [(ids, mesh.elements, lambda t: _stiffness(
+            mesh.areas(t), mesh.grads(t)))])
 
-    return (gram(lambda ids: mesh.areas(ids)[:, None, None] * mref)
-            + gram(lambda ids: _stiffness(mesh.areas(ids), mesh.grads(ids)))).tocsr()
+    return stack_rows((window(b.start, b.stop) for b in blocks(n)), (n, n))
 
 
 def _pointwise(dofs: np.ndarray, vals: np.ndarray, n_cols: int) -> scipy.sparse.csr_matrix:

@@ -19,11 +19,12 @@ import numpy as np
 
 MIN_LEVEL = 1
 MAX_LEVEL = 8
-# Edges, elements or quadrature points handled per pass by every blocked
-# loop: classify's edge scan, the volume assembly, the side rules of the
-# load vector, the error report and the interpolation profile.  The passes
-# add and sum in the order of a whole-array pass, so the block size
-# changes memory, not bits.
+# Edges, elements, matrix rows or quadrature points handled per pass by
+# every blocked loop: classify's edge scan, the row windows of the volume
+# part, of build_system and of the H1 Gram matrices, the solver's |A| row
+# sums, the side rules of the load vector, the error report and the
+# interpolation profile.  The passes add and sum in the order of a
+# whole-array pass, so the block size changes memory, not bits.
 BLOCK = 16384
 
 __all__ = ["Mesh", "build_mesh", "dump_mesh"]
@@ -207,6 +208,20 @@ class Mesh:
         np.cumsum(has.sum(axis=1), out=ptr[1:])
         return ptr, cand[has]
 
+    def elems_near(self, first: int, last: int) -> np.ndarray:
+        """Increasing ids of the elements with a node in ``first..last``,
+        and some more between them.  Element t's nodes are ``v00 + {0, 1,
+        n + 1, n + 2}``, ``v00`` its lower-left node, increasing with t."""
+        n = self.n_cells
+
+        def cell(a):   # the lowest cell whose v00 is at least a
+            return min(max(a, 0) - max(a, 0) // (n + 1), n * n)
+
+        runs = ((cell(first - n - 2), cell(last - n)), (cell(first - 1), cell(last + 1)))
+        if runs[0][1] >= runs[1][0]:   # a range longer than a grid row: one run
+            runs = ((runs[0][0], runs[1][1]),)
+        return np.concatenate([np.arange(2 * lo, 2 * hi) for lo, hi in runs])
+
     def _edge_owner(self, e: np.ndarray):
         """Grid position of the node owning each edge and the edge's kind:
         0 horizontal, 1 vertical, 2 diagonal."""
@@ -320,13 +335,15 @@ def edge_frame(mesh: Mesh, edges: np.ndarray):
 
 
 def barycentric_many(coords: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Barycentric coordinates of pts[i] inside triangle coords[i]."""
-    d1 = coords[:, 1] - coords[:, 0]
-    d2 = coords[:, 2] - coords[:, 0]
-    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    r = pts - coords[:, 0]
-    l1 = (r[:, 0] * d2[:, 1] - r[:, 1] * d2[:, 0]) / det
-    l2 = (d1[:, 0] * r[:, 1] - d1[:, 1] * r[:, 0]) / det
+    """Barycentric coordinates of pts[i] inside triangle coords[i], from
+    contiguous copies of the coordinate columns (faster than strided)."""
+    c = np.ascontiguousarray(coords.transpose(1, 2, 0))   # (vertex, axis, i)
+    d1 = c[1] - c[0]
+    d2 = c[2] - c[0]
+    det = d1[0] * d2[1] - d1[1] * d2[0]
+    r = np.ascontiguousarray(pts.T) - c[0]
+    l1 = (r[0] * d2[1] - r[1] * d2[0]) / det
+    l2 = (d1[0] * r[1] - d1[1] * r[0]) / det
     return np.column_stack([1.0 - l1 - l2, l1, l2])
 
 

@@ -8,6 +8,9 @@ alone.  Every iterate the solver returns or raises therefore carries its
 normwise backward error ||b - Ax|| / (||A|| ||x|| + ||b||) in inf-norms,
 which has no such scale (Rigal & Gaches 1967; Arioli, Duff & Ruiz 1992);
 callers accept a stagnated iterate when it is at most BACKWARD_ERROR_TOL.
+Its |A| row sums go ``BLOCK`` rows at a time, so a solve holds its
+system, its vectors and one row window; np.add.reduceat sums each row
+alone along numpy's pairwise tree, so the norm is the whole pass's.
 """
 from __future__ import annotations
 
@@ -17,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import SparseSystem
+from .mesh import blocks
 
 __all__ = [
     "SolveStats", "SolverError", "NotSPDError", "MaxIterationsError",
@@ -64,10 +68,15 @@ class SolveStats:
 
 def _stats(it: int, a, b: np.ndarray, x: np.ndarray, r: np.ndarray,
            bnorm: float) -> SolveStats:
-    """Stats of the iterate x with true residual r = b - Ax.  Every row
-    of a stores its positive diagonal, so no row sum is empty."""
-    a_norm = float(np.add.reduceat(np.abs(a.data), a.indptr[:-1]).max())
-    den = a_norm * float(np.abs(x).max()) + float(np.abs(b).max())
+    """Stats of the iterate x with true residual r = b - Ax.  np.maximum
+    keeps a NaN row sum as one max would.  Every row of a stores its
+    positive diagonal, so no row sum is empty."""
+    a_norm = 0.0
+    for rows in blocks(a.shape[0]):
+        lo, hi = a.indptr[rows.start], a.indptr[rows.stop]
+        a_norm = np.maximum(a_norm, np.add.reduceat(np.abs(a.data[lo:hi]),
+                                                    a.indptr[rows] - lo).max())
+    den = float(a_norm) * float(np.abs(x).max()) + float(np.abs(b).max())
     return SolveStats(it, math.sqrt(r @ r) / bnorm, "cg_jacobi",
                       float(np.abs(r).max()) / den)
 
@@ -93,6 +102,7 @@ def solve(system: SparseSystem,
     if np.any(diag <= 0.0):
         raise NotSPDError("matrix not SPD (nonpositive diagonal) - check gamma")
     inv_diag = 1.0 / diag
+    del diag
 
     x = np.zeros(n)
     r = b.copy()

@@ -3,8 +3,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from cutnitsche.assembly import (assemble_bilinear, assemble_load,
-                                 assemble_parts, assemble_vnorm_gram,
+from cutnitsche.assembly import (assemble_load, assemble_parts, assemble_vnorm_gram,
                                  build_system, dump_matrix, expand_solution)
 from cutnitsche.cutcell import classify
 from cutnitsche.levelset import LevelSet, make_circle
@@ -87,7 +86,7 @@ def test_penalty_part_matches_chord_mass_oracle():
 def test_matrix_symmetry(weighting, circle_layout):
     layout = circle_layout(3)
     _, spec = example_circle(1.0, 1e4, weighting=weighting)
-    a = assemble_bilinear(layout, spec)
+    a = build_system(layout, spec).matrix
     gap = abs(a - a.T).max()
     assert gap <= 1e-12 * abs(a).max()
 

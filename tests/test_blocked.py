@@ -17,17 +17,18 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cutnitsche import cutcell, mesh as mesh_module
-from cutnitsche.assembly import (CsrFill, _cut_blocks, assemble_bilinear, assemble_load,
+from cutnitsche.assembly import (CsrFill, SparseSystem, _cut_blocks, assemble_load,
                                  assemble_parts, build_system, expand_solution, local_csr)
 from cutnitsche.cutcell import GAUSS2_OFFSET, _fan_rule, _polygon_area, classify
 from cutnitsche.harness import RunConfig, make_problem
 from cutnitsche.levelset import LevelSet
 from cutnitsche.mesh import barycentric_many, build_mesh, edge_frame
-from cutnitsche.norms import _ghost_error_sq, error_report
+from cutnitsche.norms import PairwiseSum, _ghost_error_sq, error_report
 from cutnitsche.problems import patch_problem
+from cutnitsche.solver import MaxIterationsError, solve
 from cutnitsche.space import FieldPair, build_spaces, interpolate_pair
 from mesh_reference import _edge_numbering
 
@@ -36,6 +37,8 @@ CASES = {
     "circle-plus": RunConfig(example="1", inclusion_side="plus", rho_minus=1.0, rho_plus=1e9),
     "flower": RunConfig(example="2"),
 }
+# the linear patch problem, with Dirichlet data, for case_setup alone
+PATCH = RunConfig(example="patch")
 
 
 @pytest.fixture
@@ -50,7 +53,7 @@ def case_setup(case, level):
     """Space layout and problem of one case, cached."""
     key = (case, level)
     if key not in _SETUPS:
-        ls, spec = make_problem(CASES[case])
+        ls, spec = make_problem(PATCH if case == "patch" else CASES[case])
         mesh = build_mesh(level)
         _SETUPS[key] = build_spaces(classify(mesh, ls)), spec
     return _SETUPS[key]
@@ -487,16 +490,100 @@ def test_blocked_error_report_matches_reference(small_blocks, case, level, nan):
     assert repr(report) == repr(ref_error_report(spec, u_h))
 
 
+def ref_full_matrix(layout, spec):
+    """The stabilised matrix over all DOFs, Dirichlet rows included, as
+    one sum of the five whole parts."""
+    parts = assemble_parts(layout, spec)
+    a = (parts["volume"] + parts["nitsche"]
+         + spec.gamma * spec.penalty_rho() * parts["penalty_base"]
+         + spec.gamma_g_minus * parts["ghost_minus"]
+         + spec.gamma_g_plus * parts["ghost_plus"])
+    return a.tocsr()
+
+
+def ref_build_system(layout, spec):
+    """The system from the whole matrix, sliced to the free rows and
+    columns, and its lift of the Dirichlet data."""
+    a_full = ref_full_matrix(layout, spec)
+    b_full = assemble_load(layout, spec)
+    lifting = np.zeros(layout.n_total)
+    dir_dofs = np.flatnonzero(layout.dirichlet)
+    if dir_dofs.size and spec.dirichlet is not None:
+        outer = layout.outer_side()
+        offset = 0 if outer == "minus" else layout.n_minus
+        coords = layout.mesh.nodes[layout.dof_node(outer)[dir_dofs - offset]]
+        lifting[dir_dofs] = np.asarray(spec.dirichlet(coords), dtype=float)
+    free = layout.free_dofs
+    a_rows = a_full[free]
+    b_red = b_full[free]
+    if dir_dofs.size:
+        b_red = b_red - a_rows[:, dir_dofs] @ lifting[dir_dofs]
+    return SparseSystem(matrix=a_rows[:, free].tocsr(), rhs=b_red, lifting=lifting,
+                        layout=layout)
+
+
+def assert_same_system(a, b):
+    assert_same_csr(a.matrix, b.matrix)
+    assert_same(a.rhs, b.rhs, "rhs")
+    assert_same(a.lifting, b.lifting, "lifting")
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_build_system_slices_like_the_full_matrix(case):
     layout, spec = case_setup(case, 3)
-    system = build_system(layout, spec)
-    a_full = assemble_bilinear(layout, spec)
-    b_full = assemble_load(layout, spec)
-    free, dirichlet = layout.free_dofs, np.flatnonzero(layout.dirichlet)
-    assert_same_csr(system.matrix, a_full[free][:, free].tocsr())
-    rhs = b_full[free] - a_full[free][:, dirichlet] @ system.lifting[dirichlet]
-    assert_same(system.rhs, rhs)
+    assert_same_system(build_system(layout, spec), ref_build_system(layout, spec))
+
+
+@pytest.mark.parametrize("case, level", [(case, level) for case in sorted(CASES)
+                                         for level in (1, 2, 3, 4)] + [("patch", 3)])
+def test_windowed_build_system_matches_the_whole_matrix(small_blocks, case, level):
+    # windows of 7 rows: most elements straddle a window edge
+    layout, spec = case_setup(case, level)
+    assert_same_system(build_system(layout, spec), ref_build_system(layout, spec))
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("level", [1, 2, 3, 4, 5, 6])
+def test_element_dof_bounds_never_decrease(case, level):
+    # the windowed volume assembly takes each window's elements as one run
+    ls, _ = make_problem(CASES[case])
+    layout = build_spaces(classify(build_mesh(level), ls))
+    mesh, topo = layout.mesh, layout.topo
+    for side in ("minus", "plus"):
+        dofs = layout.global_dofs(side, mesh.elements(np.flatnonzero(topo.in_side(side))))
+        assert dofs.min() >= 0
+        for bound in (dofs.min(axis=1), dofs.max(axis=1)):
+            assert np.all(np.diff(bound) >= 0), side
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), block=st.sampled_from([7, 128, 200, 16384]),
+       size=st.one_of(st.sampled_from([0, 1, 7, 8, 9, 127, 128, 129, 136, 300_000]),
+                      st.tuples(st.integers(1, 5), st.integers(-9, 9)),
+                      st.integers(0, 300_000)),
+       specials=st.lists(st.sampled_from([np.nan, np.inf, -np.inf, -0.0]), max_size=4),
+       all_negative_zero=st.booleans(), n_pieces=st.integers(1, 5))
+def test_pairwise_sum_is_np_sum(seed, block, size, specials, all_negative_zero, n_pieces):
+    # size: a length, or (k, d) for k leaves of max(block, 128) items plus d
+    saved = mesh_module.BLOCK
+    mesh_module.BLOCK = block
+    try:
+        n = size if isinstance(size, int) else max(0, size[0] * max(block, 128) + size[1])
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(n) * np.exp(rng.uniform(-30.0, 30.0, n))
+        if all_negative_zero:
+            x[:] = -0.0
+        if n:
+            x[rng.integers(0, n, len(specials))] = specials
+        total = PairwiseSum(n)
+        for piece in np.split(x, np.sort(rng.integers(0, n + 1, n_pieces - 1))):
+            total.add(piece)
+        got, want = total.total(), np.sum(x)
+    finally:
+        mesh_module.BLOCK = saved
+    assert type(got) is type(want)
+    # where two NaNs meet, np.sum's compiled code keeps either's sign and payload
+    assert np.isnan(want) if np.isnan(got) else got.tobytes() == want.tobytes()
 
 
 # -- memory -------------------------------------------------------------------
@@ -517,11 +604,19 @@ def test_blocked_stages_stay_within_memory_bounds():
     system = build_system(layout, spec)
     u_h = expand_solution(system, np.zeros(system.n))
     assert extra_mb(lambda: assemble_load(layout, spec)) <= 8.0
-    assert extra_mb(lambda: error_report(spec, u_h)) <= 12.0
-    # the volume part's unsummed CSR (12 B an entry) and its summed copy
-    # set both peaks: 11.3 MB each, where a COO step took 20.0 MB
-    assert extra_mb(lambda: assemble_parts(layout, spec)) <= 13.0
-    assert extra_mb(lambda: build_system(layout, spec)) <= 13.0
+    # 2.3 MB: no full-length integrand vector (7.9 MB with two)
+    assert extra_mb(lambda: error_report(spec, u_h)) <= 2.6
+    # a window of BLOCK rows at a time: 8.5 and 10.4 MB, where one
+    # unsummed CSR of the whole volume part set both at 11.3 MB
+    assert extra_mb(lambda: assemble_parts(layout, spec)) <= 9.5
+    assert extra_mb(lambda: build_system(layout, spec)) <= 11.5
+
+    def thirty_iterations():
+        with pytest.raises(MaxIterationsError):
+            solve(system, max_iter=30)
+    # 3.0 MB: CG's vectors, 0.25 MB each, and one row window of |A|; a
+    # whole |A| copy and the kept diagonal took 4.1 MB
+    assert extra_mb(thirty_iterations) <= 3.3
 
 
 def test_classify_keeps_only_the_cut_elements():
