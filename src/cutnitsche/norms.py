@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import mesh as _mesh
+from . import mesh as mesh_module
 from .mesh import barycentric_many, blocks, edge_frame
 from .problems import ProblemSpec
 from .space import FieldPair
@@ -36,8 +36,9 @@ class PairwiseSum:
     """
 
     def __init__(self, n: int):
-        self.n, self.leaf = n, max(_mesh.BLOCK, 128)
-        self.sizes = self._tree(n, lambda size: [size])[::-1]   # the next last
+        self.n, self.leaf = n, max(mesh_module.BLOCK, 128)
+        # sizes of the subtrees still to come, the next one last
+        self.sizes = self._tree(n, lambda size: [size])[::-1]
         self.pending, self.sums = np.empty(0), []
 
     def _tree(self, n: int, leaf):
