@@ -8,10 +8,11 @@ replaced), the matrix, right-hand side, solution, solve statistics and
 full-precision error report of every configuration of
 ``reproduce_tables.py``, the discrete extension operator of the
 diagnostics at levels 2..5 with its H1 Gram matrices (``h1_plus`` in
-plus-dof indexing), the error report of the diagnostics' interpolation
-profile at levels 1..5, the seven
-CSVs that script writes and the ``run_diagnostics()`` report, then every
-``Mesh`` quantity at levels 1..6 (each accessor over its full id range,
+plus-dof indexing), the error report of the interpolant of the
+diagnostics' interpolation profile and the profile's rows at full
+precision (``float.hex``) at levels 1..5, the seven CSVs that script
+writes and the ``run_diagnostics()`` report, then every ``Mesh``
+quantity at levels 1..6 (each accessor over its full id range,
 under the name of the array it replaced), and the matrix, right-hand
 side and the five parts of ``assemble_parts`` of the level-6 plus-side
 solve at contrast 1e9 (assembled, not solved).  Two commits are
@@ -24,7 +25,7 @@ With ``<old>`` and ``<new>`` checkouts of the two commits:
 
 Without ``src`` on the path the script exits 1 and leaves an empty file,
 and two empty files diff as identical: ``&&`` stops at that exit, and
-each file must have 765 lines.
+each file must have 770 lines.
 
 BLAS is pinned to one thread, because stagnated CG iterates of the
 high-contrast solves depend on the thread count.
@@ -49,7 +50,8 @@ import reproduce_tables  # noqa: E402
 from cutnitsche.assembly import assemble_parts, build_system  # noqa: E402
 from cutnitsche.cli import parse_levels  # noqa: E402
 from cutnitsche.cutcell import classify  # noqa: E402
-from cutnitsche.diagnostics import build_extension, run_diagnostics  # noqa: E402
+from cutnitsche.diagnostics import (build_extension,  # noqa: E402
+                                    interpolation_error_profile, run_diagnostics)
 from cutnitsche.harness import (_STUDY_LEVELS, CONTRAST_PAIRS, RunConfig,  # noqa: E402
                                 make_problem, run_solve)
 from cutnitsche.levelset import make_circle, make_flower  # noqa: E402
@@ -163,6 +165,9 @@ def main() -> int:
         layout = build_spaces(classify(build_mesh(level), ls))
         u_i = interpolate_pair(layout, spec.exact("minus"), spec.exact("plus"))
         print(f"interpolation L{level} report {digest(repr(error_report(spec, u_i)))}")
+    for level, *values in interpolation_error_profile(ls, spec, INTERPOLATION_LEVELS).rows:
+        row = " ".join(float(value).hex() for value in values)
+        print(f"interpolation L{level} profile {digest(row)}")
 
     with tempfile.TemporaryDirectory() as tmp:
         with contextlib.redirect_stdout(io.StringIO()):

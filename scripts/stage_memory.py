@@ -7,11 +7,11 @@ contrast 1e9 (``rho`` 1 / 1e9), and the flower of example 2 at ``rho``
 case, at levels 5..7, the stages are mesh, classify, spaces,
 assemble_parts (the five matrix parts alone), build_system, load (a
 second ``assemble_load``) and the error report of the lifted zero field.
-Each level runs them twice: once under tracemalloc for memory, then once
-with tracemalloc off for time, since tracing charges every allocation.
-Per stage it records
+Each level runs them once under tracemalloc for memory, then
+``TIMED_RUNS`` times with tracemalloc off for time, since tracing charges
+every allocation and one run's time is noise.  Per stage it records
 
-* ``seconds``: wall time of the second run, tracemalloc off;
+* ``seconds``: the median wall time of the untraced runs;
 * ``output_mb``: traced memory the stage leaves allocated;
 * ``extra_mb``: traced peak above the traced memory at the stage's start,
   the output included;
@@ -19,12 +19,13 @@ Per stage it records
   first run, and its high-water mark so far in the process, which is a
   fresh one for each case.
 
-It prints one line per stage and writes the measurement of each case
-into one column of that case in ``BENCH_memory.json`` at the repository
-root, ``change`` unless ``--column`` names another.  Any other column
-already in that file is kept, so a column measured at an earlier commit
-stays beside it; to measure one, run this script with that commit's
-``src`` on PYTHONPATH.
+It prints one line per stage and writes the measurement of each case,
+with the number of untraced runs as ``timed_runs``, into one column of
+that case in ``BENCH_memory.json`` at the repository root, ``change``
+unless ``--column`` names another.  Any other column already in that
+file is kept, so a column measured at an earlier commit stays beside
+it; to measure one, run this script with that commit's ``src`` on
+PYTHONPATH.
 Each column records the ``git describe --always --dirty`` of the checkout
 the package was imported from; outside a git checkout the script exits 1
 before it measures anything.
@@ -44,6 +45,7 @@ import json  # noqa: E402
 import multiprocessing  # noqa: E402
 import pathlib  # noqa: E402
 import resource  # noqa: E402
+import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
@@ -65,6 +67,8 @@ from cutnitsche.space import build_spaces  # noqa: E402
 
 OUTPUT = pathlib.Path(__file__).resolve().parent.parent / "BENCH_memory.json"
 MB = 1024.0 ** 2
+# untraced runs per level; each stage's seconds are their median
+TIMED_RUNS = 3
 CASES = {
     "circle-plus": ("circle r=1/3, inclusion plus, rho 1 / 1e9; no solve",
                     RunConfig(example="1", inclusion_side="plus", rho_minus=1.0, rho_plus=1e9)),
@@ -111,7 +115,7 @@ def timed(fn):
     """Run fn; its result and its wall time."""
     t0 = time.perf_counter()
     out = fn()
-    return out, {"seconds": round(time.perf_counter() - t0, 3)}
+    return out, round(time.perf_counter() - t0, 3)
 
 
 def stages(config: RunConfig, level: int, measure) -> dict:
@@ -132,15 +136,17 @@ def stages(config: RunConfig, level: int, measure) -> dict:
 
 def measure_case(key: str, levels) -> dict:
     """Per level, the record of each stage of one case: memory from a
-    traced run, seconds from an untraced one."""
+    traced run, seconds the median of ``TIMED_RUNS`` untraced ones."""
     config = CASES[key][1]
     out = {}
     for level in levels:
         tracemalloc.start()
         memory = stages(config, level, traced)
         tracemalloc.stop()
-        seconds = stages(config, level, timed)
-        out[f"L{level}"] = {name: {**seconds[name], **rec} for name, rec in memory.items()}
+        runs = [stages(config, level, timed) for _ in range(TIMED_RUNS)]
+        out[f"L{level}"] = {name: {"seconds": statistics.median(run[name] for run in runs),
+                                   **rec}
+                            for name, rec in memory.items()}
         for name, rec in out[f"L{level}"].items():
             print(f"{key} L{level} {name:<14} " + " ".join(f"{k} {v}" for k, v in rec.items()),
                   flush=True)
@@ -166,6 +172,7 @@ def main(argv=None) -> int:
             "versions": {"python": sys.version.split()[0], "numpy": np.__version__,
                          "scipy": scipy.__version__},
             "cpus": os.cpu_count(),
+            "timed_runs": TIMED_RUNS,
             "levels": levels,
         }
     OUTPUT.write_text(json.dumps(doc, indent=1) + "\n")

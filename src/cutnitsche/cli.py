@@ -13,8 +13,8 @@ import sys
 
 from .assembly import dump_matrix
 from .cutcell import dump_cut_cells
-from .harness import (ConfigError, RunConfig, dump_solution, run_contrast_sweep,
-                      run_convergence, run_solve, solve_table)
+from .harness import (ConfigError, RunConfig, _check_levels, dump_solution,
+                      run_contrast_sweep, run_convergence, run_solve, solve_table)
 from .levelset import GeometryError
 from .mesh import dump_mesh
 from .solver import SolverError
@@ -24,16 +24,14 @@ __all__ = ["main", "parse_config_file", "load_config", "parse_levels"]
 
 def parse_levels(text: str) -> tuple[int, ...]:
     """'1..5' (inclusive range) or '1,2,3'; raises ConfigError unless the
-    levels are non-empty and ascending."""
+    levels are non-empty and strictly ascending (``_check_levels``)."""
     text = text.strip()
     if ".." in text:
         lo, _, hi = text.partition("..")
         levels = tuple(range(int(lo), int(hi) + 1))
     else:
         levels = tuple(int(part) for part in text.split(",") if part.strip())
-    if not levels or list(levels) != sorted(levels):
-        raise ConfigError(f"levels must be a non-empty ascending list, got {text!r}")
-    return levels
+    return _check_levels(levels, text)
 
 
 def _levels_arg(text: str) -> tuple[int, ...]:

@@ -227,14 +227,23 @@ def solve_table(result: RunResult) -> Table:
     return Table(columns=columns, rows=(row,))
 
 
+def _check_levels(levels: tuple[int, ...], given=None) -> tuple[int, ...]:
+    """``levels``, or ConfigError, quoting ``given`` (else the levels), unless
+    they are non-empty and strictly ascending: a level given twice would be
+    solved twice, with empty order cells between the two rows."""
+    if not levels or any(a >= b for a, b in zip(levels, levels[1:])):
+        shown = levels if given is None else given
+        raise ConfigError(f"levels must be non-empty and ascending, each level once, "
+                          f"got {shown!r}")
+    return levels
+
+
 def run_convergence(config: RunConfig, levels=None) -> Table:
     """Solve over ascending levels; rows carry errors and observed orders.
     The levels are ``levels``, else ``config.levels``, else 1..5."""
     if levels is None:
         levels = config.levels or _STUDY_LEVELS
-    levels = tuple(levels)
-    if not levels or list(levels) != sorted(levels):
-        raise ConfigError(f"levels must be non-empty and ascending, got {levels}")
+    levels = _check_levels(tuple(levels))
     reports = [run_solve(config, level=lv).report for lv in levels]
     hs = np.array([r.h for r in reports])
     rates = {}

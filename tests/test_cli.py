@@ -111,10 +111,12 @@ def test_parse_levels():
     assert parse_levels(" 1, 3,5 ") == (1, 3, 5)
     with pytest.raises(ValueError):
         parse_levels("1..x")
-    # empty and descending lists are refused, not read as the default
-    for text in ("5..1", "", " , ", "3,1"):
-        with pytest.raises(ConfigError, match="non-empty ascending"):
+    # empty and descending lists, and a level given twice, are refused,
+    # not read as the default or solved twice
+    for text in ("5..1", "", " , ", "3,1", "2,2", "1,2,2,3"):
+        with pytest.raises(ConfigError, match="non-empty and ascending"):
             parse_levels(text)
+    assert parse_levels("3..3") == (3,)
 
 
 def test_config_file_with_comments(capsys, tmp_path):

@@ -15,6 +15,7 @@ from cutnitsche.diagnostics import (_cutoff, _h1_matrices, _pointwise, build_ext
 from cutnitsche.harness import RunConfig, make_problem
 from cutnitsche.levelset import _TUBE, GeometryError, LevelSet, make_circle, reflect_many
 from cutnitsche.mesh import build_mesh
+from cutnitsche.norms import error_report
 from cutnitsche.problems import example_circle, patch_problem
 from cutnitsche.space import build_spaces, interpolate_pair, locate_on_side
 
@@ -114,6 +115,37 @@ def test_interpolation_profile_needs_second_derivatives():
     bare = dataclasses.replace(spec, hess_minus=None)
     with pytest.raises(ValueError, match="second derivatives"):
         interpolation_error_profile(ls, bare, levels=(1,))
+
+
+def test_interpolation_profile_needs_exact_solution():
+    ls, spec = example_circle(1.0, 1e4)
+    bare = dataclasses.replace(spec, grad_plus=None)
+    with pytest.raises(ValueError, match="exact solution"):
+        interpolation_error_profile(ls, bare, levels=(1,))
+
+
+@pytest.mark.parametrize("config, levels", [
+    (RunConfig(example="1"), (1, 2, 3, 4)),
+    (RunConfig(example="1", inclusion_side="plus"), (1, 2, 3, 4)),
+    (RunConfig(example="2"), (1, 2, 3)),
+])
+def test_interpolation_profile_vanorm_is_the_error_report_vanorm(config, levels):
+    # the profile sums only the energy-norm terms; the full report of the
+    # interpolant is the reference, to the bit.  The flower has no exact
+    # Hessian, and vanorm does not read it: any one passes the check.
+    ls, spec = make_problem(config)
+    if spec.hess_minus is None:
+        def hess(x):
+            return np.ones(x.shape[:-1])
+        spec = dataclasses.replace(spec, hess_minus=hess, hess_plus=hess)
+    table = interpolation_error_profile(ls, spec, levels)
+    assert [row[0] for row in table.rows] == list(levels)
+    for level, row in zip(levels, table.rows):
+        layout = build_spaces(classify(build_mesh(level), ls))
+        u_i = interpolate_pair(layout, spec.exact("minus"), spec.exact("plus"))
+        report = error_report(spec, u_i)
+        assert row[1] == report.h
+        assert row[2] == report.vanorm
 
 
 # ---------------------------------------------------------------------------

@@ -58,10 +58,14 @@ def test_study_levels(monkeypatch):
         solved.clear()
         assert [r[0] for r in run_convergence(config, levels).rows] == want
         assert solved == want
+    # refused before anything is solved; a level given twice too
+    solved.clear()
     for config, levels in ((RunConfig(), ()), (RunConfig(), (3, 2)),
-                           (RunConfig(levels=(3, 2)), None)):
+                           (RunConfig(levels=(3, 2)), None), (RunConfig(), (2, 2)),
+                           (RunConfig(), (1, 2, 2, 3)), (RunConfig(levels=(2, 2)), None)):
         with pytest.raises(ConfigError, match="non-empty and ascending"):
             run_convergence(config, levels)
+    assert solved == []
 
 
 def test_make_problem_example_constraints():
