@@ -10,7 +10,10 @@ full-precision error report of every configuration of
 diagnostics at levels 2..5 with its H1 Gram matrices (``h1_plus`` in
 plus-dof indexing), the error report of the interpolant of the
 diagnostics' interpolation profile and the profile's rows at full
-precision (``float.hex``) at levels 1..5, the seven CSVs that script
+precision (``float.hex``) at levels 1..5, the energy-norm Gram matrix
+over the free DOFs of the circle (both inclusion sides) and the flower
+at levels 1..4 (a Gram over all DOFs, as older commits return it, is
+sliced to its free rows and columns), the seven CSVs that script
 writes and the ``run_diagnostics()`` report, then every ``Mesh``
 quantity at levels 1..6 (each accessor over its full id range,
 under the name of the array it replaced), and the matrix, right-hand
@@ -25,7 +28,7 @@ With ``<old>`` and ``<new>`` checkouts of the two commits:
 
 Without ``src`` on the path the script exits 1 and leaves an empty file,
 and two empty files diff as identical: ``&&`` stops at that exit, and
-each file must have 770 lines.
+each file must have 806 lines.
 
 BLAS is pinned to one thread, because stagnated CG iterates of the
 high-contrast solves depend on the thread count.
@@ -47,7 +50,8 @@ import tempfile  # noqa: E402
 import numpy as np  # noqa: E402
 
 import reproduce_tables  # noqa: E402
-from cutnitsche.assembly import assemble_parts, build_system  # noqa: E402
+from cutnitsche.assembly import (assemble_parts, assemble_vnorm_gram,  # noqa: E402
+                                 build_system)
 from cutnitsche.cli import parse_levels  # noqa: E402
 from cutnitsche.cutcell import classify  # noqa: E402
 from cutnitsche.diagnostics import (build_extension,  # noqa: E402
@@ -62,6 +66,12 @@ from cutnitsche.space import build_spaces, interpolate_pair  # noqa: E402
 GEOMETRY_LEVELS = parse_levels("1..6")
 EXTENSION_LEVELS = parse_levels("2..5")
 INTERPOLATION_LEVELS = parse_levels("1..5")
+GRAM_LEVELS = parse_levels("1..4")
+GRAM_CASES = {
+    "circle-minus": RunConfig(example="1", rho_minus=1.0, rho_plus=1e4),
+    "circle-plus": RunConfig(example="1", inclusion_side="plus", rho_minus=1.0, rho_plus=1e9),
+    "flower": RunConfig(example="2"),
+}
 
 
 def digest(value) -> str:
@@ -168,6 +178,17 @@ def main() -> int:
     for level, *values in interpolation_error_profile(ls, spec, INTERPOLATION_LEVELS).rows:
         row = " ".join(float(value).hex() for value in values)
         print(f"interpolation L{level} profile {digest(row)}")
+
+    for label, config in GRAM_CASES.items():
+        ls, spec = make_problem(config)
+        for level in GRAM_LEVELS:
+            layout = build_spaces(classify(build_mesh(level), ls))
+            gram = assemble_vnorm_gram(layout, spec)
+            if gram.shape[0] == layout.n_total:
+                free = layout.free_dofs
+                gram = gram[free][:, free]
+            for name, value in csr_arrays(gram).items():
+                print(f"gram {label} L{level} {name} {digest(value)}")
 
     with tempfile.TemporaryDirectory() as tmp:
         with contextlib.redirect_stdout(io.StringIO()):

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from . import mesh as mesh_module
 from .mesh import barycentric_many, blocks, edge_frame
 from .problems import ProblemSpec
 from .space import FieldPair, SpaceLayout
@@ -67,45 +66,61 @@ class CsrFill:
         """``row_groups``: (rows, width) pairs, consumed once; each index
         in ``rows`` will receive ``width`` entries.  Each group costs its
         size plus the span of its rows.  Row ``first_row + i`` of the
-        arguments is row ``i`` of the fill, a window of a larger matrix."""
+        arguments is row ``i`` of the fill, a window of a larger matrix;
+        entries of other rows go to ``width`` spare slots past the end."""
         self.shape = shape
         self.first_row = first_row
-        counts = np.zeros(shape[0], dtype=np.int64)
+        # row i counts in bucket i + 1, rows before and after the window in the first and last
+        counts = np.zeros(shape[0] + 2, dtype=np.int64)
+        spare = 0
         for rows, width in row_groups:
             if rows.size:
-                lo = rows.min() - first_row
-                if lo < 0:
-                    raise ValueError("row index below the fill's first row")
-                span = np.bincount(rows.ravel() - (lo + first_row))
+                key, lo, _, _ = self._keys(rows.ravel())
+                span = np.bincount(key - lo)
                 counts[lo:lo + span.size] += width * span
-        if counts.sum() > np.iinfo(np.int32).max:
+                spare = max(spare, width)
+        if counts[1:-1].sum() > np.iinfo(np.int32).max:
             raise OverflowError("more entries than int32 CSR indices can address")
         self.indptr = np.zeros(shape[0] + 1, dtype=np.int32)
-        np.cumsum(counts, out=self.indptr[1:])
-        self.next = self.indptr[:-1].astype(np.int64)
-        self.indices = np.empty(self.indptr[-1], dtype=np.int32)
-        self.data = np.empty(self.indptr[-1])
+        np.cumsum(counts[1:-1], out=self.indptr[1:])
+        self.end = int(self.indptr[-1])
+        self.next = np.concatenate([[self.end], self.indptr[:-1], [self.end]])   # int64
+        self.indices = np.empty(self.end + spare, dtype=np.int32)
+        self.data = np.empty(self.end + spare)
+
+    def _keys(self, rows: np.ndarray):
+        """Buckets of ``rows``, the least and greatest, and whether any is outside the window."""
+        key = rows - (self.first_row - 1)
+        lo, hi = key.min(), key.max()
+        outside = lo < 1 or hi > self.shape[0]
+        if outside:   # ufuncs: np.clip costs more than the pass on small rows
+            top = self.shape[0] + 1
+            np.minimum(np.maximum(key, 0, out=key), top, out=key)
+            lo, hi = min(max(lo, 0), top), min(max(hi, 0), top)
+        return key, lo, hi, outside
 
     def _slots(self, rows: np.ndarray, width: int) -> np.ndarray:
         """First of ``width`` consecutive slots for each of ``rows`` in
-        turn; each row's next free slot moves past them.  Linear in
-        ``rows.size`` plus the span of ``rows``."""
-        lo = rows.min()
-        key = rows - lo
+        turn, the spare ones outside the window; each row's next free slot
+        moves past them.  Linear in ``rows.size`` plus the span of ``rows``."""
+        key, lo, hi, outside = self._keys(rows)
+        key -= lo
         # stable order of the rows: radix sort on 16-bit digits, which is
         # what numpy's stable argsort of uint16 keys is
         order = np.argsort((key & 0xFFFF).astype(np.uint16), kind="stable")
-        if key.max() > 0xFFFF:
+        if hi - lo > 0xFFFF:
             order = order[np.argsort((key[order] >> 16).astype(np.uint16), kind="stable")]
         rank = np.empty_like(order)
         rank[order] = np.arange(rows.size)
         del order
         counts = np.bincount(key)
-        nxt = self.next[lo - self.first_row:lo - self.first_row + counts.size]
+        nxt = self.next[lo:lo + counts.size]
         base = nxt - width * (np.cumsum(counts) - counts)
         nxt += width * counts
         rank *= width
         rank += base[key]
+        if outside:   # every slot of the outside buckets is past the end
+            np.minimum(rank, self.end, out=rank)
         return rank
 
     def add(self, rows, cols, vals) -> None:
@@ -137,7 +152,8 @@ class CsrFill:
     def tocsr(self) -> sp.csr_matrix:
         """The summed matrix.  The fill hands its arrays over, so the
         unsummed ones are freed as soon as ``sum_duplicates`` prunes them."""
-        matrix = sp.csr_matrix((self.data, self.indices, self.indptr), shape=self.shape)
+        matrix = sp.csr_matrix((self.data[:self.end], self.indices[:self.end], self.indptr),
+                               shape=self.shape)
         del self.data, self.indices, self.indptr, self.next
         matrix.sum_duplicates()
         return matrix
@@ -188,45 +204,19 @@ def _stiffness(coef: np.ndarray, grads: np.ndarray) -> np.ndarray:
     return local.transpose(2, 0, 1)
 
 
-def element_rows(mesh, n: int, lo: int, hi: int, groups) -> sp.csr_matrix:
+def element_rows(n: int, lo: int, hi: int, groups) -> sp.csr_matrix:
     """Rows ``lo:hi`` of an n-column sum of dense local matrices, as an
     (hi - lo, n) CSR with duplicates summed.  ``groups``: (ids, dofs_of,
-    local_of), ``ids`` increasing, ``dofs_of(ids)`` (k, m) DOFs and
-    ``local_of(ids)`` (k, m, m) matrices; ``BLOCK // 3`` elements a pass,
-    or a grid row of ``mesh``, which a window of few rows spans twice.
-
-    An element's lowest and highest DOF must never decrease with its id:
-    then the elements with every DOF in the window are one run of each
-    pass, added whole, and only those around it are cut to the window.
-    Each row gets its entries in the order of one fill over all rows, so
-    the window holds those rows bit for bit.
+    local_of), ``dofs_of(ids)`` (k, m) DOFs and ``local_of(ids)`` (k, m, m)
+    matrices, taken ``BLOCK // 3`` elements a pass.  Each row gets its
+    entries in the order of one fill over all rows, so the window holds
+    those rows bit for bit, in any order of the elements.
     """
-    step = max(mesh_module.BLOCK // 3, 2 * mesh.n_cells)
-    pieces = []   # (ids, dofs, local_of, rows in the window or None for all)
-    for ids, dofs_of, local_of in groups:
-        for block in range(0, ids.size, step):
-            sub = ids[block:block + step]
-            dofs = dofs_of(sub)
-            # reduce over a list of columns: a reduce along axis 1 of a
-            # (k, 3) array is about 15 times slower
-            b = np.searchsorted(np.minimum.reduce(list(dofs.T)), lo)
-            c = max(b, np.searchsorted(np.maximum.reduce(list(dofs.T)), hi))
-            for part in (slice(0, b), slice(b, c), slice(c, sub.size)):
-                if part.stop > part.start:
-                    d = dofs[part]
-                    keep = None if part.start == b and part.stop == c else ((d >= lo) & (d < hi))
-                    pieces.append((sub[part], d, local_of, keep))
-
-    fill = CsrFill((hi - lo, n), [(d if keep is None else d[keep], d.shape[1])
-                                  for _, d, _, keep in pieces], first_row=lo)
-    for ids, dofs, local_of, keep in pieces:
-        if keep is None:
-            fill.add_local(dofs, local_of(ids))
-        else:
-            m = dofs.shape[1]
-            keep = keep.ravel()
-            fill.add(dofs.ravel()[keep], np.repeat(dofs, m, axis=0)[keep],
-                     local_of(ids).reshape(-1, m)[keep])
+    passes = [(ids[b], dofs_of(ids[b]), local_of)
+              for ids, dofs_of, local_of in groups for b in blocks(ids.size, 3)]
+    fill = CsrFill((hi - lo, n), [(dofs, dofs.shape[1]) for _, dofs, _ in passes], first_row=lo)
+    for ids, dofs, local_of in passes:
+        fill.add_local(dofs, local_of(ids))
     return fill.tocsr()
 
 
@@ -254,8 +244,7 @@ def stack_rows(windows, shape: tuple[int, int]) -> sp.csr_matrix:
 def _volume(layout: SpaceLayout, spec: ProblemSpec, lo: int, hi: int) -> sp.csr_matrix:
     """Rows ``lo:hi`` of the subdomain stiffness, the ``volume`` part: P1
     gradients are constant, only the clipped area of each element enters.
-    DOFs are numbered in node order on each side, so an element's lowest
-    and highest DOF never decrease with its id, and the elements that can
+    Each side numbers its DOFs in node order, so the elements that can
     touch the window are those near its first and last node."""
     mesh, topo = layout.mesh, layout.topo
     groups = []
@@ -269,7 +258,7 @@ def _volume(layout: SpaceLayout, spec: ProblemSpec, lo: int, hi: int) -> sp.csr_
                        lambda ids, side=side: layout.global_dofs(side, mesh.elements(ids)),
                        lambda ids, side=side: _stiffness(spec.rho(side) * topo.area(side, ids),
                                                          mesh.grads(ids))))
-    return element_rows(mesh, layout.n_total, lo, hi, groups)
+    return element_rows(layout.n_total, lo, hi, groups)
 
 
 def assemble_parts(layout: SpaceLayout, spec: ProblemSpec) -> dict:
@@ -329,15 +318,14 @@ def _ghost_part(layout: SpaceLayout, spec: ProblemSpec, side: str) -> sp.csr_mat
 
 
 def assemble_vnorm_gram(layout: SpaceLayout, spec: ProblemSpec) -> sp.csr_matrix:
-    """Gram matrix of the energy norm on ``layout``: v^T G v = ||v||_V^2.
+    """Gram matrix of the energy norm over the free DOFs of ``layout``:
+    v^T G v = ||v||_V^2.
 
     The norm carries the subdomain stiffness, the interface jump term
     scaled by rho^- / h_T, and both unscaled ghost terms.
     """
-    parts = assemble_parts(layout, spec)
-    g = (parts["volume"] + spec.rho_minus * parts["penalty_base"]
-         + parts["ghost_minus"] + parts["ghost_plus"])
-    return g.tocsr()
+    return _free_sum(layout, spec, [("penalty_base", spec.rho_minus),
+                                    ("ghost_minus", 1.0), ("ghost_plus", 1.0)])
 
 
 def assemble_load(layout: SpaceLayout, spec: ProblemSpec) -> np.ndarray:
@@ -352,7 +340,7 @@ def assemble_load(layout: SpaceLayout, spec: ProblemSpec) -> np.ndarray:
         if f is None:
             continue
         # np.add.at adds in point order, whatever the block size
-        for _, elems, pts, w in topo.quadrature_blocks(side):
+        for elems, pts, w in topo.quadrature_blocks(side):
             conn = mesh.elements(elems)
             lam = barycentric_many(np.take(mesh.nodes, conn, axis=0), pts)
             contrib = (w * np.asarray(f(pts), dtype=float))[:, None] * lam
@@ -383,33 +371,24 @@ def assemble_load(layout: SpaceLayout, spec: ProblemSpec) -> np.ndarray:
     return b
 
 
-def build_system(layout: SpaceLayout, spec: ProblemSpec) -> SparseSystem:
-    """Assemble and reduce the linear system on ``layout``, lifting Dirichlet data.
+def _free_sum(layout: SpaceLayout, spec: ProblemSpec, terms, lifting=None,
+              rhs=None) -> sp.csr_matrix:
+    """Free rows and columns of the volume part plus ``c * part`` for each
+    (name, c) of ``terms``, parts of ``assemble_parts``, summed in that
+    order as the whole matrices are; with ``rhs``, its entry of each free
+    row loses the row's product with the Dirichlet values of ``lifting``.
 
-    The reduced matrix is built ``BLOCK`` full-DOF rows at a time: the
-    window's rows of the volume part (``_volume``) plus those of the other
-    parts, in the order and with the scalings of the whole-matrix sum, then
-    its free rows and columns and its rows of the Dirichlet lift.  Each
-    step computes a row from that row alone, so the system is the one of
-    the whole-matrix sum bit for bit, and no whole-matrix sum is held.
+    Built ``BLOCK`` full-DOF rows at a time: the window's rows of the
+    volume part (``_volume``) plus those of each term, then its free rows
+    and columns.  Each step computes a row from that row alone, so the sum
+    is the whole-matrix one bit for bit, and no whole-matrix sum is held.
     """
     n = layout.n_total
     cut = _cut_parts(layout, spec)
-    # the other parts, scaled, as COO: 16 B an entry and no n + 1 indptr
-    terms = [part.tocoo() for part in (
-        cut["nitsche"], spec.gamma * spec.penalty_rho() * cut["penalty_base"],
-        spec.gamma_g_minus * cut["ghost_minus"], spec.gamma_g_plus * cut["ghost_plus"])]
+    # the other parts as COO: 16 B an entry and no n + 1 indptr
+    terms = [(cut.pop(name).tocoo(), c) for name, c in terms]
     del cut
-    rhs = assemble_load(layout, spec)[layout.free_dofs]
-
-    lifting = np.zeros(n)
     dirichlet = layout.dirichlet
-    dir_dofs = np.flatnonzero(dirichlet)
-    if dir_dofs.size and spec.dirichlet is not None:
-        outer = layout.outer_side()
-        offset = 0 if outer == "minus" else layout.n_minus
-        coords = np.take(layout.mesh.nodes, layout.dof_node(outer)[dir_dofs - offset], axis=0)
-        lifting[dir_dofs] = np.asarray(spec.dirichlet(coords), dtype=float)
     reduced = np.cumsum(~dirichlet, dtype=np.int32) - 1   # index of a free DOF among them
 
     def entries(a, keep, cols, n_cols):
@@ -422,21 +401,41 @@ def build_system(layout: SpaceLayout, spec: ProblemSpec) -> SparseSystem:
         row = 0
         for lo, hi in ((b.start, b.stop) for b in blocks(n)):
             a = _volume(layout, spec, lo, hi)
-            spans = [(t, *np.searchsorted(t.row, (lo, hi))) for t in terms]
-            for t, start, stop in spans:
-                if stop > start:
-                    a = a + sp.csr_matrix((t.data[start:stop], (t.row[start:stop] - lo,
-                                                                 t.col[start:stop])), shape=a.shape)
-            if all(stop == start for _, start, stop in spans):
+            spans = [(t, c, slice(*np.searchsorted(t.row, (lo, hi)))) for t, c in terms]
+            for t, c, w in spans:
+                if w.stop > w.start:
+                    a = a + sp.csr_matrix((c * t.data[w], (t.row[w] - lo, t.col[w])), shape=a.shape)
+            if all(w.stop == w.start for *_, w in spans):
                 a.eliminate_zeros()   # as adding a window without entries does
             a = a[~dirichlet[lo:hi]]
             dir_col = dirichlet[a.indices]
-            if dir_dofs.size:
+            if rhs is not None:
                 rhs[row:row + a.shape[0]] -= entries(a, dir_col, a.indices, n) @ lifting
             row += a.shape[0]
             yield entries(a, ~dir_col, reduced[a.indices], layout.n_free)
 
-    matrix = stack_rows(windows(), (layout.n_free, layout.n_free))
+    return stack_rows(windows(), (layout.n_free, layout.n_free))
+
+
+def build_system(layout: SpaceLayout, spec: ProblemSpec) -> SparseSystem:
+    """Assemble and reduce the linear system on ``layout``, lifting Dirichlet data.
+
+    The reduced matrix is the free-DOF sum (``_free_sum``) of the parts
+    with the stabilisation parameters, and its Dirichlet columns lift the
+    data into the right-hand side.
+    """
+    rhs = assemble_load(layout, spec)[layout.free_dofs]
+    lifting = np.zeros(layout.n_total)
+    dir_dofs = np.flatnonzero(layout.dirichlet)
+    if dir_dofs.size and spec.dirichlet is not None:
+        outer = layout.outer_side()
+        offset = 0 if outer == "minus" else layout.n_minus
+        coords = np.take(layout.mesh.nodes, layout.dof_node(outer)[dir_dofs - offset], axis=0)
+        lifting[dir_dofs] = np.asarray(spec.dirichlet(coords), dtype=float)
+    # without Dirichlet DOFs the lift subtracts +0.0, which changes no bit
+    matrix = _free_sum(layout, spec, [
+        ("nitsche", 1.0), ("penalty_base", spec.gamma * spec.penalty_rho()),
+        ("ghost_minus", spec.gamma_g_minus), ("ghost_plus", spec.gamma_g_plus)], lifting, rhs)
     return SparseSystem(matrix=matrix, rhs=rhs, lifting=lifting, layout=layout)
 
 

@@ -142,15 +142,12 @@ class CutTopology:
     def quadrature_blocks(self, side: str, width: int = 3):
         """The side rule over the whole mesh in increasing element order,
         ``BLOCK // width`` elements at a time: per block with points, the
-        slice they take of the ``n_points(side)`` points, the owning element
-        of each point, the points and the weights."""
-        at = 0
+        owning element of each point, the points and the weights."""
         for block in blocks(self.mesh.n_elems, width):
             ptr, points, weights = self.quadrature(side, block)
             if weights.size:
                 elems = np.repeat(np.arange(block.start, block.stop), np.diff(ptr))
-                yield slice(at, at + weights.size), elems, points, weights
-                at += weights.size
+                yield elems, points, weights
 
     def _side(self, side: str):
         if side not in ("minus", "plus"):

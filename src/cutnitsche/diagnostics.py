@@ -132,7 +132,7 @@ def interpolation_error_profile(ls: LevelSet, spec: ProblemSpec, levels) -> Tabl
             coeffs, dofmap = u_i.side(side), layout.node_dof(side)
             grad_int = PairwiseSum(topo.n_points(side))
             hess_int = PairwiseSum(topo.n_points(side))
-            for _, elems, pts, w in topo.quadrature_blocks(side):
+            for elems, pts, w in topo.quadrature_blocks(side):
                 uh = coeffs[dofmap[mesh.elements(elems)]]
                 grad_int.add(w * _grad_error_sq(spec, side, mesh, elems, uh, pts))
                 vals = np.asarray(hess(pts), dtype=float)
@@ -170,9 +170,9 @@ def _h1_matrices(mesh: Mesh, elems: np.ndarray | None = None):
     def window(lo: int, hi: int):
         ids = mesh.elems_near(lo, hi - 1)
         ids = ids[chosen[ids]]
-        mass = element_rows(mesh, n, lo, hi, [(ids, mesh.elements,
-                                               lambda t: mesh.areas(t)[:, None, None] * mref)])
-        return mass + element_rows(mesh, n, lo, hi, [(ids, mesh.elements, lambda t: _stiffness(
+        mass = element_rows(n, lo, hi, [(ids, mesh.elements,
+                                         lambda t: mesh.areas(t)[:, None, None] * mref)])
+        return mass + element_rows(n, lo, hi, [(ids, mesh.elements, lambda t: _stiffness(
             mesh.areas(t), mesh.grads(t)))])
 
     return stack_rows((window(b.start, b.stop) for b in blocks(n)), (n, n))
@@ -277,11 +277,9 @@ def _coercivity_block(config: RunConfig, levels) -> Table:
         layout = _geometry(level, ls)
         system = build_system(layout, spec)
         gram = assemble_vnorm_gram(layout, spec)
-        free = layout.free_dofs
-        gram_red = gram[free][:, free]
         n = system.n
         dense = n <= _DENSE_EIGEN_LIMIT
-        quotient = coercivity_probe(system.matrix, gram_red, dense)
+        quotient = coercivity_probe(system.matrix, gram, dense)
         rows.append((level, n, "dense" if dense else "arnoldi", quotient))
     return Table(columns=("level", "n", "method", "min_quotient"), rows=tuple(rows))
 

@@ -110,7 +110,7 @@ def error_report(spec: ProblemSpec, u_h: FieldPair) -> ErrorReport:
         grad_int = PairwiseSum(topo.n_points(side))
         # np.maximum, like one np.max over the side, keeps a NaN
         diff_max = gdiff_max = 0.0
-        for _, elems, pts, w in topo.quadrature_blocks(side, 9):
+        for elems, pts, w in topo.quadrature_blocks(side, 9):
             conn = mesh.elements(elems)
             uh = coeffs[dofmap[conn]]
             lam = barycentric_many(np.take(mesh.nodes, conn, axis=0), pts)
@@ -234,7 +234,8 @@ def eoc(errors, hs) -> np.ndarray:
     """Estimated orders of convergence between consecutive refinement levels.
 
     Entry k compares level k+1 against level k; undefined ratios
-    (zero or nonfinite errors) yield NaN markers.
+    (nonpositive or nonfinite errors or mesh sizes, or equal mesh sizes)
+    yield NaN markers.
     """
     errors = np.asarray(errors, dtype=float)
     hs = np.asarray(hs, dtype=float)
@@ -244,6 +245,6 @@ def eoc(errors, hs) -> np.ndarray:
         return np.zeros(0)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.log(errors[1:] / errors[:-1]) / np.log(hs[1:] / hs[:-1])
-    bad = ~np.isfinite(errors[1:]) | ~np.isfinite(errors[:-1]) | (errors[1:] <= 0.0) | (errors[:-1] <= 0.0)
-    out[bad] = np.nan
+    bad = ~(np.isfinite(errors) & np.isfinite(hs) & (errors > 0.0) & (hs > 0.0))
+    out[bad[1:] | bad[:-1] | (hs[1:] == hs[:-1])] = np.nan
     return out

@@ -20,8 +20,9 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from cutnitsche import cutcell, mesh as mesh_module
-from cutnitsche.assembly import (CsrFill, SparseSystem, _cut_blocks, assemble_load,
-                                 assemble_parts, build_system, expand_solution, local_csr)
+from cutnitsche.assembly import (CsrFill, SparseSystem, _cut_blocks, _stiffness, assemble_load,
+                                 assemble_parts, assemble_vnorm_gram, build_system,
+                                 element_rows, expand_solution, local_csr)
 from cutnitsche.cutcell import GAUSS2_OFFSET, _fan_rule, _polygon_area, classify
 from cutnitsche.harness import RunConfig, make_problem
 from cutnitsche.levelset import LevelSet
@@ -143,18 +144,27 @@ def ref_assemble_parts(layout, spec):
     parts["nitsche"], parts["penalty_base"] = nit.tocsr(n), pen.tocsr(n)
 
     for side in ("minus", "plus"):
-        edges = topo.ghost_minus if side == "minus" else topo.ghost_plus
-        entries = _Entries(edges.size, 6)
-        if edges.size:
-            e1, e2, elen, ne = edge_frame(mesh, edges)
-            jmp = np.concatenate([np.einsum("kid,kd->ki", mesh.grads(e1), ne),
-                                  -np.einsum("kid,kd->ki", mesh.grads(e2), ne)], axis=1)
-            coeff = spec.rho(side) * elen ** 2
-            dofs = np.concatenate([layout.global_dofs(side, mesh.elements(e1)),
-                                   layout.global_dofs(side, mesh.elements(e2))], axis=1)
-            entries.add(dofs, coeff[:, None, None] * jmp[:, :, None] * jmp[:, None, :])
+        dofs, local = ref_ghost_locals(layout, spec, side)
+        entries = _Entries(dofs.shape[0], 6)
+        entries.add(dofs, local)
         parts[f"ghost_{side}"] = entries.tocsr(n)
     return parts
+
+
+def ref_ghost_locals(layout, spec, side):
+    """DOFs (k, 6) and local matrices (k, 6, 6) of the ghost edges of a
+    side, in edge order."""
+    mesh, topo = layout.mesh, layout.topo
+    edges = topo.ghost_minus if side == "minus" else topo.ghost_plus
+    if not edges.size:
+        return np.empty((0, 6), dtype=np.int64), np.empty((0, 6, 6))
+    e1, e2, elen, ne = edge_frame(mesh, edges)
+    jmp = np.concatenate([np.einsum("kid,kd->ki", mesh.grads(e1), ne),
+                          -np.einsum("kid,kd->ki", mesh.grads(e2), ne)], axis=1)
+    coeff = spec.rho(side) * elen ** 2
+    dofs = np.concatenate([layout.global_dofs(side, mesh.elements(e1)),
+                           layout.global_dofs(side, mesh.elements(e2))], axis=1)
+    return dofs, coeff[:, None, None] * jmp[:, :, None] * jmp[:, None, :]
 
 
 def ref_assemble_load(layout, spec):
@@ -395,9 +405,8 @@ def test_side_quadrature_matches_reference(small_blocks, monkeypatch, case, leve
         args = (mesh, topo.elem_side, topo.cut_ids, poly, k, want)
         ref = ref_side_quadrature(*args)
         blocked = list(zip(*topo.quadrature_blocks(side)))
-        assert [s.stop for s in blocked[0]] == list(np.cumsum([w.size for w in blocked[3]]))
-        assert blocked[0][-1].stop == topo.n_points(side)
-        for name, a, b in zip(("elems", "points", "weights"), blocked[1:], ref):
+        assert sum(w.size for w in blocked[2]) == topo.n_points(side)
+        for name, a, b in zip(("elems", "points", "weights"), blocked, ref):
             assert_same(np.concatenate(a), b, name)
         for name, a, b in zip(("elems", "points", "weights"), side_rule(topo, side), ref):
             assert_same(a, b, name)
@@ -456,21 +465,56 @@ def test_fill_without_entries_is_the_empty_coo_conversion():
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1), n_rows=st.sampled_from([1, 9, 70_000, 300_000]),
-       width=st.integers(1, 4), n_items=st.integers(0, 200), n_calls=st.integers(1, 4))
-def test_fill_matches_the_coo_conversion_however_split(seed, n_rows, width, n_items, n_calls):
+       width=st.integers(1, 4), n_items=st.integers(0, 200), n_calls=st.integers(1, 4),
+       window=st.booleans())
+def test_fill_matches_the_coo_conversion_however_split(seed, n_rows, width, n_items, n_calls,
+                                                       window):
     # few distinct rows and columns, so rows repeat within and across calls
     # and columns repeat within rows; row spans above 2**16 take two radix
-    # passes
+    # passes.  A window [lo, hi) ends at drawn rows, so rows lie inside it
+    # and on both sides of it
     rng = np.random.default_rng(seed)
     rows = rng.choice(rng.integers(0, n_rows, 1 + n_items // 4), n_items)
     cols = rng.integers(0, 5, (n_items, width))
     vals = rng.standard_normal((n_items, width))
-    fill = CsrFill((n_rows, 5), [(rows, width)])
+    lo, hi = np.sort(rng.choice(np.append(rows, [0, n_rows]), 2)) if window else (0, n_rows)
+    fill = CsrFill((hi - lo, 5), [(rows, width)], first_row=lo)
     for part in np.split(np.arange(n_items), np.sort(rng.integers(0, n_items + 1, n_calls - 1))):
         fill.add(rows[part], cols[part], vals[part])
     ref = sp.coo_matrix((vals.ravel(), (np.repeat(rows, width), cols.ravel())),
                         shape=(n_rows, 5)).tocsr()
-    assert_same_csr(fill.tocsr(), ref)
+    assert_same_csr(fill.tocsr(), ref[lo:hi] if window else ref)
+
+
+def assert_windows_match_the_whole_fill(n, dofs, local, rng):
+    """``element_rows`` over windows of 200 and 5,000 rows against the
+    rows of one fill of all elements: each window gets the elements with a
+    DOF in it and a few with none, in the order of ``dofs``."""
+    whole = local_csr(n, dofs, local)
+    for width in (200, 5000):
+        for lo in range(0, n, width):
+            hi = min(lo + width, n)
+            ids = np.flatnonzero(((dofs >= lo) & (dofs < hi)).any(axis=1)
+                                 | (rng.random(dofs.shape[0]) < 0.02))
+            rows = element_rows(n, lo, hi, [(ids, lambda t: dofs[t], lambda t: local[t])])
+            assert_same_csr(rows, whole[lo:hi])
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("level", [2, 3, 4])
+def test_element_rows_match_the_whole_fill_in_any_element_order(small_blocks, case, level):
+    # passes of 2 elements; the volume elements of a side shuffled, and the
+    # ghost edges, whose lowest and highest DOFs go up and down
+    layout, spec = case_setup(case, level)
+    mesh, topo = layout.mesh, layout.topo
+    rng = np.random.default_rng(level)
+    for side in ("minus", "plus"):
+        elems = rng.permutation(np.flatnonzero(topo.in_side(side)))
+        local = _stiffness(spec.rho(side) * topo.area(side, elems), mesh.grads(elems))
+        dofs = layout.global_dofs(side, mesh.elements(elems))
+        assert_windows_match_the_whole_fill(layout.n_total, dofs, local, rng)
+        assert_windows_match_the_whole_fill(layout.n_total,
+                                            *ref_ghost_locals(layout, spec, side), rng)
 
 
 @pytest.mark.parametrize("nan", [False, True])
@@ -543,9 +587,21 @@ def test_windowed_build_system_matches_the_whole_matrix(small_blocks, case, leve
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
+def test_free_gram_is_the_sliced_whole_sum(small_blocks, case, level):
+    layout, spec = case_setup(case, level)
+    parts = ref_assemble_parts(layout, spec)
+    whole = (parts["volume"] + spec.rho_minus * parts["penalty_base"]
+             + parts["ghost_minus"] + parts["ghost_plus"]).tocsr()
+    free = layout.free_dofs
+    assert_same_csr(assemble_vnorm_gram(layout, spec), whole[free][:, free])
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
 @pytest.mark.parametrize("level", [1, 2, 3, 4, 5, 6])
 def test_element_dof_bounds_never_decrease(case, level):
-    # the windowed volume assembly takes each window's elements as one run
+    # _volume finds a window's elements by elems_near(node[first],
+    # node[last]), which needs each side's DOFs in node order
     ls, _ = make_problem(CASES[case])
     layout = build_spaces(classify(build_mesh(level), ls))
     mesh, topo = layout.mesh, layout.topo

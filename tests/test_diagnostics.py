@@ -67,8 +67,7 @@ def test_arnoldi_probe_equals_dense(inclusion_side):
     mesh = build_mesh(3)
     layout = build_spaces(classify(mesh, ls))
     a = build_system(layout, spec).matrix
-    free = layout.free_dofs
-    gram = assemble_vnorm_gram(layout, spec)[free][:, free]
+    gram = assemble_vnorm_gram(layout, spec)
     exact = coercivity_probe(a, gram, dense=True)
     assert coercivity_probe(a, gram, dense=False) == pytest.approx(exact, rel=1e-6)
 
@@ -81,8 +80,7 @@ def test_system_coercivity_level_one():
     layout = build_spaces(topo)
     system = build_system(layout, spec)
     gram = assemble_vnorm_gram(layout, spec)
-    free = layout.free_dofs
-    q = coercivity_probe(system.matrix, gram[free][:, free], dense=True)
+    q = coercivity_probe(system.matrix, gram, dense=True)
     assert 0.0 < q <= 1.0 + 1e-9
     assert np.isclose(q, 0.9999976, atol=1e-5)
 

@@ -21,6 +21,11 @@ def test_eoc_edge_cases():
     np.testing.assert_array_equal(eoc([2.0, 2.0], [1.0, 0.5]), [0.0])
     out = eoc([1.0, 0.0, 3.0], [1.0, 0.5, 0.25])
     assert np.isnan(out[0]) and np.isnan(out[1])
+    # equal, zero, negative or nonfinite mesh sizes leave the order undefined
+    assert np.isnan(eoc([1e-2, 5e-3], [0.1, 0.1])).all()
+    assert np.isnan(eoc([1e-2, 5e-3], [0.0, 0.05])).all()
+    out = eoc([1.0, 0.5, 0.25, 0.125], [-0.5, 0.25, np.inf, 0.0625])
+    assert np.isnan(out).all()
     with pytest.raises(ValueError):
         eoc([1.0, 2.0], [1.0])
     with pytest.raises(ValueError):
