@@ -4,8 +4,9 @@
 One line per item: the cut topology of the circle (both inclusion sides)
 and the flower at levels 1..6 (side areas, side rules and the interface
 rule from their accessors, under the names of the arrays they
-replaced), the matrix, right-hand side, solution, solve statistics and
-full-precision error report of every configuration of
+replaced) and every array of the DOF layout built on it, the matrix,
+right-hand side, solution, solve statistics and full-precision error
+report of every configuration of
 ``reproduce_tables.py``, the discrete extension operator of the
 diagnostics at levels 2..5 with its H1 Gram matrices (``h1_plus`` in
 plus-dof indexing), the error report of the interpolant of the
@@ -28,7 +29,7 @@ With ``<old>`` and ``<new>`` checkouts of the two commits:
 
 Without ``src`` on the path the script exits 1 and leaves an empty file,
 and two empty files diff as identical: ``&&`` stops at that exit, and
-each file must have 806 lines.
+each file must have 914 lines.
 
 BLAS is pinned to one thread, because stagnated CG iterates of the
 high-contrast solves depend on the thread count.
@@ -121,6 +122,13 @@ def topology_arrays(topo):
     return out
 
 
+def layout_arrays(layout):
+    """Every array of the DOF layout."""
+    return {name: getattr(layout, name)
+            for name in ("node_dof_minus", "node_dof_plus", "dof_node_minus",
+                         "dof_node_plus", "dirichlet", "free_dofs")}
+
+
 def csr_arrays(matrix):
     return {"data": matrix.data, "indices": matrix.indices, "indptr": matrix.indptr}
 
@@ -147,6 +155,8 @@ def main() -> int:
             topo = classify(build_mesh(level), ls)
             for name, value in topology_arrays(topo).items():
                 print(f"topology {label} L{level} {name} {digest(value)}")
+            for name, value in layout_arrays(build_spaces(topo)).items():
+                print(f"layout {label} L{level} {name} {digest(value)}")
 
     for label, config, level in solve_configs():
         result = run_solve(config, level=level)

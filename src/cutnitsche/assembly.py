@@ -236,6 +236,7 @@ def stack_rows(windows, shape: tuple[int, int]) -> sp.csr_matrix:
         indices[at:] = w.indices[:k]
         indptr[row + 1:row + 1 + w.shape[0]] = at + w.indptr[1:]
         row, at = row + w.shape[0], at + k
+        del w   # before the next window is built
     if row != shape[0]:
         raise ValueError(f"windows hold {row} of {shape[0]} rows")
     return sp.csr_matrix((data, indices, indptr), shape=shape)
@@ -340,8 +341,8 @@ def assemble_load(layout: SpaceLayout, spec: ProblemSpec) -> np.ndarray:
         if f is None:
             continue
         # np.add.at adds in point order, whatever the block size
-        for elems, pts, w in topo.quadrature_blocks(side):
-            conn = mesh.elements(elems)
+        for elems, counts, pts, w in topo.quadrature_blocks(side):
+            conn = np.repeat(mesh.elements(elems), counts, axis=0)
             lam = barycentric_many(np.take(mesh.nodes, conn, axis=0), pts)
             contrib = (w * np.asarray(f(pts), dtype=float))[:, None] * lam
             dofs = layout.global_dofs(side, conn)

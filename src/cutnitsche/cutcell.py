@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .levelset import CoarseMeshError, GeometryError, LevelSet
-from .mesh import Mesh, _index, blocks
+from .mesh import Mesh, _index, blocks, edge_apply, edge_rows, elem_any
 
 log = logging.getLogger(__name__)
 
@@ -142,12 +142,15 @@ class CutTopology:
     def quadrature_blocks(self, side: str, width: int = 3):
         """The side rule over the whole mesh in increasing element order,
         ``BLOCK // width`` elements at a time: per block with points, the
-        owning element of each point, the points and the weights."""
+        elements that hold points, the number of points of each, the
+        points and the weights.  A per-element quantity reaches the points
+        by ``np.repeat(values, counts, axis=0)``."""
         for block in blocks(self.mesh.n_elems, width):
             ptr, points, weights = self.quadrature(side, block)
             if weights.size:
-                elems = np.repeat(np.arange(block.start, block.stop), np.diff(ptr))
-                yield elems, points, weights
+                counts = np.diff(ptr)
+                held = np.flatnonzero(counts)
+                yield block.start + held, counts[held], points, weights
 
     def _side(self, side: str):
         if side not in ("minus", "plus"):
@@ -164,15 +167,15 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 def classify(mesh: Mesh, ls: LevelSet) -> CutTopology:
     """Classify all elements of the mesh against the level set."""
     psi = np.asarray(ls.side_sign(mesh.nodes), dtype=float)
+    if not np.all(np.isfinite(psi)):
+        a = int(np.argmin(np.isfinite(psi)))
+        raise GeometryError(f"level set is {psi[a]} at node {a} {mesh.nodes[a].tolist()}")
     snap = 1e-12 * mesh.h
     sign = np.where(np.abs(psi) <= snap, 0, np.sign(psi)).astype(np.int8)
 
-    has_neg = np.empty(mesh.n_elems, dtype=bool)
-    has_pos = np.empty(mesh.n_elems, dtype=bool)
-    for block in blocks(mesh.n_elems):
-        esign = sign[mesh.elements(block)]
-        has_neg[block] = np.any(esign < 0, axis=1)
-        has_pos[block] = np.any(esign > 0, axis=1)
+    grid = sign.reshape(mesh.n_cells + 1, -1)
+    has_neg = elem_any(grid < 0)
+    has_pos = elem_any(grid > 0)
     if np.any(~has_neg & ~has_pos):
         bad = int(np.flatnonzero(~has_neg & ~has_pos)[0])
         raise GeometryError(f"element {bad} has all vertices on the interface")
@@ -186,10 +189,7 @@ def classify(mesh: Mesh, ls: LevelSet) -> CutTopology:
             f"{a.tolist()} -> {b.tolist()}"
         )
 
-    crossing = np.empty(mesh.n_edges, dtype=bool)
-    for block in blocks(mesh.n_edges):
-        ends = sign[mesh.edges(block)]
-        crossing[block] = ends[:, 0] * ends[:, 1] < 0
+    crossing = _crossing(grid)
     cross_ids, roots, flagged = _edge_roots(mesh, ls, psi, crossing, multi_edge)
 
     cand = np.flatnonzero(has_neg & has_pos)
@@ -214,7 +214,7 @@ def classify(mesh: Mesh, ls: LevelSet) -> CutTopology:
 
     keep = ~degenerate
     cut_ids = cand[keep]
-    elem_side = np.where(has_pos, 1, -1).astype(np.int8)
+    elem_side = np.where(has_pos, np.int8(1), np.int8(-1))
     elem_side[cut_ids] = 0
     elem_side[gone] = side
     chord_p, chord_q, chord_len = p[keep], q[keep], chord_len[keep]
@@ -249,31 +249,52 @@ def classify(mesh: Mesh, ls: LevelSet) -> CutTopology:
     )
 
 
+def _crossing(sign: np.ndarray) -> np.ndarray:
+    """Whether the signs at the two ends of each edge are strictly
+    opposite, from the (n+1, n+1) grid of node signs: (n_edges,) bool."""
+    n = sign.shape[0] - 1
+    out = np.empty(n * (3 * n + 2), dtype=bool)
+    for nodes, edges in edge_rows(n):
+        edge_apply(lambda a, b, out: np.less(a * b, 0, out=out), sign[nodes], out[edges])
+    return out
+
+
+def _band_edges(mesh: Mesh, ls: LevelSet, psi: np.ndarray):
+    """Ids of the edges that can hold a root, one chunk of ``edge_rows``
+    at a time.  If ``|grad phi| <= L``, an edge a -> b holds a root only
+    when ``|phi(a)| + |phi(b)| <= L |b - a|``; the band admits twice that
+    sum, which absorbs rounding.  ``psi`` is phi up to sign at the nodes.
+    Without a bound (``ls.lipschitz`` None) the band is every edge."""
+    bound = np.inf if ls.lipschitz is None else 2.0 * ls.lipschitz
+    n, cls = mesh.n_cells, mesh.spacing_class
+    rows, top = mesh.row_edge_lengths()
+    limit, top = bound * rows, bound * top
+    grid = psi.reshape(n + 1, n + 1)
+    for nodes, edges in edge_rows(n):
+        chunk = top if nodes.start == n else limit[cls[nodes.start:nodes.stop - 1]].reshape(-1)
+        end_sum = np.empty(chunk.size)
+        edge_apply(np.add, np.abs(grid[nodes]), end_sum)
+        band = edges.start + np.flatnonzero(end_sum <= chunk)
+        del chunk, end_sum   # not held while the band is sampled
+        yield band
+
+
 def _scan_edges(mesh: Mesh, ls: LevelSet, psi: np.ndarray) -> np.ndarray:
     """Boolean per edge: more than one sign change along sampled points.
 
-    Only the band of edges that can hold a root is sampled.  If
-    ``|grad phi| <= L``, an edge a -> b holds a root only when
-    ``|phi(a)| + |phi(b)| <= L |b - a|``; the band admits twice that sum,
-    which absorbs rounding.  ``psi`` is phi up to sign at the nodes.
-    Without a bound (``ls.lipschitz`` None) the band is every edge.
-    One pass over BLOCK edges at a time: the band edges of a block are
-    sampled ``BLOCK // (MULTI_ROOT_SAMPLES + 2)`` at a time, so no
-    temporary holds more than about BLOCK sample points.
+    Only the band of edges that can hold a root (``_band_edges``) is
+    sampled, ``BLOCK // (MULTI_ROOT_SAMPLES + 2)`` edges at a time, so no
+    temporary holds more than about BLOCK edges or sample points.
     """
-    bound = np.inf if ls.lipschitz is None else 2.0 * ls.lipschitz
     ts = np.linspace(0.0, 1.0, MULTI_ROOT_SAMPLES + 2)
     multi = np.zeros(mesh.n_edges, dtype=bool)
-    for block in blocks(mesh.n_edges):
-        ends = mesh.edges(block)
-        end_sum = np.abs(np.take(psi, ends[:, 0])) + np.abs(np.take(psi, ends[:, 1]))
-        band = np.flatnonzero(end_sum <= bound * mesh.edge_lengths(block))
+    for band in _band_edges(mesh, ls, psi):
         for sub in blocks(band.size, ts.size):
             ids = band[sub]
-            a, b = np.take(mesh.nodes, np.take(ends, ids, axis=0).T, axis=0)
+            a, b = np.take(mesh.nodes, mesh.edges(ids).T, axis=0)
             pts = a[:, None, :] + ts[None, :, None] * (b - a)[:, None, :]
             s = np.sign(ls.value(pts))
-            multi[block.start + ids] = np.sum(s[:, 1:] * s[:, :-1] < 0, axis=1) > 1
+            multi[ids] = np.sum(s[:, 1:] * s[:, :-1] < 0, axis=1) > 1
     return multi
 
 
@@ -325,22 +346,24 @@ def _bisect(ls, pa, pb, fa):
     def side_sign(i, tm):
         return np.asarray(ls.side_sign(pa[i] + tm[:, None] * d[i]), dtype=float)
 
-    live = np.arange(fa.shape[0])
+    # every segment steps in lockstep; one that stops keeps its bracket
+    live = np.ones(fa.shape[0], dtype=bool)
     for _ in range(BISECTION_STEPS):
-        if not live.size:
+        if not live.any():
             break
-        tm = 0.5 * (ta[live] + tb[live])
-        fm = side_sign(live, tm)
-        hit = (fm == 0.0) | ((np.abs(fm) <= ROOT_PHI_TOL)
-                             & ((tb[live] - ta[live]) * scale[live] <= ROOT_WIDTH_TOL))
-        t[live[hit]] = tm[hit]
-        live, tm, fm = live[~hit], tm[~hit], fm[~hit]
-        lower = fa[live] * fm < 0.0
-        tb[live[lower]] = tm[lower]
-        ta[live[~lower]] = tm[~lower]
-        fa[live[~lower]] = fm[~lower]
-        width = tb[live] - ta[live]
-        live = live[(width > width_tol[live]) | (width > eps)]
+        tm = 0.5 * (ta + tb)
+        fm = side_sign(slice(None), tm)
+        hit = live & ((fm == 0.0) | ((np.abs(fm) <= ROOT_PHI_TOL)
+                                     & ((tb - ta) * scale <= ROOT_WIDTH_TOL)))
+        np.copyto(t, tm, where=hit)
+        live &= ~hit
+        lower = fa * fm < 0.0
+        np.copyto(tb, tm, where=live & lower)
+        upper = live & ~lower
+        np.copyto(ta, tm, where=upper)
+        np.copyto(fa, fm, where=upper)
+        width = tb - ta
+        live &= (width > width_tol) | (width > eps)
 
     rest = np.flatnonzero(np.isnan(t))
     tm = 0.5 * (ta[rest] + tb[rest])

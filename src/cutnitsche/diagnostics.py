@@ -132,9 +132,10 @@ def interpolation_error_profile(ls: LevelSet, spec: ProblemSpec, levels) -> Tabl
             coeffs, dofmap = u_i.side(side), layout.node_dof(side)
             grad_int = PairwiseSum(topo.n_points(side))
             hess_int = PairwiseSum(topo.n_points(side))
-            for elems, pts, w in topo.quadrature_blocks(side):
-                uh = coeffs[dofmap[mesh.elements(elems)]]
-                grad_int.add(w * _grad_error_sq(spec, side, mesh, elems, uh, pts))
+            for elems, counts, pts, w in topo.quadrature_blocks(side):
+                uh = np.repeat(coeffs[dofmap[mesh.elements(elems)]], counts, axis=0)
+                grads = np.repeat(mesh.grads(elems), counts, axis=0)
+                grad_int.add(w * _grad_error_sq(spec, side, uh, grads, pts))
                 vals = np.asarray(hess(pts), dtype=float)
                 hess_int.add(w * vals * vals)
             esqrt_sq += float(spec.rho(side) * grad_int.total())
@@ -156,26 +157,36 @@ def _cutoff(dist: np.ndarray, eps: float) -> np.ndarray:
     return 1.0 - t * t * (3.0 - 2.0 * t)
 
 
-def _h1_matrices(mesh: Mesh, elems: np.ndarray | None = None):
+def _h1_matrices(mesh: Mesh, elems: np.ndarray | None = None, dofs=None):
     """H1 Gram matrix, consistent mass plus stiffness, over a subset of
-    elements (all by default) in global node indexing, ``BLOCK`` node rows
-    at a time: the window's rows of the mass and of the stiffness matrix
-    come from ``element_rows`` and are added as the whole matrices are, so
-    no whole-mesh unsummed CSR is held."""
+    elements (all by default) in global node indexing, or in the indexing
+    of ``dofs``, a side's ``(node_dof, dof_node)`` whose nodes hold every
+    node of the elements.  The rows of ``BLOCK`` nodes at a time, windows
+    without a row skipped: the window's rows of the mass and of the
+    stiffness matrix come from ``element_rows`` and are added as the whole
+    matrices are, so no whole-mesh unsummed CSR is held.  Rows and columns
+    follow node order either way, so the Gram in ``dofs`` is the
+    node-indexed one restricted to the side's nodes, bit for bit."""
     mref = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    n = mesh.n_nodes
+    n = mesh.n_nodes if dofs is None else dofs[1].size
     chosen = np.zeros(mesh.n_elems, dtype=bool)
     chosen[slice(None) if elems is None else elems] = True
+    rows_of = mesh.elements if dofs is None else (lambda t: dofs[0][mesh.elements(t)])
 
-    def window(lo: int, hi: int):
-        ids = mesh.elems_near(lo, hi - 1)
-        ids = ids[chosen[ids]]
-        mass = element_rows(n, lo, hi, [(ids, mesh.elements,
-                                         lambda t: mesh.areas(t)[:, None, None] * mref)])
-        return mass + element_rows(n, lo, hi, [(ids, mesh.elements, lambda t: _stiffness(
-            mesh.areas(t), mesh.grads(t)))])
+    def windows():
+        for b in blocks(mesh.n_nodes):
+            lo, hi = ((b.start, b.stop) if dofs is None
+                      else np.searchsorted(dofs[1], (b.start, b.stop)).tolist())
+            if lo == hi:
+                continue
+            ids = mesh.elems_near(b.start, b.stop - 1)
+            ids = ids[chosen[ids]]
+            mass = element_rows(n, lo, hi, [(ids, rows_of,
+                                             lambda t: mesh.areas(t)[:, None, None] * mref)])
+            yield mass + element_rows(n, lo, hi, [(ids, rows_of, lambda t: _stiffness(
+                mesh.areas(t), mesh.grads(t)))])
 
-    return stack_rows((window(b.start, b.stop) for b in blocks(n)), (n, n))
+    return stack_rows(windows(), (n, n))
 
 
 def _pointwise(dofs: np.ndarray, vals: np.ndarray, n_cols: int) -> scipy.sparse.csr_matrix:
@@ -249,8 +260,8 @@ def build_extension(layout: SpaceLayout) -> ExtensionOperator:
     fill = CsrFill((mesh.n_nodes, layout.n_plus), [(kept, 1), (near, 3)])
     fill.add(kept, layout.node_dof_plus[kept][:, None], np.ones((kept.size, 1)))
     fill.add(near, layout.node_dof_plus[mesh.elements(elems)], coef)
-    sel = layout.dof_node_plus
-    h1_plus = _h1_matrices(mesh, np.flatnonzero(topo.in_side("plus")))[sel][:, sel]
+    h1_plus = _h1_matrices(mesh, np.flatnonzero(topo.in_side("plus")),
+                           (layout.node_dof_plus, layout.dof_node_plus))
     return ExtensionOperator(matrix=fill.tocsr(), h1_full=_h1_matrices(mesh),
                              h1_plus=h1_plus)
 

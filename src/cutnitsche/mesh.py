@@ -173,6 +173,16 @@ class Mesh:
         return self.template_lengths[kind, cls[np.minimum(ix, last)],
                                      cls[np.minimum(iy, last)]].reshape(shape)
 
+    def row_edge_lengths(self):
+        """Lengths of the edges each node row owns, in their numbering
+        order (``edge_rows``): (k, 3n+1) for a row below the top, by the
+        class of the row's y spacing, and (n,) for the top row."""
+        n, cls, lengths = self.n_cells, self.spacing_class, self.template_lengths
+        rows = np.empty((lengths.shape[2], 3 * n + 1))
+        rows[:, :3 * n] = lengths[:, cls, :].transpose(2, 1, 0).reshape(-1, 3 * n)
+        rows[:, 3 * n] = lengths[1, cls[-1], :]   # the right column's vertical edge
+        return rows, lengths[0, cls, cls[-1]]
+
     def boundary_node(self, ids) -> np.ndarray:
         """Whether the nodes lie on the outer boundary: (...,) bool."""
         a, shape = _index(ids, self.n_nodes)
@@ -319,6 +329,64 @@ def blocks(n: int, width: int = 1):
     rows each."""
     step = max(BLOCK // width, 1)
     return (slice(lo, min(lo + step, n)) for lo in range(0, n, step))
+
+
+# Whole-grid passes.  A grid of node values is (n+1, n+1), row iy and
+# column ix holding node iy*(n+1) + ix; cell (ix, iy)'s lower triangle is
+# v00, v10, v11 and its upper one v00, v11, v01, where v10 is the node to
+# the right of v00 and v01 the one above it.
+
+def elem_any(flag: np.ndarray) -> np.ndarray:
+    """Whether any vertex of each element carries the flag, from the grid
+    of node flags: (n_elems,) bool."""
+    n = flag.shape[0] - 1
+    out = np.empty((n, n, 2), dtype=bool)
+    diagonal = flag[:-1, :-1] | flag[1:, 1:]
+    np.logical_or(diagonal, flag[:-1, 1:], out=out[..., 0])
+    np.logical_or(diagonal, flag[1:, :-1], out=out[..., 1])
+    return out.reshape(-1)
+
+
+def node_any(flag: np.ndarray, n: int) -> np.ndarray:
+    """Whether any element holding each node carries the flag, from the
+    (n_elems,) element flags: the grid of node flags."""
+    lower, upper = np.moveaxis(flag.reshape(n, n, 2), 2, 0)
+    either = lower | upper
+    out = np.zeros((n + 1, n + 1), dtype=bool)
+    out[:-1, :-1] |= either
+    out[1:, 1:] |= either
+    out[:-1, 1:] |= lower
+    out[1:, :-1] |= upper
+    return out
+
+
+def edge_rows(n: int):
+    """The edges in chunks of node rows: per chunk, the grid rows its edges
+    touch and its edge ids, as slices.  A chunk holds at most BLOCK edges,
+    or one row; the top row, which owns horizontal edges only, comes last
+    on its own."""
+    row = 3 * n + 1
+    for r in blocks(n, row):
+        yield slice(r.start, r.stop + 1), slice(r.start * row, r.stop * row)
+    yield slice(n, n + 1), slice(n * row, n * row + n)
+
+
+def edge_apply(fn, grid: np.ndarray, out: np.ndarray) -> None:
+    """``fn(lower end, upper end, out=out)`` over the edges of one chunk
+    of ``edge_rows``, from ``grid``, the node values of the rows it
+    touches.  Each node row below the top owns, per node, its horizontal,
+    vertical and diagonal edge, then the right column's vertical edge."""
+    if grid.shape[0] == 1:   # the top row
+        fn(grid[0, :-1], grid[0, 1:], out=out)
+        return
+    here, up = grid[:-1], grid[1:]
+    rows, n = here.shape[0], here.shape[1] - 1
+    edges = out.reshape(rows, 3 * n + 1)
+    cells = edges[:, :3 * n].reshape(rows, n, 3)
+    fn(here[:, :-1], here[:, 1:], out=cells[..., 0])
+    fn(here[:, :-1], up[:, :-1], out=cells[..., 1])
+    fn(here[:, :-1], up[:, 1:], out=cells[..., 2])
+    fn(here[:, n], up[:, n], out=edges[:, 3 * n])
 
 
 def edge_frame(mesh: Mesh, edges: np.ndarray):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import mesh as mesh_module
-from .mesh import Mesh, barycentric_many, blocks, edge_frame
+from .mesh import barycentric_many, blocks, edge_frame
 from .problems import ProblemSpec
 from .space import FieldPair
 
@@ -110,13 +110,15 @@ def error_report(spec: ProblemSpec, u_h: FieldPair) -> ErrorReport:
         grad_int = PairwiseSum(topo.n_points(side))
         # np.maximum, like one np.max over the side, keeps a NaN
         diff_max = gdiff_max = 0.0
-        for elems, pts, w in topo.quadrature_blocks(side, 9):
+        for elems, counts, pts, w in topo.quadrature_blocks(side, 9):
             conn = mesh.elements(elems)
-            uh = coeffs[dofmap[conn]]
-            lam = barycentric_many(np.take(mesh.nodes, conn, axis=0), pts)
+            uh = np.repeat(coeffs[dofmap[conn]], counts, axis=0)
+            coords = np.repeat(np.take(mesh.nodes, conn, axis=0), counts, axis=0)
+            lam = barycentric_many(coords, pts)
             diff = np.asarray(spec.exact(side)(pts), dtype=float) - np.einsum("ki,ki->k", lam, uh)
             e0_int.add(w * diff * diff)
-            gdiff_sq = _grad_error_sq(spec, side, mesh, elems, uh, pts)
+            grads = np.repeat(mesh.grads(elems), counts, axis=0)
+            gdiff_sq = _grad_error_sq(spec, side, uh, grads, pts)
             grad_int.add(w * gdiff_sq)
             diff_max = np.maximum(diff_max, np.max(np.abs(diff), initial=0.0))
             gdiff_max = np.maximum(gdiff_max, np.max(gdiff_sq, initial=0.0))
@@ -166,11 +168,12 @@ def error_report(spec: ProblemSpec, u_h: FieldPair) -> ErrorReport:
     )
 
 
-def _grad_error_sq(spec: ProblemSpec, side: str, mesh: Mesh, elems: np.ndarray,
-                  uh: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """|grad u - grad u_h|^2 at the points ``pts`` of a side, each in its
-    element of ``elems`` whose three coefficients of u_h are the row of ``uh``."""
-    grad_h = np.einsum("ki,kid->kd", uh, mesh.grads(elems))
+def _grad_error_sq(spec: ProblemSpec, side: str, uh: np.ndarray, grads: np.ndarray,
+                  pts: np.ndarray) -> np.ndarray:
+    """|grad u - grad u_h|^2 at the points ``pts`` of a side, each in an
+    element whose three coefficients of u_h are the row of ``uh`` and whose
+    P1 basis gradients are the row of ``grads``."""
+    grad_h = np.einsum("ki,kid->kd", uh, grads)
     d = np.asarray(spec.grad(side)(pts), dtype=float) - grad_h
     # the sum along axis 1 of the squares, several times faster
     return d[:, 0] ** 2 + d[:, 1] ** 2

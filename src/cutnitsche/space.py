@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cutcell import CutTopology
-from .mesh import Mesh, barycentric_many, blocks
+from .mesh import Mesh, barycentric_many, node_any
 
 __all__ = ["SpaceLayout", "FieldPair", "build_spaces", "interpolate_pair"]
 
@@ -98,11 +98,7 @@ def build_spaces(topo: CutTopology) -> SpaceLayout:
     mesh = topo.mesh
     node_dof, dof_node = {}, {}
     for side in ("minus", "plus"):
-        has = np.zeros(mesh.n_nodes, dtype=bool)
-        elems = np.flatnonzero(topo.in_side(side))
-        for block in blocks(elems.size):
-            has[mesh.elements(elems[block])] = True
-        dof_node[side] = np.flatnonzero(has)
+        dof_node[side] = np.flatnonzero(node_any(topo.in_side(side), mesh.n_cells))
         node_dof[side] = np.full(mesh.n_nodes, -1, dtype=np.int64)
         node_dof[side][dof_node[side]] = np.arange(dof_node[side].shape[0])
 

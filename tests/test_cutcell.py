@@ -1,19 +1,21 @@
 """Cut-cell geometry: chord clipping, quadrature, and ghost edge sets."""
+import dataclasses
 import logging
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cutnitsche import mesh as mesh_module
 from cutnitsche.cutcell import (BISECTION_STEPS, DEGENERATE_CHORD_FACTOR, GAUSS2_OFFSET,
                                 MULTI_ROOT_SAMPLES, ROOT_PHI_TOL, ROOT_WIDTH_TOL,
-                                _fan_rule, _polygon_area, _scan_edges,
-                                _split, classify, dump_cut_cells)
+                                _band_edges, _bisect, _crossing, _fan_rule, _polygon_area,
+                                _scan_edges, _split, classify, dump_cut_cells)
 from cutnitsche.levelset import (CoarseMeshError, GeometryError, LevelSet,
                                  make_circle, make_flower)
-from cutnitsche.mesh import BLOCK, build_mesh
+from cutnitsche.mesh import BLOCK, build_mesh, elem_any
+from cutnitsche.space import build_spaces
 
 
 def plane(c, axis=0, scale=1.0, simple=True):
@@ -386,6 +388,176 @@ def test_flower_scan_memory(level):
         tracemalloc.stop()
     assert np.any(multi)
     assert peak <= 2 * 1024 ** 2
+
+
+def test_non_finite_level_set_is_refused():
+    # NaN at the node next to the origin and inf at a later one: the first
+    # is named before any pass, where a cast would give that node a side
+    mesh = build_mesh(2)
+    circle = make_circle(radius=0.5)
+    nan_node = int(np.argmin(np.hypot(*mesh.nodes.T)))
+    inf_node = nan_node + 5
+    calls = []
+
+    def phi(x):
+        calls.append(x.shape)
+        v = circle.phi(x)
+        v = np.where(np.all(x == mesh.nodes[nan_node], axis=-1), np.nan, v)
+        return np.where(np.all(x == mesh.nodes[inf_node], axis=-1), np.inf, v)
+
+    ls = LevelSet(phi=phi, grad=circle.grad, name="circle-nan", lipschitz=1.0)
+    with pytest.raises(GeometryError, match=f"level set is nan at node {nan_node} "):
+        classify(mesh, ls)
+    assert calls == [mesh.nodes.shape]
+    inf_only = LevelSet(phi=lambda x: np.where(np.isnan(phi(x)), 0.25, phi(x)),
+                        grad=circle.grad, name="circle-inf")
+    with pytest.raises(GeometryError, match=f"level set is inf at node {inf_node} "):
+        classify(mesh, inf_only)
+
+
+# -- grid slices against gathers ----------------------------------------------
+# The element flags, the crossing mask, the scan band and the nodes of each
+# side were gathered per element and per edge through ``mesh.elements`` and
+# ``mesh.edges``; these are those loops.
+
+def ref_elem_flags(mesh, sign):
+    esign = np.empty((mesh.n_elems, 3), dtype=np.int8)
+    for lo in range(0, mesh.n_elems, BLOCK):
+        esign[lo:lo + BLOCK] = sign[mesh.elements(slice(lo, lo + BLOCK))]
+    return np.any(esign < 0, axis=1), np.any(esign > 0, axis=1)
+
+
+def ref_crossing(mesh, sign):
+    ends = sign[mesh.edges(slice(None))]
+    return ends[:, 0] * ends[:, 1] < 0
+
+
+def ref_band(mesh, ls, psi):
+    bound = np.inf if ls.lipschitz is None else 2.0 * ls.lipschitz
+    ends = mesh.edges(slice(None))
+    end_sum = np.abs(np.take(psi, ends[:, 0])) + np.abs(np.take(psi, ends[:, 1]))
+    return np.flatnonzero(end_sum <= bound * mesh.edge_lengths(slice(None)))
+
+
+def ref_side_nodes(topo, side):
+    has = np.zeros(topo.mesh.n_nodes, dtype=bool)
+    has[topo.mesh.elements(np.flatnonzero(topo.in_side(side)))] = True
+    return np.flatnonzero(has)
+
+
+def off_centre_circle(cx, cy, r):
+    return LevelSet(phi=lambda x: np.hypot(x[..., 0] - cx, x[..., 1] - cy) - r,
+                    simple=True, name=f"circle[{cx},{cy},{r}]", lipschitz=1.0)
+
+
+def line_through_node(node, a, b):
+    """Line through a grid node: the nodes on it get phi exactly 0 when
+    (a, b) is axis-aligned, and within the snap otherwise."""
+    x0, y0 = node
+    return LevelSet(phi=lambda x: a * (x[..., 0] - x0) + b * (x[..., 1] - y0),
+                    simple=False, name=f"line[{a},{b}]", lipschitz=float(np.hypot(a, b)))
+
+
+@st.composite
+def level_sets(draw, level):
+    kind = draw(st.sampled_from(["circle", "line", "flower"]))
+    if kind == "flower":
+        return make_flower(draw(st.sampled_from(["minus", "plus"])))
+    if kind == "circle":
+        cx, cy = (draw(st.floats(-0.5, 0.5)) for _ in range(2))
+        return off_centre_circle(cx, cy, draw(st.floats(0.05, 0.9)))
+    mesh = build_mesh(level)
+    node = mesh.nodes[draw(st.integers(0, mesh.n_nodes - 1))]
+    a, b = draw(st.sampled_from([(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, -1.0),
+                                 (2.0, 1.0), (0.5, -3.0)]))
+    return line_through_node(node, a, b)
+
+
+@settings(max_examples=150)
+@given(st.data(), st.integers(1, 4), st.sampled_from([7, 75, BLOCK]))
+def test_grid_slices_match_gathers(data, level, block):
+    ls = data.draw(level_sets(level))
+    mesh = build_mesh(level)
+    n = mesh.n_cells
+    psi = np.asarray(ls.side_sign(mesh.nodes), dtype=float)
+    sign = np.where(np.abs(psi) <= 1e-12 * mesh.h, 0, np.sign(psi)).astype(np.int8)
+    has_neg, has_pos = ref_elem_flags(mesh, sign)
+    try:
+        mesh_module.BLOCK = block
+        grid = sign.reshape(n + 1, n + 1)
+        assert np.array_equal(elem_any(grid < 0), has_neg)
+        assert np.array_equal(elem_any(grid > 0), has_pos)
+        assert np.array_equal(_crossing(grid), ref_crossing(mesh, sign))
+        chunks = list(_band_edges(mesh, ls, psi))
+    finally:
+        mesh_module.BLOCK = BLOCK
+    assert all(c.size <= max(block, 3 * n + 1) for c in chunks)
+    assert np.array_equal(np.concatenate(chunks), ref_band(mesh, ls, psi))
+    # the nodes of each side, on the element sides of this interface
+    elem_side = np.where(has_pos, 1, -1).astype(np.int8)
+    elem_side[has_neg & has_pos] = 0
+    topo = dataclasses.replace(classify(mesh, make_circle()), elem_side=elem_side)
+    layout = build_spaces(topo)
+    for side in ("minus", "plus"):
+        assert np.array_equal(layout.dof_node(side), ref_side_nodes(topo, side))
+
+
+def ref_bisect_compacting(ls, pa, pb, fa):
+    """``_bisect`` as it compacted the live segments every step."""
+    d = pb - pa
+    scale = np.hypot(d[:, 0], d[:, 1])
+    width_tol = ROOT_WIDTH_TOL / np.maximum(scale, 1e-300)
+    eps = np.finfo(float).eps
+    ta, tb = np.zeros(fa.shape[0]), np.ones(fa.shape[0])
+    fa = fa.copy()
+    t = np.full(fa.shape[0], np.nan)
+
+    def side_sign(i, tm):
+        return np.asarray(ls.side_sign(pa[i] + tm[:, None] * d[i]), dtype=float)
+
+    live = np.arange(fa.shape[0])
+    for _ in range(BISECTION_STEPS):
+        if not live.size:
+            break
+        tm = 0.5 * (ta[live] + tb[live])
+        fm = side_sign(live, tm)
+        hit = (fm == 0.0) | ((np.abs(fm) <= ROOT_PHI_TOL)
+                             & ((tb[live] - ta[live]) * scale[live] <= ROOT_WIDTH_TOL))
+        t[live[hit]] = tm[hit]
+        live, tm, fm = live[~hit], tm[~hit], fm[~hit]
+        lower = fa[live] * fm < 0.0
+        tb[live[lower]] = tm[lower]
+        ta[live[~lower]] = tm[~lower]
+        fa[live[~lower]] = fm[~lower]
+        width = tb[live] - ta[live]
+        live = live[(width > width_tol[live]) | (width > eps)]
+    rest = np.flatnonzero(np.isnan(t))
+    tm = 0.5 * (ta[rest] + tb[rest])
+    ok = np.abs(side_sign(rest, tm)) <= ROOT_PHI_TOL
+    t[rest[ok]] = tm[ok]
+    return t
+
+
+BISECT_CASES = ([(lv, make_circle(inclusion_side=side)) for side in ("minus", "plus")
+                 for lv in (1, 3, 5)]
+                + [(lv, make_flower()) for lv in (2, 4, 5)]
+                + [(1, plane(-1e-16, scale=1e6, simple=False))])
+
+
+@pytest.mark.parametrize("level,ls", BISECT_CASES,
+                         ids=[f"{ls.name}-{ls.inclusion_side}-L{lv}" for lv, ls in BISECT_CASES])
+def test_lockstep_bisection_matches_compacting_loop(level, ls):
+    mesh = build_mesh(level)
+    psi = np.asarray(ls.side_sign(mesh.nodes), dtype=float)
+    ends = mesh.edges(slice(None))
+    cross = np.flatnonzero(psi[ends[:, 0]] * psi[ends[:, 1]] < 0)
+    pa, pb = mesh.nodes[ends[cross, 0]], mesh.nodes[ends[cross, 1]]
+    got = _bisect(ls, pa, pb, psi[ends[cross, 0]])
+    want = ref_bisect_compacting(ls, pa, pb, psi[ends[cross, 0]])
+    assert cross.size and got.tobytes() == want.tobytes()
+    # the flower's segments through its pinch and the steep plane's fail:
+    # NaN in both, where the compacting loop dropped them early
+    assert np.isnan(got).any() == (not ls.simple)
 
 
 def split_one(coords, signs, roots):
