@@ -139,11 +139,12 @@ def solve_configs():
         if kind == "convergence":
             for level in _STUDY_LEVELS:
                 yield f"{name}/L{level}", config, level
-        else:
+        elif kind == "contrast":
             for rho_minus, rho_plus in CONTRAST_PAIRS:
                 cfg = dataclasses.replace(config, rho_minus=rho_minus, rho_plus=rho_plus)
                 yield f"{name}/{rho_minus:g},{rho_plus:g}", cfg, config.level
-    yield "patch_test", RunConfig(example="patch", level=3), 3
+        else:
+            yield name, config, config.level
 
 
 def main() -> int:

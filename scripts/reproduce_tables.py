@@ -7,7 +7,6 @@ the linear patch test.  Each table is printed as markdown and written as
 CSV next to the chosen output directory.
 """
 import argparse
-import dataclasses
 import pathlib
 import sys
 import time
@@ -41,6 +40,10 @@ TABLES = (
      "Contrast sweep at the finest level, flower interface",
      "contrast",
      RunConfig(example="2", level=5)),
+    ("patch_test",
+     "Linear patch test (all errors should be at round-off)",
+     "solve",
+     RunConfig(example="patch", level=3)),
 )
 
 
@@ -55,31 +58,26 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     wanted = tuple(t for t in args.only.split(",") if t)
+    chosen = [t for t in TABLES if not wanted or any(t[0].startswith(w) for w in wanted)]
+    if not chosen:
+        print(f"--only {args.only}: no table name starts with it", file=sys.stderr)
+        return 2
 
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    for name, title, kind, config in TABLES:
-        if wanted and not any(name.startswith(w) for w in wanted):
-            continue
+    for name, title, kind, config in chosen:
         t0 = time.perf_counter()
         if kind == "convergence":
             table = run_convergence(config, levels=args.levels)
-        else:
+        elif kind == "contrast":
             table = run_contrast_sweep(config, pairs=CONTRAST_PAIRS)
+        else:
+            table = solve_table(run_solve(config))
         dt = time.perf_counter() - t0
         print(f"\n## {title}  ({dt:.1f}s)\n")
         print(table.to_markdown())
         path = outdir / f"{name}.csv"
-        path.write_text(table.to_csv())
-        print(f"-> {path}")
-
-    if not wanted or any("patch".startswith(w) for w in wanted):
-        result = run_solve(RunConfig(example="patch", level=3))
-        table = solve_table(result)
-        print("\n## Linear patch test (all errors should be at round-off)\n")
-        print(table.to_markdown())
-        path = outdir / "patch_test.csv"
         path.write_text(table.to_csv())
         print(f"-> {path}")
     return 0

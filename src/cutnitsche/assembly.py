@@ -7,15 +7,17 @@ penalty on edges of the cut bands.  The same parts are reused for the
 energy-norm Gram matrix so that diagnostics share the quadrature with
 the solver.
 
-Every part is filled straight into its CSR arrays (``CsrFill``), with no
-COO step.  Each row gets its entries in input order, as scipy's COO to
-CSR conversion (``coo_tocsr``) buckets them; scipy's ``sum_duplicates``
-then sorts and sums each row as that conversion does.  A row's sum
-depends on that order, so keeping it keeps every matrix bit for bit.
+Every matrix is filled straight into its CSR arrays, ``BLOCK`` rows at
+a time (``element_rows``), with no COO step.  Each row gets its entries
+in input order, as scipy's COO to CSR conversion (``coo_tocsr``)
+buckets them; scipy's ``sum_duplicates`` then sorts and sums each row as
+that conversion does.  A row's sum depends on that order, so keeping it
+keeps every matrix bit for bit.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -52,33 +54,33 @@ class SparseSystem:
 class CsrFill:
     """A CSR matrix filled in place, in two passes and without a COO step.
 
-    The constructor counts the entries of each row from the row indices
+    The constructor counts the entries of each row from the DOF maps
     alone and allocates the unsummed CSR: int32 ``indptr`` and
-    ``indices``, float64 ``data``, 12 B an entry.  ``add`` and
-    ``add_local`` then write each entry into its row's next free slot:
-    the stable bucket sort by row of scipy's ``coo_tocsr``, however the
-    entries are split into calls.  ``tocsr`` sums duplicates with scipy's
-    ``sum_duplicates``, as scipy's COO to CSR conversion does, so the
-    result matches converting the same entries from COO byte for byte.
+    ``indices``, float64 ``data``, 12 B an entry.  ``add_local`` then
+    writes each entry into its row's next free slot: the stable bucket
+    sort by row of scipy's ``coo_tocsr``, however the entries are split
+    into calls.  ``tocsr`` sums duplicates with scipy's ``sum_duplicates``,
+    as scipy's COO to CSR conversion does, so the result matches
+    converting the same entries from COO byte for byte.
     """
 
-    def __init__(self, shape: tuple[int, int], row_groups, first_row: int = 0):
-        """``row_groups``: (rows, width) pairs, consumed once; each index
-        in ``rows`` will receive ``width`` entries.  Each group costs its
-        size plus the span of its rows.  Row ``first_row + i`` of the
-        arguments is row ``i`` of the fill, a window of a larger matrix;
-        entries of other rows go to ``width`` spare slots past the end."""
+    def __init__(self, shape: tuple[int, int], dof_groups, first_row: int = 0):
+        """``dof_groups``: (k, m) DOF maps, consumed once; each row index
+        in one will receive m entries.  Each map costs its size plus the
+        span of its rows.  Row ``first_row + i`` of the arguments is row
+        ``i`` of the fill, a window of a larger matrix; entries of other
+        rows go to m spare slots past the end."""
         self.shape = shape
         self.first_row = first_row
         # row i counts in bucket i + 1, rows before and after the window in the first and last
         counts = np.zeros(shape[0] + 2, dtype=np.int64)
         spare = 0
-        for rows, width in row_groups:
-            if rows.size:
-                key, lo, _, _ = self._keys(rows.ravel())
+        for dofs in dof_groups:
+            if dofs.size:
+                key, lo, _, _ = self._keys(dofs.ravel())
                 span = np.bincount(key - lo)
-                counts[lo:lo + span.size] += width * span
-                spare = max(spare, width)
+                counts[lo:lo + span.size] += dofs.shape[1] * span
+                spare = max(spare, dofs.shape[1])
         if counts[1:-1].sum() > np.iinfo(np.int32).max:
             raise OverflowError("more entries than int32 CSR indices can address")
         self.indptr = np.zeros(shape[0] + 1, dtype=np.int32)
@@ -123,31 +125,15 @@ class CsrFill:
             np.minimum(rank, self.end, out=rank)
         return rank
 
-    def add(self, rows, cols, vals) -> None:
-        """Append ``cols[p]`` and ``vals[p]``, (width,) each, to row
-        ``rows[p]``, for p in order."""
-        if rows.size:
-            slot = self._slots(rows, cols.shape[1])
-            for j in range(cols.shape[1]):
-                self.indices[slot + j] = cols[:, j]
-                self.data[slot + j] = vals[:, j]
-
     def add_local(self, dofs, local) -> None:
         """Dense local matrices ``local`` (k, m, m) at global dofs (k, m):
-        ``add`` of rows ``dofs[e, i]`` with ``local[e, i, :]`` at columns
-        ``dofs[e, :]``, element-major, row-major within an element.  One
-        scatter per local entry (i, j) keeps every array operation k long;
-        it is fastest where ``local[:, i, j]`` is contiguous."""
+        row ``dofs[e, i]`` gets ``local[e, i, :]`` at columns ``dofs[e, :]``,
+        element-major, row-major within an element."""
         k, m = dofs.shape
-        if not k:
-            return
-        slot = self._slots(dofs.ravel(), m).reshape(k, m).T
-        cols = dofs.T.astype(np.int32)
-        for i in range(m):
-            for j in range(m):
-                dest = slot[i] + j
-                self.indices[dest] = cols[j]
-                self.data[dest] = local[:, i, j]
+        if k:
+            slot = self._slots(dofs.ravel(), m).reshape(k, m, 1) + np.arange(m)
+            self.indices[slot] = dofs[:, None, :]
+            self.data[slot] = local
 
     def tocsr(self) -> sp.csr_matrix:
         """The summed matrix.  The fill hands its arrays over, so the
@@ -157,14 +143,6 @@ class CsrFill:
         del self.data, self.indices, self.indptr, self.next
         matrix.sum_duplicates()
         return matrix
-
-
-def local_csr(n: int, dofs, local) -> sp.csr_matrix:
-    """n x n CSR of dense local matrices (k, m, m) at global dofs (k, m),
-    duplicates summed."""
-    fill = CsrFill((n, n), [(dofs, dofs.shape[1])])
-    fill.add_local(dofs, local)
-    return fill.tocsr()
 
 
 def _cut_blocks(layout: SpaceLayout):
@@ -214,7 +192,7 @@ def element_rows(n: int, lo: int, hi: int, groups) -> sp.csr_matrix:
     """
     passes = [(ids[b], dofs_of(ids[b]), local_of)
               for ids, dofs_of, local_of in groups for b in blocks(ids.size, 3)]
-    fill = CsrFill((hi - lo, n), [(dofs, dofs.shape[1]) for _, dofs, _ in passes], first_row=lo)
+    fill = CsrFill((hi - lo, n), [dofs for _, dofs, _ in passes], first_row=lo)
     for ids, dofs, local_of in passes:
         fill.add_local(dofs, local_of(ids))
     return fill.tocsr()
@@ -242,24 +220,45 @@ def stack_rows(windows, shape: tuple[int, int]) -> sp.csr_matrix:
     return sp.csr_matrix((data, indices, indptr), shape=shape)
 
 
+def stacked(n: int, rows_of) -> sp.csr_matrix:
+    """The n x n CSR whose rows ``lo:hi`` are ``rows_of(lo, hi)``, built
+    ``BLOCK`` rows at a time and stacked by ``stack_rows``."""
+    return stack_rows((rows_of(b.start, b.stop) for b in blocks(n)), (n, n))
+
+
+def window_elems(mesh, dof_node: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Increasing ids of the elements that can hold a DOF in ``lo:hi`` of
+    a numbering in node order, ``dof_node`` the node of each DOF: those
+    near the first and last node of the window, clipped to the numbering."""
+    first, last = max(lo, 0), min(hi, dof_node.size) - 1
+    if first > last:
+        return np.empty(0, dtype=np.int64)
+    return mesh.elems_near(dof_node[first], dof_node[last])
+
+
 def _volume(layout: SpaceLayout, spec: ProblemSpec, lo: int, hi: int) -> sp.csr_matrix:
     """Rows ``lo:hi`` of the subdomain stiffness, the ``volume`` part: P1
     gradients are constant, only the clipped area of each element enters.
-    Each side numbers its DOFs in node order, so the elements that can
-    touch the window are those near its first and last node."""
+    Each side numbers its DOFs in node order, so ``window_elems`` finds
+    the elements that can touch the window."""
     mesh, topo = layout.mesh, layout.topo
     groups = []
     for side, offset in (("minus", 0), ("plus", layout.n_minus)):
-        node = layout.dof_node(side)
-        first, last = max(lo - offset, 0), min(hi - offset, node.size) - 1
-        if first > last:
-            continue
-        near = mesh.elems_near(node[first], node[last])
+        near = window_elems(mesh, layout.dof_node(side), lo - offset, hi - offset)
         groups.append((near[topo.in_side(side, near)],
                        lambda ids, side=side: layout.global_dofs(side, mesh.elements(ids)),
                        lambda ids, side=side: _stiffness(spec.rho(side) * topo.area(side, ids),
                                                          mesh.grads(ids))))
     return element_rows(layout.n_total, lo, hi, groups)
+
+
+def part_rows(n: int, part, lo: int, hi: int) -> sp.csr_matrix:
+    """Rows ``lo:hi`` of the n x n sum of a cut part, the DOFs (k, m) and
+    local matrices (k, m, m) of its elements or ghost edges: those with a
+    DOF in the window, in the order of the part."""
+    dofs, local = part
+    ids = np.flatnonzero(((dofs >= lo) & (dofs < hi)).any(axis=1))
+    return element_rows(n, lo, hi, [(ids, dofs.__getitem__, local.__getitem__)])
 
 
 def assemble_parts(layout: SpaceLayout, spec: ProblemSpec) -> dict:
@@ -268,41 +267,46 @@ def assemble_parts(layout: SpaceLayout, spec: ProblemSpec) -> dict:
     ``penalty_base`` (includes 1/h_T but no coefficient),
     ``ghost_minus``/``ghost_plus`` (include rho and |e|^2 but no gamma_g).
 
-    Each part is filled by ``CsrFill``: the unsummed CSR (12 B an entry)
-    is allocated from counts of the DOF maps, then filled; the volume part
-    ``BLOCK`` rows at a time (``_volume``), stacked by ``stack_rows``.
-    Entries land in each row in the order of scipy's ``coo_tocsr``,
-    element-major and row-major within an element, so the parts are
-    bit-identical to converting the same entries from COO, whatever the
-    block size.
+    Each part is stacked from windows of ``BLOCK`` rows (``stacked``),
+    each filled by ``element_rows`` from the elements that can touch it:
+    the volume part's (``_volume``) and those of the other parts with a
+    DOF in it (``part_rows``).  Entries land in each row in the order of
+    scipy's ``coo_tocsr``, element-major and row-major within an element,
+    so the parts are bit-identical to converting the same entries from
+    COO, whatever the block size.
     """
     n = layout.n_total
-    volume = stack_rows((_volume(layout, spec, b.start, b.stop) for b in blocks(n)), (n, n))
-    return {"volume": volume, **_cut_parts(layout, spec)}
+    # first: while it is built, the cut parts' locals would raise its peak
+    volume = stacked(n, partial(_volume, layout, spec))
+    return {"volume": volume, **{name: stacked(n, partial(part_rows, n, part))
+                                 for name, part in _cut_parts(layout, spec).items()}}
+
+
+def _normal_flux(spec: ProblemSpec, gn: np.ndarray) -> np.ndarray:
+    """``w rho grad(phi_i) . n`` of the six DOFs of each cut element, minus
+    then plus, from the normal derivatives ``gn`` (ncut, 3): (ncut, 6),
+    constant per element."""
+    w_minus, w_plus = spec.flux_weights()
+    return np.concatenate([w_minus * spec.rho_minus * gn, w_plus * spec.rho_plus * gn], axis=1)
 
 
 def _cut_parts(layout: SpaceLayout, spec: ProblemSpec) -> dict:
-    """The parts of ``assemble_parts`` but the volume: those of the cut
-    elements and of the ghost edges."""
+    """The parts of ``assemble_parts`` but the volume, those of the cut
+    elements and of the ghost edges, each as its DOFs and local matrices."""
     _, gn, wts, _, jump, dofs, _ = _cut_blocks(layout)
-    w_minus, w_plus = spec.flux_weights()
-    flux = np.concatenate(
-        [w_minus * spec.rho_minus * gn, w_plus * spec.rho_plus * gn], axis=1
-    )  # (ncut, 6), constant per element
-    nit = np.einsum("kq,kqi,kj->kij", wts, jump, flux)
-    n = layout.n_total
+    nit = np.einsum("kq,kqi,kj->kij", wts, jump, _normal_flux(spec, gn))
     return {
-        "nitsche": local_csr(n, dofs, nit + nit.transpose(0, 2, 1)),
-        "penalty_base": local_csr(
-            n, dofs, np.einsum("kq,kqi,kqj->kij", wts, jump, jump) / layout.mesh.h_elem),
+        "nitsche": (dofs, nit + nit.transpose(0, 2, 1)),
+        "penalty_base": (dofs, np.einsum("kq,kqi,kqj->kij", wts, jump, jump) / layout.mesh.h_elem),
         "ghost_minus": _ghost_part(layout, spec, "minus"),
         "ghost_plus": _ghost_part(layout, spec, "plus"),
     }
 
 
-def _ghost_part(layout: SpaceLayout, spec: ProblemSpec, side: str) -> sp.csr_matrix:
+def _ghost_part(layout: SpaceLayout, spec: ProblemSpec, side: str):
     """Gradient-jump ghost penalty of one side, with rho and |e|^2 but no
-    gamma_g: the ``ghost_minus``/``ghost_plus`` part of ``assemble_parts``."""
+    gamma_g, the ``ghost_minus``/``ghost_plus`` part of ``assemble_parts``:
+    the DOFs (k, 6) and local matrices (k, 6, 6) of its edges."""
     mesh, topo = layout.mesh, layout.topo
     edges = topo.ghost_minus if side == "minus" else topo.ghost_plus
     e1, e2, elen, ne = edge_frame(mesh, edges)
@@ -315,7 +319,7 @@ def _ghost_part(layout: SpaceLayout, spec: ProblemSpec, side: str) -> sp.csr_mat
         [layout.global_dofs(side, mesh.elements(e1)),
          layout.global_dofs(side, mesh.elements(e2))], axis=1
     )
-    return local_csr(layout.n_total, dofs, local)
+    return dofs, local
 
 
 def assemble_vnorm_gram(layout: SpaceLayout, spec: ProblemSpec) -> sp.csr_matrix:
@@ -363,10 +367,7 @@ def assemble_load(layout: SpaceLayout, spec: ProblemSpec) -> np.ndarray:
             alpha = np.stack([np.asarray(spec.jump_value(pts[:, q, :]), dtype=float)
                               for q in range(2)], axis=1)
             wa = wts * alpha
-            flux = np.concatenate(
-                [w_minus * spec.rho_minus * gn, w_plus * spec.rho_plus * gn], axis=1
-            )
-            loc = np.sum(wa, axis=1)[:, None] * flux
+            loc = np.sum(wa, axis=1)[:, None] * _normal_flux(spec, gn)
             loc += (spec.gamma * spec.penalty_rho() / h_t) * np.einsum("kq,kqi->ki", wa, jump)
             np.add.at(b, dofs.ravel(), loc.ravel())
     return b
@@ -380,14 +381,14 @@ def _free_sum(layout: SpaceLayout, spec: ProblemSpec, terms, lifting=None,
     row loses the row's product with the Dirichlet values of ``lifting``.
 
     Built ``BLOCK`` full-DOF rows at a time: the window's rows of the
-    volume part (``_volume``) plus those of each term, then its free rows
-    and columns.  Each step computes a row from that row alone, so the sum
-    is the whole-matrix one bit for bit, and no whole-matrix sum is held.
+    volume part (``_volume``) plus those of each term (``part_rows``),
+    then its free rows and columns.  Each step computes a row from that
+    row alone, so the sum is the whole-matrix one bit for bit, and no
+    whole-matrix sum is held.
     """
     n = layout.n_total
     cut = _cut_parts(layout, spec)
-    # the other parts as COO: 16 B an entry and no n + 1 indptr
-    terms = [(cut.pop(name).tocoo(), c) for name, c in terms]
+    terms = [(cut[name], c) for name, c in terms]
     del cut
     dirichlet = layout.dirichlet
     reduced = np.cumsum(~dirichlet, dtype=np.int32) - 1   # index of a free DOF among them
@@ -402,12 +403,12 @@ def _free_sum(layout: SpaceLayout, spec: ProblemSpec, terms, lifting=None,
         row = 0
         for lo, hi in ((b.start, b.stop) for b in blocks(n)):
             a = _volume(layout, spec, lo, hi)
-            spans = [(t, c, slice(*np.searchsorted(t.row, (lo, hi)))) for t, c in terms]
-            for t, c, w in spans:
-                if w.stop > w.start:
-                    a = a + sp.csr_matrix((c * t.data[w], (t.row[w] - lo, t.col[w])), shape=a.shape)
-            if all(w.stop == w.start for *_, w in spans):
-                a.eliminate_zeros()   # as adding a window without entries does
+            # sums drop explicit zeros, so a term without entries here adds nothing
+            a.eliminate_zeros()
+            for part, c in terms:
+                rows = part_rows(n, part, lo, hi)
+                if rows.nnz:
+                    a = a + c * rows
             a = a[~dirichlet[lo:hi]]
             dir_col = dirichlet[a.indices]
             if rhs is not None:

@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .assembly import (CsrFill, _ghost_part, _stiffness, assemble_vnorm_gram, build_system,
-                       element_rows, stack_rows)
+from .assembly import (_ghost_part, _stiffness, assemble_vnorm_gram, build_system, element_rows,
+                       part_rows, stacked, window_elems)
 # classify stays bound here by name: the benchmark's tracer tests check it
 from .cutcell import CutTopology, classify  # noqa: F401
 from .harness import RunConfig, Table, _geometry, make_problem
@@ -157,44 +158,37 @@ def _cutoff(dist: np.ndarray, eps: float) -> np.ndarray:
     return 1.0 - t * t * (3.0 - 2.0 * t)
 
 
-def _h1_matrices(mesh: Mesh, elems: np.ndarray | None = None, dofs=None):
-    """H1 Gram matrix, consistent mass plus stiffness, over a subset of
-    elements (all by default) in global node indexing, or in the indexing
-    of ``dofs``, a side's ``(node_dof, dof_node)`` whose nodes hold every
-    node of the elements.  The rows of ``BLOCK`` nodes at a time, windows
-    without a row skipped: the window's rows of the mass and of the
+def _h1_matrices(mesh: Mesh, elems: np.ndarray, dofs):
+    """H1 Gram matrix, consistent mass plus stiffness, over the elements
+    ``elems`` in the indexing of ``dofs``, a ``(node_dof, dof_node)``
+    numbering in node order whose nodes hold every node of the elements.
+    Windows of ``BLOCK`` rows take the elements near their first and last
+    node (``window_elems``); a window's rows of the mass and of the
     stiffness matrix come from ``element_rows`` and are added as the whole
     matrices are, so no whole-mesh unsummed CSR is held.  Rows and columns
-    follow node order either way, so the Gram in ``dofs`` is the
+    follow node order, so the Gram in a side's numbering is the
     node-indexed one restricted to the side's nodes, bit for bit."""
     mref = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    n = mesh.n_nodes if dofs is None else dofs[1].size
+    node_dof, dof_node = dofs
     chosen = np.zeros(mesh.n_elems, dtype=bool)
-    chosen[slice(None) if elems is None else elems] = True
-    rows_of = mesh.elements if dofs is None else (lambda t: dofs[0][mesh.elements(t)])
+    chosen[elems] = True
 
-    def windows():
-        for b in blocks(mesh.n_nodes):
-            lo, hi = ((b.start, b.stop) if dofs is None
-                      else np.searchsorted(dofs[1], (b.start, b.stop)).tolist())
-            if lo == hi:
-                continue
-            ids = mesh.elems_near(b.start, b.stop - 1)
-            ids = ids[chosen[ids]]
-            mass = element_rows(n, lo, hi, [(ids, rows_of,
-                                             lambda t: mesh.areas(t)[:, None, None] * mref)])
-            yield mass + element_rows(n, lo, hi, [(ids, rows_of, lambda t: _stiffness(
-                mesh.areas(t), mesh.grads(t)))])
+    def rows(lo, hi):
+        near = window_elems(mesh, dof_node, lo, hi)
+        group = (near[chosen[near]], lambda t: node_dof[mesh.elements(t)])
+        mass = element_rows(dof_node.size, lo, hi,
+                            [(*group, lambda t: mesh.areas(t)[:, None, None] * mref)])
+        return mass + element_rows(dof_node.size, lo, hi, [(*group, lambda t: _stiffness(
+            mesh.areas(t), mesh.grads(t)))])
 
-    return stack_rows(windows(), (n, n))
+    return stacked(dof_node.size, rows)
 
 
 def _pointwise(dofs: np.ndarray, vals: np.ndarray, n_cols: int) -> scipy.sparse.csr_matrix:
     """(k, n_cols) CSR whose row p holds ``vals[p]`` at columns ``dofs[p]``."""
-    rows = np.arange(dofs.shape[0])
-    fill = CsrFill((rows.size, n_cols), [(rows, dofs.shape[1])])
-    fill.add(rows, dofs, vals)
-    return fill.tocsr()
+    k, m = dofs.shape
+    return scipy.sparse.coo_matrix((vals.ravel(), (np.repeat(np.arange(k), m), dofs.ravel())),
+                                   shape=(k, n_cols)).tocsr()
 
 
 @dataclass(frozen=True)
@@ -256,14 +250,18 @@ def build_extension(layout: SpaceLayout) -> ExtensionOperator:
         raise GeometryError(f"reflected point {bad.tolist()} lies outside the plus-side mesh")
     owner = owner[live]
     coef = (wts[live] * eta[live] / total[owner])[:, None] * lams
-    kept, near = np.flatnonzero(keep), cand[owner]
-    fill = CsrFill((mesh.n_nodes, layout.n_plus), [(kept, 1), (near, 3)])
-    fill.add(kept, layout.node_dof_plus[kept][:, None], np.ones((kept.size, 1)))
-    fill.add(near, layout.node_dof_plus[mesh.elements(elems)], coef)
+    # the kept and the reflected nodes' rows are disjoint
+    kept = np.flatnonzero(keep)
+    rows = np.concatenate([kept, np.repeat(cand[owner], 3)])
+    cols = layout.node_dof_plus[np.concatenate([kept, mesh.elements(elems).ravel()])]
+    vals = np.concatenate([np.ones(kept.size), coef.ravel()])
+    matrix = scipy.sparse.coo_matrix((vals, (rows, cols)),
+                                     shape=(mesh.n_nodes, layout.n_plus)).tocsr()
+    nodes = np.arange(mesh.n_nodes)
+    h1_full = _h1_matrices(mesh, np.arange(mesh.n_elems), (nodes, nodes))
     h1_plus = _h1_matrices(mesh, np.flatnonzero(topo.in_side("plus")),
                            (layout.node_dof_plus, layout.dof_node_plus))
-    return ExtensionOperator(matrix=fill.tocsr(), h1_full=_h1_matrices(mesh),
-                             h1_plus=h1_plus)
+    return ExtensionOperator(matrix=matrix, h1_full=h1_full, h1_plus=h1_plus)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +320,8 @@ def _extension_blocks(levels):
         h1_phys = (basis_val.T @ wdiag @ basis_val
                    + gx.T @ wdiag @ gx + gy.T @ wdiag @ gy)
 
-        ghost = _ghost_part(layout, spec, "plus")
+        ghost = stacked(layout.n_total,
+                        partial(part_rows, layout.n_total, _ghost_part(layout, spec, "plus")))
 
         rng = np.random.default_rng(_EXTENSION_SEED)
         best_ext, best_trace = 0.0, 0.0

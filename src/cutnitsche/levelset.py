@@ -20,9 +20,6 @@ __all__ = [
     "GeometryError",
 ]
 
-DOMAIN_DIAMETER = 2.0 * np.sqrt(2.0)
-FD_STEP = 1e-6 * DOMAIN_DIAMETER
-
 # half-width, in |phi|, of the band reflected through the interface
 _TUBE = 0.1
 # |phi| at which a projection onto the interface stops, and its step limit
@@ -40,7 +37,8 @@ class CoarseMeshError(GeometryError):
 
 @dataclass(frozen=True)
 class LevelSet:
-    """Implicit curve with optional analytic gradient.
+    """Implicit curve with optional analytic gradient, which its normals
+    and reflections through it need.
 
     ``phi`` and ``grad`` accept arrays of shape (..., 2) and return
     (...)-shaped values resp. (..., 2)-shaped gradients.  ``simple``
@@ -67,17 +65,9 @@ class LevelSet:
         return self.phi(np.asarray(x, dtype=float))
 
     def gradient(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.grad is not None:
-            return self.grad(x)
-        g = np.empty(x.shape)
-        for k in (0, 1):
-            xp = x.copy()
-            xm = x.copy()
-            xp[..., k] += FD_STEP
-            xm[..., k] -= FD_STEP
-            g[..., k] = (self.phi(xp) - self.phi(xm)) / (2.0 * FD_STEP)
-        return g
+        if self.grad is None:
+            raise ValueError(f"level set {self.name!r} has no gradient")
+        return self.grad(np.asarray(x, dtype=float))
 
     def normal_minus(self, x):
         """Unit normal pointing from the physical minus into the plus side."""

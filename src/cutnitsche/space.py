@@ -8,7 +8,6 @@ outer boundary; they are eliminated from the solved system.
 """
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,7 +65,12 @@ class SpaceLayout:
         return np.where(d >= 0, d + self.n_minus, -1)
 
     def outer_side(self) -> str:
-        return "plus" if self.topo.levelset.inclusion_side == "minus" else "minus"
+        return _outer_side(self.topo)
+
+
+def _outer_side(topo: CutTopology) -> str:
+    """The side whose subdomain reaches the outer boundary."""
+    return "plus" if topo.levelset.inclusion_side == "minus" else "minus"
 
 
 @dataclass
@@ -96,28 +100,24 @@ def build_spaces(topo: CutTopology) -> SpaceLayout:
     Every later stage takes the mesh and the topology from the layout.
     """
     mesh = topo.mesh
-    node_dof, dof_node = {}, {}
+    node_dof, dof_node, dirichlet = {}, {}, {}
+    outer = _outer_side(topo)
     for side in ("minus", "plus"):
         dof_node[side] = np.flatnonzero(node_any(topo.in_side(side), mesh.n_cells))
         node_dof[side] = np.full(mesh.n_nodes, -1, dtype=np.int64)
         node_dof[side][dof_node[side]] = np.arange(dof_node[side].shape[0])
-
-    n_minus = dof_node["minus"].shape[0]
-    dirichlet = np.zeros(n_minus + dof_node["plus"].shape[0], dtype=bool)
-    layout = SpaceLayout(
+        # the boundary nodes of the outer side are Dirichlet
+        dirichlet[side] = mesh.boundary_node(dof_node[side]) & (side == outer)
+    flags = np.concatenate([dirichlet["minus"], dirichlet["plus"]])
+    return SpaceLayout(
         topo=topo,
         node_dof_minus=node_dof["minus"],
         node_dof_plus=node_dof["plus"],
         dof_node_minus=dof_node["minus"],
         dof_node_plus=dof_node["plus"],
-        dirichlet=dirichlet,
-        free_dofs=np.empty(0, dtype=np.int64),
+        dirichlet=flags,
+        free_dofs=np.flatnonzero(~flags),
     )
-    # the layout's own rule names the side whose boundary nodes are Dirichlet
-    outer = layout.outer_side()
-    outer_dofs = dirichlet[:n_minus] if outer == "minus" else dirichlet[n_minus:]
-    outer_dofs[mesh.boundary_node(dof_node[outer])] = True
-    return dataclasses.replace(layout, free_dofs=np.flatnonzero(~dirichlet))
 
 
 def interpolate_pair(layout: SpaceLayout, f_minus, f_plus) -> FieldPair:

@@ -11,6 +11,7 @@ Tracemalloc tests bound the extra memory of the blocked stages and of
 the assembly, and the memory classify's output keeps, at level 5.
 """
 import tracemalloc
+from functools import partial
 from math import ceil
 from types import SimpleNamespace
 
@@ -20,9 +21,9 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from cutnitsche import cutcell, mesh as mesh_module
-from cutnitsche.assembly import (CsrFill, SparseSystem, _cut_blocks, _stiffness, assemble_load,
+from cutnitsche.assembly import (SparseSystem, _cut_blocks, _stiffness, assemble_load,
                                  assemble_parts, assemble_vnorm_gram, build_system,
-                                 element_rows, expand_solution, local_csr)
+                                 element_rows, expand_solution, part_rows, stacked)
 from cutnitsche.cutcell import GAUSS2_OFFSET, _fan_rule, _polygon_area, classify
 from cutnitsche.harness import RunConfig, make_problem
 from cutnitsche.levelset import LevelSet
@@ -461,38 +462,48 @@ def test_parts_without_entries_match_the_coo_reference(small_blocks, side):
 
 def test_fill_without_entries_is_the_empty_coo_conversion():
     for m in (3, 6):
-        empty = local_csr(11, np.empty((0, m), dtype=np.int64), np.empty((0, m, m)))
-        assert_same_csr(empty, _Entries(0, m).tocsr(11))
-    assert_same_csr(CsrFill((11, 11), []).tocsr(), _Entries(0, 3).tocsr(11))
+        part = (np.empty((0, m), dtype=np.int64), np.empty((0, m, m)))
+        ref = _Entries(0, m).tocsr(11)
+        assert_same_csr(stacked(11, partial(part_rows, 11, part)), ref)
+        assert_same_csr(part_rows(11, part, 3, 8), ref[3:8])
+    assert_same_csr(element_rows(11, 0, 11, []), _Entries(0, 3).tocsr(11))
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1), n_rows=st.sampled_from([1, 9, 70_000, 300_000]),
-       width=st.integers(1, 4), n_items=st.integers(0, 200), n_calls=st.integers(1, 4),
-       window=st.booleans())
-def test_fill_matches_the_coo_conversion_however_split(seed, n_rows, width, n_items, n_calls,
-                                                       window):
-    # few distinct rows and columns, so rows repeat within and across calls
+       m=st.integers(1, 4), n_elems=st.integers(0, 200), n_groups=st.integers(1, 4),
+       block=st.sampled_from([3, 7, 30, 16384]), window=st.booleans())
+def test_fill_matches_the_coo_conversion_however_split(seed, n_rows, m, n_elems, n_groups,
+                                                       block, window):
+    # random local matrices at few distinct DOFs, so rows repeat within
+    # and across elements, groups and passes (BLOCK // 3 elements each)
     # and columns repeat within rows; row spans above 2**16 take two radix
     # passes.  A window [lo, hi) ends at drawn rows, so rows lie inside it
     # and on both sides of it
     rng = np.random.default_rng(seed)
-    rows = rng.choice(rng.integers(0, n_rows, 1 + n_items // 4), n_items)
-    cols = rng.integers(0, 5, (n_items, width))
-    vals = rng.standard_normal((n_items, width))
-    lo, hi = np.sort(rng.choice(np.append(rows, [0, n_rows]), 2)) if window else (0, n_rows)
-    fill = CsrFill((hi - lo, 5), [(rows, width)], first_row=lo)
-    for part in np.split(np.arange(n_items), np.sort(rng.integers(0, n_items + 1, n_calls - 1))):
-        fill.add(rows[part], cols[part], vals[part])
-    ref = sp.coo_matrix((vals.ravel(), (np.repeat(rows, width), cols.ravel())),
-                        shape=(n_rows, 5)).tocsr()
-    assert_same_csr(fill.tocsr(), ref[lo:hi] if window else ref)
+    dofs = rng.choice(rng.integers(0, n_rows, 1 + n_elems // 4), (n_elems, m))
+    local = rng.standard_normal((n_elems, m, m))
+    lo, hi = np.sort(rng.choice(np.append(dofs, [0, n_rows]), 2)) if window else (0, n_rows)
+    groups = [(ids, dofs.__getitem__, local.__getitem__) for ids in
+              np.split(np.arange(n_elems), np.sort(rng.integers(0, n_elems + 1, n_groups - 1)))]
+    saved = mesh_module.BLOCK
+    mesh_module.BLOCK = block
+    try:
+        rows = element_rows(n_rows, lo, hi, groups)
+    finally:
+        mesh_module.BLOCK = saved
+    entries = _Entries(n_elems, m)
+    entries.add(dofs, local)
+    assert_same_csr(rows, entries.tocsr(n_rows)[lo:hi])
 
 
 def assert_windows_match_the_whole_fill(n, dofs, local, rng):
     """``element_rows`` over windows of 200 and 5,000 rows against the
-    rows of one fill of all elements: each window gets the elements with a
-    DOF in it and a few with none, in the order of ``dofs``."""
-    whole = local_csr(n, dofs, local)
+    rows of the COO conversion of all elements: each window gets the
+    elements with a DOF in it and a few with none, in the order of
+    ``dofs``."""
+    entries = _Entries(*dofs.shape)
+    entries.add(dofs, local)
+    whole = entries.tocsr(n)
     for width in (200, 5000):
         for lo in range(0, n, width):
             hi = min(lo + width, n)

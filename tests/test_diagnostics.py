@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse
 
 from cutnitsche.assembly import assemble_vnorm_gram, build_system
+from cutnitsche import mesh as mesh_module
 from cutnitsche.cutcell import classify
 from cutnitsche.diagnostics import (_cutoff, _h1_matrices, _pointwise, build_extension,
                                     coercivity_probe,
@@ -238,20 +239,34 @@ def assert_same_csr(a, b):
         assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
 
 
-@pytest.mark.parametrize("level", [2, 3])
-def test_h1_matrices_match_the_coo_reference(level):
-    mesh = build_mesh(level)
-    topo = classify(mesh, make_circle(inclusion_side="plus"))
+def ref_h1(mesh, elems):
+    """Node-indexed H1 Gram of the elements, mass plus stiffness, each
+    through scipy's COO conversion."""
     n = mesh.n_nodes
-    for elems in (np.arange(mesh.n_elems), np.flatnonzero(topo.in_side("plus"))):
-        conn = mesh.elements(elems)
-        area = mesh.areas(elems)
-        kloc = area[:, None, None] * np.einsum("kid,kjd->kij", mesh.grads(elems), mesh.grads(elems))
-        mloc = area[:, None, None] * ((np.ones((3, 3)) + np.eye(3)) / 12.0)
-        rows, cols = np.repeat(conn, 3, axis=1).ravel(), np.tile(conn, (1, 3)).ravel()
-        mass = scipy.sparse.coo_matrix((mloc.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-        stiff = scipy.sparse.coo_matrix((kloc.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-        assert_same_csr(_h1_matrices(mesh, elems), (mass + stiff).tocsr())
+    conn = mesh.elements(elems)
+    area = mesh.areas(elems)
+    kloc = area[:, None, None] * np.einsum("kid,kjd->kij", mesh.grads(elems), mesh.grads(elems))
+    mloc = area[:, None, None] * ((np.ones((3, 3)) + np.eye(3)) / 12.0)
+    rows, cols = np.repeat(conn, 3, axis=1).ravel(), np.tile(conn, (1, 3)).ravel()
+    mass = scipy.sparse.coo_matrix((mloc.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    stiff = scipy.sparse.coo_matrix((kloc.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    return (mass + stiff).tocsr()
+
+
+@pytest.mark.parametrize("level", [2, 3])
+def test_h1_matrices_match_the_coo_reference(monkeypatch, level):
+    mesh = build_mesh(level)
+    layout = build_spaces(classify(mesh, make_circle(inclusion_side="plus")))
+    nodes = np.arange(mesh.n_nodes)
+    plus = np.flatnonzero(layout.topo.in_side("plus"))
+    sub = layout.dof_node_plus
+    for block in (7, 16384):   # windows of a few rows, and one window
+        monkeypatch.setattr(mesh_module, "BLOCK", block)
+        for elems in (np.arange(mesh.n_elems), plus):
+            assert_same_csr(_h1_matrices(mesh, elems, (nodes, nodes)), ref_h1(mesh, elems))
+        # in plus-DOF indexing: the node-indexed Gram restricted to the plus nodes
+        assert_same_csr(_h1_matrices(mesh, plus, (layout.node_dof_plus, sub)),
+                        ref_h1(mesh, plus)[sub][:, sub])
 
 
 def test_pointwise_matches_the_coo_reference():

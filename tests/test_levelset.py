@@ -143,7 +143,7 @@ def test_reflect_many_matches_scalar():
         np.testing.assert_array_equal(reflect_many(ls, x[None])[0], y)
 
 
-def test_gradient_finite_difference_fallback():
-    ls = LevelSet(phi=lambda x: x[..., 0] ** 2 - x[..., 1])
-    p = np.array([0.3, 0.2])
-    np.testing.assert_allclose(ls.gradient(p), [0.6, -1.0], atol=1e-6)
+def test_gradient_without_grad_is_refused():
+    ls = LevelSet(phi=lambda x: x[..., 0] ** 2 - x[..., 1], name="parabola")
+    with pytest.raises(ValueError, match="'parabola' has no gradient"):
+        ls.gradient(np.array([0.3, 0.2]))

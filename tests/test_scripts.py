@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 import cutnitsche
+from cutnitsche.harness import RunConfig, run_solve, solve_table
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
@@ -24,3 +25,27 @@ def test_stage_memory_refuses_a_package_outside_git(tmp_path):
     assert "not in a git checkout" in run.stderr
     assert run.stdout == ""
     assert (record.read_bytes() if record.exists() else None) == before
+
+
+def run_tables(outdir, only):
+    """``reproduce_tables.py --only`` into ``outdir``, with this package on the path."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cutnitsche.__file__).parent.parent))
+    return subprocess.run([sys.executable, str(SCRIPTS / "reproduce_tables.py"),
+                           "--outdir", str(outdir), "--only", only],
+                          env=env, capture_output=True, text=True, timeout=300)
+
+
+def test_reproduce_tables_runs_the_patch_test_by_its_csv_name(tmp_path):
+    run = run_tables(tmp_path, "patch_test")
+    assert run.returncode == 0, run.stderr
+    assert [p.name for p in tmp_path.iterdir()] == ["patch_test.csv"]
+    table = solve_table(run_solve(RunConfig(example="patch", level=3)))
+    assert (tmp_path / "patch_test.csv").read_text() == table.to_csv()
+
+
+def test_reproduce_tables_refuses_a_prefix_that_matches_nothing(tmp_path):
+    run = run_tables(tmp_path / "out", "table9,patches")
+    assert run.returncode == 2
+    assert "no table name starts with it" in run.stderr
+    assert run.stdout == ""
+    assert not (tmp_path / "out").exists()
