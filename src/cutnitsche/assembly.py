@@ -253,12 +253,13 @@ def _volume(layout: SpaceLayout, spec: ProblemSpec, lo: int, hi: int) -> sp.csr_
 
 
 def part_rows(n: int, part, lo: int, hi: int) -> sp.csr_matrix:
-    """Rows ``lo:hi`` of the n x n sum of a cut part, the DOFs (k, m) and
-    local matrices (k, m, m) of its elements or ghost edges: those with a
-    DOF in the window, in the order of the part."""
-    dofs, local = part
+    """Rows ``lo:hi`` of the n x n sum of a cut part, ``(dofs, local_of)``:
+    the DOFs (k, m) of its elements or ghost edges, and the local matrices
+    (k', m, m) of given ones.  Those with a DOF in the window enter, in
+    the order of the part."""
+    dofs, local_of = part
     ids = np.flatnonzero(((dofs >= lo) & (dofs < hi)).any(axis=1))
-    return element_rows(n, lo, hi, [(ids, dofs.__getitem__, local.__getitem__)])
+    return element_rows(n, lo, hi, [(ids, dofs.__getitem__, local_of)])
 
 
 def assemble_parts(layout: SpaceLayout, spec: ProblemSpec) -> dict:
@@ -292,12 +293,14 @@ def _normal_flux(spec: ProblemSpec, gn: np.ndarray) -> np.ndarray:
 
 def _cut_parts(layout: SpaceLayout, spec: ProblemSpec) -> dict:
     """The parts of ``assemble_parts`` but the volume, those of the cut
-    elements and of the ghost edges, each as its DOFs and local matrices."""
+    elements and of the ghost edges, each as its ``(dofs, local_of)``."""
     _, gn, wts, _, jump, dofs, _ = _cut_blocks(layout)
     nit = np.einsum("kq,kqi,kj->kij", wts, jump, _normal_flux(spec, gn))
+    pen = np.einsum("kq,kqi,kqj->kij", wts, jump, jump) / layout.mesh.h_elem
+    nit = nit + nit.transpose(0, 2, 1)
     return {
-        "nitsche": (dofs, nit + nit.transpose(0, 2, 1)),
-        "penalty_base": (dofs, np.einsum("kq,kqi,kqj->kij", wts, jump, jump) / layout.mesh.h_elem),
+        "nitsche": (dofs, nit.__getitem__),
+        "penalty_base": (dofs, pen.__getitem__),
         "ghost_minus": _ghost_part(layout, spec, "minus"),
         "ghost_plus": _ghost_part(layout, spec, "plus"),
     }
@@ -306,7 +309,8 @@ def _cut_parts(layout: SpaceLayout, spec: ProblemSpec) -> dict:
 def _ghost_part(layout: SpaceLayout, spec: ProblemSpec, side: str):
     """Gradient-jump ghost penalty of one side, with rho and |e|^2 but no
     gamma_g, the ``ghost_minus``/``ghost_plus`` part of ``assemble_parts``:
-    the DOFs (k, 6) and local matrices (k, 6, 6) of its edges."""
+    the DOFs (k, 6) of its edges, and their rank-one local matrices
+    (k', 6, 6), computed for the edges asked for."""
     mesh, topo = layout.mesh, layout.topo
     edges = topo.ghost_minus if side == "minus" else topo.ghost_plus
     e1, e2, elen, ne = edge_frame(mesh, edges)
@@ -314,12 +318,11 @@ def _ghost_part(layout: SpaceLayout, spec: ProblemSpec, side: str):
     j2 = -np.einsum("kid,kd->ki", mesh.grads(e2), ne)
     jmp = np.concatenate([j1, j2], axis=1)  # (k, 6)
     coeff = spec.rho(side) * elen ** 2
-    local = coeff[:, None, None] * jmp[:, :, None] * jmp[:, None, :]
     dofs = np.concatenate(
         [layout.global_dofs(side, mesh.elements(e1)),
          layout.global_dofs(side, mesh.elements(e2))], axis=1
     )
-    return dofs, local
+    return dofs, lambda t: coeff[t, None, None] * jmp[t, :, None] * jmp[t, None, :]
 
 
 def assemble_vnorm_gram(layout: SpaceLayout, spec: ProblemSpec) -> sp.csr_matrix:

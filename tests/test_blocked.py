@@ -462,7 +462,7 @@ def test_parts_without_entries_match_the_coo_reference(small_blocks, side):
 
 def test_fill_without_entries_is_the_empty_coo_conversion():
     for m in (3, 6):
-        part = (np.empty((0, m), dtype=np.int64), np.empty((0, m, m)))
+        part = (np.empty((0, m), dtype=np.int64), np.empty((0, m, m)).__getitem__)
         ref = _Entries(0, m).tocsr(11)
         assert_same_csr(stacked(11, partial(part_rows, 11, part)), ref)
         assert_same_csr(part_rows(11, part, 3, 8), ref[3:8])
