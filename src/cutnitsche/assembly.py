@@ -128,12 +128,15 @@ class CsrFill:
     def add_local(self, dofs, local) -> None:
         """Dense local matrices ``local`` (k, m, m) at global dofs (k, m):
         row ``dofs[e, i]`` gets ``local[e, i, :]`` at columns ``dofs[e, :]``,
-        element-major, row-major within an element."""
+        element-major, row-major within an element.  One scatter writes
+        every entry, taken in the order (i, j, e), which reads ``local`` in
+        memory order where ``local[:, i, j]`` is contiguous."""
         k, m = dofs.shape
         if k:
-            slot = self._slots(dofs.ravel(), m).reshape(k, m, 1) + np.arange(m)
-            self.indices[slot] = dofs[:, None, :]
-            self.data[slot] = local
+            slot = self._slots(dofs.ravel(), m).reshape(k, m).T   # (i, e)
+            dest = slot[:, None, :] + np.arange(m)[:, None]       # (i, j, e)
+            self.indices[dest] = dofs.T
+            self.data[dest] = local.transpose(1, 2, 0)
 
     def tocsr(self) -> sp.csr_matrix:
         """The summed matrix.  The fill hands its arrays over, so the
