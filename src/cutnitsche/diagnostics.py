@@ -158,10 +158,11 @@ def _cutoff(dist: np.ndarray, eps: float) -> np.ndarray:
     return 1.0 - t * t * (3.0 - 2.0 * t)
 
 
-def _h1_matrices(mesh: Mesh, elems: np.ndarray, dofs):
+def _h1_matrices(mesh: Mesh, chosen: np.ndarray, dofs):
     """H1 Gram matrix, consistent mass plus stiffness, over the elements
-    ``elems`` in the indexing of ``dofs``, a ``(node_dof, dof_node)``
-    numbering in node order whose nodes hold every node of the elements.
+    ``chosen`` (a mask) in the indexing of ``dofs``, a ``(node_dof,
+    dof_node)`` numbering in node order whose nodes hold every node of
+    the elements.
     Windows of ``BLOCK`` rows take the elements near their first and last
     node (``window_elems``); a window's rows of the mass and of the
     stiffness matrix come from ``element_rows`` and are added as the whole
@@ -170,8 +171,6 @@ def _h1_matrices(mesh: Mesh, elems: np.ndarray, dofs):
     node-indexed one restricted to the side's nodes, bit for bit."""
     mref = (np.ones((3, 3)) + np.eye(3)) / 12.0
     node_dof, dof_node = dofs
-    chosen = np.zeros(mesh.n_elems, dtype=bool)
-    chosen[elems] = True
 
     def rows(lo, hi):
         near = window_elems(mesh, dof_node, lo, hi)
@@ -250,17 +249,17 @@ def build_extension(layout: SpaceLayout) -> ExtensionOperator:
         raise GeometryError(f"reflected point {bad.tolist()} lies outside the plus-side mesh")
     owner = owner[live]
     coef = (wts[live] * eta[live] / total[owner])[:, None] * lams
-    # the kept and the reflected nodes' rows are disjoint
+    # the kept and the reflected nodes' rows are disjoint; the entries are
+    # temporaries, freed before the Gram matrices are built
     kept = np.flatnonzero(keep)
-    rows = np.concatenate([kept, np.repeat(cand[owner], 3)])
-    cols = layout.node_dof_plus[np.concatenate([kept, mesh.elements(elems).ravel()])]
-    vals = np.concatenate([np.ones(kept.size), coef.ravel()])
-    matrix = scipy.sparse.coo_matrix((vals, (rows, cols)),
-                                     shape=(mesh.n_nodes, layout.n_plus)).tocsr()
+    matrix = scipy.sparse.coo_matrix(
+        (np.concatenate([np.ones(kept.size), coef.ravel()]),
+         (np.concatenate([kept, np.repeat(cand[owner], 3)]),
+          layout.node_dof_plus[np.concatenate([kept, mesh.elements(elems).ravel()])])),
+        shape=(mesh.n_nodes, layout.n_plus)).tocsr()
     nodes = np.arange(mesh.n_nodes)
-    h1_full = _h1_matrices(mesh, np.arange(mesh.n_elems), (nodes, nodes))
-    h1_plus = _h1_matrices(mesh, np.flatnonzero(topo.in_side("plus")),
-                           (layout.node_dof_plus, layout.dof_node_plus))
+    h1_full = _h1_matrices(mesh, np.ones(mesh.n_elems, dtype=bool), (nodes, nodes))
+    h1_plus = _h1_matrices(mesh, topo.in_side("plus"), (layout.node_dof_plus, layout.dof_node_plus))
     return ExtensionOperator(matrix=matrix, h1_full=h1_full, h1_plus=h1_plus)
 
 
