@@ -162,13 +162,12 @@ def _h1_matrices(mesh: Mesh, chosen: np.ndarray, dofs):
     """H1 Gram matrix, consistent mass plus stiffness, over the elements
     ``chosen`` (a mask) in the indexing of ``dofs``, a ``(node_dof,
     dof_node)`` numbering in node order whose nodes hold every node of
-    the elements.
-    Windows of ``BLOCK`` rows take the elements near their first and last
-    node (``window_elems``); a window's rows of the mass and of the
-    stiffness matrix come from ``element_rows`` and are added as the whole
-    matrices are, so no whole-mesh unsummed CSR is held.  Rows and columns
-    follow node order, so the Gram in a side's numbering is the
-    node-indexed one restricted to the side's nodes, bit for bit."""
+    the elements.  Windows of ``BLOCK`` rows take the elements near their
+    first and last node (``window_elems``); a window's rows of the mass
+    and of the stiffness matrix come from ``element_rows`` and are added
+    as the whole matrices are, so no whole-mesh unsummed CSR is held.
+    Rows and columns follow node order, so the Gram in a side's numbering
+    is the node-indexed one restricted to the side's nodes, bit for bit."""
     mref = (np.ones((3, 3)) + np.eye(3)) / 12.0
     node_dof, dof_node = dofs
 
