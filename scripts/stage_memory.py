@@ -26,9 +26,11 @@ unless ``--column`` names another.  Any other column already in that
 file is kept, so a column measured at an earlier commit stays beside
 it; to measure one, run this script with that commit's ``src`` on
 PYTHONPATH.
-Each column records the ``git describe --always --dirty`` of the checkout
-the package was imported from; outside a git checkout the script exits 1
-before it measures anything.
+Each column records the ``git describe --always`` of the checkout the
+package was imported from, with ``-dirty`` when ``git status`` lists a
+file under the package (not when only the record or another file outside
+it changed); outside a git checkout the script exits 1 before it measures
+anything.
 
     python scripts/stage_memory.py
     PYTHONPATH=/path/to/parent/src python scripts/stage_memory.py --column parent
@@ -83,18 +85,26 @@ def rss_mb() -> float:
 
 
 def source_commit() -> str:
-    """``git describe`` of the checkout the package was imported from;
-    SystemExit with a message when there is none."""
+    """``git describe`` of the checkout the package was imported from,
+    ``-dirty`` when a file under the package differs from HEAD; SystemExit
+    with a message when there is none.  Files outside the package, this
+    script's record among them, leave the stamp clean."""
     package = pathlib.Path(cutnitsche.__file__).resolve().parent
-    try:
-        run = subprocess.run(["git", "-C", str(package), "describe", "--always", "--dirty"],
-                             capture_output=True, text=True)
-    except OSError as exc:
-        raise SystemExit(f"stage_memory: cannot run git: {exc}") from exc
+
+    def git(*args):
+        try:
+            return subprocess.run(["git", "-C", str(package), *args], capture_output=True, text=True)
+        except OSError as exc:
+            raise SystemExit(f"stage_memory: cannot run git: {exc}") from exc
+
+    run = git("describe", "--always")
     if run.returncode or not run.stdout.strip():
         raise SystemExit(f"stage_memory: {package} is not in a git checkout, so the "
                          f"column cannot record its commit: {run.stderr.strip()}")
-    return run.stdout.strip()
+    status = git("status", "--porcelain", "--", ".")
+    if status.returncode:
+        raise SystemExit(f"stage_memory: git status failed in {package}: {status.stderr.strip()}")
+    return run.stdout.strip() + ("-dirty" if status.stdout.strip() else "")
 
 
 def traced(fn):

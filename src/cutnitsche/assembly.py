@@ -8,11 +8,12 @@ energy-norm Gram matrix so that diagnostics share the quadrature with
 the solver.
 
 Every matrix is filled straight into its CSR arrays, ``BLOCK`` rows at
-a time (``element_rows``), with no COO step.  Each row gets its entries
-in input order, as scipy's COO to CSR conversion (``coo_tocsr``)
-buckets them; scipy's ``sum_duplicates`` then sorts and sums each row as
-that conversion does.  A row's sum depends on that order, so keeping it
-keeps every matrix bit for bit.
+a time (``element_rows``), with no COO step: rows counted first, then
+each pass of elements ranked by row with one stable argsort.  Each row
+gets its entries in input order, as scipy's COO to CSR conversion
+(``coo_tocsr``) buckets them; ``sum_duplicates`` then sorts and sums each
+row as that conversion does.  A row's sum depends on that order, so
+keeping it keeps every matrix bit for bit.
 """
 from __future__ import annotations
 
@@ -49,103 +50,6 @@ class SparseSystem:
     @property
     def n(self) -> int:
         return self.rhs.shape[0]
-
-
-class CsrFill:
-    """A CSR matrix filled in place, in two passes and without a COO step.
-
-    The constructor counts the entries of each row from the DOF maps
-    alone and allocates the unsummed CSR: int32 ``indptr`` and
-    ``indices``, float64 ``data``, 12 B an entry.  ``add_local`` then
-    writes each entry into its row's next free slot: the stable bucket
-    sort by row of scipy's ``coo_tocsr``, however the entries are split
-    into calls.  ``tocsr`` sums duplicates with scipy's ``sum_duplicates``,
-    as scipy's COO to CSR conversion does, so the result matches
-    converting the same entries from COO byte for byte.
-    """
-
-    def __init__(self, shape: tuple[int, int], dof_groups, first_row: int = 0):
-        """``dof_groups``: (k, m) DOF maps, consumed once; each row index
-        in one will receive m entries.  Each map costs its size plus the
-        span of its rows.  Row ``first_row + i`` of the arguments is row
-        ``i`` of the fill, a window of a larger matrix; entries of other
-        rows go to m spare slots past the end."""
-        self.shape = shape
-        self.first_row = first_row
-        # row i counts in bucket i + 1, rows before and after the window in the first and last
-        counts = np.zeros(shape[0] + 2, dtype=np.int64)
-        spare = 0
-        for dofs in dof_groups:
-            if dofs.size:
-                key, lo, _, _ = self._keys(dofs.ravel())
-                span = np.bincount(key - lo)
-                counts[lo:lo + span.size] += dofs.shape[1] * span
-                spare = max(spare, dofs.shape[1])
-        if counts[1:-1].sum() > np.iinfo(np.int32).max:
-            raise OverflowError("more entries than int32 CSR indices can address")
-        self.indptr = np.zeros(shape[0] + 1, dtype=np.int32)
-        np.cumsum(counts[1:-1], out=self.indptr[1:])
-        self.end = int(self.indptr[-1])
-        self.next = np.concatenate([[self.end], self.indptr[:-1], [self.end]])   # int64
-        self.indices = np.empty(self.end + spare, dtype=np.int32)
-        self.data = np.empty(self.end + spare)
-
-    def _keys(self, rows: np.ndarray):
-        """Buckets of ``rows``, the least and greatest, and whether any is outside the window."""
-        key = rows - (self.first_row - 1)
-        lo, hi = key.min(), key.max()
-        outside = lo < 1 or hi > self.shape[0]
-        if outside:   # ufuncs: np.clip costs more than the pass on small rows
-            top = self.shape[0] + 1
-            np.minimum(np.maximum(key, 0, out=key), top, out=key)
-            lo, hi = min(max(lo, 0), top), min(max(hi, 0), top)
-        return key, lo, hi, outside
-
-    def _slots(self, rows: np.ndarray, width: int) -> np.ndarray:
-        """First of ``width`` consecutive slots for each of ``rows`` in
-        turn, the spare ones outside the window; each row's next free slot
-        moves past them.  Linear in ``rows.size`` plus the span of ``rows``."""
-        key, lo, hi, outside = self._keys(rows)
-        key -= lo
-        # stable order of the rows: radix sort on 16-bit digits, which is
-        # what numpy's stable argsort of uint16 keys is
-        order = np.argsort((key & 0xFFFF).astype(np.uint16), kind="stable")
-        if hi - lo > 0xFFFF:
-            order = order[np.argsort((key[order] >> 16).astype(np.uint16), kind="stable")]
-        rank = np.empty_like(order)
-        rank[order] = np.arange(rows.size)
-        del order
-        counts = np.bincount(key)
-        nxt = self.next[lo:lo + counts.size]
-        base = nxt - width * (np.cumsum(counts) - counts)
-        nxt += width * counts
-        rank *= width
-        rank += base[key]
-        if outside:   # every slot of the outside buckets is past the end
-            np.minimum(rank, self.end, out=rank)
-        return rank
-
-    def add_local(self, dofs, local) -> None:
-        """Dense local matrices ``local`` (k, m, m) at global dofs (k, m):
-        row ``dofs[e, i]`` gets ``local[e, i, :]`` at columns ``dofs[e, :]``,
-        element-major, row-major within an element.  One scatter writes
-        every entry, taken in the order (i, j, e), which reads ``local`` in
-        memory order where ``local[:, i, j]`` is contiguous."""
-        k, m = dofs.shape
-        if k:
-            slot = self._slots(dofs.ravel(), m).reshape(k, m).T   # (i, e)
-            dest = slot[:, None, :] + np.arange(m)[:, None]       # (i, j, e)
-            self.indices[dest] = dofs.T
-            self.data[dest] = local.transpose(1, 2, 0)
-
-    def tocsr(self) -> sp.csr_matrix:
-        """The summed matrix.  The fill hands its arrays over, so the
-        unsummed ones are freed as soon as ``sum_duplicates`` prunes them."""
-        matrix = sp.csr_matrix((self.data[:self.end], self.indices[:self.end], self.indptr),
-                               shape=self.shape)
-        del self.data, self.indices, self.indptr, self.next
-        matrix.sum_duplicates()
-        return matrix
 
 
 def _cut_blocks(layout: SpaceLayout):
@@ -185,20 +89,70 @@ def _stiffness(coef: np.ndarray, grads: np.ndarray) -> np.ndarray:
     return local.transpose(2, 0, 1)
 
 
+def _window_keys(dofs: np.ndarray, lo: int, rows: int) -> np.ndarray:
+    """Row of each of ``dofs``, flattened, in a window of ``rows`` rows
+    from ``lo``; ``rows``, one spare bucket, for every row outside it.
+    uint16 below 2**16 rows, as numpy radix-sorts those stably."""
+    key = dofs.ravel() - lo
+    key = np.where((key >= 0) & (key < rows), key, rows)
+    return key.astype(np.uint16 if rows < 1 << 16 else np.int64)
+
+
+def _scatter_pass(indices, data, nxt, lo: int, dofs, local) -> None:
+    """Write local matrices ``local`` (k, m, m) at ``dofs`` (k, m): row
+    ``dofs[e, i]`` gets ``local[e, i, :]`` at columns ``dofs[e, :]`` in
+    its next m free slots, ``nxt`` of its window row, element-major; a row
+    outside the window gets the m spare slots past the end, ``nxt[-1]``.
+    One scatter writes every entry, taken in the order (i, j, e), which
+    reads ``local`` in memory order where ``local[:, i, j]`` is contiguous."""
+    k, m = dofs.shape
+    key = _window_keys(dofs, lo, nxt.size - 1)
+    rank = np.empty(key.size, dtype=np.int64)   # of each entry among the pass's, by row
+    rank[np.argsort(key, kind="stable")] = np.arange(key.size)
+    counts = np.bincount(key, minlength=nxt.size)
+    rank -= (np.cumsum(counts) - counts)[key]   # now among the pass's entries in its row
+    rank *= m
+    rank += nxt[key]
+    nxt[:-1] += m * counts[:-1]
+    del key, counts   # before the scatter's (m, m, k) slots
+    slot = np.minimum(rank, nxt[-1], out=rank).reshape(k, m).T   # (i, e)
+    dest = slot[:, None, :] + np.arange(m)[:, None]             # (i, j, e)
+    indices[dest] = dofs.T
+    data[dest] = local.transpose(1, 2, 0)
+
+
 def element_rows(n: int, lo: int, hi: int, groups) -> sp.csr_matrix:
     """Rows ``lo:hi`` of an n-column sum of dense local matrices, as an
     (hi - lo, n) CSR with duplicates summed.  ``groups``: (ids, dofs_of,
     local_of), ``dofs_of(ids)`` (k, m) DOFs and ``local_of(ids)`` (k, m, m)
-    matrices, taken ``BLOCK // 3`` elements a pass.  Each row gets its
-    entries in the order of one fill over all rows, so the window holds
-    those rows bit for bit, in any order of the elements.
+    matrices, taken ``BLOCK // 3`` elements a pass.  Each row's entries
+    are counted from the DOFs alone; each pass then goes into the unsummed
+    CSR, 12 B an entry (``_scatter_pass``), in the order of one fill over
+    all rows, so the window holds those rows bit for bit, in any order
+    of the elements.
     """
+    rows = hi - lo
     passes = [(ids[b], dofs_of(ids[b]), local_of)
               for ids, dofs_of, local_of in groups for b in blocks(ids.size, 3)]
-    fill = CsrFill((hi - lo, n), [dofs for _, dofs, _ in passes], first_row=lo)
+    nxt = np.zeros(rows + 1, dtype=np.int64)   # the entries of each row, then of the rest
+    for _, dofs, _ in passes:
+        nxt += dofs.shape[1] * np.bincount(_window_keys(dofs, lo, rows), minlength=rows + 1)
+    nxt = np.cumsum(nxt) - nxt   # each row's first slot, then the end
+    end = int(nxt[-1])
+    if end > np.iinfo(np.int32).max:
+        raise OverflowError("more entries than int32 CSR indices can address")
+    indptr = nxt.astype(np.int32)
+    spare = max((dofs.shape[1] for _, dofs, _ in passes), default=0)
+    indices = np.empty(end + spare, dtype=np.int32)
+    data = np.empty(end + spare)
     for ids, dofs, local_of in passes:
-        fill.add_local(dofs, local_of(ids))
-    return fill.tocsr()
+        _scatter_pass(indices, data, nxt, lo, dofs, local_of(ids))
+    matrix = sp.csr_matrix((data[:end], indices[:end], indptr), shape=(rows, n))
+    # sum_duplicates sorts and sums each row as scipy's COO conversion
+    # does; it frees the unsummed arrays when it prunes them
+    del data, indices
+    matrix.sum_duplicates()
+    return matrix
 
 
 def stack_rows(windows, shape: tuple[int, int]) -> sp.csr_matrix:

@@ -46,6 +46,9 @@ class ProblemSpec:
     hess_plus: Callable | None = None
 
     def __post_init__(self):
+        for name in ("rho_minus", "rho_plus", "gamma", "gamma_g_minus", "gamma_g_plus"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not (self.rho_minus > 0.0 and self.rho_plus > 0.0):
             raise ValueError("diffusion coefficients must be positive")
         if self.gamma <= 0.0:

@@ -84,7 +84,8 @@ def _stats(it: int, a, b: np.ndarray, x: np.ndarray, r: np.ndarray,
 def solve(system: SparseSystem,
           max_iter: int | None = None) -> tuple[np.ndarray, SolveStats]:
     """Solve the reduced system to a true relative residual <= _TOL
-    (at most max_iter iterations, default 20 n).
+    (at most max_iter iterations, default 20 n).  A non-finite recurrence
+    residual raises SolverError at once, since no later iterate can mend it.
 
     The iteration updates preallocated vectors in place; it computes the
     same values, in the same order, as the textbook expressions.
@@ -123,6 +124,9 @@ def solve(system: SparseSystem,
         x += np.multiply(alpha, p, out=step)
         r -= np.multiply(alpha, ap, out=step)
         rnorm = math.sqrt(r @ r)
+        if not math.isfinite(rnorm):
+            raise SolverError(f"CG residual is {rnorm} at iteration {it}: the system "
+                              "or its scaling is not finite")
         if rnorm <= _TOL * bnorm:
             np.subtract(b, a @ x, out=r)
             true_r = math.sqrt(r @ r)

@@ -469,16 +469,17 @@ def test_fill_without_entries_is_the_empty_coo_conversion():
     assert_same_csr(element_rows(11, 0, 11, []), _Entries(0, 3).tocsr(11))
 
 
-@given(seed=st.integers(0, 2 ** 32 - 1), n_rows=st.sampled_from([1, 9, 70_000, 300_000]),
+@given(seed=st.integers(0, 2 ** 32 - 1), n_rows=st.sampled_from([1, 9, 65_535, 65_536, 70_000, 300_000]),
        m=st.integers(1, 4), n_elems=st.integers(0, 200), n_groups=st.integers(1, 4),
        block=st.sampled_from([3, 7, 30, 16384]), window=st.booleans())
 def test_fill_matches_the_coo_conversion_however_split(seed, n_rows, m, n_elems, n_groups,
                                                        block, window):
     # random local matrices at few distinct DOFs, so rows repeat within
     # and across elements, groups and passes (BLOCK // 3 elements each)
-    # and columns repeat within rows; row spans above 2**16 take two radix
-    # passes.  A window [lo, hi) ends at drawn rows, so rows lie inside it
-    # and on both sides of it
+    # and columns repeat within rows.  Windows of fewer than 2**16 rows rank
+    # by uint16 keys, whose largest, 65_535 rows, is the spare bucket's; the
+    # others by int64 keys.  A window [lo, hi) ends at drawn rows, so rows
+    # lie inside it and on both sides of it
     rng = np.random.default_rng(seed)
     dofs = rng.choice(rng.integers(0, n_rows, 1 + n_elems // 4), (n_elems, m))
     local = rng.standard_normal((n_elems, m, m))
@@ -494,6 +495,24 @@ def test_fill_matches_the_coo_conversion_however_split(seed, n_rows, m, n_elems,
     entries = _Entries(n_elems, m)
     entries.add(dofs, local)
     assert_same_csr(rows, entries.tocsr(n_rows)[lo:hi])
+
+
+@pytest.mark.parametrize("rows", [65_535, 65_536])
+def test_fill_windows_on_both_sides_of_the_key_switch(monkeypatch, rows):
+    # a window of 65_535 rows ranks by uint16 keys, the spare bucket's the
+    # largest; one of 65_536 by int64 keys.  Elements hold the window's
+    # first and last rows and the rows around it, in passes of 1 and of all
+    n, lo = rows + 4, 2
+    hi = lo + rows
+    rng = np.random.default_rng(rows)
+    dofs = rng.choice([0, lo - 1, lo, lo + 1, hi - 2, hi - 1, hi, n - 1], (40, 3))
+    local = rng.standard_normal((40, 3, 3))
+    entries = _Entries(40, 3)
+    entries.add(dofs, local)
+    for block in (3, 16384):
+        monkeypatch.setattr(mesh_module, "BLOCK", block)
+        window = element_rows(n, lo, hi, [(np.arange(40), dofs.__getitem__, local.__getitem__)])
+        assert_same_csr(window, entries.tocsr(n)[lo:hi])
 
 
 def assert_windows_match_the_whole_fill(n, dofs, local, rng):

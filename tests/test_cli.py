@@ -198,6 +198,14 @@ def test_invalid_parameters_exit_one(capsys):
     assert code == 1
     assert "equal coefficients" in err
 
+    # non-finite parameters are config errors, not a CG run on NaN
+    for flag, value in (("--rho-plus", "inf"), ("--gamma", "nan"), ("--gamma", "inf"),
+                        ("--gamma-g-minus", "nan")):
+        code, out, err = _run(capsys, ["solve", "--example", "1", "--level", "1", flag, value])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("cutnitsche: config error:") and "must be finite" in err
+
 
 def test_numerical_failure_exits_two(capsys):
     # an underweighted interface penalty loses coercivity

@@ -166,6 +166,10 @@ def test_spec_validation():
         ProblemSpec(rho_minus=1.0, rho_plus=1.0, gamma_g_minus=-0.5)
     with pytest.raises(ValueError):
         ProblemSpec(rho_minus=1.0, rho_plus=1.0, weighting="midpoint")
+    for name in ("rho_minus", "rho_plus", "gamma", "gamma_g_minus", "gamma_g_plus"):
+        for value in (np.inf, np.nan):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                ProblemSpec(**{"rho_minus": 1.0, "rho_plus": 1.0, name: value})
     spec = ProblemSpec(rho_minus=3.0, rho_plus=4.0)
     assert spec.rho("minus") == 3.0 and spec.rho("plus") == 4.0
     assert not spec.has_exact()

@@ -9,7 +9,7 @@ from cutnitsche.cutcell import classify
 from cutnitsche.mesh import build_mesh
 from cutnitsche.problems import example_circle
 from cutnitsche.solver import (_TOL, MaxIterationsError, NotSPDError, SolveStats,
-                               StagnationError, solve)
+                               SolverError, StagnationError, solve)
 from cutnitsche.space import build_spaces
 
 
@@ -43,6 +43,18 @@ def test_zero_rhs():
     x, stats = solve(ArraySystem(np.eye(3), np.zeros(3)))
     assert np.all(x == 0.0)
     assert stats.iterations == 0
+
+
+@pytest.mark.parametrize("a, b", [
+    (np.eye(3), [1.0, np.nan, 2.0]),
+    # finite and positive, but 1 / diag overflows to inf
+    (np.diag([1e-320, 1.0, 2.0]), [1.0, 1.0, 1.0]),
+])
+@pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
+def test_non_finite_residual_raises_after_one_iteration(a, b):
+    with pytest.raises(SolverError, match="at iteration 1:") as err:
+        solve(ArraySystem(a, b), max_iter=1000)
+    assert type(err.value) is SolverError
 
 
 def _relative_residual(system, x):
