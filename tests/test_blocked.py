@@ -469,7 +469,8 @@ def test_fill_without_entries_is_the_empty_coo_conversion():
     assert_same_csr(element_rows(11, 0, 11, []), _Entries(0, 3).tocsr(11))
 
 
-@given(seed=st.integers(0, 2 ** 32 - 1), n_rows=st.sampled_from([1, 9, 65_535, 65_536, 70_000, 300_000]),
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       n_rows=st.sampled_from([1, 9, 65_535, 65_536, 70_000, 300_000]),
        m=st.integers(1, 4), n_elems=st.integers(0, 200), n_groups=st.integers(1, 4),
        block=st.sampled_from([3, 7, 30, 16384]), window=st.booleans())
 def test_fill_matches_the_coo_conversion_however_split(seed, n_rows, m, n_elems, n_groups,

@@ -1,8 +1,8 @@
 """Checks of the measurement scripts under ``scripts/``."""
+import json
 import os
 import pathlib
 import shutil
-import json
 import subprocess
 import sys
 
