@@ -88,11 +88,15 @@ def digest(value) -> str:
 
 def mesh_arrays(mesh):
     """Every quantity the mesh had as a stored array, each from its
-    accessor over the full id range, under the array's name."""
+    accessor over the full id range, under the array's name; the edge
+    lengths, which have no accessor, as the hypot of the edge vectors."""
     ptr, ids = mesh.node_elems(slice(None))
     out = {"nodes": mesh.nodes}
-    for name in ("elements", "edges", "edge_elems", "elem_edges", "edge_lengths",
-                 "boundary_node", "areas", "grads"):
+    for name in ("elements", "edges", "edge_elems", "elem_edges"):
+        out[name] = getattr(mesh, name)(slice(None))
+    ev = mesh.nodes[out["edges"][:, 1]] - mesh.nodes[out["edges"][:, 0]]
+    out["edge_lengths"] = np.hypot(ev[:, 0], ev[:, 1])
+    for name in ("boundary_node", "areas", "grads"):
         out[name] = getattr(mesh, name)(slice(None))
     out.update(node_elem_ptr=ptr, node_elem_ids=ids)
     return out

@@ -141,16 +141,16 @@ class CutTopology:
 
     def quadrature_blocks(self, side: str, width: int = 3):
         """The side rule over the whole mesh in increasing element order,
-        ``BLOCK // width`` elements at a time: per block with points, the
-        elements that hold points, the number of points of each, the
-        points and the weights.  A per-element quantity reaches the points
-        by ``np.repeat(values, counts, axis=0)``."""
+        ``BLOCK // width`` elements at a time: per block that holds elements
+        of the side, all of them, the number of points of each (0 for a cut
+        part whose fan holds none), the points and the weights.  A
+        per-element quantity reaches the points by
+        ``np.repeat(values, counts, axis=0)``."""
         for block in blocks(self.mesh.n_elems, width):
-            ptr, points, weights = self.quadrature(side, block)
-            if weights.size:
-                counts = np.diff(ptr)
-                held = np.flatnonzero(counts)
-                yield block.start + held, counts[held], points, weights
+            elems = block.start + np.flatnonzero(self.in_side(side, block))
+            if elems.size:
+                ptr, points, weights = self.quadrature(side, elems)
+                yield elems, np.diff(ptr), points, weights
 
     def _side(self, side: str):
         if side not in ("minus", "plus"):

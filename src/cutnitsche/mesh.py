@@ -54,8 +54,8 @@ class Mesh:
     (3 or 4 per level), so the areas and basis gradients of all elements
     come from a table of templates, one per (x spacing, y spacing,
     triangle shape), each computed by ``_p1_geometry`` on an element of
-    that key; edge lengths likewise, one per (edge kind, x spacing,
-    y spacing).
+    that key; the edge lengths of the scan band likewise, one per (edge
+    kind, x spacing, y spacing), read by node row (``row_edge_lengths``).
     """
 
     level: int
@@ -161,17 +161,6 @@ class Mesh:
         out[:, 1] = np.where(upper, top, right)
         out[:, 2] = np.where(upper, base + 1, base + 2)
         return out.reshape(shape + (3,))
-
-    def edge_lengths(self, ids) -> np.ndarray:
-        """Lengths of the edges: (...,) float64."""
-        e, shape = _index(ids, self.n_edges)
-        ix, iy, kind = self._edge_owner(e)
-        # the top row and right column own edges whose length does not
-        # depend on the missing interval's class
-        last = self.n_cells - 1
-        cls = self.spacing_class
-        return self.template_lengths[kind, cls[np.minimum(ix, last)],
-                                     cls[np.minimum(iy, last)]].reshape(shape)
 
     def row_edge_lengths(self):
         """Lengths of the edges each node row owns, in their numbering
@@ -398,7 +387,7 @@ def edge_frame(mesh: Mesh, edges: np.ndarray):
     e1, e2 = mesh.edge_elems(edges).T
     ends = mesh.edges(edges)
     ev = mesh.nodes[ends[:, 1]] - mesh.nodes[ends[:, 0]]
-    length = mesh.edge_lengths(edges)
+    length = np.hypot(ev[:, 0], ev[:, 1])
     return e1, e2, length, np.column_stack([-ev[:, 1], ev[:, 0]]) / length[:, None]
 
 

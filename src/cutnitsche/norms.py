@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import mesh as mesh_module
-from .mesh import barycentric_many, blocks, edge_frame
+from .mesh import barycentric_many, edge_frame
 from .problems import ProblemSpec
 from .space import FieldPair
 
@@ -85,11 +85,11 @@ class ErrorReport:
 
 def error_report(spec: ProblemSpec, u_h: FieldPair) -> ErrorReport:
     """Every error measure of ``u_h`` against the exact solution of ``spec``,
-    on the mesh, topology and layout ``u_h`` lives on.  Quadrature points
-    and vertex samples go in blocks; the per-point integrands of a side are
-    summed as one np.sum over the side would (``PairwiseSum``), and the sup
-    norms are ``np.maximum`` of block maxima, so a NaN in ``u_h`` makes
-    them NaN.
+    on the mesh, topology and layout ``u_h`` lives on.  One walk of the side
+    rule's blocks per side takes the quadrature points and the vertex
+    samples of its elements; the per-point integrands of a side are summed
+    as one np.sum over the side would (``PairwiseSum``), and the sup norms
+    are running maxima over the blocks, so a NaN in ``u_h`` makes them NaN.
     """
     if not spec.has_exact():
         raise ValueError("error_report requires exact solution and gradient on both sides")
@@ -104,51 +104,39 @@ def error_report(spec: ProblemSpec, u_h: FieldPair) -> ErrorReport:
         rho = spec.rho(side)
         coeffs = u_h.side(side)
         dofmap = layout.node_dof(side)
+        want = -1 if side == "minus" else 1
         # per-point integrands, summed as np.sum sums the whole vector; about
         # BLOCK / 3 points at a time keep a block's arrays to about 2 MB
         e0_int = PairwiseSum(topo.n_points(side))
         grad_int = PairwiseSum(topo.n_points(side))
-        # np.maximum, like one np.max over the side, keeps a NaN
+        # a running np.max, like one np.max over the side, keeps a NaN; sqrt
+        # keeps order, so the squared gradient errors are maximised before it
         diff_max = gdiff_max = 0.0
         for elems, counts, pts, w in topo.quadrature_blocks(side, 9):
             conn = mesh.elements(elems)
-            uh = np.repeat(coeffs[dofmap[conn]], counts, axis=0)
-            coords = np.repeat(np.take(mesh.nodes, conn, axis=0), counts, axis=0)
-            lam = barycentric_many(coords, pts)
+            corners = np.take(mesh.nodes, conn, axis=0)
+            uh_elem, grads_elem = coeffs[dofmap[conn]], mesh.grads(elems)
+            uh = np.repeat(uh_elem, counts, axis=0)
+            lam = barycentric_many(np.repeat(corners, counts, axis=0), pts)
             diff = np.asarray(spec.exact(side)(pts), dtype=float) - np.einsum("ki,ki->k", lam, uh)
             e0_int.add(w * diff * diff)
-            grads = np.repeat(mesh.grads(elems), counts, axis=0)
+            grads = np.repeat(grads_elem, counts, axis=0)
             gdiff_sq = _grad_error_sq(spec, side, uh, grads, pts)
             grad_int.add(w * gdiff_sq)
-            diff_max = np.maximum(diff_max, np.max(np.abs(diff), initial=0.0))
-            gdiff_max = np.maximum(gdiff_max, np.max(gdiff_sq, initial=0.0))
+            # vertex samples restricted to the closed physical side
+            vmask = topo.node_sign[conn] * want >= 0
+            vdiff = np.abs(np.asarray(spec.exact(side)(corners), dtype=float) - uh_elem)
+            d = (np.asarray(spec.grad(side)(corners), dtype=float)
+                 - np.einsum("ki,kid->kd", uh_elem, grads_elem)[:, None, :])
+            diff_max = np.max(vdiff[vmask], initial=np.max(np.abs(diff), initial=diff_max))
+            gdiff_max = np.max((d[..., 0] ** 2 + d[..., 1] ** 2)[vmask],
+                               initial=np.max(gdiff_sq, initial=gdiff_max))
         einf = np.maximum(einf, diff_max)
         efluxinf = np.maximum(efluxinf, rho * np.sqrt(gdiff_max))
         e0_sq[side] = float(e0_int.total())
         grad_sq = grad_int.total()
         eflux_sq[side] = float(rho * rho * grad_sq)
         esqrt_sq += float(rho * grad_sq)
-
-        # vertex samples restricted to the closed physical side
-        want = -1 if side == "minus" else 1
-        diff_max = gd_max = 0.0
-        for block in blocks(mesh.n_elems, 3):
-            ids = block.start + np.flatnonzero(topo.in_side(side, block))
-            conn = mesh.elements(ids)
-            vmask = topo.node_sign[conn] * want >= 0
-            if not np.any(vmask):
-                continue
-            coords = np.take(mesh.nodes, conn, axis=0)
-            uh = coeffs[dofmap[conn]]
-            uex = np.asarray(spec.exact(side)(coords), dtype=float)
-            diff_max = np.maximum(diff_max, np.max(np.abs(uex - uh)[vmask]))
-            gex = np.asarray(spec.grad(side)(coords), dtype=float)
-            gh = np.einsum("ki,kid->kd", uh, mesh.grads(ids))
-            d = gex - gh[:, None, :]
-            gd = np.sqrt(d[..., 0] ** 2 + d[..., 1] ** 2)
-            gd_max = np.maximum(gd_max, np.max(gd[vmask]))
-        einf = np.maximum(einf, diff_max)
-        efluxinf = np.maximum(efluxinf, rho * gd_max)
 
     vnorm_sq, vanorm_sq = _energy_sq(spec, u_h, esqrt_sq)
     return ErrorReport(

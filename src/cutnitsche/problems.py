@@ -49,8 +49,10 @@ class ProblemSpec:
         for name in ("rho_minus", "rho_plus", "gamma", "gamma_g_minus", "gamma_g_plus"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if not (self.rho_minus > 0.0 and self.rho_plus > 0.0):
-            raise ValueError("diffusion coefficients must be positive")
+        # a subnormal coefficient underflows the stiffness to zero
+        tiny = np.finfo(float).tiny
+        if not (self.rho_minus >= tiny and self.rho_plus >= tiny):
+            raise ValueError(f"diffusion coefficients must be positive and at least {tiny:g}")
         if self.gamma <= 0.0:
             raise ValueError("interface penalty gamma must be positive")
         if self.gamma_g_minus < 0.0 or self.gamma_g_plus < 0.0:

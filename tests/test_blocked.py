@@ -378,7 +378,8 @@ def test_mesh_arrays_match_reference(level):
     mesh = build_mesh(level)
     ref = ref_mesh_arrays(level)
     ptr, ids = mesh.node_elems(slice(None))
-    arrays = {"nodes": mesh.nodes, "node_elem_ptr": ptr, "node_elem_ids": ids}
+    arrays = {"nodes": mesh.nodes, "node_elem_ptr": ptr, "node_elem_ids": ids,
+              "edge_lengths": edge_frame(mesh, np.arange(mesh.n_edges))[2]}
     arrays.update({name: getattr(mesh, name)(slice(None)) for name in ref
                    if name not in arrays})
     for name, value in arrays.items():
@@ -414,6 +415,56 @@ def test_side_quadrature_matches_reference(small_blocks, monkeypatch, case, leve
         for name, a, b in zip(("elems", "points", "weights"), side_rule(topo, side), ref):
             assert_same(a, b, name)
         assert_same(topo.area(side, slice(None)), ref_areas(*args), f"area_{side}")
+
+
+@pytest.mark.parametrize("block", [7, 16384])
+@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_side_blocks_hold_every_element_of_the_side(monkeypatch, case, level, block):
+    # every element of the side comes in its block, a cut part whose fan
+    # holds no point with count 0, as the error report's vertex samples
+    # read every element of the side
+    monkeypatch.setattr(mesh_module, "BLOCK", block)
+    topo = case_setup(case, level)[0].topo
+    for side in ("minus", "plus"):
+        for width in (3, 9):
+            ids, counts = zip(*[(elems, n) for elems, n, _, _ in
+                                topo.quadrature_blocks(side, width)])
+            assert max(elems.size for elems in ids) <= max(block // width, 1)
+            ids, counts = np.concatenate(ids), np.concatenate(counts)
+            assert_same(ids, np.flatnonzero(topo.in_side(side)), "ids")
+            assert np.all(np.diff(ids) > 0)
+            assert counts.sum() == topo.n_points(side)
+            assert_same(np.repeat(ids, counts), side_rule(topo, side)[0], "point elements")
+
+
+def test_error_report_samples_the_vertices_of_cut_parts_without_points(small_blocks):
+    # a line a hair right of a node column: the minus parts of the cut
+    # elements beside it are slivers, and some of their fans hold no point
+    mesh = build_mesh(1)
+    x0 = mesh.nodes[3, 0] + 1e-11 * mesh.h
+    ls = LevelSet(phi=lambda x: x[..., 0] - x0,
+                  grad=lambda x: np.broadcast_to([1.0, 0.0], x.shape),
+                  inclusion_side="minus", lipschitz=1.0)
+    _, spec = patch_problem(interface=ls)
+    layout = build_spaces(classify(mesh, ls))
+    topo = layout.topo
+    empty = topo.cut_ids[np.diff(topo.cut_minus.ptr) == 0]
+    assert empty.size
+    ids, counts = (np.concatenate(a) for a in zip(*[
+        (elems, n) for elems, n, _, _ in topo.quadrature_blocks("minus", 9)]))
+    assert_same(ids, np.flatnonzero(topo.in_side("minus")), "ids")
+    assert np.all(counts[np.isin(ids, empty)] == 0)
+    # node 4 lies on the plus side, and its one cut element holds no minus
+    # point: only that element's vertex samples see its minus value
+    node = 4
+    touching = topo.cut_ids[np.any(mesh.elements(topo.cut_ids) == node, axis=1)]
+    assert touching.size and np.all(np.isin(touching, empty))
+    u_h = interpolate_pair(layout, spec.exact_minus, spec.exact_plus)
+    u_h.minus[layout.node_dof_minus[node]] += 1.0
+    report = error_report(spec, u_h)
+    assert report.efluxinf > 1.0
+    assert repr(report.as_dict()) == repr(ref_error_report(spec, u_h))
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -569,8 +620,9 @@ def test_blocked_error_report_matches_reference(small_blocks, case, level, nan):
 
 def ref_full_matrix(layout, spec):
     """The stabilised matrix over all DOFs, Dirichlet rows included, as
-    one sum of the five whole parts."""
-    parts = assemble_parts(layout, spec)
+    one sum of the five whole parts of the COO reference, which
+    ``test_parts_match_the_coo_reference`` holds ``assemble_parts`` to."""
+    parts = ref_assemble_parts(layout, spec)
     a = (parts["volume"] + parts["nitsche"]
          + spec.gamma * spec.penalty_rho() * parts["penalty_base"]
          + spec.gamma_g_minus * parts["ghost_minus"]

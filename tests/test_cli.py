@@ -206,6 +206,16 @@ def test_invalid_parameters_exit_one(capsys):
         assert out == ""
         assert err.startswith("cutnitsche: config error:") and "must be finite" in err
 
+    # a subnormal coefficient is a config error, not a zero solve reported
+    # as a pass or a solver failure blamed on CG
+    for args in (["--example", "patch", "--level", "2", "--rho-minus", "1e-320"],
+                 ["--example", "1", "--level", "2", "--rho-minus", "1e-320",
+                  "--inclusion-side", "plus"]):
+        code, out, err = _run(capsys, ["solve", *args])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("cutnitsche: config error:") and "diffusion coefficients" in err
+
 
 def test_numerical_failure_exits_two(capsys):
     # an underweighted interface penalty loses coercivity

@@ -436,7 +436,8 @@ def ref_band(mesh, ls, psi):
     bound = np.inf if ls.lipschitz is None else 2.0 * ls.lipschitz
     ends = mesh.edges(slice(None))
     end_sum = np.abs(np.take(psi, ends[:, 0])) + np.abs(np.take(psi, ends[:, 1]))
-    return np.flatnonzero(end_sum <= bound * mesh.edge_lengths(slice(None)))
+    ev = mesh.nodes[ends[:, 1]] - mesh.nodes[ends[:, 0]]
+    return np.flatnonzero(end_sum <= bound * np.hypot(ev[:, 0], ev[:, 1]))
 
 
 def ref_side_nodes(topo, side):

@@ -10,10 +10,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cutnitsche import mesh as mesh_module
-from cutnitsche.mesh import MAX_LEVEL, MIN_LEVEL, blocks, build_mesh, dump_mesh
+from cutnitsche.mesh import MAX_LEVEL, MIN_LEVEL, blocks, build_mesh, dump_mesh, edge_frame
 from mesh_reference import build_reference_mesh
 
-# accessor -> the count its ids range over
+# accessor -> the count its ids range over; edge lengths come from edge_frame
 COUNTS = {"elements": "n_elems", "edges": "n_edges", "edge_elems": "n_edges",
           "elem_edges": "n_elems", "edge_lengths": "n_edges", "boundary_node": "n_nodes",
           "areas": "n_elems", "grads": "n_elems", "node_elems": "n_nodes"}
@@ -81,8 +81,9 @@ def test_edge_lengths_and_counts():
     mesh = build_mesh(2)
     n = mesh.n_cells
     h = mesh.h
-    axis = np.isclose(mesh.edge_lengths(slice(None)), h, rtol=1e-13)
-    diag = np.isclose(mesh.edge_lengths(slice(None)), h * np.sqrt(2.0), rtol=1e-13)
+    lengths = edge_frame(mesh, np.arange(mesh.n_edges))[2]
+    axis = np.isclose(lengths, h, rtol=1e-13)
+    diag = np.isclose(lengths, h * np.sqrt(2.0), rtol=1e-13)
     assert np.all(axis | diag)
     assert diag.sum() == n * n
     assert axis.sum() == 2 * n * (n + 1)
@@ -234,10 +235,18 @@ def reference_rows(ref, name, ids):
     return ptr, ref.node_elem_ids[np.repeat(start - ptr[:-1], deg) + np.arange(ptr[-1])]
 
 
+def accessor(mesh, name):
+    """The accessor ``name`` of ``COUNTS``: a ``Mesh`` method, or the
+    lengths ``edge_frame`` takes from the edge vectors."""
+    if name == "edge_lengths":
+        return lambda ids: edge_frame(mesh, ids)[2]
+    return getattr(mesh, name)
+
+
 def assert_rows(mesh, ref, name, ids):
     """An accessor on ``ids`` against the reference rows."""
     count = getattr(mesh, COUNTS[name])
-    got = getattr(mesh, name)(ids)
+    got = accessor(mesh, name)(ids)
     want = reference_rows(ref, name, np.arange(count)[ids])
     if name == "node_elems":
         assert_same(got[0], want[0], "node_elem_ptr")
@@ -279,7 +288,7 @@ def test_accessors_take_unsorted_repeated_ids(level):
             assert_rows(mesh, ref, name, ids)
         for bad in ([-1], [n]):
             with pytest.raises(IndexError):
-                getattr(mesh, name)(bad)
+                accessor(mesh, name)(bad)
     # an id array of any shape gives rows of that shape; a scalar one row
     ids = rng.integers(0, mesh.n_elems, (4, 5))
     assert_same(mesh.grads(ids), ref.grads[ids])

@@ -166,6 +166,11 @@ def test_spec_validation():
         ProblemSpec(rho_minus=1.0, rho_plus=1.0, gamma_g_minus=-0.5)
     with pytest.raises(ValueError):
         ProblemSpec(rho_minus=1.0, rho_plus=1.0, weighting="midpoint")
+    # subnormal coefficients underflow the stiffness to zero
+    for name in ("rho_minus", "rho_plus"):
+        for value in (1e-320, 5e-324):
+            with pytest.raises(ValueError, match="diffusion coefficients"):
+                ProblemSpec(**{"rho_minus": 1.0, "rho_plus": 1.0, name: value})
     for name in ("rho_minus", "rho_plus", "gamma", "gamma_g_minus", "gamma_g_plus"):
         for value in (np.inf, np.nan):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
