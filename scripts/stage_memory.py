@@ -9,9 +9,15 @@ assemble_parts (the five matrix parts alone), build_system, load (a
 second ``assemble_load``) and the error report of the lifted zero field.
 Each level runs them once under tracemalloc for memory, then
 ``TIMED_RUNS`` times with tracemalloc off for time, since tracing charges
-every allocation and one run's time is noise.  Per stage it records
+every allocation and one run's time is noise.  The machine's speed is
+read with ``perfbench/calibrate.py``'s ``speed()`` right before and right
+after each level's untraced runs; their mean is the level's ``speed``,
+1 at the nominal speed of that file's reference kernel.  Per stage it
+records
 
 * ``seconds``: the median wall time of the untraced runs;
+* ``nominal_s``: ``seconds`` times the level's speed, the time at nominal
+  machine speed, which a drift of the host's speed moves far less;
 * ``output_mb``: traced memory the stage leaves allocated;
 * ``extra_mb``: traced peak above the traced memory at the stage's start,
   the output included;
@@ -43,6 +49,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
     os.environ[_var] = "1"   # before numpy is imported
 
 import argparse  # noqa: E402
+import importlib.util  # noqa: E402
 import json  # noqa: E402
 import multiprocessing  # noqa: E402
 import pathlib  # noqa: E402
@@ -67,7 +74,11 @@ from cutnitsche.mesh import build_mesh  # noqa: E402
 from cutnitsche.norms import error_report  # noqa: E402
 from cutnitsche.space import build_spaces  # noqa: E402
 
-OUTPUT = pathlib.Path(__file__).resolve().parent.parent / "BENCH_memory.json"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+OUTPUT = ROOT / "BENCH_memory.json"
+_spec = importlib.util.spec_from_file_location("calibrate", ROOT / "perfbench" / "calibrate.py")
+calibrate = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(calibrate)
 MB = 1024.0 ** 2
 # untraced runs per level; each stage's seconds are their median
 TIMED_RUNS = 3
@@ -145,21 +156,25 @@ def stages(config: RunConfig, level: int, measure) -> dict:
 
 
 def measure_case(key: str, levels) -> dict:
-    """Per level, the record of each stage of one case: memory from a
-    traced run, seconds the median of ``TIMED_RUNS`` untraced ones."""
+    """Per level, the machine's speed and the record of each stage of one
+    case: memory from a traced run, seconds the median of ``TIMED_RUNS``
+    untraced ones, read between two speed readings."""
     config = CASES[key][1]
     out = {}
     for level in levels:
         tracemalloc.start()
         memory = stages(config, level, traced)
         tracemalloc.stop()
+        before = calibrate.speed()
         runs = [stages(config, level, timed) for _ in range(TIMED_RUNS)]
-        out[f"L{level}"] = {name: {"seconds": statistics.median(run[name] for run in runs),
-                                   **rec}
-                            for name, rec in memory.items()}
-        for name, rec in out[f"L{level}"].items():
-            print(f"{key} L{level} {name:<14} " + " ".join(f"{k} {v}" for k, v in rec.items()),
-                  flush=True)
+        speed = statistics.fmean([before, calibrate.speed()])
+        out[f"L{level}"] = level_out = {"speed": round(speed, 3)}
+        for name, rec in memory.items():
+            seconds = statistics.median(run[name] for run in runs)
+            level_out[name] = {"seconds": seconds, "nominal_s": round(seconds * speed, 3), **rec}
+            print(f"{key} L{level} {name:<14} " + " ".join(f"{k} {v}" for k, v in
+                                                           level_out[name].items()), flush=True)
+        print(f"{key} L{level} speed {level_out['speed']}", flush=True)
     return out
 
 

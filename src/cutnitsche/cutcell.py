@@ -5,7 +5,7 @@ its two interface points (edge roots or on-interface vertices) into a
 polygonal minus part and plus part.  Quadrature uses the three-point
 mid-edge rule on a fan of sub-triangles (exact for quadratics) and a
 two-point Gauss rule on the chord.  Roots, splits and rules are computed
-for all edges and all cut elements at once.  Only the cut elements are
+for all crossing edges and all cut elements at once.  Only the cut elements are
 stored: the area and the rule of an uncut element are closed forms of
 its id, computed for the ids a pass asks for.
 """
@@ -180,27 +180,28 @@ def classify(mesh: Mesh, ls: LevelSet) -> CutTopology:
         bad = int(np.flatnonzero(~has_neg & ~has_pos)[0])
         raise GeometryError(f"element {bad} has all vertices on the interface")
 
-    multi_edge = _scan_edges(mesh, ls, psi)
-    if np.any(multi_edge) and ls.simple:
-        e = int(np.flatnonzero(multi_edge)[0])
-        a, b = mesh.nodes[mesh.edges(e)]
+    multi = _scan_edges(mesh, ls, psi)
+    if multi.size and ls.simple:
+        a, b = mesh.nodes[mesh.edges(multi[0])]
         raise CoarseMeshError(
             f"h too coarse for this interface: multiple crossings on edge "
             f"{a.tolist()} -> {b.tolist()}"
         )
 
-    crossing = _crossing(grid)
-    cross_ids, roots, flagged = _edge_roots(mesh, ls, psi, crossing, multi_edge)
-
+    # an edge whose end signs are strictly opposite is an edge of a candidate;
+    # local edge i joins vertices i and i+1
     cand = np.flatnonzero(has_neg & has_pos)
     local = mesh.elem_edges(cand)
-    ambiguous = cand[np.any(flagged[local], axis=1)]
     conn = mesh.elements(cand)
-    has_root = crossing[local]
+    signs = sign[conn]
+    has_root = signs * np.roll(signs, -1, axis=1) < 0
+    cross_ids = np.unique(local[has_root])
+    roots, flagged = _edge_roots(mesh, ls, psi, cross_ids, multi)
+    ambiguous = cand[np.isin(local, flagged).any(axis=1)]
     local_roots = np.full(local.shape + (2,), np.nan)
     local_roots[has_root] = roots[np.searchsorted(cross_ids, local[has_root])]
     p, q, poly_m, k_m, poly_p, k_p = _split(
-        np.take(mesh.nodes, conn, axis=0), sign[conn], has_root, local_roots)
+        np.take(mesh.nodes, conn, axis=0), signs, has_root, local_roots)
     sub_minus = _polygon_area(poly_m, k_m)
     chord_len = np.hypot(*(q - p).T)
 
@@ -249,80 +250,63 @@ def classify(mesh: Mesh, ls: LevelSet) -> CutTopology:
     )
 
 
-def _crossing(sign: np.ndarray) -> np.ndarray:
-    """Whether the signs at the two ends of each edge are strictly
-    opposite, from the (n+1, n+1) grid of node signs: (n_edges,) bool."""
-    n = sign.shape[0] - 1
-    out = np.empty(n * (3 * n + 2), dtype=bool)
-    for nodes, edges in edge_rows(n):
-        edge_apply(lambda a, b, out: np.less(a * b, 0, out=out), sign[nodes], out[edges])
-    return out
-
-
-def _band_edges(mesh: Mesh, ls: LevelSet, psi: np.ndarray):
-    """Ids of the edges that can hold a root, one chunk of ``edge_rows``
-    at a time.  If ``|grad phi| <= L``, an edge a -> b holds a root only
-    when ``|phi(a)| + |phi(b)| <= L |b - a|``; the band admits twice that
-    sum, which absorbs rounding.  ``psi`` is phi up to sign at the nodes.
-    Without a bound (``ls.lipschitz`` None) the band is every edge."""
-    bound = np.inf if ls.lipschitz is None else 2.0 * ls.lipschitz
-    n, cls = mesh.n_cells, mesh.spacing_class
-    rows, top = mesh.row_edge_lengths()
-    limit, top = bound * rows, bound * top
-    grid = psi.reshape(n + 1, n + 1)
-    for nodes, edges in edge_rows(n):
-        chunk = top if nodes.start == n else limit[cls[nodes.start:nodes.stop - 1]].reshape(-1)
-        end_sum = np.empty(chunk.size)
-        edge_apply(np.add, np.abs(grid[nodes]), end_sum)
-        band = edges.start + np.flatnonzero(end_sum <= chunk)
-        del chunk, end_sum   # not held while the band is sampled
-        yield band
-
-
 def _scan_edges(mesh: Mesh, ls: LevelSet, psi: np.ndarray) -> np.ndarray:
-    """Boolean per edge: more than one sign change along sampled points.
+    """Ascending ids of the edges with more than one sign change along
+    sampled points.
 
-    Only the band of edges that can hold a root (``_band_edges``) is
-    sampled, ``BLOCK // (MULTI_ROOT_SAMPLES + 2)`` edges at a time, so no
-    temporary holds more than about BLOCK edges or sample points.
+    Only the band of edges that can hold a root is sampled, one chunk of
+    ``edge_rows`` at a time.  If ``|grad phi| <= L``, an edge a -> b holds
+    a root only when ``|phi(a)| + |phi(b)| <= L |b - a|``, and no edge is
+    longer than ``h_elem`` beyond rounding; the band admits a sum up to
+    ``2 L h_elem``.  Along an edge it admits beyond those, ``|phi|`` stays
+    above ``L |b - a| / 2``, so its samples cannot change sign twice.
+    ``psi`` is phi up to sign at the nodes.  Without a bound
+    (``ls.lipschitz`` None) the band is every edge.  The band is sampled
+    ``BLOCK // (MULTI_ROOT_SAMPLES + 2)`` edges at a time, so no temporary
+    holds more than about BLOCK edges or sample points.
     """
+    limit = np.inf if ls.lipschitz is None else 2.0 * ls.lipschitz * mesh.h_elem
     ts = np.linspace(0.0, 1.0, MULTI_ROOT_SAMPLES + 2)
-    multi = np.zeros(mesh.n_edges, dtype=bool)
-    for band in _band_edges(mesh, ls, psi):
+    grid = psi.reshape(mesh.n_cells + 1, -1)
+    multi = [np.empty(0, dtype=np.int64)]
+    for nodes, edges in edge_rows(mesh.n_cells):
+        end_sum = np.empty(edges.stop - edges.start)
+        edge_apply(np.add, np.abs(grid[nodes]), end_sum)
+        band = edges.start + np.flatnonzero(end_sum <= limit)
+        del end_sum   # not held while the band is sampled
         for sub in blocks(band.size, ts.size):
             ids = band[sub]
             a, b = np.take(mesh.nodes, mesh.edges(ids).T, axis=0)
             pts = a[:, None, :] + ts[None, :, None] * (b - a)[:, None, :]
             s = np.sign(ls.value(pts))
-            multi[ids] = np.sum(s[:, 1:] * s[:, :-1] < 0, axis=1) > 1
-    return multi
+            multi.append(ids[np.sum(s[:, 1:] * s[:, :-1] < 0, axis=1) > 1])
+    return np.concatenate(multi)
 
 
-def _edge_roots(mesh, ls, psi, crossing, multi_edge):
-    """Ids of the crossing edges (signs strictly change), ascending, the
-    interface point of each, and a flag per edge whose point is the root
-    of the linear interpolant.
+def _edge_roots(mesh, ls, psi, cross_ids, multi):
+    """The interface point of each crossing edge (``cross_ids``, signs
+    strictly change, ascending), and the ascending ids of those whose
+    point is the root of the linear interpolant.
 
     Crossing edges are bisected from their lower node id to their higher
-    one.  Edges with several crossings, and on a non-simple level set those
-    whose bisection fails, fall back to the linear root and are flagged.
+    one.  Edges with several crossings (``multi``), and on a non-simple
+    level set those whose bisection fails, fall back to the linear root
+    and are flagged.
     """
-    cross_ids = np.flatnonzero(crossing)
     roots = np.empty((cross_ids.size, 2))
-    ids = np.flatnonzero(crossing & ~multi_edge)
+    single = ~np.isin(cross_ids, multi)
+    ids = cross_ids[single]
     ends = mesh.edges(ids).T
     pa, pb = np.take(mesh.nodes, ends, axis=0)
     t = _bisect(ls, pa, pb, np.take(psi, ends[0]))
-    roots[np.searchsorted(cross_ids, ids)] = pa + t[:, None] * (pb - pa)
+    roots[single] = pa + t[:, None] * (pb - pa)
 
-    flagged = crossing & multi_edge
-    flagged[ids[np.isnan(t)]] = True
-    lin = np.flatnonzero(flagged)
-    ends = mesh.edges(lin).T
+    flagged = np.union1d(cross_ids[~single], ids[np.isnan(t)])
+    ends = mesh.edges(flagged).T
     pa, pb = np.take(mesh.nodes, ends, axis=0)
     fa, fb = np.take(psi, ends)
-    roots[np.searchsorted(cross_ids, lin)] = pa + (fa / (fa - fb))[:, None] * (pb - pa)
-    return cross_ids, roots, flagged
+    roots[np.searchsorted(cross_ids, flagged)] = pa + (fa / (fa - fb))[:, None] * (pb - pa)
+    return roots, flagged
 
 
 def _bisect(ls, pa, pb, fa):

@@ -45,9 +45,9 @@ class LevelSet:
     states that the zero set is a simple closed curve resolved by any
     admissible mesh; when False, classification downgrades multi-root
     and non-convergence errors to flagged elements instead of raising.
-    ``lipschitz`` is an upper bound on ``|grad phi|``, or None where none
-    is known; classification samples for multiple roots only the edges
-    on which such a bound allows a root.
+    ``lipschitz`` is an upper bound on ``|grad phi|``, finite and > 0, or
+    None where none is known; classification samples for multiple roots
+    only the edges on which such a bound allows a root.
     """
 
     phi: Callable
@@ -60,6 +60,8 @@ class LevelSet:
     def __post_init__(self):
         if self.inclusion_side not in ("minus", "plus"):
             raise ValueError(f"inclusion_side must be 'minus' or 'plus', got {self.inclusion_side!r}")
+        if self.lipschitz is not None and not 0.0 < self.lipschitz < np.inf:
+            raise ValueError(f"lipschitz must be None or a finite bound > 0, got {self.lipschitz!r}")
 
     def value(self, x):
         return self.phi(np.asarray(x, dtype=float))

@@ -54,8 +54,7 @@ class Mesh:
     (3 or 4 per level), so the areas and basis gradients of all elements
     come from a table of templates, one per (x spacing, y spacing,
     triangle shape), each computed by ``_p1_geometry`` on an element of
-    that key; the edge lengths of the scan band likewise, one per (edge
-    kind, x spacing, y spacing), read by node row (``row_edge_lengths``).
+    that key.
     """
 
     level: int
@@ -68,8 +67,6 @@ class Mesh:
     # templates indexed by x class, y class and triangle (0 lower, 1 upper)
     template_areas: np.ndarray = field(init=False, repr=False)  # (k, k, 2)
     template_grads: np.ndarray = field(init=False, repr=False)  # (k, k, 2, 3, 2)
-    # edge lengths indexed by kind (horizontal, vertical, diagonal), x and y class
-    template_lengths: np.ndarray = field(init=False, repr=False)  # (3, k, k)
 
     def __post_init__(self):
         n = self.n_cells
@@ -83,9 +80,6 @@ class Mesh:
         object.__setattr__(self, "spacing_class", spacing_class.reshape(n))
         object.__setattr__(self, "template_areas", areas.reshape(k, k, 2))
         object.__setattr__(self, "template_grads", grads.reshape(k, k, 2, 3, 2))
-        ends = self.edges(fy * (3 * n + 1) + 3 * fx + np.arange(3)[:, None, None])
-        ev = self.nodes[ends[..., 1]] - self.nodes[ends[..., 0]]
-        object.__setattr__(self, "template_lengths", np.hypot(ev[..., 0], ev[..., 1]))
 
     @property
     def n_nodes(self) -> int:
@@ -161,16 +155,6 @@ class Mesh:
         out[:, 1] = np.where(upper, top, right)
         out[:, 2] = np.where(upper, base + 1, base + 2)
         return out.reshape(shape + (3,))
-
-    def row_edge_lengths(self):
-        """Lengths of the edges each node row owns, in their numbering
-        order (``edge_rows``): (k, 3n+1) for a row below the top, by the
-        class of the row's y spacing, and (n,) for the top row."""
-        n, cls, lengths = self.n_cells, self.spacing_class, self.template_lengths
-        rows = np.empty((lengths.shape[2], 3 * n + 1))
-        rows[:, :3 * n] = lengths[:, cls, :].transpose(2, 1, 0).reshape(-1, 3 * n)
-        rows[:, 3 * n] = lengths[1, cls[-1], :]   # the right column's vertical edge
-        return rows, lengths[0, cls, cls[-1]]
 
     def boundary_node(self, ids) -> np.ndarray:
         """Whether the nodes lie on the outer boundary: (...,) bool."""

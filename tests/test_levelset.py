@@ -1,4 +1,6 @@
 """Interface descriptions: roots on edges, reflection, sign conventions."""
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -33,6 +35,17 @@ def test_circle_lipschitz_bound(x0, y0, x1, y1):
     assert abs(ls.value(a) - ls.value(b)) <= ls.lipschitz * np.hypot(*(a - b)) + 1e-15
     # |grad phi| of the flower grows like 1/r at its pinch point
     assert make_flower().lipschitz is None
+
+
+@pytest.mark.parametrize("bound", [0.0, -1.0, np.nan, np.inf])
+def test_bound_that_would_switch_off_the_scan_is_refused(bound):
+    # with any of these the band admitted no edge, and the level-1 grid,
+    # on which this circle crosses an edge twice, classified without error
+    circle = make_circle(0.36)
+    with pytest.raises(CoarseMeshError):
+        classify(build_mesh(1), circle)
+    with pytest.raises(ValueError, match="lipschitz must be None or a finite bound > 0"):
+        dataclasses.replace(circle, lipschitz=bound)
 
 
 def test_normal_minus_orientation():

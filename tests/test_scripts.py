@@ -36,6 +36,8 @@ def test_stage_memory_stamps_dirty_only_for_package_changes(tmp_path):
                     ignore=shutil.ignore_patterns("__pycache__"))
     (repo / "scripts").mkdir()
     shutil.copy(SCRIPTS / "stage_memory.py", repo / "scripts")
+    (repo / "perfbench").mkdir()   # the script reads the machine's speed with it
+    shutil.copy(SCRIPTS.parent / "perfbench" / "calibrate.py", repo / "perfbench")
     (repo / ".gitignore").write_text("__pycache__/\n")
     record = repo / "BENCH_memory.json"
     record.write_text("{}\n")
@@ -53,6 +55,9 @@ def test_stage_memory_stamps_dirty_only_for_package_changes(tmp_path):
                              cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
         assert run.returncode == 0, run.stderr
         cases = json.loads(record.read_text())["cases"].values()
+        # every level carries the machine's speed, read around its timed runs
+        assert all(level["speed"] > 0 for case in cases
+                   for level in case["columns"][column]["levels"].values())
         return {case["columns"][column]["commit"] for case in cases}
 
     git("init", "-q")
