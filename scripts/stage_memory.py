@@ -171,9 +171,10 @@ def measure_case(key: str, levels) -> dict:
         out[f"L{level}"] = level_out = {"speed": round(speed, 3)}
         for name, rec in memory.items():
             seconds = statistics.median(run[name] for run in runs)
-            level_out[name] = {"seconds": seconds, "nominal_s": round(seconds * speed, 3), **rec}
-            print(f"{key} L{level} {name:<14} " + " ".join(f"{k} {v}" for k, v in
-                                                           level_out[name].items()), flush=True)
+            level_out[name] = rec = {"seconds": seconds, "nominal_s": round(seconds * speed, 3),
+                                     **rec}
+            print(f"{key} L{level} {name:<14} " + " ".join(f"{k} {v}" for k, v in rec.items()),
+                  flush=True)
         print(f"{key} L{level} speed {level_out['speed']}", flush=True)
     return out
 

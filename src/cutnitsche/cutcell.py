@@ -5,8 +5,8 @@ its two interface points (edge roots or on-interface vertices) into a
 polygonal minus part and plus part.  Quadrature uses the three-point
 mid-edge rule on a fan of sub-triangles (exact for quadratics) and a
 two-point Gauss rule on the chord.  Roots, splits and rules are computed
-for all crossing edges and all cut elements at once.  Only the cut elements are
-stored: the area and the rule of an uncut element are closed forms of
+for the crossing edges and cut elements at once.  Only the cut elements
+are stored: the area and the rule of an uncut element are closed forms of
 its id, computed for the ids a pass asks for.
 """
 from __future__ import annotations
