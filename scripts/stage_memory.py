@@ -10,12 +10,13 @@ second ``assemble_load``) and the error report of the lifted zero field.
 Each level runs them once under tracemalloc for memory, then
 ``TIMED_RUNS`` times with tracemalloc off for time, since tracing charges
 every allocation and one run's time is noise.  The machine's speed is
-read with ``perfbench/calibrate.py``'s ``speed()`` right before and right
-after each level's untraced runs; their mean is the level's ``speed``,
-1 at the nominal speed of that file's reference kernel.  Per stage it
-records
+sampled all through each level's untraced runs by ``perfbench/calibrate.py``'s
+``Sampler``, which runs that file's reference kernel every quarter second
+or so; the samples' mean is the level's ``speed``, 1 at the kernel's
+nominal speed.  Per stage it records
 
-* ``seconds``: the median wall time of the untraced runs;
+* ``seconds``: the median wall time of the untraced runs, each less the
+  time the sampler's kernel took within it;
 * ``nominal_s``: ``seconds`` times the level's speed, the time at nominal
   machine speed, which a drift of the host's speed moves far less;
 * ``output_mb``: traced memory the stage leaves allocated;
@@ -60,6 +61,7 @@ import sys  # noqa: E402
 import time  # noqa: E402
 import tracemalloc  # noqa: E402
 from concurrent.futures import ProcessPoolExecutor  # noqa: E402
+from functools import partial  # noqa: E402
 
 import numpy as np  # noqa: E402
 import scipy  # noqa: E402
@@ -132,11 +134,13 @@ def traced(fn):
     }
 
 
-def timed(fn):
-    """Run fn; its result and its wall time."""
-    t0 = time.perf_counter()
+def timed(sampler, fn):
+    """Run fn; its result and its wall time less the time ``sampler``
+    spent sampling within it."""
+    t0, spent = time.perf_counter(), sampler.spent
     out = fn()
-    return out, round(time.perf_counter() - t0, 3)
+    spent = sampler.spent - spent
+    return out, round(time.perf_counter() - t0 - spent, 3)
 
 
 def stages(config: RunConfig, level: int, measure) -> dict:
@@ -158,16 +162,16 @@ def stages(config: RunConfig, level: int, measure) -> dict:
 def measure_case(key: str, levels) -> dict:
     """Per level, the machine's speed and the record of each stage of one
     case: memory from a traced run, seconds the median of ``TIMED_RUNS``
-    untraced ones, read between two speed readings."""
+    untraced ones, sampled for speed as they run."""
     config = CASES[key][1]
     out = {}
     for level in levels:
         tracemalloc.start()
         memory = stages(config, level, traced)
         tracemalloc.stop()
-        before = calibrate.speed()
-        runs = [stages(config, level, timed) for _ in range(TIMED_RUNS)]
-        speed = statistics.fmean([before, calibrate.speed()])
+        with calibrate.Sampler() as sampler:
+            runs = [stages(config, level, partial(timed, sampler)) for _ in range(TIMED_RUNS)]
+        speed = sampler.speed()
         out[f"L{level}"] = level_out = {"speed": round(speed, 3)}
         for name, rec in memory.items():
             seconds = statistics.median(run[name] for run in runs)

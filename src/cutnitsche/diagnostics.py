@@ -134,9 +134,9 @@ def interpolation_error_profile(ls: LevelSet, spec: ProblemSpec, levels) -> Tabl
             grad_int = PairwiseSum(topo.n_points(side))
             hess_int = PairwiseSum(topo.n_points(side))
             for elems, counts, pts, w in topo.quadrature_blocks(side):
-                uh = np.repeat(coeffs[dofmap[mesh.elements(elems)]], counts, axis=0)
-                grads = np.repeat(mesh.grads(elems), counts, axis=0)
-                grad_int.add(w * _grad_error_sq(spec, side, uh, grads, pts))
+                uh, grads = coeffs[dofmap[mesh.elements(elems)]], mesh.grads(elems)
+                grad_h = np.repeat(np.einsum("ki,kid->kd", uh, grads), counts, axis=0)
+                grad_int.add(w * _grad_error_sq(spec, side, grad_h, pts))
                 vals = np.asarray(hess(pts), dtype=float)
                 hess_int.add(w * vals * vals)
             esqrt_sq += float(spec.rho(side) * grad_int.total())

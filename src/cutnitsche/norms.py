@@ -17,6 +17,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import mesh as mesh_module
+from .assembly import _cut_blocks
 from .mesh import barycentric_many, edge_frame
 from .problems import ProblemSpec
 from .space import FieldPair
@@ -115,19 +116,18 @@ def error_report(spec: ProblemSpec, u_h: FieldPair) -> ErrorReport:
         for elems, counts, pts, w in topo.quadrature_blocks(side, 9):
             conn = mesh.elements(elems)
             corners = np.take(mesh.nodes, conn, axis=0)
-            uh_elem, grads_elem = coeffs[dofmap[conn]], mesh.grads(elems)
-            uh = np.repeat(uh_elem, counts, axis=0)
+            uh_elem = coeffs[dofmap[conn]]
+            grad_h = np.einsum("ki,kid->kd", uh_elem, mesh.grads(elems))
             lam = barycentric_many(np.repeat(corners, counts, axis=0), pts)
-            diff = np.asarray(spec.exact(side)(pts), dtype=float) - np.einsum("ki,ki->k", lam, uh)
+            diff = (np.asarray(spec.exact(side)(pts), dtype=float)
+                    - np.einsum("ki,ki->k", lam, np.repeat(uh_elem, counts, axis=0)))
             e0_int.add(w * diff * diff)
-            grads = np.repeat(grads_elem, counts, axis=0)
-            gdiff_sq = _grad_error_sq(spec, side, uh, grads, pts)
+            gdiff_sq = _grad_error_sq(spec, side, np.repeat(grad_h, counts, axis=0), pts)
             grad_int.add(w * gdiff_sq)
             # vertex samples restricted to the closed physical side
             vmask = topo.node_sign[conn] * want >= 0
             vdiff = np.abs(np.asarray(spec.exact(side)(corners), dtype=float) - uh_elem)
-            d = (np.asarray(spec.grad(side)(corners), dtype=float)
-                 - np.einsum("ki,kid->kd", uh_elem, grads_elem)[:, None, :])
+            d = np.asarray(spec.grad(side)(corners), dtype=float) - grad_h[:, None, :]
             diff_max = np.max(vdiff[vmask], initial=np.max(np.abs(diff), initial=diff_max))
             gdiff_max = np.max((d[..., 0] ** 2 + d[..., 1] ** 2)[vmask],
                                initial=np.max(gdiff_sq, initial=gdiff_max))
@@ -156,12 +156,10 @@ def error_report(spec: ProblemSpec, u_h: FieldPair) -> ErrorReport:
     )
 
 
-def _grad_error_sq(spec: ProblemSpec, side: str, uh: np.ndarray, grads: np.ndarray,
-                  pts: np.ndarray) -> np.ndarray:
-    """|grad u - grad u_h|^2 at the points ``pts`` of a side, each in an
-    element whose three coefficients of u_h are the row of ``uh`` and whose
-    P1 basis gradients are the row of ``grads``."""
-    grad_h = np.einsum("ki,kid->kd", uh, grads)
+def _grad_error_sq(spec: ProblemSpec, side: str, grad_h: np.ndarray,
+                   pts: np.ndarray) -> np.ndarray:
+    """|grad u - grad u_h|^2 at the points ``pts`` of a side, where u_h has
+    the gradient of the same row of ``grad_h``."""
     d = np.asarray(spec.grad(side)(pts), dtype=float) - grad_h
     # the sum along axis 1 of the squares, several times faster
     return d[:, 0] ** 2 + d[:, 1] ** 2
@@ -173,28 +171,24 @@ def _energy_sq(spec: ProblemSpec, u_h: FieldPair, esqrt_sq: float) -> tuple[floa
     interface penalty (the jump misfit weighted by rho_- / h) and the ghost
     terms are added to it, in that order, and the interface flux term (the
     minus-side normal flux error weighted by rho_- h) to their sum; both
-    interface terms use the two-point chord rule."""
+    interface terms use the two-point chord rule, gathered by ``_cut_blocks``."""
     layout = u_h.layout
     mesh, topo = layout.mesh, layout.topo
     pen_sq = flux_sq = 0.0
     if topo.n_cut:
-        points, weights = topo.interface_rule()
-        points, weights = points.reshape(-1, 2), weights.reshape(-1)
-        elems = np.repeat(topo.cut_ids, 2)
-        conn = mesh.elements(elems)
-        lam = barycentric_many(np.take(mesh.nodes, conn, axis=0), points)
-        jump_h = (np.einsum("ki,ki->k", lam, u_h.plus[layout.node_dof_plus[conn]])
-                  - np.einsum("ki,ki->k", lam, u_h.minus[layout.node_dof_minus[conn]]))
+        conn, _, weights, lam, _, _, points = _cut_blocks(layout)
+        u_minus = u_h.minus[layout.node_dof_minus[conn]]
+        jump_h = (np.einsum("kqi,ki->kq", lam, u_h.plus[layout.node_dof_plus[conn]])
+                  - np.einsum("kqi,ki->kq", lam, u_minus))
         alpha = (np.asarray(spec.jump_value(points), dtype=float)
                  if spec.jump_value is not None else 0.0)
         jd = alpha - jump_h
         h_t = mesh.h_elem
         pen_sq = float(spec.rho_minus / h_t * np.sum(weights * jd * jd))
 
-        gh_minus = np.einsum("ki,kid->kd", u_h.minus[layout.node_dof_minus[conn]],
-                             mesh.grads(elems))
+        gh_minus = np.einsum("ki,kid->kd", u_minus, mesh.grads(topo.cut_ids))
         gex = np.asarray(spec.grad_minus(points), dtype=float)
-        fd = np.sum((gex - gh_minus) * np.repeat(topo.chord_normal, 2, axis=0), axis=1)
+        fd = np.sum((gex - gh_minus[:, None]) * topo.chord_normal[:, None], axis=2)
         flux_sq = float(spec.rho_minus * h_t * np.sum(weights * fd * fd))
     vnorm_sq = esqrt_sq + pen_sq + _ghost_error_sq(spec, u_h)
     return vnorm_sq, vnorm_sq + flux_sq

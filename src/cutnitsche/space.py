@@ -65,12 +65,8 @@ class SpaceLayout:
         return np.where(d >= 0, d + self.n_minus, -1)
 
     def outer_side(self) -> str:
-        return _outer_side(self.topo)
-
-
-def _outer_side(topo: CutTopology) -> str:
-    """The side whose subdomain reaches the outer boundary."""
-    return "plus" if topo.levelset.inclusion_side == "minus" else "minus"
+        """The side whose subdomain reaches the outer boundary."""
+        return "plus" if self.topo.levelset.inclusion_side == "minus" else "minus"
 
 
 @dataclass
@@ -101,13 +97,12 @@ def build_spaces(topo: CutTopology) -> SpaceLayout:
     """
     mesh = topo.mesh
     node_dof, dof_node, dirichlet = {}, {}, {}
-    outer = _outer_side(topo)
     for side in ("minus", "plus"):
         dof_node[side] = np.flatnonzero(node_any(topo.in_side(side), mesh.n_cells))
         node_dof[side] = np.full(mesh.n_nodes, -1, dtype=np.int64)
         node_dof[side][dof_node[side]] = np.arange(dof_node[side].shape[0])
-        # the boundary nodes of the outer side are Dirichlet
-        dirichlet[side] = mesh.boundary_node(dof_node[side]) & (side == outer)
+        # the boundary nodes of the outer side, the one not the inclusion's, are Dirichlet
+        dirichlet[side] = mesh.boundary_node(dof_node[side]) & (side != topo.levelset.inclusion_side)
     flags = np.concatenate([dirichlet["minus"], dirichlet["plus"]])
     return SpaceLayout(
         topo=topo,

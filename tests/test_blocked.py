@@ -720,10 +720,13 @@ def test_pairwise_sum_is_np_sum(seed, block, size, specials, all_negative_zero, 
             x[:] = -0.0
         if n:
             x[rng.integers(0, n, len(specials))] = specials
-        total = PairwiseSum(n)
-        for piece in np.split(x, np.sort(rng.integers(0, n + 1, n_pieces - 1))):
-            total.add(piece)
-        got, want = total.total(), np.sum(x)
+        # the drawn infinities may meet as inf - inf: the NaN is checked below,
+        # so its "invalid value" warning is noise
+        with np.errstate(invalid="ignore"):
+            total = PairwiseSum(n)
+            for piece in np.split(x, np.sort(rng.integers(0, n + 1, n_pieces - 1))):
+                total.add(piece)
+            got, want = total.total(), np.sum(x)
     finally:
         mesh_module.BLOCK = saved
     assert type(got) is type(want)
@@ -749,8 +752,9 @@ def test_blocked_stages_stay_within_memory_bounds():
     system = build_system(layout, spec)
     u_h = expand_solution(system, np.zeros(system.n))
     assert extra_mb(lambda: assemble_load(layout, spec)) <= 8.0
-    # 2.3 MB: no full-length integrand vector (7.9 MB with two)
-    assert extra_mb(lambda: error_report(spec, u_h)) <= 2.6
+    # 2.0 MB: no full-length integrand vector (7.9 MB with two), and
+    # u_h's gradient taken per element (2.4 MB with it per point)
+    assert extra_mb(lambda: error_report(spec, u_h)) <= 2.2
     # a window of BLOCK rows at a time: 8.5 and 10.4 MB, where one
     # unsummed CSR of the whole volume part set both at 11.3 MB
     assert extra_mb(lambda: assemble_parts(layout, spec)) <= 9.5

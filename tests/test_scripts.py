@@ -55,9 +55,17 @@ def test_stage_memory_stamps_dirty_only_for_package_changes(tmp_path):
                              cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
         assert run.returncode == 0, run.stderr
         cases = json.loads(record.read_text())["cases"].values()
-        # every level carries the machine's speed, read around its timed runs
-        assert all(level["speed"] > 0 for case in cases
-                   for level in case["columns"][column]["levels"].values())
+        for level in (level for case in cases
+                      for level in case["columns"][column]["levels"].values()):
+            # every level carries the machine's speed, sampled during its timed runs
+            assert level["speed"] > 0
+            for stage in (rec for rec in level.values() if isinstance(rec, dict)):
+                # the sampler's time is taken out of the wall time, never more
+                assert stage["seconds"] >= 0
+                # seconds and speed are rounded to 3 places, nominal_s is
+                # rounded from their unrounded product
+                assert (abs(stage["nominal_s"] - stage["seconds"] * level["speed"])
+                        <= 5e-4 * (1.0 + stage["seconds"]) + 1e-9)
         return {case["columns"][column]["commit"] for case in cases}
 
     git("init", "-q")
