@@ -313,20 +313,16 @@ def assemble_load(layout: SpaceLayout, spec: ProblemSpec) -> np.ndarray:
             np.add.at(b, dofs.ravel(), contrib.ravel())
 
     if topo.n_cut and (spec.jump_value is not None or spec.jump_flux is not None):
-        conn, gn, wts, lam, jump, dofs, pts = _cut_blocks(layout)
+        _, gn, wts, lam, jump, dofs, pts = _cut_blocks(layout)
         w_minus, w_plus = spec.flux_weights()
         h_t = mesh.h_elem
         if spec.jump_flux is not None:
-            beta = np.stack([np.asarray(spec.jump_flux(pts[:, q, :]), dtype=float)
-                             for q in range(2)], axis=1)
-            wb = wts * beta  # (ncut, 2)
+            wb = wts * np.asarray(spec.jump_flux(pts), dtype=float)  # (ncut, 2)
             loc = np.einsum("kq,kqi->ki", wb, lam)
-            np.add.at(b, layout.global_dofs("plus", conn).ravel(), (w_minus * loc).ravel())
-            np.add.at(b, layout.global_dofs("minus", conn).ravel(), (w_plus * loc).ravel())
+            np.add.at(b, dofs[:, 3:].ravel(), (w_minus * loc).ravel())
+            np.add.at(b, dofs[:, :3].ravel(), (w_plus * loc).ravel())
         if spec.jump_value is not None:
-            alpha = np.stack([np.asarray(spec.jump_value(pts[:, q, :]), dtype=float)
-                              for q in range(2)], axis=1)
-            wa = wts * alpha
+            wa = wts * np.asarray(spec.jump_value(pts), dtype=float)
             loc = np.sum(wa, axis=1)[:, None] * _normal_flux(spec, gn)
             loc += (spec.gamma * spec.penalty_rho() / h_t) * np.einsum("kq,kqi->ki", wa, jump)
             np.add.at(b, dofs.ravel(), loc.ravel())

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .levelset import CoarseMeshError, GeometryError, LevelSet
-from .mesh import Mesh, _index, blocks, edge_apply, edge_rows, elem_any
+from .mesh import Mesh, _index, blocks, elem_any
 
 log = logging.getLogger(__name__)
 
@@ -254,8 +254,8 @@ def _scan_edges(mesh: Mesh, ls: LevelSet, psi: np.ndarray) -> np.ndarray:
     """Ascending ids of the edges with more than one sign change along
     sampled points.
 
-    Only the band of edges that can hold a root is sampled, one chunk of
-    ``edge_rows`` at a time.  If ``|grad phi| <= L``, an edge a -> b holds
+    Only the band of edges that can hold a root is sampled, read from
+    the ends of ``BLOCK // 2`` edges at a time.  If ``|grad phi| <= L``, an edge a -> b holds
     a root only when ``|phi(a)| + |phi(b)| <= L |b - a|``, and no edge is
     longer than ``h_elem`` beyond rounding; the band admits a sum up to
     ``2 L h_elem``.  Along an edge it admits beyond those, ``|phi|`` stays
@@ -267,13 +267,11 @@ def _scan_edges(mesh: Mesh, ls: LevelSet, psi: np.ndarray) -> np.ndarray:
     """
     limit = np.inf if ls.lipschitz is None else 2.0 * ls.lipschitz * mesh.h_elem
     ts = np.linspace(0.0, 1.0, MULTI_ROOT_SAMPLES + 2)
-    grid = psi.reshape(mesh.n_cells + 1, -1)
     multi = [np.empty(0, dtype=np.int64)]
-    for nodes, edges in edge_rows(mesh.n_cells):
-        end_sum = np.empty(edges.stop - edges.start)
-        edge_apply(np.add, np.abs(grid[nodes]), end_sum)
-        band = edges.start + np.flatnonzero(end_sum <= limit)
-        del end_sum   # not held while the band is sampled
+    for chunk in blocks(mesh.n_edges, 2):
+        lower, upper = np.abs(np.take(psi, mesh.edges(chunk).T))
+        band = chunk.start + np.flatnonzero(lower + upper <= limit)
+        del lower, upper   # not held while the band is sampled
         for sub in blocks(band.size, ts.size):
             ids = band[sub]
             a, b = np.take(mesh.nodes, mesh.edges(ids).T, axis=0)

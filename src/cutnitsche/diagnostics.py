@@ -232,10 +232,9 @@ def build_extension(layout: SpaceLayout) -> ExtensionOperator:
 
     # patch elements of each candidate, then their minus-side points
     ptr, patch = mesh.node_elems(cand)
-    deg = np.diff(ptr)
     pt_ptr, pts, wts = topo.quadrature("minus", patch)
-    owner = np.repeat(np.repeat(np.arange(cand.size), deg), np.diff(pt_ptr))
-    seg = np.searchsorted(owner, np.arange(cand.size + 1))
+    seg = pt_ptr[ptr]   # node i's points are seg[i]:seg[i+1]
+    owner = np.repeat(np.arange(cand.size), np.diff(seg))
     # np.sum per node: a segmented reduceat adds in another order
     total = np.array([np.sum(wts[i:j]) for i, j in zip(seg[:-1], seg[1:])])
 

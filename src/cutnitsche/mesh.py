@@ -333,35 +333,6 @@ def node_any(flag: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def edge_rows(n: int):
-    """The edges in chunks of node rows: per chunk, the grid rows its edges
-    touch and its edge ids, as slices.  A chunk holds at most BLOCK edges,
-    or one row; the top row, which owns horizontal edges only, comes last
-    on its own."""
-    row = 3 * n + 1
-    for r in blocks(n, row):
-        yield slice(r.start, r.stop + 1), slice(r.start * row, r.stop * row)
-    yield slice(n, n + 1), slice(n * row, n * row + n)
-
-
-def edge_apply(fn, grid: np.ndarray, out: np.ndarray) -> None:
-    """``fn(lower end, upper end, out=out)`` over the edges of one chunk
-    of ``edge_rows``, from ``grid``, the node values of the rows it
-    touches.  Each node row below the top owns, per node, its horizontal,
-    vertical and diagonal edge, then the right column's vertical edge."""
-    if grid.shape[0] == 1:   # the top row
-        fn(grid[0, :-1], grid[0, 1:], out=out)
-        return
-    here, up = grid[:-1], grid[1:]
-    rows, n = here.shape[0], here.shape[1] - 1
-    edges = out.reshape(rows, 3 * n + 1)
-    cells = edges[:, :3 * n].reshape(rows, n, 3)
-    fn(here[:, :-1], here[:, 1:], out=cells[..., 0])
-    fn(here[:, :-1], up[:, :-1], out=cells[..., 1])
-    fn(here[:, :-1], up[:, 1:], out=cells[..., 2])
-    fn(here[:, n], up[:, n], out=edges[:, 3 * n])
-
-
 def edge_frame(mesh: Mesh, edges: np.ndarray):
     """Lower and upper element, length and unit normal of interior edges.
 
