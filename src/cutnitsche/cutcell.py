@@ -255,15 +255,15 @@ def _scan_edges(mesh: Mesh, ls: LevelSet, psi: np.ndarray) -> np.ndarray:
     sampled points.
 
     Only the band of edges that can hold a root is sampled, read from
-    the ends of ``BLOCK // 2`` edges at a time.  If ``|grad phi| <= L``, an edge a -> b holds
-    a root only when ``|phi(a)| + |phi(b)| <= L |b - a|``, and no edge is
-    longer than ``h_elem`` beyond rounding; the band admits a sum up to
-    ``2 L h_elem``.  Along an edge it admits beyond those, ``|phi|`` stays
-    above ``L |b - a| / 2``, so its samples cannot change sign twice.
-    ``psi`` is phi up to sign at the nodes.  Without a bound
-    (``ls.lipschitz`` None) the band is every edge.  The band is sampled
-    ``BLOCK // (MULTI_ROOT_SAMPLES + 2)`` edges at a time, so no temporary
-    holds more than about BLOCK edges or sample points.
+    the ends of ``BLOCK // 2`` edges at a time.  If ``|grad phi| <= L``,
+    an edge a -> b holds a root only when ``|phi(a)| + |phi(b)| <= L
+    |b - a|``, and no edge is longer than ``h_elem`` beyond rounding; the
+    band admits a sum up to ``2 L h_elem``.  Along an edge it admits
+    beyond those, ``|phi|`` stays above ``L |b - a| / 2``, so its samples
+    cannot change sign twice.  ``psi`` is phi up to sign at the nodes.
+    Without a bound (``ls.lipschitz`` None) the band is every edge.  The
+    band is sampled ``BLOCK // (MULTI_ROOT_SAMPLES + 2)`` edges at a
+    time, so no temporary holds more than about BLOCK edges or samples.
     """
     limit = np.inf if ls.lipschitz is None else 2.0 * ls.lipschitz * mesh.h_elem
     ts = np.linspace(0.0, 1.0, MULTI_ROOT_SAMPLES + 2)
