@@ -8,8 +8,10 @@ replaced) and every array of the DOF layout built on it, the matrix,
 right-hand side, solution, solve statistics and full-precision error
 report of every configuration of
 ``reproduce_tables.py``, the discrete extension operator of the
-diagnostics at levels 2..5 with its H1 Gram matrices (``h1_plus`` in
-plus-dof indexing), the error report of the interpolant of the
+diagnostics at levels 2..5 with its H1 Gram matrices (``h1_reach``
+over the elements the extension reaches, absent before that operator
+held it, and ``h1_plus`` in plus-dof indexing) and the whole-mesh H1
+Gram (``h1_full``, which the operator held before), the error report of the interpolant of the
 diagnostics' interpolation profile and the profile's rows at full
 precision (``float.hex``) at levels 1..5, the energy-norm Gram matrix
 over the free DOFs of the circle (both inclusion sides) and the flower
@@ -29,7 +31,8 @@ With ``<old>`` and ``<new>`` checkouts of the two commits:
 
 Without ``src`` on the path the script exits 1 and leaves an empty file,
 and two empty files diff as identical: ``&&`` stops at that exit, and
-each file must have 914 lines.
+each file must have 926 lines (914 with a ``src`` whose extension
+operator holds no ``h1_reach``).
 
 BLAS is pinned to one thread, because stagnated CG iterates of the
 high-contrast solves depend on the thread count.
@@ -55,7 +58,7 @@ from cutnitsche.assembly import (assemble_parts, assemble_vnorm_gram,  # noqa: E
                                  build_system)
 from cutnitsche.cli import parse_levels  # noqa: E402
 from cutnitsche.cutcell import classify  # noqa: E402
-from cutnitsche.diagnostics import (build_extension,  # noqa: E402
+from cutnitsche.diagnostics import (_h1_matrices, build_extension,  # noqa: E402
                                     interpolation_error_profile, run_diagnostics)
 from cutnitsche.harness import (_STUDY_LEVELS, CONTRAST_PAIRS, RunConfig,  # noqa: E402
                                 make_problem, run_solve)
@@ -181,8 +184,13 @@ def main() -> int:
         op = build_extension(build_spaces(topo))
         for name, value in csr_arrays(op.matrix).items():
             print(f"extension L{level} {name} {digest(value)}")
-        for gram in ("h1_full", "h1_plus"):
-            for name, value in csr_arrays(getattr(op, gram)).items():
+        nodes = np.arange(mesh.n_nodes)
+        grams = {"h1_full": _h1_matrices(mesh, np.ones(mesh.n_elems, dtype=bool), (nodes, nodes))}
+        if hasattr(op, "h1_reach"):
+            grams["h1_reach"] = op.h1_reach
+        grams["h1_plus"] = op.h1_plus
+        for gram, matrix in grams.items():
+            for name, value in csr_arrays(matrix).items():
                 print(f"extension L{level} {gram}.{name} {digest(value)}")
 
     ls, spec = make_problem(RunConfig(example="1"))

@@ -6,7 +6,8 @@ contrast 1e9 (``rho`` 1 / 1e9), and the flower of example 2 at ``rho``
 1 / 1e5, whose classify samples every edge for multiple roots.  For each
 case, at levels 5..7, the stages are mesh, classify, spaces,
 assemble_parts (the five matrix parts alone), build_system, load (a
-second ``assemble_load``) and the error report of the lifted zero field.
+second ``assemble_load``) and the error report of the lifted zero field;
+the circle's last stage is extension, ``build_extension`` on its layout.
 Each level runs them once under tracemalloc for memory, then
 ``TIMED_RUNS`` times with tracemalloc off for time, since tracing charges
 every allocation and one run's time is noise.  The machine's speed is
@@ -71,6 +72,7 @@ from cutnitsche.assembly import (assemble_load, assemble_parts, build_system,  #
                                  expand_solution)
 from cutnitsche.cli import parse_levels  # noqa: E402
 from cutnitsche.cutcell import classify  # noqa: E402
+from cutnitsche.diagnostics import build_extension  # noqa: E402
 from cutnitsche.harness import RunConfig, make_problem  # noqa: E402
 from cutnitsche.mesh import build_mesh  # noqa: E402
 from cutnitsche.norms import error_report  # noqa: E402
@@ -90,6 +92,8 @@ CASES = {
     "flower": ("flower (example 2), inclusion minus, rho 1 / 1e5; no solve",
                RunConfig(example="2", rho_minus=1.0, rho_plus=1e5)),
 }
+# the cases whose stages end with the extension of the plus-side fields
+EXTENSION_CASES = ("circle-plus",)
 
 
 def rss_mb() -> float:
@@ -143,8 +147,9 @@ def timed(sampler, fn):
     return out, round(time.perf_counter() - t0 - spent, 3)
 
 
-def stages(config: RunConfig, level: int, measure) -> dict:
-    """One record per stage, each from ``measure(stage)``."""
+def stages(config: RunConfig, level: int, measure, extension: bool) -> dict:
+    """One record per stage, each from ``measure(stage)``; ``extension``
+    adds the ``build_extension`` stage last."""
     ls, spec = make_problem(config)
     record = {}
     mesh, record["mesh"] = measure(lambda: build_mesh(level))
@@ -156,6 +161,8 @@ def stages(config: RunConfig, level: int, measure) -> dict:
     _, record["load"] = measure(lambda: assemble_load(layout, spec))
     u_h = expand_solution(system, np.zeros(system.n))
     _, record["error_report"] = measure(lambda: error_report(spec, u_h))
+    if extension:
+        _, record["extension"] = measure(lambda: build_extension(layout))
     return record
 
 
@@ -163,14 +170,15 @@ def measure_case(key: str, levels) -> dict:
     """Per level, the machine's speed and the record of each stage of one
     case: memory from a traced run, seconds the median of ``TIMED_RUNS``
     untraced ones, sampled for speed as they run."""
-    config = CASES[key][1]
+    config, extension = CASES[key][1], key in EXTENSION_CASES
     out = {}
     for level in levels:
         tracemalloc.start()
-        memory = stages(config, level, traced)
+        memory = stages(config, level, traced, extension)
         tracemalloc.stop()
         with calibrate.Sampler() as sampler:
-            runs = [stages(config, level, partial(timed, sampler)) for _ in range(TIMED_RUNS)]
+            runs = [stages(config, level, partial(timed, sampler), extension)
+                    for _ in range(TIMED_RUNS)]
         speed = sampler.speed()
         out[f"L{level}"] = level_out = {"speed": round(speed, 3)}
         for name, rec in memory.items():

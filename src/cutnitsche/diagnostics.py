@@ -30,7 +30,7 @@ from .assembly import (_ghost_part, _stiffness, assemble_vnorm_gram, build_syste
 from .cutcell import CutTopology, classify  # noqa: F401
 from .harness import RunConfig, Table, _geometry, make_problem
 from .levelset import _TUBE, GeometryError, LevelSet, make_circle, reflect_many
-from .mesh import Mesh, barycentric_many, blocks
+from .mesh import Mesh, barycentric_many, blocks, elem_any
 from .norms import PairwiseSum, _energy_sq, _grad_error_sq
 from .problems import ProblemSpec, patch_problem
 from .space import SpaceLayout, interpolate_pair, locate_on_side
@@ -195,16 +195,18 @@ class ExtensionOperator:
     the whole background mesh: identity on the plus-side nodes, averaged
     reflection through the interface inside the tube, zero beyond."""
 
-    matrix: scipy.sparse.csr_matrix   # (n_nodes, n_plus)
-    h1_full: scipy.sparse.csr_matrix  # (n_nodes, n_nodes), whole mesh
-    h1_plus: scipy.sparse.csr_matrix  # (n_plus, n_plus), plus-side elements
+    matrix: scipy.sparse.csr_matrix    # (n_nodes, n_plus)
+    # (n_nodes, n_nodes) over the elements with a node E reaches: its rows at
+    # those nodes are the whole-mesh Gram's, bit for bit; the rest meet zeros of E v
+    h1_reach: scipy.sparse.csr_matrix
+    h1_plus: scipy.sparse.csr_matrix   # (n_plus, n_plus), plus-side elements
 
     def stability_ratio(self, v_plus: np.ndarray) -> float:
         w = self.matrix @ v_plus
         den_sq = float(v_plus @ self.h1_plus @ v_plus)
         if den_sq <= 0.0:
             return 0.0
-        num_sq = float(w @ (self.h1_full @ w))
+        num_sq = float(w @ (self.h1_reach @ w))
         return float(np.sqrt(num_sq / den_sq))
 
 
@@ -255,10 +257,11 @@ def build_extension(layout: SpaceLayout) -> ExtensionOperator:
          (np.concatenate([kept, np.repeat(cand[owner], 3)]),
           layout.node_dof_plus[np.concatenate([kept, mesh.elements(elems).ravel()])])),
         shape=(mesh.n_nodes, layout.n_plus)).tocsr()
+    reach = np.diff(matrix.indptr) > 0   # the nodes E can make nonzero
     nodes = np.arange(mesh.n_nodes)
-    h1_full = _h1_matrices(mesh, np.ones(mesh.n_elems, dtype=bool), (nodes, nodes))
+    h1_reach = _h1_matrices(mesh, elem_any(reach.reshape(mesh.n_cells + 1, -1)), (nodes, nodes))
     h1_plus = _h1_matrices(mesh, topo.in_side("plus"), (layout.node_dof_plus, layout.dof_node_plus))
-    return ExtensionOperator(matrix=matrix, h1_full=h1_full, h1_plus=h1_plus)
+    return ExtensionOperator(matrix=matrix, h1_reach=h1_reach, h1_plus=h1_plus)
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +306,9 @@ def _extension_blocks(levels):
         op = build_extension(layout)
 
         # H1 over the clipped physical plus side, plus-dof indexing
-        ptr, pts, wts = topo.quadrature("plus", slice(None))
-        elems = np.repeat(np.arange(mesh.n_elems), np.diff(ptr))
+        plus_ids = np.flatnonzero(topo.in_side("plus"))
+        ptr, pts, wts = topo.quadrature("plus", plus_ids)
+        elems = np.repeat(plus_ids, np.diff(ptr))
         conn = mesh.elements(elems)
         lam = barycentric_many(np.take(mesh.nodes, conn, axis=0), pts)
         dofs = layout.node_dof_plus[conn]

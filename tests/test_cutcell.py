@@ -373,6 +373,34 @@ def test_scan_matches_full_scan_across_small_blocks(monkeypatch, level, ls):
     assert np.array_equal(_scan_edges(mesh, ls, psi), np.flatnonzero(ref_scan_edges(mesh, ls)))
 
 
+def test_band_margin_covers_an_understated_lipschitz():
+    # phi = min(|x - a| - h/5, |x - m| - 3h/20), |grad phi| = 1: a circle
+    # about node a and a small one below the middle of the edge a -> b =
+    # a + (h, 0), which it crosses twice.  That edge crosses three times,
+    # the only edge with more than one crossing, and its ends sum |phi|
+    # to h/5 + 0.36h = 0.56h.  Declared L = 0.3 understates |grad phi|:
+    # a band of L h_elem = 0.42h would drop the edge, so classify would
+    # bisect it to one root; the band of 2 L h_elem = 0.85h keeps it
+    mesh = build_mesh(2)
+    a = mesh.nodes[np.argmin(np.hypot(*(mesh.nodes - [0.1, 0.2]).T))]
+    m = a + [0.5 * mesh.h, -0.1 * mesh.h]
+
+    def phi(x):
+        return np.minimum(np.hypot(x[..., 0] - a[0], x[..., 1] - a[1]) - 0.2 * mesh.h,
+                          np.hypot(x[..., 0] - m[0], x[..., 1] - m[1]) - 0.15 * mesh.h)
+
+    found = {}
+    for lipschitz in (0.3, None):
+        ls = LevelSet(phi=phi, simple=False, name="two-circles", lipschitz=lipschitz)
+        psi = np.asarray(ls.side_sign(mesh.nodes), dtype=float)
+        found[lipschitz] = _scan_edges(mesh, ls, psi), classify(mesh, ls).ambiguous_elements
+    (multi, ambiguous), (want_multi, want_ambiguous) = found[0.3], found[None]
+    ends = np.abs(psi[mesh.edges(multi)]).sum(axis=1)
+    assert multi.size == 1 and 0.3 * mesh.h_elem < ends[0] <= 0.6 * mesh.h_elem
+    assert np.array_equal(multi, want_multi)
+    assert ambiguous.size == 2 and np.array_equal(ambiguous, want_ambiguous)
+
+
 @pytest.mark.parametrize("level", [5, 6])
 @pytest.mark.parametrize("case", ["flower", "circle"])
 def test_flower_scan_memory(case, level):

@@ -1,21 +1,22 @@
 """Tests of the structural diagnostics: patch areas, coercivity probe,
 interpolation profile, and the discrete extension operator."""
 import dataclasses
+from functools import partial
 
 import numpy as np
 import pytest
 import scipy.sparse
 
-from cutnitsche.assembly import assemble_vnorm_gram, build_system
+from cutnitsche.assembly import _ghost_part, assemble_vnorm_gram, build_system, part_rows, stacked
 from cutnitsche import mesh as mesh_module
 from cutnitsche.cutcell import classify
-from cutnitsche.diagnostics import (_cutoff, _h1_matrices, _pointwise, build_extension,
-                                    coercivity_probe,
+from cutnitsche.diagnostics import (_cutoff, _extension_blocks, _h1_matrices, _pointwise,
+                                    build_extension, coercivity_probe,
                                     interpolation_error_profile,
                                     patch_area_ratio, run_diagnostics)
 from cutnitsche.harness import RunConfig, make_problem
 from cutnitsche.levelset import _TUBE, GeometryError, LevelSet, make_circle, reflect_many
-from cutnitsche.mesh import build_mesh
+from cutnitsche.mesh import BLOCK, barycentric_many, build_mesh
 from cutnitsche.norms import error_report
 from cutnitsche.problems import example_circle, patch_problem
 from cutnitsche.space import build_spaces, interpolate_pair, locate_on_side
@@ -161,7 +162,7 @@ def test_extension_matrix_structure(plus_inclusion):
     mesh, ls = layout.mesh, layout.topo.levelset
     op = build_extension(layout)
     assert op.matrix.shape == (mesh.n_nodes, layout.n_plus)
-    assert op.h1_full.shape == (mesh.n_nodes, mesh.n_nodes)
+    assert op.h1_reach.shape == (mesh.n_nodes, mesh.n_nodes)
     assert op.h1_plus.shape == (layout.n_plus, layout.n_plus)
 
     keep = layout.node_dof_plus >= 0
@@ -268,6 +269,72 @@ def test_h1_matrices_match_the_coo_reference(monkeypatch, level):
         # in plus-DOF indexing: the node-indexed Gram restricted to the plus nodes
         assert_same_csr(_h1_matrices(mesh, plus, (layout.node_dof_plus, sub)),
                         ref_h1(mesh, np.flatnonzero(plus))[sub][:, sub])
+
+
+def whole_mesh_gram(mesh):
+    nodes = np.arange(mesh.n_nodes)
+    return _h1_matrices(mesh, np.ones(mesh.n_elems, dtype=bool), (nodes, nodes))
+
+
+@pytest.mark.parametrize("level,block", [(2, BLOCK), (3, BLOCK), (4, BLOCK), (5, BLOCK),
+                                         (2, 7), (3, 7)])
+def test_extension_gram_is_the_whole_mesh_gram_where_e_reaches(monkeypatch, level, block):
+    # the Gram of E v is built over the elements with a node that E can
+    # make nonzero: its rows there are the whole mesh's, the other rows
+    # meet only zeros of E v, so every ratio keeps its bits
+    monkeypatch.setattr(mesh_module, "BLOCK", block)
+    layout = build_spaces(classify(build_mesh(level), make_circle(inclusion_side="plus")))
+    op = build_extension(layout)
+    whole = whole_mesh_gram(layout.mesh)
+    reach = np.flatnonzero(np.diff(op.matrix.indptr) > 0)
+    assert reach.size
+    assert_same_csr(op.h1_reach[reach], whole[reach])
+    assert op.h1_reach.nnz < 0.25 * whole.nnz
+    ref = dataclasses.replace(op, h1_reach=whole)
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        v = rng.standard_normal(layout.n_plus)
+        assert op.stability_ratio(v) == ref.stability_ratio(v)
+
+
+def ref_extension_blocks(levels):
+    """Rows of both extension tables, E v measured by the whole-mesh Gram
+    and the physical plus-side H1 Gram from the rule over every element."""
+    ext_rows, trace_rows = [], []
+    for level in levels:
+        ls = make_circle(inclusion_side="plus")
+        _, spec = patch_problem(interface=ls)
+        layout = build_spaces(classify(build_mesh(level), ls))
+        mesh, topo, n_plus = layout.mesh, layout.topo, layout.n_plus
+        op = dataclasses.replace(build_extension(layout), h1_reach=whole_mesh_gram(mesh))
+        ptr, pts, wts = topo.quadrature("plus", slice(None))
+        elems = np.repeat(np.arange(mesh.n_elems), np.diff(ptr))
+        conn = mesh.elements(elems)
+        lam = barycentric_many(np.take(mesh.nodes, conn, axis=0), pts)
+        dofs, grads = layout.node_dof_plus[conn], mesh.grads(elems)
+        basis_val, gx, gy = (_pointwise(dofs, vals, n_plus)
+                             for vals in (lam, grads[:, :, 0], grads[:, :, 1]))
+        wdiag = scipy.sparse.diags(wts)
+        h1_phys = basis_val.T @ wdiag @ basis_val + gx.T @ wdiag @ gx + gy.T @ wdiag @ gy
+        ghost = stacked(layout.n_total,
+                        partial(part_rows, layout.n_total, _ghost_part(layout, spec, "plus")))
+        rng = np.random.default_rng(0)
+        best_ext = best_trace = 0.0
+        for _ in range(20):
+            v = rng.standard_normal(n_plus)
+            best_ext = max(best_ext, op.stability_ratio(v))
+            g = np.zeros(layout.n_total)
+            g[layout.n_minus:] = v
+            den = float(v @ (h1_phys @ v)) + float(g @ (ghost @ g))
+            best_trace = max(best_trace, float(v @ (op.h1_plus @ v)) / den)
+        ext_rows.append((level, 20, best_ext))
+        trace_rows.append((level, 20, best_trace))
+    return ext_rows, trace_rows
+
+
+def test_extension_blocks_match_the_whole_mesh_reference():
+    ext, trace = _extension_blocks((2, 3))
+    assert (list(ext.rows), list(trace.rows)) == ref_extension_blocks((2, 3))
 
 
 def test_pointwise_matches_the_coo_reference():
