@@ -11,9 +11,10 @@ report of every configuration of
 diagnostics at levels 2..5 with its H1 Gram matrices (``h1_reach``
 over the elements the extension reaches, absent before that operator
 held it, and ``h1_plus`` in plus-dof indexing) and the whole-mesh H1
-Gram (``h1_full``, which the operator held before), the error report of the interpolant of the
-diagnostics' interpolation profile and the profile's rows at full
-precision (``float.hex``) at levels 1..5, the energy-norm Gram matrix
+Gram (``h1_full``, which the operator held before), the error report
+of the interpolant of the diagnostics' interpolation profile and the
+profile's rows at full precision (``float.hex``) at levels 1..5, the
+energy-norm Gram matrix
 over the free DOFs of the circle (both inclusion sides) and the flower
 at levels 1..4 (a Gram over all DOFs, as older commits return it, is
 sliced to its free rows and columns), the seven CSVs that script

@@ -10,7 +10,8 @@ import scipy.sparse
 from cutnitsche.assembly import _ghost_part, assemble_vnorm_gram, build_system, part_rows, stacked
 from cutnitsche import mesh as mesh_module
 from cutnitsche.cutcell import classify
-from cutnitsche.diagnostics import (_cutoff, _extension_blocks, _h1_matrices, _pointwise,
+from cutnitsche.diagnostics import (_EXTENSION_FIELDS, _EXTENSION_SEED, _cutoff,
+                                    _extension_blocks, _h1_matrices, _pointwise,
                                     build_extension, coercivity_probe,
                                     interpolation_error_profile,
                                     patch_area_ratio, run_diagnostics)
@@ -318,17 +319,17 @@ def ref_extension_blocks(levels):
         h1_phys = basis_val.T @ wdiag @ basis_val + gx.T @ wdiag @ gx + gy.T @ wdiag @ gy
         ghost = stacked(layout.n_total,
                         partial(part_rows, layout.n_total, _ghost_part(layout, spec, "plus")))
-        rng = np.random.default_rng(0)
+        rng = np.random.default_rng(_EXTENSION_SEED)
         best_ext = best_trace = 0.0
-        for _ in range(20):
+        for _ in range(_EXTENSION_FIELDS):
             v = rng.standard_normal(n_plus)
             best_ext = max(best_ext, op.stability_ratio(v))
             g = np.zeros(layout.n_total)
             g[layout.n_minus:] = v
             den = float(v @ (h1_phys @ v)) + float(g @ (ghost @ g))
             best_trace = max(best_trace, float(v @ (op.h1_plus @ v)) / den)
-        ext_rows.append((level, 20, best_ext))
-        trace_rows.append((level, 20, best_trace))
+        ext_rows.append((level, _EXTENSION_FIELDS, best_ext))
+        trace_rows.append((level, _EXTENSION_FIELDS, best_trace))
     return ext_rows, trace_rows
 
 
