@@ -255,23 +255,33 @@ def _scan_edges(mesh: Mesh, ls: LevelSet, psi: np.ndarray) -> np.ndarray:
     sampled points.
 
     Only the band of edges that can hold a root is sampled, read from
-    the ends of ``BLOCK // 2`` edges at a time.  If ``|grad phi| <= L``,
-    an edge a -> b holds a root only when ``|phi(a)| + |phi(b)| <= L
-    |b - a|``, and no edge is longer than ``h_elem`` beyond rounding; the
-    band admits a sum up to ``2 L h_elem``.  Along an edge it admits
-    beyond those, ``|phi|`` stays above ``L |b - a| / 2``, so its samples
-    cannot change sign twice.  ``psi`` is phi up to sign at the nodes.
-    Without a bound (``ls.lipschitz`` None) the band is every edge.  The
-    band is sampled ``BLOCK // (MULTI_ROOT_SAMPLES + 2)`` edges at a
-    time, so no temporary holds more than about BLOCK edges or samples.
+    the ends of ``BLOCK // 2`` edges at a time.  If ``|grad phi| <= L``
+    on an edge a -> b, it holds a root only when ``|phi(a)| + |phi(b)|
+    <= L |b - a|``, and no edge is longer than ``h_elem`` beyond
+    rounding; the band admits a sum up to ``2 L h_elem``.  Along an edge
+    it admits beyond those, ``|phi|`` stays above ``L |b - a| / 2``, so
+    its samples cannot change sign twice.  L is ``ls.grad_bound`` within
+    ``h_elem``: a float bound serves every edge, a per-node one gives
+    each edge the smaller of its ends', since the disc of radius
+    ``h_elem`` about either end holds the edge.  Without a bound
+    (``ls.grad_bound`` None) the band is every edge.  ``psi`` is phi up
+    to sign at the nodes.  The band is sampled ``BLOCK //
+    (MULTI_ROOT_SAMPLES + 2)`` edges at a time, so no temporary holds
+    more than about BLOCK edges or samples.
     """
-    limit = np.inf if ls.lipschitz is None else 2.0 * ls.lipschitz * mesh.h_elem
+    bound = np.inf if ls.grad_bound is None else ls.grad_bound(mesh.nodes, mesh.h_elem)
+    if not np.all(bound > 0.0):   # a NaN fails too
+        raise ValueError(f"gradient bound of {ls.name} must be > 0 (inf where none "
+                         f"holds), got {np.min(bound)}")
+    per_node = np.ndim(bound) > 0
     ts = np.linspace(0.0, 1.0, MULTI_ROOT_SAMPLES + 2)
     multi = [np.empty(0, dtype=np.int64)]
     for chunk in blocks(mesh.n_edges, 2):
-        lower, upper = np.abs(np.take(psi, mesh.edges(chunk).T))
-        band = chunk.start + np.flatnonzero(lower + upper <= limit)
-        del lower, upper   # not held while the band is sampled
+        ends = mesh.edges(chunk).T
+        lower, upper = np.abs(np.take(psi, ends))
+        near = np.minimum(*np.take(bound, ends)) if per_node else bound
+        band = chunk.start + np.flatnonzero(lower + upper <= 2.0 * mesh.h_elem * near)
+        del ends, lower, upper, near   # not held while the band is sampled
         for sub in blocks(band.size, ts.size):
             ids = band[sub]
             a, b = np.take(mesh.nodes, mesh.edges(ids).T, axis=0)

@@ -49,6 +49,10 @@ log = logging.getLogger(__name__)
 # larger ones use shift-invert Lanczos (ARPACK)
 _DENSE_EIGEN_LIMIT = 3000
 
+# points of a node's patch, six uncut elements of three: the extension
+# takes BLOCK // _PATCH_POINTS candidate nodes at a time
+_PATCH_POINTS = 18
+
 # random plus-side fields, and their seed, of the extension report blocks
 _EXTENSION_FIELDS = 20
 _EXTENSION_SEED = 0
@@ -220,18 +224,36 @@ def build_extension(layout: SpaceLayout) -> ExtensionOperator:
     reflections, through the interface, of the quadrature points of its
     (minus-side) patch, weighted by quadrature weight times a cutoff in
     the distance, over the patch's total weight.  Nodes farther away
-    get zero.  All patch points are gathered, cut off, reflected and
-    located at once; the entries come node by node, so the summed matrix
-    adds duplicates in a fixed order.  Raises GeometryError, for the first
-    point in node order, when a reflected point lies outside the
-    plus-side mesh.
+    get zero.  The rows come in slabs of consecutive nodes, each holding
+    ``BLOCK // _PATCH_POINTS`` of these candidate nodes, whose patch
+    points are gathered, cut off, reflected and located together; a
+    row's entries are those of a whole-mesh pass in the same order, so
+    the stacked matrix is its matrix, bit for bit.  Raises GeometryError
+    in the first slab, in node order, where a point does not reflect or
+    its reflection lies outside the plus-side mesh.
     """
     mesh, topo = layout.mesh, layout.topo
-    ls = topo.levelset
-    keep = layout.node_dof_plus >= 0
-    dist_nodes = np.abs(np.asarray(ls.value(mesh.nodes), dtype=float))
-    cand = np.flatnonzero(~keep & (dist_nodes <= _TUBE))
+    cand = np.flatnonzero((layout.node_dof_plus < 0) & (
+        np.abs(np.asarray(topo.levelset.value(mesh.nodes), dtype=float)) <= _TUBE))
+    # a slab ends after its last candidate, the last one at the last node
+    parts = list(blocks(cand.size, _PATCH_POINTS)) or [slice(0, 0)]
+    cuts = [0, *(int(cand[b.stop - 1]) + 1 for b in parts[:-1]), mesh.n_nodes]
+    matrix = scipy.sparse.vstack([_extension_rows(layout, cand[b], lo, hi)
+                                  for b, lo, hi in zip(parts, cuts, cuts[1:])], format="csr")
+    reach = np.diff(matrix.indptr) > 0   # the nodes E can make nonzero
+    nodes = np.arange(mesh.n_nodes)
+    h1_reach = _h1_matrices(mesh, elem_any(reach.reshape(mesh.n_cells + 1, -1)), (nodes, nodes))
+    h1_plus = _h1_matrices(mesh, topo.in_side("plus"), (layout.node_dof_plus, layout.dof_node_plus))
+    return ExtensionOperator(matrix=matrix, h1_reach=h1_reach, h1_plus=h1_plus)
 
+
+def _extension_rows(layout: SpaceLayout, cand: np.ndarray, lo: int, hi: int):
+    """Rows ``lo..hi-1`` of the extension matrix, ``cand`` the candidate
+    nodes among them: the kept nodes' unit entries, then per candidate
+    node in turn its patch points' reflected barycentrics, summed per
+    column in that order by the COO conversion."""
+    mesh, topo = layout.mesh, layout.topo
+    ls = topo.levelset
     # patch elements of each candidate, then their minus-side points
     ptr, patch = mesh.node_elems(cand)
     pt_ptr, pts, wts = topo.quadrature("minus", patch)
@@ -249,19 +271,13 @@ def build_extension(layout: SpaceLayout) -> ExtensionOperator:
         raise GeometryError(f"reflected point {bad.tolist()} lies outside the plus-side mesh")
     owner = owner[live]
     coef = (wts[live] * eta[live] / total[owner])[:, None] * lams
-    # the kept and the reflected nodes' rows are disjoint; the entries are
-    # temporaries, freed before the Gram matrices are built
-    kept = np.flatnonzero(keep)
-    matrix = scipy.sparse.coo_matrix(
+    # the kept and the reflected nodes' rows are disjoint
+    kept = lo + np.flatnonzero(layout.node_dof_plus[lo:hi] >= 0)
+    return scipy.sparse.coo_matrix(
         (np.concatenate([np.ones(kept.size), coef.ravel()]),
-         (np.concatenate([kept, np.repeat(cand[owner], 3)]),
+         (np.concatenate([kept, np.repeat(cand[owner], 3)]) - lo,
           layout.node_dof_plus[np.concatenate([kept, mesh.elements(elems).ravel()])])),
-        shape=(mesh.n_nodes, layout.n_plus)).tocsr()
-    reach = np.diff(matrix.indptr) > 0   # the nodes E can make nonzero
-    nodes = np.arange(mesh.n_nodes)
-    h1_reach = _h1_matrices(mesh, elem_any(reach.reshape(mesh.n_cells + 1, -1)), (nodes, nodes))
-    h1_plus = _h1_matrices(mesh, topo.in_side("plus"), (layout.node_dof_plus, layout.dof_node_plus))
-    return ExtensionOperator(matrix=matrix, h1_reach=h1_reach, h1_plus=h1_plus)
+        shape=(hi - lo, layout.n_plus)).tocsr()
 
 
 # ---------------------------------------------------------------------------

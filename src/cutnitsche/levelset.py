@@ -7,7 +7,7 @@ serves both orientations of an example.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -45,9 +45,12 @@ class LevelSet:
     states that the zero set is a simple closed curve resolved by any
     admissible mesh; when False, classification downgrades multi-root
     and non-convergence errors to flagged elements instead of raising.
-    ``lipschitz`` is an upper bound on ``|grad phi|``, finite and > 0, or
-    None where none is known; classification samples for multiple roots
-    only the edges on which such a bound allows a root.
+    ``grad_bound(x, radius)`` is an upper bound on ``|grad phi|`` over the
+    disc of the given radius about each point of x, > 0 and inf where
+    none holds: a float where one bound holds everywhere, else a
+    (...)-shaped array.  It is None where no bound is known.
+    Classification samples for multiple roots only the edges on which
+    the bound allows a root.
     """
 
     phi: Callable
@@ -55,13 +58,11 @@ class LevelSet:
     inclusion_side: str = "minus"
     simple: bool = True
     name: str = "levelset"
-    lipschitz: float | None = None
+    grad_bound: Callable | None = None
 
     def __post_init__(self):
         if self.inclusion_side not in ("minus", "plus"):
             raise ValueError(f"inclusion_side must be 'minus' or 'plus', got {self.inclusion_side!r}")
-        if self.lipschitz is not None and not 0.0 < self.lipschitz < np.inf:
-            raise ValueError(f"lipschitz must be None or a finite bound > 0, got {self.lipschitz!r}")
 
     def value(self, x):
         return self.phi(np.asarray(x, dtype=float))
@@ -97,8 +98,11 @@ def make_circle(radius: float = 1.0 / 3.0, inclusion_side: str = "minus") -> Lev
         r = np.hypot(x[..., 0], x[..., 1])
         return x / np.maximum(r, 1e-300)[..., None]
 
+    def grad_bound(x, radius):
+        return 1.0
+
     return LevelSet(phi=phi, grad=grad, inclusion_side=inclusion_side,
-                    simple=True, name=f"circle[r={radius:g}]", lipschitz=1.0)
+                    simple=True, name=f"circle[r={radius:g}]", grad_bound=grad_bound)
 
 
 FLOWER_BASE = 1.0 / 18.0
@@ -112,8 +116,11 @@ def make_flower(inclusion_side: str = "minus") -> LevelSet:
     The radius changes sign, so the zero set is five petals pinched at
     the origin rather than a simple closed curve; the level set is
     marked non-simple and classification flags elements near the
-    pinch points instead of failing.  ``|grad phi|`` grows like 1/r at
-    the origin, so it has no Lipschitz bound.
+    pinch points instead of failing.  ``|grad phi|^2 = 1 + (A K cos(K
+    theta) / r)^2`` with ``A K = 0.2 * 5``, and ``r >= |x| - radius`` on
+    the disc about x, so ``hypot(1, A K / (|x| - radius))`` bounds it
+    there; the bound is inf on a disc that holds the pinch point at the
+    origin, where ``|grad phi|`` grows like 1/r.
     """
 
     def phi(x):
@@ -132,8 +139,17 @@ def make_flower(inclusion_side: str = "minus") -> LevelSet:
         gy = yy / r - c * xx / (r * r)
         return np.stack([gx, gy], axis=-1)
 
+    def grad_bound(x, radius):
+        # in place: classify takes it at every node
+        out = np.hypot(x[..., 0], x[..., 1], out=np.empty(x.shape[:-1]))
+        out -= radius
+        np.maximum(out, 0.0, out=out)
+        with np.errstate(divide="ignore"):
+            np.divide(FLOWER_AMPLITUDE * FLOWER_LOBES, out, out=out)
+        return np.hypot(1.0, out, out=out)
+
     return LevelSet(phi=phi, grad=grad, inclusion_side=inclusion_side,
-                    simple=False, name="flower")
+                    simple=False, name="flower", grad_bound=grad_bound)
 
 
 def reflect_many(ls: LevelSet, xs):

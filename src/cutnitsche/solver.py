@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import _sparsetools
 
 from .assembly import SparseSystem
 from .mesh import blocks
@@ -81,14 +82,24 @@ def _stats(it: int, a, b: np.ndarray, x: np.ndarray, r: np.ndarray,
                       float(np.abs(r).max()) / den)
 
 
+def _matvec(a, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``a @ v`` for a CSR matrix, written into ``out``: scipy's kernel
+    adds each row's products onto out's entry in turn, so from the zero
+    given here it sums them as ``a @ v`` does, without a new vector."""
+    out.fill(0.0)
+    _sparsetools.csr_matvec(a.shape[0], a.shape[1], a.indptr, a.indices, a.data, v, out)
+    return out
+
+
 def solve(system: SparseSystem,
           max_iter: int | None = None) -> tuple[np.ndarray, SolveStats]:
     """Solve the reduced system to a true relative residual <= _TOL
     (at most max_iter iterations, default 20 n).  A non-finite recurrence
     residual raises SolverError at once, since no later iterate can mend it.
 
-    The iteration updates preallocated vectors in place; it computes the
-    same values, in the same order, as the textbook expressions.
+    The iteration updates preallocated vectors in place, the products
+    with the matrix among them; it computes the same values, in the same
+    order, as the textbook expressions.
     """
     a = system.matrix
     b = system.rhs
@@ -110,13 +121,14 @@ def solve(system: SparseSystem,
     z = inv_diag * r
     p = z.copy()
     step = np.empty(n)
+    ap = np.empty(n)
     rz = float(r @ z)
     it = 0
     best_true = np.inf
     stalls = 0
     while it < max_iter:
         it += 1
-        ap = a @ p
+        _matvec(a, p, ap)
         pap = float(p @ ap)
         if pap <= 0.0:
             raise NotSPDError("matrix not SPD (negative curvature in CG) - check gamma")
@@ -128,7 +140,7 @@ def solve(system: SparseSystem,
             raise SolverError(f"CG residual is {rnorm} at iteration {it}: the system "
                               "or its scaling is not finite")
         if rnorm <= _TOL * bnorm:
-            np.subtract(b, a @ x, out=r)
+            np.subtract(b, _matvec(a, x, ap), out=r)
             true_r = math.sqrt(r @ r)
             if true_r <= _TOL * bnorm:
                 return x, _stats(it, a, b, x, r, bnorm)
@@ -158,7 +170,7 @@ def solve(system: SparseSystem,
         rz = rz_new
         p *= beta
         p += z
-    stats = _stats(it, a, b, x, b - a @ x, bnorm)
+    stats = _stats(it, a, b, x, b - _matvec(a, x, ap), bnorm)
     raise MaxIterationsError(
         f"CG did not reach tol={_TOL:g} in {max_iter} iterations "
         f"(relative residual {stats.relative_residual:.3e})",

@@ -450,7 +450,7 @@ def test_error_report_samples_the_vertices_of_cut_parts_without_points(small_blo
     x0 = mesh.nodes[3, 0] + 1e-11 * mesh.h
     ls = LevelSet(phi=lambda x: x[..., 0] - x0,
                   grad=lambda x: np.broadcast_to([1.0, 0.0], x.shape),
-                  inclusion_side="minus", lipschitz=1.0)
+                  inclusion_side="minus", grad_bound=lambda x, radius: 1.0)
     _, spec = patch_problem(interface=ls)
     layout = build_spaces(classify(mesh, ls))
     topo = layout.topo
@@ -505,7 +505,7 @@ def test_parts_without_entries_match_the_coo_reference(small_blocks, side):
     # a line outside the domain: nothing is cut and one side is empty
     ls = LevelSet(phi=lambda x: x[..., 0] - 5.0,
                   grad=lambda x: np.broadcast_to([1.0, 0.0], x.shape),
-                  inclusion_side=side, lipschitz=1.0)
+                  inclusion_side=side, grad_bound=lambda x, radius: 1.0)
     _, spec = patch_problem(interface=ls)
     mesh = build_mesh(2)
     layout = build_spaces(classify(mesh, ls))

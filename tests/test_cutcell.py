@@ -373,6 +373,35 @@ def test_scan_matches_full_scan_across_small_blocks(monkeypatch, level, ls):
     assert np.array_equal(_scan_edges(mesh, ls, psi), np.flatnonzero(ref_scan_edges(mesh, ls)))
 
 
+@pytest.mark.parametrize("block", [7, BLOCK])
+@pytest.mark.parametrize("level", [2, 3, 4, 5])
+def test_flower_band_matches_the_unbounded_scan(monkeypatch, level, block):
+    # the flower's band, from its gradient bound about each node, holds
+    # every edge with a root: the scan flags the edges that sampling every
+    # edge flags, and classify flags the same elements.  From level 3 on
+    # it samples under a fifth of the points the unbounded scan does
+    sampled = []
+
+    def phi(x):
+        sampled.append(x.size // 2)
+        return make_flower().phi(x)
+
+    flower = dataclasses.replace(make_flower(), phi=phi)
+    unbounded = dataclasses.replace(flower, grad_bound=None)
+    mesh = build_mesh(level)
+    psi = np.asarray(flower.side_sign(mesh.nodes), dtype=float)
+    want_ambiguous = classify(mesh, unbounded).ambiguous_elements
+    sampled.clear()
+    want = _scan_edges(mesh, unbounded, psi)
+    every_edge = sum(sampled)
+    monkeypatch.setattr(mesh_module, "BLOCK", block)
+    sampled.clear()
+    assert np.array_equal(_scan_edges(mesh, flower, psi), want)
+    if level >= 3:
+        assert sum(sampled) < 0.2 * every_edge
+    assert np.array_equal(classify(mesh, flower).ambiguous_elements, want_ambiguous)
+
+
 def test_band_margin_covers_an_understated_lipschitz():
     # phi = min(|x - a| - h/5, |x - m| - 3h/20), |grad phi| = 1: a circle
     # about node a and a small one below the middle of the edge a -> b =
@@ -390,10 +419,11 @@ def test_band_margin_covers_an_understated_lipschitz():
                           np.hypot(x[..., 0] - m[0], x[..., 1] - m[1]) - 0.15 * mesh.h)
 
     found = {}
-    for lipschitz in (0.3, None):
-        ls = LevelSet(phi=phi, simple=False, name="two-circles", lipschitz=lipschitz)
+    for bound in (0.3, None):
+        ls = LevelSet(phi=phi, simple=False, name="two-circles",
+                      grad_bound=None if bound is None else lambda x, radius: bound)
         psi = np.asarray(ls.side_sign(mesh.nodes), dtype=float)
-        found[lipschitz] = _scan_edges(mesh, ls, psi), classify(mesh, ls).ambiguous_elements
+        found[bound] = _scan_edges(mesh, ls, psi), classify(mesh, ls).ambiguous_elements
     (multi, ambiguous), (want_multi, want_ambiguous) = found[0.3], found[None]
     ends = np.abs(psi[mesh.edges(multi)]).sum(axis=1)
     assert multi.size == 1 and 0.3 * mesh.h_elem < ends[0] <= 0.6 * mesh.h_elem
@@ -404,9 +434,10 @@ def test_band_margin_covers_an_understated_lipschitz():
 @pytest.mark.parametrize("level", [5, 6])
 @pytest.mark.parametrize("case", ["flower", "circle"])
 def test_flower_scan_memory(case, level):
-    # every edge of the flower is sampled, and sampling all of a BLOCK of
-    # edges at once took 31.5 / 34.4 MiB at levels 5 / 6.  The circle's
-    # band is a thin strip, so the pass is its band test: about 0.8 MiB
+    # sampling all of a BLOCK of the flower's edges at once took 31.5 /
+    # 34.4 MiB at levels 5 / 6, when its band was every edge.  Its band
+    # test keeps a gradient bound per node, 0.27 / 1.06 MB.  The circle's
+    # bound is one float, so the pass is its band test: about 0.8 MiB
     # with the ends of BLOCK // 2 edges at a time, 1.24 / 1.28 MiB at
     # levels 5 / 6 with those of BLOCK edges
     ls = make_flower() if case == "flower" else make_circle()
@@ -442,7 +473,7 @@ def test_non_finite_level_set_is_refused():
         v = np.where(np.all(x == mesh.nodes[nan_node], axis=-1), np.nan, v)
         return np.where(np.all(x == mesh.nodes[inf_node], axis=-1), np.inf, v)
 
-    ls = LevelSet(phi=phi, grad=circle.grad, name="circle-nan", lipschitz=1.0)
+    ls = LevelSet(phi=phi, grad=circle.grad, name="circle-nan", grad_bound=circle.grad_bound)
     with pytest.raises(GeometryError, match=f"level set is nan at node {nan_node} "):
         classify(mesh, ls)
     assert calls == [mesh.nodes.shape]
@@ -477,7 +508,8 @@ def ref_side_nodes(topo, side):
 
 def off_centre_circle(cx, cy, r):
     return LevelSet(phi=lambda x: np.hypot(x[..., 0] - cx, x[..., 1] - cy) - r,
-                    simple=True, name=f"circle[{cx},{cy},{r}]", lipschitz=1.0)
+                    simple=True, name=f"circle[{cx},{cy},{r}]",
+                    grad_bound=lambda x, radius: 1.0)
 
 
 def line_through_node(node, a, b):
@@ -485,7 +517,8 @@ def line_through_node(node, a, b):
     (a, b) is axis-aligned, and within the snap otherwise."""
     x0, y0 = node
     return LevelSet(phi=lambda x: a * (x[..., 0] - x0) + b * (x[..., 1] - y0),
-                    simple=False, name=f"line[{a},{b}]", lipschitz=float(np.hypot(a, b)))
+                    simple=False, name=f"line[{a},{b}]",
+                    grad_bound=lambda x, radius: float(np.hypot(a, b)))
 
 
 @st.composite

@@ -235,6 +235,22 @@ def test_extension_matches_per_node_reference(level):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
+@pytest.mark.parametrize("level", [2, 3, 4])
+def test_extension_in_small_blocks_matches_the_whole_array(monkeypatch, level):
+    # at BLOCK 7 each slab of rows holds one candidate node; with BLOCK
+    # 18 times the nodes, one slab holds every candidate, as the
+    # whole-array pass did.  The operator and its Grams keep their bytes
+    layout = build_spaces(classify(build_mesh(level), make_circle(inclusion_side="plus")))
+    monkeypatch.setattr(mesh_module, "BLOCK", 18 * layout.mesh.n_nodes)
+    whole = build_extension(layout)
+    monkeypatch.setattr(mesh_module, "BLOCK", 7)
+    small = build_extension(layout)
+    for name in ("matrix", "h1_reach", "h1_plus"):
+        assert_same_csr(getattr(small, name), getattr(whole, name))
+    if level <= 3:
+        assert_same_csr(small.matrix, ref_extension_matrix(layout))
+
+
 def assert_same_csr(a, b):
     for name in ("data", "indices", "indptr"):
         x, y = getattr(a, name), getattr(b, name)
@@ -348,19 +364,23 @@ def test_pointwise_matches_the_coo_reference():
     assert_same_csr(_pointwise(dofs, vals, 40), want)
 
 
-def test_extension_reflection_off_the_plus_mesh():
+def test_extension_reflection_off_the_plus_mesh(monkeypatch):
     # the plus side of a smaller circle than the one reflected through:
-    # points outside the larger circle reflect to between the two circles
+    # points outside the larger circle reflect to between the two circles;
+    # the first node in node order names its point, in one slab of rows
+    # or in one a node
     mesh = build_mesh(2)
     topo = classify(mesh, make_circle(radius=0.2, inclusion_side="plus"))
     ls = make_circle(radius=0.5, inclusion_side="plus")
     layout = build_spaces(dataclasses.replace(topo, levelset=ls))
-    with pytest.raises(GeometryError) as got:
-        build_extension(layout)
     with pytest.raises(GeometryError) as want:
         ref_extension_matrix(layout)
-    assert str(got.value) == str(want.value)
-    assert str(got.value).endswith("lies outside the plus-side mesh")
+    assert str(want.value).endswith("lies outside the plus-side mesh")
+    for block in (BLOCK, 7):
+        monkeypatch.setattr(mesh_module, "BLOCK", block)
+        with pytest.raises(GeometryError) as got:
+            build_extension(layout)
+        assert str(got.value) == str(want.value)
 
 
 def test_extension_of_plus_field(plus_inclusion):

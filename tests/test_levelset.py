@@ -29,23 +29,60 @@ def test_circle_values_and_signs():
 @given(st.floats(min_value=-1.0, max_value=1.0), st.floats(min_value=-1.0, max_value=1.0),
        st.floats(min_value=-1.0, max_value=1.0), st.floats(min_value=-1.0, max_value=1.0))
 def test_circle_lipschitz_bound(x0, y0, x1, y1):
-    # the banded multi-root scan relies on |phi(a) - phi(b)| <= L |a - b|
+    # the banded multi-root scan relies on |phi(a) - phi(b)| <= L |a - b|;
+    # the circle's L is the float 1 about any point, so it costs no pass
     ls = make_circle()
     a, b = np.array([x0, y0]), np.array([x1, y1])
-    assert abs(ls.value(a) - ls.value(b)) <= ls.lipschitz * np.hypot(*(a - b)) + 1e-15
-    # |grad phi| of the flower grows like 1/r at its pinch point
-    assert make_flower().lipschitz is None
+    bound = ls.grad_bound(np.stack([a, b]), np.hypot(*(a - b)))
+    assert bound == 1.0 and np.ndim(bound) == 0
+    assert abs(ls.value(a) - ls.value(b)) <= bound * np.hypot(*(a - b)) + 1e-15
+
+
+@given(st.floats(min_value=-0.6, max_value=0.6), st.floats(min_value=-0.6, max_value=0.6),
+       st.floats(min_value=1e-3, max_value=0.3),
+       st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=0.0, max_value=2.0 * np.pi),
+       st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=0.0, max_value=2.0 * np.pi))
+def test_flower_gradient_bound(cx, cy, radius, s, t, u, v):
+    # the bound about c dominates the difference quotient of phi between
+    # any two points of the disc of that radius about c, and |grad phi|
+    # at c itself, which reaches it where cos(5 theta) = +-1
+    ls = make_flower()
+    c = np.array([cx, cy])
+    a = c + s * radius * np.array([np.cos(t), np.sin(t)])
+    b = c + u * radius * np.array([np.cos(v), np.sin(v)])
+    bound = ls.grad_bound(c[None], radius)
+    assert bound.shape == (1,) and bound[0] >= 1.0
+    if np.hypot(cx, cy) <= radius:   # the disc holds the pinch point at the origin
+        assert bound[0] == np.inf
+        return
+    assert abs(ls.value(a) - ls.value(b)) <= bound[0] * np.hypot(*(a - b)) + 1e-15
+    at_c = ls.grad_bound(c[None], 0.0)[0]
+    assert np.hypot(*ls.gradient(c)) <= at_c * (1.0 + 1e-12) and at_c <= bound[0]
+    tip = np.array([np.cos(np.pi / 5.0), np.sin(np.pi / 5.0)]) * (radius + 0.1)
+    assert np.hypot(*ls.gradient(tip)) == pytest.approx(ls.grad_bound(tip[None], 0.0)[0],
+                                                        rel=1e-12)
 
 
 @pytest.mark.parametrize("bound", [0.0, -1.0, np.nan, np.inf])
 def test_bound_that_would_switch_off_the_scan_is_refused(bound):
-    # with any of these the band admitted no edge, and the level-1 grid,
-    # on which this circle crosses an edge twice, classified without error
+    # with 0, -1 or NaN anywhere the band admitted no edge there, and the
+    # level-1 grid, on which this circle crosses an edge twice, classified
+    # without error; classify refuses them, at one node as everywhere.
+    # inf admits every edge, so the scan finds the double crossing
     circle = make_circle(0.36)
+    mesh = build_mesh(1)
     with pytest.raises(CoarseMeshError):
-        classify(build_mesh(1), circle)
-    with pytest.raises(ValueError, match="lipschitz must be None or a finite bound > 0"):
-        dataclasses.replace(circle, lipschitz=bound)
+        classify(mesh, circle)
+    everywhere = dataclasses.replace(circle, grad_bound=lambda x, radius: bound)
+    at_one_node = dataclasses.replace(
+        circle, grad_bound=lambda x, radius: np.where(np.arange(len(x)) == 5, bound, 1.0))
+    for ls in (everywhere, at_one_node):
+        if bound == np.inf:
+            with pytest.raises(CoarseMeshError):
+                classify(mesh, ls)
+        else:
+            with pytest.raises(ValueError, match=r"gradient bound of circle\[r=0.36\] must be > 0"):
+                classify(mesh, ls)
 
 
 def test_normal_minus_orientation():

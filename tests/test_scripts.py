@@ -8,6 +8,7 @@ import sys
 
 import cutnitsche
 from cutnitsche.harness import RunConfig, run_solve, solve_table
+from cutnitsche.solver import BACKWARD_ERROR_TOL
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
@@ -28,9 +29,10 @@ def test_stage_memory_refuses_a_package_outside_git(tmp_path):
     assert (record.read_bytes() if record.exists() else None) == before
 
 
-def test_stage_memory_stamps_dirty_only_for_package_changes(tmp_path):
-    # a git repository holding copies of the script, the package and a
-    # record: the script writes that record, beside its own copy
+def scripts_repo(tmp_path):
+    """A git repository holding copies of the script and the package, and
+    an empty record of each kind, which the script writes beside its own
+    copy; committed.  Its ``git`` runner."""
     repo = tmp_path / "repo"
     shutil.copytree(pathlib.Path(cutnitsche.__file__).parent, repo / "src" / "cutnitsche",
                     ignore=shutil.ignore_patterns("__pycache__"))
@@ -39,21 +41,34 @@ def test_stage_memory_stamps_dirty_only_for_package_changes(tmp_path):
     (repo / "perfbench").mkdir()   # the script reads the machine's speed with it
     shutil.copy(SCRIPTS.parent / "perfbench" / "calibrate.py", repo / "perfbench")
     (repo / ".gitignore").write_text("__pycache__/\n")
-    record = repo / "BENCH_memory.json"
-    record.write_text("{}\n")
-    own_record = SCRIPTS.parent / "BENCH_memory.json"
-    own_before = own_record.read_bytes() if own_record.exists() else None
+    for name in ("BENCH_memory.json", "BENCH_stages.json"):
+        (repo / name).write_text("{}\n")
 
     def git(*args):
         return subprocess.run(["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t",
                                *args], check=True, capture_output=True, text=True).stdout.strip()
 
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "record")
+    return repo, git
+
+
+def run_stage_memory(repo, tmp_path, *args):
+    env = dict(os.environ, PYTHONPATH=str(repo / "src"))
+    run = subprocess.run([sys.executable, str(repo / "scripts" / "stage_memory.py"), *args],
+                         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+
+
+def test_stage_memory_stamps_dirty_only_for_package_changes(tmp_path):
+    repo, git = scripts_repo(tmp_path)
+    record = repo / "BENCH_memory.json"
+    own_record = SCRIPTS.parent / "BENCH_memory.json"
+    own_before = own_record.read_bytes() if own_record.exists() else None
+
     def stamps(column):
-        env = dict(os.environ, PYTHONPATH=str(repo / "src"))
-        run = subprocess.run([sys.executable, str(repo / "scripts" / "stage_memory.py"),
-                              "--levels", "1", "--column", column],
-                             cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
-        assert run.returncode == 0, run.stderr
+        run_stage_memory(repo, tmp_path, "--levels", "1", "--column", column)
         cases = json.loads(record.read_text())["cases"].values()
         for level in (level for case in cases
                       for level in case["columns"][column]["levels"].values()):
@@ -68,9 +83,6 @@ def test_stage_memory_stamps_dirty_only_for_package_changes(tmp_path):
                         <= 5e-4 * (1.0 + stage["seconds"]) + 1e-9)
         return {case["columns"][column]["commit"] for case in cases}
 
-    git("init", "-q")
-    git("add", "-A")
-    git("commit", "-q", "-m", "record")
     head = git("describe", "--always")
     record.write_text('{"edited": true}\n')
     assert stamps("parent") == {head}
@@ -78,6 +90,28 @@ def test_stage_memory_stamps_dirty_only_for_package_changes(tmp_path):
         fh.write("# edited\n")
     assert stamps("change") == {head + "-dirty"}
     assert (own_record.read_bytes() if own_record.exists() else None) == own_before
+
+
+def test_stage_record_times_the_solve_of_five_cases(tmp_path):
+    # the stage record: five cases, each level timed through the solve,
+    # whose stats it keeps; the memory record is left alone
+    repo, _ = scripts_repo(tmp_path)
+    run_stage_memory(repo, tmp_path, "--record", "stages", "--levels", "1..2")
+    assert (repo / "BENCH_memory.json").read_text() == "{}\n"
+    cases = json.loads((repo / "BENCH_stages.json").read_text())["cases"]
+    assert sorted(cases) == ["circle-minus-1e4", "circle-minus-1e9", "circle-plus-1e4",
+                             "circle-plus-1e9", "flower-1e5"]
+    for key, case in cases.items():
+        levels = case["columns"]["change"]["levels"]
+        assert sorted(levels) == ["L1", "L2"]
+        for level in levels.values():
+            assert level["timed_runs"] == 3 and level["speed"] > 0
+            assert [name for name in level if isinstance(level[name], dict)] == [
+                "mesh", "classify", "spaces", "build_system", "solve", "error_report"]
+            assert level["solve"]["iterations"] > 0
+            assert level["solve"]["method"].startswith("cg_jacobi")
+            assert level["solve"]["backward_error"] <= BACKWARD_ERROR_TOL
+            assert level["solve"]["maxrss_mb"] >= level["mesh"]["maxrss_mb"] > 0
 
 
 def run_tables(outdir, only):

@@ -8,8 +8,8 @@ from cutnitsche.assembly import build_system
 from cutnitsche.cutcell import classify
 from cutnitsche.mesh import build_mesh
 from cutnitsche.problems import example_circle
-from cutnitsche.solver import (_TOL, MaxIterationsError, NotSPDError, SolveStats,
-                               SolverError, StagnationError, solve)
+from cutnitsche.solver import (_TOL, BACKWARD_ERROR_TOL, MaxIterationsError, NotSPDError,
+                               SolveStats, SolverError, StagnationError, _stats, solve)
 from cutnitsche.space import build_spaces
 
 
@@ -79,9 +79,10 @@ def _extreme_contrast_system():
     return build_system(build_spaces(topo), spec)
 
 
-def ref_cg(system):
-    """CG written with a temporary per vector operation, as ``solve`` was
-    before it updated buffers in place: (outcome, iterate, iterations)."""
+def ref_cg(system, max_iter=None):
+    """CG written with a temporary per vector operation, ``a @ p`` among
+    them, as ``solve`` was before it updated buffers in place: (outcome,
+    iterate, stats of the iterate)."""
     a, b = system.matrix, system.rhs
     bnorm = np.linalg.norm(b)
     inv_diag = 1.0 / a.diagonal()
@@ -91,7 +92,7 @@ def ref_cg(system):
     p = z.copy()
     rz = float(r @ z)
     best_true, stalls = np.inf, 0
-    for it in range(1, 20 * b.shape[0] + 1):
+    for it in range(1, (max_iter or 20 * b.shape[0]) + 1):
         ap = a @ p
         alpha = rz / float(p @ ap)
         x = x + alpha * p
@@ -100,11 +101,11 @@ def ref_cg(system):
             r = b - a @ x
             true_r = np.linalg.norm(r)
             if true_r <= _TOL * bnorm:
-                return "converged", x, it
+                return "converged", x, _stats(it, a, b, x, r, bnorm)
             stalls = stalls + 1 if true_r >= 0.5 * best_true else 0
             best_true = min(best_true, true_r)
             if stalls >= 2:
-                return "stagnated", x, it
+                return "stagnated", x, _stats(it, a, b, x, r, bnorm)
             z = inv_diag * r
             p = z.copy()
             rz = float(r @ z)
@@ -113,24 +114,35 @@ def ref_cg(system):
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new
-    raise AssertionError("reference CG did not finish")
+    return "max_iterations", x, _stats(it, a, b, x, b - a @ x, bnorm)
 
 
 def test_in_place_cg_matches_reference(circle_layout):
+    # the same iterate bytes and the same stats as the reference, for a
+    # converged solve, two stagnated ones (the second, circle plus at
+    # contrast 1e9 on level 3, accepted by its backward error) and one
+    # cut off at its iteration cap
     layout = circle_layout(2)
     _, spec = example_circle(1.0, 1e4)
     converged = build_system(layout, spec)
     x, stats = solve(converged)
-    outcome, x_ref, it = ref_cg(converged)
-    assert (outcome, it) == ("converged", stats.iterations)
-    assert np.array_equal(x, x_ref)
+    outcome, x_ref, stats_ref = ref_cg(converged)
+    assert (outcome, stats) == ("converged", stats_ref)
+    assert x.tobytes() == x_ref.tobytes()
 
-    stagnated = _extreme_contrast_system()
-    with pytest.raises(StagnationError) as err:
-        solve(stagnated)
-    outcome, x_ref, it = ref_cg(stagnated)
-    assert (outcome, it) == ("stagnated", err.value.stats.iterations)
-    assert np.array_equal(err.value.x, x_ref)
+    _, spec = example_circle(1.0, 1e9, inclusion_side="plus")
+    floor = build_system(circle_layout(3, "plus"), spec)
+    for stagnated in (_extreme_contrast_system(), floor):
+        with pytest.raises(StagnationError) as err:
+            solve(stagnated)
+        outcome, x_ref, stats_ref = ref_cg(stagnated)
+        assert (outcome, err.value.stats) == ("stagnated", stats_ref)
+        assert err.value.x.tobytes() == x_ref.tobytes()
+    assert err.value.stats.backward_error <= BACKWARD_ERROR_TOL
+
+    with pytest.raises(MaxIterationsError) as err:
+        solve(converged, max_iter=7)
+    assert ref_cg(converged, max_iter=7)[::2] == ("max_iterations", err.value.stats)
 
 
 def test_cg_matches_direct_solve(circle_layout):
