@@ -131,19 +131,16 @@ def locate_on_side(layout: SpaceLayout, side: str, pts):
     triangle sharing a vertex with it that does.  Points no such
     triangle holds get element -1.
     """
-    mesh = layout.mesh
-    in_side = layout.topo.in_side(side)
+    mesh, topo = layout.mesh, layout.topo
     pts = np.asarray(pts, dtype=float).reshape(-1, 2)
     elems = mesh.locate(pts)
     lams = barycentric_many(np.take(mesh.nodes, mesh.elements(elems), axis=0), pts)
     floor = -_LOCATE_TOL / mesh.h
-    found = in_side[elems] & np.all(lams >= floor, axis=1)
+    found = topo.in_side(side, elems) & np.all(lams >= floor, axis=1)
     for k in np.flatnonzero(~found):
-        near = np.unique(mesh.node_elems(mesh.elements(elems[k]))[1]).tolist()
+        near = np.unique(mesh.node_elems(mesh.elements(elems[k]))[1])
         elems[k] = -1
-        for t in near:
-            if not in_side[t]:
-                continue
+        for t in near[topo.in_side(side, near)].tolist():
             lam = barycentric_many(np.take(mesh.nodes, mesh.elements([t]), axis=0),
                                    pts[k][None])[0]
             if np.all(lam >= floor):

@@ -380,13 +380,17 @@ def test_flower_band_matches_the_unbounded_scan(monkeypatch, level, block):
     # every edge with a root: the scan flags the edges that sampling every
     # edge flags, and classify flags the same elements.  From level 3 on
     # it samples under a fifth of the points the unbounded scan does
-    sampled = []
+    sampled, radii = [], []
 
     def phi(x):
         sampled.append(x.size // 2)
         return make_flower().phi(x)
 
-    flower = dataclasses.replace(make_flower(), phi=phi)
+    def grad_bound(x, radius):   # about each node, within its longest edge
+        radii.append(radius)
+        return make_flower().grad_bound(x, radius)
+
+    flower = dataclasses.replace(make_flower(), phi=phi, grad_bound=grad_bound)
     unbounded = dataclasses.replace(flower, grad_bound=None)
     mesh = build_mesh(level)
     psi = np.asarray(flower.side_sign(mesh.nodes), dtype=float)
@@ -400,6 +404,7 @@ def test_flower_band_matches_the_unbounded_scan(monkeypatch, level, block):
     if level >= 3:
         assert sum(sampled) < 0.2 * every_edge
     assert np.array_equal(classify(mesh, flower).ambiguous_elements, want_ambiguous)
+    assert radii == [mesh.h_elem, mesh.h_elem]
 
 
 def test_band_margin_covers_an_understated_lipschitz():
