@@ -21,9 +21,12 @@ sliced to its free rows and columns), the seven CSVs that script
 writes and the ``run_diagnostics()`` report, then every ``Mesh``
 quantity at levels 1..6 (each accessor over its full id range,
 under the name of the array it replaced), and the matrix, right-hand
-side and the five parts of ``assemble_parts`` of the level-6 plus-side
-solve at contrast 1e9 (assembled, not solved).  Two commits are
-bit-identical on all of these when the outputs of this script agree.
+side, the five parts of ``assemble_parts``, and the iterate and
+``SolveStats`` of ``solve`` of the level-6 plus-side system at contrast
+1e9, the one solve here large enough for ``solve`` to run on two
+threads (its stagnated iterate, as the harness accepts it).  Two
+commits are bit-identical on all of these when the outputs of this
+script agree.
 With ``<old>`` and ``<new>`` checkouts of the two commits:
 
     PYTHONPATH=<old>/src python scripts/parity_hashes.py > old.txt && wc -l old.txt
@@ -32,7 +35,7 @@ With ``<old>`` and ``<new>`` checkouts of the two commits:
 
 Without ``src`` on the path the script exits 1 and leaves an empty file,
 and two empty files diff as identical: ``&&`` stops at that exit, and
-each file must have 926 lines (914 with a ``src`` whose extension
+each file must have 928 lines (916 with a ``src`` whose extension
 operator holds no ``h1_reach``).
 
 BLAS is pinned to one thread, because stagnated CG iterates of the
@@ -66,6 +69,7 @@ from cutnitsche.harness import (_STUDY_LEVELS, CONTRAST_PAIRS, RunConfig,  # noq
 from cutnitsche.levelset import make_circle, make_flower  # noqa: E402
 from cutnitsche.mesh import build_mesh  # noqa: E402
 from cutnitsche.norms import error_report  # noqa: E402
+from cutnitsche.solver import StagnationError, solve  # noqa: E402
 from cutnitsche.space import build_spaces, interpolate_pair  # noqa: E402
 
 GEOMETRY_LEVELS = parse_levels("1..6")
@@ -238,6 +242,12 @@ def main() -> int:
     for part, matrix in assemble_parts(layout, spec).items():
         for name, value in csr_arrays(matrix).items():
             print(f"parts plus-1e9 L6 {part}.{name} {digest(value)}")
+    try:
+        x, stats = solve(system)
+    except StagnationError as err:
+        x, stats = err.x, err.stats
+    print(f"system plus-1e9 L6 iterate {digest(x)}")
+    print(f"system plus-1e9 L6 stats {digest(repr(stats))}")
     return 0
 
 

@@ -1,9 +1,14 @@
 """Preconditioned CG on SPD systems and the backward error of its iterates."""
+import signal
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from cutnitsche import solver
 from cutnitsche.assembly import build_system
 from cutnitsche.cutcell import classify
 from cutnitsche.mesh import build_mesh
@@ -117,11 +122,11 @@ def ref_cg(system, max_iter=None):
     return "max_iterations", x, _stats(it, a, b, x, b - a @ x, bnorm)
 
 
-def test_in_place_cg_matches_reference(circle_layout):
-    # the same iterate bytes and the same stats as the reference, for a
-    # converged solve, two stagnated ones (the second, circle plus at
-    # contrast 1e9 on level 3, accepted by its backward error) and one
-    # cut off at its iteration cap
+def _check_matches_reference(circle_layout):
+    """The same iterate bytes and the same stats as the reference, for a
+    converged solve, two stagnated ones (the second, circle plus at
+    contrast 1e9 on level 3, accepted by its backward error) and one
+    cut off at its iteration cap."""
     layout = circle_layout(2)
     _, spec = example_circle(1.0, 1e4)
     converged = build_system(layout, spec)
@@ -143,6 +148,128 @@ def test_in_place_cg_matches_reference(circle_layout):
     with pytest.raises(MaxIterationsError) as err:
         solve(converged, max_iter=7)
     assert ref_cg(converged, max_iter=7)[::2] == ("max_iterations", err.value.stats)
+
+
+def test_in_place_cg_matches_reference(circle_layout):
+    _check_matches_reference(circle_layout)
+
+
+@pytest.fixture
+def split(monkeypatch):
+    """Every solve runs on two threads, whatever its size and the CPUs
+    the process may use; yields the threads that ran ``x += alpha p``."""
+    monkeypatch.setattr(solver, "_SPLIT_NNZ", 0)
+    monkeypatch.setattr(solver.os, "sched_getaffinity", lambda pid: {0, 1})
+    ran_on = set()
+    axpy = solver._axpy
+
+    def recorded(*args):
+        ran_on.add(threading.current_thread())
+        axpy(*args)
+
+    monkeypatch.setattr(solver, "_axpy", recorded)
+    return ran_on
+
+
+def test_split_cg_matches_reference(circle_layout, split):
+    _check_matches_reference(circle_layout)
+    assert split and threading.main_thread() not in split
+
+
+def test_split_cg_under_signals_matches_reference(circle_layout, split):
+    # a 1 ms timer whose handler runs numpy work on the main thread, as
+    # perfbench's sampler does, interrupts the caller's waits
+    _, spec = example_circle(1.0, 1e9, inclusion_side="plus")
+    floor = build_system(circle_layout(3, "plus"), spec)
+    values = np.random.default_rng(0).random(500)
+    calls = []
+
+    def handler(signum, frame):
+        calls.append(float(np.sort(values)[::7].sum()))
+
+    previous = signal.signal(signal.SIGALRM, handler)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 1e-3, 1e-3)
+        with pytest.raises(StagnationError) as err:
+            solve(floor)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    assert calls
+    outcome, x_ref, stats_ref = ref_cg(floor)
+    assert (outcome, err.value.stats) == ("stagnated", stats_ref)
+    assert err.value.x.tobytes() == x_ref.tobytes()
+
+
+def test_concurrent_split_solves_match_reference(circle_layout, split):
+    # three split solves at once, six threads on a host of fewer CPUs,
+    # switching every microsecond: no job may see another's vectors or
+    # a half-written p
+    layout = circle_layout(2)
+    _, spec = example_circle(1.0, 1e4)
+    system = build_system(layout, spec)
+    _, x_ref, stats_ref = ref_cg(system)
+    results = []
+
+    def run():
+        results.append(solve(system))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=run) for _ in range(3)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=120.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert len(results) == 3
+    for x, stats in results:
+        assert stats == stats_ref
+        assert x.tobytes() == x_ref.tobytes()
+
+
+def _laplacian_1d(n):
+    return (np.diag(np.full(n, 2.0)) + np.diag(np.full(n - 1, -1.0), 1)
+            + np.diag(np.full(n - 1, -1.0), -1))
+
+
+def _failing_axpy(*args):
+    raise MemoryError("no room for the step")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
+@pytest.mark.parametrize("case, expected", [
+    ("converged", None),
+    ("stagnated", StagnationError),
+    ("max_iterations", MaxIterationsError),
+    ("negative_curvature", NotSPDError),
+    ("non_finite", SolverError),
+    ("worker_raises", MemoryError),
+])
+def test_split_cg_ends_its_thread(case, expected, split, monkeypatch):
+    # every way out of a split solve, a job that raises on the second
+    # thread among them, leaves no thread behind and the caller unblocked
+    system, max_iter = {
+        "converged": (ArraySystem(_laplacian_1d(30), np.ones(30)), None),
+        "stagnated": (_extreme_contrast_system(), None),
+        "max_iterations": (ArraySystem(_laplacian_1d(50), np.ones(50)), 3),
+        "negative_curvature": (ArraySystem([[1.0, 2.0], [2.0, 1.0]], [1.0, 0.0]), None),
+        "non_finite": (ArraySystem(np.eye(3), [1.0, np.nan, 2.0]), None),
+        "worker_raises": (ArraySystem(_laplacian_1d(30), np.ones(30)), None),
+    }[case]
+    if case == "worker_raises":
+        monkeypatch.setattr(solver, "_axpy", _failing_axpy)
+    threads = threading.active_count()
+    if expected is None:
+        solve(system, max_iter=max_iter)
+    else:
+        with pytest.raises(expected) as err:
+            solve(system, max_iter=max_iter)
+        assert type(err.value) is expected
+    assert threading.active_count() == threads
 
 
 def test_cg_matches_direct_solve(circle_layout):
@@ -170,10 +297,8 @@ def test_not_spd_negative_curvature():
 def test_max_iterations_carries_stats():
     # 1d Laplacian needs ~n iterations; cap far below that
     n = 50
-    a = (np.diag(np.full(n, 2.0)) + np.diag(np.full(n - 1, -1.0), 1)
-         + np.diag(np.full(n - 1, -1.0), -1))
     with pytest.raises(MaxIterationsError) as err:
-        solve(ArraySystem(a, np.ones(n)), max_iter=3)
+        solve(ArraySystem(_laplacian_1d(n), np.ones(n)), max_iter=3)
     assert err.value.stats.iterations == 3
     assert err.value.stats.relative_residual > 0.0
 
