@@ -9,15 +9,12 @@ right-hand side, solution, solve statistics and full-precision error
 report of every configuration of
 ``reproduce_tables.py``, the discrete extension operator of the
 diagnostics at levels 2..5 with its H1 Gram matrices (``h1_reach``
-over the elements the extension reaches, absent before that operator
-held it, and ``h1_plus`` in plus-dof indexing) and the whole-mesh H1
-Gram (``h1_full``, which the operator held before), the error report
+over the elements the extension reaches and ``h1_plus`` in plus-dof
+indexing) and the whole-mesh H1 Gram (``h1_full``), the error report
 of the interpolant of the diagnostics' interpolation profile and the
 profile's rows at full precision (``float.hex``) at levels 1..5, the
-energy-norm Gram matrix
-over the free DOFs of the circle (both inclusion sides) and the flower
-at levels 1..4 (a Gram over all DOFs, as older commits return it, is
-sliced to its free rows and columns), the seven CSVs that script
+energy-norm Gram matrix over the free DOFs of the circle (both inclusion
+sides) and the flower at levels 1..4, the seven CSVs that script
 writes and the ``run_diagnostics()`` report, then every ``Mesh``
 quantity at levels 1..6 (each accessor over its full id range,
 under the name of the array it replaced), and the matrix, right-hand
@@ -35,8 +32,7 @@ With ``<old>`` and ``<new>`` checkouts of the two commits:
 
 Without ``src`` on the path the script exits 1 and leaves an empty file,
 and two empty files diff as identical: ``&&`` stops at that exit, and
-each file must have 928 lines (916 with a ``src`` whose extension
-operator holds no ``h1_reach``).
+each file must have 928 lines.
 
 BLAS is pinned to one thread, because stagnated CG iterates of the
 high-contrast solves depend on the thread count.
@@ -190,10 +186,8 @@ def main() -> int:
         for name, value in csr_arrays(op.matrix).items():
             print(f"extension L{level} {name} {digest(value)}")
         nodes = np.arange(mesh.n_nodes)
-        grams = {"h1_full": _h1_matrices(mesh, np.ones(mesh.n_elems, dtype=bool), (nodes, nodes))}
-        if hasattr(op, "h1_reach"):
-            grams["h1_reach"] = op.h1_reach
-        grams["h1_plus"] = op.h1_plus
+        grams = {"h1_full": _h1_matrices(mesh, np.ones(mesh.n_elems, dtype=bool), (nodes, nodes)),
+                 "h1_reach": op.h1_reach, "h1_plus": op.h1_plus}
         for gram, matrix in grams.items():
             for name, value in csr_arrays(matrix).items():
                 print(f"extension L{level} {gram}.{name} {digest(value)}")
@@ -211,11 +205,7 @@ def main() -> int:
         ls, spec = make_problem(config)
         for level in GRAM_LEVELS:
             layout = build_spaces(classify(build_mesh(level), ls))
-            gram = assemble_vnorm_gram(layout, spec)
-            if gram.shape[0] == layout.n_total:
-                free = layout.free_dofs
-                gram = gram[free][:, free]
-            for name, value in csr_arrays(gram).items():
+            for name, value in csr_arrays(assemble_vnorm_gram(layout, spec)).items():
                 print(f"gram {label} L{level} {name} {digest(value)}")
 
     with tempfile.TemporaryDirectory() as tmp:

@@ -67,7 +67,6 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
     os.environ[_var] = "1"   # before numpy is imported
 
 import argparse  # noqa: E402
-import dataclasses  # noqa: E402
 import importlib.util  # noqa: E402
 import json  # noqa: E402
 import multiprocessing  # noqa: E402
@@ -90,10 +89,9 @@ from cutnitsche.assembly import (assemble_load, assemble_parts, build_system,  #
 from cutnitsche.cli import parse_levels  # noqa: E402
 from cutnitsche.cutcell import classify  # noqa: E402
 from cutnitsche.diagnostics import build_extension  # noqa: E402
-from cutnitsche.harness import RunConfig, make_problem  # noqa: E402
+from cutnitsche.harness import RunConfig, make_problem, solve_accepting_floor  # noqa: E402
 from cutnitsche.mesh import build_mesh  # noqa: E402
 from cutnitsche.norms import error_report  # noqa: E402
-from cutnitsche.solver import BACKWARD_ERROR_TOL, StagnationError, solve  # noqa: E402
 from cutnitsche.space import build_spaces  # noqa: E402
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -187,18 +185,6 @@ def timed(sampler, fn):
     return out, {"seconds": round(time.perf_counter() - t0 - spent, 3), **rss_record()}
 
 
-def solved(system):
-    """The solution of ``system`` and its stats, a stagnated iterate
-    accepted when its backward error is within ``BACKWARD_ERROR_TOL``,
-    its method tagged ``+floor``, as the harness accepts it."""
-    try:
-        return solve(system)
-    except StagnationError as err:
-        if not err.stats.backward_error <= BACKWARD_ERROR_TOL:
-            raise
-        return err.x, dataclasses.replace(err.stats, method=err.stats.method + "+floor")
-
-
 def stages(config: RunConfig, level: int, measure, extension: bool, solving: bool):
     """One record per stage, each from ``measure(stage)``, and the solve's
     stats, None without a solve.  ``extension`` adds the
@@ -215,7 +201,7 @@ def stages(config: RunConfig, level: int, measure, extension: bool, solving: boo
         del parts
     system, record["build_system"] = measure(lambda: build_system(layout, spec))
     if solving:
-        (x, stats), record["solve"] = measure(lambda: solved(system))
+        (x, stats), record["solve"] = measure(lambda: solve_accepting_floor(system))
     else:
         _, record["load"] = measure(lambda: assemble_load(layout, spec))
         x = np.zeros(system.n)

@@ -224,8 +224,7 @@ def classify(mesh: Mesh, ls: LevelSet) -> CutTopology:
 
     cut_minus = _fan_rule(sub_minus[keep], poly_m[keep], k_m[keep])
     cut_plus = _fan_rule(_polygon_area(poly_p[keep], k_p[keep]), poly_p[keep], k_p[keep])
-    ghost_minus = _ghost_edges(mesh, elem_side, cut_ids, -1)
-    ghost_plus = _ghost_edges(mesh, elem_side, cut_ids, 1)
+    ghost_minus, ghost_plus = _ghost_edges(mesh, elem_side, cut_ids)
 
     if ambiguous.size:
         log.warning("%d elements flagged as ambiguous near the interface (%s)",
@@ -446,15 +445,15 @@ def _fan_rule(area, poly, k) -> CutRule:
     return CutRule(area, ptr, mids[keep].reshape(-1, 2), np.repeat(tri_area[keep] / 3.0, 3))
 
 
-def _ghost_edges(mesh, elem_side, cut_ids, want) -> np.ndarray:
-    """Interior edges between two elements of side ``want`` (-1 minus,
-    +1 plus), at least one of them cut: among the edges of the cut
-    elements, in increasing order."""
+def _ghost_edges(mesh, elem_side, cut_ids) -> tuple[np.ndarray, np.ndarray]:
+    """Per side, minus then plus, the interior edges between two elements
+    of that side or cut, at least one of them cut: among the edges of the
+    cut elements, in increasing order."""
     edges = np.unique(mesh.elem_edges(cut_ids))
     e1, e2 = mesh.edge_elems(edges).T
     interior = e2 >= 0
-    e2 = np.where(interior, e2, 0)
-    return edges[interior & (elem_side[e1] * want >= 0) & (elem_side[e2] * want >= 0)]
+    s1, s2 = elem_side[e1], elem_side[np.where(interior, e2, 0)]
+    return tuple(edges[interior & (s1 * want >= 0) & (s2 * want >= 0)] for want in (-1, 1))
 
 
 def dump_cut_cells(topo: CutTopology, path) -> None:

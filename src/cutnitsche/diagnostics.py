@@ -25,7 +25,7 @@ import scipy.linalg
 import scipy.sparse
 
 from .assembly import (_ghost_part, _stiffness, assemble_vnorm_gram, build_system, element_rows,
-                       part_rows, stacked, window_elems)
+                       part_rows, stack_rows, stacked, window_elems)
 # classify stays bound here by name: the benchmark's tracer tests check it
 from .cutcell import CutTopology, classify  # noqa: F401
 from .harness import RunConfig, Table, _geometry, make_problem
@@ -238,8 +238,9 @@ def build_extension(layout: SpaceLayout) -> ExtensionOperator:
     # a slab ends after its last candidate, the last one at the last node
     parts = list(blocks(cand.size, _PATCH_POINTS)) or [slice(0, 0)]
     cuts = [0, *(int(cand[b.stop - 1]) + 1 for b in parts[:-1]), mesh.n_nodes]
-    matrix = scipy.sparse.vstack([_extension_rows(layout, cand[b], lo, hi)
-                                  for b, lo, hi in zip(parts, cuts, cuts[1:])], format="csr")
+    matrix = stack_rows((_extension_rows(layout, cand[b], lo, hi)
+                         for b, lo, hi in zip(parts, cuts, cuts[1:])),
+                        (mesh.n_nodes, layout.n_plus))
     reach = np.diff(matrix.indptr) > 0   # the nodes E can make nonzero
     nodes = np.arange(mesh.n_nodes)
     h1_reach = _h1_matrices(mesh, elem_any(reach.reshape(mesh.n_cells + 1, -1)), (nodes, nodes))

@@ -196,11 +196,11 @@ def _geometry(level: int, ls: LevelSet) -> SpaceLayout:
     return build_spaces(classify(build_mesh(level), ls))
 
 
-def _solve_on(config: RunConfig, spec: ProblemSpec, layout: SpaceLayout) -> RunResult:
-    """Assemble, solve and report one config on built geometry."""
-    system = build_system(layout, spec)
+def solve_accepting_floor(system: SparseSystem) -> tuple[np.ndarray, SolveStats]:
+    """``solve(system)``, a stagnated iterate accepted when its backward
+    error is within BACKWARD_ERROR_TOL, its method tagged ``+floor``."""
     try:
-        x, stats = solve(system)
+        return solve(system)
     except StagnationError as err:
         # At high contrast the residual relative to ||b|| floors far above
         # tol; the backward error of the iterate does not depend on the
@@ -210,8 +210,13 @@ def _solve_on(config: RunConfig, spec: ProblemSpec, layout: SpaceLayout) -> RunR
         log.warning("accepting stagnated solve: relative residual %.3e, "
                     "backward error %.1e", err.stats.relative_residual,
                     err.stats.backward_error)
-        x = err.x
-        stats = dataclasses.replace(err.stats, method=err.stats.method + "+floor")
+        return err.x, dataclasses.replace(err.stats, method=err.stats.method + "+floor")
+
+
+def _solve_on(config: RunConfig, spec: ProblemSpec, layout: SpaceLayout) -> RunResult:
+    """Assemble, solve and report one config on built geometry."""
+    system = build_system(layout, spec)
+    x, stats = solve_accepting_floor(system)
     u_h = expand_solution(system, x)
     return RunResult(config=config, report=error_report(spec, u_h), stats=stats,
                      system=system, field=u_h)

@@ -13,7 +13,7 @@ system, its vectors and one row window; np.add.reduceat sums each row
 alone along numpy's pairwise tree, so the norm is the whole pass's.
 
 A system with at least ``_SPLIT_NNZ`` stored entries, on a process
-allowed two or more CPUs, is solved by two threads.  A second thread
+allowed two or more CPUs, is solved by two threads.  A helper thread
 writes rows [mid, n) of each product A p, mid splitting the entries in
 half, while the caller writes rows [0, mid); after alpha it does
 x += alpha p while the caller updates r and z and takes their dots.
@@ -21,19 +21,19 @@ scipy's CSR kernel and numpy's element-wise loops release the GIL, so
 the halves overlap.  The bits are the one-thread solve's: each row of
 A p is summed by one thread in the kernel's order, the updates are
 element-wise, and every dot and norm is one whole-vector call on the
-caller, so no reduction changes its order.  The threads hand work over
-through two locks held as semaphores, and the caller waits for the
-second thread before it reads x or overwrites p.  Smaller systems, where
-the handover costs more than half a product saves, run the same
-iteration on the caller alone.
+caller, so no reduction changes its order.  The caller hands each call
+over on one ``queue.SimpleQueue`` and waits for its end on another
+before it reads x or overwrites p.  Smaller systems, where the handover
+costs more than half a product saves, make the same calls on the caller
+alone.
 """
 from __future__ import annotations
 
 import math
 import os
+import queue
 import threading
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 from scipy.sparse import _sparsetools
@@ -105,30 +105,23 @@ def _stats(it: int, a, b: np.ndarray, x: np.ndarray, r: np.ndarray,
                       float(np.abs(r).max()) / den)
 
 
-def _matvec(a, v: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``a @ v`` for a CSR matrix, written into ``out``: scipy's kernel
-    adds each row's products onto out's entry in turn, so from the zero
-    given here it sums them as ``a @ v`` does, without a new vector."""
-    _rows_product(a, v, out, 0, a.shape[0])()
-    return out
-
-
-def _rows_product(a, v: np.ndarray, out: np.ndarray, lo: int, hi: int):
-    """A job that writes rows [lo, hi) of ``a @ v`` into the same rows of
-    ``out``, each row summed as ``_matvec`` sums it.  The kernel reads
-    the row pointers from lo on, which index the whole entry arrays, so
-    the rows need no copy.  A job over no rows does nothing: the
-    kernel's call alone would cost a one-thread solve about a
-    microsecond an iteration."""
-    if lo == hi:
-        return lambda: None
-    rows, indptr = out[lo:hi], a.indptr[lo:hi + 1]
-
-    def job():
+def _rows(a, v: np.ndarray, out: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """Rows [lo, hi) of ``a @ v`` for a CSR matrix, all rows by default,
+    written into the same rows of ``out``, which is returned.  scipy's
+    kernel adds each row's products onto out's entry in turn, so from the
+    zero given here it sums them as ``a @ v`` does, without a new vector.
+    It reads the row pointers from lo on, which index the whole entry
+    arrays, so the rows need no copy.  An empty range does nothing: the
+    kernel's call alone would cost a one-thread solve about a microsecond
+    an iteration."""
+    if hi is None:
+        hi = a.shape[0]
+    if lo < hi:
+        rows = out[lo:hi]
         rows.fill(0.0)
-        _sparsetools.csr_matvec(hi - lo, a.shape[1], indptr, a.indices, a.data, v, rows)
-
-    return job
+        _sparsetools.csr_matvec(hi - lo, a.shape[1], a.indptr[lo:hi + 1], a.indices, a.data,
+                                v, rows)
+    return out
 
 
 def _axpy(y: np.ndarray, alpha: float, v: np.ndarray, step: np.ndarray) -> None:
@@ -136,73 +129,49 @@ def _axpy(y: np.ndarray, alpha: float, v: np.ndarray, step: np.ndarray) -> None:
     y += np.multiply(alpha, v, out=step)
 
 
-class _Inline:
-    """Runs each job at once on the caller's thread."""
+class _Helper:
+    """Runs calls in turn on a second thread, or at once on the caller's
+    unless ``threaded``.  ``wait``, once after each ``start``, blocks until
+    that call is done and re-raises what it raised; ``close`` lets a
+    running call finish and joins the thread."""
 
-    def start(self, job) -> None:
-        job()
-
-    def wait(self) -> None:
-        pass
-
-    def close(self) -> None:
-        pass
-
-
-class _Worker:
-    """Runs one job at a time on a second thread.  ``start`` hands a job
-    over, ``wait`` blocks until it is done and re-raises what it raised,
-    ``close`` waits for a running job and ends the thread.  Each lock is
-    held while its event has not happened, so neither side spins."""
-
-    def __init__(self) -> None:
-        self._go = threading.Lock()
-        self._done = threading.Lock()
-        self._go.acquire()
-        self._done.acquire()
-        self._job = None
-        self._error = None
-        self._busy = False
-        self._thread = threading.Thread(target=self._run, name="cg-rows", daemon=True)
-        self._thread.start()
+    def __init__(self, threaded: bool) -> None:
+        self._thread = None
+        if threaded:
+            self._calls, self._done = queue.SimpleQueue(), queue.SimpleQueue()
+            self._thread = threading.Thread(target=self._run, name="cg-rows", daemon=True)
+            self._thread.start()
 
     def _run(self) -> None:
-        while True:
-            self._go.acquire()
-            job = self._job
-            if job is None:
-                return
+        while (call := self._calls.get()) is not None:
+            fn, args = call
             try:
-                job()
+                fn(*args)
             except BaseException as exc:
-                self._error = exc
-            self._done.release()
+                self._done.put(exc)
+            else:
+                self._done.put(None)
 
-    def start(self, job) -> None:
-        self._job = job
-        self._busy = True
-        self._go.release()
+    def start(self, fn, *args) -> None:
+        if self._thread is None:
+            fn(*args)
+        else:
+            self._calls.put((fn, args))
 
     def wait(self) -> None:
-        if self._busy:
-            self._done.acquire()
-            self._busy = False
-            error, self._error = self._error, None
-            if error is not None:
-                raise error
+        if self._thread is not None and (error := self._done.get()) is not None:
+            raise error
 
     def close(self) -> None:
-        if self._busy:
-            self._done.acquire()
-            self._busy = False
-        self._job = None
-        self._go.release()
-        self._thread.join()
+        if self._thread is not None:
+            self._calls.put(None)
+            self._thread.join()
 
 
 def _split_rows(a) -> int:
     """The row that halves a's entries when a solve of a runs on two
-    threads, else 0, which gives the caller's one-thread job every row."""
+    threads, else 0, which leaves the caller no rows and the helper,
+    running on the caller, every row."""
     if a.nnz < _SPLIT_NNZ:
         return 0
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
@@ -244,9 +213,8 @@ def solve(system: SparseSystem,
     step = np.empty(n)
     ap = np.empty(n)
     mid = _split_rows(a)
-    # rows [mid, n) of A p, and x += alpha p, go to the worker
-    worker = _Worker() if mid else _Inline()
-    lower, upper = _rows_product(a, p, ap, 0, mid), _rows_product(a, p, ap, mid, n)
+    # rows [mid, n) of A p, and x += alpha p, go to the helper
+    helper = _Helper(threaded=mid > 0)
     rz = float(r @ z)
     it = 0
     best_true = np.inf
@@ -254,14 +222,14 @@ def solve(system: SparseSystem,
     try:
         while it < max_iter:
             it += 1
-            worker.start(upper)
-            lower()
-            worker.wait()
+            helper.start(_rows, a, p, ap, mid, n)
+            _rows(a, p, ap, 0, mid)
+            helper.wait()
             pap = float(p @ ap)
             if pap <= 0.0:
                 raise NotSPDError("matrix not SPD (negative curvature in CG) - check gamma")
             alpha = rz / pap
-            worker.start(partial(_axpy, x, alpha, p, step))
+            helper.start(_axpy, x, alpha, p, step)
             # z is rewritten from r before it is read again
             r -= np.multiply(alpha, ap, out=z)
             rnorm = math.sqrt(r @ r)
@@ -269,8 +237,8 @@ def solve(system: SparseSystem,
                 raise SolverError(f"CG residual is {rnorm} at iteration {it}: the system "
                                   "or its scaling is not finite")
             if rnorm <= _TOL * bnorm:
-                worker.wait()
-                np.subtract(b, _matvec(a, x, ap), out=r)
+                helper.wait()
+                np.subtract(b, _rows(a, x, ap), out=r)
                 true_r = math.sqrt(r @ r)
                 if true_r <= _TOL * bnorm:
                     return x, _stats(it, a, b, x, r, bnorm)
@@ -298,12 +266,12 @@ def solve(system: SparseSystem,
             rz_new = float(r @ z)
             beta = rz_new / rz
             rz = rz_new
-            worker.wait()
+            helper.wait()
             p *= beta
             p += z
     finally:
-        worker.close()
-    stats = _stats(it, a, b, x, b - _matvec(a, x, ap), bnorm)
+        helper.close()
+    stats = _stats(it, a, b, x, b - _rows(a, x, ap), bnorm)
     raise MaxIterationsError(
         f"CG did not reach tol={_TOL:g} in {max_iter} iterations "
         f"(relative residual {stats.relative_residual:.3e})",

@@ -172,6 +172,31 @@ def split(monkeypatch):
     return ran_on
 
 
+@pytest.mark.parametrize("case", ["small", "one_cpu"])
+def test_inline_cg_starts_no_thread(case, circle_layout, monkeypatch):
+    # a system below _SPLIT_NNZ, or any system on a process allowed one
+    # CPU, is solved on the caller's thread alone
+    if case == "one_cpu":
+        monkeypatch.setattr(solver, "_SPLIT_NNZ", 0)
+        monkeypatch.setattr(solver.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    system = build_system(circle_layout(2), example_circle(1.0, 1e4)[1])
+    assert (system.matrix.nnz < solver._SPLIT_NNZ) == (case == "small")
+    seen = []
+    axpy = solver._axpy
+
+    def recorded(*args):
+        seen.append((threading.current_thread(), threading.active_count()))
+        axpy(*args)
+
+    monkeypatch.setattr(solver, "_axpy", recorded)
+    threads = threading.active_count()
+    x, stats = solve(system)
+    outcome, x_ref, stats_ref = ref_cg(system)
+    assert seen and set(seen) == {(threading.main_thread(), threads)}
+    assert (outcome, stats) == ("converged", stats_ref)
+    assert x.tobytes() == x_ref.tobytes()
+
+
 def test_split_cg_matches_reference(circle_layout, split):
     _check_matches_reference(circle_layout)
     assert split and threading.main_thread() not in split
