@@ -8,9 +8,14 @@ alone.  Every iterate the solver returns or raises therefore carries its
 normwise backward error ||b - Ax|| / (||A|| ||x|| + ||b||) in inf-norms,
 which has no such scale (Rigal & Gaches 1967; Arioli, Duff & Ruiz 1992);
 callers accept a stagnated iterate when it is at most BACKWARD_ERROR_TOL.
-Its |A| row sums go ``BLOCK`` rows at a time, so a solve holds its
-system, its vectors and one row window; np.add.reduceat sums each row
-alone along numpy's pairwise tree, so the norm is the whole pass's.
+Its norms go ``BLOCK`` rows at a time, so a solve holds its system, its
+vectors and one row window; np.add.reduceat sums each |A| row alone along
+numpy's pairwise tree, so the norm is the whole pass's.
+
+The loop holds six n-vectors, x, r, z, p, A p and the inverse diagonal,
+plus ``step``, the product alpha p.  None of them outlives the loop: it
+runs in its own function, which returns the error to raise rather than
+raising it, so a raised StagnationError holds only its iterate and stats.
 
 A system with at least ``_SPLIT_NNZ`` stored entries, on a process
 allowed two or more CPUs, is solved by two threads.  A helper thread
@@ -92,17 +97,19 @@ class SolveStats:
 
 def _stats(it: int, a, b: np.ndarray, x: np.ndarray, r: np.ndarray,
            bnorm: float) -> SolveStats:
-    """Stats of the iterate x with true residual r = b - Ax.  np.maximum
-    keeps a NaN row sum as one max would.  Every row of a stores its
-    positive diagonal, so no row sum is empty."""
-    a_norm = 0.0
+    """Stats of the iterate x with true residual r = b - Ax.  Its four
+    inf-norms, |A| row sums among them, go ``BLOCK`` rows at a time: max
+    is exact, and np.maximum keeps a NaN as one max would.  Every row of
+    a stores its positive diagonal, so no row sum is empty."""
+    norms = np.zeros(4)  # of |A|, x, b and r
     for rows in blocks(a.shape[0]):
         lo, hi = a.indptr[rows.start], a.indptr[rows.stop]
-        a_norm = np.maximum(a_norm, np.add.reduceat(np.abs(a.data[lo:hi]),
-                                                    a.indptr[rows] - lo).max())
-    den = float(a_norm) * float(np.abs(x).max()) + float(np.abs(b).max())
+        np.maximum(norms, [np.add.reduceat(np.abs(a.data[lo:hi]), a.indptr[rows] - lo).max(),
+                           np.abs(x[rows]).max(), np.abs(b[rows]).max(), np.abs(r[rows]).max()],
+                   out=norms)
+    a_norm, x_norm, b_norm, r_norm = norms.tolist()
     return SolveStats(it, math.sqrt(r @ r) / bnorm, "cg_jacobi",
-                      float(np.abs(r).max()) / den)
+                      r_norm / (a_norm * x_norm + b_norm))
 
 
 def _rows(a, v: np.ndarray, out: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray:
@@ -191,21 +198,31 @@ def solve(system: SparseSystem,
     order, as the textbook expressions, on one thread or, for a large
     system, on two (see the module docstring).
     """
-    a = system.matrix
     b = system.rhs
-    n = b.shape[0]
     if max_iter is None:
-        max_iter = 20 * n
+        max_iter = 20 * b.shape[0]
     bnorm = math.sqrt(b @ b)
     if bnorm == 0.0:
-        return np.zeros(n), SolveStats(0, 0.0, "cg_jacobi", 0.0)
-
-    diag = a.diagonal()
-    if np.any(diag <= 0.0):
+        return np.zeros(b.shape[0]), SolveStats(0, 0.0, "cg_jacobi", 0.0)
+    if np.any(system.matrix.diagonal() <= 0.0):
         raise NotSPDError("matrix not SPD (nonpositive diagonal) - check gamma")
-    inv_diag = 1.0 / diag
-    del diag
+    outcome = _iterate(system.matrix, b, bnorm, max_iter)
+    if isinstance(outcome, SolverError):
+        try:
+            raise outcome
+        finally:
+            # the traceback keeps this frame; it must not keep the error
+            del outcome
+    return outcome
 
+
+def _iterate(a, b: np.ndarray, bnorm: float,
+             max_iter: int) -> tuple[np.ndarray, SolveStats] | SolverError:
+    """The CG loop of ``solve``: (x, stats) of a converged iterate, or the
+    error for ``solve`` to raise, returned rather than raised so that no
+    traceback keeps this frame."""
+    n = b.shape[0]
+    inv_diag = 1.0 / a.diagonal()
     x = np.zeros(n)
     r = b.copy()
     z = inv_diag * r
@@ -227,15 +244,15 @@ def solve(system: SparseSystem,
             helper.wait()
             pap = float(p @ ap)
             if pap <= 0.0:
-                raise NotSPDError("matrix not SPD (negative curvature in CG) - check gamma")
+                return NotSPDError("matrix not SPD (negative curvature in CG) - check gamma")
             alpha = rz / pap
             helper.start(_axpy, x, alpha, p, step)
             # z is rewritten from r before it is read again
             r -= np.multiply(alpha, ap, out=z)
             rnorm = math.sqrt(r @ r)
             if not math.isfinite(rnorm):
-                raise SolverError(f"CG residual is {rnorm} at iteration {it}: the system "
-                                  "or its scaling is not finite")
+                return SolverError(f"CG residual is {rnorm} at iteration {it}: the system "
+                                   "or its scaling is not finite")
             if rnorm <= _TOL * bnorm:
                 helper.wait()
                 np.subtract(b, _rows(a, x, ap), out=r)
@@ -252,7 +269,7 @@ def solve(system: SparseSystem,
                     stalls = 0
                 best_true = min(best_true, true_r)
                 if stalls >= 2:
-                    raise StagnationError(
+                    return StagnationError(
                         f"CG stagnated at relative residual {true_r / bnorm:.3e} "
                         f"above tol={_TOL:g} (round-off floor, {it} iterations)",
                         _stats(it, a, b, x, r, bnorm),
@@ -272,7 +289,7 @@ def solve(system: SparseSystem,
     finally:
         helper.close()
     stats = _stats(it, a, b, x, b - _rows(a, x, ap), bnorm)
-    raise MaxIterationsError(
+    return MaxIterationsError(
         f"CG did not reach tol={_TOL:g} in {max_iter} iterations "
         f"(relative residual {stats.relative_residual:.3e})",
         stats,

@@ -12,12 +12,13 @@ the assembly, and the memory classify's output keeps, at level 5.
 """
 import tracemalloc
 from functools import partial
-from math import ceil
+from math import ceil, sqrt
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 from cutnitsche import cutcell, mesh as mesh_module
@@ -30,7 +31,7 @@ from cutnitsche.levelset import LevelSet
 from cutnitsche.mesh import barycentric_many, build_mesh, edge_frame
 from cutnitsche.norms import PairwiseSum, _ghost_error_sq, error_report
 from cutnitsche.problems import patch_problem
-from cutnitsche.solver import MaxIterationsError, solve
+from cutnitsche.solver import MaxIterationsError, SolveStats, _stats, solve
 from cutnitsche.space import FieldPair, build_spaces, interpolate_pair
 from mesh_reference import _edge_numbering
 
@@ -745,6 +746,33 @@ def extra_mb(fn):
         return (tracemalloc.get_traced_memory()[1] - base) / 1024.0 ** 2
     finally:
         tracemalloc.stop()
+
+
+def ref_stats(it, a, b, x, r, bnorm):
+    """solver._stats with each inf-norm one whole-array pass."""
+    a_norm = np.add.reduceat(np.abs(a.data), a.indptr[:-1]).max()
+    den = float(a_norm) * float(np.abs(x).max()) + float(np.abs(b).max())
+    return SolveStats(it, sqrt(r @ r) / bnorm, "cg_jacobi", float(np.abs(r).max()) / den)
+
+
+@pytest.mark.parametrize("case", ["circle-minus", "circle-plus"])
+@pytest.mark.parametrize("nan_at", [None, 3, -1])
+def test_solve_stats_match_the_whole_array_norms(small_blocks, case, nan_at):
+    # a NaN in the first or the last 7-row block of the iterate, and so
+    # of its residual, must give NaN norms as the whole-array max does
+    layout, spec = case_setup(case, 3)
+    system = build_system(layout, spec)
+    a, b = system.matrix, system.rhs
+    x = spla.spsolve(a.tocsc(), b)
+    if nan_at is not None:
+        x[nan_at] = np.nan
+    r = b - a @ x
+    bnorm = sqrt(b @ b)
+    stats, ref = _stats(17, a, b, x, r, bnorm), ref_stats(17, a, b, x, r, bnorm)
+    assert stats.backward_error > 0.0 if nan_at is None else np.isnan(stats.backward_error)
+    assert (stats.iterations, stats.method) == (ref.iterations, ref.method)
+    assert (np.array([stats.relative_residual, stats.backward_error]).tobytes()
+            == np.array([ref.relative_residual, ref.backward_error]).tobytes())
 
 
 def test_blocked_stages_stay_within_memory_bounds():

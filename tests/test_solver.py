@@ -1,7 +1,10 @@
 """Preconditioned CG on SPD systems and the backward error of its iterates."""
+import gc
 import signal
 import sys
 import threading
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -22,7 +25,7 @@ class ArraySystem:
     """Minimal stand-in for SparseSystem in pure linear-algebra tests."""
 
     def __init__(self, a, b):
-        self.matrix = sp.csr_matrix(np.asarray(a, dtype=float))
+        self.matrix = sp.csr_matrix(a if sp.issparse(a) else np.asarray(a, dtype=float))
         self.rhs = np.asarray(b, dtype=float)
 
     @property
@@ -296,6 +299,100 @@ def test_split_cg_ends_its_thread(case, expected, split, monkeypatch):
             solve(system, max_iter=max_iter)
         assert type(err.value) is expected
     assert threading.active_count() == threads
+
+
+# the length of the built systems here; a vector of the smallest system,
+# the level-3 one of 2,127 unknowns, holds 17 KB, so no work vector kept
+# past the solve fits in _HELD_SLACK
+_HELD_N = 20_000
+# the exception, its traceback, frames, message and stats: 0.7-1.4 KB
+_HELD_SLACK = 4096
+
+
+def _tridiagonal(n):
+    return sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n), format="csr")
+
+
+def _held_error(system, max_iter):
+    """The error ``solve`` raises, and the bytes tracemalloc counts above
+    the level before the call while that error is held."""
+    def run():
+        try:
+            solve(system, max_iter=max_iter)
+        except SolverError as err:
+            return err
+        raise AssertionError("solve returned")
+
+    run()  # the first call fills the caches the measured one would add to
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        err = run()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return err, held
+
+
+def _arrays_held_by(tb, system):
+    """The ndarrays reachable from the locals of the frames of ``tb``,
+    through containers and object attributes; ``system``, which its
+    caller holds anyway, is not searched."""
+    stop = (type, types.ModuleType, types.FunctionType, types.CodeType, types.FrameType,
+            types.TracebackType)
+    seen, todo, arrays = {id(system)}, [], []
+    while tb is not None:
+        todo.extend(tb.tb_frame.f_locals.values())
+        tb = tb.tb_next
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, stop):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            arrays.append(obj)
+            todo.append(obj.base)
+        else:
+            todo.extend(gc.get_referents(obj))
+    return arrays
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("case, expected", [
+    ("stagnated", StagnationError),
+    ("max_iterations", MaxIterationsError),
+    ("negative_curvature", NotSPDError),
+    ("non_finite", SolverError),
+])
+def test_held_error_keeps_no_work_vector(case, expected, threads, circle_layout, request):
+    # while the caller holds the error, as the harness does while it
+    # judges a stagnated iterate, CG's vectors are gone: only the iterate
+    # a StagnationError carries is left of the solve
+    ran_on = request.getfixturevalue("split") if threads == 2 else None
+    n = _HELD_N
+    nan_rhs = np.ones(n)
+    nan_rhs[n // 3] = np.nan
+    odd_rhs = np.zeros(n)
+    odd_rhs[::2] = 1.0
+    system, max_iter = {
+        # the level-3 plus/1e9 system, whose iterate the harness accepts
+        "stagnated": (build_system(circle_layout(3, "plus"),
+                                   example_circle(1.0, 1e9, inclusion_side="plus")[1]), None),
+        "max_iterations": (ArraySystem(_tridiagonal(n), np.ones(n)), 3),
+        # n / 2 copies of a block with eigenvalues 3 and -1
+        "negative_curvature": (ArraySystem(sp.kron(sp.eye(n // 2), [[1.0, 2.0], [2.0, 1.0]]),
+                                           odd_rhs), None),
+        "non_finite": (ArraySystem(_tridiagonal(n), nan_rhs), None),
+    }[case]
+    err, held = _held_error(system, max_iter)
+    assert type(err) is expected
+    assert ran_on is None or (ran_on and threading.main_thread() not in ran_on)
+    x = getattr(err, "x", None)
+    kept = [] if x is None else [x]
+    assert held <= sum(v.nbytes for v in kept) + _HELD_SLACK
+    long = [v for v in _arrays_held_by(err.__traceback__, system) if v.size == system.n]
+    assert {id(v) for v in long} <= {id(v) for v in kept + [system.rhs]}
 
 
 def test_cg_matches_direct_solve(circle_layout):
