@@ -21,9 +21,11 @@ under the name of the array it replaced), and the matrix, right-hand
 side, the five parts of ``assemble_parts``, and the iterate and
 ``SolveStats`` of ``solve`` of the level-6 plus-side system at contrast
 1e9, the one solve here large enough for ``solve`` to run on two
-threads (its stagnated iterate, as the harness accepts it).  Two
-commits are bit-identical on all of these when the outputs of this
-script agree.
+threads (its stagnated iterate, as the harness accepts it), and last
+the stdout and the four ``--dump-*`` files of ``cutnitsche solve``, run
+through ``cli.main``, for the plus-side circle at contrast 1e9 and the
+flower at level 3.  Two commits are bit-identical on all of these when
+the outputs of this script agree.
 With ``<old>`` and ``<new>`` checkouts of the two commits:
 
     PYTHONPATH=<old>/src python scripts/parity_hashes.py > old.txt && wc -l old.txt
@@ -32,7 +34,7 @@ With ``<old>`` and ``<new>`` checkouts of the two commits:
 
 Without ``src`` on the path the script exits 1 and leaves an empty file,
 and two empty files diff as identical: ``&&`` stops at that exit, and
-each file must have 928 lines.
+each file must have 938 lines.
 
 BLAS is pinned to one thread, because stagnated CG iterates of the
 high-contrast solves depend on the thread count.
@@ -56,7 +58,7 @@ import numpy as np  # noqa: E402
 import reproduce_tables  # noqa: E402
 from cutnitsche.assembly import (assemble_parts, assemble_vnorm_gram,  # noqa: E402
                                  build_system)
-from cutnitsche.cli import parse_levels  # noqa: E402
+from cutnitsche.cli import main as cli_main, parse_levels  # noqa: E402
 from cutnitsche.cutcell import classify  # noqa: E402
 from cutnitsche.diagnostics import (_h1_matrices, build_extension,  # noqa: E402
                                     interpolation_error_profile, run_diagnostics)
@@ -72,6 +74,13 @@ GEOMETRY_LEVELS = parse_levels("1..6")
 EXTENSION_LEVELS = parse_levels("2..5")
 INTERPOLATION_LEVELS = parse_levels("1..5")
 GRAM_LEVELS = parse_levels("1..4")
+# solve's command line per case, and its dump flags and the names they hash under
+CLI_CASES = {
+    "circle-plus": ["--example", "1", "--inclusion-side", "plus", "--rho-plus", "1e9"],
+    "flower": ["--example", "2"],
+}
+CLI_DUMPS = {"solution": "--dump-solution", "mesh": "--dump-mesh",
+             "cutcells": "--dump-cutcells", "matrix": "--dump-matrix"}
 GRAM_CASES = {
     "circle-minus": RunConfig(example="1", rho_minus=1.0, rho_plus=1e4),
     "circle-plus": RunConfig(example="1", inclusion_side="plus", rho_minus=1.0, rho_plus=1e9),
@@ -238,6 +247,19 @@ def main() -> int:
         x, stats = err.x, err.stats
     print(f"system plus-1e9 L6 iterate {digest(x)}")
     print(f"system plus-1e9 L6 stats {digest(repr(stats))}")
+
+    for label, argv in CLI_CASES.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {name: pathlib.Path(tmp) / name for name in CLI_DUMPS}
+            dumps = [arg for name, flag in CLI_DUMPS.items() for arg in (flag, str(paths[name]))]
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli_main(["solve", *argv, "--level", "3", *dumps])
+            if code:
+                raise RuntimeError(f"cutnitsche solve {label} exited {code}")
+            print(f"cli {label} L3 stdout {digest(out.getvalue())}")
+            for name, path in paths.items():
+                print(f"cli {label} L3 {name} {digest(path.read_text())}")
     return 0
 
 

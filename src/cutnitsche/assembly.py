@@ -34,7 +34,6 @@ __all__ = [
     "assemble_vnorm_gram",
     "build_system",
     "expand_solution",
-    "dump_matrix",
 ]
 
 
@@ -402,12 +401,3 @@ def expand_solution(system: SparseSystem, x_free: np.ndarray) -> FieldPair:
     full = system.lifting.copy()
     full[system.layout.free_dofs] = x_free
     return FieldPair.from_global(system.layout, full)
-
-
-def dump_matrix(matrix: sp.spmatrix, path) -> None:
-    """Coordinate text dump: one 'row col value' line per entry."""
-    coo = matrix.tocoo()
-    with open(path, "w") as fh:
-        fh.write(f"% {coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{r} {c} {v:.17g}\n")

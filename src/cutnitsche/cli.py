@@ -1,4 +1,4 @@
-"""Command-line front end.
+"""Command-line front end, and the one module that reads or writes files.
 
 Subcommands drive the harness: `solve` one case, `convergence` a level
 study, `contrast` a coefficient sweep, `diagnostics` the structural
@@ -9,14 +9,13 @@ the corresponding key.  Exit codes: 0 success, 1 configuration error
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
-from .assembly import dump_matrix
-from .cutcell import dump_cut_cells
-from .harness import (ConfigError, RunConfig, _check_levels, dump_solution,
-                      run_contrast_sweep, run_convergence, run_solve, solve_table)
+from .harness import (ConfigError, RunConfig, _check_levels, run_contrast_sweep,
+                      run_convergence, run_solve, solve_table)
 from .levelset import GeometryError
-from .mesh import dump_mesh
+from .mesh import blocks
 from .solver import SolverError
 
 __all__ = ["main", "parse_config_file", "load_config", "parse_levels"]
@@ -142,64 +141,71 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, config: RunConfig) -> None:
-    if config.output_path:
-        with open(config.output_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _write(path, lines) -> None:
+    """Write ``lines`` one at a time to ``path``, or to stdout without one."""
+    with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as fh:
+        for line in lines:
+            fh.write(line)
 
 
-def _cmd_solve(args: argparse.Namespace) -> int:
-    config = load_config(args)
-    result = run_solve(config)
-    _emit(solve_table(result).render(config.format), config)
-    if args.dump_solution:
-        dump_solution(result, args.dump_solution)
-    if args.dump_mesh:
-        dump_mesh(result.mesh, args.dump_mesh)
-    if args.dump_cutcells:
-        dump_cut_cells(result.topo, args.dump_cutcells)
-    if args.dump_matrix:
-        dump_matrix(result.system.matrix, args.dump_matrix)
-    return 0
+def _solution_lines(result):
+    """Per-node solution values per side: side,node,x,y,value rows."""
+    yield "side,node,x,y,value\n"
+    for side in ("minus", "plus"):
+        for node, value in zip(result.layout.dof_node(side), result.field.side(side)):
+            x, y = result.mesh.nodes[node]
+            yield f"{side},{node},{x:.17g},{y:.17g},{value:.17g}\n"
 
 
-def _cmd_convergence(args: argparse.Namespace) -> int:
-    config = load_config(args)
-    table = run_convergence(config)
-    _emit(table.render(config.format), config)
-    return 0
+def _mesh_lines(mesh):
+    """One 'v x y' line per node, one 't i j k' per element."""
+    for x, y in mesh.nodes:
+        yield f"v {x:.17g} {y:.17g}\n"
+    for block in blocks(mesh.n_elems):
+        for i, j, k in mesh.elements(block):
+            yield f"t {i} {j} {k}\n"
 
 
-def _cmd_contrast(args: argparse.Namespace) -> int:
-    # sweeps default to the finest tabulated level unless one was given
-    config = load_config(args, level=5)
-    table = run_contrast_sweep(config)
-    _emit(table.render(config.format), config)
-    return 0
+def _cut_cell_lines(topo):
+    """CSV of cut elements: chord endpoints and sub-areas."""
+    yield "elem,px,py,qx,qy,area_minus,area_plus\n"
+    for t, (px, py), (qx, qy), a_minus, a_plus in zip(
+            topo.cut_ids, topo.chord_p, topo.chord_q, topo.cut_minus.area, topo.cut_plus.area):
+        yield f"{int(t)},{px:.17g},{py:.17g},{qx:.17g},{qy:.17g},{a_minus:.17g},{a_plus:.17g}\n"
 
 
-def _cmd_diagnostics(args: argparse.Namespace) -> int:
-    from .diagnostics import run_diagnostics
-    config = load_config(args)
-    _emit(run_diagnostics(config), config)
-    return 0
-
-
-_COMMANDS = {
-    "solve": _cmd_solve,
-    "convergence": _cmd_convergence,
-    "contrast": _cmd_contrast,
-    "diagnostics": _cmd_diagnostics,
-}
+def _matrix_lines(matrix):
+    """Coordinate text: a '% rows cols nnz' header, one 'row col value' line per entry."""
+    coo = matrix.tocoo()
+    yield f"% {coo.shape[0]} {coo.shape[1]} {coo.nnz}\n"
+    for r, c, v in zip(coo.row, coo.col, coo.data):
+        yield f"{r} {c} {v:.17g}\n"
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        args = _build_parser().parse_args(argv)
+        # sweeps default to the finest tabulated level unless one was given
+        config = load_config(args, level=5 if args.command == "contrast" else None)
+        if args.command == "solve":
+            result = run_solve(config)
+            text = solve_table(result).render(config.format)
+        elif args.command == "convergence":
+            text = run_convergence(config).render(config.format)
+        elif args.command == "contrast":
+            text = run_contrast_sweep(config).render(config.format)
+        else:
+            from .diagnostics import run_diagnostics
+            text = run_diagnostics(config)
+        _write(config.output_path, [text])
+        if args.command == "solve":
+            for path, lines in ((args.dump_solution, _solution_lines(result)),
+                                (args.dump_mesh, _mesh_lines(result.mesh)),
+                                (args.dump_cutcells, _cut_cell_lines(result.topo)),
+                                (args.dump_matrix, _matrix_lines(result.system.matrix))):
+                if path:
+                    _write(path, lines)
+        return 0
     except ValueError as exc:
         # ConfigError and the problem/config validation errors
         print(f"cutnitsche: config error: {exc}", file=sys.stderr)

@@ -25,7 +25,6 @@ log = logging.getLogger(__name__)
 __all__ = [
     "CutTopology",
     "classify",
-    "dump_cut_cells",
 ]
 
 ROOT_PHI_TOL = 1e-13
@@ -454,16 +453,3 @@ def _ghost_edges(mesh, elem_side, cut_ids) -> tuple[np.ndarray, np.ndarray]:
     interior = e2 >= 0
     s1, s2 = elem_side[e1], elem_side[np.where(interior, e2, 0)]
     return tuple(edges[interior & (s1 * want >= 0) & (s2 * want >= 0)] for want in (-1, 1))
-
-
-def dump_cut_cells(topo: CutTopology, path) -> None:
-    """CSV of cut elements: chord endpoints and sub-areas."""
-    with open(path, "w") as fh:
-        fh.write("elem,px,py,qx,qy,area_minus,area_plus\n")
-        for k, t in enumerate(topo.cut_ids):
-            p = topo.chord_p[k]
-            q = topo.chord_q[k]
-            fh.write(
-                f"{int(t)},{p[0]:.17g},{p[1]:.17g},{q[0]:.17g},{q[1]:.17g},"
-                f"{topo.cut_minus.area[k]:.17g},{topo.cut_plus.area[k]:.17g}\n"
-            )

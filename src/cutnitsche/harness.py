@@ -28,7 +28,6 @@ __all__ = [
     "RunConfig", "RunResult", "Table", "ConfigError",
     "CONTRAST_PAIRS", "CONVERGENCE_COLUMNS", "CONTRAST_COLUMNS",
     "make_problem", "run_solve", "run_convergence", "run_contrast_sweep",
-    "dump_solution",
 ]
 
 log = logging.getLogger(__name__)
@@ -277,15 +276,3 @@ def run_contrast_sweep(config: RunConfig, pairs=CONTRAST_PAIRS) -> Table:
         rep = _solve_on(cfg, spec, layout).report
         rows.append((rho_minus, rho_plus, rep.e0, rep.eflux, rep.esqrt))
     return Table(columns=CONTRAST_COLUMNS, rows=tuple(rows))
-
-
-def dump_solution(result: RunResult, path: str) -> None:
-    """Per-node solution values per side: side,node,x,y,value rows."""
-    lines = ["side,node,x,y,value"]
-    for side in ("minus", "plus"):
-        values = result.field.side(side)
-        for dof, node in enumerate(result.layout.dof_node(side)):
-            x, y = result.mesh.nodes[node]
-            lines.append(f"{side},{node},{x:.17g},{y:.17g},{values[dof]:.17g}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -27,7 +27,7 @@ MAX_LEVEL = 8
 # whole-array pass, so the block size changes memory, not bits.
 BLOCK = 16384
 
-__all__ = ["Mesh", "build_mesh", "dump_mesh"]
+__all__ = ["Mesh", "build_mesh"]
 
 
 @dataclass(frozen=True)
@@ -357,13 +357,3 @@ def barycentric_many(coords: np.ndarray, pts: np.ndarray) -> np.ndarray:
     l1 = (r[0] * d2[1] - r[1] * d2[0]) / det
     l2 = (d1[0] * r[1] - d1[1] * r[0]) / det
     return np.column_stack([1.0 - l1 - l2, l1, l2])
-
-
-def dump_mesh(mesh: Mesh, path) -> None:
-    """Plain-text dump: one 'v x y' line per node, one 't i j k' per element."""
-    with open(path, "w") as fh:
-        for x, y in mesh.nodes:
-            fh.write(f"v {x:.17g} {y:.17g}\n")
-        for block in blocks(mesh.n_elems):
-            for i, j, k in mesh.elements(block):
-                fh.write(f"t {i} {j} {k}\n")

@@ -1,4 +1,5 @@
-"""The whole-array mesh build that ``cutnitsche.mesh`` replaced.
+"""The whole-array mesh build that ``cutnitsche.mesh`` replaced, and the
+byte-for-byte comparisons the tests share.
 
 ``build_reference_mesh`` stores every connectivity, adjacency and P1
 geometry array of the grid, built in whole-array passes; the tests hold
@@ -120,22 +121,18 @@ def build_reference_mesh(level: int) -> ReferenceMesh:
 
 
 def _p1_geometry(nodes: np.ndarray, elements: np.ndarray):
-    """Areas and P1 basis gradients, built in the gradient array itself.
-
-    ``grad(lambda_i) = perp(e_i) / (2A)`` with ``e_i = p_{i+2} - p_{i+1}``
-    and ``perp(v) = (-vy, vx)``.  ``e_i`` is written reversed into row
-    ``i``, ``2A = e_1 x e_2``; then the first column is negated and every
-    row divided by ``2A``.  Negation is exact, so each value equals
-    ``-e_y / 2A`` and ``e_x / 2A`` computed from an ``(n_e, 3, 2)``
-    coordinate array, without that array.
-    """
+    """Areas and P1 basis gradients from an ``(n_e, 3, 2)`` coordinate
+    array: ``2A = d1 x d2`` with ``d_k = p_k - p_0``, and
+    ``grad(lambda_i) = (-e_y, e_x) / 2A`` with ``e_i = p_{i+2} - p_{i+1}``."""
+    coords = nodes[elements]
+    d1 = coords[:, 1] - coords[:, 0]
+    d2 = coords[:, 2] - coords[:, 0]
+    twice_area = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
     grads = np.empty((elements.shape[0], 3, 2))
     for i in range(3):
-        np.subtract(nodes[elements[:, (i + 2) % 3]], nodes[elements[:, (i + 1) % 3]],
-                    out=grads[:, i, ::-1])
-    twice_area = grads[:, 1, 1] * grads[:, 2, 0] - grads[:, 1, 0] * grads[:, 2, 1]
-    np.negative(grads[:, :, 0], out=grads[:, :, 0])
-    grads /= twice_area[:, None, None]
+        e = coords[:, (i + 2) % 3] - coords[:, (i + 1) % 3]
+        grads[:, i, 0] = -e[:, 1] / twice_area
+        grads[:, i, 1] = e[:, 0] / twice_area
     return 0.5 * twice_area, grads
 
 
@@ -180,3 +177,21 @@ def _node_adjacency(elements: np.ndarray, n_nodes: int):
     ids = np.argsort(elements.ravel(), kind="stable")
     ids //= 3
     return ptr, ids
+
+
+def assert_same(a, b, name=""):
+    """Equal dtype, shape and bytes."""
+    assert a.dtype == b.dtype and a.shape == b.shape, name
+    assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes(), name
+
+
+def assert_same_csr(a, b):
+    for name in ("data", "indices", "indptr"):
+        assert_same(getattr(a, name), getattr(b, name), name)
+
+
+def side_rule(topo, side):
+    """The side rule over the whole mesh: owning element of each point,
+    points and weights."""
+    ptr, points, weights = topo.quadrature(side, slice(None))
+    return np.repeat(np.arange(topo.mesh.n_elems), np.diff(ptr)), points, weights

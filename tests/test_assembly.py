@@ -1,10 +1,9 @@
 """Bilinear form assembly: structure, consistency, and oracle comparisons."""
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from cutnitsche.assembly import (assemble_load, assemble_parts, assemble_vnorm_gram,
-                                 build_system, dump_matrix, expand_solution)
+                                 build_system, expand_solution)
 from cutnitsche.cutcell import classify
 from cutnitsche.levelset import LevelSet, make_circle
 from cutnitsche.mesh import build_mesh
@@ -170,18 +169,3 @@ def test_load_jump_terms_enter_rhs(circle_layout):
         d = layout.global_dofs(side, mesh.elements(topo.cut_ids)).ravel()
         cut_dofs[d] = True
     assert np.all(b1[~cut_dofs] == 0.0)
-
-
-def test_dump_matrix_round_trip(tmp_path):
-    a = sp.csr_matrix(np.array([[2.0, -1.0], [-1.0, 2.0]]))
-    path = tmp_path / "matrix.txt"
-    dump_matrix(a, path)
-    lines = path.read_text().splitlines()
-    head = lines[0].split()
-    assert head[0] == "%"
-    assert [int(v) for v in head[1:]] == [2, 2, 4]
-    rebuilt = np.zeros((2, 2))
-    for line in lines[1:]:
-        r, c, v = line.split()
-        rebuilt[int(r), int(c)] = float(v)
-    np.testing.assert_allclose(rebuilt, a.toarray())

@@ -1,10 +1,11 @@
 """Blocked passes against their whole-array forms, bit for bit.
 
 The ``ref_*`` functions are the whole-array volume assembly, load
-vector, error report, side rules, side areas, interface rule and mesh
-arrays that the blocked passes and the closed-form mesh and cut-topology
-accessors replaced, and the COO assembly of the five matrix parts that the
-in-place CSR fill replaced.  The blocked passes run with ``BLOCK``
+vector, error report, side rules, side areas and interface rule that the
+blocked passes and the closed-form cut-topology accessors replaced, and
+the COO assembly of the five matrix parts that the in-place CSR fill
+replaced; ``tests/test_mesh.py`` holds the mesh accessors to
+``mesh_reference``.  The blocked passes run with ``BLOCK``
 patched to 7, so blocks hold a few elements and may hold no point of a
 side; every output must equal its reference in dtype, shape and bytes.
 Tracemalloc tests bound the extra memory of the blocked stages and of
@@ -12,7 +13,7 @@ the assembly, and the memory classify's output keeps, at level 5.
 """
 import tracemalloc
 from functools import partial
-from math import ceil, sqrt
+from math import sqrt
 from types import SimpleNamespace
 
 import numpy as np
@@ -33,7 +34,7 @@ from cutnitsche.norms import PairwiseSum, _ghost_error_sq, error_report
 from cutnitsche.problems import patch_problem
 from cutnitsche.solver import MaxIterationsError, SolveStats, _stats, solve
 from cutnitsche.space import FieldPair, build_spaces, interpolate_pair
-from mesh_reference import _edge_numbering
+from mesh_reference import assert_same, assert_same_csr, side_rule
 
 CASES = {
     "circle-minus": RunConfig(example="1", rho_minus=1.0, rho_plus=1e4),
@@ -62,24 +63,7 @@ def case_setup(case, level):
     return _SETUPS[key]
 
 
-def assert_same(a, b, name=""):
-    assert a.dtype == b.dtype and a.shape == b.shape, name
-    assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes(), name
-
-
-def assert_same_csr(a, b):
-    for name in ("data", "indices", "indptr"):
-        assert_same(getattr(a, name), getattr(b, name), name)
-
-
 # -- whole-array references ---------------------------------------------------
-
-def side_rule(topo, side):
-    """The side rule over the whole mesh: owning element of each point,
-    points and weights."""
-    ptr, points, weights = topo.quadrature(side, slice(None))
-    return np.repeat(np.arange(topo.mesh.n_elems), np.diff(ptr)), points, weights
-
 
 def ref_volume(layout, spec):
     mesh, topo = layout.mesh, layout.topo
@@ -320,72 +304,7 @@ def ref_areas(mesh, elem_side, cut_ids, poly, k, want):
     return areas
 
 
-def ref_node_adjacency(elements, n_nodes):
-    flat = elements.ravel()
-    owner = np.repeat(np.arange(elements.shape[0]), 3)
-    order = np.argsort(flat, kind="stable")
-    counts = np.bincount(flat, minlength=n_nodes)
-    ptr = np.concatenate([[0], np.cumsum(counts)])
-    return ptr.astype(np.int64), owner[order].astype(np.int64)
-
-
-def ref_mesh_arrays(level):
-    n = ceil(2.0 / 2.0 ** -(level + 1.5))
-    h = 2.0 / n
-    ii = np.arange(n + 1)
-    xs = -1.0 + ii * h
-    X, Y = np.meshgrid(xs, xs, indexing="xy")
-    nodes = np.column_stack([X.ravel(), Y.ravel()])
-    cx, cy = (c.ravel() for c in np.meshgrid(np.arange(n), np.arange(n), indexing="xy"))
-    v00, v10 = cy * (n + 1) + cx, cy * (n + 1) + cx + 1
-    v01, v11 = v00 + n + 1, v10 + n + 1
-    elements = np.empty((2 * n * n, 3), dtype=np.int64)
-    elements[0::2] = np.column_stack([v00, v10, v11])
-    elements[1::2] = np.column_stack([v00, v11, v01])
-
-    coords = nodes[elements]
-    d1 = coords[:, 1] - coords[:, 0]
-    d2 = coords[:, 2] - coords[:, 0]
-    twice_area = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    grads = np.empty((elements.shape[0], 3, 2))
-    for i in range(3):
-        e = coords[:, (i + 2) % 3] - coords[:, (i + 1) % 3]
-        grads[:, i, 0] = -e[:, 1] / twice_area
-        grads[:, i, 1] = e[:, 0] / twice_area
-
-    edges, elem_edges = _edge_numbering(n, v00, v10, v01)
-    ne = elements.shape[0]
-    owner = np.repeat(np.arange(ne), 3)
-    first = np.full(edges.shape[0], ne, dtype=np.int64)
-    np.minimum.at(first, elem_edges.ravel(), owner)
-    last = np.full(edges.shape[0], -1, dtype=np.int64)
-    np.maximum.at(last, elem_edges.ravel(), owner)
-    edge_vec = nodes[edges[:, 1]] - nodes[edges[:, 0]]
-    gx, gy = np.tile(ii, n + 1), np.repeat(ii, n + 1)
-    ptr, ids = ref_node_adjacency(elements, nodes.shape[0])
-    return dict(
-        nodes=nodes, elements=elements, edges=edges,
-        edge_elems=np.column_stack([first, np.where(last > first, last, -1)]),
-        elem_edges=elem_edges, edge_lengths=np.hypot(edge_vec[:, 0], edge_vec[:, 1]),
-        boundary_node=(gx == 0) | (gx == n) | (gy == 0) | (gy == n),
-        areas=0.5 * twice_area, grads=grads, node_elem_ptr=ptr, node_elem_ids=ids,
-    )
-
-
 # -- bit identity -------------------------------------------------------------
-
-@pytest.mark.parametrize("level", [1, 2, 3, 4, 5, 6])
-def test_mesh_arrays_match_reference(level):
-    mesh = build_mesh(level)
-    ref = ref_mesh_arrays(level)
-    ptr, ids = mesh.node_elems(slice(None))
-    arrays = {"nodes": mesh.nodes, "node_elem_ptr": ptr, "node_elem_ids": ids,
-              "edge_lengths": edge_frame(mesh, np.arange(mesh.n_edges))[2]}
-    arrays.update({name: getattr(mesh, name)(slice(None)) for name in ref
-                   if name not in arrays})
-    for name, value in arrays.items():
-        assert_same(value, ref[name], name)
-
 
 @pytest.mark.parametrize("case", sorted(CASES))
 @pytest.mark.parametrize("level", [1, 2, 3, 4])

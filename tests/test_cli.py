@@ -3,12 +3,15 @@
 Everything runs through ``main(argv)`` so the exit-code contract and the
 stdout/stderr split are exercised exactly as a shell user sees them.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from cutnitsche import cli
 from cutnitsche.cli import main, parse_config_file, parse_levels
-from cutnitsche.harness import ConfigError, Table
+from cutnitsche.harness import ConfigError, RunConfig, Table, run_solve
+from cutnitsche.mesh import build_mesh
 
 
 SOLVE_HEADER = ("level,h,e0,einf,eflux,efluxinf,esqrt,vnorm,vanorm,"
@@ -245,6 +248,79 @@ def test_dump_files(capsys, tmp_path):
     assert head[0] == "%"
     n, m, nnz = (int(v) for v in head[1:])
     assert n == m and nnz > 0
+
+
+def _dumped(capsys, tmp_path, flag, example="1"):
+    """The lines ``solve --example <example> --level 1 <flag> <file>``
+    writes to the file, and the result of the same solve."""
+    path = tmp_path / flag.lstrip("-")
+    code, _, _ = _run(capsys, ["solve", "--example", example, "--level", "1", flag, str(path)])
+    assert code == 0
+    return path.read_text().splitlines(), run_solve(RunConfig(example=example, level=1))
+
+
+def test_dump_mesh_format(capsys, tmp_path):
+    lines, result = _dumped(capsys, tmp_path, "--dump-mesh")
+    mesh = result.mesh
+    vlines = [l for l in lines if l.startswith("v ")]
+    tlines = [l for l in lines if l.startswith("t ")]
+    assert len(vlines) == mesh.n_nodes
+    assert len(tlines) == mesh.n_elems
+    assert lines[0] == "v -1 -1"
+    first_t = tuple(int(s) for s in tlines[0].split()[1:])
+    assert first_t == tuple(mesh.elements(0))
+
+
+def test_dump_matrix_round_trip(capsys, tmp_path):
+    lines, result = _dumped(capsys, tmp_path, "--dump-matrix")
+    matrix = result.system.matrix
+    head = lines[0].split()
+    assert head[0] == "%"
+    assert [int(v) for v in head[1:]] == [*matrix.shape, matrix.nnz]
+    assert len(lines) == 1 + matrix.nnz
+    rebuilt = np.zeros(matrix.shape)
+    for line in lines[1:]:
+        r, c, v = line.split()
+        rebuilt[int(r), int(c)] = float(v)
+    # 17 significant digits read back as the same doubles
+    assert np.array_equal(rebuilt, matrix.toarray())
+
+
+def test_dump_cut_cells(capsys, tmp_path):
+    lines, result = _dumped(capsys, tmp_path, "--dump-cutcells")
+    topo = result.topo
+    assert lines[0] == "elem,px,py,qx,qy,area_minus,area_plus"
+    assert len(lines) == 1 + topo.n_cut
+    first = lines[1].split(",")
+    assert int(first[0]) == topo.cut_ids[0]
+    assert np.isclose(float(first[1]), topo.chord_p[0, 0])
+
+
+def test_dump_solution(capsys, tmp_path):
+    lines, result = _dumped(capsys, tmp_path, "--dump-solution", example="patch")
+    assert lines[0] == "side,node,x,y,value"
+    assert len(lines) == 1 + result.layout.n_total
+    side, node, x, y, value = lines[1].split(",")
+    assert side == "minus"
+    # patch solution: value = 1 + x + 2y at every node of either side
+    assert float(value) == pytest.approx(1.0 + float(x) + 2.0 * float(y),
+                                         abs=1e-10)
+
+
+def test_mesh_dump_is_written_a_line_at_a_time(tmp_path):
+    # the level-5 dump has about 100k lines, some 3 MB of text, and about
+    # 10 MB as a list of strings: a writer that built it first fails here
+    mesh = build_mesh(5)
+    path = tmp_path / "mesh.txt"
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        cli._write(path, cli._mesh_lines(mesh))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 1024 ** 2
+    assert len(path.read_text().splitlines()) == mesh.n_nodes + mesh.n_elems
 
 
 def test_unwritable_output_exits_one(capsys, tmp_path):

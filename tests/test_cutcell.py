@@ -12,11 +12,12 @@ from cutnitsche import mesh as mesh_module
 from cutnitsche.cutcell import (BISECTION_STEPS, DEGENERATE_CHORD_FACTOR, GAUSS2_OFFSET,
                                 MULTI_ROOT_SAMPLES, ROOT_PHI_TOL, ROOT_WIDTH_TOL,
                                 _bisect, _fan_rule, _polygon_area, _scan_edges, _split,
-                                classify, dump_cut_cells)
+                                classify)
 from cutnitsche.levelset import (CoarseMeshError, GeometryError, LevelSet,
                                  make_circle, make_flower)
 from cutnitsche.mesh import BLOCK, build_mesh, elem_any
 from cutnitsche.space import build_spaces
+from mesh_reference import side_rule
 
 
 def plane(c, axis=0, scale=1.0, simple=True):
@@ -242,13 +243,6 @@ def ref_classify(mesh, ls):
         out[f"quad_{side}.points"] = np.vstack(pts)[order]
         out[f"quad_{side}.weights"] = np.concatenate(wts)[order]
     return out
-
-
-def side_rule(topo, side):
-    """The side rule over the whole mesh: owning element of each point,
-    points and weights."""
-    ptr, points, weights = topo.quadrature(side, slice(None))
-    return np.repeat(np.arange(topo.mesh.n_elems), np.diff(ptr)), points, weights
 
 
 def topology_arrays(topo):
@@ -865,15 +859,3 @@ def test_cut_quadrature_points_inside_elements(circle_classified):
         assert np.all(points <= hi + 1e-12)
         assert np.all(weights > 0.0)
         assert np.all(np.diff(elems) >= 0)  # sorted by element
-
-
-def test_dump_cut_cells(tmp_path, circle_classified):
-    _, topo = circle_classified(1)
-    path = tmp_path / "cells.csv"
-    dump_cut_cells(topo, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "elem,px,py,qx,qy,area_minus,area_plus"
-    assert len(lines) == 1 + topo.n_cut
-    first = lines[1].split(",")
-    assert int(first[0]) == topo.cut_ids[0]
-    assert np.isclose(float(first[1]), topo.chord_p[0, 0])

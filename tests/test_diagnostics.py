@@ -21,6 +21,7 @@ from cutnitsche.mesh import BLOCK, barycentric_many, build_mesh
 from cutnitsche.norms import error_report
 from cutnitsche.problems import example_circle, patch_problem
 from cutnitsche.space import build_spaces, interpolate_pair, locate_on_side
+from mesh_reference import assert_same_csr
 
 
 # ---------------------------------------------------------------------------
@@ -249,12 +250,6 @@ def test_extension_in_small_blocks_matches_the_whole_array(monkeypatch, level):
         assert_same_csr(getattr(small, name), getattr(whole, name))
     if level <= 3:
         assert_same_csr(small.matrix, ref_extension_matrix(layout))
-
-
-def assert_same_csr(a, b):
-    for name in ("data", "indices", "indptr"):
-        x, y = getattr(a, name), getattr(b, name)
-        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
 
 
 def ref_h1(mesh, elems):

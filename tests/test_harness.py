@@ -10,7 +10,7 @@ from cutnitsche import harness
 from cutnitsche.cutcell import classify
 from cutnitsche.harness import (CONTRAST_COLUMNS, CONTRAST_PAIRS,
                                 CONVERGENCE_COLUMNS, ConfigError, RunConfig,
-                                Table, dump_solution, make_problem,
+                                Table, make_problem,
                                 run_contrast_sweep, run_convergence,
                                 run_solve, solve_table)
 from cutnitsche.solver import BACKWARD_ERROR_TOL, StagnationError, solve
@@ -235,20 +235,6 @@ def test_contrast_sweep_solves_at_the_given_level(monkeypatch):
         (config.level, layout.mesh.level)) or real(config, spec, layout))
     run_contrast_sweep(RunConfig(example="1", level=1), pairs=((1.0, 10.0),))
     assert levels == [(1, 1)]
-
-
-def test_dump_solution(tmp_path):
-    result = run_solve(RunConfig(example="patch", level=1))
-    path = tmp_path / "solution.csv"
-    dump_solution(result, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "side,node,x,y,value"
-    assert len(lines) == 1 + result.layout.n_total
-    side, node, x, y, value = lines[1].split(",")
-    assert side == "minus"
-    # patch solution: value = 1 + x + 2y at every node of either side
-    assert float(value) == pytest.approx(1.0 + float(x) + 2.0 * float(y),
-                                         abs=1e-10)
 
 
 def test_config_is_frozen():

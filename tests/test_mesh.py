@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cutnitsche import mesh as mesh_module
-from cutnitsche.mesh import MAX_LEVEL, MIN_LEVEL, blocks, build_mesh, dump_mesh, edge_frame
-from mesh_reference import build_reference_mesh
+from cutnitsche.mesh import MAX_LEVEL, MIN_LEVEL, blocks, build_mesh, edge_frame
+from mesh_reference import assert_same, build_reference_mesh
 
 # accessor -> the count its ids range over; edge lengths come from edge_frame
 COUNTS = {"elements": "n_elems", "edges": "n_edges", "edge_elems": "n_edges",
@@ -157,20 +157,6 @@ def test_build_mesh_validation():
             build_mesh(flag)
 
 
-def test_dump_mesh_format(tmp_path):
-    mesh = build_mesh(1)
-    path = tmp_path / "mesh.txt"
-    dump_mesh(mesh, path)
-    lines = path.read_text().splitlines()
-    vlines = [l for l in lines if l.startswith("v ")]
-    tlines = [l for l in lines if l.startswith("t ")]
-    assert len(vlines) == mesh.n_nodes
-    assert len(tlines) == mesh.n_elems
-    assert lines[0] == "v -1 -1"
-    first_t = tuple(int(s) for s in tlines[0].split()[1:])
-    assert first_t == tuple(mesh.elements(0))
-
-
 @given(st.integers(min_value=1, max_value=2), st.integers(min_value=0, max_value=10_000))
 def test_node_patch_matches_brute_force(level, seed):
     mesh = build_mesh(level)
@@ -218,11 +204,6 @@ def test_node_patch_bounds():
 
 
 # -- accessors against the whole-array build ----------------------------------
-
-def assert_same(a, b, name=""):
-    assert a.dtype == b.dtype and a.shape == b.shape, name
-    assert a.tobytes() == b.tobytes(), name
-
 
 def reference_rows(ref, name, ids):
     """Rows ``ids`` of a reference array; node -> element adjacency as CSR."""
