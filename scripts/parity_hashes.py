@@ -14,7 +14,9 @@ indexing) and the whole-mesh H1 Gram (``h1_full``), the error report
 of the interpolant of the diagnostics' interpolation profile and the
 profile's rows at full precision (``float.hex``) at levels 1..5, the
 energy-norm Gram matrix over the free DOFs of the circle (both inclusion
-sides) and the flower at levels 1..4, the seven CSVs that script
+sides) and the flower at levels 1..4, with the five parts of
+``assemble_parts`` and the ``assemble_load`` vector of each at level 4,
+the seven CSVs that script
 writes and the ``run_diagnostics()`` report, then every ``Mesh``
 quantity at levels 1..6 (each accessor over its full id range,
 under the name of the array it replaced), and the matrix, right-hand
@@ -34,7 +36,7 @@ With ``<old>`` and ``<new>`` checkouts of the two commits:
 
 Without ``src`` on the path the script exits 1 and leaves an empty file,
 and two empty files diff as identical: ``&&`` stops at that exit, and
-each file must have 938 lines.
+each file must have 986 lines.
 
 BLAS is pinned to one thread, because stagnated CG iterates of the
 high-contrast solves depend on the thread count.
@@ -56,8 +58,8 @@ import tempfile  # noqa: E402
 import numpy as np  # noqa: E402
 
 import reproduce_tables  # noqa: E402
-from cutnitsche.assembly import (assemble_parts, assemble_vnorm_gram,  # noqa: E402
-                                 build_system)
+from cutnitsche.assembly import (assemble_load, assemble_parts,  # noqa: E402
+                                 assemble_vnorm_gram, build_system)
 from cutnitsche.cli import main as cli_main, parse_levels  # noqa: E402
 from cutnitsche.cutcell import classify  # noqa: E402
 from cutnitsche.diagnostics import (_h1_matrices, build_extension,  # noqa: E402
@@ -216,6 +218,11 @@ def main() -> int:
             layout = build_spaces(classify(build_mesh(level), ls))
             for name, value in csr_arrays(assemble_vnorm_gram(layout, spec)).items():
                 print(f"gram {label} L{level} {name} {digest(value)}")
+        # the parts and the load on the last level's layout
+        for part, matrix in assemble_parts(layout, spec).items():
+            for name, value in csr_arrays(matrix).items():
+                print(f"parts {label} L{level} {part}.{name} {digest(value)}")
+        print(f"load {label} L{level} {digest(assemble_load(layout, spec))}")
 
     with tempfile.TemporaryDirectory() as tmp:
         with contextlib.redirect_stdout(io.StringIO()):

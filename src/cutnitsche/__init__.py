@@ -3,9 +3,8 @@
 The package discretises a diffusion problem with a piecewise-constant,
 possibly strongly contrasted coefficient on a background triangulation
 that is not fitted to the interface.  The two subdomain fields live on
-overlapping cut meshes, are coupled with a one-sided (or harmonically
-weighted) Nitsche method, and stabilised with a gradient-jump ghost
-penalty on the cut bands.
+overlapping cut meshes, are coupled with a one-sided Nitsche method, and
+stabilised with a gradient-jump ghost penalty on the cut bands.
 """
 from .mesh import Mesh, build_mesh
 from .levelset import LevelSet, make_circle, make_flower

@@ -2,10 +2,10 @@
 
 The bilinear form is built from four parts: subdomain stiffness on the
 chord-clipped physical sides, the symmetric Nitsche coupling along the
-interface, the interface jump penalty, and the gradient-jump ghost
-penalty on edges of the cut bands.  The same parts are reused for the
-energy-norm Gram matrix so that diagnostics share the quadrature with
-the solver.
+interface with the flux of the minus side, the interface jump penalty
+scaled by gamma rho^-, and the gradient-jump ghost penalty on edges of
+the cut bands.  The same parts are reused for the energy-norm Gram
+matrix so that diagnostics share the quadrature with the solver.
 
 Every matrix is filled straight into its CSR arrays, ``BLOCK`` rows at
 a time (``element_rows``), with no COO step: rows counted first, then
@@ -240,11 +240,10 @@ def assemble_parts(layout: SpaceLayout, spec: ProblemSpec) -> dict:
 
 
 def _normal_flux(spec: ProblemSpec, gn: np.ndarray) -> np.ndarray:
-    """``w rho grad(phi_i) . n`` of the six DOFs of each cut element, minus
-    then plus, from the normal derivatives ``gn`` (ncut, 3): (ncut, 6),
-    constant per element."""
-    w_minus, w_plus = spec.flux_weights()
-    return np.concatenate([w_minus * spec.rho_minus * gn, w_plus * spec.rho_plus * gn], axis=1)
+    """The minus-side flux ``rho^- grad(phi_i) . n`` of the six DOFs of each
+    cut element, minus then plus (zero), from the normal derivatives ``gn``
+    (ncut, 3): (ncut, 6), constant per element."""
+    return np.concatenate([spec.rho_minus * gn, np.zeros_like(gn)], axis=1)
 
 
 def _cut_parts(layout: SpaceLayout, spec: ProblemSpec) -> dict:
@@ -313,17 +312,16 @@ def assemble_load(layout: SpaceLayout, spec: ProblemSpec) -> np.ndarray:
 
     if topo.n_cut and (spec.jump_value is not None or spec.jump_flux is not None):
         _, gn, wts, lam, jump, dofs, pts = _cut_blocks(layout)
-        w_minus, w_plus = spec.flux_weights()
         h_t = mesh.h_elem
         if spec.jump_flux is not None:
+            # the minus-sided flux puts [rho grad u . n] on the plus DOFs
             wb = wts * np.asarray(spec.jump_flux(pts), dtype=float)  # (ncut, 2)
             loc = np.einsum("kq,kqi->ki", wb, lam)
-            np.add.at(b, dofs[:, 3:].ravel(), (w_minus * loc).ravel())
-            np.add.at(b, dofs[:, :3].ravel(), (w_plus * loc).ravel())
+            np.add.at(b, dofs[:, 3:].ravel(), loc.ravel())
         if spec.jump_value is not None:
             wa = wts * np.asarray(spec.jump_value(pts), dtype=float)
             loc = np.sum(wa, axis=1)[:, None] * _normal_flux(spec, gn)
-            loc += (spec.gamma * spec.penalty_rho() / h_t) * np.einsum("kq,kqi->ki", wa, jump)
+            loc += (spec.gamma * spec.rho_minus / h_t) * np.einsum("kq,kqi->ki", wa, jump)
             np.add.at(b, dofs.ravel(), loc.ravel())
     return b
 
@@ -391,7 +389,7 @@ def build_system(layout: SpaceLayout, spec: ProblemSpec) -> SparseSystem:
         lifting[dir_dofs] = np.asarray(spec.dirichlet(coords), dtype=float)
     # without Dirichlet DOFs the lift subtracts +0.0, which changes no bit
     matrix = _free_sum(layout, spec, [
-        ("nitsche", 1.0), ("penalty_base", spec.gamma * spec.penalty_rho()),
+        ("nitsche", 1.0), ("penalty_base", spec.gamma * spec.rho_minus),
         ("ghost_minus", spec.gamma_g_minus), ("ghost_plus", spec.gamma_g_plus)], lifting, rhs)
     return SparseSystem(matrix=matrix, rhs=rhs, lifting=lifting, layout=layout)
 

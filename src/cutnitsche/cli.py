@@ -53,7 +53,6 @@ _KEYS = {
     "gamma": ("--gamma", {"type": float}),
     "gamma_g_minus": ("--gamma-g-minus", {"type": float}),
     "gamma_g_plus": ("--gamma-g-plus", {"type": float}),
-    "weighting": ("--weighting", {"choices": ("minus_sided", "harmonic")}),
     "output_path": ("--output", {}),
     "level": ("--level", {"type": int}),
     "levels": ("--levels", {"type": _levels_arg, "help": "e.g. 1..5 or 1,2,3"}),

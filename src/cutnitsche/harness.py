@@ -62,7 +62,6 @@ class RunConfig:
     gamma: float = 10.0
     gamma_g_minus: float = 10.0
     gamma_g_plus: float = 10.0
-    weighting: str = "minus_sided"
     output_path: str = ""
     format: str = "csv"
 
@@ -157,8 +156,7 @@ def make_problem(config: RunConfig) -> tuple[LevelSet, ProblemSpec]:
     """Instantiate the level set and problem data a config describes."""
     common = dict(gamma=config.gamma,
                   gamma_g_minus=config.gamma_g_minus,
-                  gamma_g_plus=config.gamma_g_plus,
-                  weighting=config.weighting)
+                  gamma_g_plus=config.gamma_g_plus)
     if config.example == "1":
         if config.interface == "flower":
             raise ConfigError("example 1 is posed on the circle interface")

@@ -14,25 +14,16 @@ from .levelset import LevelSet, make_circle, make_flower
 
 __all__ = ["ProblemSpec", "example_circle", "example_flower", "patch_problem"]
 
-WEIGHTINGS = ("minus_sided", "harmonic")
-
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Coefficients and data of one interface problem.
-
-    ``weighting`` selects the Nitsche flux average: ``minus_sided``
-    takes the flux from the minus side scaled by rho^-, ``harmonic``
-    uses coefficient-weighted averages with the harmonic mean in the
-    interface penalty.
-    """
+    """Coefficients and data of one interface problem."""
 
     rho_minus: float
     rho_plus: float
     gamma: float = 10.0
     gamma_g_minus: float = 10.0
     gamma_g_plus: float = 10.0
-    weighting: str = "minus_sided"
     f_minus: Callable | None = None
     f_plus: Callable | None = None
     jump_value: Callable | None = None   # alpha: [u] on the interface
@@ -57,24 +48,9 @@ class ProblemSpec:
             raise ValueError("interface penalty gamma must be positive")
         if self.gamma_g_minus < 0.0 or self.gamma_g_plus < 0.0:
             raise ValueError("ghost penalty parameters must be nonnegative")
-        if self.weighting not in WEIGHTINGS:
-            raise ValueError(f"weighting must be one of {WEIGHTINGS}, got {self.weighting!r}")
 
     def rho(self, side: str) -> float:
         return self.rho_minus if side == "minus" else self.rho_plus
-
-    def flux_weights(self) -> tuple[float, float]:
-        """(w_-, w_+) multiplying the one-sided fluxes in the Nitsche average."""
-        if self.weighting == "minus_sided":
-            return 1.0, 0.0
-        s = self.rho_minus + self.rho_plus
-        return self.rho_plus / s, self.rho_minus / s
-
-    def penalty_rho(self) -> float:
-        """Coefficient scale of the interface penalty."""
-        if self.weighting == "minus_sided":
-            return self.rho_minus
-        return 2.0 * self.rho_minus * self.rho_plus / (self.rho_minus + self.rho_plus)
 
     def exact(self, side: str):
         return self.exact_minus if side == "minus" else self.exact_plus

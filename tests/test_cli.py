@@ -155,6 +155,8 @@ def test_flag_overrides_config(capsys, tmp_path):
     ("just some words\n", "expected key = value"),
     ("solver = cg\n", "unknown key 'solver'"),
     ("tol = 1e-10\n", "unknown key 'tol'"),
+    # the Nitsche flux is the minus side's: there is no weighting to choose
+    ("weighting = harmonic\n", "unknown key 'weighting'"),
 ])
 def test_config_errors_carry_line_numbers(capsys, tmp_path, content, fragment):
     path = tmp_path / "bad.cfg"
@@ -174,9 +176,10 @@ def test_missing_config_file(capsys):
 
 
 def test_bad_flag_exits_one(capsys):
-    # CG is the only solver: --solver and --tol are not options
+    # CG is the only solver and the minus-sided flux the only Nitsche
+    # method: --solver, --tol and --weighting are not options
     for argv in (["solve", "--no-such-flag"], ["solve", "--solver", "cg"],
-                 ["solve", "--tol", "1e-10"],
+                 ["solve", "--tol", "1e-10"], ["solve", "--weighting", "harmonic"],
                  ["convergence", "--levels", "5..1"], ["convergence", "--levels", ""]):
         code, out, err = _run(capsys, argv)
         assert code == 1

@@ -5,15 +5,20 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 from cutnitsche import harness
+from cutnitsche.assembly import build_system, expand_solution
 from cutnitsche.cutcell import classify
 from cutnitsche.harness import (CONTRAST_COLUMNS, CONTRAST_PAIRS,
                                 CONVERGENCE_COLUMNS, ConfigError, RunConfig,
                                 Table, make_problem,
                                 run_contrast_sweep, run_convergence,
                                 run_solve, solve_table)
+from cutnitsche.mesh import build_mesh
+from cutnitsche.norms import error_report
 from cutnitsche.solver import BACKWARD_ERROR_TOL, StagnationError, solve
+from cutnitsche.space import build_spaces
 
 
 def test_config_validation():
@@ -154,6 +159,35 @@ def test_contrast_sweep_shares_geometry(config, monkeypatch):
         cfg = dataclasses.replace(config, rho_minus=rho_minus, rho_plus=rho_plus)
         rep = run_solve(cfg, level=2).report
         assert row == (rho_minus, rho_plus, rep.e0, rep.eflux, rep.esqrt)
+
+
+def _lu_flux_spread(inclusion_side, swap):
+    """max / min of eflux over CONTRAST_PAIRS for the circle at level 4,
+    each system solved by sparse LU.  With ``swap`` the side labels of
+    the same physical problem are exchanged (inclusion side flipped, rho-
+    and rho+ exchanged), so the Nitsche flux and penalty come from the
+    high-coefficient side; the manufactured solution then moves by a
+    global constant, which the method reproduces exactly."""
+    side = {"minus": "plus", "plus": "minus"}[inclusion_side] if swap else inclusion_side
+    layout, eflux = None, []
+    for low, high in CONTRAST_PAIRS:
+        rho_minus, rho_plus = (high, low) if swap else (low, high)
+        ls, spec = make_problem(RunConfig(example="1", inclusion_side=side,
+                                          rho_minus=rho_minus, rho_plus=rho_plus))
+        if layout is None:
+            layout = build_spaces(classify(build_mesh(4), ls))
+        system = build_system(layout, spec)
+        x = splu(system.matrix.tocsc()).solve(system.rhs)
+        eflux.append(error_report(spec, expand_solution(system, x)).eflux)
+    return max(eflux) / min(eflux)
+
+
+@pytest.mark.parametrize("inclusion_side", ["minus", "plus"])
+def test_swapped_labels_fail_the_spread_bound(inclusion_side):
+    # negative control of the acceptance gates' spread bound of 1.25:
+    # the flux from the high-coefficient side depends on the contrast
+    assert _lu_flux_spread(inclusion_side, swap=True) > 1.25
+    assert _lu_flux_spread(inclusion_side, swap=False) <= 1.25
 
 
 def test_floor_acceptance_at_extreme_contrast():

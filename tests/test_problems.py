@@ -146,17 +146,6 @@ def test_patch_problem_data():
         patch_problem(rho_minus=1.0, rho_plus=2.0)
 
 
-def test_weighting_formulas():
-    _, spec = example_circle(2.0, 6.0)
-    assert spec.flux_weights() == (1.0, 0.0)
-    assert spec.penalty_rho() == 2.0
-    _, harm = example_circle(2.0, 6.0, weighting="harmonic")
-    w_m, w_p = harm.flux_weights()
-    assert np.isclose(w_m, 6.0 / 8.0)
-    assert np.isclose(w_p, 2.0 / 8.0)
-    assert np.isclose(harm.penalty_rho(), 2.0 * 2.0 * 6.0 / 8.0)
-
-
 def test_spec_validation():
     with pytest.raises(ValueError):
         ProblemSpec(rho_minus=-1.0, rho_plus=1.0)
@@ -164,8 +153,6 @@ def test_spec_validation():
         ProblemSpec(rho_minus=1.0, rho_plus=1.0, gamma=0.0)
     with pytest.raises(ValueError):
         ProblemSpec(rho_minus=1.0, rho_plus=1.0, gamma_g_minus=-0.5)
-    with pytest.raises(ValueError):
-        ProblemSpec(rho_minus=1.0, rho_plus=1.0, weighting="midpoint")
     # subnormal coefficients underflow the stiffness to zero
     for name in ("rho_minus", "rho_plus"):
         for value in (1e-320, 5e-324):
