@@ -21,9 +21,10 @@ writes and the ``run_diagnostics()`` report, then every ``Mesh``
 quantity at levels 1..6 (each accessor over its full id range,
 under the name of the array it replaced), and the matrix, right-hand
 side, the five parts of ``assemble_parts``, and the iterate and
-``SolveStats`` of ``solve`` of the level-6 plus-side system at contrast
-1e9, the one solve here large enough for ``solve`` to run on two
-threads (its stagnated iterate, as the harness accepts it), and last
+``SolveStats`` of the level-6 plus-side system at contrast 1e9, the one
+solve here large enough for ``solve`` to run on two threads, as
+``solve_accepting_floor`` returns them (the stagnated iterate and the
+``+floor`` tag, as the harness accepts them), and last
 the stdout and the four ``--dump-*`` files of ``cutnitsche solve``, run
 through ``cli.main``, for the plus-side circle at contrast 1e9 and the
 flower at level 3.  Two commits are bit-identical on all of these when
@@ -64,15 +65,15 @@ from cutnitsche.cli import main as cli_main, parse_levels  # noqa: E402
 from cutnitsche.cutcell import classify  # noqa: E402
 from cutnitsche.diagnostics import (_h1_matrices, build_extension,  # noqa: E402
                                     interpolation_error_profile, run_diagnostics)
-from cutnitsche.harness import (_STUDY_LEVELS, CONTRAST_PAIRS, RunConfig,  # noqa: E402
-                                make_problem, run_solve)
+from cutnitsche.harness import (CONTRAST_PAIRS, RunConfig, make_problem,  # noqa: E402
+                                run_solve, solve_accepting_floor)
 from cutnitsche.levelset import make_circle, make_flower  # noqa: E402
 from cutnitsche.mesh import build_mesh  # noqa: E402
 from cutnitsche.norms import error_report  # noqa: E402
-from cutnitsche.solver import StagnationError, solve  # noqa: E402
 from cutnitsche.space import build_spaces, interpolate_pair  # noqa: E402
 
 GEOMETRY_LEVELS = parse_levels("1..6")
+STUDY_LEVELS = parse_levels("1..5")
 EXTENSION_LEVELS = parse_levels("2..5")
 INTERPOLATION_LEVELS = parse_levels("1..5")
 GRAM_LEVELS = parse_levels("1..4")
@@ -156,7 +157,7 @@ def solve_configs():
     """(label, config, level) of every solve reproduce_tables.py makes."""
     for name, _, kind, config in reproduce_tables.TABLES:
         if kind == "convergence":
-            for level in _STUDY_LEVELS:
+            for level in STUDY_LEVELS:
                 yield f"{name}/L{level}", config, level
         elif kind == "contrast":
             for rho_minus, rho_plus in CONTRAST_PAIRS:
@@ -248,10 +249,7 @@ def main() -> int:
     for part, matrix in assemble_parts(layout, spec).items():
         for name, value in csr_arrays(matrix).items():
             print(f"parts plus-1e9 L6 {part}.{name} {digest(value)}")
-    try:
-        x, stats = solve(system)
-    except StagnationError as err:
-        x, stats = err.x, err.stats
+    x, stats = solve_accepting_floor(system)
     print(f"system plus-1e9 L6 iterate {digest(x)}")
     print(f"system plus-1e9 L6 stats {digest(repr(stats))}")
 

@@ -52,7 +52,7 @@ def main(argv=None) -> int:
     ap.add_argument("--outdir", default="tables", help="directory for CSV output")
     ap.add_argument("--levels", type=parse_levels,
                     help="levels for the convergence studies (e.g. 1..5 or 1,2,3; "
-                         "default: run_convergence's)")
+                         "default: RunConfig's)")
     ap.add_argument("--only", default="",
                     help="comma list of table name prefixes to run (default: all)")
     args = ap.parse_args(argv)

@@ -44,8 +44,7 @@ def _levels_arg(text: str) -> tuple[int, ...]:
 # every config key: its flag, and the argparse options of the flag, whose
 # ``type`` also reads the key's value from a config file
 _KEYS = {
-    "example": ("--example", {"choices": ("1", "2", "patch")}),
-    "interface": ("--interface", {"choices": ("circle", "flower")}),
+    "example": ("--example", {"choices": ("1", "2", "patch", "patch-flower")}),
     "circle_radius": ("--circle-radius", {"type": float}),
     "inclusion_side": ("--inclusion-side", {"choices": ("minus", "plus")}),
     "rho_minus": ("--rho-minus", {"type": float}),

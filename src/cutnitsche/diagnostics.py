@@ -29,10 +29,10 @@ from .assembly import (_ghost_part, _stiffness, assemble_vnorm_gram, build_syste
 # classify stays bound here by name: the benchmark's tracer tests check it
 from .cutcell import CutTopology, classify  # noqa: F401
 from .harness import RunConfig, Table, _geometry, make_problem
-from .levelset import _TUBE, GeometryError, LevelSet, make_circle, reflect_many
+from .levelset import _TUBE, GeometryError, LevelSet, reflect_many
 from .mesh import Mesh, barycentric_many, blocks, elem_any
 from .norms import PairwiseSum, _energy_sq, _grad_error_sq
-from .problems import ProblemSpec, patch_problem
+from .problems import ProblemSpec
 from .space import SpaceLayout, interpolate_pair, locate_on_side
 
 __all__ = [
@@ -92,21 +92,19 @@ def patch_area_ratio(topo: CutTopology, side: str = "minus") -> PatchAreaResult:
 
 def coercivity_probe(a, gram, dense: bool) -> float:
     """Minimum of a(v,v) / ||v||_G^2: the smallest eigenvalue of the
-    pencil (a, gram).  A dense generalized eigensolve, or else
+    sparse pencil (a, gram).  A dense generalized eigensolve, or else
     shift-invert Lanczos about 0 (ARPACK, which needs n > 1), started
     from the ones vector so that reruns agree.
     """
-    n = a.shape[0]
     if dense:
-        aw = a.toarray() if scipy.sparse.issparse(a) else np.asarray(a, dtype=float)
-        gw = gram.toarray() if scipy.sparse.issparse(gram) else np.asarray(gram, dtype=float)
-        vals = scipy.linalg.eigh(aw, gw, eigvals_only=True, subset_by_index=[0, 0])
+        vals = scipy.linalg.eigh(a.toarray(), gram.toarray(), eigvals_only=True,
+                                 subset_by_index=[0, 0])
         return float(vals[0])
     # imported here, not at the top: only systems above the limit need
     # ARPACK, and loading it slows every import of this module
     from scipy.sparse.linalg import eigsh
     vals = eigsh(scipy.sparse.csc_matrix(a), k=1, M=gram, sigma=0.0, which="LM",
-                 v0=np.ones(n), return_eigenvectors=False)
+                 v0=np.ones(a.shape[0]), return_eigenvectors=False)
     return float(vals[0])
 
 
@@ -314,10 +312,9 @@ def _extension_blocks(levels):
     """Stability profile of the extension and the companion ratio
     comparing the overlapping-mesh H1 norm against the physical-side
     H1 norm plus the ghost term; both on the plus-inclusion circle."""
+    ls, spec = make_problem(RunConfig(example="patch", inclusion_side="plus"))
     ext_rows, trace_rows = [], []
     for level in levels:
-        ls = make_circle(inclusion_side="plus")
-        _, spec = patch_problem(interface=ls)
         layout = _geometry(level, ls)
         mesh, topo = layout.mesh, layout.topo
         op = build_extension(layout)
@@ -365,7 +362,7 @@ def run_diagnostics(config: RunConfig | None = None,
                     extension_levels=(2, 3, 4, 5)) -> str:
     """All diagnostics on the circle configuration; one CSV block each."""
     config = config if config is not None else RunConfig(example="1")
-    if config.example == "2":
+    if config.example not in ("1", "patch"):
         raise ValueError("diagnostics run on the circle configurations")
     blocks = []
     blocks.append(("patch_area_ratio", _patch_block(config, patch_levels)))

@@ -39,9 +39,6 @@ CONVERGENCE_COLUMNS = ("level", "h", "e0", "eoc0", "einf", "eocinf",
                        "eflux", "eocflux", "efluxinf", "eocfluxinf")
 CONTRAST_COLUMNS = ("rho_minus", "rho_plus", "e0", "eflux", "esqrt")
 
-# levels of a convergence study that names none
-_STUDY_LEVELS = (1, 2, 3, 4, 5)
-
 
 class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
@@ -51,14 +48,13 @@ class ConfigError(ValueError):
 class RunConfig:
     """One batch run.  Maps 1:1 onto the flat config-file keys."""
 
-    example: str = "1"                # "1" circle, "2" flower, "patch"
+    example: str = "1"                # "1" circle, "2" flower, "patch" circle, "patch-flower"
     level: int = 3
-    levels: tuple[int, ...] = ()      # convergence studies; empty = run_convergence's default
-    interface: str = ""               # "circle" | "flower"; "" = example default
+    levels: tuple[int, ...] = (1, 2, 3, 4, 5)   # convergence studies
     circle_radius: float = 1.0 / 3.0
     inclusion_side: str = "minus"
     rho_minus: float = 1.0
-    rho_plus: float | None = None     # None: 1e4 for the examples, rho_minus for patch
+    rho_plus: float | None = None     # None: 1e4 for the examples, rho_minus for the patch tests
     gamma: float = 10.0
     gamma_g_minus: float = 10.0
     gamma_g_plus: float = 10.0
@@ -66,21 +62,19 @@ class RunConfig:
     format: str = "csv"
 
     def __post_init__(self):
-        if self.example not in ("1", "2", "patch"):
-            raise ConfigError(f"example must be 1, 2 or patch, got {self.example!r}")
-        if self.interface not in ("", "circle", "flower"):
-            raise ConfigError(f"interface must be circle or flower, got {self.interface!r}")
+        if self.example not in ("1", "2", "patch", "patch-flower"):
+            raise ConfigError(f"example must be 1, 2, patch or patch-flower, got {self.example!r}")
         if self.inclusion_side not in ("minus", "plus"):
             raise ConfigError(f"inclusion_side must be minus or plus, got {self.inclusion_side!r}")
         if self.format not in ("csv", "markdown"):
             raise ConfigError(f"format must be csv or markdown, got {self.format!r}")
+        patch = self.example.startswith("patch")
         if self.rho_plus is None:
             # frozen: the example-dependent default is filled in once, here
-            object.__setattr__(self, "rho_plus",
-                               self.rho_minus if self.example == "patch" else 1e4)
+            object.__setattr__(self, "rho_plus", self.rho_minus if patch else 1e4)
         if self.rho_minus <= 0.0 or self.rho_plus <= 0.0:
             raise ConfigError("coefficients must be positive")
-        if self.example == "patch" and self.rho_plus != self.rho_minus:
+        if patch and self.rho_plus != self.rho_minus:
             raise ConfigError(
                 "the patch test uses equal coefficients; set rho_plus = rho_minus")
 
@@ -158,18 +152,14 @@ def make_problem(config: RunConfig) -> tuple[LevelSet, ProblemSpec]:
                   gamma_g_minus=config.gamma_g_minus,
                   gamma_g_plus=config.gamma_g_plus)
     if config.example == "1":
-        if config.interface == "flower":
-            raise ConfigError("example 1 is posed on the circle interface")
         return example_circle(config.rho_minus, config.rho_plus,
                               inclusion_side=config.inclusion_side,
                               radius=config.circle_radius, **common)
     if config.example == "2":
-        if config.interface == "circle":
-            raise ConfigError("example 2 is posed on the flower interface")
         if config.inclusion_side != "minus":
             raise ConfigError("example 2 fixes the inclusion on the minus side")
         return example_flower(config.rho_minus, config.rho_plus, **common)
-    if config.interface == "flower":
+    if config.example == "patch-flower":
         ls = make_flower(inclusion_side=config.inclusion_side)
     else:
         ls = make_circle(radius=config.circle_radius,
@@ -242,10 +232,8 @@ def _check_levels(levels: tuple[int, ...], given=None) -> tuple[int, ...]:
 
 def run_convergence(config: RunConfig, levels=None) -> Table:
     """Solve over ascending levels; rows carry errors and observed orders.
-    The levels are ``levels``, else ``config.levels``, else 1..5."""
-    if levels is None:
-        levels = config.levels or _STUDY_LEVELS
-    levels = _check_levels(tuple(levels))
+    The levels are ``levels``, else ``config.levels``."""
+    levels = _check_levels(tuple(config.levels if levels is None else levels))
     reports = [run_solve(config, level=lv).report for lv in levels]
     hs = np.array([r.h for r in reports])
     rates = {}

@@ -60,7 +60,6 @@ class Mesh:
     level: int
     n_cells: int
     h: float                  # actual grid spacing, 2 / n_cells
-    h_nominal: float          # 2**-(level + 3/2)
     nodes: np.ndarray         # (n_nodes, 2)
     # class of each grid interval by its spacing: (n_cells,), k classes
     spacing_class: np.ndarray = field(init=False, repr=False)
@@ -264,8 +263,7 @@ def build_mesh(level: int) -> Mesh:
         raise ValueError(f"level must be an integer, got {level!r}")
     if not MIN_LEVEL <= level <= MAX_LEVEL:
         raise ValueError(f"level must be in [{MIN_LEVEL}, {MAX_LEVEL}], got {level}")
-    h_nominal = 2.0 ** -(level + 1.5)
-    n = ceil(2.0 / h_nominal)
+    n = ceil(2.0 / 2.0 ** -(level + 1.5))
     h = 2.0 / n
 
     xs = -1.0 + np.arange(n + 1) * h
@@ -273,7 +271,7 @@ def build_mesh(level: int) -> Mesh:
     grid = nodes.reshape(n + 1, n + 1, 2)
     grid[:, :, 0] = xs
     grid[:, :, 1] = xs[:, None]
-    return Mesh(level=level, n_cells=n, h=h, h_nominal=h_nominal, nodes=nodes)
+    return Mesh(level=level, n_cells=n, h=h, nodes=nodes)
 
 
 def _p1_geometry(nodes: np.ndarray, elements: np.ndarray):

@@ -157,6 +157,8 @@ def test_flag_overrides_config(capsys, tmp_path):
     ("tol = 1e-10\n", "unknown key 'tol'"),
     # the Nitsche flux is the minus side's: there is no weighting to choose
     ("weighting = harmonic\n", "unknown key 'weighting'"),
+    # each example names its own interface
+    ("interface = flower\n", "unknown key 'interface'"),
 ])
 def test_config_errors_carry_line_numbers(capsys, tmp_path, content, fragment):
     path = tmp_path / "bad.cfg"
@@ -176,10 +178,12 @@ def test_missing_config_file(capsys):
 
 
 def test_bad_flag_exits_one(capsys):
-    # CG is the only solver and the minus-sided flux the only Nitsche
-    # method: --solver, --tol and --weighting are not options
+    # CG is the only solver, the minus-sided flux the only Nitsche method
+    # and each example names its own interface: --solver, --tol,
+    # --weighting and --interface are not options
     for argv in (["solve", "--no-such-flag"], ["solve", "--solver", "cg"],
                  ["solve", "--tol", "1e-10"], ["solve", "--weighting", "harmonic"],
+                 ["solve", "--example", "patch", "--interface", "flower"],
                  ["convergence", "--levels", "5..1"], ["convergence", "--levels", ""]):
         code, out, err = _run(capsys, argv)
         assert code == 1
@@ -342,8 +346,8 @@ def test_flower_patch_test_on_either_side(capsys):
     # they are different problems
     outs = []
     for side in ("minus", "plus"):
-        code, out, err = _run(capsys, ["solve", "--example", "patch", "--interface",
-                                       "flower", "--inclusion-side", side, "--level", "2"])
+        code, out, err = _run(capsys, ["solve", "--example", "patch-flower",
+                                       "--inclusion-side", side, "--level", "2"])
         assert code == 0 and err == ""
         header, rows = _csv(out)
         row = dict(zip(header, rows[0]))
@@ -427,6 +431,16 @@ def test_diagnostics_command(capsys):
     for block in ("# patch_area_ratio", "# coercivity",
                   "# interpolation", "# discrete_extension"):
         assert block in out
+
+
+@pytest.mark.parametrize("example", ["2", "patch-flower"])
+def test_diagnostics_refuse_the_flower(capsys, example):
+    # the report's blocks are posed on the circle: a flower run would
+    # print flower rows beside the circle's extension rows
+    code, out, err = _run(capsys, ["diagnostics", "--example", example])
+    assert code == 1
+    assert out == ""
+    assert err == "cutnitsche: config error: diagnostics run on the circle configurations\n"
 
 
 def test_repeated_runs_are_identical(capsys):

@@ -446,5 +446,6 @@ def test_run_diagnostics_report():
 
 
 def test_run_diagnostics_rejects_flower():
-    with pytest.raises(ValueError, match="circle"):
-        run_diagnostics(RunConfig(example="2"))
+    for example in ("2", "patch-flower"):
+        with pytest.raises(ValueError, match="circle"):
+            run_diagnostics(RunConfig(example=example))

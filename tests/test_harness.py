@@ -15,15 +15,16 @@ from cutnitsche.harness import (CONTRAST_COLUMNS, CONTRAST_PAIRS,
                                 Table, make_problem,
                                 run_contrast_sweep, run_convergence,
                                 run_solve, solve_table)
+from cutnitsche.levelset import make_flower
 from cutnitsche.mesh import build_mesh
 from cutnitsche.norms import error_report
+from cutnitsche.problems import ProblemSpec, example_flower
 from cutnitsche.solver import BACKWARD_ERROR_TOL, StagnationError, solve
 from cutnitsche.space import build_spaces
 
 
 def test_config_validation():
-    for kwargs in (dict(example="3"), dict(interface="square"),
-                   dict(inclusion_side="left"),
+    for kwargs in (dict(example="3"), dict(inclusion_side="left"),
                    dict(format="json"), dict(rho_minus=-1.0),
                    dict(rho_plus=0.0)):
         with pytest.raises(ConfigError):
@@ -48,7 +49,7 @@ def test_config_resolution():
 
 def test_study_levels(monkeypatch):
     # the levels rule of run_convergence: the argument, else config.levels,
-    # else 1..5; non-empty and ascending
+    # whose default is 1..5; non-empty and ascending
     solved = []
 
     def fake_solve(config, level):
@@ -74,13 +75,9 @@ def test_study_levels(monkeypatch):
 
 
 def test_make_problem_example_constraints():
-    with pytest.raises(ConfigError, match="circle"):
-        make_problem(RunConfig(example="1", interface="flower"))
-    with pytest.raises(ConfigError, match="flower"):
-        make_problem(RunConfig(example="2", interface="circle"))
     with pytest.raises(ConfigError, match="minus"):
         make_problem(RunConfig(example="2", inclusion_side="plus"))
-    ls, spec = make_problem(RunConfig(example="patch", interface="flower"))
+    ls, spec = make_problem(RunConfig(example="patch-flower"))
     assert ls.name == "flower"
     ls, _ = make_problem(RunConfig(example="1", circle_radius=0.25))
     assert "0.25" in ls.name
@@ -110,8 +107,7 @@ def test_run_solve_patch_is_exact():
 
 @pytest.mark.parametrize("side", ["minus", "plus"])
 def test_flower_patch_test_takes_the_inclusion_side(side):
-    result = run_solve(RunConfig(example="patch", interface="flower",
-                                 inclusion_side=side, level=2))
+    result = run_solve(RunConfig(example="patch-flower", inclusion_side=side, level=2))
     assert result.topo.levelset.name == "flower"
     assert result.topo.levelset.inclusion_side == side
     assert result.layout.outer_side() == ("plus" if side == "minus" else "minus")
@@ -161,6 +157,23 @@ def test_contrast_sweep_shares_geometry(config, monkeypatch):
         assert row == (rho_minus, rho_plus, rep.e0, rep.eflux, rep.esqrt)
 
 
+def _lu_eflux(problems, level=4):
+    """eflux of each (level set, spec) of ``problems`` on the first one's
+    geometry at ``level``, each system solved by sparse LU."""
+    layout, eflux = None, []
+    for ls, spec in problems:
+        if layout is None:
+            layout = build_spaces(classify(build_mesh(level), ls))
+        system = build_system(layout, spec)
+        x = splu(system.matrix.tocsc()).solve(system.rhs)
+        eflux.append(error_report(spec, expand_solution(system, x)).eflux)
+    return eflux
+
+
+def _spread(eflux):
+    return max(eflux) / min(eflux)
+
+
 def _lu_flux_spread(inclusion_side, swap):
     """max / min of eflux over CONTRAST_PAIRS for the circle at level 4,
     each system solved by sparse LU.  With ``swap`` the side labels of
@@ -169,17 +182,10 @@ def _lu_flux_spread(inclusion_side, swap):
     high-coefficient side; the manufactured solution then moves by a
     global constant, which the method reproduces exactly."""
     side = {"minus": "plus", "plus": "minus"}[inclusion_side] if swap else inclusion_side
-    layout, eflux = None, []
-    for low, high in CONTRAST_PAIRS:
-        rho_minus, rho_plus = (high, low) if swap else (low, high)
-        ls, spec = make_problem(RunConfig(example="1", inclusion_side=side,
-                                          rho_minus=rho_minus, rho_plus=rho_plus))
-        if layout is None:
-            layout = build_spaces(classify(build_mesh(4), ls))
-        system = build_system(layout, spec)
-        x = splu(system.matrix.tocsc()).solve(system.rhs)
-        eflux.append(error_report(spec, expand_solution(system, x)).eflux)
-    return max(eflux) / min(eflux)
+    return _spread(_lu_eflux(
+        make_problem(RunConfig(example="1", inclusion_side=side,
+                               rho_minus=high if swap else low, rho_plus=low if swap else high))
+        for low, high in CONTRAST_PAIRS))
 
 
 @pytest.mark.parametrize("inclusion_side", ["minus", "plus"])
@@ -188,6 +194,41 @@ def test_swapped_labels_fail_the_spread_bound(inclusion_side):
     # the flux from the high-coefficient side depends on the contrast
     assert _lu_flux_spread(inclusion_side, swap=True) > 1.25
     assert _lu_flux_spread(inclusion_side, swap=False) <= 1.25
+
+
+def _swapped_flower(rho_petal, rho_outer):
+    """Example 2 with its side labels exchanged: the petals are the plus
+    side and the outer region the minus side, whose flux and penalty the
+    Nitsche terms then take.  Solutions, gradients and sources trade
+    sides, and the jumps are taken plus minus minus, as ProblemSpec
+    defines them."""
+    ls = make_flower(inclusion_side="plus")
+    _, paper = example_flower(rho_petal, rho_outer)
+
+    def jump_flux(x):
+        d = rho_outer * paper.grad_plus(x) - rho_petal * paper.grad_minus(x)
+        return np.sum(d * ls.normal_minus(x), axis=-1)
+
+    return ls, ProblemSpec(
+        rho_minus=rho_outer, rho_plus=rho_petal,
+        f_minus=paper.f_plus, f_plus=paper.f_minus,
+        jump_value=lambda x: paper.exact_minus(x) - paper.exact_plus(x),
+        jump_flux=jump_flux, dirichlet=paper.dirichlet,
+        exact_minus=paper.exact_plus, exact_plus=paper.exact_minus,
+        grad_minus=paper.grad_plus, grad_plus=paper.grad_minus)
+
+
+def test_swapped_flower_labels_fail_the_spread_bound():
+    # the negative control on the non-simple interface: contrast 1, where
+    # the two labellings differ only by the discretisation, then the pairs
+    pairs = ((1.0, 1.0),) + CONTRAST_PAIRS
+    swapped = _lu_eflux(_swapped_flower(low, high) for low, high in pairs)
+    paper = _lu_eflux(make_problem(RunConfig(example="2", rho_minus=low, rho_plus=high))
+                      for low, high in pairs)
+    # the swapped spec poses example 2's physical problem
+    assert swapped[0] == pytest.approx(paper[0], rel=0.01)
+    assert _spread(swapped[1:]) > 1.25
+    assert _spread(paper[1:]) <= 1.25
 
 
 def test_floor_acceptance_at_extreme_contrast():

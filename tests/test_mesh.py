@@ -26,9 +26,8 @@ EXPECTED_N = {1: 12, 2: 23, 3: 46, 4: 91, 5: 182}
 def test_refinement_law(level, n):
     mesh = build_mesh(level)
     assert mesh.n_cells == n
-    assert mesh.h_nominal == 2.0 ** -(level + 1.5)
     assert mesh.h == 2.0 / n
-    assert mesh.h <= mesh.h_nominal
+    assert mesh.h <= 2.0 ** -(level + 1.5)
     assert mesh.n_elems == 2 * n * n
     assert mesh.n_nodes == (n + 1) ** 2
 
