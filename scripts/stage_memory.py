@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Seconds and memory of each stage of one solve.
+"""Seconds and memory of each stage of one solve, and of whole processes.
 
-Two records.  The memory record (the default, ``BENCH_memory.json``)
+Three records.  The memory record (the default, ``BENCH_memory.json``)
 has two fixed cases: the circle with the inclusion on the plus side at
 contrast 1e9 (``rho`` 1 / 1e9), and the flower of example 2 at ``rho``
 1 / 1e5.  For each case, at levels 5..7, its stages are mesh, classify,
@@ -42,6 +42,26 @@ records
   first run, and its high-water mark so far in the process, which is a
   fresh one for each case.
 
+The end-to-end record (``--record e2e``, ``BENCH_e2e.json``) times
+whole processes, each started fresh in the checkout the package was
+imported from, with that checkout's ``src`` on PYTHONPATH:
+
+* ``setup``: perfbench's ``worker.py --setup-only``, which imports
+  ``cutnitsche`` and ``cutnitsche.diagnostics`` and solves the warm-up
+  config; its seconds run from the start of the process to the end of
+  the warm-up and its ``nominal_s`` is perfbench's ``setup_s``;
+* ``solve-L6`` and ``solve-L7``: ``cutnitsche solve`` for the circle with
+  the inclusion on the plus side at ``rho`` 1 / 1e9;
+* ``reproduce_tables``: ``scripts/reproduce_tables.py``, every table;
+* ``tier1``: the test suite, with its passed and failed counts.
+
+Each row holds its runs (``E2E_ROWS``) and their medians.  Per run,
+``seconds`` is the wall time, ``speeds`` the machine's speed read by
+``calibrate.speed`` right before and right after the process (the
+worker's own reading after its set-up, for ``setup``), ``nominal_s``
+the seconds times their mean, and ``maxrss_mb`` the child's peak RSS
+from its rusage.  The BLAS thread caps below hold in every child.
+
 It prints one line per stage and writes the measurement of each case,
 with the number of untraced runs per level as ``timed_runs``, into one
 column of that case in the record's file at the repository root,
@@ -59,6 +79,7 @@ anything.
     PYTHONPATH=/path/to/parent/src python scripts/stage_memory.py --column parent
     python scripts/stage_memory.py --levels 8 --column change-L8   # under ulimit -v
     python scripts/stage_memory.py --record stages
+    python scripts/stage_memory.py --record e2e
 """
 import os
 
@@ -71,10 +92,12 @@ import importlib.util  # noqa: E402
 import json  # noqa: E402
 import multiprocessing  # noqa: E402
 import pathlib  # noqa: E402
+import re  # noqa: E402
 import resource  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 import time  # noqa: E402
 import tracemalloc  # noqa: E402
 from concurrent.futures import ProcessPoolExecutor  # noqa: E402
@@ -121,10 +144,27 @@ STAGE_CASES = {
     "flower-1e5": ("flower (example 2), inclusion minus, rho 1 / 1e5",
                    RunConfig(example="2", rho_minus=1.0, rho_plus=1e5)),
 }
+_SOLVE = ("-m", "cutnitsche", "solve", "--example", "1", "--inclusion-side", "plus",
+          "--rho-minus", "1", "--rho-plus", "1e9", "--level")
+# per row of the end-to-end record: its description, the arguments of the
+# Python process it times ({outdir}: a fresh empty directory) and its runs
+E2E_ROWS = {
+    "setup": ("perfbench's set-up: a fresh process imports cutnitsche and "
+              "cutnitsche.diagnostics and solves the warm-up config",
+              ("perfbench/worker.py", "--setup-only"), 7),
+    "solve-L6": ("cutnitsche solve, circle r=1/3, inclusion plus, rho 1 / 1e9, level 6",
+                 _SOLVE + ("6",), 3),
+    "solve-L7": ("cutnitsche solve, circle r=1/3, inclusion plus, rho 1 / 1e9, level 7",
+                 _SOLVE + ("7",), 1),
+    "reproduce_tables": ("scripts/reproduce_tables.py, every table",
+                         ("scripts/reproduce_tables.py", "--outdir", "{outdir}"), 3),
+    "tier1": ("the tier-1 suite", ("-m", "pytest", "-q", "--continue-on-collection-errors"), 1),
+}
 # per record: its file, its cases and its default levels
 RECORDS = {
     "memory": (ROOT / "BENCH_memory.json", MEMORY_CASES, "5..7"),
     "stages": (ROOT / "BENCH_stages.json", STAGE_CASES, "3..7"),
+    "e2e": (ROOT / "BENCH_e2e.json", E2E_ROWS, None),
 }
 # the cases whose stages end with the extension of the plus-side fields
 EXTENSION_CASES = ("circle-plus",)
@@ -252,6 +292,70 @@ def measure_case(record: str, key: str, levels) -> dict:
     return out
 
 
+def checkout_root() -> pathlib.Path:
+    """The checkout the package was imported from, whose scripts, benchmark
+    worker and tests the end-to-end record runs; SystemExit when the
+    package is not its ``src/cutnitsche``."""
+    root = pathlib.Path(cutnitsche.__file__).resolve().parent.parent.parent
+    needed = ("src/cutnitsche", "scripts/reproduce_tables.py", "perfbench/worker.py", "tests")
+    missing = [name for name in needed if not (root / name).exists()]
+    if missing:
+        raise SystemExit(f"stage_memory: {root} is not a source checkout of the package: "
+                         f"no {', '.join(missing)}")
+    return root
+
+
+def run_child(root: pathlib.Path, args) -> tuple[dict, int, str]:
+    """One run of ``python args`` in ``root`` with its ``src`` on
+    PYTHONPATH, between two readings of the machine's speed: its record,
+    its exit code and its output.  For perfbench's worker the seconds end
+    at its warm-up and the speed is the worker's reading after it, as in
+    perfbench's ``setup_s``."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    speeds = [calibrate.speed()]
+    with tempfile.TemporaryDirectory() as outdir, tempfile.TemporaryFile("w+") as out:
+        start = time.monotonic()
+        proc = subprocess.Popen([sys.executable, *(a.format(outdir=outdir) for a in args)],
+                                cwd=root, env=env, stdout=out, stderr=subprocess.STDOUT)
+        # wait4, not wait: its rusage is this child's alone
+        _, status, usage = os.wait4(proc.pid, 0)
+        seconds = time.monotonic() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        text = out.read()
+    speeds.append(calibrate.speed())
+    if args[0] == "perfbench/worker.py" and proc.returncode == 0:
+        result = json.loads(text.strip().splitlines()[-1])
+        seconds, speeds = result["warmup_end"] - start, [result["setup_speed"]]
+    return {"seconds": round(seconds, 3), "speeds": [round(v, 3) for v in speeds],
+            "nominal_s": round(seconds * statistics.fmean(speeds), 3),
+            "maxrss_mb": round(usage.ru_maxrss / 1024.0, 1)}, proc.returncode, text
+
+
+def measure_row(key: str, root: pathlib.Path) -> dict:
+    """The runs of one row of the end-to-end record and their medians; the
+    tier-1 row also holds its exit code and its passed and failed counts.
+    SystemExit when any other row's process fails."""
+    _, args, n_runs = E2E_ROWS[key]
+    runs = []
+    for _ in range(n_runs):
+        run, code, text = run_child(root, args)
+        if code and key != "tier1":
+            raise SystemExit(f"stage_memory: {key} exited with {code}:\n{text[-2000:]}")
+        runs.append(run)
+        print(f"{key} " + " ".join(f"{k} {v}" for k, v in run.items()), flush=True)
+    row = {name: statistics.median(run[name] for run in runs)
+           for name in ("seconds", "nominal_s", "maxrss_mb")}
+    if key == "tier1":
+        # pytest's summary, the last line: "1 failed, 531 passed, 2 errors in 240.1s"
+        summary = (text.strip().splitlines() or [""])[-1]
+        counts = {word: int(n)
+                  for n, word in re.findall(r"(\d+) (passed|failed|error)s?\b", summary)}
+        row.update(exit_code=code, passed=counts.get("passed", 0),
+                   failed=counts.get("failed", 0) + counts.get("error", 0))
+    return {**row, "timed_runs": n_runs, "runs": runs}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--record", choices=sorted(RECORDS), default="memory")
@@ -259,14 +363,22 @@ def main(argv=None) -> int:
     ap.add_argument("--column", default="change")
     args = ap.parse_args(argv)
     output, cases, default_levels = RECORDS[args.record]
-    levels = args.levels or parse_levels(default_levels)
+    e2e = args.record == "e2e"
+    if e2e and args.levels:
+        ap.error("the e2e record has no levels")
+    levels = None if e2e else args.levels or parse_levels(default_levels)
     commit = source_commit()
+    root = checkout_root() if e2e else None
 
     doc = json.loads(output.read_text()) if output.exists() else {}
-    for key, (description, _) in cases.items():
-        # a fresh process per case, so its RSS high-water marks are its own
-        with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
-            measured = pool.submit(measure_case, args.record, key, levels).result()
+    for key, (description, *_) in cases.items():
+        if e2e:
+            measured = measure_row(key, root)
+        else:
+            # a fresh process per case, so its RSS high-water marks are its own
+            with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
+                measured = {"timed_runs": TIMED_RUNS,
+                            "levels": pool.submit(measure_case, args.record, key, levels).result()}
         case = doc.setdefault("cases", {}).setdefault(key, {})
         case["case"] = description
         case.setdefault("columns", {})[args.column] = {
@@ -274,8 +386,7 @@ def main(argv=None) -> int:
             "versions": {"python": sys.version.split()[0], "numpy": np.__version__,
                          "scipy": scipy.__version__},
             "cpus": os.cpu_count(),
-            "timed_runs": TIMED_RUNS,
-            "levels": measured,
+            **measured,
         }
     output.write_text(json.dumps(doc, indent=1) + "\n")
     return 0

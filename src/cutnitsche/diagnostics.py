@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 
 from .assembly import (_ghost_part, _stiffness, assemble_vnorm_gram, build_system, element_rows,
@@ -96,12 +95,13 @@ def coercivity_probe(a, gram, dense: bool) -> float:
     shift-invert Lanczos about 0 (ARPACK, which needs n > 1), started
     from the ones vector so that reruns agree.
     """
+    # both solvers are imported here, not at the top: loading scipy.linalg
+    # or ARPACK slows every import of this module, and each branch needs
+    # only its own
     if dense:
-        vals = scipy.linalg.eigh(a.toarray(), gram.toarray(), eigvals_only=True,
-                                 subset_by_index=[0, 0])
+        from scipy.linalg import eigh
+        vals = eigh(a.toarray(), gram.toarray(), eigvals_only=True, subset_by_index=[0, 0])
         return float(vals[0])
-    # imported here, not at the top: only systems above the limit need
-    # ARPACK, and loading it slows every import of this module
     from scipy.sparse.linalg import eigsh
     vals = eigsh(scipy.sparse.csc_matrix(a), k=1, M=gram, sigma=0.0, which="LM",
                  v0=np.ones(a.shape[0]), return_eigenvectors=False)

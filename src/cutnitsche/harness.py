@@ -44,6 +44,17 @@ class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
 
 
+def _check_levels(levels: tuple[int, ...], given=None) -> tuple[int, ...]:
+    """``levels``, or ConfigError, quoting ``given`` (else the levels), unless
+    they are non-empty and strictly ascending: a level given twice would be
+    solved twice, with empty order cells between the two rows."""
+    if not levels or any(a >= b for a, b in zip(levels, levels[1:])):
+        shown = levels if given is None else given
+        raise ConfigError(f"levels must be non-empty and ascending, each level once, "
+                          f"got {shown!r}")
+    return levels
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """One batch run.  Maps 1:1 onto the flat config-file keys."""
@@ -68,6 +79,7 @@ class RunConfig:
             raise ConfigError(f"inclusion_side must be minus or plus, got {self.inclusion_side!r}")
         if self.format not in ("csv", "markdown"):
             raise ConfigError(f"format must be csv or markdown, got {self.format!r}")
+        _check_levels(tuple(self.levels))
         patch = self.example.startswith("patch")
         if self.rho_plus is None:
             # frozen: the example-dependent default is filled in once, here
@@ -217,17 +229,6 @@ def solve_table(result: RunResult) -> Table:
                                  result.stats.relative_residual,
                                  result.stats.method)
     return Table(columns=columns, rows=(row,))
-
-
-def _check_levels(levels: tuple[int, ...], given=None) -> tuple[int, ...]:
-    """``levels``, or ConfigError, quoting ``given`` (else the levels), unless
-    they are non-empty and strictly ascending: a level given twice would be
-    solved twice, with empty order cells between the two rows."""
-    if not levels or any(a >= b for a, b in zip(levels, levels[1:])):
-        shown = levels if given is None else given
-        raise ConfigError(f"levels must be non-empty and ascending, each level once, "
-                          f"got {shown!r}")
-    return levels
 
 
 def run_convergence(config: RunConfig, levels=None) -> Table:

@@ -1,12 +1,17 @@
 """Tests of the structural diagnostics: patch areas, coercivity probe,
 interpolation profile, and the discrete extension operator."""
 import dataclasses
+import os
+import pathlib
+import subprocess
+import sys
 from functools import partial
 
 import numpy as np
 import pytest
 import scipy.sparse
 
+import cutnitsche
 from cutnitsche.assembly import _ghost_part, assemble_vnorm_gram, build_system, part_rows, stacked
 from cutnitsche import mesh as mesh_module
 from cutnitsche.cutcell import classify
@@ -52,6 +57,18 @@ def test_patch_ratio_circle(circle_classified):
 
 # ---------------------------------------------------------------------------
 # coercivity probe
+
+def test_import_loads_no_dense_or_sparse_linalg():
+    # each branch of coercivity_probe imports its own eigensolver, so a
+    # fresh import of the package and this module loads neither
+    code = ("import sys, cutnitsche, cutnitsche.diagnostics; "
+            "print(sorted(m for m in ('scipy.linalg', 'scipy.sparse.linalg') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cutnitsche.__file__).parent.parent))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
+
 
 def test_coercivity_probe_diagonal_pencils():
     a = scipy.sparse.diags([2.0, 2.0, 2.0]).tocsr()

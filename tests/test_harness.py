@@ -1,6 +1,7 @@
 """Batch harness: configs, tables, and the backward-error acceptance of
 stagnated solves."""
 import dataclasses
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -66,12 +67,14 @@ def test_study_levels(monkeypatch):
         assert solved == want
     # refused before anything is solved; a level given twice too
     solved.clear()
-    for config, levels in ((RunConfig(), ()), (RunConfig(), (3, 2)),
-                           (RunConfig(levels=(3, 2)), None), (RunConfig(), (2, 2)),
-                           (RunConfig(), (1, 2, 2, 3)), (RunConfig(levels=(2, 2)), None)):
+    for levels in ((), (3, 2), (2, 2), (1, 2, 2, 3)):
         with pytest.raises(ConfigError, match="non-empty and ascending"):
-            run_convergence(config, levels)
+            run_convergence(RunConfig(), levels)
     assert solved == []
+    # a config's own levels are refused when it is built
+    for levels in ((3, 2), (2, 2), ()):
+        with pytest.raises(ConfigError, match="non-empty and ascending.*" + re.escape(repr(levels))):
+            RunConfig(levels=levels)
 
 
 def test_make_problem_example_constraints():

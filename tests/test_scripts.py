@@ -3,6 +3,7 @@ import json
 import os
 import pathlib
 import shutil
+import statistics
 import subprocess
 import sys
 
@@ -113,6 +114,71 @@ def test_stage_record_times_the_solve_of_five_cases(tmp_path):
             assert level["solve"]["method"].startswith("cg_jacobi")
             assert level["solve"]["backward_error"] <= BACKWARD_ERROR_TOL
             assert level["solve"]["maxrss_mb"] >= level["mesh"]["maxrss_mb"] > 0
+
+
+# stand-ins for the processes the end-to-end record times: each leaves a
+# trace the test reads, and the suite has one failing test
+E2E_STUBS = {
+    "src/cutnitsche/__main__.py": (
+        "import sys\n"
+        "with open('solve_args.txt', 'a') as fh:\n"
+        "    fh.write(' '.join(sys.argv[1:]) + '\\n')\n"),
+    "perfbench/worker.py": (
+        "import json, sys, time\n"
+        "assert sys.argv[1:] == ['--setup-only']\n"
+        "print('set up')\n"
+        "print(json.dumps({'warmup_end': time.monotonic(), 'setup_speed': 1.0}))\n"),
+    "scripts/reproduce_tables.py": (
+        "import os, sys\n"
+        "outdir = sys.argv[sys.argv.index('--outdir') + 1]\n"
+        "sys.exit(0 if os.listdir(outdir) == [] else 3)\n"),
+    "tests/test_stub.py": (
+        "def test_one():\n    pass\n\n\n"
+        "def test_two():\n    pass\n\n\n"
+        "def test_three():\n    assert False\n"),
+}
+
+
+def test_e2e_record_times_whole_processes(tmp_path):
+    # the end-to-end record, each of its processes stubbed: every row holds
+    # its runs, each stamped with the machine's speed, and their medians;
+    # the suite's failure is counted, not fatal; the other records stay
+    repo, git = scripts_repo(tmp_path)
+    for name, text in E2E_STUBS.items():
+        (repo / name).parent.mkdir(exist_ok=True)
+        (repo / name).write_text(text)
+    git("add", "-A")
+    git("commit", "-q", "-m", "stubs")
+    run_stage_memory(repo, tmp_path, "--record", "e2e")
+    assert (repo / "BENCH_memory.json").read_text() == "{}\n"
+    assert (repo / "BENCH_stages.json").read_text() == "{}\n"
+    cases = json.loads((repo / "BENCH_e2e.json").read_text())["cases"]
+    assert list(cases) == ["setup", "solve-L6", "solve-L7", "reproduce_tables", "tier1"]
+    for key, case in cases.items():
+        column = case["columns"]["change"]
+        assert column["commit"] == git("describe", "--always")
+        assert sorted(column["versions"]) == ["numpy", "python", "scipy"]
+        runs = column["runs"]
+        assert len(runs) == column["timed_runs"] == {"setup": 7, "solve-L6": 3, "solve-L7": 1,
+                                                     "reproduce_tables": 3, "tier1": 1}[key]
+        for run in runs:
+            assert run["seconds"] >= 0 and run["maxrss_mb"] > 0
+            # the worker's own speed reading for the set-up, else one before
+            # and one after the process
+            if key == "setup":
+                assert run["speeds"] == [1.0]
+            else:
+                assert len(run["speeds"]) == 2 and min(run["speeds"]) > 0
+            # each of seconds, speeds and nominal_s is rounded to 3 places
+            speed = statistics.fmean(run["speeds"])
+            assert (abs(run["nominal_s"] - run["seconds"] * speed)
+                    <= 5e-4 * (1.0 + speed + run["seconds"]) + 1e-6)
+        for name in ("seconds", "nominal_s", "maxrss_mb"):
+            assert column[name] == statistics.median(run[name] for run in runs)
+    tier1 = cases["tier1"]["columns"]["change"]
+    assert (tier1["passed"], tier1["failed"], tier1["exit_code"]) == (2, 1, 1)
+    prefix = "solve --example 1 --inclusion-side plus --rho-minus 1 --rho-plus 1e9 --level "
+    assert (repo / "solve_args.txt").read_text().splitlines() == [prefix + "6"] * 3 + [prefix + "7"]
 
 
 def run_tables(outdir, only):
