@@ -27,8 +27,10 @@ solve here large enough for ``solve`` to run on two threads, as
 ``+floor`` tag, as the harness accepts them), and last
 the stdout and the four ``--dump-*`` files of ``cutnitsche solve``, run
 through ``cli.main``, for the plus-side circle at contrast 1e9 and the
-flower at level 3.  Two commits are bit-identical on all of these when
-the outputs of this script agree.
+flower at level 3, and the stdout of ``cutnitsche diagnostics``, run the
+same way, for the circle with its defaults and with the plus-side
+inclusion at contrast 1e9.  Two commits are bit-identical on all of
+these when the outputs of this script agree.
 With ``<old>`` and ``<new>`` checkouts of the two commits:
 
     PYTHONPATH=<old>/src python scripts/parity_hashes.py > old.txt && wc -l old.txt
@@ -37,7 +39,7 @@ With ``<old>`` and ``<new>`` checkouts of the two commits:
 
 Without ``src`` on the path the script exits 1 and leaves an empty file,
 and two empty files diff as identical: ``&&`` stops at that exit, and
-each file must have 986 lines.
+each file must have 988 lines.
 
 BLAS is pinned to one thread, because stagnated CG iterates of the
 high-contrast solves depend on the thread count.
@@ -84,6 +86,11 @@ CLI_CASES = {
 }
 CLI_DUMPS = {"solution": "--dump-solution", "mesh": "--dump-mesh",
              "cutcells": "--dump-cutcells", "matrix": "--dump-matrix"}
+# diagnostics' command line per case
+CLI_DIAGNOSTICS = {
+    "circle-minus": [],
+    "circle-plus": ["--inclusion-side", "plus", "--rho-plus", "1e9"],
+}
 GRAM_CASES = {
     "circle-minus": RunConfig(example="1", rho_minus=1.0, rho_plus=1e4),
     "circle-plus": RunConfig(example="1", inclusion_side="plus", rho_minus=1.0, rho_plus=1e9),
@@ -151,6 +158,17 @@ def layout_arrays(layout):
 
 def csr_arrays(matrix):
     return {"data": matrix.data, "indices": matrix.indices, "indptr": matrix.indptr}
+
+
+def cli_stdout(argv) -> str:
+    """The stdout of ``cutnitsche`` with ``argv``, run through ``cli.main``;
+    raises unless it exits 0."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli_main(argv)
+    if code:
+        raise RuntimeError(f"cutnitsche {' '.join(argv)} exited {code}")
+    return out.getvalue()
 
 
 def solve_configs():
@@ -257,14 +275,12 @@ def main() -> int:
         with tempfile.TemporaryDirectory() as tmp:
             paths = {name: pathlib.Path(tmp) / name for name in CLI_DUMPS}
             dumps = [arg for name, flag in CLI_DUMPS.items() for arg in (flag, str(paths[name]))]
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                code = cli_main(["solve", *argv, "--level", "3", *dumps])
-            if code:
-                raise RuntimeError(f"cutnitsche solve {label} exited {code}")
-            print(f"cli {label} L3 stdout {digest(out.getvalue())}")
+            out = cli_stdout(["solve", *argv, "--level", "3", *dumps])
+            print(f"cli {label} L3 stdout {digest(out)}")
             for name, path in paths.items():
                 print(f"cli {label} L3 {name} {digest(path.read_text())}")
+    for label, argv in CLI_DIAGNOSTICS.items():
+        print(f"cli diagnostics {label} stdout {digest(cli_stdout(['diagnostics', *argv]))}")
     return 0
 
 

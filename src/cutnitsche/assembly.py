@@ -390,7 +390,7 @@ def build_system(layout: SpaceLayout, spec: ProblemSpec) -> SparseSystem:
     # without Dirichlet DOFs the lift subtracts +0.0, which changes no bit
     matrix = _free_sum(layout, spec, [
         ("nitsche", 1.0), ("penalty_base", spec.gamma * spec.rho_minus),
-        ("ghost_minus", spec.gamma_g_minus), ("ghost_plus", spec.gamma_g_plus)], lifting, rhs)
+        ("ghost_minus", spec.gamma_g), ("ghost_plus", spec.gamma_g)], lifting, rhs)
     return SparseSystem(matrix=matrix, rhs=rhs, lifting=lifting, layout=layout)
 
 

@@ -12,9 +12,9 @@ import argparse
 import contextlib
 import sys
 
-from .harness import (ConfigError, RunConfig, _check_levels, run_contrast_sweep,
-                      run_convergence, run_solve, solve_table)
-from .levelset import GeometryError
+from .harness import (EXAMPLES, FORMATS, ConfigError, RunConfig, _check_levels,
+                      run_contrast_sweep, run_convergence, run_solve, solve_table)
+from .levelset import SIDES, GeometryError
 from .mesh import blocks
 from .solver import SolverError
 
@@ -44,18 +44,17 @@ def _levels_arg(text: str) -> tuple[int, ...]:
 # every config key: its flag, and the argparse options of the flag, whose
 # ``type`` also reads the key's value from a config file
 _KEYS = {
-    "example": ("--example", {"choices": ("1", "2", "patch", "patch-flower")}),
+    "example": ("--example", {"choices": EXAMPLES}),
     "circle_radius": ("--circle-radius", {"type": float}),
-    "inclusion_side": ("--inclusion-side", {"choices": ("minus", "plus")}),
+    "inclusion_side": ("--inclusion-side", {"choices": SIDES}),
     "rho_minus": ("--rho-minus", {"type": float}),
     "rho_plus": ("--rho-plus", {"type": float}),
     "gamma": ("--gamma", {"type": float}),
-    "gamma_g_minus": ("--gamma-g-minus", {"type": float}),
-    "gamma_g_plus": ("--gamma-g-plus", {"type": float}),
+    "gamma_g": ("--gamma-g", {"type": float}),
     "output_path": ("--output", {}),
     "level": ("--level", {"type": int}),
     "levels": ("--levels", {"type": _levels_arg, "help": "e.g. 1..5 or 1,2,3"}),
-    "format": ("--format", {"choices": ("csv", "markdown")}),
+    "format": ("--format", {"choices": FORMATS}),
 }
 _COMMON = tuple(key for key in _KEYS if key not in ("level", "levels", "format"))
 # each subcommand's help and the keys it reads, as flags or from the file
@@ -149,7 +148,7 @@ def _write(path, lines) -> None:
 def _solution_lines(result):
     """Per-node solution values per side: side,node,x,y,value rows."""
     yield "side,node,x,y,value\n"
-    for side in ("minus", "plus"):
+    for side in SIDES:
         for node, value in zip(result.layout.dof_node(side), result.field.side(side)):
             x, y = result.mesh.nodes[node]
             yield f"{side},{node},{x:.17g},{y:.17g},{value:.17g}\n"

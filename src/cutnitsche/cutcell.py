@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .levelset import CoarseMeshError, GeometryError, LevelSet
+from .levelset import SIDES, CoarseMeshError, GeometryError, LevelSet
 from .mesh import Mesh, _index, blocks, elem_any
 
 log = logging.getLogger(__name__)
@@ -152,8 +152,8 @@ class CutTopology:
                 yield elems, np.diff(ptr), points, weights
 
     def _side(self, side: str):
-        if side not in ("minus", "plus"):
-            raise ValueError(f"side must be 'minus' or 'plus', got {side!r}")
+        if side not in SIDES:
+            raise ValueError(f"side must be {' or '.join(map(repr, SIDES))}, got {side!r}")
         return (-1, self.cut_minus) if side == "minus" else (1, self.cut_plus)
 
 

@@ -364,18 +364,10 @@ def run_diagnostics(config: RunConfig | None = None,
     config = config if config is not None else RunConfig(example="1")
     if config.example not in ("1", "patch"):
         raise ValueError("diagnostics run on the circle configurations")
-    blocks = []
-    blocks.append(("patch_area_ratio", _patch_block(config, patch_levels)))
-    blocks.append(("coercivity", _coercivity_block(config, coercivity_levels)))
     ls, spec = make_problem(config)
-    blocks.append(("interpolation",
-                   interpolation_error_profile(ls, spec, interpolation_levels)))
-    ext, trace = _extension_blocks(extension_levels)
-    blocks.append(("discrete_extension", ext))
-    blocks.append(("h1_plus_vs_physical", trace))
-    out = []
-    for name, table in blocks:
-        out.append(f"# {name}")
-        out.append(table.to_csv().rstrip("\n"))
-        out.append("")
-    return "\n".join(out) + "\n"
+    blocks = [("patch_area_ratio", _patch_block(config, patch_levels)),
+              ("coercivity", _coercivity_block(config, coercivity_levels)),
+              ("interpolation", interpolation_error_profile(ls, spec, interpolation_levels)),
+              *zip(("discrete_extension", "h1_plus_vs_physical"),
+                   _extension_blocks(extension_levels))]
+    return "".join(f"# {name}\n{table.to_csv()}\n" for name, table in blocks)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .assembly import SparseSystem, build_system, expand_solution
 from .cutcell import CutTopology, classify
-from .levelset import LevelSet, make_circle, make_flower
+from .levelset import SIDES, LevelSet, make_circle, make_flower
 from .mesh import Mesh, build_mesh
 from .norms import ErrorReport, eoc, error_report
 from .problems import ProblemSpec, example_circle, example_flower, patch_problem
@@ -25,13 +25,16 @@ from .solver import BACKWARD_ERROR_TOL, SolveStats, StagnationError, solve
 from .space import FieldPair, SpaceLayout, build_spaces
 
 __all__ = [
-    "RunConfig", "RunResult", "Table", "ConfigError",
+    "RunConfig", "RunResult", "Table", "ConfigError", "EXAMPLES", "FORMATS",
     "CONTRAST_PAIRS", "CONVERGENCE_COLUMNS", "CONTRAST_COLUMNS",
     "make_problem", "run_solve", "run_convergence", "run_contrast_sweep",
 ]
 
 log = logging.getLogger(__name__)
 
+# the choices of RunConfig's example and format
+EXAMPLES = ("1", "2", "patch", "patch-flower")
+FORMATS = ("csv", "markdown")
 # (rho_minus, rho_plus) rows of the contrast studies
 CONTRAST_PAIRS = ((1.0, 1e1), (1e-1, 1e2), (1e-2, 1e3), (1e-3, 1e4), (1e-4, 1e5))
 
@@ -67,18 +70,16 @@ class RunConfig:
     rho_minus: float = 1.0
     rho_plus: float | None = None     # None: 1e4 for the examples, rho_minus for the patch tests
     gamma: float = 10.0
-    gamma_g_minus: float = 10.0
-    gamma_g_plus: float = 10.0
+    gamma_g: float = 10.0
     output_path: str = ""
     format: str = "csv"
 
     def __post_init__(self):
-        if self.example not in ("1", "2", "patch", "patch-flower"):
-            raise ConfigError(f"example must be 1, 2, patch or patch-flower, got {self.example!r}")
-        if self.inclusion_side not in ("minus", "plus"):
-            raise ConfigError(f"inclusion_side must be minus or plus, got {self.inclusion_side!r}")
-        if self.format not in ("csv", "markdown"):
-            raise ConfigError(f"format must be csv or markdown, got {self.format!r}")
+        for name, choices in (("example", EXAMPLES), ("inclusion_side", SIDES),
+                              ("format", FORMATS)):
+            if getattr(self, name) not in choices:
+                raise ConfigError(f"{name} must be {', '.join(choices[:-1])} or {choices[-1]}, "
+                                  f"got {getattr(self, name)!r}")
         _check_levels(tuple(self.levels))
         patch = self.example.startswith("patch")
         if self.rho_plus is None:
@@ -160,9 +161,7 @@ def _format_cell(column: str, value) -> str:
 
 def make_problem(config: RunConfig) -> tuple[LevelSet, ProblemSpec]:
     """Instantiate the level set and problem data a config describes."""
-    common = dict(gamma=config.gamma,
-                  gamma_g_minus=config.gamma_g_minus,
-                  gamma_g_plus=config.gamma_g_plus)
+    common = dict(gamma=config.gamma, gamma_g=config.gamma_g)
     if config.example == "1":
         return example_circle(config.rho_minus, config.rho_plus,
                               inclusion_side=config.inclusion_side,

@@ -18,8 +18,11 @@ __all__ = [
     "make_flower",
     "CoarseMeshError",
     "GeometryError",
+    "SIDES",
 ]
 
+# the two subdomains; ``inclusion_side`` and every side argument name one
+SIDES = ("minus", "plus")
 # half-width, in |phi|, of the band reflected through the interface
 _TUBE = 0.1
 # |phi| at which a projection onto the interface stops, and its step limit
@@ -61,8 +64,9 @@ class LevelSet:
     grad_bound: Callable | None = None
 
     def __post_init__(self):
-        if self.inclusion_side not in ("minus", "plus"):
-            raise ValueError(f"inclusion_side must be 'minus' or 'plus', got {self.inclusion_side!r}")
+        if self.inclusion_side not in SIDES:
+            raise ValueError(f"inclusion_side must be {' or '.join(map(repr, SIDES))}, "
+                             f"got {self.inclusion_side!r}")
 
     def value(self, x):
         return self.phi(np.asarray(x, dtype=float))

@@ -22,8 +22,7 @@ class ProblemSpec:
     rho_minus: float
     rho_plus: float
     gamma: float = 10.0
-    gamma_g_minus: float = 10.0
-    gamma_g_plus: float = 10.0
+    gamma_g: float = 10.0                # ghost penalty, the same on both sides
     f_minus: Callable | None = None
     f_plus: Callable | None = None
     jump_value: Callable | None = None   # alpha: [u] on the interface
@@ -37,7 +36,7 @@ class ProblemSpec:
     hess_plus: Callable | None = None
 
     def __post_init__(self):
-        for name in ("rho_minus", "rho_plus", "gamma", "gamma_g_minus", "gamma_g_plus"):
+        for name in ("rho_minus", "rho_plus", "gamma", "gamma_g"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         # a subnormal coefficient underflows the stiffness to zero
@@ -46,8 +45,8 @@ class ProblemSpec:
             raise ValueError(f"diffusion coefficients must be positive and at least {tiny:g}")
         if self.gamma <= 0.0:
             raise ValueError("interface penalty gamma must be positive")
-        if self.gamma_g_minus < 0.0 or self.gamma_g_plus < 0.0:
-            raise ValueError("ghost penalty parameters must be nonnegative")
+        if self.gamma_g < 0.0:
+            raise ValueError("ghost penalty parameter gamma_g must be nonnegative")
 
     def rho(self, side: str) -> float:
         return self.rho_minus if side == "minus" else self.rho_plus

@@ -19,6 +19,7 @@ from cutnitsche.harness import (RunConfig, make_problem, run_contrast_sweep,
 from cutnitsche.levelset import make_circle
 from cutnitsche.mesh import build_mesh
 from cutnitsche.space import build_spaces
+from spread_check import spread_failure
 
 
 def _col(table, name):
@@ -104,9 +105,8 @@ def test_criterion_3_contrast_robustness(sweeps_level5):
         eflux = _col(table, "eflux")
         e0 = _col(table, "e0")
         esqrt = _col(table, "esqrt")
-        spread = max(eflux) / min(eflux)
-        _require(failures, spread <= 1.25,
-                 f"{side}: flux-error spread {spread:.4f} > 1.25")
+        failure = spread_failure(eflux)
+        _require(failures, failure is None, f"{side}: {failure}")
         _require(failures, all(b > a for a, b in zip(e0, e0[1:])),
                  f"{side}: e0 not monotonically increasing: {e0}")
         _require(failures, all(b > a for a, b in zip(esqrt, esqrt[1:])),
@@ -120,9 +120,8 @@ def test_criterion_4_nonhomogeneous_jumps(flower_conv, flower_sweep):
     _require(failures, last >= 0.9,
              f"final flux order {last:.3f} < 0.9")
     eflux = _col(flower_sweep, "eflux")
-    spread = max(eflux) / min(eflux)
-    _require(failures, spread <= 1.25,
-             f"sweep flux-error spread {spread:.4f} > 1.25")
+    failure = spread_failure(eflux)
+    _require(failures, failure is None, f"sweep {failure}")
     _require(failures,
              all(1.4e-2 / 2.0 <= v <= 1.4e-2 * 2.0 for v in eflux),
              f"sweep flux errors {eflux} not within x2 of 1.4e-2")

@@ -47,8 +47,7 @@ def test_penalty_part_matches_chord_mass_oracle():
     c = -0.55 + mesh.h / 3.0
     topo = classify(mesh, LevelSet(phi=lambda x: x[..., 0] - c))
     layout = build_spaces(topo)
-    spec = ProblemSpec(rho_minus=3.0, rho_plus=3.0, gamma=10.0,
-                       gamma_g_minus=0.0, gamma_g_plus=0.0)
+    spec = ProblemSpec(rho_minus=3.0, rho_plus=3.0, gamma=10.0, gamma_g=0.0)
     parts = assemble_parts(layout, spec)
     got = (spec.gamma * spec.rho_minus * parts["penalty_base"]).toarray()
 

@@ -553,8 +553,8 @@ def ref_full_matrix(layout, spec):
     parts = ref_assemble_parts(layout, spec)
     a = (parts["volume"] + parts["nitsche"]
          + spec.gamma * spec.rho_minus * parts["penalty_base"]
-         + spec.gamma_g_minus * parts["ghost_minus"]
-         + spec.gamma_g_plus * parts["ghost_plus"])
+         + spec.gamma_g * parts["ghost_minus"]
+         + spec.gamma_g * parts["ghost_plus"])
     return a.tocsr()
 
 

@@ -10,6 +10,7 @@ import pytest
 
 from cutnitsche import cli
 from cutnitsche.cli import main, parse_config_file, parse_levels
+from cutnitsche.diagnostics import run_diagnostics
 from cutnitsche.harness import ConfigError, RunConfig, Table, run_solve
 from cutnitsche.mesh import build_mesh
 
@@ -159,6 +160,8 @@ def test_flag_overrides_config(capsys, tmp_path):
     ("weighting = harmonic\n", "unknown key 'weighting'"),
     # each example names its own interface
     ("interface = flower\n", "unknown key 'interface'"),
+    # one ghost penalty parameter serves both sides
+    ("gamma_g_minus = 10\n", "unknown key 'gamma_g_minus'"),
 ])
 def test_config_errors_carry_line_numbers(capsys, tmp_path, content, fragment):
     path = tmp_path / "bad.cfg"
@@ -178,12 +181,14 @@ def test_missing_config_file(capsys):
 
 
 def test_bad_flag_exits_one(capsys):
-    # CG is the only solver, the minus-sided flux the only Nitsche method
-    # and each example names its own interface: --solver, --tol,
-    # --weighting and --interface are not options
+    # CG is the only solver, the minus-sided flux the only Nitsche method,
+    # each example names its own interface and one ghost penalty serves
+    # both sides: --solver, --tol, --weighting, --interface and
+    # --gamma-g-plus are not options
     for argv in (["solve", "--no-such-flag"], ["solve", "--solver", "cg"],
                  ["solve", "--tol", "1e-10"], ["solve", "--weighting", "harmonic"],
                  ["solve", "--example", "patch", "--interface", "flower"],
+                 ["solve", "--gamma-g-plus", "1"],
                  ["convergence", "--levels", "5..1"], ["convergence", "--levels", ""]):
         code, out, err = _run(capsys, argv)
         assert code == 1
@@ -210,7 +215,7 @@ def test_invalid_parameters_exit_one(capsys):
 
     # non-finite parameters are config errors, not a CG run on NaN
     for flag, value in (("--rho-plus", "inf"), ("--gamma", "nan"), ("--gamma", "inf"),
-                        ("--gamma-g-minus", "nan")):
+                        ("--gamma-g", "nan")):
         code, out, err = _run(capsys, ["solve", "--example", "1", "--level", "1", flag, value])
         assert code == 1
         assert out == ""
@@ -431,6 +436,16 @@ def test_diagnostics_command(capsys):
     for block in ("# patch_area_ratio", "# coercivity",
                   "# interpolation", "# discrete_extension"):
         assert block in out
+
+
+def test_diagnostics_writes_the_report_to_its_output(capsys, tmp_path):
+    # the one front end of the report: the file holds run_diagnostics' text
+    path = tmp_path / "diagnostics.txt"
+    code, out, err = _run(capsys, ["diagnostics", "--inclusion-side", "plus",
+                                   "--output", str(path)])
+    assert code == 0, err
+    assert out == ""
+    assert path.read_text() == run_diagnostics(RunConfig(example="1", inclusion_side="plus"))
 
 
 @pytest.mark.parametrize("example", ["2", "patch-flower"])

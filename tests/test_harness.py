@@ -12,7 +12,7 @@ from cutnitsche import harness
 from cutnitsche.assembly import build_system, expand_solution
 from cutnitsche.cutcell import classify
 from cutnitsche.harness import (CONTRAST_COLUMNS, CONTRAST_PAIRS,
-                                CONVERGENCE_COLUMNS, ConfigError, RunConfig,
+                                CONVERGENCE_COLUMNS, EXAMPLES, ConfigError, RunConfig,
                                 Table, make_problem,
                                 run_contrast_sweep, run_convergence,
                                 run_solve, solve_table)
@@ -22,6 +22,7 @@ from cutnitsche.norms import error_report
 from cutnitsche.problems import ProblemSpec, example_flower
 from cutnitsche.solver import BACKWARD_ERROR_TOL, StagnationError, solve
 from cutnitsche.space import build_spaces
+from spread_check import spread_failure
 
 
 def test_config_validation():
@@ -84,6 +85,13 @@ def test_make_problem_example_constraints():
     assert ls.name == "flower"
     ls, _ = make_problem(RunConfig(example="1", circle_radius=0.25))
     assert "0.25" in ls.name
+
+
+def test_ghost_penalty_reaches_every_example():
+    # one gamma_g scales both sides' ghost penalty, in every example
+    for example in EXAMPLES:
+        _, spec = make_problem(RunConfig(example=example, gamma_g=0.0))
+        assert spec.gamma_g == 0.0
 
 
 def test_table_rendering():
@@ -173,30 +181,26 @@ def _lu_eflux(problems, level=4):
     return eflux
 
 
-def _spread(eflux):
-    return max(eflux) / min(eflux)
-
-
-def _lu_flux_spread(inclusion_side, swap):
-    """max / min of eflux over CONTRAST_PAIRS for the circle at level 4,
-    each system solved by sparse LU.  With ``swap`` the side labels of
+def _lu_circle_eflux(inclusion_side, swap):
+    """eflux over CONTRAST_PAIRS for the circle at level 4, each system
+    solved by sparse LU.  With ``swap`` the side labels of
     the same physical problem are exchanged (inclusion side flipped, rho-
     and rho+ exchanged), so the Nitsche flux and penalty come from the
     high-coefficient side; the manufactured solution then moves by a
     global constant, which the method reproduces exactly."""
     side = {"minus": "plus", "plus": "minus"}[inclusion_side] if swap else inclusion_side
-    return _spread(_lu_eflux(
+    return _lu_eflux(
         make_problem(RunConfig(example="1", inclusion_side=side,
                                rho_minus=high if swap else low, rho_plus=low if swap else high))
-        for low, high in CONTRAST_PAIRS))
+        for low, high in CONTRAST_PAIRS)
 
 
 @pytest.mark.parametrize("inclusion_side", ["minus", "plus"])
 def test_swapped_labels_fail_the_spread_bound(inclusion_side):
-    # negative control of the acceptance gates' spread bound of 1.25:
-    # the flux from the high-coefficient side depends on the contrast
-    assert _lu_flux_spread(inclusion_side, swap=True) > 1.25
-    assert _lu_flux_spread(inclusion_side, swap=False) <= 1.25
+    # negative control of the acceptance gates' spread check: the flux
+    # from the high-coefficient side depends on the contrast
+    assert spread_failure(_lu_circle_eflux(inclusion_side, swap=True)) is not None
+    assert spread_failure(_lu_circle_eflux(inclusion_side, swap=False)) is None
 
 
 def _swapped_flower(rho_petal, rho_outer):
@@ -230,8 +234,8 @@ def test_swapped_flower_labels_fail_the_spread_bound():
                       for low, high in pairs)
     # the swapped spec poses example 2's physical problem
     assert swapped[0] == pytest.approx(paper[0], rel=0.01)
-    assert _spread(swapped[1:]) > 1.25
-    assert _spread(paper[1:]) <= 1.25
+    assert spread_failure(swapped[1:]) is not None
+    assert spread_failure(paper[1:]) is None
 
 
 def test_floor_acceptance_at_extreme_contrast():

@@ -152,13 +152,13 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         ProblemSpec(rho_minus=1.0, rho_plus=1.0, gamma=0.0)
     with pytest.raises(ValueError):
-        ProblemSpec(rho_minus=1.0, rho_plus=1.0, gamma_g_minus=-0.5)
+        ProblemSpec(rho_minus=1.0, rho_plus=1.0, gamma_g=-0.5)
     # subnormal coefficients underflow the stiffness to zero
     for name in ("rho_minus", "rho_plus"):
         for value in (1e-320, 5e-324):
             with pytest.raises(ValueError, match="diffusion coefficients"):
                 ProblemSpec(**{"rho_minus": 1.0, "rho_plus": 1.0, name: value})
-    for name in ("rho_minus", "rho_plus", "gamma", "gamma_g_minus", "gamma_g_plus"):
+    for name in ("rho_minus", "rho_plus", "gamma", "gamma_g"):
         for value in (np.inf, np.nan):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 ProblemSpec(**{"rho_minus": 1.0, "rho_plus": 1.0, name: value})

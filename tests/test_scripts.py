@@ -8,7 +8,6 @@ import subprocess
 import sys
 
 import cutnitsche
-from cutnitsche.diagnostics import run_diagnostics
 from cutnitsche.harness import RunConfig, run_solve, solve_table
 from cutnitsche.solver import BACKWARD_ERROR_TOL
 
@@ -203,26 +202,3 @@ def test_reproduce_tables_refuses_a_prefix_that_matches_nothing(tmp_path):
     assert "no table name starts with it" in run.stderr
     assert run.stdout == ""
     assert not (tmp_path / "out").exists()
-
-
-def run_diagnostics_report(*args):
-    """``diagnostics_report.py`` with this package on the path."""
-    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cutnitsche.__file__).parent.parent))
-    return subprocess.run([sys.executable, str(SCRIPTS / "diagnostics_report.py"), *args],
-                          env=env, capture_output=True, text=True, timeout=300)
-
-
-def test_diagnostics_report_passes_its_levels_and_flags_on(tmp_path):
-    args = ["--inclusion-side", "plus", "--patch-levels", "1..2", "--coercivity-levels", "1",
-            "--interpolation-levels", "1,2", "--extension-levels", "2..3"]
-    report = run_diagnostics(RunConfig(example="1", inclusion_side="plus"),
-                             patch_levels=(1, 2), coercivity_levels=(1,),
-                             interpolation_levels=(1, 2), extension_levels=(2, 3))
-    run = run_diagnostics_report(*args)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout == report
-    path = tmp_path / "diagnostics.txt"
-    run = run_diagnostics_report(*args, "--output", str(path))
-    assert run.returncode == 0, run.stderr
-    assert run.stdout == f"-> {path}\n"
-    assert path.read_text() == report
