@@ -39,7 +39,7 @@ With ``<old>`` and ``<new>`` checkouts of the two commits:
 
 Without ``src`` on the path the script exits 1 and leaves an empty file,
 and two empty files diff as identical: ``&&`` stops at that exit, and
-each file must have 988 lines.
+each file must have 988 lines (the one statement of this count).
 
 BLAS is pinned to one thread, because stagnated CG iterates of the
 high-contrast solves depend on the thread count.
@@ -69,7 +69,7 @@ from cutnitsche.diagnostics import (_h1_matrices, build_extension,  # noqa: E402
                                     interpolation_error_profile, run_diagnostics)
 from cutnitsche.harness import (CONTRAST_PAIRS, RunConfig, make_problem,  # noqa: E402
                                 run_solve, solve_accepting_floor)
-from cutnitsche.levelset import make_circle, make_flower  # noqa: E402
+from cutnitsche.levelset import SIDES, make_circle, make_flower  # noqa: E402
 from cutnitsche.mesh import build_mesh  # noqa: E402
 from cutnitsche.norms import error_report  # noqa: E402
 from cutnitsche.space import build_spaces, interpolate_pair  # noqa: E402
@@ -130,11 +130,11 @@ def topology_arrays(topo):
     areas and side rules, in their old order and under their old names;
     those two come from the accessors over the full id range."""
     out = {name: getattr(topo, name) for name in ("node_sign", "elem_side")}
-    for side in ("minus", "plus"):
+    for side in SIDES:
         out[f"area_{side}"] = topo.area(side, slice(None))
     for name in ("cut_ids", "chord_p", "chord_q", "chord_len", "chord_normal"):
         out[name] = getattr(topo, name)
-    for side in ("minus", "plus"):
+    for side in SIDES:
         ptr, points, weights = topo.quadrature(side, slice(None))
         out[f"quad_{side}.elems"] = np.repeat(np.arange(topo.mesh.n_elems), np.diff(ptr))
         out[f"quad_{side}.points"] = points

@@ -46,21 +46,17 @@ The end-to-end record (``--record e2e``, ``BENCH_e2e.json``) times
 whole processes, each started fresh in the checkout the package was
 imported from, with that checkout's ``src`` on PYTHONPATH:
 
-* ``setup``: perfbench's ``worker.py --setup-only``, which imports
-  ``cutnitsche`` and ``cutnitsche.diagnostics`` and solves the warm-up
-  config; its seconds run from the start of the process to the end of
-  the warm-up and its ``nominal_s`` is perfbench's ``setup_s``;
 * ``solve-L6`` and ``solve-L7``: ``cutnitsche solve`` for the circle with
   the inclusion on the plus side at ``rho`` 1 / 1e9;
 * ``reproduce_tables``: ``scripts/reproduce_tables.py``, every table;
 * ``tier1``: the test suite, with its passed and failed counts.
 
-Each row holds its runs (``E2E_ROWS``) and their medians.  Per run,
-``seconds`` is the wall time, ``speeds`` the machine's speed read by
-``calibrate.speed`` right before and right after the process (the
-worker's own reading after its set-up, for ``setup``), ``nominal_s``
-the seconds times their mean, and ``maxrss_mb`` the child's peak RSS
-from its rusage.  The BLAS thread caps below hold in every child.
+Each row holds its runs (``E2E_ROWS``) and their medians; set-up time
+is perfbench's ``setup_s`` alone.  Per run, ``seconds`` is the wall
+time, ``speeds`` the machine's speed read by ``calibrate.speed`` right
+before and right after the process, ``nominal_s`` the seconds times
+their mean, and ``maxrss_mb`` the child's peak RSS from its rusage.
+The BLAS thread caps below hold in every child.
 
 It prints one line per stage and writes the measurement of each case,
 with the number of untraced runs per level as ``timed_runs``, into one
@@ -149,9 +145,6 @@ _SOLVE = ("-m", "cutnitsche", "solve", "--example", "1", "--inclusion-side", "pl
 # per row of the end-to-end record: its description, the arguments of the
 # Python process it times ({outdir}: a fresh empty directory) and its runs
 E2E_ROWS = {
-    "setup": ("perfbench's set-up: a fresh process imports cutnitsche and "
-              "cutnitsche.diagnostics and solves the warm-up config",
-              ("perfbench/worker.py", "--setup-only"), 7),
     "solve-L6": ("cutnitsche solve, circle r=1/3, inclusion plus, rho 1 / 1e9, level 6",
                  _SOLVE + ("6",), 3),
     "solve-L7": ("cutnitsche solve, circle r=1/3, inclusion plus, rho 1 / 1e9, level 7",
@@ -293,11 +286,11 @@ def measure_case(record: str, key: str, levels) -> dict:
 
 
 def checkout_root() -> pathlib.Path:
-    """The checkout the package was imported from, whose scripts, benchmark
-    worker and tests the end-to-end record runs; SystemExit when the
-    package is not its ``src/cutnitsche``."""
+    """The checkout the package was imported from, whose scripts and tests
+    the end-to-end record runs; SystemExit when the package is not its
+    ``src/cutnitsche``."""
     root = pathlib.Path(cutnitsche.__file__).resolve().parent.parent.parent
-    needed = ("src/cutnitsche", "scripts/reproduce_tables.py", "perfbench/worker.py", "tests")
+    needed = ("src/cutnitsche", "scripts/reproduce_tables.py", "tests")
     missing = [name for name in needed if not (root / name).exists()]
     if missing:
         raise SystemExit(f"stage_memory: {root} is not a source checkout of the package: "
@@ -308,9 +301,7 @@ def checkout_root() -> pathlib.Path:
 def run_child(root: pathlib.Path, args) -> tuple[dict, int, str]:
     """One run of ``python args`` in ``root`` with its ``src`` on
     PYTHONPATH, between two readings of the machine's speed: its record,
-    its exit code and its output.  For perfbench's worker the seconds end
-    at its warm-up and the speed is the worker's reading after it, as in
-    perfbench's ``setup_s``."""
+    its exit code and its output."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     speeds = [calibrate.speed()]
     with tempfile.TemporaryDirectory() as outdir, tempfile.TemporaryFile("w+") as out:
@@ -324,9 +315,6 @@ def run_child(root: pathlib.Path, args) -> tuple[dict, int, str]:
         out.seek(0)
         text = out.read()
     speeds.append(calibrate.speed())
-    if args[0] == "perfbench/worker.py" and proc.returncode == 0:
-        result = json.loads(text.strip().splitlines()[-1])
-        seconds, speeds = result["warmup_end"] - start, [result["setup_speed"]]
     return {"seconds": round(seconds, 3), "speeds": [round(v, 3) for v in speeds],
             "nominal_s": round(seconds * statistics.fmean(speeds), 3),
             "maxrss_mb": round(usage.ru_maxrss / 1024.0, 1)}, proc.returncode, text

@@ -23,6 +23,7 @@ from functools import partial
 import numpy as np
 import scipy.sparse as sp
 
+from .levelset import SIDES
 from .mesh import barycentric_many, blocks, edge_frame
 from .problems import ProblemSpec
 from .space import FieldPair, SpaceLayout
@@ -64,9 +65,7 @@ def _cut_blocks(layout: SpaceLayout):
     lam = np.stack(
         [barycentric_many(coords, pts[:, q, :]) for q in range(2)], axis=1
     )  # (ncut, 2, 3)
-    dofs = np.concatenate(
-        [layout.global_dofs("minus", conn), layout.global_dofs("plus", conn)], axis=1
-    )  # (ncut, 6)
+    dofs = np.concatenate([layout.global_dofs(side, conn) for side in SIDES], axis=1)  # (ncut, 6)
     if dofs.size and dofs.min() < 0:
         raise RuntimeError("cut element with a missing DOF; classification and layout disagree")
     # jump [v] = v^+ - v^- evaluated at the chord quadrature points
@@ -199,7 +198,8 @@ def _volume(layout: SpaceLayout, spec: ProblemSpec, lo: int, hi: int) -> sp.csr_
     the elements that can touch the window."""
     mesh, topo = layout.mesh, layout.topo
     groups = []
-    for side, offset in (("minus", 0), ("plus", layout.n_minus)):
+    for side in SIDES:
+        offset = layout.offset(side)
         near = window_elems(mesh, layout.dof_node(side), lo - offset, hi - offset)
         groups.append((near[topo.in_side(side, near)],
                        lambda ids, side=side: layout.global_dofs(side, mesh.elements(ids)),
@@ -273,10 +273,7 @@ def _ghost_part(layout: SpaceLayout, spec: ProblemSpec, side: str):
     j2 = -np.einsum("kid,kd->ki", mesh.grads(e2), ne)
     jmp = np.concatenate([j1, j2], axis=1)  # (k, 6)
     coeff = spec.rho(side) * elen ** 2
-    dofs = np.concatenate(
-        [layout.global_dofs(side, mesh.elements(e1)),
-         layout.global_dofs(side, mesh.elements(e2))], axis=1
-    )
+    dofs = np.concatenate([layout.global_dofs(side, mesh.elements(e)) for e in (e1, e2)], axis=1)
     return dofs, lambda t: coeff[t, None, None] * jmp[t, :, None] * jmp[t, None, :]
 
 
@@ -298,7 +295,7 @@ def assemble_load(layout: SpaceLayout, spec: ProblemSpec) -> np.ndarray:
     """
     mesh, topo = layout.mesh, layout.topo
     b = np.zeros(layout.n_total)
-    for side in ("minus", "plus"):
+    for side in SIDES:
         f = spec.f_minus if side == "minus" else spec.f_plus
         if f is None:
             continue
@@ -383,9 +380,9 @@ def build_system(layout: SpaceLayout, spec: ProblemSpec) -> SparseSystem:
     lifting = np.zeros(layout.n_total)
     dir_dofs = np.flatnonzero(layout.dirichlet)
     if dir_dofs.size and spec.dirichlet is not None:
-        outer = layout.outer_side()
-        offset = 0 if outer == "minus" else layout.n_minus
-        coords = np.take(layout.mesh.nodes, layout.dof_node(outer)[dir_dofs - offset], axis=0)
+        outer = layout.topo.levelset.outer_side
+        nodes = layout.dof_node(outer)[dir_dofs - layout.offset(outer)]
+        coords = np.take(layout.mesh.nodes, nodes, axis=0)
         lifting[dir_dofs] = np.asarray(spec.dirichlet(coords), dtype=float)
     # without Dirichlet DOFs the lift subtracts +0.0, which changes no bit
     matrix = _free_sum(layout, spec, [

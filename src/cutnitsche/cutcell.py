@@ -210,7 +210,7 @@ def classify(mesh: Mesh, ls: LevelSet) -> CutTopology:
     side = np.where(sub_minus[degenerate] >= 0.5 * mesh.areas(gone), -1, 1)
     for t, s in zip(gone.tolist(), side.tolist()):
         log.warning("element %d: degenerate chord, reclassified as uncut (%s)",
-                    t, "minus" if s < 0 else "plus")
+                    t, SIDES[s > 0])
 
     keep = ~degenerate
     cut_ids = cand[keep]

@@ -28,7 +28,7 @@ from .assembly import (_ghost_part, _stiffness, assemble_vnorm_gram, build_syste
 # classify stays bound here by name: the benchmark's tracer tests check it
 from .cutcell import CutTopology, classify  # noqa: F401
 from .harness import RunConfig, Table, _geometry, make_problem
-from .levelset import _TUBE, GeometryError, LevelSet, reflect_many
+from .levelset import _TUBE, SIDES, GeometryError, LevelSet, reflect_many
 from .mesh import Mesh, barycentric_many, blocks, elem_any
 from .norms import PairwiseSum, _energy_sq, _grad_error_sq
 from .problems import ProblemSpec
@@ -130,7 +130,7 @@ def interpolation_error_profile(ls: LevelSet, spec: ProblemSpec, levels) -> Tabl
         mesh, topo = layout.mesh, layout.topo
         u_i = interpolate_pair(layout, spec.exact("minus"), spec.exact("plus"))
         esqrt_sq = scale = 0.0
-        for side in ("minus", "plus"):
+        for side in SIDES:
             hess = spec.hess_minus if side == "minus" else spec.hess_plus
             coeffs, dofmap = u_i.side(side), layout.node_dof(side)
             grad_int = PairwiseSum(topo.n_points(side))
@@ -287,7 +287,7 @@ def _patch_block(config: RunConfig, levels) -> Table:
     rows = []
     for level in levels:
         layout = _geometry(level, ls)
-        for side in ("minus", "plus"):
+        for side in SIDES:
             res = patch_area_ratio(layout.topo, side)
             rows.append((level, side, res.ratio, res.node))
     return Table(columns=("level", "side", "min_ratio", "argmin_node"),

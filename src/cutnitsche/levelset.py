@@ -68,6 +68,11 @@ class LevelSet:
             raise ValueError(f"inclusion_side must be {' or '.join(map(repr, SIDES))}, "
                              f"got {self.inclusion_side!r}")
 
+    @property
+    def outer_side(self) -> str:
+        """The side that is not the inclusion's: its subdomain reaches the outer boundary."""
+        return next(side for side in SIDES if side != self.inclusion_side)
+
     def value(self, x):
         return self.phi(np.asarray(x, dtype=float))
 

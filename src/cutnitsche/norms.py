@@ -18,6 +18,7 @@ import numpy as np
 
 from . import mesh as mesh_module
 from .assembly import _cut_blocks
+from .levelset import SIDES
 from .mesh import barycentric_many, edge_frame
 from .problems import ProblemSpec
 from .space import FieldPair
@@ -101,7 +102,7 @@ def error_report(spec: ProblemSpec, u_h: FieldPair) -> ErrorReport:
     eflux_sq = {}
     esqrt_sq = 0.0
     einf = efluxinf = 0.0
-    for side in ("minus", "plus"):
+    for side in SIDES:
         rho = spec.rho(side)
         coeffs = u_h.side(side)
         dofmap = layout.node_dof(side)
@@ -202,7 +203,7 @@ def _ghost_error_sq(spec: ProblemSpec, u_h: FieldPair) -> float:
     layout = u_h.layout
     mesh, topo = layout.mesh, layout.topo
     total = 0.0
-    for side, edges in (("minus", topo.ghost_minus), ("plus", topo.ghost_plus)):
+    for side, edges in zip(SIDES, (topo.ghost_minus, topo.ghost_plus)):
         if not edges.size:
             continue
         coeffs = u_h.side(side)

@@ -100,13 +100,12 @@ def example_circle(rho_minus: float, rho_plus: float,
     def hess_plus(x):
         return np.full(x.shape[:-1], np.sqrt(8.0) / rho_plus)
 
-    outer = u_plus if inclusion_side == "minus" else u_minus
     spec = ProblemSpec(
         rho_minus=rho_minus,
         rho_plus=rho_plus,
         f_minus=f,
         f_plus=f,
-        dirichlet=outer,
+        dirichlet=u_plus if ls.outer_side == "plus" else u_minus,
         exact_minus=u_minus,
         exact_plus=u_plus,
         grad_minus=g_minus,

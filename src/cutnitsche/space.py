@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cutcell import CutTopology
+from .levelset import SIDES
 from .mesh import Mesh, barycentric_many, node_any
 
 __all__ = ["SpaceLayout", "FieldPair", "build_spaces", "interpolate_pair"]
@@ -59,14 +60,12 @@ class SpaceLayout:
 
     def global_dofs(self, side: str, nodes) -> np.ndarray:
         """Global dof ids for the given nodes on one side (-1 if absent)."""
-        if side == "minus":
-            return self.node_dof_minus[nodes]
-        d = self.node_dof_plus[nodes]
-        return np.where(d >= 0, d + self.n_minus, -1)
+        d = self.node_dof(side)[nodes]
+        return np.where(d >= 0, d + self.offset(side), -1)
 
-    def outer_side(self) -> str:
-        """The side whose subdomain reaches the outer boundary."""
-        return "plus" if self.topo.levelset.inclusion_side == "minus" else "minus"
+    def offset(self, side: str) -> int:
+        """First global dof of one side's block; the minus block comes first."""
+        return SIDES.index(side) * self.n_minus
 
 
 @dataclass
@@ -97,13 +96,13 @@ def build_spaces(topo: CutTopology) -> SpaceLayout:
     """
     mesh = topo.mesh
     node_dof, dof_node, dirichlet = {}, {}, {}
-    for side in ("minus", "plus"):
+    for side in SIDES:
         dof_node[side] = np.flatnonzero(node_any(topo.in_side(side), mesh.n_cells))
         node_dof[side] = np.full(mesh.n_nodes, -1, dtype=np.int64)
         node_dof[side][dof_node[side]] = np.arange(dof_node[side].shape[0])
-        # the boundary nodes of the outer side, the one not the inclusion's, are Dirichlet
-        dirichlet[side] = mesh.boundary_node(dof_node[side]) & (side != topo.levelset.inclusion_side)
-    flags = np.concatenate([dirichlet["minus"], dirichlet["plus"]])
+        # the boundary nodes of the outer side are Dirichlet
+        dirichlet[side] = mesh.boundary_node(dof_node[side]) & (side == topo.levelset.outer_side)
+    flags = np.concatenate([dirichlet[side] for side in SIDES])
     return SpaceLayout(
         topo=topo,
         node_dof_minus=node_dof["minus"],
@@ -119,7 +118,7 @@ def interpolate_pair(layout: SpaceLayout, f_minus, f_plus) -> FieldPair:
     """Nodal interpolation of one callable per side onto its space."""
     minus, plus = (np.asarray(f(np.take(layout.mesh.nodes, layout.dof_node(side), axis=0)),
                               dtype=float)
-                   for side, f in (("minus", f_minus), ("plus", f_plus)))
+                   for side, f in zip(SIDES, (f_minus, f_plus)))
     return FieldPair(layout, minus, plus)
 
 

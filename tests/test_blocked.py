@@ -566,7 +566,7 @@ def ref_build_system(layout, spec):
     lifting = np.zeros(layout.n_total)
     dir_dofs = np.flatnonzero(layout.dirichlet)
     if dir_dofs.size and spec.dirichlet is not None:
-        outer = layout.outer_side()
+        outer = "plus" if layout.topo.levelset.inclusion_side == "minus" else "minus"
         offset = 0 if outer == "minus" else layout.n_minus
         coords = layout.mesh.nodes[layout.dof_node(outer)[dir_dofs - offset]]
         lifting[dir_dofs] = np.asarray(spec.dirichlet(coords), dtype=float)

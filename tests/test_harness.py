@@ -121,7 +121,7 @@ def test_flower_patch_test_takes_the_inclusion_side(side):
     result = run_solve(RunConfig(example="patch-flower", inclusion_side=side, level=2))
     assert result.topo.levelset.name == "flower"
     assert result.topo.levelset.inclusion_side == side
-    assert result.layout.outer_side() == ("plus" if side == "minus" else "minus")
+    assert result.topo.levelset.outer_side == ("plus" if side == "minus" else "minus")
     assert result.report.e0 <= 1e-10
     assert result.report.eflux <= 1e-10
 

@@ -1,12 +1,14 @@
 """Interface descriptions: roots on edges, reflection, sign conventions."""
+import ast
 import dataclasses
+import pathlib
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from cutnitsche.cutcell import classify
-from cutnitsche.levelset import (CoarseMeshError, GeometryError, LevelSet,
+from cutnitsche.levelset import (SIDES, CoarseMeshError, GeometryError, LevelSet,
                                  make_circle, make_flower, reflect_many)
 from cutnitsche.mesh import build_mesh
 
@@ -24,6 +26,23 @@ def test_circle_values_and_signs():
         make_circle(radius=1.5)
     with pytest.raises(ValueError):
         LevelSet(phi=lambda x: x[..., 0], inclusion_side="bogus")
+
+
+def test_only_levelset_spells_the_pair_of_side_names():
+    # every loop or pairing over the two sides in the package reads SIDES
+    def strings(literal):   # nested tuple and list literals included
+        for item in literal.elts:
+            if isinstance(item, (ast.Tuple, ast.List)):
+                yield from strings(item)
+            elif isinstance(item, ast.Constant):
+                yield item.value
+
+    package = pathlib.Path(__file__).resolve().parents[1] / "src" / "cutnitsche"
+    spelled = [f"{path.name}:{node.lineno}"
+               for path in sorted(package.glob("*.py")) if path.name != "levelset.py"
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, (ast.Tuple, ast.List)) and set(SIDES) <= set(strings(node))]
+    assert spelled == []
 
 
 @given(st.floats(min_value=-1.0, max_value=1.0), st.floats(min_value=-1.0, max_value=1.0),

@@ -122,11 +122,6 @@ E2E_STUBS = {
         "import sys\n"
         "with open('solve_args.txt', 'a') as fh:\n"
         "    fh.write(' '.join(sys.argv[1:]) + '\\n')\n"),
-    "perfbench/worker.py": (
-        "import json, sys, time\n"
-        "assert sys.argv[1:] == ['--setup-only']\n"
-        "print('set up')\n"
-        "print(json.dumps({'warmup_end': time.monotonic(), 'setup_speed': 1.0}))\n"),
     "scripts/reproduce_tables.py": (
         "import os, sys\n"
         "outdir = sys.argv[sys.argv.index('--outdir') + 1]\n"
@@ -152,22 +147,18 @@ def test_e2e_record_times_whole_processes(tmp_path):
     assert (repo / "BENCH_memory.json").read_text() == "{}\n"
     assert (repo / "BENCH_stages.json").read_text() == "{}\n"
     cases = json.loads((repo / "BENCH_e2e.json").read_text())["cases"]
-    assert list(cases) == ["setup", "solve-L6", "solve-L7", "reproduce_tables", "tier1"]
+    assert list(cases) == ["solve-L6", "solve-L7", "reproduce_tables", "tier1"]
     for key, case in cases.items():
         column = case["columns"]["change"]
         assert column["commit"] == git("describe", "--always")
         assert sorted(column["versions"]) == ["numpy", "python", "scipy"]
         runs = column["runs"]
-        assert len(runs) == column["timed_runs"] == {"setup": 7, "solve-L6": 3, "solve-L7": 1,
+        assert len(runs) == column["timed_runs"] == {"solve-L6": 3, "solve-L7": 1,
                                                      "reproduce_tables": 3, "tier1": 1}[key]
         for run in runs:
             assert run["seconds"] >= 0 and run["maxrss_mb"] > 0
-            # the worker's own speed reading for the set-up, else one before
-            # and one after the process
-            if key == "setup":
-                assert run["speeds"] == [1.0]
-            else:
-                assert len(run["speeds"]) == 2 and min(run["speeds"]) > 0
+            # one speed reading before and one after the process
+            assert len(run["speeds"]) == 2 and min(run["speeds"]) > 0
             # each of seconds, speeds and nominal_s is rounded to 3 places
             speed = statistics.fmean(run["speeds"])
             assert (abs(run["nominal_s"] - run["seconds"] * speed)

@@ -42,7 +42,7 @@ def test_minus_space_supported_near_inclusion(circle_layout):
 def test_dirichlet_on_outer_side_only(circle_layout):
     layout = circle_layout(2)
     mesh = layout.mesh
-    assert layout.outer_side() == "plus"
+    assert layout.topo.levelset.outer_side == "plus"
     bdofs = layout.node_dof_plus[mesh.boundary_node(slice(None))] + layout.n_minus
     assert np.all(layout.dirichlet[bdofs])
     assert layout.dirichlet.sum() == mesh.boundary_node(slice(None)).sum()
